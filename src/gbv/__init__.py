@@ -21,10 +21,8 @@ from .errors import (GbvError, HorizonError, HypothesisError, InfeasibleError,
 from .inequalities import (TripleSample, check_holder_branch,
                            check_master_inequality, check_weighted_comparison,
                            check_wu_estimate, extremal_profile)
-from .sequences import (ConvexBase, GaugePair, SchrammFamily, WeightSequence,
-                        phi_partial_inverse, prefix_sum)
-from .stepfn import (IntervalCollection, StepFunction, generate_block,
-                     increment, ingest)
+from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
+from .stepfn import IntervalCollection, StepFunction, generate_block, ingest
 from .variation import (VariationResult, modulus_of_variation, schramm_norm,
                         variation_gauged, variation_schramm,
                         variation_unweighted_q, variation_weighted)
@@ -42,9 +40,7 @@ __all__ = [
     "TripleSample", "check_holder_branch", "check_master_inequality",
     "check_weighted_comparison", "check_wu_estimate", "extremal_profile",
     "ConvexBase", "GaugePair", "SchrammFamily", "WeightSequence",
-    "phi_partial_inverse", "prefix_sum",
-    "IntervalCollection", "StepFunction", "generate_block", "increment",
-    "ingest",
+    "IntervalCollection", "StepFunction", "generate_block", "ingest",
     "VariationResult", "modulus_of_variation", "schramm_norm",
     "variation_gauged", "variation_schramm", "variation_unweighted_q",
     "variation_weighted",

@@ -11,7 +11,8 @@ Subcommands map one-to-one onto the library modules::
 
 Reports are JSON (optionally CSV for plot data) and byte-identical across
 runs with the same config and seed. Exit status: 0 success, 2 hypothesis
-or infeasibility errors, 1 I/O and validation errors.
+or infeasibility errors, 1 I/O, validation and internal-consistency
+errors.
 """
 
 from __future__ import annotations
@@ -249,9 +250,6 @@ def build_parser():
         p.add_argument("--output", help="write the JSON report here "
                                         "(default: stdout)")
         p.add_argument("--kmax", type=int, help="weight-sequence horizon")
-        p.add_argument("--jobs", type=int, default=1,
-                       help="worker cap (evaluation is currently serial; "
-                            "any value >= 1 is accepted)")
 
     p = sub.add_parser("variation", help="evaluate a variation functional")
     p.add_argument("--input", required=True)
@@ -338,10 +336,7 @@ def build_parser():
 
 def main(argv=None):
     logging.basicConfig(level=os.environ.get("GBV_LOG", "WARNING").upper())
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (HypothesisError, InfeasibleError) as exc:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HorizonError, HypothesisError, ValidationError
+from .errors import (HorizonError, HypothesisError, InternalConsistencyError,
+                     ValidationError)
 from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
 
 SLOPE_TOL = 0.01
@@ -199,13 +200,13 @@ def criterion_schramm(family: SchrammFamily, gauge: GaugePair,
 
 
 def criterion_phi_lambda(base: ConvexBase, weights: WeightSequence,
-                         gauge: GaugePair, n_cap: int,
-                         cross_check: bool = True) -> CriterionReport:
+                         gauge: GaugePair, n_cap: int) -> CriterionReport:
     """Scan ``a_n = max_k k^{1/q_n} phi^{-1}(Lambda(k)^{-1})``.
 
     Equivalent to :func:`criterion_schramm` on the scaled family
-    phi_j = phi/lam_j (since Phi_k = phi * Lambda(k)); the equivalence is
-    asserted on the fly when ``cross_check`` is set.
+    phi_j = phi/lam_j (since Phi_k = phi * Lambda(k)); every call checks
+    that equivalence and raises :class:`InternalConsistencyError` when the
+    two scans disagree.
     """
     if not 1 <= n_cap <= gauge.n_max:
         raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
@@ -219,14 +220,13 @@ def criterion_phi_lambda(base: ConvexBase, weights: WeightSequence,
         i = int(np.argmax(kernel))
         rows.append({"n": n, "a_n": float(kernel[i]), "argmax_k": int(ks[i])})
     report = _assemble(rows, inexact_any)
-    if cross_check:
-        scaled = SchrammFamily("scaled", base=base, weights=weights)
-        other = criterion_schramm(scaled, gauge, n_cap)
-        for mine, theirs in zip(report.levels, other.levels):
-            if abs(mine["a_n"] - theirs["a_n"]) > 1e-9 * max(1.0, abs(theirs["a_n"])):
-                raise HypothesisError(
-                    f"phi-Lambda criterion disagrees with the scaled-family "
-                    f"scan at level n={mine['n']}")
+    scaled = SchrammFamily("scaled", base=base, weights=weights)
+    other = criterion_schramm(scaled, gauge, n_cap)
+    for mine, theirs in zip(report.levels, other.levels):
+        if abs(mine["a_n"] - theirs["a_n"]) > 1e-9 * max(1.0, abs(theirs["a_n"])):
+            raise InternalConsistencyError(
+                f"phi-Lambda criterion disagrees with the scaled-family "
+                f"scan at level n={mine['n']}")
     return report
 
 

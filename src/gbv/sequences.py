@@ -134,11 +134,6 @@ class WeightSequence:
         return f"WeightSequence(kind={self.kind!r}, k_max={self.k_max})"
 
 
-def prefix_sum(seq: WeightSequence, k: int) -> float:
-    """Functional alias for :meth:`WeightSequence.prefix_sum`."""
-    return seq.prefix_sum(k)
-
-
 class ConvexBase:
     """A strictly increasing convex function on [0, inf) with phi(0) = 0.
 
@@ -352,11 +347,6 @@ class SchrammFamily:
 
     def __repr__(self):
         return f"SchrammFamily(kind={self.kind!r}, k_max={self.k_max})"
-
-
-def phi_partial_inverse(family: SchrammFamily, k: int, y: float, **kw) -> float:
-    """Functional alias for :meth:`SchrammFamily.partial_inverse`."""
-    return family.partial_inverse(k, y, **kw)
 
 
 class GaugePair:

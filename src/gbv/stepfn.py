@@ -21,7 +21,6 @@ from .errors import ResolutionError, ValidationError
 @dataclass(frozen=True)
 class StepFunction:
     values: np.ndarray
-    interpretation: str = "sampled"  # or "right-continuous-step"
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -44,12 +43,12 @@ class StepFunction:
         return abs(float(self.values[b]) - float(self.values[a]))
 
     def scaled(self, c):
-        return StepFunction(self.values * c, self.interpretation)
+        return StepFunction(self.values * c)
 
     def __add__(self, other):
         if other.m != self.m:
             raise ValidationError("resolution mismatch")
-        return StepFunction(self.values + other.values, self.interpretation)
+        return StepFunction(self.values + other.values)
 
     def to_json_dict(self):
         return {"m": self.m, "values": [float(v) for v in self.values]}
@@ -101,11 +100,6 @@ def ingest(path, fmt="csv"):
     if not np.all(np.isfinite(arr)):
         raise ValidationError("non-finite sample values")
     return StepFunction(arr)
-
-
-def increment(f: StepFunction, a: int, b: int) -> float:
-    """Functional alias for :meth:`StepFunction.increment`."""
-    return f.increment(a, b)
 
 
 def generate_block(n, height, t_n, delta_n, m):

@@ -2,12 +2,16 @@
 
 All functionals share one search problem: pick nonoverlapping grid
 intervals and sum per-interval gains. When the gain of an interval depends
-only on its own increment (modulus of variation, the unweighted q-form,
-any constant-weight family) a dynamic program over (grid position,
-intervals used) is exact. When gains are rank-dependent -- the j-th
-largest increment is charged phi_j -- no polynomial exact scheme is known,
-so we run a proven-exact branch-and-bound up to ``oracle_cap`` grid cells
-and fall back to certified lower/upper bounds beyond it.
+only on its own increment -- the modulus of variation, the unweighted
+q-form, any constant-weight family and so every level of a constant-weight
+gauged variation -- one dynamic program over (grid position, intervals
+left) is exact. It records an end pointer per cell in the same pass, so
+the witness is read off the pointers and re-evaluated against the value;
+when the count cap cannot bind, it runs on a single column. When gains are
+rank-dependent -- the j-th largest increment is charged phi_j -- no
+polynomial exact scheme is known, so we run a proven-exact branch-and-bound
+up to ``oracle_cap`` grid cells and fall back to certified lower/upper
+bounds beyond it.
 """
 
 from __future__ import annotations
@@ -47,61 +51,81 @@ class VariationResult:
         }
 
 
-def _exact(value, witness, mode="exact-dp", level=None):
-    return VariationResult(value=value, mode=mode, lower=value, upper=value,
-                           witness=witness, level=level)
+def _exact(value, witness):
+    return VariationResult(value=value, mode="exact-dp", lower=value,
+                           upper=value, witness=witness)
 
 
 # ---------------------------------------------------------------------------
 # rank-independent dynamic program
 
-def _dp_table(values, gainfn, max_count, min_len):
-    """best[i][k] = max gain-sum over <= k nonoverlapping intervals in
-    [i, m], each of grid length >= min_len."""
+def _dp(values, gainfn, min_len, count=None):
+    """The interval DP: ``best[i, k]`` is the largest sum of
+    ``gainfn(|f(t_b) - f(t_a)|)`` over at most k nonoverlapping intervals
+    inside [i, m], each of grid length >= ``min_len``.
+
+    With a ``count`` cap, column k reads column k - 1 and column 0 is
+    zero. Pass ``count=None`` when the cap cannot bind (at most
+    ``m // min_len`` intervals fit): the table is then a single column
+    that reads itself, equal bit for bit to the last column of the capped
+    table, and no k axis is built.
+
+    ``end[i, k]`` records, in the same backward pass, where the interval
+    starting at i ends in an optimal collection, or 0 to skip grid point i.
+    Each grid position takes one ``argmax`` over the ends, vectorized over
+    k. Tie rule: take the interval when taking ties skipping, pick the
+    smallest end among equal takes, and never take a zero increment.
+    """
     m = len(values) - 1
-    K = max(0, min(max_count, m // min_len if min_len else 0))
-    best = np.zeros((m + 2, K + 1))
+    if count is None:
+        width, shift = 1, 0
+    else:
+        width, shift = max(0, min(count, m // min_len)) + 1, 1
+    n = width - shift  # columns filled, reading columns 0..n-1
+    best = np.zeros((m + 2, width))
+    end = np.zeros((m + 2, width), dtype=np.intp)
+    if n == 0:
+        return best, end
+    cols = np.arange(n)
     for i in range(m - min_len, -1, -1):
         ends = np.arange(i + min_len, m + 1)
-        gains = gainfn(np.abs(values[ends] - values[i]))
-        for k in range(1, K + 1):
-            take = np.max(gains + best[ends, k - 1])
-            best[i, k] = max(best[i + 1, k], take)
-    return best, K
+        incs = np.abs(values[ends] - values[i])
+        gains = np.where(incs > 0, gainfn(incs), -np.inf)
+        cand = gains[:, None] + best[ends, :n]
+        arg = cand.argmax(axis=0)
+        take, skip = cand[arg, cols], best[i + 1, shift:]
+        hit = take >= skip
+        best[i, shift:] = np.where(hit, take, skip)
+        end[i, shift:] = np.where(hit, ends[arg], 0)
+    return best, end
 
 
-def _dp_witness(values, gainfn, best, k, min_len):
-    """Reconstruct a witness for best[0][k]; prefers intervals with positive
-    increment and, among those, the leftmost start with the smallest end."""
-    m = len(values) - 1
-    pairs = []
-    i, rem = 0, k
-    while rem > 0 and i + min_len <= m:
-        target = best[i, rem]
-        if target <= 0:
-            break
-        chosen = None
-        for b in range(i + min_len, m + 1):
-            inc = abs(values[b] - values[i])
-            if inc <= 0:
-                continue
-            if gainfn(np.array([inc]))[0] + best[b, rem - 1] == target:
-                chosen = b
-                break
-        if chosen is None:
+def _walk(best, end, col):
+    """Witness pairs for ``best[0, col]``, read off the end pointers. Each
+    interval spends one column of a capped table, down to the zero column
+    0; a single uncapped column keeps reading itself."""
+    pairs, i = [], 0
+    while best[i, col] > 0:
+        b = int(end[i, col])
+        if b:
+            pairs.append((i, b))
+            i, col = b, max(col - 1, 0)
+        else:
             i += 1
-            continue
-        pairs.append((i, chosen))
-        i, rem = chosen, rem - 1
     return pairs
 
 
-def _dp_solve(f, gainfn, max_count, min_len):
-    best, K = _dp_table(f.values, gainfn, max_count, min_len)
-    k = min(max_count, K)
-    value = float(best[0, k]) if K else 0.0
-    pairs = _dp_witness(f.values, gainfn, best, k, min_len) if K else []
-    return value, IntervalCollection.from_pairs(f, pairs), best, K
+def _dp_solve(f, gainfn, min_len, count=None):
+    """Value, witness and table of the interval DP; the witness is
+    re-evaluated and must reproduce the value."""
+    best, end = _dp(f.values, gainfn, min_len, count)
+    value = float(best[0, -1])
+    witness = IntervalCollection.from_pairs(f, _walk(best, end, best.shape[1] - 1))
+    check = float(np.sum(gainfn(np.array(witness.increments))))
+    if abs(check - value) > _REL_TOL * value:
+        raise InternalConsistencyError(
+            f"DP witness re-evaluates to {check!r}, not {value!r}")
+    return value, witness, best
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +133,9 @@ def _dp_solve(f, gainfn, max_count, min_len):
 
 class _RankObjective:
     """Per-rank gains phi_j(x), nonincreasing in j for every x."""
+
+    #: the gain every rank shares when phi_j does not depend on j, else None
+    rank_free = None
 
     def gain(self, j, x):
         raise NotImplementedError
@@ -127,6 +154,9 @@ class _WeightedPower(_RankObjective):
     def __init__(self, weights: WeightSequence, p: float):
         self.w = weights
         self.p = float(p)
+        if weights.kind == "constant":
+            w = 1.0 / weights.weight(1)
+            self.rank_free = lambda x: w * x ** p
 
     def gain(self, j, x):
         return x ** self.p / self.w.weight(j)
@@ -155,7 +185,8 @@ def _future_bounds(values, objective, min_len):
     gains are increasing in x.
     """
     m = len(values) - 1
-    nu, K = _dp_table(values, lambda x: x, m, min_len)
+    nu, _ = _dp(values, lambda x: x, min_len, m)
+    K = nu.shape[1] - 1
     F = np.zeros(m + 2)
     for pos in range(m - min_len, -1, -1):
         k_pos = (m - pos) // min_len
@@ -214,11 +245,10 @@ def _rank_bounds(f, objective, min_len=1):
     if min_len > m:
         empty = IntervalCollection.from_pairs(f, [])
         return 0.0, 0.0, empty
-    best_tab, K = _dp_table(values, lambda x: objective.surrogate(x), m, min_len)
+    best_tab, end = _dp(values, objective.surrogate, min_len, m)
     lower, witness_pairs = 0.0, []
-    for k in range(1, K + 1):
-        pairs = _dp_witness(values, lambda x: objective.surrogate(x),
-                            best_tab, k, min_len)
+    for k in range(1, best_tab.shape[1]):
+        pairs = _walk(best_tab, end, k)
         incs = sorted((abs(values[b] - values[a]) for a, b in pairs), reverse=True)
         val = objective.objective(incs)
         if val > lower:
@@ -229,6 +259,9 @@ def _rank_bounds(f, objective, min_len=1):
 
 
 def _rank_solve(f, objective, min_len, oracle_cap):
+    if objective.rank_free is not None:
+        value, witness, _ = _dp_solve(f, objective.rank_free, min_len)
+        return value, value, value, witness, "exact-dp"
     if min_len > f.m:
         empty = IntervalCollection.from_pairs(f, [])
         return 0.0, 0.0, 0.0, empty, "exact-oracle"
@@ -246,10 +279,9 @@ def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
     """Maximum total increment over at most ``n`` nonoverlapping intervals."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    value, witness, best, K = _dp_solve(f, lambda x: x, n, 1)
+    value, witness, best = _dp_solve(f, lambda x: x, 1, n)
     # the modulus is nondecreasing and concave in the interval count
-    per_k = best[0, : min(n, K) + 1]
-    diffs = np.diff(per_k)
+    diffs = np.diff(best[0])
     if np.any(diffs < -1e-12) or np.any(np.diff(diffs) > 1e-12):
         raise InternalConsistencyError("modulus of variation not concave")
     return _exact(value, witness)
@@ -263,11 +295,9 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
         raise ValidationError("q must be >= 1")
     if min_len < 1:
         raise ValidationError("min_len must be >= 1 grid cell")
-    if min_len > f.m:
-        return _exact(0.0, IntervalCollection.from_pairs(f, []))
-    if s_max is None:
-        s_max = f.m // min_len
-    inner, witness, _, _ = _dp_solve(f, lambda x: x ** q, s_max, min_len)
+    if s_max is not None and s_max >= f.m // min_len:
+        s_max = None  # the cap cannot bind
+    inner, witness, _ = _dp_solve(f, lambda x: x ** q, min_len, s_max)
     return _exact(inner ** (1.0 / q), witness)
 
 
@@ -277,10 +307,6 @@ def variation_weighted(f: StepFunction, weights: WeightSequence, p: float = 1.0,
     increments matched to weights in descending order."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    if weights.kind == "constant":
-        w = 1.0 / weights.weight(1)
-        inner, witness, _, _ = _dp_solve(f, lambda x: w * x ** p, f.m, 1)
-        return _exact(inner ** (1.0 / p), witness)
     objective = _WeightedPower(weights, p)
     inner, lo, up, witness, mode = _rank_solve(f, objective, 1, oracle_cap)
     root = lambda v: v ** (1.0 / p)
@@ -323,18 +349,11 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
         if key in cache:
             value, lo, up, witness, mode = cache[key]
         else:
-            if weights.kind == "constant":
-                w = 1.0 / weights.weight(1)
-                inner, witness, _, _ = _dp_solve(
-                    f, lambda x, q=q_n, w=w: w * x ** q, m, min_len)
-                value = lo = up = inner ** (1.0 / q_n)
-                mode = "exact-dp"
-            else:
-                objective = _WeightedPower(weights, q_n)
-                inner, lo, up, witness, mode = _rank_solve(
-                    f, objective, min_len, oracle_cap)
-                value = inner ** (1.0 / q_n)
-                lo, up = lo ** (1.0 / q_n), up ** (1.0 / q_n)
+            objective = _WeightedPower(weights, q_n)
+            inner, lo, up, witness, mode = _rank_solve(
+                f, objective, min_len, oracle_cap)
+            value = inner ** (1.0 / q_n)
+            lo, up = lo ** (1.0 / q_n), up ** (1.0 / q_n)
             cache[key] = (value, lo, up, witness, mode)
         if mode == "bounds":
             all_exact = False

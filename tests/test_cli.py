@@ -169,9 +169,3 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-
-
-def test_bad_jobs_rejected(zigzag_csv):
-    with pytest.raises(SystemExit):
-        main(["variation", "--input", zigzag_csv, "--functional", "modulus",
-              "--jobs", "0"])

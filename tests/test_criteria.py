@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+import gbv.criteria
 from gbv import (ConvexBase, CriterionReport, GaugePair, HorizonError,
-                 HypothesisError, SchrammFamily, ValidationError,
-                 WeightSequence, criterion_corollary_q, criterion_lambda_gamma,
-                 criterion_phi_lambda, criterion_schramm, criterion_union_p)
+                 HypothesisError, InternalConsistencyError, SchrammFamily,
+                 ValidationError, WeightSequence, criterion_corollary_q,
+                 criterion_lambda_gamma, criterion_phi_lambda,
+                 criterion_schramm, criterion_union_p)
+from gbv.cli import main
 
 KM = 1 << 14
 HARMONIC = WeightSequence("harmonic", k_max=KM)
@@ -132,11 +136,29 @@ class TestPhiLambda:
     def test_matches_scaled_family_scan(self):
         gauge = gauge_const_q(2.0, n_max=8)
         base = ConvexBase("power", p=2.0)
-        rep = criterion_phi_lambda(base, HARMONIC, gauge, 8, cross_check=False)
+        rep = criterion_phi_lambda(base, HARMONIC, gauge, 8)
         other = criterion_schramm(SchrammFamily("scaled", base=base,
                                                 weights=HARMONIC), gauge, 8)
         for mine, theirs in zip(rep.levels, other.levels):
             assert mine["a_n"] == pytest.approx(theirs["a_n"], rel=1e-10)
+
+    def test_scan_disagreement_is_internal_error(self, monkeypatch, tmp_path):
+        real = gbv.criteria.criterion_schramm
+
+        def perturbed(*args):
+            rep = real(*args)
+            levels = tuple({**lv, "a_n": lv["a_n"] * 1.01} for lv in rep.levels)
+            return dataclasses.replace(rep, levels=levels)
+
+        monkeypatch.setattr(gbv.criteria, "criterion_schramm", perturbed)
+        base = ConvexBase("power", p=2.0)
+        with pytest.raises(InternalConsistencyError):
+            criterion_phi_lambda(base, HARMONIC, gauge_const_q(2.0, n_max=8), 8)
+        code = main(["criterion", "--theorem", "1.9",
+                     "--phi", json.dumps(base.to_config()), "--lambda", "harmonic",
+                     "--qn", "const:2", "--delta", "pow2", "--ncap", "8",
+                     "--kmax", "2048", "--output", str(tmp_path / "r.json")])
+        assert code == 1
 
 
 class TestUnionP:

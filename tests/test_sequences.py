@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
-                 SchrammFamily, ValidationError, WeightSequence,
-                 phi_partial_inverse, prefix_sum)
+                 SchrammFamily, ValidationError, WeightSequence)
 
 KM = 4096
 
@@ -17,7 +16,7 @@ def harmonic():
 
 class TestWeightSequence:
     def test_harmonic_first_prefix(self, harmonic):
-        assert prefix_sum(harmonic, 1) == 1.0
+        assert harmonic.prefix_sum(1) == 1.0
 
     def test_constant_prefix(self):
         w = WeightSequence("constant", value=1.0, k_max=KM)
@@ -87,7 +86,7 @@ class TestSchrammFamily:
     def test_linear_inverse(self, harmonic):
         fam = SchrammFamily.power(1.0, harmonic)
         # Phi_2(x) = 1.5 x
-        assert phi_partial_inverse(fam, 2, 3.0) == pytest.approx(2.0, rel=1e-12)
+        assert fam.partial_inverse(2, 3.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_round_trip_identity(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)

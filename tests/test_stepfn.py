@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gbv import (IntervalCollection, ResolutionError, StepFunction,
-                 ValidationError, generate_block, increment, ingest)
+                 ValidationError, generate_block, ingest)
 
 
 class TestStepFunction:
@@ -12,7 +12,7 @@ class TestStepFunction:
         f = StepFunction([0.0, 1.0, 0.5])
         assert f.m == 2
         assert f.increment(0, 1) == 1.0
-        assert increment(f, 1, 2) == 0.5
+        assert f.increment(1, 2) == 0.5
 
     def test_bad_indices(self):
         f = StepFunction([0.0, 1.0])

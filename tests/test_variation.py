@@ -200,3 +200,41 @@ def test_weighted_matches_oracle_property(vals, p):
         f, WeightSequence("explicit", terms=lam, k_max=KM), p).value
     assert engine == pytest.approx(
         oracles.oracle_weighted(values, lam, p), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=9),
+       st.sampled_from([1.0, 2.0, 3.0]),
+       st.sampled_from([0, 1, 2, 3, None]), st.sampled_from([1, 2, 3]))
+def test_unweighted_q_matches_oracle_property(vals, q, s_max, min_len):
+    values = [v / 4.0 for v in vals]
+    f = StepFunction(values)
+    res = variation_unweighted_q(f, q, s_max=s_max, min_len=min_len)
+    cap = f.m if s_max is None else s_max
+    assert res.value == pytest.approx(
+        oracles.oracle_unweighted_q(values, q, cap, min_len), rel=1e-12, abs=1e-12)
+    assert len(res.witness) <= cap
+    assert all(b - a >= min_len for a, b in res.witness.pairs)
+    redo = sum(x ** q for x in res.witness.increments) ** (1.0 / q)
+    assert redo == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+    if s_max == 0:
+        assert res.value == 0.0 and len(res.witness) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=8),
+       st.sampled_from([1.0, 1.5, 2.0]))
+def test_constant_weights_match_oracle_property(vals, p):
+    values = [v / 4.0 for v in vals]
+    f = StepFunction(values)
+    const2 = WeightSequence("constant", value=2.0, k_max=KM)
+    lam = [2.0] * len(values)
+    res = variation_weighted(f, const2, p)
+    assert res.mode == "exact-dp"
+    assert res.value == pytest.approx(
+        oracles.oracle_weighted(values, lam, p), rel=1e-12, abs=1e-12)
+    gauge = GaugePair.build("linear", "pow2", n_max=4)
+    res = variation_gauged(f, const2, gauge, 3)
+    assert res.value == pytest.approx(
+        oracles.oracle_gauged(values, lam, [1, 2, 3], [2, 4, 8], 3),
+        rel=1e-12, abs=1e-12)
