@@ -39,8 +39,6 @@ from .variation import (modulus_of_variation, schramm_norm, variation_gauged,
                         variation_schramm, variation_unweighted_q,
                         variation_weighted)
 
-log = logging.getLogger("gbv")
-
 
 def parse_weights(spec, k_max=None):
     """Weight-sequence spec: 'harmonic', 'constant[:v]', 'power:alpha',
@@ -71,8 +69,9 @@ def parse_family(spec, k_max=None):
     else:
         with open(spec) as fh:
             cfg = json.load(fh)
-    if k_max is not None and "weights" in cfg:
-        cfg["weights"].setdefault("k_max", k_max)
+    if k_max is not None:
+        # scaled families take the horizon from their weights
+        cfg.get("weights", cfg).setdefault("k_max", k_max)
     return SchrammFamily.from_config(cfg)
 
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InfeasibleError, InternalConsistencyError,
+from .criteria import lambda_gamma_parts, level_kernels, schramm_parts
+from .errors import (HorizonError, InfeasibleError, InternalConsistencyError,
                      ResolutionError, ValidationError)
 from .sequences import GaugePair, SchrammFamily, WeightSequence
 from .stepfn import StepFunction, generate_block
@@ -127,8 +128,14 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     sep = np.asarray(sep if sep is not None else d_sep, dtype=float)
     blow = np.asarray(blow if blow is not None else d_blow, dtype=float)
 
+    if kind == "lambda":
+        horizon = min(w_gamma.k_max, w_lambda.k_max)
+        parts = lambda_gamma_parts(w_lambda, w_gamma, p)
+    else:
+        horizon, parts = family.k_max, schramm_parts(family)
     levels = []
-    for n in range(1, n_levels + 1):
+    for n, ks, kernel in level_kernels(gauge, n_levels, horizon, parts,
+                                       dense=True):
         q_n, delta_f = gauge.level(n)
         delta_n = int(delta_f)
         if delta_n != delta_f:
@@ -143,15 +150,10 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             raise InfeasibleError(
                 f"level {n}: separation budget {b_n:.6g} below sep_n={sep_n:.6g}",
                 level=n)
+        if len(ks) < delta_n:
+            raise HorizonError(
+                f"delta_{n}={delta_n} exceeds the sequence horizon {horizon}")
 
-        ks = np.arange(1, delta_n + 1)
-        if kind == "lambda":
-            gam = w_gamma.prefix_sums(delta_n)
-            lam = w_lambda.prefix_sums(delta_n)
-            kernel = gam ** (1.0 / q_n) * lam ** (-1.0 / p)
-        else:
-            inv = np.asarray(family.partial_inverse_many(ks, 1.0), dtype=float)
-            kernel = ks ** (1.0 / q_n) * inv
         violating = np.where(kernel > blow_n)[0]
         if len(violating) == 0:
             raise InfeasibleError(

@@ -56,19 +56,57 @@ class CriterionReport:
         return buf.getvalue()
 
 
-def _scan_ks(delta, dense_cap=DENSE_SCAN_CAP):
-    """Indices to scan in 1..delta; dense when affordable, otherwise a
-    geometric grid plus both endpoints (flagged inexact)."""
-    delta = int(delta)
-    if delta <= dense_cap:
-        return np.arange(1, delta + 1), False
-    n_binades = math.log2(delta)
-    count = int(n_binades * GEOMETRIC_POINTS_PER_BINADE)
-    ks = np.unique(np.concatenate([
+def _geometric_ks(delta):
+    """A geometric grid over 1..delta with both endpoints."""
+    count = int(math.log2(delta) * GEOMETRIC_POINTS_PER_BINADE)
+    return np.unique(np.concatenate([
         [1, delta],
         np.geomspace(1, delta, count).astype(np.int64),
     ]))
-    return ks, True
+
+
+def level_kernels(gauge, n_cap, horizon, parts, *, dense=False):
+    """Yield ``(n, ks, g(ks)^{1/q_n} h(ks))`` for the levels ``n = 1..n_cap``.
+
+    Level n scans ``1..min(delta_n, horizon)``: densely up to
+    ``DENSE_SCAN_CAP`` (always with ``dense``), on a geometric grid beyond
+    (inexact: ``len(ks) < ks[-1]``). ``parts(ks) -> (g, h)`` is called once,
+    on the union of every level's scan; only the exponent depends on n.
+    """
+    tops = [min(int(d), horizon) for d in gauge.deltas[:n_cap]]
+    if not tops:
+        return
+    dense_top = max([t for t in tops if dense or t <= DENSE_SCAN_CAP], default=0)
+    grids = {t: _geometric_ks(t) for t in tops if t > dense_top}
+    # the dense part is sorted and distinct already; np.unique on it would
+    # cost more than the scan
+    extra = np.unique(np.concatenate([[dense_top], *grids.values()]))
+    ks = np.concatenate([np.arange(1, dense_top + 1), extra[extra > dense_top]])
+    g, h = parts(ks)
+    for n, top in enumerate(tops, 1):
+        i = slice(0, top) if top <= dense_top else np.searchsorted(ks, grids[top])
+        yield n, ks[i], g[i] ** (1.0 / gauge.qn[n - 1]) * h[i]
+
+
+def lambda_gamma_parts(w_lambda, w_gamma, p):
+    """Kernel parts ``Gamma(k)`` and ``Lambda(k)^{-1/p}`` (theorems 1.4/1.7)."""
+    return lambda ks: (w_gamma.prefix_sums(int(ks[-1]))[ks - 1],
+                       w_lambda.prefix_sums(int(ks[-1]))[ks - 1] ** (-1.0 / p))
+
+
+def schramm_parts(family):
+    """Kernel parts ``k`` and ``Phi_k^{-1}(1)`` (theorem 1.8)."""
+    return lambda ks: (ks, family.partial_inverse_many(ks, 1.0))
+
+
+def _scan(gauge, n_cap, horizon, parts):
+    """Per level the kernel's max over the scanned k, and its argmax."""
+    rows, inexact = [], False
+    for n, ks, kernel in level_kernels(gauge, n_cap, horizon, parts):
+        i = int(np.argmax(kernel))
+        rows.append({"n": n, "a_n": float(kernel[i]), "argmax_k": int(ks[i])})
+        inexact = inexact or bool(len(ks) < ks[-1])
+    return _assemble(rows, inexact)
 
 
 def _trend(values):
@@ -136,17 +174,8 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
         raise HorizonError(
             f"delta_{n_cap}={max_delta} exceeds the weight-sequence horizon")
 
-    rows, inexact_any = [], False
-    for n in range(1, n_cap + 1):
-        q_n, delta_n = gauge.level(n)
-        ks, inexact = _scan_ks(min(int(delta_n), min(w_gamma.k_max, w_lambda.k_max)))
-        inexact_any |= inexact
-        gamma = w_gamma.prefix_sums(int(ks[-1]))[ks - 1]
-        lam = w_lambda.prefix_sums(int(ks[-1]))[ks - 1]
-        kernel = gamma ** (1.0 / q_n) * lam ** (-1.0 / p)
-        i = int(np.argmax(kernel))
-        rows.append({"n": n, "a_n": float(kernel[i]), "argmax_k": int(ks[i])})
-    return _assemble(rows, inexact_any)
+    return _scan(gauge, n_cap, min(w_gamma.k_max, w_lambda.k_max),
+                 lambda_gamma_parts(w_lambda, w_gamma, p))
 
 
 def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
@@ -184,19 +213,7 @@ def criterion_schramm(family: SchrammFamily, gauge: GaugePair,
     """Scan ``a_n = max_{1<=k<=delta_n} k^{1/q_n} Phi_k^{-1}(1)``."""
     if not 1 <= n_cap <= gauge.n_max:
         raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
-    # root-finding per k is expensive without a closed-form inverse, so the
-    # dense-scan budget is tightened for such families
-    dense_cap = DENSE_SCAN_CAP if family.has_analytic_inverse() else 4096
-    rows, inexact_any = [], False
-    for n in range(1, n_cap + 1):
-        q_n, delta_n = gauge.level(n)
-        ks, inexact = _scan_ks(min(int(delta_n), family.k_max), dense_cap)
-        inexact_any |= inexact
-        inv = np.asarray(family.partial_inverse_many(ks, 1.0), dtype=float)
-        kernel = ks ** (1.0 / q_n) * inv
-        i = int(np.argmax(kernel))
-        rows.append({"n": n, "a_n": float(kernel[i]), "argmax_k": int(ks[i])})
-    return _assemble(rows, inexact_any)
+    return _scan(gauge, n_cap, family.k_max, schramm_parts(family))
 
 
 def criterion_phi_lambda(base: ConvexBase, weights: WeightSequence,
@@ -210,16 +227,8 @@ def criterion_phi_lambda(base: ConvexBase, weights: WeightSequence,
     """
     if not 1 <= n_cap <= gauge.n_max:
         raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
-    rows, inexact_any = [], False
-    for n in range(1, n_cap + 1):
-        q_n, delta_n = gauge.level(n)
-        ks, inexact = _scan_ks(min(int(delta_n), weights.k_max))
-        inexact_any |= inexact
-        lam = weights.prefix_sums(int(ks[-1]))[ks - 1]
-        kernel = ks ** (1.0 / q_n) * np.asarray(base.inverse(1.0 / lam), dtype=float)
-        i = int(np.argmax(kernel))
-        rows.append({"n": n, "a_n": float(kernel[i]), "argmax_k": int(ks[i])})
-    report = _assemble(rows, inexact_any)
+    report = _scan(gauge, n_cap, weights.k_max, lambda ks: (
+        ks, base.inverse(1.0 / weights.prefix_sums(int(ks[-1]))[ks - 1])))
     scaled = SchrammFamily("scaled", base=base, weights=weights)
     other = criterion_schramm(scaled, gauge, n_cap)
     for mine, theirs in zip(report.levels, other.levels):

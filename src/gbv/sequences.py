@@ -28,6 +28,8 @@ DEFAULT_N_MAX = 64
 BISECT_X_TOL = 1e-12
 #: relative residual tolerance guaranteed by partial inverses
 INVERSE_TOL = 1e-9
+#: k values bisected together; bounds the bisection's temporaries
+BISECT_CHUNK = 1 << 16
 
 _WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
 
@@ -228,73 +230,78 @@ class SchrammFamily:
         return c * np.power(x, e)
 
     def partial_sum(self, k, x):
-        """Evaluate Phi_k(x) = sum_{j<=k} phi_j(x)."""
-        if not 1 <= k <= self.k_max:
+        """Evaluate Phi_k(x) = sum_{j<=k} phi_j(x); ``k`` and ``x`` broadcast.
+
+        Terms past k add an exact 0.0, so an array k gives per element the
+        same float as a scalar k.
+        """
+        k = np.asarray(k)
+        if np.any(k < 1) or np.any(k > self.k_max):
             raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
         if self.kind == "scaled":
-            return self.base(x) * self.weights.prefix_sum(k)
-        x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        head = min(k, len(self.terms))
-        for c, e in self.terms[:head]:
-            total = total + c * np.power(x, e)
-        if k > head:
-            # indices past the list all share the last (coef, exponent) pair
-            c, e = self.terms[-1]
-            total = total + (k - head) * c * np.power(x, e)
+            total = self.base(x) * self.weights.prefix_sums(int(k.max()))[k - 1]
+        else:
+            total = 0.0
+            for j, (c, e) in enumerate(self.terms, 1):
+                total = total + np.where(k >= j, c * np.power(x, e), 0.0)
+            # indices past the list all share the last (coef, exponent) pair,
+            # which the loop leaves in (c, e)
+            rest = k - len(self.terms)
+            total = total + np.where(rest > 0, rest * c * np.power(x, e), 0.0)
         return total if total.ndim else float(total)
 
-    def has_analytic_inverse(self):
-        return self.kind == "scaled"
-
     def partial_inverse(self, k, y, *, tol=INVERSE_TOL, method="auto"):
-        """Return x with ``|Phi_k(x) - y| <= tol * max(1, y)``.
+        """Return x with ``|Phi_k(x) - y| <= tol * max(1, y)``; see
+        :meth:`partial_inverse_many`."""
+        return float(self.partial_inverse_many([k], y, tol=tol, method=method)[0])
 
-        Scaled families invert analytically through the base; the generic
-        route brackets by doubling and bisects (Phi_k is convex and strictly
-        increasing, so bisection is robust and derivative-free).
+    def partial_inverse_many(self, ks, y, *, tol=INVERSE_TOL, method="auto"):
+        """``Phi_k^{-1}(y)`` over an integer array of k values.
+
+        Scaled families invert analytically through the base unless
+        ``method="bisect"``. The generic route brackets by doubling from 1 and
+        bisects (Phi_k is convex and strictly increasing, so bisection is
+        robust and derivative-free), all k at once in chunks of
+        ``BISECT_CHUNK``; each element stops at the residual tolerance or at
+        a bracket of width ``BISECT_X_TOL * max(1, hi)``.
         """
         if y < 0:
             raise ValidationError("inverse target must be nonnegative")
-        if y == 0:
-            return 0.0
-        if method == "auto" and self.has_analytic_inverse():
-            return float(self.base.inverse(y / self.weights.prefix_sum(k)))
-        return self._bisect_inverse(k, y, tol)
-
-    def partial_inverse_many(self, ks, y, *, tol=INVERSE_TOL):
-        """Vectorized ``Phi_k^{-1}(y)`` over an integer array of k values."""
         ks = np.asarray(ks, dtype=int)
         if np.any(ks < 1) or np.any(ks > self.k_max):
             raise HorizonError("k outside horizon")
-        if self.kind == "scaled":
+        if y == 0:
+            return np.zeros(len(ks))
+        if method == "auto" and self.kind == "scaled":
             pref = self.weights.prefix_sums(int(ks.max()))
             return self.base.inverse(y / pref[ks - 1])
-        return np.array([self.partial_inverse(int(k), y, tol=tol) for k in ks])
+        return np.concatenate([self._bisect(ks[i:i + BISECT_CHUNK], y, tol)
+                               for i in range(0, len(ks), BISECT_CHUNK)])
 
-    def _bisect_inverse(self, k, y, tol):
-        lo, hi = 0.0, 1.0
-        doublings = 0
-        while self.partial_sum(k, hi) < y:
-            hi *= 2.0
-            doublings += 1
-            if doublings > 200:
-                raise RangeError(f"Phi_{k} stays below {y} on search range")
-        lo_val = self.partial_sum(k, lo)
-        if lo_val > y:
-            raise RangeError("Phi_k(0) exceeds target; family not admissible")
-        for _ in range(300):
+    def _bisect(self, ks, y, tol):
+        hi = np.ones(len(ks))
+        for _ in range(201):
+            low = self.partial_sum(ks, hi) < y
+            if not low.any():
+                break
+            hi[low] *= 2.0
+        else:
+            raise RangeError(f"Phi_{ks[low][0]} stays below {y} on search range")
+        x = np.empty(len(ks))
+        idx = np.arange(len(ks))
+        lo = np.zeros(len(ks))
+        # the width stop always ends it: BISECT_X_TOL is far above one ulp
+        while len(idx):
             mid = 0.5 * (lo + hi)
-            val = self.partial_sum(k, mid)
-            if abs(val - y) <= tol * max(1.0, y):
-                return mid
-            if val < y:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= BISECT_X_TOL * max(1.0, hi):
-                return 0.5 * (lo + hi)
-        return 0.5 * (lo + hi)
+            val = self.partial_sum(ks, mid)
+            # a residual hit collapses the bracket onto mid
+            hit = np.abs(val - y) <= tol * max(1.0, y)
+            lo = np.where((val < y) | hit, mid, lo)
+            hi = np.where((val < y) & ~hit, hi, mid)
+            done = hi - lo <= BISECT_X_TOL * np.maximum(1.0, hi)
+            x[idx[done]] = 0.5 * (lo[done] + hi[done])
+            ks, lo, hi, idx = ks[~done], lo[~done], hi[~done], idx[~done]
+        return x
 
     def validate(self, *, x_probe=None, k_probe=16):
         """Sampled structural checks; raises :class:`ValidationError`.

@@ -98,6 +98,17 @@ class TestCriterionCommand:
         assert json.loads(out.read_text())["result"]["verdict"] == \
             "diverging-trend"
 
+    def test_kmax_bounds_explicit_family(self, tmp_path):
+        out = tmp_path / "rep.json"
+        fam = json.dumps({"kind": "explicit", "terms": [[1, 2]]})
+        code = run(["criterion", "--theorem", "1.8", "--family", fam,
+                    "--qn", "const:2", "--ncap", "4", "--kmax", "8",
+                    "--output", str(out)])
+        assert code == 0
+        levels = json.loads(out.read_text())["result"]["levels"]
+        assert len(levels) == 4
+        assert all(lv["argmax_k"] <= 8 for lv in levels)
+
 
 class TestCounterexampleCommand:
     ARGS = ["counterexample", "--kind", "lambda", "--lambda", "harmonic",

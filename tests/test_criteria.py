@@ -119,12 +119,27 @@ class TestSchramm:
             kernel = ks ** 0.5 * HARMONIC.prefix_sums(delta) ** -0.5
             assert lv["a_n"] == pytest.approx(float(np.max(kernel)), rel=1e-10)
 
-    def test_non_analytic_family_inexact_scan_flag(self):
-        fam = SchrammFamily("explicit",
-                            terms=[(1.0 / j, 2.0) for j in range(1, 20)],
-                            k_max=KM)
+    def test_non_analytic_family_scans_densely(self):
+        # Phi_k(x) = k c x^3, so k^{1/2} Phi_k^{-1}(1) = k^{1/6} c^{-1/3}
+        # increases and the max over k <= delta_n sits at delta_n
+        c = 0.7
+        fam = SchrammFamily("explicit", terms=[(c, 3.0)] * 5, k_max=KM)
         rep = criterion_schramm(fam, gauge_const_q(2.0, n_max=13), 13)
-        assert rep.inexact_scan  # delta_13 = 8192 > the tightened 4096 cap
+        assert not rep.inexact_scan
+        for lv in rep.levels:
+            delta = 1 << lv["n"]
+            assert lv["a_n"] == pytest.approx(delta ** (1 / 6) * c ** (-1 / 3),
+                                              rel=1e-9)
+
+    def test_inexact_scan_flag_past_dense_cap(self):
+        big = 1 << 21
+        assert big > gbv.criteria.DENSE_SCAN_CAP
+        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=big)
+        gauge = GaugePair.build("const", "list", n_max=1, q=2.0,
+                                delta_list=[big])
+        rep = criterion_schramm(fam, gauge, 1)
+        assert rep.inexact_scan
+        assert rep.levels[0]["argmax_k"] <= big
 
 
 class TestPhiLambda:

@@ -5,6 +5,7 @@ import pytest
 
 from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
                  SchrammFamily, ValidationError, WeightSequence)
+from gbv.sequences import BISECT_X_TOL, INVERSE_TOL
 
 KM = 4096
 
@@ -125,6 +126,38 @@ class TestSchrammFamily:
         fam = SchrammFamily.power(2.0, harmonic)
         with pytest.raises(ValidationError):
             fam.partial_inverse(2, -1.0)
+
+    @pytest.mark.parametrize("kind", ["scaled", "explicit"])
+    def test_array_targets_match_scalar_rules(self, harmonic, kind):
+        fam = (SchrammFamily.power(2.0, harmonic) if kind == "scaled" else
+               SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=KM))
+        with pytest.raises(ValidationError):
+            fam.partial_inverse_many([1, 2, 3], -1.0)
+        assert fam.partial_inverse_many([1, 2, 3], 0.0).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("y", [0.3, 1.0, 7.5])
+    def test_vectorized_bisection(self, y):
+        terms = [(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)]
+        fam = SchrammFamily("explicit", terms=terms, k_max=KM)
+        # below, at and past the end of the term list
+        ks = np.array([1, 2, 3, 4, 5, 9, 100, KM])
+        xs = fam.partial_inverse_many(ks, y)
+        for k, x in zip(ks, xs):
+            k = int(k)
+            w = BISECT_X_TOL * max(1.0, x)
+            assert (abs(fam.partial_sum(k, x) - y) <= INVERSE_TOL * max(1.0, y)
+                    or fam.partial_sum(k, x - w) <= y <= fam.partial_sum(k, x + w))
+            assert fam.partial_inverse(k, y) == x
+        assert np.all(np.diff(xs) <= 0)
+        assert np.array_equal(fam.partial_sum(ks, xs),
+                              [fam.partial_sum(int(k), x) for k, x in zip(ks, xs)])
+
+    @pytest.mark.parametrize("y", [0.3, 1.0, 7.5])
+    def test_bisection_matches_analytic_over_array(self, harmonic, y):
+        fam = SchrammFamily.power(2.0, harmonic)
+        ks = np.arange(1, KM + 1, 37)
+        np.testing.assert_allclose(fam.partial_inverse_many(ks, y, method="bisect"),
+                                   fam.partial_inverse_many(ks, y), rtol=1e-8)
 
     def test_expm1_base(self):
         w = WeightSequence("constant", value=1.0, k_max=64)
