@@ -211,7 +211,7 @@ def cmd_inequality(args):
         payload = run_master_suite(args.seed, samples=args.samples)
     elif args.suite == "wu":
         fams = [parse_family(s, args.kmax) for s in args.family] or [
-            SchrammFamily.power(2.0, WeightSequence("harmonic", k_max=args.kmax or 4096))]
+            SchrammFamily.power(2.0, parse_weights("harmonic", args.kmax))]
         payload = run_wu_suite(args.seed, args.samples, fams)
     elif args.suite == "holder":
         payload = run_holder_suite(

@@ -12,7 +12,7 @@ re-verified numerically at every level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -3,14 +3,15 @@
 Three building blocks used by every other module:
 
 * :class:`WeightSequence` -- a nondecreasing positive sequence ``lam_j`` with
-  cached prefix sums ``L(k) = sum_{j<=k} 1/lam_j``.
+  prefix sums ``L(k) = sum_{j<=k} 1/lam_j``, computed on demand.
 * :class:`SchrammFamily` -- an ordered family of increasing convex functions
   ``phi_j`` with partial sums ``Phi_k`` and numeric inverses.
 * :class:`GaugePair` -- an exponent ladder ``q_n`` together with a scale
   ladder ``delta_n``.
 
-All three are immutable after construction and safe for concurrent reads;
-caches are filled eagerly at construction time.
+All three are immutable after construction and safe for concurrent reads:
+a weight sequence grows its tables when a read needs a longer prefix and
+swaps them in as one attribute, and the values never change.
 """
 
 from __future__ import annotations
@@ -35,7 +36,12 @@ _WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
 
 
 class WeightSequence:
-    """A nondecreasing positive weight sequence with cached prefix sums.
+    """A nondecreasing positive weight sequence with prefix sums.
+
+    Weights and prefix sums are computed on demand: the tables hold the
+    longest prefix asked for so far (at least doubling on each growth, up
+    to ``k_max``), so a sequence costs nothing until it is read and never
+    more than the prefix its readers use.
 
     Built-in kinds diverge (``sum 1/lam_j = inf``) by construction; for
     ``explicit`` lists divergence cannot be checked and is flagged as
@@ -53,40 +59,54 @@ class WeightSequence:
         self.value = value
         self.k_max = int(k_max)
         self.terms = None
-
-        j = np.arange(1, self.k_max + 1, dtype=float)
-        if kind == "constant":
-            if not value > 0:
-                raise ValidationError("constant weight must be positive")
-            lam = np.full(self.k_max, float(value))
-        elif kind == "harmonic":
-            lam = j
-        elif kind == "power":
-            if alpha is None or not 0 < alpha <= 1:
-                raise ValidationError("power kind needs 0 < alpha <= 1")
-            lam = j ** float(alpha)
-        elif kind == "log":
-            lam = j / np.log(j + 1.0)
-        else:  # explicit
+        # the built-in formulas are positive and nondecreasing; only the
+        # parameters and an explicit list can break that
+        if kind == "constant" and not value > 0:
+            raise ValidationError("constant weight must be positive")
+        if kind == "power" and (alpha is None or not 0 < alpha <= 1):
+            raise ValidationError("power kind needs 0 < alpha <= 1")
+        if kind == "explicit":
             if not terms:
                 raise ValidationError("explicit kind needs a nonempty list")
-            terms = [float(t) for t in terms]
-            self.terms = tuple(terms)
-            lam = np.empty(self.k_max)
-            head = min(len(terms), self.k_max)
-            lam[:head] = terms[:head]
+            self.terms = tuple(float(t) for t in terms)
             # extension by the last value keeps monotonicity
-            lam[head:] = terms[-1]
+            head = np.array(self.terms[:self.k_max])
+            if not np.all(head > 0):
+                raise ValidationError("weights must be positive")
+            if np.any(np.diff(head) < -1e-15 * head[:-1]):
+                raise ValidationError("weights must be nondecreasing")
+        # (lam, prefix) in one attribute, so readers never see them at
+        # different lengths
+        self._tables = (np.empty(0), np.empty(0))
 
-        if not np.all(lam > 0):
-            raise ValidationError("weights must be positive")
-        if np.any(np.diff(lam) < -1e-15 * lam[:-1]):
-            raise ValidationError("weights must be nondecreasing")
+    def _formula(self, n):
+        """``lam_1..lam_n`` from the kind's formula."""
+        if self.kind == "constant":
+            return np.full(n, float(self.value))
+        if self.kind == "explicit":
+            lam = np.full(n, self.terms[-1])
+            head = min(len(self.terms), n)
+            lam[:head] = self.terms[:head]
+            return lam
+        j = np.arange(1, n + 1, dtype=float)
+        if self.kind == "harmonic":
+            return j
+        if self.kind == "power":
+            return j ** float(self.alpha)
+        return j / np.log(j + 1.0)
 
-        self._lam = lam
-        self._prefix = np.cumsum(1.0 / lam)
-        self._lam.setflags(write=False)
-        self._prefix.setflags(write=False)
+    def _upto(self, k):
+        """The read-only ``(lam, prefix)`` tables, holding index ``k``."""
+        if not 1 <= k <= self.k_max:
+            raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
+        tables = self._tables
+        if k > len(tables[0]):
+            lam = self._formula(min(self.k_max, max(k, 2 * len(tables[0]))))
+            tables = (lam, np.cumsum(1.0 / lam))
+            for t in tables:
+                t.setflags(write=False)
+            self._tables = tables
+        return tables
 
     @property
     def divergence(self):
@@ -94,27 +114,20 @@ class WeightSequence:
 
     def weight(self, j):
         """Return ``lam_j`` (1-based)."""
-        if not 1 <= j <= self.k_max:
-            raise HorizonError(f"index {j} outside horizon 1..{self.k_max}")
-        return float(self._lam[j - 1])
+        lam = self._tables[0]  # a hit takes no further call
+        return (lam if 0 < j <= len(lam) else self._upto(j)[0]).item(j - 1)
 
     def weights(self, k):
         """First ``k`` weights as a read-only array."""
-        if not 1 <= k <= self.k_max:
-            raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
-        return self._lam[:k]
+        return self._upto(k)[0][:k]
 
     def prefix_sum(self, k):
         """Return ``L(k) = sum_{j=1}^{k} 1/lam_j``."""
-        if not 1 <= k <= self.k_max:
-            raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
-        return float(self._prefix[k - 1])
+        return self._upto(k)[1].item(k - 1)
 
     def prefix_sums(self, k):
         """``L(1..k)`` as a read-only array."""
-        if not 1 <= k <= self.k_max:
-            raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
-        return self._prefix[:k]
+        return self._upto(k)[1][:k]
 
     def to_config(self):
         cfg = {"kind": self.kind, "k_max": self.k_max}

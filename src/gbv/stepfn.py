@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

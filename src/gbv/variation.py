@@ -17,7 +17,7 @@ bounds beyond it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,12 +186,10 @@ def _future_bounds(values, objective, min_len):
     """
     m = len(values) - 1
     nu, _ = _dp(values, lambda x: x, min_len, m)
-    K = nu.shape[1] - 1
     F = np.zeros(m + 2)
     for pos in range(m - min_len, -1, -1):
-        k_pos = (m - pos) // min_len
         total = 0.0
-        for j in range(1, min(k_pos, K) + 1):
+        for j in range(1, (m - pos) // min_len + 1):
             cap = nu[pos, j] / j
             if cap <= 0:
                 break
@@ -241,11 +239,7 @@ def _rank_bounds(f, objective, min_len=1):
     future bound at position 0 (an over-estimate in general, since optimal
     k-collections need not nest)."""
     values = f.values
-    m = len(values) - 1
-    if min_len > m:
-        empty = IntervalCollection.from_pairs(f, [])
-        return 0.0, 0.0, empty
-    best_tab, end = _dp(values, objective.surrogate, min_len, m)
+    best_tab, end = _dp(values, objective.surrogate, min_len, f.m)
     lower, witness_pairs = 0.0, []
     for k in range(1, best_tab.shape[1]):
         pairs = _walk(best_tab, end, k)

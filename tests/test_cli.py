@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+import gbv.cli
+from gbv import InternalConsistencyError
 from gbv.cli import main, parse_gauge, parse_weights
 
 
@@ -108,6 +110,16 @@ class TestCriterionCommand:
         levels = json.loads(out.read_text())["result"]["levels"]
         assert len(levels) == 4
         assert all(lv["argmax_k"] <= 8 for lv in levels)
+
+    def test_internal_error_exits_one(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise InternalConsistencyError("engine disagreement")
+
+        monkeypatch.setattr(gbv.cli, "criterion_phi_lambda", broken)
+        code = run(["criterion", "--theorem", "1.9", "--phi", '{"power": 2}',
+                    "--lambda", "harmonic", "--qn", "const:2", "--ncap", "4",
+                    "--output", str(tmp_path / "r.json")])
+        assert code == 1
 
 
 class TestCounterexampleCommand:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -7,11 +6,9 @@ import pytest
 
 import gbv.criteria
 from gbv import (ConvexBase, CriterionReport, GaugePair, HorizonError,
-                 HypothesisError, InternalConsistencyError, SchrammFamily,
-                 ValidationError, WeightSequence, criterion_corollary_q,
-                 criterion_lambda_gamma, criterion_phi_lambda,
-                 criterion_schramm, criterion_union_p)
-from gbv.cli import main
+                 HypothesisError, SchrammFamily, ValidationError,
+                 WeightSequence, criterion_corollary_q, criterion_lambda_gamma,
+                 criterion_phi_lambda, criterion_schramm, criterion_union_p)
 
 KM = 1 << 14
 HARMONIC = WeightSequence("harmonic", k_max=KM)
@@ -131,6 +128,14 @@ class TestSchramm:
             assert lv["a_n"] == pytest.approx(delta ** (1 / 6) * c ** (-1 / 3),
                                               rel=1e-9)
 
+    def test_flat_kernel_reports_first_k(self):
+        # Phi_k(x) = k x^2, so k^{1/2} Phi_k^{-1}(1) = 1 for every k; the
+        # bisection's residual must not choose the argmax
+        fam = SchrammFamily("explicit", terms=[(1.0, 2.0)])
+        rep = criterion_schramm(fam, gauge_const_q(2.0, n_max=4), 4)
+        assert [lv["argmax_k"] for lv in rep.levels] == [1, 1, 1, 1]
+        assert all(lv["a_n"] == pytest.approx(1.0, rel=1e-9) for lv in rep.levels)
+
     def test_inexact_scan_flag_past_dense_cap(self):
         big = 1 << 21
         assert big > gbv.criteria.DENSE_SCAN_CAP
@@ -148,32 +153,15 @@ class TestPhiLambda:
         rep = criterion_phi_lambda(ConvexBase("expm1"), HARMONIC, gauge, 8)
         assert rep.verdict == "bounded-up-to-horizon"
 
-    def test_matches_scaled_family_scan(self):
-        gauge = gauge_const_q(2.0, n_max=8)
-        base = ConvexBase("power", p=2.0)
-        rep = criterion_phi_lambda(base, HARMONIC, gauge, 8)
-        other = criterion_schramm(SchrammFamily("scaled", base=base,
-                                                weights=HARMONIC), gauge, 8)
-        for mine, theirs in zip(rep.levels, other.levels):
-            assert mine["a_n"] == pytest.approx(theirs["a_n"], rel=1e-10)
-
-    def test_scan_disagreement_is_internal_error(self, monkeypatch, tmp_path):
-        real = gbv.criteria.criterion_schramm
-
-        def perturbed(*args):
-            rep = real(*args)
-            levels = tuple({**lv, "a_n": lv["a_n"] * 1.01} for lv in rep.levels)
-            return dataclasses.replace(rep, levels=levels)
-
-        monkeypatch.setattr(gbv.criteria, "criterion_schramm", perturbed)
-        base = ConvexBase("power", p=2.0)
-        with pytest.raises(InternalConsistencyError):
-            criterion_phi_lambda(base, HARMONIC, gauge_const_q(2.0, n_max=8), 8)
-        code = main(["criterion", "--theorem", "1.9",
-                     "--phi", json.dumps(base.to_config()), "--lambda", "harmonic",
-                     "--qn", "const:2", "--delta", "pow2", "--ncap", "8",
-                     "--kmax", "2048", "--output", str(tmp_path / "r.json")])
-        assert code == 1
+    def test_expm1_base_matches_closed_form(self):
+        # Phi_k(x) = (e^x - 1) H_k, so a_n = max_{k <= 2^n} k^{1/2} log1p(1/H_k)
+        rep = criterion_phi_lambda(ConvexBase("expm1"), HARMONIC,
+                                   gauge_const_q(2.0, n_max=10), 10)
+        ks = np.arange(1, (1 << 10) + 1)
+        kernel = ks ** 0.5 * np.log1p(1.0 / np.cumsum(1.0 / ks))
+        for lv in rep.levels:
+            expected = float(np.max(kernel[:1 << lv["n"]]))
+            assert lv["a_n"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestUnionP:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,13 @@ from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
 from gbv.sequences import BISECT_X_TOL, INVERSE_TOL
 
 KM = 4096
+KINDS = [
+    ("harmonic", {}),
+    ("constant", {"value": 2.0}),
+    ("power", {"alpha": 0.5}),
+    ("log", {}),
+    ("explicit", {"terms": [1.0, 1.5, 4.0]}),
+]
 
 
 @pytest.fixture(scope="module")
@@ -27,13 +35,7 @@ class TestWeightSequence:
         # direct summation 1 + 1/2 + 1/3 + 1/4
         assert harmonic.prefix_sum(4) == pytest.approx(25 / 12, rel=1e-15)
 
-    @pytest.mark.parametrize("kind,kw", [
-        ("harmonic", {}),
-        ("constant", {"value": 2.0}),
-        ("power", {"alpha": 0.5}),
-        ("log", {}),
-        ("explicit", {"terms": [1.0, 1.5, 4.0]}),
-    ])
+    @pytest.mark.parametrize("kind,kw", KINDS)
     def test_prefix_increments_match_weights(self, kind, kw):
         w = WeightSequence(kind, k_max=256, **kw)
         pref = w.prefix_sums(256)
@@ -46,10 +48,34 @@ class TestWeightSequence:
         assert np.all(np.diff(pref) > 0)
 
     def test_horizon_error(self, harmonic):
-        with pytest.raises(HorizonError):
-            harmonic.prefix_sum(KM + 1)
-        with pytest.raises(HorizonError):
-            harmonic.prefix_sum(0)
+        for accessor in (harmonic.weight, harmonic.weights, harmonic.prefix_sum,
+                         harmonic.prefix_sums):
+            for k in (0, KM + 1):
+                with pytest.raises(HorizonError):
+                    accessor(k)
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_on_demand_tables_match_eager_formula(self, kind, kw, order):
+        j = np.arange(1, KM + 1, dtype=float)
+        lam = {"harmonic": j, "constant": np.full(KM, 2.0), "power": j ** 0.5,
+               "log": j / np.log(j + 1.0),
+               "explicit": np.concatenate([[1.0, 1.5], np.full(KM - 2, 4.0)])}[kind]
+        pref = np.cumsum(1.0 / lam)
+        w = WeightSequence(kind, **kw)
+        for k in [1, 7, 1000, KM][::order]:
+            assert np.array_equal(w.weights(k), lam[:k])
+            assert np.array_equal(w.prefix_sums(k), pref[:k])
+            assert w.weight(k) == lam[k - 1] and w.prefix_sum(k) == pref[k - 1]
+
+    def test_construction_builds_no_table(self):
+        tracemalloc.start()
+        try:
+            WeightSequence("log")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_explicit_extension_and_flag(self):
         w = WeightSequence("explicit", terms=[1.0, 2.0], k_max=10)
