@@ -174,7 +174,7 @@ def check_wu_estimate(x, family: SchrammFamily, q):
         raise ValidationError("x must be nonnegative nonincreasing")
     if q < 1:
         raise ValidationError("q must be >= 1")
-    V = math.fsum(float(family.phi(j, x[j - 1])) for j in range(1, n + 1))
+    V = math.fsum(family.phi(np.arange(1, n + 1), x))
     lhs = float(np.sum(x ** q)) ** (1.0 / q)
     if V == 0.0:
         return {"lhs": lhs, "rhs": 0.0, "ok": lhs == 0.0, "ratio": 0.0}
@@ -188,6 +188,16 @@ def check_wu_estimate(x, family: SchrammFamily, q):
 
 # ---------------------------------------------------------------------------
 # randomized suites
+
+def _check_horizon(n_max, *readers):
+    """Raise before any sample is drawn if a length up to ``n_max`` would
+    read past the horizon of a weight sequence or family."""
+    for r in readers:
+        if n_max > r.k_max:
+            raise ValidationError(
+                f"suite draws lengths up to n_max={n_max}, beyond the horizon "
+                f"k_max={r.k_max} of {r!r}")
+
 
 def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
                      n_max=64):
@@ -213,6 +223,8 @@ def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
 
 
 def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
+    _check_horizon(n_max, *families,
+                   *(fam.weights for fam in families if fam.weights is not None))
     rng = np.random.default_rng(seed)
     failures = 0
     worst_ratio = 0.0
@@ -235,6 +247,7 @@ def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
 
 
 def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32):
+    _check_horizon(n_max, w_lambda, w_gamma)
     rng = np.random.default_rng(seed)
     failures = 0
     worst = {"margin": math.inf, "case": None}
@@ -253,6 +266,7 @@ def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32)
 
 
 def run_comparison_suite(seed, samples, w_lambda, w_gamma, n_max=64):
+    _check_horizon(n_max, w_lambda, w_gamma)
     rng = np.random.default_rng(seed)
     failures = 0
     for i in range(samples):

@@ -220,6 +220,8 @@ class SchrammFamily:
             self.base = None
             self.weights = None
             self.k_max = DEFAULT_K_MAX if k_max is None else int(k_max)
+            self._coefs = np.array([c for c, _ in self.terms])
+            self._exps = np.array([e for _, e in self.terms])
         else:
             raise ValidationError(f"unknown Schramm family kind {kind!r}")
         self.kind = kind
@@ -229,18 +231,38 @@ class SchrammFamily:
         """phi_j(x) = x^p / lam_j."""
         return cls("scaled", base=ConvexBase("power", p=p), weights=weights)
 
-    def _term(self, j):
-        idx = min(j, len(self.terms)) - 1
-        return self.terms[idx]
+    @property
+    def degree(self):
+        """``d`` with ``phi_j(c x) = c^d phi_j(x)`` for every j and c > 0, or
+        None: a power base x^p scaled by weights has d = p, an explicit
+        family whose terms share one exponent e has d = e."""
+        if self.kind == "scaled":
+            return self.base.p if self.base.shape == "power" else None
+        exps = {e for _, e in self.terms}
+        return exps.pop() if len(exps) == 1 else None
 
     def phi(self, j, x):
-        """Evaluate phi_j(x)."""
-        if not 1 <= j <= self.k_max:
-            raise HorizonError(f"index {j} outside horizon 1..{self.k_max}")
+        """Evaluate phi_j(x); ``j`` and ``x`` broadcast, and each element is
+        the float a scalar call gives."""
+        j = np.asarray(j)
+        # numpy evaluates contiguous arrays and scalars by one loop, strided
+        # arrays by another that can differ in the last bit
+        x = np.asarray(x, dtype=float, order="C")
+        bad = (j < 1) | (j > self.k_max)
+        if bad.any():
+            raise HorizonError(f"index {j[bad][0]} outside horizon 1..{self.k_max}")
         if self.kind == "scaled":
-            return self.base(x) / self.weights.weight(j)
-        c, e = self._term(j)
-        return c * np.power(x, e)
+            return self.base(x) / self.weights.weights(int(j.max(initial=1)))[j - 1]
+        idx = np.minimum(j, len(self.terms)) - 1
+        # one np.power call per distinct exponent, each with a scalar
+        # exponent: an array of exponents skips numpy's fast paths (x^2 as
+        # x*x) and can move the last bit
+        x, exps = np.broadcast_arrays(x, self._exps[idx])
+        powers = np.empty(x.shape)
+        for e in set(exps.flat):
+            hit = exps == e
+            powers[hit] = np.power(x[hit], e)
+        return self._coefs[idx] * powers
 
     def partial_sum(self, k, x):
         """Evaluate Phi_k(x) = sum_{j<=k} phi_j(x); ``k`` and ``x`` broadcast.

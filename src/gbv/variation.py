@@ -137,11 +137,12 @@ class _RankObjective:
     #: the gain every rank shares when phi_j does not depend on j, else None
     rank_free = None
 
-    def gain(self, j, x):
+    def gains(self, xs):
+        """``[phi_1(xs[0]), phi_2(xs[1]), ...]`` for descending increments."""
         raise NotImplementedError
 
     def objective(self, sorted_desc):
-        return sum(self.gain(j, x) for j, x in enumerate(sorted_desc, start=1))
+        return sum(self.gains(sorted_desc))
 
     def surrogate(self, x):
         """Rank-free gain used for witness-producing lower-bound DPs."""
@@ -154,12 +155,19 @@ class _WeightedPower(_RankObjective):
     def __init__(self, weights: WeightSequence, p: float):
         self.w = weights
         self.p = float(p)
+        self._lam = []  # lam_1, lam_2, ... as floats, grown on demand
         if weights.kind == "constant":
             w = 1.0 / weights.weight(1)
             self.rank_free = lambda x: w * x ** p
 
-    def gain(self, j, x):
-        return x ** self.p / self.w.weight(j)
+    def gains(self, xs):
+        lam = self._lam
+        if len(xs) > len(lam):
+            # past the horizon, the sequence names the first rank it lacks
+            lam = self._lam = self.w.weights(min(len(xs), self.w.k_max + 1)).tolist()
+        p = self.p
+        # scalar ** is libm pow; numpy's array power can differ in the last bit
+        return [x ** p / w for x, w in zip(xs, lam)]
 
     def surrogate(self, x):
         return x ** self.p
@@ -169,8 +177,8 @@ class _SchrammGain(_RankObjective):
     def __init__(self, family: SchrammFamily):
         self.family = family
 
-    def gain(self, j, x):
-        return float(self.family.phi(j, x))
+    def gains(self, xs):
+        return self.family.phi(np.arange(1, len(xs) + 1), xs).tolist()
 
     def surrogate(self, x):
         return x
@@ -188,13 +196,12 @@ def _future_bounds(values, objective, min_len):
     nu, _ = _dp(values, lambda x: x, min_len, m)
     F = np.zeros(m + 2)
     for pos in range(m - min_len, -1, -1):
-        total = 0.0
-        for j in range(1, (m - pos) // min_len + 1):
-            cap = nu[pos, j] / j
-            if cap <= 0:
-                break
-            total += objective.gain(j, cap)
-        F[pos] = total
+        n = (m - pos) // min_len
+        caps = nu[pos, 1:n + 1] / np.arange(1, n + 1)
+        live = caps > 0
+        if not live.all():
+            caps = caps[:live.argmin()]
+        F[pos] = sum(objective.gains(caps))
     return F
 
 
@@ -206,9 +213,9 @@ def _branch_and_bound(f, objective, min_len=1):
     increment multisets under nonincreasing per-rank gains never beats
     charging each multiset from rank 1.
     """
-    values = f.values
-    m = len(values) - 1
-    F = _future_bounds(values, objective, min_len)
+    m = f.m
+    F = _future_bounds(f.values, objective, min_len)
+    values = f.values.tolist()
     best = {"value": 0.0, "pairs": []}
 
     def visit(pos, pairs, incs_sorted, obj):
@@ -238,8 +245,8 @@ def _rank_bounds(f, objective, min_len=1):
     surrogate DP for every interval count, keep the best. Upper: the
     future bound at position 0 (an over-estimate in general, since optimal
     k-collections need not nest)."""
-    values = f.values
-    best_tab, end = _dp(values, objective.surrogate, min_len, f.m)
+    best_tab, end = _dp(f.values, objective.surrogate, min_len, f.m)
+    values = f.values.tolist()
     lower, witness_pairs = 0.0, []
     for k in range(1, best_tab.shape[1]):
         pairs = _walk(best_tab, end, k)
@@ -247,7 +254,7 @@ def _rank_bounds(f, objective, min_len=1):
         val = objective.objective(incs)
         if val > lower:
             lower, witness_pairs = val, pairs
-    upper = float(_future_bounds(values, objective, min_len)[0])
+    upper = float(_future_bounds(f.values, objective, min_len)[0])
     upper = max(upper, lower)
     return lower, upper, IntervalCollection.from_pairs(f, witness_pairs)
 
@@ -364,13 +371,27 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
                  oracle_cap: int = ORACLE_CAP_DEFAULT, rel_tol: float = 1e-10) -> float:
     """Luxemburg-style norm ``|f(a)| + inf{c > 0 : V_Phi(f/c) <= 1}``.
 
-    ``c -> V_Phi(f/c)`` is nonincreasing, so the infimum is found by
-    bracket doubling plus bisection.
+    For a family homogeneous of degree d (``family.degree``: a power base,
+    or explicit terms sharing one exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``,
+    so the infimum is ``V_Phi(f)^(1/d)``: one variation call. Other
+    families (the ``expm1`` base, mixed exponents) find it by bracket
+    doubling plus bisection to ``rel_tol``, since ``c -> V_Phi(f/c)`` is
+    nonincreasing.
+
+    Above ``oracle_cap`` grid cells the variation is only bracketed and its
+    certified lower bound is used, so the norm returned is a lower bound on
+    the true norm; for a homogeneous family the true norm lies in
+    ``[|f(a)| + lower^(1/d), |f(a)| + upper^(1/d)]`` of
+    :func:`variation_schramm`.
     """
     if f_a is None:
         f_a = float(f.values[0])
     if np.ptp(f.values) == 0.0:
         return abs(f_a)
+    degree = family.degree
+    if degree is not None:
+        # in bounds mode the value is the certified lower bound
+        return abs(f_a) + variation_schramm(f, family, oracle_cap).value ** (1.0 / degree)
 
     def var_at(c):
         return variation_schramm(f.scaled(1.0 / c), family, oracle_cap).value

@@ -173,6 +173,17 @@ class TestInequalityCommand:
                     "--output", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("suite, n_max", [("wu", 32), ("holder", 32),
+                                              ("comparison", 64)])
+    def test_suite_beyond_horizon_exits_one(self, tmp_path, capsys, suite, n_max):
+        out = tmp_path / "rep.json"
+        code = run(["inequality", "--suite", suite, "--samples", "10", "--seed",
+                    "5", "--kmax", "16", "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"n_max={n_max}" in err and "k_max=16" in err
+        assert not out.exists()
+
 
 class TestNormCommand:
     def test_single_jump(self, tmp_path):

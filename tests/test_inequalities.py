@@ -170,6 +170,16 @@ class TestSuites:
         rep = run_comparison_suite(7, 200, HARMONIC, CONST1)
         assert rep["failures"] == 0
 
+    @pytest.mark.parametrize("suite", ["wu", "holder", "comparison"])
+    def test_suite_checks_horizon_before_drawing(self, suite):
+        short = WeightSequence("harmonic", k_max=16)
+        run = {"wu": lambda: run_wu_suite(7, 10, [SchrammFamily.power(2.0, short)]),
+               "holder": lambda: run_holder_suite(7, 10, short, CONST1),
+               "comparison": lambda: run_comparison_suite(7, 10, HARMONIC, short)}
+        n_max = 64 if suite == "comparison" else 32
+        with pytest.raises(ValidationError, match=f"n_max={n_max}.*k_max=16"):
+            run[suite]()
+
     def test_suite_determinism(self):
         a = run_master_suite(42, samples=50, q_list=(2.0,), n_max=8)
         b = run_master_suite(42, samples=50, q_list=(2.0,), n_max=8)

@@ -191,6 +191,44 @@ class TestSchrammFamily:
         # Phi_k(x) = k (e^x - 1)
         assert fam.partial_inverse(4, 4.0) == pytest.approx(math.log(2), rel=1e-10)
 
+    @pytest.mark.parametrize("fam, degree", [
+        (SchrammFamily.power(1.5, WeightSequence("harmonic", k_max=64)), 1.5),
+        (SchrammFamily("scaled", base=ConvexBase("expm1"),
+                       weights=WeightSequence("harmonic", k_max=64)), None),
+        (SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=64), 2.0),
+        (SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 2.0)], k_max=64), None),
+    ])
+    def test_degree(self, fam, degree):
+        assert fam.degree == degree
+        if degree is not None:
+            # phi_j(c x) = c^d phi_j(x)
+            for j in (1, 2, 5):
+                assert fam.phi(j, 3.0 * 0.7) == pytest.approx(
+                    3.0 ** degree * fam.phi(j, 0.7), rel=1e-12)
+
+    @pytest.mark.parametrize("fam", [
+        SchrammFamily.power(1.5, WeightSequence("log", k_max=64)),
+        SchrammFamily("scaled", base=ConvexBase("expm1"),
+                      weights=WeightSequence("power", alpha=0.5, k_max=64)),
+        SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0)], k_max=64),
+    ])
+    def test_phi_broadcasts_over_ranks(self, fam):
+        # one call over ranks 1..n gives each scalar phi_j(x_j) bit for bit,
+        # past the end of an explicit term list and on a strided view too
+        x = np.sort(np.exp(np.random.default_rng(3).uniform(-3.0, 2.0, size=40)))
+        ranks = np.arange(1, 41)
+        for xs in (x, x[::-1]):
+            assert fam.phi(ranks, xs).tolist() == [
+                float(fam.phi(j, xj)) for j, xj in zip(ranks.tolist(), xs)]
+        assert fam.phi(ranks[:0], x[:0]).tolist() == []
+
+    def test_phi_horizon_names_first_index_past_it(self):
+        fam = SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=4)
+        with pytest.raises(HorizonError, match="index 5 outside horizon 1..4"):
+            fam.phi(np.arange(1, 9), 1.0)
+        with pytest.raises(HorizonError, match="index 0 outside"):
+            fam.phi(0, 1.0)
+
 
 class TestGaugePair:
     def test_pow2_ladder(self):

@@ -5,17 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gbv.variation
 import oracles
-from gbv import (SchrammFamily, StepFunction, ValidationError, WeightSequence,
-                 GaugePair, modulus_of_variation, schramm_norm,
-                 variation_gauged, variation_schramm, variation_unweighted_q,
-                 variation_weighted)
+from gbv import (ConvexBase, HorizonError, SchrammFamily, StepFunction,
+                 ValidationError, WeightSequence, GaugePair,
+                 modulus_of_variation, schramm_norm, variation_gauged,
+                 variation_schramm, variation_unweighted_q, variation_weighted)
 
 KM = 4096
 HARMONIC = WeightSequence("harmonic", k_max=KM)
 CONST1 = WeightSequence("constant", value=1.0, k_max=KM)
 
 ZIGZAG = StepFunction([0.0, 1.0, 0.0, 1.0, 0.0])
+
+#: mixed exponents, so not homogeneous; ordered (phi_1 >= phi_2 >= ...)
+#: for x <= 9, far above every increment the tests below produce
+MIXED_TERMS = [(1.0, 1.5), (0.6, 1.5), (0.2, 2.0)]
+
+
+def mixed_family(k_max=KM):
+    return SchrammFamily("explicit", terms=MIXED_TERMS, k_max=k_max)
+
+
+def expm1_family(k_max=KM):
+    return SchrammFamily("scaled", base=ConvexBase("expm1"),
+                         weights=WeightSequence("harmonic", k_max=k_max))
+
+
+def mixed_phis(n):
+    return [lambda x, c=c, e=e: c * x ** e
+            for c, e in (MIXED_TERMS + [MIXED_TERMS[-1]] * n)[:n]]
+
+
+def expm1_phis(n):
+    return [lambda x, j=j: math.expm1(x) / j for j in range(1, n + 1)]
 
 
 def random_values(rng, m):
@@ -177,6 +200,109 @@ class TestNorm:
             lhs = schramm_norm(f + g, fam)
             rhs = schramm_norm(f, fam) + schramm_norm(g, fam)
             assert lhs <= rhs * (1 + 1e-7) + 1e-12
+
+    @pytest.mark.parametrize("family, phis", [(mixed_family, mixed_phis),
+                                              (expm1_family, expm1_phis)])
+    def test_bisection_matches_oracle(self, family, phis):
+        # non-homogeneous families bisect; V(f/c) = 1 at the returned c
+        fam = family()
+        assert fam.degree is None
+        rng = np.random.default_rng(29)
+        for m in (2, 3, 5, 8):
+            values = rng.integers(-4, 5, size=m + 1) / 8.0
+            values[-1] = values[0] + 0.5  # never constant
+            f = StepFunction(values)
+            c = schramm_norm(f, fam) - abs(values[0])
+            assert oracles.oracle_schramm(list(values / c), phis(m)) == \
+                pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("family, homogeneous", [
+        (lambda: SchrammFamily.power(2.0, HARMONIC), True),
+        (lambda: SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 1.5)],
+                               k_max=KM), True),
+        (mixed_family, False),
+        (expm1_family, False),
+    ])
+    def test_homogeneous_norm_is_one_variation_call(self, monkeypatch, family,
+                                                    homogeneous):
+        calls = []
+        real = gbv.variation.variation_schramm
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gbv.variation, "variation_schramm", counted)
+        f = StepFunction([0.2, 1.0, 0.4, 0.9, 0.0])
+        norm = schramm_norm(f, family())
+        assert (len(calls) == 1) == homogeneous
+        if homogeneous:
+            d = family().degree
+            assert norm == 0.2 + real(f, family()).value ** (1.0 / d)
+
+    def test_bounds_mode_homogeneous_norm(self):
+        # above oracle_cap the norm uses the certified lower bound of V, and
+        # the true norm lies between the lower- and upper-bound norms
+        fam = SchrammFamily.power(2.0, HARMONIC)
+        rng = np.random.default_rng(31)
+        f = StepFunction(np.cumsum(rng.normal(size=11)))
+        f_a = abs(float(f.values[0]))
+        var = variation_schramm(f, fam, oracle_cap=6)
+        assert var.mode == "bounds"
+        norm = schramm_norm(f, fam, oracle_cap=6)
+        assert norm == f_a + var.lower ** 0.5
+        exact = schramm_norm(f, fam)
+        assert norm <= exact * (1 + 1e-12)
+        assert exact <= (f_a + var.upper ** 0.5) * (1 + 1e-12)
+
+
+def _rank_case(shape, k_max):
+    """(engine call, oracle per-rank gains, root exponent) of one shape."""
+    if shape in ("log", "power:0.5"):
+        kind, kw = ("log", {}) if shape == "log" else ("power", {"alpha": 0.5})
+        w = WeightSequence(kind, k_max=k_max, **kw)
+        lam = [j / math.log(j + 1.0) if shape == "log" else j ** 0.5
+               for j in range(1, 10)]
+        phis = [lambda x, l=l: x ** 1.5 / l for l in lam]
+        return (lambda f, cap: variation_weighted(f, w, 1.5, oracle_cap=cap)), phis, 1.5
+    fam, phis = ((mixed_family(k_max), mixed_phis(9)) if shape == "explicit-short"
+                 else (expm1_family(k_max), expm1_phis(9)))
+    return (lambda f, cap: variation_schramm(f, fam, oracle_cap=cap)), phis, 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=9),
+       st.sampled_from(["explicit-short", "expm1", "log", "power:0.5"]))
+def test_rank_layer_matches_oracle_property(vals, shape):
+    values = [v / 4.0 for v in vals]
+    f = StepFunction(values)
+    solve, phis, p = _rank_case(shape, KM)
+
+    def evaluate(incs):
+        incs = sorted(incs, reverse=True)
+        return sum(phis[j](x) for j, x in enumerate(incs)) ** (1.0 / p)
+
+    truth = max(evaluate(oracles._incs(values, pairs))
+                for pairs in oracles.all_collections(f.m))
+    res = solve(f, gbv.variation.ORACLE_CAP_DEFAULT)
+    assert res.mode == "exact-oracle"
+    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert evaluate(res.witness.increments) == pytest.approx(res.value, rel=1e-12,
+                                                             abs=1e-12)
+    res = solve(f, 3)
+    assert res.mode == ("bounds" if f.m > 3 else "exact-oracle")
+    tol = 1e-12 * max(truth, 1.0)
+    assert res.lower - tol <= truth <= res.upper + tol
+    assert evaluate(res.witness.increments) == pytest.approx(res.lower, rel=1e-12,
+                                                             abs=1e-12)
+    if len(set(values)) > 1:
+        # the error names the first rank past the horizon, as a scalar
+        # read of the ranks in order does
+        k_max = max(1, f.m - 2)
+        short, _, _ = _rank_case(shape, k_max)
+        for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 1):
+            with pytest.raises(HorizonError, match=f"index {k_max + 1} outside"):
+                short(f, cap)
 
 
 @settings(max_examples=60, deadline=None)
