@@ -99,14 +99,19 @@ def schramm_parts(family):
     return lambda ks: (ks, family.partial_inverse_many(ks, 1.0))
 
 
+def _peak(kernel):
+    """The kernel's max and its argmax: the first index within
+    ``INVERSE_TOL`` of the max, so that round-off cannot pick the argmax of
+    a flat kernel."""
+    a_n = float(kernel.max())
+    return a_n, int(np.argmax(kernel >= a_n * (1.0 - INVERSE_TOL)))
+
+
 def _scan(gauge, n_cap, horizon, parts):
-    """Per level the kernel's max over the scanned k, and its argmax: the
-    smallest k within ``INVERSE_TOL`` of the max, so that round-off in
-    Phi_k^{-1} cannot pick the argmax of a flat kernel."""
+    """Per level the kernel's max over the scanned k, and its argmax."""
     rows, inexact = [], False
     for n, ks, kernel in level_kernels(gauge, n_cap, horizon, parts):
-        a_n = float(kernel.max())
-        i = int(np.argmax(kernel >= a_n * (1.0 - INVERSE_TOL)))
+        a_n, i = _peak(kernel)
         rows.append({"n": n, "a_n": a_n, "argmax_k": int(ks[i])})
         inexact = inexact or bool(len(ks) < ks[-1])
     return _assemble(rows, inexact)
@@ -140,15 +145,14 @@ def _assemble(level_rows, inexact):
     )
 
 
-def _check_ratio_nondecreasing(w_gamma, w_lambda, horizon):
-    """Gamma(k)/Lambda(k) nondecreasing over k <= horizon."""
-    g = w_gamma.prefix_sums(horizon)
-    l = w_lambda.prefix_sums(horizon)
-    ratio = g / l
+def check_ratio_nondecreasing(w_gamma, w_lambda, horizon):
+    """Raise :class:`HypothesisError`, with the first bad k as ``index``,
+    unless Gamma(k)/Lambda(k) is nondecreasing over k <= horizon."""
+    ratio = w_gamma.prefix_sums(horizon) / w_lambda.prefix_sums(horizon)
     bad = np.where(np.diff(ratio) < -1e-12 * ratio[:-1])[0]
     if len(bad):
         raise HypothesisError(
-            f"Gamma(n)/Lambda(n) decreases at n={int(bad[0]) + 2}",
+            f"Gamma(k)/Lambda(k) decreases at k={int(bad[0]) + 2}",
             index=int(bad[0]) + 2)
 
 
@@ -171,8 +175,8 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
             raise HypothesisError(
                 "p > q_1 requires the second-part flag with "
                 "Gamma/Lambda nondecreasing")
-        _check_ratio_nondecreasing(w_gamma, w_lambda,
-                                   min(max_delta, w_gamma.k_max, w_lambda.k_max))
+        check_ratio_nondecreasing(w_gamma, w_lambda,
+                                  min(max_delta, w_gamma.k_max, w_lambda.k_max))
     if max_delta > min(w_gamma.k_max, w_lambda.k_max):
         raise HorizonError(
             f"delta_{n_cap}={max_delta} exceeds the weight-sequence horizon")
@@ -200,14 +204,13 @@ def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
     level = 1
     checkpoint = 1
     while checkpoint <= horizon:
-        upto = kernel[:checkpoint]
-        i = int(np.argmax(upto))
-        rows.append({"n": level, "a_n": float(upto[i]), "argmax_k": i + 1})
+        a_n, i = _peak(kernel[:checkpoint])
+        rows.append({"n": level, "a_n": a_n, "argmax_k": i + 1})
         level += 1
         checkpoint *= 2
     if checkpoint // 2 < horizon:
-        i = int(np.argmax(kernel))
-        rows.append({"n": level, "a_n": float(kernel[i]), "argmax_k": i + 1})
+        a_n, i = _peak(kernel)
+        rows.append({"n": level, "a_n": a_n, "argmax_k": i + 1})
     return _assemble(rows, False)
 
 

@@ -15,6 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .criteria import check_ratio_nondecreasing
 from .errors import HypothesisError, ValidationError
 from .sequences import SchrammFamily, WeightSequence
 
@@ -146,14 +147,9 @@ def check_holder_branch(x, w_lambda: WeightSequence, w_gamma: WeightSequence,
     x = x[:s]
     if np.any(x < 0) or np.any(np.diff(x) > 1e-15 * np.maximum(x[:-1], 1e-300)):
         raise ValidationError("x must be nonnegative nonincreasing")
+    check_ratio_nondecreasing(w_gamma, w_lambda, s)
     gam = w_gamma.prefix_sums(s)
     lam = w_lambda.prefix_sums(s)
-    ratio = gam / lam
-    bad = np.where(np.diff(ratio) < -1e-12 * ratio[:-1])[0]
-    if len(bad):
-        raise HypothesisError(
-            f"Gamma(k)/Lambda(k) decreases at k={int(bad[0]) + 2}",
-            index=int(bad[0]) + 2)
     lhs = float(np.sum(x ** q_n / w_gamma.weights(s)))
     inner = float(np.sum(x ** p / w_lambda.weights(s)))
     kernel = float(np.max(gam * lam ** (-q_n / p)))

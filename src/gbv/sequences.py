@@ -198,7 +198,9 @@ class SchrammFamily:
     * ``scaled`` -- phi_j(x) = base(x) / lam_j for a convex base and a
       :class:`WeightSequence`; this includes the power case base(x) = x^p.
     * ``explicit`` -- per-index (coef, exponent) pairs phi_j(x) = c_j x^{e_j},
-      extended beyond the list by the last pair.
+      extended beyond the list by the last pair. A falling exponent, or
+      equal exponents with a rising coefficient, is rejected at
+      construction: either breaks phi_{j+1} <= phi_j at every scale.
     """
 
     def __init__(self, kind, *, base=None, weights=None, terms=None,
@@ -217,6 +219,14 @@ class SchrammFamily:
             for c, e in self.terms:
                 if c <= 0 or e < 1:
                     raise ValidationError("explicit terms need coef > 0, exponent >= 1")
+            # phi_{j+1} / phi_j = (c_{j+1} / c_j) x^(e_{j+1} - e_j): pairs that
+            # break phi_{j+1} <= phi_j at every scale are rejected here; a
+            # rising exponent holds up to a crossing and is not checked
+            for j, ((c, e), (c1, e1)) in enumerate(zip(self.terms, self.terms[1:]), 1):
+                if e1 < e or (e1 == e and c1 > c):
+                    where = "near 0" if e1 < e else "for every x > 0"
+                    raise ValidationError(f"explicit terms {j} and {j + 1}: "
+                                          f"phi_{j + 1} > phi_{j} {where}")
             self.base = None
             self.weights = None
             self.k_max = DEFAULT_K_MAX if k_max is None else int(k_max)

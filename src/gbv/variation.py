@@ -3,25 +3,29 @@
 All functionals share one search problem: pick nonoverlapping grid
 intervals and sum per-interval gains. When the gain of an interval depends
 only on its own increment -- the modulus of variation, the unweighted
-q-form, any constant-weight family and so every level of a constant-weight
-gauged variation -- one dynamic program over (grid position, intervals
-left) is exact. It records an end pointer per cell in the same pass, so
-the witness is read off the pointers and re-evaluated against the value;
-when the count cap cannot bind, it runs on a single column. When gains are
-rank-dependent -- the j-th largest increment is charged phi_j -- no
-polynomial exact scheme is known, so we run a proven-exact branch-and-bound
-up to ``oracle_cap`` grid cells and fall back to certified lower/upper
-bounds beyond it.
+q-form and any rank-free Schramm family (every phi_j the same function:
+constant weights, an explicit weight list of one value, or explicit terms
+that are one repeated pair) -- one dynamic program over (grid position,
+intervals left) is exact. It records an end pointer per cell in the same
+pass, so the witness is read off the pointers and re-evaluated against the
+value; when the count cap cannot bind, it runs on a single column. When
+gains are rank-dependent -- the j-th largest increment is charged phi_j --
+no polynomial exact scheme is known, so we run a proven-exact
+branch-and-bound up to ``oracle_cap`` grid cells and fall back to
+certified lower/upper bounds beyond it. The Waterman-Shiba variation is the
+p-th root of the Schramm variation of phi_j(x) = x^p / lam_j, and each
+gauged level is that family at q_n, so one rank objective serves all three.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InternalConsistencyError, RangeError, ValidationError
+from .errors import (HorizonError, InternalConsistencyError, RangeError,
+                     ValidationError)
 from .sequences import GaugePair, SchrammFamily, WeightSequence
 from .stepfn import IntervalCollection, StepFunction
 
@@ -129,59 +133,71 @@ def _dp_solve(f, gainfn, min_len, count=None):
 
 
 # ---------------------------------------------------------------------------
-# rank-dependent objectives
+# rank-dependent objective
 
-class _RankObjective:
-    """Per-rank gains phi_j(x), nonincreasing in j for every x."""
+class _RankGains:
+    """The rank objective ``sum_j phi_j(x_j)`` of an ordered Schramm family,
+    phi_1 >= phi_2 >= ... for every x, with per-rank gains as Python floats.
 
-    #: the gain every rank shares when phi_j does not depend on j, else None
-    rank_free = None
+    The Waterman-Shiba inner sum ``sum x_j^p / lam_j`` is the scaled family
+    ``SchrammFamily.power(p, weights)`` and each gauged level is that family
+    at q_n, so this one objective serves every rank-dependent solve.
+    """
 
-    def gains(self, xs):
-        """``[phi_1(xs[0]), phi_2(xs[1]), ...]`` for descending increments."""
-        raise NotImplementedError
-
-    def objective(self, sorted_desc):
-        return sum(self.gains(sorted_desc))
-
-    def surrogate(self, x):
-        """Rank-free gain used for witness-producing lower-bound DPs."""
-        raise NotImplementedError
-
-
-class _WeightedPower(_RankObjective):
-    """phi_j(x) = x^p / lam_j (Waterman-Shiba inner sum)."""
-
-    def __init__(self, weights: WeightSequence, p: float):
-        self.w = weights
-        self.p = float(p)
-        self._lam = []  # lam_1, lam_2, ... as floats, grown on demand
-        if weights.kind == "constant":
-            w = 1.0 / weights.weight(1)
-            self.rank_free = lambda x: w * x ** p
-
-    def gains(self, xs):
-        lam = self._lam
-        if len(xs) > len(lam):
-            # past the horizon, the sequence names the first rank it lacks
-            lam = self._lam = self.w.weights(min(len(xs), self.w.k_max + 1)).tolist()
-        p = self.p
-        # scalar ** is libm pow; numpy's array power can differ in the last bit
-        return [x ** p / w for x, w in zip(xs, lam)]
-
-    def surrogate(self, x):
-        return x ** self.p
-
-
-class _SchrammGain(_RankObjective):
     def __init__(self, family: SchrammFamily):
         self.family = family
+        self._ranks = []  # lam_j or (c_j, e_j) per rank, grown on demand
+        #: the gain every rank shares when phi_j does not depend on j, else None
+        self.rank_free = None
+        #: rank-free gain of the witness-producing lower-bound DPs
+        self.surrogate = lambda x: x
+        # the per-rank formula is picked once; scalar ** is libm pow, and
+        # numpy's array power can differ in the last bit
+        if family.kind == "explicit":
+            self._sum = lambda xs, terms: sum([c * x ** e for x, (c, e) in zip(xs, terms)])
+            if len(set(family.terms)) == 1:
+                c, e = family.terms[0]
+                self.rank_free = lambda x: c * x ** e
+            return
+        w = family.weights
+        if family.base.shape == "power":
+            p = family.base.p
+            self._sum = lambda xs, lams: sum([x ** p / lam for x, lam in zip(xs, lams)])
+            # numpy's ** takes exact fast paths (x^1 as a copy, x^2 as x*x)
+            # that np.power does not
+            self.surrogate = lambda x: x ** p
+        else:
+            self._sum = lambda xs, lams: sum([math.expm1(x) / lam
+                                              for x, lam in zip(xs, lams)])
+            self.surrogate = family.base
+        if w.kind == "constant" or (w.kind == "explicit"
+                                    and len(set(w.terms[:w.k_max])) == 1):
+            base, c = self.surrogate, 1.0 / w.weight(1)
+            self.rank_free = lambda x: c * base(x)
 
-    def gains(self, xs):
-        return self.family.phi(np.arange(1, len(xs) + 1), xs).tolist()
+    def __call__(self, xs):
+        """``phi_1(xs[0]) + phi_2(xs[1]) + ...`` for descending increments."""
+        ranks = self._ranks
+        if len(xs) > len(ranks):
+            ranks = self.ranks(len(xs))
+        try:
+            return self._sum(xs, ranks)
+        except OverflowError:  # a gain past the largest float, as numpy's inf
+            return math.inf
 
-    def surrogate(self, x):
-        return x
+    def ranks(self, n):
+        """lam_j or (c_j, e_j) for ranks 1..n; past the horizon, a
+        :class:`HorizonError` that names the first rank it lacks."""
+        family = self.family
+        if n > family.k_max:
+            raise HorizonError(
+                f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
+        if family.kind == "scaled":
+            self._ranks = family.weights.weights(n).tolist()
+        else:
+            terms = family.terms  # extended beyond the list by the last pair
+            self._ranks = [*terms[:n], *[terms[-1]] * (n - len(terms))]
+        return self._ranks
 
 
 def _future_bounds(values, objective, min_len):
@@ -201,7 +217,7 @@ def _future_bounds(values, objective, min_len):
         live = caps > 0
         if not live.all():
             caps = caps[:live.argmin()]
-        F[pos] = sum(objective.gains(caps))
+        F[pos] = objective(caps.tolist())
     return F
 
 
@@ -231,7 +247,7 @@ def _branch_and_bound(f, objective, min_len=1):
                     continue
                 merged = sorted(incs_sorted + [inc], reverse=True)
                 pairs.append((a, b))
-                visit(b, pairs, merged, objective.objective(merged))
+                visit(b, pairs, merged, objective(merged))
                 pairs.pop()
 
     visit(0, [], [], 0.0)
@@ -251,26 +267,39 @@ def _rank_bounds(f, objective, min_len=1):
     for k in range(1, best_tab.shape[1]):
         pairs = _walk(best_tab, end, k)
         incs = sorted((abs(values[b] - values[a]) for a, b in pairs), reverse=True)
-        val = objective.objective(incs)
+        val = objective(incs)
         if val > lower:
             lower, witness_pairs = val, pairs
-    upper = float(_future_bounds(f.values, objective, min_len)[0])
-    upper = max(upper, lower)
+    upper = max(float(_future_bounds(f.values, objective, min_len)[0]), lower)
     return lower, upper, IntervalCollection.from_pairs(f, witness_pairs)
 
 
-def _rank_solve(f, objective, min_len, oracle_cap):
+def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
+    """``sup sum phi_j(|f(I_j)|)`` over collections of intervals of grid
+    length >= ``min_len``, with value and bounds raised to ``1/p``.
+
+    A rank-free family (every phi_j the same function) is an exact DP at
+    any m, and raises past the horizon as the branch-and-bound does;
+    otherwise branch-and-bound is exact up to ``oracle_cap`` grid
+    cells and certified bounds take over beyond it.
+    """
+    objective = _RankGains(family)
     if objective.rank_free is not None:
         value, witness, _ = _dp_solve(f, objective.rank_free, min_len)
-        return value, value, value, witness, "exact-dp"
-    if min_len > f.m:
-        empty = IntervalCollection.from_pairs(f, [])
-        return 0.0, 0.0, 0.0, empty, "exact-oracle"
-    if f.m <= oracle_cap:
+        if value > 0:
+            # the DP may charge every rank up to m // min_len; ask for them
+            # all, as the B&B's future bound does, to keep the horizon
+            objective.ranks(f.m // min_len)
+        lower, upper, mode = value, value, "exact-dp"
+    elif f.m <= oracle_cap:
         value, witness = _branch_and_bound(f, objective, min_len)
-        return value, value, value, witness, "exact-oracle"
-    lower, upper, witness = _rank_bounds(f, objective, min_len)
-    return lower, lower, upper, witness, "bounds"
+        lower, upper, mode = value, value, "exact-oracle"
+    else:
+        lower, upper, witness = _rank_bounds(f, objective, min_len)
+        value, mode = lower, "bounds"
+    root = 1.0 / p
+    return VariationResult(value=value ** root, mode=mode, lower=lower ** root,
+                           upper=upper ** root, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -305,30 +334,25 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
 def variation_weighted(f: StepFunction, weights: WeightSequence, p: float = 1.0,
                        oracle_cap: int = ORACLE_CAP_DEFAULT) -> VariationResult:
     """Waterman-Shiba variation ``sup (sum |f(I_j)|^p / lam_j)^(1/p)`` with
-    increments matched to weights in descending order."""
+    increments matched to weights in descending order: the p-th root of the
+    Schramm variation of ``SchrammFamily.power(p, weights)``."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    objective = _WeightedPower(weights, p)
-    inner, lo, up, witness, mode = _rank_solve(f, objective, 1, oracle_cap)
-    root = lambda v: v ** (1.0 / p)
-    return VariationResult(value=root(inner), mode=mode, lower=root(lo),
-                           upper=root(up), witness=witness)
+    return _rank_solve(f, SchrammFamily.power(p, weights), 1, oracle_cap, p)
 
 
 def variation_schramm(f: StepFunction, family: SchrammFamily,
                       oracle_cap: int = ORACLE_CAP_DEFAULT) -> VariationResult:
     """``sup sum phi_j(|f(I_j)|)`` over nonoverlapping collections."""
-    objective = _SchrammGain(family)
-    inner, lo, up, witness, mode = _rank_solve(f, objective, 1, oracle_cap)
-    return VariationResult(value=inner, mode=mode, lower=lo, upper=up,
-                           witness=witness)
+    return _rank_solve(f, family, 1, oracle_cap)
 
 
 def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
                      n_cap: int, oracle_cap: int = ORACLE_CAP_DEFAULT) -> VariationResult:
     """Constrained variation: max over levels n <= n_cap of the supremum of
     ``(sum |f(I_j)|^{q_n} / lam_j)^{1/q_n}`` over collections whose
-    intervals all have length >= ``ceil(m / delta_n)`` grid cells.
+    intervals all have length >= ``ceil(m / delta_n)`` grid cells. Each
+    level is the weighted variation at exponent q_n on that grid.
 
     On the grid the interval count is implicitly capped at
     ``floor(m / min_len) <= delta_n``, which coincides with the count cap
@@ -337,34 +361,23 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     if not 1 <= n_cap <= gauge.n_max:
         raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
     m = f.m
-    empty = IntervalCollection.from_pairs(f, [])
-    best = VariationResult(0.0, "exact-dp", 0.0, 0.0, empty, level=None)
-    all_exact = True
-    cache = {}
+    best = VariationResult(0.0, "exact-dp", 0.0, 0.0,
+                           IntervalCollection.from_pairs(f, []), level=None)
+    cache = {}  # (q_n, min_len) -> result; levels often repeat both
     for n in range(1, n_cap + 1):
         q_n, delta_n = gauge.level(n)
         min_len = max(1, math.ceil(m / delta_n))
         if min_len > m:
             continue
         key = (q_n, min_len)
-        if key in cache:
-            value, lo, up, witness, mode = cache[key]
-        else:
-            objective = _WeightedPower(weights, q_n)
-            inner, lo, up, witness, mode = _rank_solve(
-                f, objective, min_len, oracle_cap)
-            value = inner ** (1.0 / q_n)
-            lo, up = lo ** (1.0 / q_n), up ** (1.0 / q_n)
-            cache[key] = (value, lo, up, witness, mode)
-        if mode == "bounds":
-            all_exact = False
-        if value > best.value:
-            best = VariationResult(value, mode, lo, up, witness, level=n)
-    mode = best.mode if all_exact else "bounds"
-    upper = max(c[2] for c in cache.values()) if cache else 0.0
-    return VariationResult(value=best.value, mode=mode, lower=best.lower,
-                           upper=max(upper, best.upper), witness=best.witness,
-                           level=best.level)
+        if key not in cache:
+            cache[key] = _rank_solve(f, SchrammFamily.power(q_n, weights),
+                                     min_len, oracle_cap, q_n)
+        if cache[key].value > best.value:
+            best = replace(cache[key], level=n)
+    results = cache.values()
+    mode = "bounds" if any(r.mode == "bounds" for r in results) else best.mode
+    return replace(best, mode=mode, upper=max((r.upper for r in results), default=0.0))
 
 
 def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = None,
@@ -378,9 +391,12 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     doubling plus bisection to ``rel_tol``, since ``c -> V_Phi(f/c)`` is
     nonincreasing.
 
-    Above ``oracle_cap`` grid cells the variation is only bracketed and its
-    certified lower bound is used, so the norm returned is a lower bound on
-    the true norm; for a homogeneous family the true norm lies in
+    A rank-free family (constant weights, an explicit weight list of one
+    value, or explicit terms that are one repeated pair) is solved by the
+    exact DP, so its norm is exact at any m. Otherwise, above
+    ``oracle_cap`` grid cells the variation is only bracketed and its
+    certified lower bound is used, so the norm returned is a lower bound
+    on the true norm; for a homogeneous family the true norm lies in
     ``[|f(a)| + lower^(1/d), |f(a)| + upper^(1/d)]`` of
     :func:`variation_schramm`.
     """

@@ -86,6 +86,15 @@ class TestCorollaryQ:
         a = [lv["a_n"] for lv in rep.levels]
         assert all(x <= y + 1e-15 for x, y in zip(a, a[1:]))
 
+    def test_flat_kernel_reports_first_k(self):
+        # Gamma = Lambda and p = q: Gamma(k)^{1/2} Lambda(k)^{-1/2} = 1 for
+        # every k up to round-off, which must not choose the argmax
+        w = WeightSequence("constant", value=3.0)
+        rep = criterion_corollary_q(w, w, 2.0, 2.0)
+        assert len(rep.levels) == 21
+        assert [lv["argmax_k"] for lv in rep.levels] == [1] * 21
+        assert all(lv["a_n"] == pytest.approx(1.0, rel=1e-12) for lv in rep.levels)
+
     def test_exponent_order_enforced(self):
         with pytest.raises(ValidationError):
             criterion_corollary_q(HARMONIC, CONST1, 2.0, 1.0)

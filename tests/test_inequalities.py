@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv import (HypothesisError, SchrammFamily, TripleSample,
+from gbv import (GaugePair, HypothesisError, SchrammFamily, TripleSample,
                  ValidationError, WeightSequence, check_holder_branch,
                  check_master_inequality, check_weighted_comparison,
-                 check_wu_estimate, extremal_profile)
+                 check_wu_estimate, criterion_lambda_gamma, extremal_profile)
 from gbv.inequalities import (monotone_vector, run_comparison_suite,
                               run_holder_suite, run_master_suite,
                               run_wu_suite)
@@ -124,6 +124,17 @@ class TestHolder:
         with pytest.raises(HypothesisError) as exc:
             check_holder_branch(vec(2, 1), CONST1, HARMONIC, p=2.0, q_n=1.0)
         assert exc.value.index == 2
+
+    def test_ratio_check_matches_criterion(self):
+        # the Hoelder branch and theorem 1.4's second part share one check
+        with pytest.raises(HypothesisError) as holder:
+            check_holder_branch(vec(3, 2, 1), CONST1, HARMONIC, p=2.0, q_n=1.0)
+        with pytest.raises(HypothesisError) as scan:
+            criterion_lambda_gamma(CONST1, HARMONIC, 2.0,
+                                   GaugePair.build("linear", "pow2", n_max=2), 2,
+                                   second_part=True)
+        assert str(holder.value) == str(scan.value) == "Gamma(k)/Lambda(k) decreases at k=2"
+        assert holder.value.index == scan.value.index == 2
 
 
 class TestWu:

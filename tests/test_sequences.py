@@ -144,9 +144,23 @@ class TestSchrammFamily:
         assert fam.partial_inverse(3, y) == pytest.approx(1.5, abs=1e-7)
 
     def test_validate_rejects_bad_ordering(self):
-        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (2.0, 2.0)], k_max=4)
-        with pytest.raises(ValidationError):
+        # equal exponents with a rising coefficient: phi_2 > phi_1 for x > 0
+        with pytest.raises(ValidationError, match="terms 1 and 2: phi_2 > phi_1 for every x"):
+            SchrammFamily("explicit", terms=[(1.0, 2.0), (2.0, 2.0)], k_max=4)
+        # a rising exponent passes construction; the sampled check finds
+        # 0.8 * 5^1.7 = 12.35 > 5^1.5 = 11.18 at the probe x = 5
+        fam = SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7)])
+        with pytest.raises(ValidationError, match="ordering phi_2 <= phi_1 violated"):
             fam.validate()
+
+    def test_falling_exponent_rejected(self):
+        # 0.1 x^1.5 > x^2 for x < 0.01
+        with pytest.raises(ValidationError, match="terms 2 and 3: phi_3 > phi_2 near 0"):
+            SchrammFamily("explicit", terms=[(1.0, 2.0), (1.0, 2.0), (0.1, 1.5)])
+        with pytest.raises(ValidationError):
+            SchrammFamily.from_config({"kind": "explicit", "terms": [[1, 2], [0.5, 1]]})
+        # a rising exponent is ordered up to a crossing and still accepted
+        SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)])
 
     def test_negative_target_rejected(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)

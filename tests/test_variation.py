@@ -134,6 +134,16 @@ class TestSchramm:
         res = variation_schramm(ZIGZAG, fam)
         assert res.value == pytest.approx(25 / 12)
 
+    def test_bounds_witness_comes_from_the_base(self):
+        # the lower-bound DP of a scaled family runs on its base x^2; on the
+        # linear increment it finds only 44.0 here
+        f = StepFunction([2.0, 3.0, 0.0, 2.0, -3.0, 1.0, -1.0])
+        fam = SchrammFamily.power(2.0, HARMONIC)
+        res = variation_schramm(f, fam, oracle_cap=3)
+        assert res.mode == "bounds"
+        assert res.lower == pytest.approx(variation_schramm(f, fam).value, rel=1e-12)
+        assert res.lower == pytest.approx(547 / 12, rel=1e-12)
+
     def test_oracle_agreement_random(self):
         fam = SchrammFamily.power(2.0, HARMONIC)
         phis = [lambda x, j=j: x ** 2 / j for j in range(1, 12)]
@@ -364,3 +374,104 @@ def test_constant_weights_match_oracle_property(vals, p):
     assert res.value == pytest.approx(
         oracles.oracle_gauged(values, lam, [1, 2, 3], [2, 4, 8], 3),
         rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=9),
+       st.sampled_from(["harmonic", "log", "power:0.5", "explicit", "constant"]),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_weighted_is_root_of_power_family_property(vals, kind, p):
+    # Lambda BV^(p) is the Schramm class of phi_j(x) = x^p / lam_j
+    f = StepFunction([v / 4.0 for v in vals])
+    kw = {"explicit": {"terms": [1.0, 1.5, 1.5, 4.0]},
+          "power:0.5": {"alpha": 0.5}}.get(kind, {})
+    w = WeightSequence(kind.split(":")[0], k_max=KM, **kw)
+    for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 3):
+        weighted = variation_weighted(f, w, p, oracle_cap=cap)
+        schramm = variation_schramm(f, SchrammFamily.power(p, w), oracle_cap=cap)
+        root = 1.0 / p
+        assert weighted.value == schramm.value ** root
+        assert weighted.lower == schramm.lower ** root
+        assert weighted.upper == schramm.upper ** root
+        assert weighted.mode == schramm.mode
+        assert weighted.witness.pairs == schramm.witness.pairs
+
+
+RANK_FREE = {
+    "power:2/constant": (SchrammFamily.power(2.0, WeightSequence("constant", value=2.0)),
+                         lambda x: x ** 2 / 2.0),
+    "expm1/constant": (SchrammFamily("scaled", base=ConvexBase("expm1"),
+                                     weights=WeightSequence("constant", value=0.5)),
+                       lambda x: math.expm1(x) / 0.5),
+    "explicit one term": (SchrammFamily("explicit", terms=[(1.5, 2.5)]),
+                          lambda x: 1.5 * x ** 2.5),
+    "explicit repeated pair": (SchrammFamily("explicit", terms=[(0.5, 2.0)] * 3),
+                               lambda x: 0.5 * x ** 2),
+    "power:1.5/explicit one value": (
+        SchrammFamily.power(1.5, WeightSequence("explicit", terms=[3.0, 3.0])),
+        lambda x: x ** 1.5 / 3.0),
+}
+
+
+@pytest.mark.parametrize("name", RANK_FREE)
+def test_rank_free_family_is_exact_dp(name):
+    # every phi_j is the same function, so the DP is exact at any m
+    fam, phi = RANK_FREE[name]
+    rng = np.random.default_rng(37)
+    f = StepFunction(np.cumsum(rng.normal(size=41)) / 4.0)
+    res = variation_schramm(f, fam)
+    assert res.mode == "exact-dp" and res.lower == res.value == res.upper
+    assert sum(phi(x) for x in res.witness.increments) == pytest.approx(res.value,
+                                                                        rel=1e-12)
+    for m in range(2, 9):
+        values = list(random_values(rng, m))
+        res = variation_schramm(StepFunction(values), fam, oracle_cap=1)
+        assert res.mode == "exact-dp"
+        assert res.value == pytest.approx(oracles.oracle_schramm(values, [phi] * m),
+                                          rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("family", [
+    SchrammFamily.power(2.0, WeightSequence("constant", value=2.0, k_max=3)),
+    SchrammFamily.power(1.5, WeightSequence("explicit", terms=[3.0], k_max=3)),
+    SchrammFamily("explicit", terms=[(1.5, 2.5)], k_max=3),
+    SchrammFamily.power(2.0, WeightSequence("harmonic", k_max=3)),  # rank-dependent
+])
+def test_rank_free_family_keeps_the_horizon(family):
+    # four intervals fit in four cells, so the exact DP could charge rank 4;
+    # it raises as the branch-and-bound does, and a constant input charges none
+    f = StepFunction([0.0, 1.0, 0.0, 1.0, 0.0])
+    for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 1):
+        with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
+            variation_schramm(f, family, oracle_cap=cap)
+        assert variation_schramm(StepFunction([0.5] * 5), family, oracle_cap=cap).value == 0.0
+    assert variation_schramm(StepFunction([0.0, 1.0, 0.0, 1.0]), family).value > 0.0
+    if family.weights is not None:
+        with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
+            variation_weighted(f, family.weights, 2.0)
+
+
+class TestOverflow:
+    """A gain past the largest float is inf, as numpy's vector evaluation
+    gives, in every solver path."""
+
+    JUMP = StepFunction([0.0, 1000.0])  # e^1000 - 1 overflows
+
+    @pytest.mark.parametrize("cap", [gbv.variation.ORACLE_CAP_DEFAULT, 1])
+    def test_expm1_variation_is_inf(self, cap):
+        for f in (self.JUMP, StepFunction([0.0, 1000.0, 0.0, 1000.0])):
+            res = variation_schramm(f, expm1_family(), oracle_cap=cap)
+            assert res.value == res.lower == res.upper == math.inf
+
+    def test_expm1_norm_is_finite(self):
+        # V(f/c) = e^(1000/c) - 1 = 1 at c = 1000 / ln 2; the bracket starts
+        # at c = 1, where V is inf
+        assert schramm_norm(self.JUMP, expm1_family()) == pytest.approx(
+            1000.0 / math.log(2.0), rel=1e-9)
+
+    def test_power_gains_overflow_to_inf(self):
+        f = StepFunction([0.0, 1e200, 0.0, 1e200])
+        for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 1):
+            assert variation_weighted(f, HARMONIC, 2.0, oracle_cap=cap).value == math.inf
+            fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.5)])
+            assert variation_schramm(f, fam, oracle_cap=cap).value == math.inf
