@@ -11,14 +11,22 @@ pass, so the witness is read off the pointers and re-evaluated against the
 value; when the count cap cannot bind, it runs on a single column. When
 gains are rank-dependent -- the j-th largest increment is charged phi_j --
 no polynomial exact scheme is known, so we run a proven-exact
-branch-and-bound up to ``oracle_cap`` grid cells and fall back to
-certified lower/upper bounds beyond it. The Waterman-Shiba variation is the
-p-th root of the Schramm variation of phi_j(x) = x^p / lam_j, and each
-gauged level is that family at q_n, so one rank objective serves all three.
+branch-and-bound up to ``oracle_cap`` grid cells of the input and fall back
+to certified lower/upper bounds beyond it. When every interval length is
+allowed (``min_len == 1``) both run on the turning-point skeleton of f --
+its local extrema, see :func:`_skeleton` -- and the witness is mapped back
+to the input grid. This needs the family that the branch-and-bound needs
+anyway: each phi_j convex with phi_j(0) = 0, and phi_1 >= phi_2 >= ... on
+the increments of f. On the skeleton the upper bound charges at most one
+rank per skeleton cell, so it can only be tighter than on the full grid.
+The Waterman-Shiba variation is the p-th root of the Schramm variation of
+phi_j(x) = x^p / lam_j, and each gauged level is that family at q_n, so one
+rank objective serves all three.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -33,6 +41,8 @@ from .stepfn import IntervalCollection, StepFunction
 ORACLE_CAP_DEFAULT = 16
 
 _REL_TOL = 1e-12
+
+_log = logging.getLogger("gbv")
 
 
 @dataclass(frozen=True)
@@ -78,7 +88,9 @@ def _dp(values, gainfn, min_len, count=None):
     starting at i ends in an optimal collection, or 0 to skip grid point i.
     Each grid position takes one ``argmax`` over the ends, vectorized over
     k. Tie rule: take the interval when taking ties skipping, pick the
-    smallest end among equal takes, and never take a zero increment.
+    smallest end among equal takes, and never take a zero increment. A gain
+    past the largest float is inf; zero increments are masked after the
+    sum, so an inf gain never meets their -inf.
     """
     m = len(values) - 1
     if count is None:
@@ -91,16 +103,17 @@ def _dp(values, gainfn, min_len, count=None):
     if n == 0:
         return best, end
     cols = np.arange(n)
-    for i in range(m - min_len, -1, -1):
-        ends = np.arange(i + min_len, m + 1)
-        incs = np.abs(values[ends] - values[i])
-        gains = np.where(incs > 0, gainfn(incs), -np.inf)
-        cand = gains[:, None] + best[ends, :n]
-        arg = cand.argmax(axis=0)
-        take, skip = cand[arg, cols], best[i + 1, shift:]
-        hit = take >= skip
-        best[i, shift:] = np.where(hit, take, skip)
-        end[i, shift:] = np.where(hit, ends[arg], 0)
+    with np.errstate(over="ignore"):
+        for i in range(m - min_len, -1, -1):
+            lo = i + min_len  # the ends are lo..m
+            incs = np.abs(values[lo:] - values[i])
+            cand = gainfn(incs)[:, None] + best[lo:m + 1, :n]
+            cand[incs == 0] = -np.inf
+            arg = cand.argmax(axis=0)
+            take, skip = cand[arg, cols], best[i + 1, shift:]
+            hit = take >= skip
+            best[i, shift:] = np.where(hit, take, skip)
+            end[i, shift:] = np.where(hit, arg + lo, 0)
     return best, end
 
 
@@ -121,12 +134,13 @@ def _walk(best, end, col):
 
 def _dp_solve(f, gainfn, min_len, count=None):
     """Value, witness and table of the interval DP; the witness is
-    re-evaluated and must reproduce the value."""
+    re-evaluated and must reproduce the value (an inf value, inf)."""
     best, end = _dp(f.values, gainfn, min_len, count)
     value = float(best[0, -1])
     witness = IntervalCollection.from_pairs(f, _walk(best, end, best.shape[1] - 1))
-    check = float(np.sum(gainfn(np.array(witness.increments))))
-    if abs(check - value) > _REL_TOL * value:
+    with np.errstate(over="ignore"):
+        check = float(np.sum(gainfn(np.array(witness.increments))))
+    if check != value and not abs(check - value) <= _REL_TOL * value < math.inf:
         raise InternalConsistencyError(
             f"DP witness re-evaluates to {check!r}, not {value!r}")
     return value, witness, best
@@ -221,17 +235,18 @@ def _future_bounds(values, objective, min_len):
     return F
 
 
-def _branch_and_bound(f, objective, min_len=1):
-    """Exact maximum of the rank objective over nonoverlapping collections.
+def _branch_and_bound(values, objective, min_len=1):
+    """Exact maximum of the rank objective over nonoverlapping collections:
+    (value, witness pairs) on the grid of ``values``.
 
     Every DFS node is itself a feasible collection; pruning uses the
     position-indexed future bound, which is valid because merging two
     increment multisets under nonincreasing per-rank gains never beats
     charging each multiset from rank 1.
     """
-    m = f.m
-    F = _future_bounds(f.values, objective, min_len)
-    values = f.values.tolist()
+    F = _future_bounds(values, objective, min_len)
+    m = len(values) - 1
+    values = values.tolist()
     best = {"value": 0.0, "pairs": []}
 
     def visit(pos, pairs, incs_sorted, obj):
@@ -251,27 +266,45 @@ def _branch_and_bound(f, objective, min_len=1):
                 pairs.pop()
 
     visit(0, [], [], 0.0)
-    return best["value"], IntervalCollection.from_pairs(f, best["pairs"])
+    return best["value"], best["pairs"]
 
 
-def _rank_bounds(f, objective, min_len=1):
-    """Certified (lower, upper, witness) when exact search is off the table.
+def _rank_bounds(values, objective, min_len=1):
+    """Certified (lower, upper, witness pairs) when exact search is off the
+    table.
 
     Lower: evaluate the true rank objective on the witnesses of the
     surrogate DP for every interval count, keep the best. Upper: the
     future bound at position 0 (an over-estimate in general, since optimal
     k-collections need not nest)."""
-    best_tab, end = _dp(f.values, objective.surrogate, min_len, f.m)
-    values = f.values.tolist()
+    m = len(values) - 1
+    best_tab, end = _dp(values, objective.surrogate, min_len, m)
+    samples = values.tolist()
     lower, witness_pairs = 0.0, []
     for k in range(1, best_tab.shape[1]):
         pairs = _walk(best_tab, end, k)
-        incs = sorted((abs(values[b] - values[a]) for a, b in pairs), reverse=True)
+        incs = sorted((abs(samples[b] - samples[a]) for a, b in pairs), reverse=True)
         val = objective(incs)
         if val > lower:
             lower, witness_pairs = val, pairs
-    upper = max(float(_future_bounds(f.values, objective, min_len)[0]), lower)
-    return lower, upper, IntervalCollection.from_pairs(f, witness_pairs)
+    upper = max(float(_future_bounds(values, objective, min_len)[0]), lower)
+    return lower, upper, witness_pairs
+
+
+def _skeleton(values):
+    """Grid indices of the turning-point skeleton of ``values``: index 0,
+    the first index of every plateau where the nonzero increments change
+    sign, and the first index of the final plateau. f is monotone between
+    consecutive skeleton points and constant after the last one. A constant
+    input keeps its two ends."""
+    m = len(values) - 1
+    steps = np.diff(values)
+    moves = np.flatnonzero(steps)
+    if len(moves) == 0:
+        return np.array([0, m])
+    rising = steps[moves] > 0
+    turns = moves[:-1][rising[1:] != rising[:-1]] + 1
+    return np.concatenate(([0], turns, [moves[-1] + 1]))
 
 
 def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
@@ -279,24 +312,66 @@ def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
     length >= ``min_len``, with value and bounds raised to ``1/p``.
 
     A rank-free family (every phi_j the same function) is an exact DP at
-    any m, and raises past the horizon as the branch-and-bound does;
-    otherwise branch-and-bound is exact up to ``oracle_cap`` grid
-    cells and certified bounds take over beyond it.
+    any m. Otherwise branch-and-bound is exact up to ``oracle_cap`` cells
+    of the input grid and certified bounds take over beyond it; with
+    ``min_len == 1`` both run on the turning-point skeleton of f
+    (:func:`_skeleton`), which only shrinks the work. Every path raises
+    past the horizon alike: a positive value means up to ``m // min_len``
+    ranks can be charged, and all of them are asked for.
+
+    Why the skeleton is exact. Let each phi_j be convex with phi_j(0) = 0
+    and phi_1 >= phi_2 >= ... on [0, ptp(f)], the family the B&B needs
+    too, and let V(X) charge the j-th largest increment of X to phi_j. V is
+    nondecreasing in each increment, since the phi_j are, and sorting
+    only swaps equal ones. Take an optimal collection with no zero
+    increment. An endpoint off the skeleton lies in a stretch where f is
+    monotone, so it can slide along it, towards the lower value for the
+    start of a rising interval and so on, without shrinking any
+    increment, until it reaches a skeleton point or the endpoint of a
+    neighbour. Two neighbours that meet running in opposite directions
+    slide their shared point on together, since that grows both. Two that
+    meet running the same way, increments x >= y, merge into one
+    interval with increment z >= x + y, and V does not drop. Say y had
+    rank s in X; dropping it moves only later ranks up, which loses
+    nothing, so the drop is at most phi_s(y). Raising x to z passes the
+    increments that lie between x and z, and the gain splits into pieces
+    phi_k(b') - phi_k(b) that tile [x, z] with k < s and b >= x >= y. By
+    convexity each piece is at least (b' - b) phi_k(b)/b, which is at least
+    (b' - b) phi_s(y)/y, as phi_k >= phi_s and phi_s(t)/t is
+    nondecreasing. The pieces sum to at least phi_s(y). Each step moves an
+    endpoint onto the skeleton or removes an interval, so an optimal
+    collection lies on the skeleton. Keeping the first index of each
+    plateau keeps the B&B's smallest-index tie rule, except where a merge
+    leaves V unchanged (phi_j linear with equal gains at both ranks): the
+    skeleton then reports the merged interval, and V may differ in the last
+    bit. The future bound on the skeleton charges at most as many ranks as
+    it has cells, so the certified upper bound can only tighten.
     """
     objective = _RankGains(family)
     if objective.rank_free is not None:
         value, witness, _ = _dp_solve(f, objective.rank_free, min_len)
-        if value > 0:
-            # the DP may charge every rank up to m // min_len; ask for them
-            # all, as the B&B's future bound does, to keep the horizon
-            objective.ranks(f.m // min_len)
         lower, upper, mode = value, value, "exact-dp"
-    elif f.m <= oracle_cap:
-        value, witness = _branch_and_bound(f, objective, min_len)
-        lower, upper, mode = value, value, "exact-oracle"
+        _log.debug("exact-dp: rank-free family, m=%d", f.m)
     else:
-        lower, upper, witness = _rank_bounds(f, objective, min_len)
-        value, mode = lower, "bounds"
+        if min_len == 1:
+            idx = _skeleton(f.values)
+            grid = ("skeleton %d→%d", f.m + 1, len(idx))
+        else:
+            idx = np.arange(f.m + 1)
+            grid = ("min_len=%d, no skeleton", min_len)
+        values = f.values[idx]
+        if f.m <= oracle_cap:
+            value, pairs = _branch_and_bound(values, objective, min_len)
+            lower, upper, mode, op = value, value, "exact-oracle", "<="
+        else:
+            lower, upper, pairs = _rank_bounds(values, objective, min_len)
+            value, mode, op = lower, "bounds", ">"
+        witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
+        _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m, op, oracle_cap,
+                   *grid[1:])
+    if value > 0:
+        # up to m // min_len intervals fit, so as many ranks can be charged
+        objective.ranks(f.m // min_len)
     root = 1.0 / p
     return VariationResult(value=value ** root, mode=mode, lower=lower ** root,
                            upper=upper ** root, witness=witness)
@@ -412,7 +487,10 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     def var_at(c):
         return variation_schramm(f.scaled(1.0 / c), family, oracle_cap).value
 
-    hi = 1.0
+    # start at the power of two just above ptp(f), where the largest
+    # increment of f/c is near 1; doubling and halving reach the same
+    # power-of-two bracket from any start
+    hi = math.ldexp(1.0, math.frexp(np.ptp(f.values))[1])
     for _ in range(200):
         if var_at(hi) <= 1.0:
             break

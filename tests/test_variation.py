@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 import gbv.variation
 import oracles
-from gbv import (ConvexBase, HorizonError, SchrammFamily, StepFunction,
-                 ValidationError, WeightSequence, GaugePair,
+from gbv import (ConvexBase, HorizonError, InternalConsistencyError, SchrammFamily,
+                 StepFunction, ValidationError, WeightSequence, GaugePair,
                  modulus_of_variation, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
 
@@ -225,6 +226,11 @@ class TestNorm:
             c = schramm_norm(f, fam) - abs(values[0])
             assert oracles.oracle_schramm(list(values / c), phis(m)) == \
                 pytest.approx(1.0, abs=1e-8)
+        # the bracket starts near ptp(f), so huge increments are found too
+        values = np.array([0.0, 1e200, 0.0])
+        c = schramm_norm(StepFunction(values), fam)
+        assert oracles.oracle_schramm(list(values / c), phis(2)) == \
+            pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),
@@ -464,8 +470,8 @@ class TestOverflow:
             assert res.value == res.lower == res.upper == math.inf
 
     def test_expm1_norm_is_finite(self):
-        # V(f/c) = e^(1000/c) - 1 = 1 at c = 1000 / ln 2; the bracket starts
-        # at c = 1, where V is inf
+        # V(f/c) = e^(1000/c) - 1 = 1 at c = 1000 / ln 2; below c = 1.4,
+        # V is inf
         assert schramm_norm(self.JUMP, expm1_family()) == pytest.approx(
             1000.0 / math.log(2.0), rel=1e-9)
 
@@ -475,3 +481,104 @@ class TestOverflow:
             assert variation_weighted(f, HARMONIC, 2.0, oracle_cap=cap).value == math.inf
             fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.5)])
             assert variation_schramm(f, fam, oracle_cap=cap).value == math.inf
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_gains_raise_no_warning(self):
+        # inf gains meet the zero increments of the plateau; no nan reaches
+        # the DP's argmax, and the witness holds a jump whose gain is inf
+        f = StepFunction([0.0, 1e200, 1e200, 0.0, 1e200])
+        res = variation_weighted(f, WeightSequence("constant", value=2.0), 2.0)
+        assert res.mode == "exact-dp" and res.value == math.inf
+        assert 1e200 in res.witness.increments
+
+    @pytest.mark.parametrize("bad", [5.0, math.nan])
+    def test_witness_check_catches_a_non_finite_mismatch(self, bad):
+        # a gain that is inf in the table but not when the witness is
+        # re-evaluated: the check must fail, not compare nan > inf
+        f = StepFunction([0.0, 1.0, 0.0, 1.0, 0.0])
+        calls = []
+
+        def gain(x):
+            calls.append(len(x))
+            return np.full(len(x), math.inf if len(calls) <= f.m else bad)
+
+        with pytest.raises(InternalConsistencyError, match="re-evaluates"):
+            gbv.variation._dp_solve(f, gain, 1)
+
+
+class TestSkeleton:
+    """The rank-dependent solves run on the local extrema of f."""
+
+    skeleton = staticmethod(gbv.variation._skeleton)
+
+    @pytest.mark.parametrize("values, idx", [
+        ([0.0, 1.0, 2.0, 2.0, 5.0], [0, 4]),         # monotone
+        ([3.0, 2.0, 2.0, -1.0], [0, 3]),             # monotone, falling
+        ([0.5, 0.5, 0.5], [0, 2]),                   # constant keeps its ends
+        ([0.0, 0.0, 1.0, 1.0], [0, 2]),              # one step
+        ([1.0, 0.0, 0.0, 0.0, 2.0, 2.0], [0, 1, 4]),  # plateaus: first index
+        ([0.0, 1.0, 0.0, 1.0, 0.0], [0, 1, 2, 3, 4]),
+    ])
+    def test_skeleton_points(self, values, idx):
+        assert self.skeleton(np.array(values)).tolist() == idx
+
+    def test_plateau_witness_starts_at_first_index(self):
+        f = StepFunction([1.0, 0.0, 0.0, 0.0, 2.0, 2.0])
+        for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 2):
+            res = variation_weighted(f, HARMONIC, 1.0, oracle_cap=cap)
+            assert res.witness.pairs == ((0, 1), (1, 4))
+            assert res.value == pytest.approx(2.0 + 1.0 / 2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("cap", [gbv.variation.ORACLE_CAP_DEFAULT, 1])
+    def test_short_horizon_counts_input_cells(self, cap):
+        # the skeleton has 2 points, but 5 intervals fit in the input grid
+        f = StepFunction([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+        assert len(self.skeleton(f.values)) <= 3
+        with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
+            variation_weighted(f, WeightSequence("harmonic", k_max=3), 1.0, oracle_cap=cap)
+
+    def test_solver_path_is_logged(self, caplog):
+        f = StepFunction(np.round(np.sin(np.linspace(0.0, 6.0, 21)) * 4.0))
+        idx = self.skeleton(f.values)
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            variation_weighted(f, HARMONIC, 1.0)
+            variation_weighted(f, HARMONIC, 1.0, oracle_cap=20)
+            variation_weighted(f, CONST1, 1.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)}",
+            f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}",
+            "exact-dp: rank-free family, m=20",
+        ]
+
+
+def _runs(draw_runs):
+    """Samples from (step, repeat) runs: plateaus and long monotone runs."""
+    values = [0.0]
+    for step, repeat in draw_runs:
+        values += [values[-1] + step / 4.0 * (k + 1) for k in range(repeat)]
+    return values[:9]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(1, 4)), min_size=1, max_size=6),
+       st.sampled_from(["explicit-short", "expm1", "log", "power:0.5"]))
+def test_skeleton_solve_matches_oracle_property(runs, shape):
+    values = _runs(runs)
+    f = StepFunction(values)
+    solve, phis, p = _rank_case(shape, KM)
+
+    def evaluate(incs):
+        incs = sorted(incs, reverse=True)
+        return sum(phis[j](x) for j, x in enumerate(incs)) ** (1.0 / p)
+
+    truth = max(evaluate(oracles._incs(values, pairs))
+                for pairs in oracles.all_collections(f.m))
+    tol = 1e-12 * max(truth, 1.0)
+    for cap, mode in ((gbv.variation.ORACLE_CAP_DEFAULT, "exact-oracle"), (2, "bounds")):
+        res = solve(f, cap)
+        assert res.mode == (mode if f.m > cap else "exact-oracle")
+        assert res.lower - tol <= truth <= res.upper + tol
+        assert evaluate(res.witness.increments) == pytest.approx(res.lower, rel=1e-12,
+                                                                 abs=1e-12)
+        if res.mode == "exact-oracle":
+            assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
