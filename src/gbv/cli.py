@@ -35,9 +35,9 @@ from .inequalities import (run_comparison_suite, run_holder_suite,
                            run_master_suite, run_wu_suite)
 from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
 from .stepfn import ingest
-from .variation import (modulus_of_variation, schramm_norm, variation_gauged,
-                        variation_schramm, variation_unweighted_q,
-                        variation_weighted)
+from .variation import (ORACLE_CAP_DEFAULT, modulus_of_variation, schramm_norm,
+                        variation_gauged, variation_schramm,
+                        variation_unweighted_q, variation_weighted)
 
 
 def parse_weights(spec, k_max=None):
@@ -265,7 +265,7 @@ def build_parser():
     p.add_argument("--qn", default="linear")
     p.add_argument("--delta", default="pow2")
     p.add_argument("--ncap", type=int, default=12)
-    p.add_argument("--oracle-cap", type=int, default=16)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_variation)
 
@@ -305,7 +305,7 @@ def build_parser():
     p.add_argument("--build", action="store_true")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--witness-out")
-    p.add_argument("--oracle-cap", type=int, default=16)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_counterexample)
 
@@ -327,7 +327,7 @@ def build_parser():
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--family", required=True)
     p.add_argument("--fa", type=float)
-    p.add_argument("--oracle-cap", type=int, default=16)
+    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_norm)
     return parser

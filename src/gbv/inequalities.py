@@ -170,7 +170,7 @@ def check_wu_estimate(x, family: SchrammFamily, q):
         raise ValidationError("x must be nonnegative nonincreasing")
     if q < 1:
         raise ValidationError("q must be >= 1")
-    V = math.fsum(family.phi(np.arange(1, n + 1), x))
+    V = family.rank_sum(x.tolist())
     lhs = float(np.sum(x ** q)) ** (1.0 / q)
     if V == 0.0:
         return {"lhs": lhs, "rhs": 0.0, "ok": lhs == 0.0, "ratio": 0.0}

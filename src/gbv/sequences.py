@@ -11,7 +11,10 @@ Three building blocks used by every other module:
 
 All three are immutable after construction and safe for concurrent reads:
 a weight sequence grows its tables when a read needs a longer prefix and
-swaps them in as one attribute, and the values never change.
+swaps them in as one attribute, and the values never change. A Schramm
+family caches its per-rank parameters (lam_j, or (c_j, e_j) for explicit
+terms) the same way: :meth:`SchrammFamily.rank_sum` reads one list and, when
+a sum needs more ranks, builds a longer one and swaps it in.
 """
 
 from __future__ import annotations
@@ -114,8 +117,7 @@ class WeightSequence:
 
     def weight(self, j):
         """Return ``lam_j`` (1-based)."""
-        lam = self._tables[0]  # a hit takes no further call
-        return (lam if 0 < j <= len(lam) else self._upto(j)[0]).item(j - 1)
+        return self._upto(j)[0].item(j - 1)
 
     def weights(self, k):
         """First ``k`` weights as a read-only array."""
@@ -205,6 +207,14 @@ class SchrammFamily:
 
     def __init__(self, kind, *, base=None, weights=None, terms=None,
                  k_max=None):
+        #: the gain every rank shares when phi_j does not depend on j, else None
+        self.rank_free = None
+        #: rank-free gain of the witness-producing lower-bound DPs
+        self.surrogate = lambda x: x
+        # lam_j or (c_j, e_j) per rank for rank_sum, grown on demand. Each kind
+        # picks its per-rank formula once below, with scalar ** (libm pow):
+        # numpy's array power can differ in the last bit
+        self._ranks = []
         if kind == "scaled":
             if base is None or weights is None:
                 raise ValidationError("scaled kind needs base and weights")
@@ -212,6 +222,22 @@ class SchrammFamily:
             self.weights = weights
             self.k_max = weights.k_max if k_max is None else int(k_max)
             self.terms = None
+            self._rank_terms = lambda n: weights.weights(n).tolist()
+            if self.base.shape == "power":
+                p = self.base.p
+                self._sum = lambda xs, lams: sum([x ** p / lam for x, lam in zip(xs, lams)])
+                # numpy's ** takes exact fast paths (x^1 as a copy, x^2 as
+                # x*x) that np.power does not
+                self.surrogate = lambda x: x ** p
+            else:
+                self._sum = lambda xs, lams: sum([math.expm1(x) / lam
+                                                  for x, lam in zip(xs, lams)])
+                self.surrogate = self.base
+            if weights.kind == "constant" or (
+                    weights.kind == "explicit"
+                    and len(set(weights.terms[:weights.k_max])) == 1):
+                base, c = self.surrogate, 1.0 / weights.weight(1)
+                self.rank_free = lambda x: c * base(x)
         elif kind == "explicit":
             if not terms:
                 raise ValidationError("explicit kind needs a nonempty list")
@@ -230,8 +256,12 @@ class SchrammFamily:
             self.base = None
             self.weights = None
             self.k_max = DEFAULT_K_MAX if k_max is None else int(k_max)
-            self._coefs = np.array([c for c, _ in self.terms])
-            self._exps = np.array([e for _, e in self.terms])
+            terms = self.terms  # extended beyond the list by the last pair
+            self._rank_terms = lambda n: [*terms[:n], *[terms[-1]] * (n - len(terms))]
+            self._sum = lambda xs, ranks: sum([c * x ** e for x, (c, e) in zip(xs, ranks)])
+            if len(set(terms)) == 1:
+                c, e = terms[0]
+                self.rank_free = lambda x: c * x ** e
         else:
             raise ValidationError(f"unknown Schramm family kind {kind!r}")
         self.kind = kind
@@ -251,28 +281,25 @@ class SchrammFamily:
         exps = {e for _, e in self.terms}
         return exps.pop() if len(exps) == 1 else None
 
-    def phi(self, j, x):
-        """Evaluate phi_j(x); ``j`` and ``x`` broadcast, and each element is
-        the float a scalar call gives."""
-        j = np.asarray(j)
-        # numpy evaluates contiguous arrays and scalars by one loop, strided
-        # arrays by another that can differ in the last bit
-        x = np.asarray(x, dtype=float, order="C")
-        bad = (j < 1) | (j > self.k_max)
+    def rank_sum(self, xs):
+        """``phi_1(xs[0]) + phi_2(xs[1]) + ...`` over a list of floats: inf
+        past the largest float, and past the horizon a :class:`HorizonError`
+        that names the first index it lacks."""
+        ranks = self._ranks
+        if len(xs) > len(ranks):
+            if len(xs) > self.k_max:
+                raise HorizonError(
+                    f"index {self.k_max + 1} outside horizon 1..{self.k_max}")
+            ranks = self._ranks = self._rank_terms(len(xs))
+        try:
+            return self._sum(xs, ranks)
+        except OverflowError:  # a gain past the largest float
+            return math.inf
+
+    def _check_horizon(self, ks):
+        bad = (ks < 1) | (ks > self.k_max)
         if bad.any():
-            raise HorizonError(f"index {j[bad][0]} outside horizon 1..{self.k_max}")
-        if self.kind == "scaled":
-            return self.base(x) / self.weights.weights(int(j.max(initial=1)))[j - 1]
-        idx = np.minimum(j, len(self.terms)) - 1
-        # one np.power call per distinct exponent, each with a scalar
-        # exponent: an array of exponents skips numpy's fast paths (x^2 as
-        # x*x) and can move the last bit
-        x, exps = np.broadcast_arrays(x, self._exps[idx])
-        powers = np.empty(x.shape)
-        for e in set(exps.flat):
-            hit = exps == e
-            powers[hit] = np.power(x[hit], e)
-        return self._coefs[idx] * powers
+            raise HorizonError(f"index {ks[bad][0]} outside horizon 1..{self.k_max}")
 
     def partial_sum(self, k, x):
         """Evaluate Phi_k(x) = sum_{j<=k} phi_j(x); ``k`` and ``x`` broadcast.
@@ -281,8 +308,7 @@ class SchrammFamily:
         same float as a scalar k.
         """
         k = np.asarray(k)
-        if np.any(k < 1) or np.any(k > self.k_max):
-            raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
+        self._check_horizon(k)
         if self.kind == "scaled":
             total = self.base(x) * self.weights.prefix_sums(int(k.max()))[k - 1]
         else:
@@ -295,12 +321,12 @@ class SchrammFamily:
             total = total + np.where(rest > 0, rest * c * np.power(x, e), 0.0)
         return total if total.ndim else float(total)
 
-    def partial_inverse(self, k, y, *, tol=INVERSE_TOL, method="auto"):
-        """Return x with ``|Phi_k(x) - y| <= tol * max(1, y)``; see
+    def partial_inverse(self, k, y, *, method="auto"):
+        """Return x with ``|Phi_k(x) - y| <= INVERSE_TOL * max(1, y)``; see
         :meth:`partial_inverse_many`."""
-        return float(self.partial_inverse_many([k], y, tol=tol, method=method)[0])
+        return float(self.partial_inverse_many([k], y, method=method)[0])
 
-    def partial_inverse_many(self, ks, y, *, tol=INVERSE_TOL, method="auto"):
+    def partial_inverse_many(self, ks, y, *, method="auto"):
         """``Phi_k^{-1}(y)`` over an integer array of k values.
 
         Scaled families invert analytically through the base unless
@@ -313,17 +339,16 @@ class SchrammFamily:
         if y < 0:
             raise ValidationError("inverse target must be nonnegative")
         ks = np.asarray(ks, dtype=int)
-        if np.any(ks < 1) or np.any(ks > self.k_max):
-            raise HorizonError("k outside horizon")
+        self._check_horizon(ks)
         if y == 0:
             return np.zeros(len(ks))
         if method == "auto" and self.kind == "scaled":
             pref = self.weights.prefix_sums(int(ks.max()))
             return self.base.inverse(y / pref[ks - 1])
-        return np.concatenate([self._bisect(ks[i:i + BISECT_CHUNK], y, tol)
+        return np.concatenate([self._bisect(ks[i:i + BISECT_CHUNK], y)
                                for i in range(0, len(ks), BISECT_CHUNK)])
 
-    def _bisect(self, ks, y, tol):
+    def _bisect(self, ks, y):
         hi = np.ones(len(ks))
         for _ in range(201):
             low = self.partial_sum(ks, hi) < y
@@ -340,43 +365,13 @@ class SchrammFamily:
             mid = 0.5 * (lo + hi)
             val = self.partial_sum(ks, mid)
             # a residual hit collapses the bracket onto mid
-            hit = np.abs(val - y) <= tol * max(1.0, y)
+            hit = np.abs(val - y) <= INVERSE_TOL * max(1.0, y)
             lo = np.where((val < y) | hit, mid, lo)
             hi = np.where((val < y) & ~hit, hi, mid)
             done = hi - lo <= BISECT_X_TOL * np.maximum(1.0, hi)
             x[idx[done]] = 0.5 * (lo[done] + hi[done])
             ks, lo, hi, idx = ks[~done], lo[~done], hi[~done], idx[~done]
         return x
-
-    def validate(self, *, x_probe=None, k_probe=16):
-        """Sampled structural checks; raises :class:`ValidationError`.
-
-        Checks phi_j(0) = 0, strict increase, midpoint convexity, the
-        ordering phi_{j+1} <= phi_j and strict increase of Phi_k in k and x.
-        Families that are flat on an interval are rejected, not regularized.
-        """
-        if x_probe is None:
-            x_probe = np.array([1e-3, 0.1, 0.5, 1.0, 2.0, 5.0])
-        x_probe = np.asarray(x_probe, dtype=float)
-        k_probe = min(k_probe, self.k_max)
-        prev = None
-        for j in range(1, k_probe + 1):
-            vals = np.asarray(self.phi(j, x_probe), dtype=float)
-            if abs(float(self.phi(j, 0.0))) > 0:
-                raise ValidationError(f"phi_{j}(0) != 0")
-            if np.any(vals[x_probe > 0] <= 0):
-                raise ValidationError(f"phi_{j} not positive for x > 0")
-            if np.any(np.diff(vals) <= 0):
-                raise ValidationError(f"phi_{j} not strictly increasing")
-            mid = np.asarray(self.phi(j, (x_probe[:-1] + x_probe[1:]) / 2.0))
-            if np.any(mid > (vals[:-1] + vals[1:]) / 2.0 + 1e-12 * np.abs(vals[1:])):
-                raise ValidationError(f"phi_{j} fails the midpoint convexity test")
-            if prev is not None and np.any(vals > prev * (1 + 1e-12)):
-                raise ValidationError(f"ordering phi_{j} <= phi_{j-1} violated")
-            prev = vals
-        # Phi_k strictly increasing in k is automatic (positive summands);
-        # strict increase in x follows from the per-term check above.
-        return True
 
     def to_config(self):
         if self.kind == "scaled":

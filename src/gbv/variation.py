@@ -42,6 +42,9 @@ ORACLE_CAP_DEFAULT = 16
 
 _REL_TOL = 1e-12
 
+#: relative bracket width at which the norm bisection stops
+NORM_REL_TOL = 1e-10
+
 _log = logging.getLogger("gbv")
 
 
@@ -147,74 +150,10 @@ def _dp_solve(f, gainfn, min_len, count=None):
 
 
 # ---------------------------------------------------------------------------
-# rank-dependent objective
+# rank-dependent objective: ``family.rank_sum`` of an ordered Schramm family
+# (phi_1 >= phi_2 >= ...), the j-th largest increment charged phi_j
 
-class _RankGains:
-    """The rank objective ``sum_j phi_j(x_j)`` of an ordered Schramm family,
-    phi_1 >= phi_2 >= ... for every x, with per-rank gains as Python floats.
-
-    The Waterman-Shiba inner sum ``sum x_j^p / lam_j`` is the scaled family
-    ``SchrammFamily.power(p, weights)`` and each gauged level is that family
-    at q_n, so this one objective serves every rank-dependent solve.
-    """
-
-    def __init__(self, family: SchrammFamily):
-        self.family = family
-        self._ranks = []  # lam_j or (c_j, e_j) per rank, grown on demand
-        #: the gain every rank shares when phi_j does not depend on j, else None
-        self.rank_free = None
-        #: rank-free gain of the witness-producing lower-bound DPs
-        self.surrogate = lambda x: x
-        # the per-rank formula is picked once; scalar ** is libm pow, and
-        # numpy's array power can differ in the last bit
-        if family.kind == "explicit":
-            self._sum = lambda xs, terms: sum([c * x ** e for x, (c, e) in zip(xs, terms)])
-            if len(set(family.terms)) == 1:
-                c, e = family.terms[0]
-                self.rank_free = lambda x: c * x ** e
-            return
-        w = family.weights
-        if family.base.shape == "power":
-            p = family.base.p
-            self._sum = lambda xs, lams: sum([x ** p / lam for x, lam in zip(xs, lams)])
-            # numpy's ** takes exact fast paths (x^1 as a copy, x^2 as x*x)
-            # that np.power does not
-            self.surrogate = lambda x: x ** p
-        else:
-            self._sum = lambda xs, lams: sum([math.expm1(x) / lam
-                                              for x, lam in zip(xs, lams)])
-            self.surrogate = family.base
-        if w.kind == "constant" or (w.kind == "explicit"
-                                    and len(set(w.terms[:w.k_max])) == 1):
-            base, c = self.surrogate, 1.0 / w.weight(1)
-            self.rank_free = lambda x: c * base(x)
-
-    def __call__(self, xs):
-        """``phi_1(xs[0]) + phi_2(xs[1]) + ...`` for descending increments."""
-        ranks = self._ranks
-        if len(xs) > len(ranks):
-            ranks = self.ranks(len(xs))
-        try:
-            return self._sum(xs, ranks)
-        except OverflowError:  # a gain past the largest float, as numpy's inf
-            return math.inf
-
-    def ranks(self, n):
-        """lam_j or (c_j, e_j) for ranks 1..n; past the horizon, a
-        :class:`HorizonError` that names the first rank it lacks."""
-        family = self.family
-        if n > family.k_max:
-            raise HorizonError(
-                f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
-        if family.kind == "scaled":
-            self._ranks = family.weights.weights(n).tolist()
-        else:
-            terms = family.terms  # extended beyond the list by the last pair
-            self._ranks = [*terms[:n], *[terms[-1]] * (n - len(terms))]
-        return self._ranks
-
-
-def _future_bounds(values, objective, min_len):
+def _future_bounds(values, family, min_len):
     """F[pos] = upper bound on the rank objective of any feasible collection
     inside [pos, m], charging ranks from 1.
 
@@ -231,11 +170,11 @@ def _future_bounds(values, objective, min_len):
         live = caps > 0
         if not live.all():
             caps = caps[:live.argmin()]
-        F[pos] = objective(caps.tolist())
+        F[pos] = family.rank_sum(caps.tolist())
     return F
 
 
-def _branch_and_bound(values, objective, min_len=1):
+def _branch_and_bound(values, family, min_len=1):
     """Exact maximum of the rank objective over nonoverlapping collections:
     (value, witness pairs) on the grid of ``values``.
 
@@ -244,7 +183,7 @@ def _branch_and_bound(values, objective, min_len=1):
     increment multisets under nonincreasing per-rank gains never beats
     charging each multiset from rank 1.
     """
-    F = _future_bounds(values, objective, min_len)
+    F = _future_bounds(values, family, min_len)
     m = len(values) - 1
     values = values.tolist()
     best = {"value": 0.0, "pairs": []}
@@ -262,14 +201,14 @@ def _branch_and_bound(values, objective, min_len=1):
                     continue
                 merged = sorted(incs_sorted + [inc], reverse=True)
                 pairs.append((a, b))
-                visit(b, pairs, merged, objective(merged))
+                visit(b, pairs, merged, family.rank_sum(merged))
                 pairs.pop()
 
     visit(0, [], [], 0.0)
     return best["value"], best["pairs"]
 
 
-def _rank_bounds(values, objective, min_len=1):
+def _rank_bounds(values, family, min_len=1):
     """Certified (lower, upper, witness pairs) when exact search is off the
     table.
 
@@ -278,16 +217,16 @@ def _rank_bounds(values, objective, min_len=1):
     future bound at position 0 (an over-estimate in general, since optimal
     k-collections need not nest)."""
     m = len(values) - 1
-    best_tab, end = _dp(values, objective.surrogate, min_len, m)
+    best_tab, end = _dp(values, family.surrogate, min_len, m)
     samples = values.tolist()
     lower, witness_pairs = 0.0, []
     for k in range(1, best_tab.shape[1]):
         pairs = _walk(best_tab, end, k)
         incs = sorted((abs(samples[b] - samples[a]) for a, b in pairs), reverse=True)
-        val = objective(incs)
+        val = family.rank_sum(incs)
         if val > lower:
             lower, witness_pairs = val, pairs
-    upper = max(float(_future_bounds(values, objective, min_len)[0]), lower)
+    upper = max(float(_future_bounds(values, family, min_len)[0]), lower)
     return lower, upper, witness_pairs
 
 
@@ -347,9 +286,8 @@ def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
     bit. The future bound on the skeleton charges at most as many ranks as
     it has cells, so the certified upper bound can only tighten.
     """
-    objective = _RankGains(family)
-    if objective.rank_free is not None:
-        value, witness, _ = _dp_solve(f, objective.rank_free, min_len)
+    if family.rank_free is not None:
+        value, witness, _ = _dp_solve(f, family.rank_free, min_len)
         lower, upper, mode = value, value, "exact-dp"
         _log.debug("exact-dp: rank-free family, m=%d", f.m)
     else:
@@ -361,17 +299,17 @@ def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
             grid = ("min_len=%d, no skeleton", min_len)
         values = f.values[idx]
         if f.m <= oracle_cap:
-            value, pairs = _branch_and_bound(values, objective, min_len)
+            value, pairs = _branch_and_bound(values, family, min_len)
             lower, upper, mode, op = value, value, "exact-oracle", "<="
         else:
-            lower, upper, pairs = _rank_bounds(values, objective, min_len)
+            lower, upper, pairs = _rank_bounds(values, family, min_len)
             value, mode, op = lower, "bounds", ">"
         witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
         _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m, op, oracle_cap,
                    *grid[1:])
-    if value > 0:
+    if value > 0 and f.m // min_len > family.k_max:
         # up to m // min_len intervals fit, so as many ranks can be charged
-        objective.ranks(f.m // min_len)
+        raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
     root = 1.0 / p
     return VariationResult(value=value ** root, mode=mode, lower=lower ** root,
                            upper=upper ** root, witness=witness)
@@ -456,15 +394,15 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
 
 
 def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = None,
-                 oracle_cap: int = ORACLE_CAP_DEFAULT, rel_tol: float = 1e-10) -> float:
+                 oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
     """Luxemburg-style norm ``|f(a)| + inf{c > 0 : V_Phi(f/c) <= 1}``.
 
     For a family homogeneous of degree d (``family.degree``: a power base,
     or explicit terms sharing one exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``,
     so the infimum is ``V_Phi(f)^(1/d)``: one variation call. Other
     families (the ``expm1`` base, mixed exponents) find it by bracket
-    doubling plus bisection to ``rel_tol``, since ``c -> V_Phi(f/c)`` is
-    nonincreasing.
+    doubling plus bisection to ``NORM_REL_TOL``, since ``c -> V_Phi(f/c)``
+    is nonincreasing. A norm past the largest float is inf.
 
     A rank-free family (constant weights, an explicit weight list of one
     value, or explicit terms that are one repeated pair) is solved by the
@@ -477,20 +415,27 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     """
     if f_a is None:
         f_a = float(f.values[0])
-    if np.ptp(f.values) == 0.0:
+    values = f.values
+    if values.min() == values.max():
         return abs(f_a)
     degree = family.degree
     if degree is not None:
         # in bounds mode the value is the certified lower bound
         return abs(f_a) + variation_schramm(f, family, oracle_cap).value ** (1.0 / degree)
 
-    def var_at(c):
-        return variation_schramm(f.scaled(1.0 / c), family, oracle_cap).value
+    # V_Phi(f/c) depends on f/c only: divide f by exact powers of two, first
+    # the one above max|f| (so the range cannot overflow), then the one above
+    # the range left, which puts the range in [0.5, 1). The bracket then
+    # starts at c = 1 for every input, and c scales back exactly.
+    shift = math.frexp(np.max(np.abs(values)))[1]
+    values = np.ldexp(values, -shift)
+    e = math.frexp(np.ptp(values))[1]
+    g, shift = StepFunction(np.ldexp(values, -e)), shift + e
 
-    # start at the power of two just above ptp(f), where the largest
-    # increment of f/c is near 1; doubling and halving reach the same
-    # power-of-two bracket from any start
-    hi = math.ldexp(1.0, math.frexp(np.ptp(f.values))[1])
+    def var_at(c):
+        return variation_schramm(g.scaled(1.0 / c), family, oracle_cap).value
+
+    hi = 1.0
     for _ in range(200):
         if var_at(hi) <= 1.0:
             break
@@ -507,6 +452,9 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
             hi = mid
         else:
             lo = mid
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= NORM_REL_TOL * hi:
             break
-    return abs(f_a) + 0.5 * (lo + hi)
+    try:
+        return abs(f_a) + math.ldexp(0.5 * (lo + hi), shift)
+    except OverflowError:  # past the largest float
+        return math.inf

@@ -139,7 +139,6 @@ class TestSchrammFamily:
 
     def test_explicit_family_bisection(self):
         fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=16)
-        fam.validate()
         y = float(fam.partial_sum(3, 1.5))
         assert fam.partial_inverse(3, y) == pytest.approx(1.5, abs=1e-7)
 
@@ -147,11 +146,6 @@ class TestSchrammFamily:
         # equal exponents with a rising coefficient: phi_2 > phi_1 for x > 0
         with pytest.raises(ValidationError, match="terms 1 and 2: phi_2 > phi_1 for every x"):
             SchrammFamily("explicit", terms=[(1.0, 2.0), (2.0, 2.0)], k_max=4)
-        # a rising exponent passes construction; the sampled check finds
-        # 0.8 * 5^1.7 = 12.35 > 5^1.5 = 11.18 at the probe x = 5
-        fam = SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7)])
-        with pytest.raises(ValidationError, match="ordering phi_2 <= phi_1 violated"):
-            fam.validate()
 
     def test_falling_exponent_rejected(self):
         # 0.1 x^1.5 > x^2 for x < 0.01
@@ -215,33 +209,35 @@ class TestSchrammFamily:
     def test_degree(self, fam, degree):
         assert fam.degree == degree
         if degree is not None:
-            # phi_j(c x) = c^d phi_j(x)
-            for j in (1, 2, 5):
-                assert fam.phi(j, 3.0 * 0.7) == pytest.approx(
-                    3.0 ** degree * fam.phi(j, 0.7), rel=1e-12)
-
-    @pytest.mark.parametrize("fam", [
-        SchrammFamily.power(1.5, WeightSequence("log", k_max=64)),
-        SchrammFamily("scaled", base=ConvexBase("expm1"),
-                      weights=WeightSequence("power", alpha=0.5, k_max=64)),
-        SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0)], k_max=64),
-    ])
-    def test_phi_broadcasts_over_ranks(self, fam):
-        # one call over ranks 1..n gives each scalar phi_j(x_j) bit for bit,
-        # past the end of an explicit term list and on a strided view too
-        x = np.sort(np.exp(np.random.default_rng(3).uniform(-3.0, 2.0, size=40)))
-        ranks = np.arange(1, 41)
-        for xs in (x, x[::-1]):
-            assert fam.phi(ranks, xs).tolist() == [
-                float(fam.phi(j, xj)) for j, xj in zip(ranks.tolist(), xs)]
-        assert fam.phi(ranks[:0], x[:0]).tolist() == []
+            # phi_j(c x) = c^d phi_j(x), so the rank sum scales by c^d
+            xs = [0.7, 0.5, 0.4, 0.2, 0.1]
+            assert fam.rank_sum([3.0 * x for x in xs]) == pytest.approx(
+                3.0 ** degree * fam.rank_sum(xs), rel=1e-12)
 
     def test_phi_horizon_names_first_index_past_it(self):
+        for fam in (SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=4),
+                    SchrammFamily.power(2.0, WeightSequence("harmonic", k_max=4))):
+            assert fam.rank_sum([1.0]) == 1.0
+            with pytest.raises(HorizonError, match="index 5 outside horizon 1..4"):
+                fam.rank_sum([1.0] * 8)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    @pytest.mark.parametrize("method", ["partial_sum", "partial_inverse_many"])
+    def test_horizon_errors_name_the_index(self, k, method):
         fam = SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=4)
-        with pytest.raises(HorizonError, match="index 5 outside horizon 1..4"):
-            fam.phi(np.arange(1, 9), 1.0)
-        with pytest.raises(HorizonError, match="index 0 outside"):
-            fam.phi(0, 1.0)
+        with pytest.raises(HorizonError, match=f"^index {k} outside horizon 1..4$"):
+            getattr(fam, method)(np.array([1, k, 2]), 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("fam, x", [
+        (SchrammFamily.power(2.0, WeightSequence("harmonic", k_max=64)), 1e200),
+        (SchrammFamily("scaled", base=ConvexBase("expm1"),
+                       weights=WeightSequence("harmonic", k_max=64)), 1e200),
+        (SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 2.0)], k_max=64), 1e300),
+    ])
+    def test_rank_sum_past_the_largest_float_is_inf(self, fam, x):
+        assert fam.rank_sum([x]) == math.inf
+        assert fam.rank_sum([x, 1.0]) == math.inf
 
 
 class TestGaugePair:

@@ -232,6 +232,22 @@ class TestNorm:
         assert oracles.oracle_schramm(list(values / c), phis(2)) == \
             pytest.approx(1.0, abs=1e-8)
 
+    def test_norm_at_the_ends_of_the_float_range(self):
+        # V(f/c) depends on f/c only, so a tiny input's norm is the norm of
+        # [0, 1, 0] scaled down by the same factor
+        fam = SchrammFamily("scaled", base=ConvexBase("expm1"),
+                            weights=WeightSequence("constant", value=1e6, k_max=KM))
+        unit = schramm_norm(StepFunction([0.0, 1.0, 0.0]), fam)
+        assert schramm_norm(StepFunction([0.0, 1e-305, 0.0]), fam) == pytest.approx(
+            1e-305 * unit, rel=1e-9)
+        # a range past the largest float: V(f/c) = 1e-3 * 2e308 / c for the
+        # one interval, so c = 2e305; with expm1 the norm c = 2e308 / ln 2
+        # is past the largest float
+        huge = StepFunction([-1e308, 1e308])
+        fam = SchrammFamily("explicit", terms=[[1e-3, 1.0], [1e-4, 1.2]], k_max=KM)
+        assert schramm_norm(huge, fam) == pytest.approx(1e308 + 2e305, rel=1e-9)
+        assert schramm_norm(huge, expm1_family()) == math.inf
+
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),
         (lambda: SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 1.5)],
