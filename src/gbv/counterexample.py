@@ -134,8 +134,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     else:
         horizon, parts = family.k_max, schramm_parts(family)
     levels = []
-    for n, ks, kernel in level_kernels(gauge, n_levels, horizon, parts,
-                                       dense=True):
+    for n, kernel in level_kernels(gauge, n_levels, horizon, parts):
         q_n, delta_f = gauge.level(n)
         delta_n = int(delta_f)
         if delta_n != delta_f:
@@ -150,7 +149,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             raise InfeasibleError(
                 f"level {n}: separation budget {b_n:.6g} below sep_n={sep_n:.6g}",
                 level=n)
-        if len(ks) < delta_n:
+        if len(kernel) < delta_n:
             raise HorizonError(
                 f"delta_{n}={delta_n} exceeds the sequence horizon {horizon}")
 

@@ -10,32 +10,41 @@ exceeds ``SLOPE_TOL``, and ``bounded-up-to-horizon`` otherwise.
 from __future__ import annotations
 
 import io
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HorizonError, HypothesisError, ValidationError
-from .sequences import (INVERSE_TOL, ConvexBase, GaugePair, SchrammFamily,
-                        WeightSequence)
+from .sequences import (BISECT_CHUNK, INVERSE_TOL, ConvexBase, GaugePair,
+                        SchrammFamily, WeightSequence)
 
 SLOPE_TOL = 0.01
-DENSE_SCAN_CAP = 1 << 20
-GEOMETRIC_POINTS_PER_BINADE = 64
+#: kernel evaluations one scan may spend: a scan over at most this many k is
+#: exact
+SCAN_BUDGET = 1 << 20
+#: seed grid points per binade, and the parts a refined gap is split into
+_SEED_PER_BINADE = 16
+_SPLIT = 16
 
 VERDICT_BOUNDED = "bounded-up-to-horizon"
 VERDICT_DIVERGING = "diverging-trend"
 
+_log = logging.getLogger("gbv")
+
 
 @dataclass(frozen=True)
 class CriterionReport:
-    levels: tuple  # of dicts {"n": int, "a_n": float, "argmax_k": int}
+    # of dicts {"n": int, "a_n": float, "a_n_upper": float, "argmax_k": int}
+    levels: tuple
     sup: float
     argmax_level: int
     verdict: str
     slope: float
     horizon: int
     inexact_scan: bool = False
+    evaluations: int = 0
 
     def to_json_dict(self):
         return {
@@ -46,6 +55,7 @@ class CriterionReport:
             "slope": self.slope,
             "horizon": self.horizon,
             "inexact_scan": self.inexact_scan,
+            "evaluations": self.evaluations,
         }
 
     def to_csv(self):
@@ -56,42 +66,30 @@ class CriterionReport:
         return buf.getvalue()
 
 
-def _geometric_ks(delta):
-    """A geometric grid over 1..delta with both endpoints."""
-    count = int(math.log2(delta) * GEOMETRIC_POINTS_PER_BINADE)
-    return np.unique(np.concatenate([
-        [1, delta],
-        np.geomspace(1, delta, count).astype(np.int64),
-    ]))
+def _tops(gauge, n_cap, horizon):
+    """The last k of each level's scan: ``min(delta_n, horizon)``."""
+    return [min(int(d), horizon) for d in gauge.deltas[:n_cap]]
 
 
-def level_kernels(gauge, n_cap, horizon, parts, *, dense=False):
-    """Yield ``(n, ks, g(ks)^{1/q_n} h(ks))`` for the levels ``n = 1..n_cap``.
-
-    Level n scans ``1..min(delta_n, horizon)``: densely up to
-    ``DENSE_SCAN_CAP`` (always with ``dense``), on a geometric grid beyond
-    (inexact: ``len(ks) < ks[-1]``). ``parts(ks) -> (g, h)`` is called once,
-    on the union of every level's scan; only the exponent depends on n.
-    """
-    tops = [min(int(d), horizon) for d in gauge.deltas[:n_cap]]
+def level_kernels(gauge, n_cap, horizon, parts):
+    """Yield ``(n, g(k)^{1/q_n} h(k) for k = 1..min(delta_n, horizon))`` for
+    the levels ``n = 1..n_cap``, from one ``parts`` call on every k."""
+    tops = _tops(gauge, n_cap, horizon)
     if not tops:
         return
-    dense_top = max([t for t in tops if dense or t <= DENSE_SCAN_CAP], default=0)
-    grids = {t: _geometric_ks(t) for t in tops if t > dense_top}
-    # the dense part is sorted and distinct already; np.unique on it would
-    # cost more than the scan
-    extra = np.unique(np.concatenate([[dense_top], *grids.values()]))
-    ks = np.concatenate([np.arange(1, dense_top + 1), extra[extra > dense_top]])
-    g, h = parts(ks)
+    g, h = parts(np.arange(1, max(tops) + 1))
     for n, top in enumerate(tops, 1):
-        i = slice(0, top) if top <= dense_top else np.searchsorted(ks, grids[top])
-        yield n, ks[i], g[i] ** (1.0 / gauge.qn[n - 1]) * h[i]
+        yield n, g[:top] ** (1.0 / gauge.qn[n - 1]) * h[:top]
 
 
 def lambda_gamma_parts(w_lambda, w_gamma, p):
-    """Kernel parts ``Gamma(k)`` and ``Lambda(k)^{-1/p}`` (theorems 1.4/1.7)."""
-    return lambda ks: (w_gamma.prefix_sums(int(ks[-1]))[ks - 1],
-                       w_lambda.prefix_sums(int(ks[-1]))[ks - 1] ** (-1.0 / p))
+    """Kernel parts ``Gamma(k)`` and ``Lambda(k)^{-1/p}`` (theorems 1.4/1.7)
+    at sorted distinct ``ks``."""
+    def parts(ks):
+        n = int(ks[-1])
+        i = slice(None) if len(ks) == n else ks - 1  # every k up to n: no gather
+        return w_gamma.prefix_sums(n)[i], w_lambda.prefix_sums(n)[i] ** (-1.0 / p)
+    return parts
 
 
 def schramm_parts(family):
@@ -99,22 +97,163 @@ def schramm_parts(family):
     return lambda ks: (ks, family.partial_inverse_many(ks, 1.0))
 
 
-def _peak(kernel):
-    """The kernel's max and its argmax: the first index within
-    ``INVERSE_TOL`` of the max, so that round-off cannot pick the argmax of
-    a flat kernel."""
-    a_n = float(kernel.max())
-    return a_n, int(np.argmax(kernel >= a_n * (1.0 - INVERSE_TOL)))
+def _split(lo, hi):
+    """Split each gap ``(lo, hi)`` into ``s = min(hi - lo, _SPLIT)`` parts:
+    the points ``lo = p_0 < ... < p_s = hi`` of every gap, concatenated,
+    with masks of the first and the last point of each gap."""
+    s = np.minimum(hi - lo, _SPLIT)
+    rep = s + 1
+    j = np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
+    s = np.repeat(s, rep)
+    return np.repeat(lo, rep) + np.repeat(hi - lo, rep) * j // s, j == 0, j == s
+
+
+class _Bracket:
+    """Brackets on ``max_{k <= top} g(k)^e h(k)`` for the levels that share
+    the exponent ``e``, one per distinct ``top``.
+
+    It holds the gaps ``(lo, hi)`` between neighbouring k evaluated for it,
+    each with ``g(hi)^e``, ``h(lo)`` and their product, which bounds every
+    kernel value inside the gap (g is nondecreasing, h nonincreasing); and
+    the records of the evaluated k, those whose value exceeds every value
+    before them, the only k that can be the first in a tie band. Per top,
+    ``a`` is the max found, ``thr`` the low end of its tie band and
+    ``kstar`` the first k in the band; all three are nondecreasing in the
+    top, and ``a`` and ``thr`` only rise as k are added.
+    """
+
+    def __init__(self, e, tops):
+        self.e = e
+        self.tops = np.unique(tops)
+
+    def reseed(self, ks, g, h):
+        """Bracket on exactly the sorted ``ks`` (1 and every top among
+        them), with their parts ``g, h``."""
+        ge = g ** self.e
+        room = ks[1:] - ks[:-1] > 1
+        self.lo, self.hi = ks[:-1][room], ks[1:][room]
+        self.ge_hi, self.h_lo = ge[1:][room], h[:-1][room]
+        self.bound = self.ge_hi * self.h_lo
+        self._records(ks, ge * h)
+
+    def refine(self, done, pts, first, last, g, h):
+        """Replace the gaps ``done`` (a mask) by the points ``pts`` that split
+        them, laid out as :func:`_split` gives them; ``g, h`` are the parts
+        at the points inside the gaps."""
+        new = ~(first | last)
+        ge, hs = np.empty(len(pts)), np.empty(len(pts))
+        ge[new], hs[new] = g ** self.e, h
+        ge[last], hs[first] = self.ge_hi[done], self.h_lo[done]
+        k = np.concatenate([self.rk, pts[new]])
+        order = np.argsort(k, kind="stable")
+        self._records(k[order], np.concatenate([self.rv, ge[new] * h])[order])
+        # a gap below the band of the lowest top holding it never matters
+        # again; split neighbours with room between them are the new gaps
+        keep = ~done & (self.bound >= self.thr[np.searchsorted(self.tops, self.hi)])
+        room = ~first[1:] & (pts[1:] - pts[:-1] > 1)
+        lo = np.concatenate([self.lo[keep], pts[:-1][room]])
+        order = np.argsort(lo, kind="stable")
+        self.lo = lo[order]
+        self.hi = np.concatenate([self.hi[keep], pts[1:][room]])[order]
+        self.ge_hi = np.concatenate([self.ge_hi[keep], ge[1:][room]])[order]
+        self.h_lo = np.concatenate([self.h_lo[keep], hs[:-1][room]])[order]
+        self.bound = self.ge_hi * self.h_lo
+
+    def _records(self, k, v):
+        record = np.concatenate([[True], v[1:] > np.maximum.accumulate(v)[:-1]])
+        self.rk, self.rv = k[record], v[record]
+        self.a = self.rv[np.searchsorted(self.rk, self.tops, "right") - 1]
+        self.thr = self.a * (1.0 - INVERSE_TOL)
+        self.kstar = self.rk[np.searchsorted(self.rv, self.thr)]
+
+    def pending(self):
+        """The gaps that may hide, for some top at or above them, a value
+        above its max or a k in its tie band before its argmax."""
+        first = np.searchsorted(self.tops, self.hi)
+        last = np.searchsorted(self.thr, self.bound, "right") - 1
+        late = np.searchsorted(self.kstar, self.hi)
+        return (self.bound > self.a[first]) | (np.maximum(first, late) <= last)
+
+    def row(self, n, top):
+        i = np.searchsorted(self.tops, top)
+        upper = self.bound[self.hi <= top].max(initial=self.a[i])
+        return {"n": n, "a_n": float(self.a[i]), "a_n_upper": float(upper),
+                "argmax_k": int(self.kstar[i])}
+
+
+def _bracket_scan(tops, exps, parts):
+    """Per level the max of ``g(k)^{e_n} h(k)`` over ``1 <= k <= tops[n]``:
+    ``(rows, inexact, evaluations)`` for :func:`_assemble`.
+
+    ``parts(ks) -> (g, h)`` gives g nondecreasing and h nonincreasing, so
+    the kernel between two evaluated neighbours a < b is at most
+    ``g(b)^e h(a)``. A geometric seed grid holding every level's top (every
+    k, when the grid would ask for half of them) is refined where that
+    bound exceeds a level's max (or, before its argmax, reaches the tie
+    band), splitting a gap ``_SPLIT`` ways; each round makes one ``parts``
+    call on the k not evaluated before. Levels that share an exponent share
+    their bounds. Where a split settles none of the gaps (a flat kernel),
+    every k up to the top is evaluated in the next round. A level is exact
+    when no gap is left to refine. A scan that would need
+    more than ``SCAN_BUDGET`` evaluations stops, and its open levels report
+    the max found as ``a_n`` and the certified bound as ``a_n_upper``. A
+    scan over at most ``SCAN_BUDGET`` k is always exact, and gives the
+    ``a_n`` and ``argmax_k`` of a scan of every k.
+    """
+    top = max(tops)
+    count = int(math.log2(top) * _SEED_PER_BINADE)
+    if 2 * count >= top:  # refining a seed of half the k costs more than the rest
+        ks = np.arange(1, top + 1)
+    else:
+        ks = np.unique(np.concatenate([[1], tops, np.geomspace(1, top, count).astype(np.int64)]))
+    g, h = parts(ks)
+    brackets = {e: _Bracket(e, [t for t, e2 in zip(tops, exps) if e2 == e])
+                for e in dict.fromkeys(exps)}
+    for br in brackets.values():
+        i = int(np.searchsorted(ks, br.tops[-1], "right"))
+        br.reseed(ks[:i], g[:i], h[:i])
+    live = [(br, done) for br in brackets.values() if (done := br.pending()).any()]
+    split = False
+    while live:
+        flat = [br for br, done in live if split and done.all()]
+        dense = max([br.tops[-1] for br in flat], default=0)
+        beyond = ks > dense
+        if flat and dense + np.count_nonzero(beyond) <= SCAN_BUDGET:
+            every = np.arange(1, dense + 1)
+            g_all, h_all = parts(every)
+            ks, g, h = (np.concatenate([every, ks[beyond]]), np.concatenate([g_all, g[beyond]]),
+                        np.concatenate([h_all, h[beyond]]))
+            for br in flat:
+                br.reseed(ks[:br.tops[-1]], g[:br.tops[-1]], h[:br.tops[-1]])
+        else:
+            cuts = [_split(br.lo[done], br.hi[done]) for br, done in live]
+            inside = [pts[~(first | last)] for pts, first, last in cuts]
+            asked = np.sort(np.concatenate(inside))
+            asked = asked[np.concatenate([[True], asked[1:] != asked[:-1]])]
+            at = np.searchsorted(ks, asked)
+            fresh = ks[np.minimum(at, len(ks) - 1)] != asked
+            if len(ks) + np.count_nonzero(fresh) > SCAN_BUDGET:
+                break
+            if fresh.any():
+                g_new, h_new = parts(asked[fresh])
+                pos = at[fresh]
+                ks, g, h = (np.insert(ks, pos, asked[fresh]), np.insert(g, pos, g_new),
+                            np.insert(h, pos, h_new))
+            for (br, done), (pts, first, last), pick in zip(live, cuts, inside):
+                i = np.searchsorted(ks, pick)
+                br.refine(done, pts, first, last, g[i], h[i])
+            split = True
+        live = [(br, done) for br, _ in live if (done := br.pending()).any()]
+    _log.debug("criterion scan: %d levels to k=%d, %d evaluations, %s",
+               len(tops), top, len(ks), "bracketed" if live else "exact")
+    rows = [brackets[e].row(n, t) for n, (t, e) in enumerate(zip(tops, exps), 1)]
+    return rows, bool(live), len(ks)
 
 
 def _scan(gauge, n_cap, horizon, parts):
-    """Per level the kernel's max over the scanned k, and its argmax."""
-    rows, inexact = [], False
-    for n, ks, kernel in level_kernels(gauge, n_cap, horizon, parts):
-        a_n, i = _peak(kernel)
-        rows.append({"n": n, "a_n": a_n, "argmax_k": int(ks[i])})
-        inexact = inexact or bool(len(ks) < ks[-1])
-    return _assemble(rows, inexact)
+    """The criterion report of the levels ``1..n_cap`` of ``gauge``."""
+    return _assemble(*_bracket_scan(_tops(gauge, n_cap, horizon),
+                                    1.0 / gauge.qn[:n_cap], parts))
 
 
 def _trend(values):
@@ -129,7 +268,7 @@ def _trend(values):
     return float(slope)
 
 
-def _assemble(level_rows, inexact):
+def _assemble(level_rows, inexact, evaluations):
     sups = [lv["a_n"] for lv in level_rows]
     best = int(np.argmax(sups))
     slope = _trend(sups)
@@ -142,18 +281,21 @@ def _assemble(level_rows, inexact):
         slope=slope,
         horizon=len(level_rows),
         inexact_scan=inexact,
+        evaluations=evaluations,
     )
 
 
 def check_ratio_nondecreasing(w_gamma, w_lambda, horizon):
     """Raise :class:`HypothesisError`, with the first bad k as ``index``,
     unless Gamma(k)/Lambda(k) is nondecreasing over k <= horizon."""
-    ratio = w_gamma.prefix_sums(horizon) / w_lambda.prefix_sums(horizon)
-    bad = np.where(np.diff(ratio) < -1e-12 * ratio[:-1])[0]
-    if len(bad):
-        raise HypothesisError(
-            f"Gamma(k)/Lambda(k) decreases at k={int(bad[0]) + 2}",
-            index=int(bad[0]) + 2)
+    gamma, lam = w_gamma.prefix_sums(horizon), w_lambda.prefix_sums(horizon)
+    # blocks overlap by one k, so every step k -> k + 1 is checked once
+    for start in range(0, horizon - 1, BISECT_CHUNK):
+        ratio = gamma[start:start + BISECT_CHUNK + 1] / lam[start:start + BISECT_CHUNK + 1]
+        bad = np.flatnonzero(np.diff(ratio) < -1e-12 * ratio[:-1])
+        if len(bad):
+            k = start + int(bad[0]) + 2
+            raise HypothesisError(f"Gamma(k)/Lambda(k) decreases at k={k}", index=k)
 
 
 def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
@@ -197,21 +339,11 @@ def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
         raise ValidationError("need 1 <= p <= q < inf")
     horizon = min(horizon or min(w_gamma.k_max, w_lambda.k_max),
                   w_gamma.k_max, w_lambda.k_max)
-    gamma = w_gamma.prefix_sums(horizon)
-    lam = w_lambda.prefix_sums(horizon)
-    kernel = gamma ** (1.0 / q) * lam ** (-1.0 / p)
-    rows = []
-    level = 1
-    checkpoint = 1
-    while checkpoint <= horizon:
-        a_n, i = _peak(kernel[:checkpoint])
-        rows.append({"n": level, "a_n": a_n, "argmax_k": i + 1})
-        level += 1
-        checkpoint *= 2
-    if checkpoint // 2 < horizon:
-        a_n, i = _peak(kernel)
-        rows.append({"n": level, "a_n": a_n, "argmax_k": i + 1})
-    return _assemble(rows, False)
+    tops = [1 << i for i in range(int(horizon).bit_length())]
+    if tops[-1] < horizon:
+        tops.append(int(horizon))
+    return _assemble(*_bracket_scan(tops, [1.0 / q] * len(tops),
+                                    lambda_gamma_parts(w_lambda, w_gamma, p)))
 
 
 def criterion_schramm(family: SchrammFamily, gauge: GaugePair,

@@ -237,11 +237,12 @@ def _skeleton(values):
     consecutive skeleton points and constant after the last one. A constant
     input keeps its two ends."""
     m = len(values) - 1
-    steps = np.diff(values)
-    moves = np.flatnonzero(steps)
+    # comparisons, not differences: a range past the largest float cannot
+    # overflow them
+    moves = np.flatnonzero(values[1:] != values[:-1])
     if len(moves) == 0:
         return np.array([0, m])
-    rising = steps[moves] > 0
+    rising = values[moves + 1] > values[moves]
     turns = moves[:-1][rising[1:] != rising[:-1]] + 1
     return np.concatenate(([0], turns, [moves[-1] + 1]))
 
@@ -420,8 +421,15 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
         return abs(f_a)
     degree = family.degree
     if degree is not None:
-        # in bounds mode the value is the certified lower bound
-        return abs(f_a) + variation_schramm(f, family, oracle_cap).value ** (1.0 / degree)
+        # in bounds mode the value is the certified lower bound. A range past
+        # the largest float (a Python float difference, which cannot warn)
+        # is divided by the power of two above max|f|: V(f)^(1/d) = c V(f/c)^(1/d)
+        shift = 0
+        if math.isinf(float(values.max()) - float(values.min())):
+            shift = math.frexp(np.max(np.abs(values)))[1]
+            f = StepFunction(np.ldexp(values, -shift))
+        return _norm(f_a, variation_schramm(f, family, oracle_cap).value ** (1.0 / degree),
+                     shift)
 
     # V_Phi(f/c) depends on f/c only: divide f by exact powers of two, first
     # the one above max|f| (so the range cannot overflow), then the one above
@@ -454,7 +462,12 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
             lo = mid
         if hi - lo <= NORM_REL_TOL * hi:
             break
+    return _norm(f_a, 0.5 * (lo + hi), shift)
+
+
+def _norm(f_a, c, shift):
+    """``|f(a)| + c 2^shift``: inf past the largest float."""
     try:
-        return abs(f_a) + math.ldexp(0.5 * (lo + hi), shift)
-    except OverflowError:  # past the largest float
+        return abs(f_a) + math.ldexp(c, shift)
+    except OverflowError:
         return math.inf

@@ -1,5 +1,7 @@
 import json
+import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,61 @@ from gbv import (ConvexBase, CriterionReport, GaugePair, HorizonError,
                  HypothesisError, SchrammFamily, ValidationError,
                  WeightSequence, criterion_corollary_q, criterion_lambda_gamma,
                  criterion_phi_lambda, criterion_schramm, criterion_union_p)
+from gbv.criteria import lambda_gamma_parts, schramm_parts
+from gbv.sequences import INVERSE_TOL
 
 KM = 1 << 14
 HARMONIC = WeightSequence("harmonic", k_max=KM)
 CONST1 = WeightSequence("constant", value=1.0, k_max=KM)
 
+WEIGHTS = {
+    "harmonic": lambda: WeightSequence("harmonic", k_max=KM),
+    "power:0.5": lambda: WeightSequence("power", alpha=0.5, k_max=KM),
+    "log": lambda: WeightSequence("log", k_max=KM),
+    "constant:3": lambda: WeightSequence("constant", value=3.0, k_max=KM),
+    "explicit": lambda: WeightSequence("explicit", terms=[1.0, 2.0, 2.0, 3.0, 5.0],
+                                       k_max=KM),
+}
+#: the benchmark's explicit family: unordered past x = 3.05, far above the
+#: Phi_k^{-1}(1) <= 1 a scan inverts at
+EXPLICIT_TERMS = [[1.0, 1.5], [0.8, 1.7], [0.6, 2.0], [0.5, 2.0]]
+FAMILIES = {
+    "power/harmonic": lambda: SchrammFamily.power(2.0, WeightSequence("harmonic", k_max=KM)),
+    "expm1/harmonic": lambda: SchrammFamily(
+        "scaled", base=ConvexBase("expm1"), weights=WeightSequence("harmonic", k_max=KM)),
+    "one-exponent explicit": lambda: SchrammFamily(
+        "explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=KM),
+    "EXPLICIT_TERMS": lambda: SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM),
+}
+LADDERS = [("const", 1.0), ("linear", None), ("to", 2.0)]
+
 
 def gauge_const_q(q, n_max=12):
     return GaugePair.build("const", "pow2", n_max=n_max, q=q)
+
+
+def dense_levels(tops, exps, parts):
+    """Per level ``(max, first k within INVERSE_TOL of it)`` of the kernel
+    ``g^e h`` evaluated at every k up to the level's top."""
+    g, h = parts(np.arange(1, max(tops) + 1))
+    out = []
+    for top, e in zip(tops, exps):
+        kernel = g[:top] ** e * h[:top]
+        a_n = float(kernel.max())
+        out.append((a_n, int(np.argmax(kernel >= a_n * (1.0 - INVERSE_TOL))) + 1))
+    return out
+
+
+def assert_matches_dense(rep, tops, exps, parts, rel):
+    assert not rep.inexact_scan
+    for lv, (a_n, k) in zip(rep.levels, dense_levels(tops, exps, parts), strict=True):
+        assert lv["a_n"] == pytest.approx(a_n, rel=rel)
+        assert lv["a_n_upper"] == lv["a_n"]
+        assert lv["argmax_k"] == k
+
+
+def gauge_tops(gauge):
+    return [int(d) for d in gauge.deltas], [1.0 / q for q in gauge.qn]
 
 
 class TestLambdaGamma:
@@ -66,6 +115,9 @@ class TestLambdaGamma:
         doc = rep.to_json_dict()
         json.dumps(doc)
         assert doc["horizon"] == 4
+        # a flat kernel: the scan evaluates every k up to delta_4 = 16
+        assert doc["evaluations"] == 16
+        assert all(lv["a_n_upper"] == lv["a_n"] for lv in doc["levels"])
         csv_text = rep.to_csv()
         assert csv_text.splitlines()[0] == "n,a_n,argmax_k"
         assert len(csv_text.splitlines()) == 5
@@ -145,15 +197,106 @@ class TestSchramm:
         assert [lv["argmax_k"] for lv in rep.levels] == [1, 1, 1, 1]
         assert all(lv["a_n"] == pytest.approx(1.0, rel=1e-9) for lv in rep.levels)
 
-    def test_inexact_scan_flag_past_dense_cap(self):
-        big = 1 << 21
-        assert big > gbv.criteria.DENSE_SCAN_CAP
-        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=big)
-        gauge = GaugePair.build("const", "list", n_max=1, q=2.0,
-                                delta_list=[big])
+    def test_scan_past_the_budget_is_bracketed(self, monkeypatch):
+        # k^{1/2} Phi_k^{-1}(1) = (2k / (k + 1))^{1/2} rises towards sqrt(2)
+        # so slowly that no gap bound falls below the max found: the scan
+        # stops at the budget with a certified bracket
+        monkeypatch.setattr(gbv.criteria, "SCAN_BUDGET", 2000)
+        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=KM)
+        gauge = GaugePair.build("const", "list", n_max=1, q=2.0, delta_list=[KM])
         rep = criterion_schramm(fam, gauge, 1)
         assert rep.inexact_scan
-        assert rep.levels[0]["argmax_k"] <= big
+        assert rep.evaluations <= 2000
+        (lv,) = rep.levels
+        assert lv["a_n"] < lv["a_n_upper"]
+        ks = np.unique(np.random.default_rng(3).integers(1, KM + 1, size=500))
+        g, h = schramm_parts(fam)(ks)
+        assert np.all(g ** 0.5 * h <= lv["a_n_upper"])
+        assert lv["a_n"] == pytest.approx(math.sqrt(2 * KM / (KM + 1)), rel=1e-9)
+
+    def test_flat_kernel_is_exact_under_the_budget(self):
+        # Phi_k(x) = k x^2 / 3, so k^{1/2} Phi_k^{-1}(1) = 3^{1/2} for every k:
+        # no bound prunes, and a scan of SCAN_BUDGET k still closes
+        big = gbv.criteria.SCAN_BUDGET
+        fam = SchrammFamily.power(2.0, WeightSequence("constant", value=3.0, k_max=big))
+        gauge = GaugePair.build("const", "list", n_max=1, q=2.0, delta_list=[big])
+        rep = criterion_schramm(fam, gauge, 1)
+        assert not rep.inexact_scan
+        assert rep.evaluations == big
+        assert rep.levels[0]["argmax_k"] == 1
+
+
+class TestBracketScan:
+    """The bracket scan against a dense evaluation of the same parts."""
+
+    @pytest.mark.parametrize("lam", sorted(WEIGHTS))
+    def test_lambda_gamma_matches_dense(self, lam):
+        w_lambda = WEIGHTS[lam]()
+        for gamma in (WEIGHTS["constant:3"](), w_lambda):
+            for p in (1.0, 1.5, 2.0):
+                for kind, q in LADDERS:
+                    gauge = GaugePair.build(kind, "pow2", n_max=12, q=q)
+                    # Gamma/Lambda is nondecreasing for both gammas, so the
+                    # second-part route admits every p
+                    rep = criterion_lambda_gamma(w_lambda, gamma, p, gauge, 12,
+                                                 second_part=True)
+                    assert_matches_dense(rep, *gauge_tops(gauge),
+                                         lambda_gamma_parts(w_lambda, gamma, p),
+                                         rel=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_schramm_matches_dense(self, name):
+        fam = FAMILIES[name]()
+        # the scaled families invert in closed form, the explicit ones bisect
+        rel = 1e-12 if fam.kind == "scaled" else INVERSE_TOL
+        for kind, q in [("const", 2.0), *LADDERS[1:]]:
+            gauge = GaugePair.build(kind, "pow2", n_max=12, q=q)
+            assert_matches_dense(criterion_schramm(fam, gauge, 12), *gauge_tops(gauge),
+                                 schramm_parts(fam), rel=rel)
+
+    @pytest.mark.parametrize("lam", sorted(WEIGHTS))
+    def test_corollary_matches_dense(self, lam):
+        w_lambda, horizon = WEIGHTS[lam](), 3000
+        tops = [1 << i for i in range(12)] + [horizon]
+        for gamma in (WEIGHTS["constant:3"](), WEIGHTS["harmonic"](), w_lambda):
+            for p, q in ((1.0, 1.0), (1.0, 2.0), (1.5, 2.0), (2.0, 2.0)):
+                rep = criterion_corollary_q(w_lambda, gamma, p, q, horizon=horizon)
+                assert_matches_dense(rep, tops, [1.0 / q] * len(tops),
+                                     lambda_gamma_parts(w_lambda, gamma, p), rel=1e-12)
+
+    def test_first_k_in_the_tie_band_inside_a_gap(self):
+        # past k = 50 both sums almost stop growing, and Gamma/Lambda creeps
+        # up by 1.6e-8 over the last 4000 k: the tie band holds the last few
+        # hundred k, and its first k lies inside a seed gap whose bound is
+        # below the max
+        w_lambda = WeightSequence("explicit", terms=[1.0] * 50 + [1e12], k_max=KM)
+        w_gamma = WeightSequence("explicit", terms=[2.0] * 50 + [1e10], k_max=KM)
+        gauge = GaugePair.build("const", "list", n_max=1, q=1.0, delta_list=[4096])
+        rep = criterion_lambda_gamma(w_lambda, w_gamma, 1.0, gauge, 1)
+        parts = lambda_gamma_parts(w_lambda, w_gamma, 1.0)
+        assert_matches_dense(rep, [4096], [1.0], parts, rel=0.0)
+        assert 50 < rep.levels[0]["argmax_k"] < 4096
+
+    def test_scan_memory_is_small(self):
+        # only the sequences' own tables are 2^20 long: the scan of
+        # delta_n = 2^n up to 2^20 evaluates a few hundred k
+        w_lambda, w_gamma = WeightSequence("harmonic"), WeightSequence("constant")
+        w_lambda.prefix_sums(1 << 20)
+        w_gamma.prefix_sums(1 << 20)
+        tracemalloc.start()
+        try:
+            rep = criterion_lambda_gamma(w_lambda, w_gamma, 1.0, gauge_const_q(1.0, 20), 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not rep.inexact_scan and rep.levels[-1]["argmax_k"] == 1 << 20
+        assert peak < 4 << 20
+
+    def test_scan_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            rep = criterion_lambda_gamma(CONST1, CONST1, 1.0, gauge_const_q(1.0), 4)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"criterion scan: 4 levels to k=16, {rep.evaluations} evaluations, exact"]
 
 
 class TestPhiLambda:

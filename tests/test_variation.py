@@ -1,5 +1,6 @@
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -247,6 +248,13 @@ class TestNorm:
         fam = SchrammFamily("explicit", terms=[[1e-3, 1.0], [1e-4, 1.2]], k_max=KM)
         assert schramm_norm(huge, fam) == pytest.approx(1e308 + 2e305, rel=1e-9)
         assert schramm_norm(huge, expm1_family()) == math.inf
+        # a homogeneous family (degree 1) rescales its range the same way,
+        # while the variation itself is inf, without an overflow warning
+        fam = SchrammFamily("explicit", terms=[(1e-3, 1.0), (1e-4, 1.0)], k_max=KM)
+        assert schramm_norm(huge, fam) == pytest.approx(1e308 + 2e305, rel=1e-9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert variation_schramm(huge, fam).value == math.inf
 
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),
