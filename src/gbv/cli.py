@@ -18,6 +18,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -237,7 +238,9 @@ def cmd_norm(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser, built once per process: parsing leaves no state in it."""
     parser = argparse.ArgumentParser(
         prog="gbv",
         description="Generalized bounded-variation functionals, embedding "

@@ -84,12 +84,8 @@ def level_kernels(gauge, n_cap, horizon, parts):
 
 def lambda_gamma_parts(w_lambda, w_gamma, p):
     """Kernel parts ``Gamma(k)`` and ``Lambda(k)^{-1/p}`` (theorems 1.4/1.7)
-    at sorted distinct ``ks``."""
-    def parts(ks):
-        n = int(ks[-1])
-        i = slice(None) if len(ks) == n else ks - 1  # every k up to n: no gather
-        return w_gamma.prefix_sums(n)[i], w_lambda.prefix_sums(n)[i] ** (-1.0 / p)
-    return parts
+    at the ``ks`` given, and no others."""
+    return lambda ks: (w_gamma.prefix_sums_at(ks), w_lambda.prefix_sums_at(ks) ** (-1.0 / p))
 
 
 def schramm_parts(family):
@@ -97,11 +93,10 @@ def schramm_parts(family):
     return lambda ks: (ks, family.partial_inverse_many(ks, 1.0))
 
 
-def _split(lo, hi):
-    """Split each gap ``(lo, hi)`` into ``s = min(hi - lo, _SPLIT)`` parts:
-    the points ``lo = p_0 < ... < p_s = hi`` of every gap, concatenated,
-    with masks of the first and the last point of each gap."""
-    s = np.minimum(hi - lo, _SPLIT)
+def _split(lo, hi, s):
+    """Split each gap ``(lo, hi)`` into ``2 <= s <= hi - lo`` parts: the
+    points ``lo = p_0 < ... < p_s = hi`` of every gap, concatenated, with
+    masks of the first and the last point of each gap."""
     rep = s + 1
     j = np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
     s = np.repeat(s, rep)
@@ -181,6 +176,38 @@ class _Bracket:
                 "argmax_k": int(self.kstar[i])}
 
 
+def _widest(plan, room):
+    """The part of a refinement ``plan`` that asks for at most ``room`` new
+    points: its gaps with the largest bounds, relative to the max of the
+    lowest level holding them, the last one split into fewer parts."""
+    excess = np.concatenate([br.bound[done] / br.a[np.searchsorted(br.tops, br.hi[done])]
+                             for br, done, _ in plan])
+    order = np.argsort(-excess, kind="stable")
+    new = np.concatenate([s for *_, s in plan])[order] - 1
+    new = np.clip(room - (np.cumsum(new) - new), 0, new)
+    cut = np.zeros_like(new)
+    cut[order] = np.where(new > 0, new + 1, 0)
+    out, start = [], 0
+    for br, done, s_br in plan:
+        part, start = cut[start:start + len(s_br)], start + len(s_br)
+        if part.any():
+            mask = done.copy()
+            mask[done] = part > 0
+            out.append((br, mask, part[part > 0]))
+    return out
+
+
+def _asked(plan, ks):
+    """The split points of ``plan``, the sorted distinct ones inside the gaps,
+    their positions in ``ks`` and the mask of those not in it."""
+    cuts = [_split(br.lo[done], br.hi[done], s) for br, done, s in plan]
+    inside = [pts[~(first | last)] for pts, first, last in cuts]
+    asked = np.sort(np.concatenate(inside))
+    asked = asked[np.concatenate([[True], asked[1:] != asked[:-1]])]
+    at = np.searchsorted(ks, asked)
+    return cuts, inside, asked, at, ks[np.minimum(at, len(ks) - 1)] != asked
+
+
 def _bracket_scan(tops, exps, parts):
     """Per level the max of ``g(k)^{e_n} h(k)`` over ``1 <= k <= tops[n]``:
     ``(rows, inexact, evaluations)`` for :func:`_assemble`.
@@ -194,11 +221,12 @@ def _bracket_scan(tops, exps, parts):
     call on the k not evaluated before. Levels that share an exponent share
     their bounds. Where a split settles none of the gaps (a flat kernel),
     every k up to the top is evaluated in the next round. A level is exact
-    when no gap is left to refine. A scan that would need
-    more than ``SCAN_BUDGET`` evaluations stops, and its open levels report
-    the max found as ``a_n`` and the certified bound as ``a_n_upper``. A
-    scan over at most ``SCAN_BUDGET`` k is always exact, and gives the
-    ``a_n`` and ``argmax_k`` of a scan of every k.
+    when no gap is left to refine. When a full round would pass
+    ``SCAN_BUDGET`` evaluations, the rounds split only the gaps with the
+    largest bounds (:func:`_widest`) until the budget is spent; the open
+    levels then report the max found as ``a_n`` and the certified bound as
+    ``a_n_upper``. A scan over at most ``SCAN_BUDGET`` k is always exact,
+    and gives the ``a_n`` and ``argmax_k`` of a scan of every k.
     """
     top = max(tops)
     count = int(math.log2(top) * _SEED_PER_BINADE)
@@ -226,20 +254,20 @@ def _bracket_scan(tops, exps, parts):
             for br in flat:
                 br.reseed(ks[:br.tops[-1]], g[:br.tops[-1]], h[:br.tops[-1]])
         else:
-            cuts = [_split(br.lo[done], br.hi[done]) for br, done in live]
-            inside = [pts[~(first | last)] for pts, first, last in cuts]
-            asked = np.sort(np.concatenate(inside))
-            asked = asked[np.concatenate([[True], asked[1:] != asked[:-1]])]
-            at = np.searchsorted(ks, asked)
-            fresh = ks[np.minimum(at, len(ks) - 1)] != asked
+            # every flagged gap split _SPLIT ways, or into as many parts as it has room for
+            plan = [(br, done, np.minimum(br.hi[done] - br.lo[done], _SPLIT)) for br, done in live]
+            cuts, inside, asked, at, fresh = _asked(plan, ks)
             if len(ks) + np.count_nonzero(fresh) > SCAN_BUDGET:
-                break
+                plan = _widest(plan, SCAN_BUDGET - len(ks))
+                if not plan:
+                    break
+                cuts, inside, asked, at, fresh = _asked(plan, ks)
             if fresh.any():
                 g_new, h_new = parts(asked[fresh])
                 pos = at[fresh]
                 ks, g, h = (np.insert(ks, pos, asked[fresh]), np.insert(g, pos, g_new),
                             np.insert(h, pos, h_new))
-            for (br, done), (pts, first, last), pick in zip(live, cuts, inside):
+            for (br, done, _), (pts, first, last), pick in zip(plan, cuts, inside):
                 i = np.searchsorted(ks, pick)
                 br.refine(done, pts, first, last, g[i], h[i])
             split = True
@@ -285,9 +313,31 @@ def _assemble(level_rows, inexact, evaluations):
     )
 
 
+def _ratio_rises(w_gamma, w_lambda, horizon):
+    """Whether ``r_j = lam_j / gamma_j`` is nondecreasing for j <= horizon:
+    read up to one past both exact prefix tables, and beyond them from the
+    weights' growth ``lam_j = c j^a / log(j + 1)^b``."""
+    m = min(horizon, max(w_gamma.anchor, w_lambda.anchor) + 1)
+    r = w_lambda.weights(m) / w_gamma.weights(m)
+    if np.any(r[1:] < r[:-1]):
+        return False
+    if m == horizon:
+        return True
+    (a_lam, b_lam), (a_gam, b_gam) = w_lambda.growth, w_gamma.growth
+    da, db = a_lam - a_gam, b_gam - b_lam
+    # past m, d log r / dj = da / j + db / ((j + 1) log(j + 1)), which is
+    # >= 0 when da >= 0 and either db >= 0 or da log(m + 1) >= -db
+    return da >= 0 and (db >= 0 or da * math.log(m + 1) >= -db)
+
+
 def check_ratio_nondecreasing(w_gamma, w_lambda, horizon):
     """Raise :class:`HypothesisError`, with the first bad k as ``index``,
     unless Gamma(k)/Lambda(k) is nondecreasing over k <= horizon."""
+    # Gamma(k)/Lambda(k) = sum_{j<=k} r_j / lam_j / Lambda(k) is a weighted
+    # mean of r_1..r_k: a nondecreasing r (Gamma constant, or Gamma = Lambda)
+    # proves it without a prefix read; otherwise every step is checked
+    if _ratio_rises(w_gamma, w_lambda, horizon):
+        return
     gamma, lam = w_gamma.prefix_sums(horizon), w_lambda.prefix_sums(horizon)
     # blocks overlap by one k, so every step k -> k + 1 is checked once
     for start in range(0, horizon - 1, BISECT_CHUNK):
@@ -370,7 +420,8 @@ def criterion_union_p(weights: WeightSequence, p: float, gauge: GaugePair,
     must come out bounded for every admissible ``p``."""
     if not 1 <= p < gauge.q_limit:
         raise ValidationError(f"need 1 <= p < q (p={p}, q={gauge.q_limit})")
-    # Gamma = Lambda makes the ratio hypothesis trivial, so levels with
-    # q_n < p are admissible through the second-part route
+    # Gamma = Lambda makes r_j = 1, which proves the ratio hypothesis without
+    # a prefix read, so levels with q_n < p are admissible through the
+    # second-part route
     return criterion_lambda_gamma(weights, weights, p, gauge, n_cap,
                                   second_part=True)

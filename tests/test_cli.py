@@ -89,6 +89,14 @@ class TestCriterionCommand:
                     "--output", str(tmp_path / "r.json")])
         assert code == 2
 
+    def test_ratio_hypothesis_failure(self, tmp_path, capsys):
+        code = run(["criterion", "--theorem", "1.4", "--lambda", "power:0.5",
+                    "--gamma", "harmonic", "--p", "2", "--qn", "linear",
+                    "--second-part", "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: Gamma(k)/Lambda(k) decreases at k=2\n")
+
     def test_theorem_18(self, tmp_path):
         out = tmp_path / "rep.json"
         fam = json.dumps({"kind": "power", "p": 2,
@@ -200,6 +208,45 @@ class TestNormCommand:
 
 
 def test_version(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+
+
+class TestCachedParser:
+    """One parser serves every call of a process."""
+
+    def test_built_once(self):
+        assert gbv.cli.build_parser() is gbv.cli.build_parser()
+
+    def test_append_default_is_not_shared(self, tmp_path):
+        fam = json.dumps({"kind": "power", "p": 2, "weights": {"kind": "harmonic"}})
+        argv = ["inequality", "--suite", "wu", "--samples", "5", "--seed", "3",
+                "--kmax", "64"]
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(argv + ["--family", fam, "--output", str(first)]) == 0
+        assert run(argv + ["--output", str(second)]) == 0
+        assert json.loads(first.read_text())["config"]["family"] == [fam]
+        assert json.loads(second.read_text())["config"]["family"] == []
+
+    def test_mixed_subcommands_give_identical_reports(self, zigzag_csv, tmp_path):
+        calls = {
+            "criterion": ["criterion", "--theorem", "1.4", "--lambda", "harmonic",
+                          "--gamma", "constant", "--p", "2", "--qn", "linear",
+                          "--ncap", "12", "--second-part"],
+            "variation": ["variation", "--input", zigzag_csv, "--functional",
+                          "lambda", "--weights", "power:0.5", "--p", "2"],
+            "counterexample": TestCounterexampleCommand.ARGS,
+            "norm": ["norm", "--input", zigzag_csv, "--family",
+                     json.dumps({"kind": "power", "p": 2,
+                                 "weights": {"kind": "harmonic"}})],
+        }
+        reports = {}
+        for rnd, order in enumerate([list(calls), list(calls)[::-1]]):
+            for name in order:
+                out = tmp_path / f"{name}-{rnd}.json"
+                assert run(calls[name] + ["--output", str(out)]) == 0
+                reports.setdefault(name, []).append(out.read_bytes())
+        for first, second in reports.values():
+            assert first == second

@@ -105,6 +105,41 @@ class TestLambdaGamma:
                                    second_part=True)
         assert exc.value.index == 2
 
+    @pytest.mark.parametrize("same", [True, False])
+    def test_ratio_proof_reads_no_prefix(self, same):
+        # Gamma = Lambda (r_j = 1) and Gamma constant (r_j = lam_j / c) are
+        # nondecreasing, so the hypothesis holds without a prefix read
+        w_lambda = WeightSequence("harmonic")
+        w_gamma = w_lambda if same else WeightSequence("constant", value=3.0)
+        gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, 1 << 20)
+        assert w_lambda._head is None and w_gamma._head is None
+
+    def test_ratio_with_unordered_r_checked_densely(self):
+        # r = (1, 2, 4/3, 4/3, ...) is not monotone, yet Gamma/Lambda is
+        # (1, 4/3, 4/3, ...): the dense route passes it
+        w_lambda = WeightSequence("explicit", terms=[1.0, 2.0, 2.0], k_max=KM)
+        w_gamma = WeightSequence("explicit", terms=[1.0, 1.0, 1.5], k_max=KM)
+        assert not gbv.criteria._ratio_rises(w_gamma, w_lambda, KM)
+        gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+        assert w_lambda._head is not None
+        gauge = GaugePair.build("linear", "pow2", n_max=8)
+        criterion_lambda_gamma(w_lambda, w_gamma, 2.0, gauge, 8, second_part=True)
+
+    @pytest.mark.parametrize("lam", sorted(WEIGHTS))
+    @pytest.mark.parametrize("gamma", sorted(WEIGHTS))
+    def test_ratio_proof_agrees_with_dense_check(self, lam, gamma):
+        w_lambda, w_gamma = WEIGHTS[lam](), WEIGHTS[gamma]()
+        ks = np.arange(1, KM + 1)
+        ratio = w_gamma.prefix_sums_at(ks) / w_lambda.prefix_sums_at(ks)
+        rises = bool(np.all(np.diff(ratio) >= -1e-12 * ratio[:-1]))
+        if gbv.criteria._ratio_rises(w_gamma, w_lambda, KM):
+            assert rises
+        if rises:
+            gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+        else:
+            with pytest.raises(HypothesisError, match="decreases at k="):
+                gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+
     def test_horizon_guard(self):
         short = WeightSequence("harmonic", k_max=100)
         with pytest.raises(HorizonError):
@@ -214,6 +249,39 @@ class TestSchramm:
         assert np.all(g ** 0.5 * h <= lv["a_n_upper"])
         assert lv["a_n"] == pytest.approx(math.sqrt(2 * KM / (KM + 1)), rel=1e-9)
 
+    def test_scan_spends_the_budget(self, monkeypatch):
+        # the last round splits only the gaps with the largest bounds: the
+        # scan spends the whole budget and brackets no looser than stopping
+        # before that round
+        monkeypatch.setattr(gbv.criteria, "SCAN_BUDGET", 2000)
+        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=KM)
+        gauge = GaugePair.build("const", "list", n_max=1, q=2.0, delta_list=[KM])
+        rep = criterion_schramm(fam, gauge, 1)
+        monkeypatch.setattr(gbv.criteria, "_widest", lambda plan, room: [])
+        early = criterion_schramm(fam, gauge, 1)
+        assert rep.inexact_scan and early.inexact_scan
+        assert early.evaluations < rep.evaluations == 2000
+        (lv,), (lv0,) = rep.levels, early.levels
+        assert lv0["a_n"] <= lv["a_n"] <= lv["a_n_upper"] < lv0["a_n_upper"]
+        ks = np.unique(np.random.default_rng(5).integers(1, KM + 1, size=500))
+        g, h = schramm_parts(fam)(ks)
+        assert np.all(g ** 0.5 * h <= lv["a_n_upper"])
+
+    def test_budget_split_across_levels(self, monkeypatch):
+        # levels with different exponents share the budget and each keeps a
+        # certified bracket
+        monkeypatch.setattr(gbv.criteria, "SCAN_BUDGET", 3000)
+        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=KM)
+        gauge = GaugePair.build("list", "list", qn_list=[1.99, 1.995, 2.0],
+                                delta_list=[KM // 4, KM // 2, KM])
+        rep = criterion_schramm(fam, gauge, 3)
+        assert rep.inexact_scan and rep.evaluations <= 3000
+        ks = np.unique(np.random.default_rng(6).integers(1, KM + 1, size=500))
+        g, h = schramm_parts(fam)(ks)
+        for lv, top, q in zip(rep.levels, gauge.deltas, gauge.qn):
+            kernel = (g ** (1.0 / q) * h)[ks <= top]
+            assert np.all(kernel <= lv["a_n_upper"]) and lv["a_n"] <= lv["a_n_upper"]
+
     def test_flat_kernel_is_exact_under_the_budget(self):
         # Phi_k(x) = k x^2 / 3, so k^{1/2} Phi_k^{-1}(1) = 3^{1/2} for every k:
         # no bound prunes, and a scan of SCAN_BUDGET k still closes
@@ -278,19 +346,28 @@ class TestBracketScan:
         assert 50 < rep.levels[0]["argmax_k"] < 4096
 
     def test_scan_memory_is_small(self):
-        # only the sequences' own tables are 2^20 long: the scan of
-        # delta_n = 2^n up to 2^20 evaluates a few hundred k
-        w_lambda, w_gamma = WeightSequence("harmonic"), WeightSequence("constant")
-        w_lambda.prefix_sums(1 << 20)
-        w_gamma.prefix_sums(1 << 20)
-        tracemalloc.start()
-        try:
-            rep = criterion_lambda_gamma(w_lambda, w_gamma, 1.0, gauge_const_q(1.0, 20), 20)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert not rep.inexact_scan and rep.levels[-1]["argmax_k"] == 1 << 20
-        assert peak < 4 << 20
+        # fresh sequences: a scan of delta_n = 2^n up to 2^20 reads a few
+        # hundred k, and no prefix table grows past the anchor
+        for theorem in ("1.4", "1.7"):
+            tracemalloc.start()
+            try:
+                w_lambda, w_gamma = WeightSequence("harmonic"), WeightSequence("constant")
+                if theorem == "1.4":
+                    rep = criterion_lambda_gamma(w_lambda, w_gamma, 1.0,
+                                                 gauge_const_q(1.0, 20), 20)
+                else:
+                    w_gamma = w_lambda
+                    rep = criterion_union_p(w_lambda, 1.5,
+                                            GaugePair.build("linear", "pow2", n_max=20), 20)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not rep.inexact_scan
+            assert peak < 4 << 20
+            for w in (w_lambda, w_gamma):
+                assert len(w._head) == w.anchor < 1 << 20
+            if theorem == "1.4":
+                assert rep.levels[-1]["argmax_k"] == 1 << 20
 
     def test_scan_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="gbv"):

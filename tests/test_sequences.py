@@ -6,7 +6,7 @@ import pytest
 
 from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
                  SchrammFamily, ValidationError, WeightSequence)
-from gbv.sequences import BISECT_X_TOL, INVERSE_TOL
+from gbv.sequences import BISECT_X_TOL, INVERSE_TOL, PREFIX_ANCHOR
 
 KM = 4096
 KINDS = [
@@ -94,6 +94,66 @@ class TestWeightSequence:
         w = WeightSequence("power", alpha=0.5, k_max=64)
         w2 = WeightSequence.from_config(w.to_config())
         assert w2.prefix_sum(64) == w.prefix_sum(64)
+
+
+class TestPrefixSums:
+    """A running sum up to the anchor, the kind's closed form past it."""
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
+    def test_closed_form_against_fsum(self, kind, kw):
+        w = WeightSequence(kind, **kw)
+        inv = (1.0 / w.weights(1 << 20)).tolist()
+        for k in (PREFIX_ANCHOR + 1, 1 << 16, 1 << 20):
+            exact = math.fsum(inv[:k])
+            assert abs(w.prefix_sum(k) - exact) <= 1e-13 * exact
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
+    def test_dense_scalar_and_array_reads_agree(self, kind, kw):
+        w = WeightSequence(kind, k_max=1 << 16, **kw)
+        dense = w.prefix_sums(1 << 16)
+        ks = np.array([1, 2, PREFIX_ANCHOR - 1, PREFIX_ANCHOR, PREFIX_ANCHOR + 1,
+                       PREFIX_ANCHOR + 2, 9999, 40000, 1 << 16])
+        at = w.prefix_sums_at(ks)
+        assert np.array_equal(at, dense[ks - 1])
+        assert [w.prefix_sum(int(k)) for k in ks] == at.tolist()
+        # reads of one k, of a 2-d array and of the k out of order agree too
+        assert np.array_equal(w.prefix_sums_at(ks[::-1].reshape(3, 3)),
+                              at[::-1].reshape(3, 3))
+        assert np.array_equal(w.prefix_sums_at(ks[4]), at[4])
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
+    def test_strictly_increasing_across_the_anchor(self, kind, kw):
+        w = WeightSequence(kind, **kw)
+        pref = w.prefix_sums(PREFIX_ANCHOR + 64)
+        assert np.all(np.diff(pref) > 0)
+        # each step past the anchor is 1 / lam_k
+        steps = np.diff(pref[PREFIX_ANCHOR - 1:])
+        np.testing.assert_allclose(
+            steps, 1.0 / w.weights(PREFIX_ANCHOR + 64)[PREFIX_ANCHOR:], rtol=1e-8)
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
+    def test_array_read_horizon(self, kind, kw):
+        w = WeightSequence(kind, k_max=5000, **kw)
+        for k in (0, 5001):
+            with pytest.raises(HorizonError, match=f"^index {k} outside horizon 1..5000$"):
+                w.prefix_sums_at(np.array([3, k, 7]))
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
+    def test_no_table_past_the_anchor(self, kind, kw):
+        w = WeightSequence(kind, **kw)
+        w.prefix_sums_at(np.array([1, 1 << 19, 1 << 20]))
+        w.prefix_sum(1 << 20)
+        w.prefix_sums(1 << 20)
+        assert len(w._head) == w.anchor == PREFIX_ANCHOR
+        assert len(w._lam) == 0
+
+    def test_long_explicit_list_is_summed_exactly(self):
+        terms = np.linspace(1.0, 2.0, 5000).tolist()
+        w = WeightSequence("explicit", terms=terms, k_max=8000)
+        assert w.anchor == 5000
+        pref = w.prefix_sums(8000)
+        assert pref[4999] == np.cumsum(1.0 / np.array(terms))[-1]
+        assert pref[-1] == pref[4999] + 3000 / 2.0
 
 
 class TestSchrammFamily:
