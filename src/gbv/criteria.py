@@ -313,35 +313,19 @@ def _assemble(level_rows, inexact, evaluations):
     )
 
 
-def _ratio_rises(w_gamma, w_lambda, horizon):
-    """Whether ``r_j = lam_j / gamma_j`` is nondecreasing for j <= horizon:
-    read up to one past both exact prefix tables, and beyond them from the
-    weights' growth ``lam_j = c j^a / log(j + 1)^b``."""
-    m = min(horizon, max(w_gamma.anchor, w_lambda.anchor) + 1)
-    r = w_lambda.weights(m) / w_gamma.weights(m)
-    if np.any(r[1:] < r[:-1]):
-        return False
-    if m == horizon:
-        return True
-    (a_lam, b_lam), (a_gam, b_gam) = w_lambda.growth, w_gamma.growth
-    da, db = a_lam - a_gam, b_gam - b_lam
-    # past m, d log r / dj = da / j + db / ((j + 1) log(j + 1)), which is
-    # >= 0 when da >= 0 and either db >= 0 or da log(m + 1) >= -db
-    return da >= 0 and (db >= 0 or da * math.log(m + 1) >= -db)
-
-
 def check_ratio_nondecreasing(w_gamma, w_lambda, horizon):
     """Raise :class:`HypothesisError`, with the first bad k as ``index``,
     unless Gamma(k)/Lambda(k) is nondecreasing over k <= horizon."""
     # Gamma(k)/Lambda(k) = sum_{j<=k} r_j / lam_j / Lambda(k) is a weighted
-    # mean of r_1..r_k: a nondecreasing r (Gamma constant, or Gamma = Lambda)
-    # proves it without a prefix read; otherwise every step is checked
-    if _ratio_rises(w_gamma, w_lambda, horizon):
+    # mean of r_j = lam_j / gamma_j: a nondecreasing r (Gamma constant, or
+    # Gamma = Lambda) proves it without a prefix read; otherwise every step
+    # is checked, one block of k at a time, so a failure stops at its block
+    if w_lambda.ratio_rises(w_gamma, horizon):
         return
-    gamma, lam = w_gamma.prefix_sums(horizon), w_lambda.prefix_sums(horizon)
     # blocks overlap by one k, so every step k -> k + 1 is checked once
     for start in range(0, horizon - 1, BISECT_CHUNK):
-        ratio = gamma[start:start + BISECT_CHUNK + 1] / lam[start:start + BISECT_CHUNK + 1]
+        ks = np.arange(start + 1, min(start + BISECT_CHUNK + 1, horizon) + 1)
+        ratio = w_gamma.prefix_sums_at(ks) / w_lambda.prefix_sums_at(ks)
         bad = np.flatnonzero(np.diff(ratio) < -1e-12 * ratio[:-1])
         if len(bad):
             k = start + int(bad[0]) + 2

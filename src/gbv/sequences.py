@@ -113,8 +113,7 @@ class WeightSequence:
             return j ** float(self.alpha)
         return j / np.log(j + 1.0)
 
-    @property
-    def growth(self):
+    def _growth(self):
         """``(a, b)`` with ``lam_j = c j^a / log(j + 1)^b`` for some c > 0 and
         every j past ``anchor``."""
         if self.kind == "power":
@@ -190,10 +189,7 @@ class WeightSequence:
     def prefix_sums(self, k):
         """``L(1..k)`` as a read-only array."""
         self._check(k)
-        head = self._prefix_head()
-        if k <= self.anchor:
-            return head[:k]
-        pref = np.concatenate([head, head[-1] + self._tail(np.arange(self.anchor + 1, k + 1))])
+        pref = self.prefix_sums_at(np.arange(1, k + 1))
         pref.setflags(write=False)
         return pref
 
@@ -206,6 +202,22 @@ class WeightSequence:
         # "clip" reads L(anchor) for every k past it, which np.where replaces
         return np.where(ks > self.anchor, head[-1] + self._tail(ks),
                         head.take(ks - 1, mode="clip"))
+
+    def ratio_rises(self, other, k):
+        """Whether ``r_j = lam_j / other.lam_j`` is nondecreasing for j <= k:
+        read from the weights up to one past both anchors, and beyond them
+        from the kinds' growth ``lam_j = c j^a / log(j + 1)^b``."""
+        m = min(k, max(self.anchor, other.anchor) + 1)
+        r = self.weights(m) / other.weights(m)
+        if np.any(r[1:] < r[:-1]):
+            return False
+        if m == k:
+            return True
+        (a_lam, b_lam), (a_oth, b_oth) = self._growth(), other._growth()
+        da, db = a_lam - a_oth, b_oth - b_lam
+        # past m, d log r / dj = da / j + db / ((j + 1) log(j + 1)), which is
+        # >= 0 when da >= 0 and either db >= 0 or da log(m + 1) >= -db
+        return da >= 0 and (db >= 0 or da * math.log(m + 1) >= -db)
 
     def to_config(self):
         cfg = {"kind": self.kind, "k_max": self.k_max}

@@ -119,7 +119,7 @@ class TestLambdaGamma:
         # (1, 4/3, 4/3, ...): the dense route passes it
         w_lambda = WeightSequence("explicit", terms=[1.0, 2.0, 2.0], k_max=KM)
         w_gamma = WeightSequence("explicit", terms=[1.0, 1.0, 1.5], k_max=KM)
-        assert not gbv.criteria._ratio_rises(w_gamma, w_lambda, KM)
+        assert not w_lambda.ratio_rises(w_gamma, KM)
         gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
         assert w_lambda._head is not None
         gauge = GaugePair.build("linear", "pow2", n_max=8)
@@ -132,13 +132,44 @@ class TestLambdaGamma:
         ks = np.arange(1, KM + 1)
         ratio = w_gamma.prefix_sums_at(ks) / w_lambda.prefix_sums_at(ks)
         rises = bool(np.all(np.diff(ratio) >= -1e-12 * ratio[:-1]))
-        if gbv.criteria._ratio_rises(w_gamma, w_lambda, KM):
+        if w_lambda.ratio_rises(w_gamma, KM):
             assert rises
         if rises:
             gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
         else:
             with pytest.raises(HypothesisError, match="decreases at k="):
                 gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+
+    def test_ratio_failure_stops_at_its_block(self):
+        # r_j = j^{-1/2} falls from the start, so the dense check runs and
+        # fails at k = 2 after one block of k: far less memory than one
+        # 8 MB array of the 2^20-entry horizon
+        tracemalloc.start()
+        try:
+            w_lambda, w_gamma = WeightSequence("power", alpha=0.5), WeightSequence("harmonic")
+            with pytest.raises(HypothesisError,
+                               match=r"^Gamma\(k\)/Lambda\(k\) decreases at k=2$") as exc:
+                gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, 1 << 20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.index == 2
+        assert peak < 8 << 20
+
+    def test_constant_gamma_against_fsum(self):
+        # Gamma(k) = k/3 is where a running sum drifts most: by 2^20 it is
+        # 5.8e-12 relative off math.fsum of the terms, while the scan's a_n,
+        # read from the closed form, stay within 1e-13 of it
+        w_lambda, w_gamma = WeightSequence("harmonic"), WeightSequence("constant", value=3.0)
+        rep = criterion_lambda_gamma(w_lambda, w_gamma, 1.0, gauge_const_q(1.0, 20), 20)
+        inv = (1.0 / np.arange(1, (1 << 20) + 1)).tolist()
+        for lv in rep.levels:
+            k = lv["argmax_k"]
+            exact = math.fsum([1.0 / 3.0] * k) / math.fsum(inv[:k])
+            assert lv["a_n"] == pytest.approx(exact, rel=1e-13)
+        assert k == 1 << 20
+        running = np.cumsum(np.full(k, 1.0 / 3.0))[-1] / np.cumsum(inv)[-1]
+        assert abs(running - exact) > 1e-12 * exact
 
     def test_horizon_guard(self):
         short = WeightSequence("harmonic", k_max=100)

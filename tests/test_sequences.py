@@ -132,6 +132,15 @@ class TestPrefixSums:
             steps, 1.0 / w.weights(PREFIX_ANCHOR + 64)[PREFIX_ANCHOR:], rtol=1e-8)
 
     @pytest.mark.parametrize("kind,kw", KINDS)
+    def test_growth_matches_the_weights(self, kind, kw):
+        # the ratio proof reads lam_j = c j^a / log(j + 1)^b past the anchor
+        w = WeightSequence(kind, **kw)
+        a, b = w._growth()
+        j = np.arange(PREFIX_ANCHOR + 1, (1 << 20) + 1, 997)
+        c = w.weights(1 << 20)[j - 1] * j ** -a * np.log(j + 1.0) ** b
+        np.testing.assert_allclose(c, c[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind,kw", KINDS)
     def test_array_read_horizon(self, kind, kw):
         w = WeightSequence(kind, k_max=5000, **kw)
         for k in (0, 5001):
