@@ -189,6 +189,8 @@ class WeightSequence:
     def prefix_sums(self, k):
         """``L(1..k)`` as a read-only array."""
         self._check(k)
+        if k <= self.anchor:  # a view of the exact table
+            return self._prefix_head()[:k]
         pref = self.prefix_sums_at(np.arange(1, k + 1))
         pref.setflags(write=False)
         return pref
@@ -196,12 +198,15 @@ class WeightSequence:
     def prefix_sums_at(self, ks):
         """``L(k)`` at every k of an integer array, as a new array of its shape."""
         ks = np.asarray(ks, dtype=np.int64)
-        if ks.size and not 1 <= ks.min() <= ks.max() <= self.k_max:
+        top = ks.max(initial=1)
+        if not 1 <= ks.min(initial=1) <= top <= self.k_max:
             self._check(int(ks[(ks < 1) | (ks > self.k_max)][0]))
         head = self._prefix_head()
         # "clip" reads L(anchor) for every k past it, which np.where replaces
-        return np.where(ks > self.anchor, head[-1] + self._tail(ks),
-                        head.take(ks - 1, mode="clip"))
+        inside = head.take(ks - 1, mode="clip")
+        if top <= self.anchor:
+            return inside
+        return np.where(ks > self.anchor, head[-1] + self._tail(ks), inside)
 
     def ratio_rises(self, other, k):
         """Whether ``r_j = lam_j / other.lam_j`` is nondecreasing for j <= k:
