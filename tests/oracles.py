@@ -44,6 +44,23 @@ def oracle_modulus(values, n, min_len=1):
     return best
 
 
+def dp_modulus(values, n, min_len=1):
+    """Largest total increment over at most ``n`` nonoverlapping intervals
+    of grid length >= ``min_len``, by the textbook recursion in plain
+    Python: best_k(i) = max(best_k(i + 1), max_b |v_b - v_i| + best_{k-1}(b)).
+    O(m^2 n), so it reaches sizes that ``oracle_modulus`` cannot."""
+    m = len(values) - 1
+    prev = [0.0] * (m + 2)
+    for _ in range(n):
+        cur = [0.0] * (m + 2)
+        for i in range(m - min_len, -1, -1):
+            take = max(abs(values[b] - values[i]) + prev[b]
+                       for b in range(i + min_len, m + 1))
+            cur[i] = max(cur[i + 1], take)
+        prev = cur
+    return prev[0]
+
+
 def oracle_unweighted_q(values, q, s_max, min_len=1):
     m = len(values) - 1
     best = 0.0

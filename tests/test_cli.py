@@ -62,6 +62,12 @@ class TestVariationCommand:
         assert rep["result"]["value"] == pytest.approx(25 / 12)
         assert rep["result"]["mode"] == "exact-oracle"
 
+    def test_smax_below_one_exits_one(self, zigzag_csv, capsys):
+        code = run(["variation", "--input", zigzag_csv, "--functional", "q",
+                    "--q", "1", "--smax", "0"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: s_max must be >= 1\n"
+
     def test_missing_input_exits_one(self, tmp_path):
         code = run(["variation", "--input", str(tmp_path / "absent.csv"),
                     "--functional", "modulus"])

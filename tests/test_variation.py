@@ -79,6 +79,25 @@ class TestModulus:
         with pytest.raises(ValidationError):
             modulus_of_variation(ZIGZAG, 0)
 
+    def test_concavity_check_is_relative(self):
+        # round-off in a table of values near 1e4 exceeds an absolute 1e-12
+        rng = np.random.default_rng(0)
+        values = rng.standard_normal(106) * 1e3
+        res = modulus_of_variation(StepFunction(values), 8)
+        assert res.value == pytest.approx(oracles.dp_modulus(values.tolist(), 8), rel=1e-12)
+
+    def test_infinite_modulus_raises_no_warning(self):
+        f = StepFunction([-1e308, 1e308, -1e308])
+        res = modulus_of_variation(f, 2)
+        assert res.value == math.inf and res.witness.pairs == ((0, 1), (1, 2))
+
+    def test_path_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            modulus_of_variation(ZIGZAG, 2)
+            modulus_of_variation(ZIGZAG, 9)
+        assert [r.getMessage() for r in caplog.records] == [
+            "exact-dp linear: m=4, n=2", "exact-dp linear: m=4, n=4"]
+
 
 class TestUnweightedQ:
     def test_zigzag_q2(self):
@@ -100,6 +119,11 @@ class TestUnweightedQ:
     def test_s_max_cap(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, s_max=1)
         assert res.value == 1.0
+
+    @pytest.mark.parametrize("s_max", [0, -3])
+    def test_s_max_below_one_rejected(self, s_max):
+        with pytest.raises(ValidationError, match="s_max must be >= 1"):
+            variation_unweighted_q(ZIGZAG, 2.0, s_max=s_max)
 
 
 class TestWeighted:
@@ -371,7 +395,7 @@ def test_weighted_matches_oracle_property(vals, p):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(-4, 4), min_size=3, max_size=9),
        st.sampled_from([1.0, 2.0, 3.0]),
-       st.sampled_from([0, 1, 2, 3, None]), st.sampled_from([1, 2, 3]))
+       st.sampled_from([1, 2, 3, None]), st.sampled_from([1, 2, 3]))
 def test_unweighted_q_matches_oracle_property(vals, q, s_max, min_len):
     values = [v / 4.0 for v in vals]
     f = StepFunction(values)
@@ -383,8 +407,6 @@ def test_unweighted_q_matches_oracle_property(vals, q, s_max, min_len):
     assert all(b - a >= min_len for a, b in res.witness.pairs)
     redo = sum(x ** q for x in res.witness.increments) ** (1.0 / q)
     assert redo == pytest.approx(res.value, rel=1e-12, abs=1e-12)
-    if s_max == 0:
-        assert res.value == 0.0 and len(res.witness) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -606,3 +628,68 @@ def test_skeleton_solve_matches_oracle_property(runs, shape):
                                                                  abs=1e-12)
         if res.mode == "exact-oracle":
             assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def dyadic_samples(draw, max_m=64):
+    """Quarter-step walks and half-step plateau trains, on 0 or 1e15: every
+    sum the DPs form is exact."""
+    offset = draw(st.sampled_from([0.0, 1e15]))
+    if draw(st.booleans()):
+        steps = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=max_m))
+        return offset + np.concatenate([[0.0], np.cumsum(steps) / 4.0])
+    runs = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 12)),
+                         min_size=2, max_size=12))
+    values = np.repeat([h / 2.0 for h, _ in runs], [r for _, r in runs])
+    return offset + values[:max_m + 1]
+
+
+_DP = gbv.variation._dp
+
+
+def per_position_dp(values, gainfn, min_len, count=None):
+    """``_dp`` forced onto its per-position rule, whatever the gain."""
+    return _DP(values, lambda x: gainfn(x), min_len, count)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dyadic_samples(), st.integers(1, 3), st.integers(1, 9))
+def test_linear_column_rule_matches_per_position_property(values, min_len, n):
+    best, walk = _DP(values, gbv.variation._linear, min_len, n)
+    ref, ref_walk = per_position_dp(values, gbv.variation._linear, min_len, n)
+    assert np.array_equal(best, ref)
+    for col in range(best.shape[1]):
+        assert walk(col) == ref_walk(col)
+
+
+@st.composite
+def float_samples(draw, max_m=64):
+    """Floats of any scale up to 1e3, or quarter steps on 1e15."""
+    if draw(st.booleans()):
+        ks = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=max_m + 1))
+        return [1e15 + k / 4.0 for k in ks]
+    return draw(st.lists(st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False),
+                         min_size=2, max_size=max_m + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(float_samples(), st.integers(1, 3), st.integers(1, 9))
+def test_linear_column_rule_matches_dp_oracle_property(values, min_len, n):
+    f = StepFunction(values)
+    truth = oracles.dp_modulus(values, n, min_len)
+    res = variation_unweighted_q(f, 1.0, s_max=n, min_len=min_len)
+    assert res.value == pytest.approx(truth, rel=1e-12, abs=0.0)
+    if min_len == 1:
+        res = modulus_of_variation(f, n)
+        assert res.value == pytest.approx(truth, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dyadic_samples(), st.sampled_from([1.0, 2.0]))
+def test_future_bounds_unchanged_property(values, p):
+    skeleton = values[gbv.variation._skeleton(values)]
+    family = SchrammFamily.power(p, HARMONIC)
+    bounds = gbv.variation._future_bounds(skeleton, family, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gbv.variation, "_dp", per_position_dp)
+        assert np.array_equal(bounds, gbv.variation._future_bounds(skeleton, family, 1))
