@@ -123,7 +123,7 @@ def _dp(values, gainfn, min_len, count=None):
     ``max(U[i + min_len] - v_i, D[i + min_len] + v_i)`` with the suffix maxima
     ``U[j] = max_{b >= j} (v_b + best[b, k-1])`` and
     ``D[j] = max_{b >= j} (best[b, k-1] - v_b)``, and column k is the suffix
-    maximum of the takes: five vector ops of length m a column, O(K) numpy
+    maximum of the takes: eight vector ops of length m a column, O(K) numpy
     calls in all. A zero increment may enter U or D, but its take never
     exceeds skipping, so the table is the same, bit for bit when every sum
     is exact (dyadic samples). The samples are centred on
