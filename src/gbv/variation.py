@@ -96,27 +96,40 @@ def _suffix_max(x):
     return np.maximum.accumulate(x[::-1])[::-1]
 
 
-def _dp(values, gainfn, min_len, count=None):
-    """The interval DP: ``best[i, k]`` is the largest sum of
-    ``gainfn(|f(t_b) - f(t_a)|)`` over at most k nonoverlapping intervals
-    inside [i, m], each of grid length >= ``min_len``. Returns the table and
-    ``walk(col)``, the witness pairs of ``best[0, col]``.
+#: gains held per chunk of start positions, in floats: a chunk of starts
+#: shares one call of each gain function, and memory stays flat in m
+_GAIN_CHUNK = 1 << 16
 
-    With a ``count`` cap, column k reads column k - 1 and column 0 is
-    zero. Pass ``count=None`` when the cap cannot bind (at most
-    ``m // min_len`` intervals fit): the table is then a single column
-    that reads itself, equal bit for bit to the last column of the capped
-    table, and no k axis is built.
+
+def _dp(values, levels, count=None):
+    """The interval DP: ``best[i, c]`` is the largest sum of
+    ``gainfn(|f(t_b) - f(t_a)|)`` over nonoverlapping intervals inside
+    [i, m], each of grid length >= ``min_len``, where ``levels`` is a list
+    of ``(gainfn, min_len)`` pairs. Returns the table and ``walk(col)``,
+    the witness pairs of ``best[0, col]``.
+
+    With a ``count`` cap there is one level, column k counts at most k
+    intervals and reads column k - 1, and column 0 is zero. Pass
+    ``count=None`` when the cap cannot bind (at most ``m // min_len``
+    intervals fit): column c is then level c's own, and reads itself. A
+    one-level uncapped table equals the last column of the capped table
+    bit for bit, and each column of a several-level table equals its
+    level's one-level table bit for bit, so a gauge solves all its levels
+    in one pass.
 
     Two column rules fill the table. Tie rule of both: take the interval
     when taking ties skipping, pick the smallest end among equal takes, and
     never take a zero increment. A gain past the largest float is inf.
 
-    Per position (any gain): one ``argmax`` over the ends per grid
-    position, vectorized over k, records ``end[i, k]``, where the interval
-    starting at i ends in an optimal collection (0 to skip i), in the same
-    backward pass. O(m) numpy calls of size m·K. Zero increments are
-    masked after the sum, so an inf gain never meets their -inf.
+    Per position (any gains): one ``argmax`` over the ends per grid
+    position, vectorized over the columns, records ``end[i, c]``, where the
+    interval starting at i ends in an optimal collection (0 to skip i), in
+    the same backward pass. O(m) numpy calls of size m·K, where K is the
+    number of columns. Each distinct gain function is called once per chunk
+    of ``_GAIN_CHUNK`` gains (its own function, with numpy's scalar ``**``
+    fast paths), not once per position. Zero increments, and ends too short
+    for a level, are masked after the sum, so an inf gain never meets their
+    -inf.
 
     Per column (the linear gain :func:`_linear` with a count cap): as
     |v_b - v_i| = max(v_b - v_i, v_i - v_b), the take at i is
@@ -131,37 +144,59 @@ def _dp(values, gainfn, min_len, count=None):
     pointers are stored: ``walk`` rebuilds the takes of only the columns it
     visits, and of the positions where the take reaches skipping picks the
     first whose take over nonzero increments still does, which is the
-    per-position rule's choice. The single uncapped column stays per
-    position, where it is cheaper (2.0 against 4.5 ms for table and walk
-    at m = 256, where the column rule needs all m columns), and so do
-    tables whose every column is walked, such as ``_rank_bounds``' (a
-    column rebuilt per walk would cost O(K^2) calls).
+    per-position rule's choice. Uncapped columns stay per position, where
+    they are cheaper (2.0 against 4.5 ms for table and walk at m = 256,
+    where the column rule needs all m columns), and so do tables whose every
+    column is walked, such as ``_rank_bounds``' (a column rebuilt per walk
+    would cost O(K^2) calls).
     """
     m = len(values) - 1
+    fns, lens = zip(*levels)
     if count is None:
-        width, shift = 1, 0
+        width, shift = len(levels), 0
     else:
+        (min_len,) = lens
         width, shift = max(0, min(count, m // min_len)) + 1, 1
     n = width - shift  # columns filled, reading columns 0..n-1
     best = np.zeros((m + 2, width))
-    if gainfn is _linear and shift:
+    if fns[0] is _linear and shift:
         return _linear_columns(values, min_len, best)
     end = np.zeros((m + 2, width), dtype=np.intp)
-    walk = partial(_walk, best, end)
-    if n == 0:
+    walk = partial(_walk, best, end, shift)
+    first = min(lens)  # every end of a start i lies in i + first..m
+    if n == 0 or first > m:
         return best, walk
+    gains = list(dict.fromkeys(fns))  # one call per distinct function
+    uses = [[c for c, fn in enumerate(fns) if fn is gain] for gain in gains]
+    ends = m + 1 - first
+    # a chunk computes the gains of its first start's ends for every start in
+    # it, so rows are kept to about an eighth of the ends
+    rows = max(1, min(ends // 8, _GAIN_CHUNK // (ends * len(fns))))
+    short = np.array(lens) - first  # leading ends each level masks
     cols = np.arange(n)
+    g = np.empty((rows, ends, len(fns)))
     with np.errstate(over="ignore"):
-        for i in range(m - min_len, -1, -1):
-            lo = i + min_len  # the ends are lo..m
-            incs = np.abs(values[lo:] - values[i])
-            cand = gainfn(incs)[:, None] + best[lo:m + 1, :n]
-            cand[incs == 0] = -np.inf
-            arg = cand.argmax(axis=0)
-            take, skip = cand[arg, cols], best[i + 1, shift:]
-            hit = take >= skip
-            best[i, shift:] = np.where(hit, take, skip)
-            end[i, shift:] = np.where(hit, arg + lo, 0)
+        for hi in range(m - first, -1, -rows):
+            lo0 = max(hi - rows + 1, 0)  # starts lo0..hi; row r is start lo0 + r
+            # column j is end lo0 + first + j, so row r's ends are columns r..
+            incs = np.abs(values[lo0 + first:] - values[lo0:hi + 1, None])
+            k, w = incs.shape
+            for gain, cs in zip(gains, uses):
+                g[:k, :w, cs] = gain(incs)[..., None]
+            # a row mask when every level's ends start at i + first, else one
+            # per level: column j of row r is j - r past the row's first end
+            bad = incs == 0
+            if short.any():
+                bad = bad[..., None] | ((np.arange(w) - np.arange(k)[:, None])[..., None] < short)
+            for r in range(k - 1, -1, -1):
+                i, lo = lo0 + r, lo0 + r + first
+                cand = g[r, r:w] + best[lo:m + 1, :n]
+                cand[bad[r, r:]] = -np.inf
+                arg = cand.argmax(axis=0)
+                take, skip = cand[arg, cols], best[i + 1, shift:]
+                hit = take >= skip
+                best[i, shift:] = np.where(hit, take, skip)
+                end[i, shift:] = np.where(hit, arg + lo, 0)
     return best, walk
 
 
@@ -207,33 +242,40 @@ def _linear_columns(values, min_len, best):
     return best, walk
 
 
-def _walk(best, end, col):
+def _walk(best, end, shift, col):
     """Witness pairs for ``best[0, col]``, read off the end pointers. Each
-    interval spends one column of a capped table, down to the zero column
-    0; a single uncapped column keeps reading itself."""
+    interval spends one column of a capped table (``shift`` 1), down to the
+    zero column 0; an uncapped level's column keeps reading itself
+    (``shift`` 0)."""
     pairs, i = [], 0
     while best[i, col] > 0:
         b = int(end[i, col])
         if b:
             pairs.append((i, b))
-            i, col = b, max(col - 1, 0)
+            i, col = b, col - shift
         else:
             i += 1
     return pairs
 
 
-def _dp_solve(f, gainfn, min_len, count=None):
-    """Value, witness and table of the interval DP; the witness is
-    re-evaluated and must reproduce the value (an inf value, inf)."""
-    best, walk = _dp(f.values, gainfn, min_len, count)
-    value = float(best[0, -1])
-    witness = IntervalCollection.from_pairs(f, walk(best.shape[1] - 1))
-    with np.errstate(over="ignore"):
-        check = float(np.sum(gainfn(np.array(witness.increments))))
-    if check != value and not abs(check - value) <= _REL_TOL * value < math.inf:
-        raise InternalConsistencyError(
-            f"DP witness re-evaluates to {check!r}, not {value!r}")
-    return value, witness, best
+def _dp_solve(f, levels, count=None):
+    """The interval DP's (value, witness) of each level -- the last column of
+    a capped table, or each uncapped level's own column -- and the table.
+    Every witness is re-evaluated and must reproduce its value (an inf
+    value, inf)."""
+    best, walk = _dp(f.values, levels, count)
+    solved = []
+    for col, (gainfn, _) in enumerate(levels):
+        col = col if count is None else best.shape[1] - 1
+        value = float(best[0, col])
+        witness = IntervalCollection.from_pairs(f, walk(col))
+        with np.errstate(over="ignore"):
+            check = float(np.sum(gainfn(np.array(witness.increments))))
+        if check != value and not abs(check - value) <= _REL_TOL * value < math.inf:
+            raise InternalConsistencyError(
+                f"DP witness re-evaluates to {check!r}, not {value!r}")
+        solved.append((value, witness))
+    return solved, best
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +291,7 @@ def _future_bounds(values, family, min_len):
     gains are increasing in x.
     """
     m = len(values) - 1
-    nu, _ = _dp(values, _linear, min_len, m)
+    nu, _ = _dp(values, [(_linear, min_len)], m)
     F = np.zeros(m + 2)
     for pos in range(m - min_len, -1, -1):
         n = (m - pos) // min_len
@@ -304,7 +346,7 @@ def _rank_bounds(values, family, min_len=1):
     future bound at position 0 (an over-estimate in general, since optimal
     k-collections need not nest)."""
     m = len(values) - 1
-    best_tab, walk = _dp(values, family.surrogate, min_len, m)
+    best_tab, walk = _dp(values, [(family.surrogate, min_len)], m)
     samples = values.tolist()
     lower, witness_pairs = 0.0, []
     for k in range(1, best_tab.shape[1]):
@@ -375,7 +417,7 @@ def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
     it has cells, so the certified upper bound can only tighten.
     """
     if family.rank_free is not None:
-        value, witness, _ = _dp_solve(f, family.rank_free, min_len)
+        [(value, witness)], _ = _dp_solve(f, [(family.rank_free, min_len)])
         lower, upper, mode = value, value, "exact-dp"
         _log.debug("exact-dp: rank-free family, m=%d", f.m)
     else:
@@ -395,11 +437,17 @@ def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
         witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
         _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m, op, oracle_cap,
                    *grid[1:])
-    if value > 0 and f.m // min_len > family.k_max:
-        # up to m // min_len intervals fit, so as many ranks can be charged
+    return _rank_result(f, family, min_len, p, mode, lower, upper, witness)
+
+
+def _rank_result(f, family, min_len, p, mode, lower, upper, witness):
+    """The result of a rank solve, whose value is ``lower``, with value and
+    bounds raised to ``1/p``. Raises past the horizon: a positive value
+    means up to ``m // min_len`` ranks can be charged."""
+    if lower > 0 and f.m // min_len > family.k_max:
         raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
     root = 1.0 / p
-    return VariationResult(value=value ** root, mode=mode, lower=lower ** root,
+    return VariationResult(value=lower ** root, mode=mode, lower=lower ** root,
                            upper=upper ** root, witness=witness)
 
 
@@ -410,7 +458,7 @@ def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
     """Maximum total increment over at most ``n`` nonoverlapping intervals."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    value, witness, best = _dp_solve(f, _linear, 1, n)
+    [(value, witness)], best = _dp_solve(f, [(_linear, 1)], n)
     _log.debug("exact-dp linear: m=%d, n=%d", f.m, best.shape[1] - 1)
     # the modulus is nondecreasing and concave in the interval count, up to
     # round-off relative to the value (an inf value has no differences)
@@ -435,7 +483,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     if s_max is not None and s_max >= f.m // min_len:
         s_max = None  # the cap cannot bind
     gain = _linear if q == 1 else (lambda x: x ** q)
-    inner, witness, _ = _dp_solve(f, gain, min_len, s_max)
+    [(inner, witness)], _ = _dp_solve(f, [(gain, min_len)], s_max)
     return _exact(inner ** (1.0 / q), witness)
 
 
@@ -465,27 +513,40 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     On the grid the interval count is implicitly capped at
     ``floor(m / min_len) <= delta_n``, which coincides with the count cap
     used in the sufficiency arguments.
+
+    Levels that share (q_n, min_len) are solved once. When the weights are
+    rank-free (constant, or an explicit list of one value), every level is
+    an uncapped column of one interval DP, and all of them are filled in one
+    pass; otherwise each level is its own rank solve. The first level with
+    the strictly largest value is reported.
     """
     if not 1 <= n_cap <= gauge.n_max:
         raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
-    m = f.m
-    best = VariationResult(0.0, "exact-dp", 0.0, 0.0,
-                           IntervalCollection.from_pairs(f, []), level=None)
-    cache = {}  # (q_n, min_len) -> result; levels often repeat both
+    keys = []  # (q_n, min_len) per level; levels often repeat both
     for n in range(1, n_cap + 1):
         q_n, delta_n = gauge.level(n)
-        min_len = max(1, math.ceil(m / delta_n))
-        if min_len > m:
-            continue
-        key = (q_n, min_len)
-        if key not in cache:
-            cache[key] = _rank_solve(f, SchrammFamily.power(q_n, weights),
-                                     min_len, oracle_cap, q_n)
-        if cache[key].value > best.value:
-            best = replace(cache[key], level=n)
-    results = cache.values()
+        keys.append((q_n, max(1, math.ceil(f.m / delta_n))))
+    distinct = list(dict.fromkeys(keys))
+    families = {q_n: SchrammFamily.power(q_n, weights) for q_n, _ in distinct}
+    if families[keys[0][0]].rank_free is not None:  # the weights decide, not q_n
+        solved, _ = _dp_solve(f, [(families[q_n].rank_free, min_len)
+                                  for q_n, min_len in distinct])
+        results = {(q_n, min_len): _rank_result(f, families[q_n], min_len, q_n, "exact-dp",
+                                                value, value, witness)
+                   for (q_n, min_len), (value, witness) in zip(distinct, solved)}
+        _log.debug("exact-dp gauged: m=%d, levels=%d, columns=%d", f.m, n_cap,
+                   len(distinct))
+    else:
+        results = {(q_n, min_len): _rank_solve(f, families[q_n], min_len, oracle_cap, q_n)
+                   for q_n, min_len in distinct}
+    best = VariationResult(0.0, "exact-dp", 0.0, 0.0,
+                           IntervalCollection.from_pairs(f, []), level=None)
+    for n, key in enumerate(keys, 1):
+        if results[key].value > best.value:
+            best = replace(results[key], level=n)
+    results = results.values()
     mode = "bounds" if any(r.mode == "bounds" for r in results) else best.mode
-    return replace(best, mode=mode, upper=max((r.upper for r in results), default=0.0))
+    return replace(best, mode=mode, upper=max(r.upper for r in results))
 
 
 def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = None,

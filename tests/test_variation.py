@@ -1,6 +1,7 @@
 import logging
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 import gbv.variation
 import oracles
-from gbv import (ConvexBase, HorizonError, InternalConsistencyError, SchrammFamily,
+from gbv import (ConvexBase, HorizonError, IntervalCollection, InternalConsistencyError,
+                 SchrammFamily,
                  StepFunction, ValidationError, WeightSequence, GaugePair,
                  modulus_of_variation, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
@@ -206,6 +208,58 @@ class TestGauged:
     def test_invalid_cap(self):
         with pytest.raises(ValidationError):
             variation_gauged(ZIGZAG, CONST1, self.GAUGE, 9)
+
+    @staticmethod
+    def per_level(f, weights, gauge, n_cap):
+        """The gauged variation composed of one rank solve per level."""
+        best = gbv.variation.VariationResult(0.0, "exact-dp", 0.0, 0.0,
+                                             IntervalCollection.from_pairs(f, []))
+        results = []
+        for n in range(1, n_cap + 1):
+            q_n, delta_n = gauge.level(n)
+            res = gbv.variation._rank_solve(f, SchrammFamily.power(q_n, weights),
+                                            max(1, math.ceil(f.m / delta_n)),
+                                            gbv.variation.ORACLE_CAP_DEFAULT, q_n)
+            results.append(res)
+            if res.value > best.value:
+                best = replace(res, level=n)
+        return replace(best, upper=max(r.upper for r in results))
+
+    @pytest.mark.parametrize("ladder", ["const", "linear", "to"])
+    @pytest.mark.parametrize("deltas", ["pow2", "list"])
+    def test_one_pass_matches_per_level_solves(self, ladder, deltas):
+        rng = np.random.default_rng(23)
+        gauge = GaugePair.build(ladder, deltas, n_max=7, q=2.5,
+                                delta_list=[2, 3, 3, 5, 8, 13, 40])
+        for m in (5, 16, 33, 64):
+            for scale in (1.0, 1.0, 1e200):
+                f = StepFunction(np.cumsum(rng.normal(size=m + 1)) * scale)
+                for w in (CONST1, WeightSequence("explicit", terms=[0.5] * 3)):
+                    assert (variation_gauged(f, w, gauge, 7).to_json_dict()
+                            == self.per_level(f, w, gauge, 7).to_json_dict())
+
+    @pytest.mark.parametrize("weights", [CONST1, WeightSequence("explicit", terms=[2.0, 2.0])])
+    def test_to_ladder_matches_oracle(self, weights):
+        rng = np.random.default_rng(29)
+        gauge = GaugePair.build("to", "list", n_max=4, q=3.0, delta_list=[2, 3, 5, 8])
+        lam = [weights.weight(1)] * 8
+        for m in range(1, 9):
+            values = list(random_values(rng, m))
+            res = variation_gauged(StepFunction(values), weights, gauge, 4)
+            assert res.mode == "exact-dp"
+            assert res.value == pytest.approx(
+                oracles.oracle_gauged(values, lam, gauge.qn, gauge.deltas, 4),
+                rel=1e-12, abs=1e-12)
+
+    def test_horizon_raises_in_one_pass(self):
+        # level 1 fits 8 // 4 = 2 intervals, level 2 fits 8 // 2 = 4 > k_max
+        f = StepFunction(np.arange(9.0))
+        short = WeightSequence("constant", value=1.0, k_max=3)
+        assert variation_gauged(f, short, self.GAUGE, 1).level == 1
+        with pytest.raises(HorizonError, match=r"^index 4 outside horizon 1\.\.3$"):
+            variation_gauged(f, short, self.GAUGE, 2)
+        # a zero value charges no rank
+        assert variation_gauged(StepFunction(np.zeros(9)), short, self.GAUGE, 4).value == 0.0
 
 
 class TestNorm:
@@ -542,14 +596,13 @@ class TestOverflow:
         # a gain that is inf in the table but not when the witness is
         # re-evaluated: the check must fail, not compare nan > inf
         f = StepFunction([0.0, 1.0, 0.0, 1.0, 0.0])
-        calls = []
 
         def gain(x):
-            calls.append(len(x))
-            return np.full(len(x), math.inf if len(calls) <= f.m else bad)
+            # the table calls it on a chunk of starts, the check on one witness
+            return np.full(np.shape(x), math.inf if np.ndim(x) == 2 else bad)
 
         with pytest.raises(InternalConsistencyError, match="re-evaluates"):
-            gbv.variation._dp_solve(f, gain, 1)
+            gbv.variation._dp_solve(f, [(gain, 1)])
 
 
 class TestSkeleton:
@@ -595,6 +648,19 @@ class TestSkeleton:
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}",
             "exact-dp: rank-free family, m=20",
         ]
+
+    def test_gauged_path_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            variation_gauged(ZIGZAG, CONST1, TestGauged.GAUGE, 4)
+            variation_gauged(ZIGZAG, HARMONIC, TestGauged.GAUGE, 2)
+        # levels 3 and 4 share min_len 1 but not q_n; a rank-dependent gauge
+        # keeps one rank solve per level
+        assert [r.getMessage() for r in caplog.records] == [
+            "exact-dp gauged: m=4, levels=4, columns=4",
+            "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton",
+            "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5",
+        ]
+
 
 
 def _runs(draw_runs):
@@ -647,19 +713,51 @@ def dyadic_samples(draw, max_m=64):
 _DP = gbv.variation._dp
 
 
-def per_position_dp(values, gainfn, min_len, count=None):
-    """``_dp`` forced onto its per-position rule, whatever the gain."""
-    return _DP(values, lambda x: gainfn(x), min_len, count)
+def per_position_dp(values, levels, count=None):
+    """``_dp`` forced onto its per-position rule, whatever the gains."""
+    return _DP(values, [(lambda x, fn=fn: fn(x), min_len) for fn, min_len in levels], count)
 
 
 @settings(max_examples=80, deadline=None)
 @given(dyadic_samples(), st.integers(1, 3), st.integers(1, 9))
 def test_linear_column_rule_matches_per_position_property(values, min_len, n):
-    best, walk = _DP(values, gbv.variation._linear, min_len, n)
-    ref, ref_walk = per_position_dp(values, gbv.variation._linear, min_len, n)
+    best, walk = _DP(values, [(gbv.variation._linear, min_len)], n)
+    ref, ref_walk = per_position_dp(values, [(gbv.variation._linear, min_len)], n)
     assert np.array_equal(best, ref)
     for col in range(best.shape[1]):
         assert walk(col) == ref_walk(col)
+
+
+@st.composite
+def level_samples(draw, max_m=48):
+    """Quarter-step walks, plateau trains (zero increments) or N(0,1)
+    samples, some scaled by 1e200 so that gains overflow to inf."""
+    shape = draw(st.sampled_from(["walk", "plateaus", "normal"]))
+    size = draw(st.integers(2, max_m + 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "walk":
+        values = np.cumsum(rng.integers(-2, 3, size=size)) / 4.0
+    elif shape == "plateaus":
+        values = np.repeat(rng.integers(0, 5, size=size) / 2.0,
+                           rng.integers(1, 6, size=size))[:size]
+    else:
+        values = rng.standard_normal(size)
+    return values * draw(st.sampled_from([1.0, 1e200]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_samples(), st.lists(st.tuples(st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
+                                           st.integers(1, 48)), min_size=1, max_size=6))
+def test_level_columns_match_one_level_dp_property(values, levels):
+    # levels that share q_n share one gain function, as in variation_gauged
+    m = len(values) - 1
+    gains = {q: SchrammFamily.power(q, CONST1).rank_free for q, _ in levels}
+    levels = [(gains[q], (min_len - 1) % m + 1) for q, min_len in levels]
+    best, walk = _DP(values, levels)
+    for c, level in enumerate(levels):
+        ref, ref_walk = _DP(values, [level])
+        assert np.array_equal(best[:, c], ref[:, 0])
+        assert walk(c) == ref_walk(0)
 
 
 @st.composite
