@@ -8,15 +8,19 @@ constant weights, an explicit weight list of one value, or explicit terms
 that are one repeated pair) -- one dynamic program over (grid position,
 intervals left) is exact. It records an end pointer per cell in the same
 pass, so the witness is read off the pointers and re-evaluated against the
-value; when the count cap cannot bind, it runs on a single column. The
+value; when the count cap cannot bind, it runs on a single column. Such
+uncapped problems that differ only in gain and minimum length -- the
+levels of a gauged variation with rank-free weights -- share one backward
+pass, each on its own column, so a gauge of n levels costs O(m) numpy
+calls, not O(n·m). The
 linear gain of a capped table (the modulus, the unweighted form at q = 1
 with a binding cap, and the nu table of the future bound) is filled a column
 at a time instead: suffix maxima of v_b + best[b, k-1] and
 best[b, k-1] - v_b give every take of a column in a few vector ops, so a
 table of K columns costs O(K) numpy calls of size m, not O(m) of size m·K,
-and the witness is rebuilt along the one column walked. A single uncapped
-column, and ``_rank_bounds``' table of walks at every k, stay on the
-per-position rule, which is the cheaper of the two there. When
+and the witness is rebuilt along the one column walked. Uncapped columns,
+and ``_rank_bounds``' table of walks at every k, stay on the per-position
+rule, which is the cheaper of the two there. When
 gains are rank-dependent -- the j-th largest increment is charged phi_j --
 no polynomial exact scheme is known, so we run a proven-exact
 branch-and-bound up to ``oracle_cap`` grid cells of the input and fall back
@@ -97,8 +101,9 @@ def _suffix_max(x):
 
 
 #: gains held per chunk of start positions, in floats: a chunk of starts
-#: shares one call of each gain function, and memory stays flat in m
-_GAIN_CHUNK = 1 << 16
+#: shares one call of each gain function, and memory stays flat in m (64 kB
+#: a chunk array, below the 128 kB at which glibc's malloc maps fresh pages)
+_GAIN_CHUNK = 1 << 13
 
 
 def _dp(values, levels, count=None):
@@ -170,24 +175,31 @@ def _dp(values, levels, count=None):
     uses = [[c for c, fn in enumerate(fns) if fn is gain] for gain in gains]
     ends = m + 1 - first
     # a chunk computes the gains of its first start's ends for every start in
-    # it, so rows are kept to about an eighth of the ends
-    rows = max(1, min(ends // 8, _GAIN_CHUNK // (ends * len(fns))))
-    short = np.array(lens) - first  # leading ends each level masks
-    cols = np.arange(n)
+    # it: rows are kept to about an eighth of the ends, or 16 on small grids
+    rows = max(1, min(max(16, ends // 8), _GAIN_CHUNK // (ends * len(fns))))
     g = np.empty((rows, ends, len(fns)))
+    # ends a level cannot take: column j of row r lies j - r past the row's
+    # first end, and level c starts lens[c] - first ends later
+    short = np.array(lens) - first
+    if short.any():
+        short = (np.arange(ends) - np.arange(rows)[:, None])[..., None] < short
+    else:
+        short = None  # one row mask serves every column
+    cols = np.arange(n)
     with np.errstate(over="ignore"):
         for hi in range(m - first, -1, -rows):
             lo0 = max(hi - rows + 1, 0)  # starts lo0..hi; row r is start lo0 + r
             # column j is end lo0 + first + j, so row r's ends are columns r..
-            incs = np.abs(values[lo0 + first:] - values[lo0:hi + 1, None])
+            incs = values[lo0 + first:] - values[lo0:hi + 1, None]
+            incs = np.abs(incs, out=incs)
             k, w = incs.shape
             for gain, cs in zip(gains, uses):
-                g[:k, :w, cs] = gain(incs)[..., None]
-            # a row mask when every level's ends start at i + first, else one
-            # per level: column j of row r is j - r past the row's first end
+                gk = gain(incs)
+                for c in cs:
+                    g[:k, :w, c] = gk
             bad = incs == 0
-            if short.any():
-                bad = bad[..., None] | ((np.arange(w) - np.arange(k)[:, None])[..., None] < short)
+            if short is not None:
+                bad = bad[..., None] | short[:k, :w]
             for r in range(k - 1, -1, -1):
                 i, lo = lo0 + r, lo0 + r + first
                 cand = g[r, r:w] + best[lo:m + 1, :n]
@@ -197,6 +209,7 @@ def _dp(values, levels, count=None):
                 hit = take >= skip
                 best[i, shift:] = np.where(hit, take, skip)
                 end[i, shift:] = np.where(hit, arg + lo, 0)
+            del incs, gk, bad  # one chunk's arrays live at a time
     return best, walk
 
 
