@@ -179,12 +179,11 @@ def _dp(values, levels, count=None):
     rows = max(1, min(max(16, ends // 8), _GAIN_CHUNK // (ends * len(fns))))
     g = np.empty((rows, ends, len(fns)))
     # ends a level cannot take: column j of row r lies j - r past the row's
-    # first end, and level c starts lens[c] - first ends later
-    short = np.array(lens) - first
-    if short.any():
-        short = (np.arange(ends) - np.arange(rows)[:, None])[..., None] < short
-    else:
-        short = None  # one row mask serves every column
+    # first end, and level c starts late[c] ends later
+    late = np.array(lens) - first
+    short = None  # one row mask serves every column
+    if late.any():
+        short = (np.arange(ends) - np.arange(rows)[:, None])[..., None] < late
     cols = np.arange(n)
     with np.errstate(over="ignore"):
         for hi in range(m - first, -1, -rows):
@@ -278,8 +277,8 @@ def _dp_solve(f, levels, count=None):
     value, inf)."""
     best, walk = _dp(f.values, levels, count)
     solved = []
-    for col, (gainfn, _) in enumerate(levels):
-        col = col if count is None else best.shape[1] - 1
+    cols = range(len(levels)) if count is None else [best.shape[1] - 1]
+    for col, (gainfn, _) in zip(cols, levels):
         value = float(best[0, col])
         witness = IntervalCollection.from_pairs(f, walk(col))
         with np.errstate(over="ignore"):
