@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 import gbv.variation
 import oracles
 from gbv import (ConvexBase, HorizonError, IntervalCollection, InternalConsistencyError,
-                 SchrammFamily,
-                 StepFunction, ValidationError, WeightSequence, GaugePair,
+                 SchrammFamily, StepFunction, ValidationError, WeightSequence, GaugePair,
                  modulus_of_variation, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
 
@@ -660,7 +659,6 @@ class TestSkeleton:
             "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton",
             "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5",
         ]
-
 
 
 def _runs(draw_runs):
