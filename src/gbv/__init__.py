@@ -20,7 +20,7 @@ from .errors import (GbvError, HorizonError, HypothesisError, InfeasibleError,
                      ValidationError)
 from .inequalities import (TripleSample, check_holder_branch,
                            check_master_inequality, check_weighted_comparison,
-                           check_wu_estimate, extremal_profile)
+                           check_wu_estimate, extremal_profile, monotone_vector)
 from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
 from .stepfn import IntervalCollection, StepFunction, generate_block, ingest
 from .variation import (VariationResult, modulus_of_variation, schramm_norm,
@@ -38,7 +38,7 @@ __all__ = [
     "InternalConsistencyError", "RangeError", "ResolutionError",
     "ValidationError",
     "TripleSample", "check_holder_branch", "check_master_inequality",
-    "check_weighted_comparison", "check_wu_estimate", "extremal_profile",
+    "check_weighted_comparison", "check_wu_estimate", "extremal_profile", "monotone_vector",
     "ConvexBase", "GaugePair", "SchrammFamily", "WeightSequence",
     "IntervalCollection", "StepFunction", "generate_block", "ingest",
     "VariationResult", "modulus_of_variation", "schramm_norm",

@@ -174,10 +174,9 @@ def _geom(base, n, coef=1.0):
 
 def cmd_counterexample(args):
     gauge = parse_gauge(args.qn, args.delta, args.levels)
-    eps = _geom(args.eps_base, args.levels)
-    sep = _geom(args.sep_base, args.levels, coef=4.0)
-    blow = _geom(args.blow_base, args.levels)
-    kw = {"eps": eps, "sep": sep, "blow": blow}
+    kw = {"eps": _geom(args.eps_base, args.levels),
+          "sep": _geom(args.sep_base, args.levels, coef=4.0),
+          "blow": _geom(args.blow_base, args.levels)}
     if args.kind == "lambda":
         spec = plan_construction(
             "lambda", gauge, args.levels,
@@ -188,16 +187,12 @@ def cmd_counterexample(args):
                                  family=parse_family(args.family, args.kmax),
                                  **kw)
     payload = {"spec": spec.to_json_dict()}
-    f = None
-    if args.build:
+    if args.build or args.certify:
         f = build_witness(spec)
         payload["m"] = f.m
-        if args.witness_out:
+        if args.build and args.witness_out:
             f.write(args.witness_out, "json")
     if args.certify:
-        if f is None:
-            f = build_witness(spec)
-            payload["m"] = f.m
         payload["membership"] = certify_membership(spec, f,
                                                    oracle_cap=args.oracle_cap)
         payload["blowup"] = certify_blowup(spec, f, oracle_cap=args.oracle_cap)

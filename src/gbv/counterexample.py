@@ -11,12 +11,13 @@ re-verified numerically at every level.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import lambda_gamma_parts, level_kernels, schramm_parts
+from .criteria import lambda_gamma_parts, schramm_parts
 from .errors import (HorizonError, InfeasibleError, InternalConsistencyError,
                      ResolutionError, ValidationError)
 from .sequences import GaugePair, SchrammFamily, WeightSequence
@@ -25,6 +26,8 @@ from .variation import (ORACLE_CAP_DEFAULT, variation_gauged,
                         variation_schramm, variation_weighted)
 
 GRID_CAP = 1 << 22
+
+_log = logging.getLogger("gbv")
 
 
 def paper_constants(n_levels):
@@ -110,6 +113,12 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
                       p=1.0, family=None, eps=None, sep=None, blow=None):
     """Resolve per-level violation indices, plateau counts and heights.
 
+    The levels are planned in order, and level n is checked before anything
+    is read for level n + 1. The criterion kernel is read up to the first
+    violation, level by level: its parts at k = 1..K are one prefix that all
+    levels share, and K starts at 1024 and doubles, capped at delta_n, until
+    level n's kernel exceeds blow_n there or K reaches delta_n.
+
     Fails loudly (:class:`InfeasibleError`) at the first level where the
     separation budget is too small or no violating index exists -- the
     criterion may simply hold.
@@ -127,14 +136,18 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     eps = np.asarray(eps if eps is not None else d_eps, dtype=float)
     sep = np.asarray(sep if sep is not None else d_sep, dtype=float)
     blow = np.asarray(blow if blow is not None else d_blow, dtype=float)
+    for name, values in (("eps", eps), ("sep", sep), ("blow", blow)):
+        if values.ndim != 1 or len(values) < n_levels:
+            raise ValidationError(f"{name} needs one value for each of {n_levels} levels")
 
     if kind == "lambda":
         horizon = min(w_gamma.k_max, w_lambda.k_max)
         parts = lambda_gamma_parts(w_lambda, w_gamma, p)
     else:
         horizon, parts = family.k_max, schramm_parts(family)
+    g = h = np.empty(0)  # the kernel parts at k = 1..len(g)
     levels = []
-    for n, kernel in level_kernels(gauge, n_levels, horizon, parts):
+    for n in range(1, n_levels + 1):
         q_n, delta_f = gauge.level(n)
         delta_n = int(delta_f)
         if delta_n != delta_f:
@@ -149,17 +162,26 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             raise InfeasibleError(
                 f"level {n}: separation budget {b_n:.6g} below sep_n={sep_n:.6g}",
                 level=n)
-        if len(kernel) < delta_n:
+        if delta_n > horizon:
             raise HorizonError(
                 f"delta_{n}={delta_n} exceeds the sequence horizon {horizon}")
 
-        violating = np.where(kernel > blow_n)[0]
+        start = 0
+        while True:
+            violating = np.flatnonzero(g[start:delta_n] ** (1.0 / q_n) * h[start:delta_n] > blow_n)
+            if len(violating) or len(g) >= delta_n:
+                break
+            # a parts call costs about the same for any count up to 1024, so
+            # the first read takes that many k and later reads double them
+            start = len(g)
+            g_new, h_new = parts(np.arange(start + 1, min(max(2 * start, 1024), delta_n) + 1))
+            g, h = np.concatenate([g, g_new]), np.concatenate([h, h_new])
         if len(violating) == 0:
             raise InfeasibleError(
                 f"level {n}: no index r <= {delta_n} violates the criterion "
                 f"at blow-up {blow_n:.6g} (the embedding may simply hold)",
                 level=n)
-        r_n = int(violating[0]) + 1
+        r_n = start + int(violating[0]) + 1
 
         s_n = _greatest_s(e_n * b_n)
         s_fit = _greatest_s(e_n * delta_n)
@@ -177,7 +199,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             n=n, q_n=q_n, delta_n=delta_n, b_n=float(b_n), r_n=r_n,
             s_n=s_n, s_fit=s_fit, t_n=t_n, height=float(height),
             eps=float(e_n), sep=float(sep_n), blow=float(blow_n)))
-
+    _log.debug("counterexample plan: levels=%d, kernel read to k=%d", n_levels, len(g))
     return ConstructionSpec(kind=kind, levels=tuple(levels), p=float(p),
                             w_lambda=w_lambda, w_gamma=w_gamma, family=family)
 

@@ -66,22 +66,6 @@ class CriterionReport:
         return buf.getvalue()
 
 
-def _tops(gauge, n_cap, horizon):
-    """The last k of each level's scan: ``min(delta_n, horizon)``."""
-    return [min(int(d), horizon) for d in gauge.deltas[:n_cap]]
-
-
-def level_kernels(gauge, n_cap, horizon, parts):
-    """Yield ``(n, g(k)^{1/q_n} h(k) for k = 1..min(delta_n, horizon))`` for
-    the levels ``n = 1..n_cap``, from one ``parts`` call on every k."""
-    tops = _tops(gauge, n_cap, horizon)
-    if not tops:
-        return
-    g, h = parts(np.arange(1, max(tops) + 1))
-    for n, top in enumerate(tops, 1):
-        yield n, g[:top] ** (1.0 / gauge.qn[n - 1]) * h[:top]
-
-
 def lambda_gamma_parts(w_lambda, w_gamma, p):
     """Kernel parts ``Gamma(k)`` and ``Lambda(k)^{-1/p}`` (theorems 1.4/1.7)
     at the ``ks`` given, and no others."""
@@ -279,8 +263,9 @@ def _bracket_scan(tops, exps, parts):
 
 
 def _scan(gauge, n_cap, horizon, parts):
-    """The criterion report of the levels ``1..n_cap`` of ``gauge``."""
-    return _assemble(*_bracket_scan(_tops(gauge, n_cap, horizon),
+    """The criterion report of the levels ``1..n_cap`` of ``gauge``, each
+    scanned to ``min(delta_n, horizon)``."""
+    return _assemble(*_bracket_scan([min(int(d), horizon) for d in gauge.deltas[:n_cap]],
                                     1.0 / gauge.qn[:n_cap], parts))
 
 

@@ -155,6 +155,18 @@ class TestCounterexampleCommand:
         doc = json.loads(witness.read_text())
         assert doc["m"] == rep["m"]
 
+    def test_certify_without_build(self, tmp_path):
+        # --certify builds the witness it checks, but only --build writes it
+        out = tmp_path / "rep.json"
+        witness = tmp_path / "w.json"
+        code = run(self.ARGS + ["--certify", "--witness-out", str(witness),
+                                "--output", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())["result"]
+        assert rep["m"] == 1024
+        assert list(rep) == ["spec", "m", "membership", "blowup"]
+        assert not witness.exists()
+
     def test_infeasible_exits_two(self, tmp_path):
         code = run(["counterexample", "--kind", "lambda", "--lambda",
                     "constant", "--gamma", "constant", "--qn", "const:1",

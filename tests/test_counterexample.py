@@ -1,7 +1,13 @@
+import logging
+import timeit
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gbv import (ConstructionSpec, GaugePair, InfeasibleError,
+from gbv import (ConstructionSpec, ConvexBase, GaugePair, InfeasibleError,
                  ResolutionError, SchrammFamily, ValidationError,
                  WeightSequence, build_witness, certify_blowup,
                  certify_membership, paper_constants, plan_construction,
@@ -103,6 +109,118 @@ class TestPlan:
         gauge = GaugePair.build("const", "pow2", q=1.0, n_max=2)
         with pytest.raises(ValidationError):
             plan_construction("wiener", gauge, 2)
+
+    @pytest.mark.parametrize("short", ["eps", "sep", "blow"])
+    def test_short_constant_list_names_it(self, short):
+        gauge = GaugePair.build("const", "pow2", q=1.0, n_max=3)
+        consts = {"eps": [0.5] * 3, "sep": [0.01] * 3, "blow": [1.1] * 3}
+        consts[short] = consts[short][:1]
+        with pytest.raises(ValidationError, match=f"^{short} needs one value"):
+            plan_construction("lambda", gauge, 3, w_lambda=HARMONIC,
+                              w_gamma=CONST1, p=1.0, **consts)
+
+    @staticmethod
+    def pow2_plan():
+        gauge = GaugePair.build("const", "pow2", q=1.0, n_max=20)
+        return plan_construction(
+            "lambda", gauge, 20, w_lambda=WeightSequence("harmonic", k_max=1 << 20),
+            w_gamma=WeightSequence("constant", value=1.0, k_max=1 << 20), p=1.0,
+            sep=[1.0] * 20, blow=[1.2 ** n for n in range(1, 21)])
+
+    def test_many_level_plan_reads_a_short_prefix(self):
+        # every r_n is below 256 while delta_20 = 2^20: the kernel is read
+        # up to the first violation, not to the largest delta_n
+        tracemalloc.start()
+        try:
+            spec = self.pow2_plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.levels[-1].r_n < 256
+        assert peak < 1 << 20
+        # about 1.5 ms on a 2-core x86_64 VM, where reading every k to 2^20
+        # took about 100 ms; the best of five keeps a busy host's stalls out
+        best = min(timeit.repeat(self.pow2_plan, number=1, repeat=5))
+        assert best < 5e-3
+
+    def test_plan_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            spec = self.pow2_plan()
+        # a level whose r_n lies past the prefix reads it up to
+        # min(1024, delta_n): to delta_9 = 512 for r_9 = 19, which holds
+        # every later r_n (r_20 = 231)
+        assert spec.levels[-1].r_n == 231
+        assert [r.getMessage() for r in caplog.records] == [
+            "counterexample plan: levels=20, kernel read to k=512"]
+
+
+WEIGHT_KINDS = {
+    "constant": lambda k: WeightSequence("constant", value=1.0, k_max=k),
+    "harmonic": lambda k: WeightSequence("harmonic", k_max=k),
+    "power": lambda k: WeightSequence("power", alpha=0.5, k_max=k),
+    "log": lambda k: WeightSequence("log", k_max=k),
+    "explicit": lambda k: WeightSequence("explicit", terms=[1, 2, 3, 5, 8], k_max=k),
+}
+
+
+def dense_kernel(kind, top, q, w_lambda=None, w_gamma=None, p=1.0, family=None):
+    """``g(k)^{1/q} h(k)`` at every k = 1..top."""
+    ks = np.arange(1, top + 1)
+    if kind == "lambda":
+        g, h = w_gamma.prefix_sums_at(ks), w_lambda.prefix_sums_at(ks) ** (-1.0 / p)
+    else:
+        g, h = ks, family.partial_inverse_many(ks, 1.0)
+    return g ** (1.0 / q) * h
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["lambda", "schramm"]),
+       lam=st.sampled_from(sorted(WEIGHT_KINDS)), gam=st.sampled_from(sorted(WEIGHT_KINDS)),
+       p=st.sampled_from([1.0, 1.5, 2.0]),
+       base=st.sampled_from(["power 1", "power 2", "expm1", "explicit"]),
+       ladder=st.sampled_from([("const", 2.0), ("linear", None), ("to", 3.0)]),
+       deltas=st.lists(st.integers(2, 3000), min_size=1, max_size=6).map(sorted),
+       blow_base=st.floats(1.01, 3.0), infeasible=st.integers(0, 6))
+def test_violation_index_matches_dense_kernel_property(kind, lam, gam, p, base, ladder,
+                                                       deltas, blow_base, infeasible):
+    """r_n is the first k <= delta_n whose kernel, computed densely here,
+    exceeds blow_n; a level with no such k raises at that level, and the
+    planner stops there. ``infeasible`` (when 1..len(deltas)) sets that
+    level's blow_n to its kernel max, so no k exceeds it."""
+    n_levels, horizon = len(deltas), 4096
+    gauge = GaugePair.build(ladder[0], "list", q=ladder[1], n_max=n_levels,
+                            delta_list=deltas)
+    if kind == "lambda":
+        kw = dict(w_lambda=WEIGHT_KINDS[lam](horizon), w_gamma=WEIGHT_KINDS[gam](horizon), p=p)
+    elif base == "explicit":
+        kw = dict(family=SchrammFamily("explicit", terms=[[2.0, 1.0], [1.0, 1.5], [0.5, 2.0]],
+                                       k_max=horizon))
+    else:
+        shape = ConvexBase("expm1") if base == "expm1" else ConvexBase("power", p=float(base[-1]))
+        kw = dict(family=SchrammFamily("scaled", base=shape, weights=WEIGHT_KINDS[lam](horizon)))
+    kernels = [dense_kernel(kind, d, gauge.level(n)[0], **kw)
+               for n, d in enumerate(deltas, 1)]
+    blow = [blow_base ** n for n in range(1, n_levels + 1)]
+    if 1 <= infeasible <= n_levels:
+        blow[infeasible - 1] = float(kernels[infeasible - 1].max())
+    expected = []
+    for n, kernel in enumerate(kernels, 1):
+        above = np.flatnonzero(kernel > blow[n - 1])
+        if len(above) == 0:
+            break
+        expected.append(int(above[0]) + 1)
+    args = dict(eps=[1.0] * n_levels, sep=[0.0] * n_levels, blow=blow, **kw)
+    if len(expected) < n_levels:
+        with pytest.raises(InfeasibleError, match="no index r") as exc:
+            plan_construction(kind, gauge, n_levels, **args)
+        assert exc.value.level == len(expected) + 1
+        # the levels before it plan alone to the same r_n
+        if expected:
+            spec = plan_construction(kind, gauge, len(expected), **args)
+            assert [lv.r_n for lv in spec.levels] == expected
+    else:
+        spec = plan_construction(kind, gauge, n_levels, **args)
+        assert [lv.r_n for lv in spec.levels] == expected
 
 
 class TestWitness:

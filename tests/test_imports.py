@@ -1,9 +1,12 @@
-"""Every module-level import in ``src/gbv`` is used by its module, and every
-module-level private name is named somewhere in the package.
+"""Every module-level import in ``src/gbv`` is used by its module, every
+module-level private name is named somewhere in the package, and every
+public module-level function or class is named by another module or
+exported in ``__all__``.
 
 No linter ships with the toolchain, so this walks the syntax tree with the
 standard library. ``__init__.py`` is exempt from the import check: its
-imports are re-exports.
+imports are re-exports. ``cli.py`` is exempt from the public-name check: it
+is the console script (``gbv.cli:main``), and argparse reaches its commands.
 """
 
 import ast
@@ -70,6 +73,29 @@ def unreferenced_privates(sources):
                   if name not in refs)
 
 
+def exported_names(tree):
+    """The names a module-level ``__all__`` list or tuple holds."""
+    return {elt.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+            for elt in node.value.elts}
+
+
+def orphaned_publics(sources, exempt=()):
+    """``(module, line, name)`` of the public module-level functions and
+    classes of ``sources`` (a ``{module: source}`` map) that no other module
+    names and no ``__all__`` exports; the modules in ``exempt`` are not
+    checked, but their references count."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    refs = {mod: referenced_names(tree) for mod, tree in trees.items()}
+    exported = set().union(*(exported_names(t) for t in trees.values()))
+    return sorted(
+        (mod, node.lineno, node.name) for mod, tree in trees.items() if mod not in exempt
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in exported
+        and not any(node.name in r for other, r in refs.items() if other != mod))
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit\n") == [(1, "os")]
     assert unused_imports("from a import b as c, d\nd()\n") == [(1, "c")]
@@ -92,3 +118,19 @@ def test_no_unused_module_imports(path):
 def test_every_private_name_is_used():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def test_checker_flags_an_orphaned_public():
+    sources = {
+        "a": "def kernel():\n    pass\ndef helper():\n    pass\nclass Spec:\n    pass\n"
+             "helper()\n",
+        "b": "from .a import Spec\ndef run():\n    pass\n",
+        "__init__": "from .b import run\n__all__ = ['run']\n",
+    }
+    assert orphaned_publics(sources) == [("a", 1, "kernel"), ("a", 3, "helper")]
+    assert orphaned_publics(sources, exempt=("a",)) == []
+
+
+def test_every_public_name_is_used_or_exported():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert orphaned_publics(sources, exempt=("cli.py",)) == []
