@@ -31,7 +31,7 @@ from .counterexample import (build_witness, certify_blowup,
 from .criteria import (criterion_corollary_q, criterion_lambda_gamma,
                        criterion_phi_lambda, criterion_schramm,
                        criterion_union_p)
-from .errors import GbvError, HypothesisError, InfeasibleError
+from .errors import GbvError, HypothesisError, InfeasibleError, ResolutionError
 from .inequalities import (run_comparison_suite, run_holder_suite,
                            run_master_suite, run_wu_suite)
 from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
@@ -189,16 +189,20 @@ def cmd_counterexample(args):
     payload = {"spec": spec.to_json_dict()}
     if args.build or args.certify:
         f = build_witness(spec)
-        payload["m"] = f.m
+        m = payload["m"] = f.m
         if args.build and args.witness_out:
             f.write(args.witness_out, "json")
+    else:  # a plan needs no grid: one past the cap only names the summary's m
+        try:
+            m = witness_resolution(spec)
+        except ResolutionError as exc:
+            m = f"too large ({exc})"
     if args.certify:
         payload["membership"] = certify_membership(spec, f,
                                                    oracle_cap=args.oracle_cap)
         payload["blowup"] = certify_blowup(spec, f, oracle_cap=args.oracle_cap)
     _write_report(args, payload)
-    print(f"counterexample {args.kind}: levels={args.levels} "
-          f"m={payload.get('m', witness_resolution(spec))}")
+    print(f"counterexample {args.kind}: levels={args.levels} m={m}")
     return 0
 
 

@@ -44,7 +44,7 @@ class LevelPlan:
     b_n: float       # criterion budget: Gamma(delta_n) or delta_n
     r_n: int         # smallest criterion-violating index
     s_n: int         # greatest s with 2s - 1 <= eps_n * b_n
-    s_fit: int       # cap keeping the plateau train inside [2^-n, 2^-(n-1))
+    s_fit: int       # cap: 2s - 1 <= eps_n * delta_n, train inside [2^-n, 2^-(n-1))
     t_n: int
     height: float
     eps: float
@@ -184,7 +184,11 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
         r_n = start + int(violating[0]) + 1
 
         s_n = _greatest_s(e_n * b_n)
-        s_fit = _greatest_s(e_n * delta_n)
+        # plateau j closes at 2^-n + (2j - 1)/delta_n: level 1 may close at 1,
+        # level n >= 2 must close below 2^-(n-1), where level n - 1 starts,
+        # so 2s - 1 <= delta_n/2 or 2s - 1 < delta_n/2^n, in integers
+        band = delta_n // 2 if n == 1 else (delta_n - 1) >> n
+        s_fit = min(_greatest_s(e_n * delta_n), (band + 1) // 2)
         t_n = min(r_n, s_n, s_fit)
         if t_n < 1:
             raise InfeasibleError(
@@ -194,7 +198,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
         if kind == "lambda":
             height = e_n * w_lambda.prefix_sum(r_n) ** (-1.0 / p)
         else:
-            height = e_n * family.partial_inverse(r_n, 1.0)
+            height = e_n * h[r_n - 1]  # Phi_{r_n}^{-1}(1), read with the kernel
         levels.append(LevelPlan(
             n=n, q_n=q_n, delta_n=delta_n, b_n=float(b_n), r_n=r_n,
             s_n=s_n, s_fit=s_fit, t_n=t_n, height=float(height),
@@ -216,10 +220,10 @@ def witness_resolution(spec, grid_cap=GRID_CAP):
     return m
 
 
-def build_witness(spec, m=None, grid_cap=GRID_CAP):
-    """Sum of per-level plateau trains; supports are checked disjoint."""
-    if m is None:
-        m = witness_resolution(spec, grid_cap)
+def build_witness(spec):
+    """Sum of per-level plateau trains on :func:`witness_resolution`'s grid;
+    supports are checked disjoint."""
+    m = witness_resolution(spec)
     total = np.zeros(m + 1)
     for lv in spec.levels:
         block = generate_block(lv.n, lv.height, lv.t_n, lv.delta_n, m)

@@ -296,23 +296,27 @@ def _dp_solve(f, levels, count=None):
 
 def _future_bounds(values, family, min_len):
     """F[pos] = upper bound on the rank objective of any feasible collection
-    inside [pos, m], charging ranks from 1.
-
-    Uses the suffix modulus table: the j-th largest increment of any
-    collection with top-j sum <= nu(j) is at most nu(j)/j, and the per-rank
-    gains are increasing in x.
-    """
+    inside [pos, m], charging ranks from 1: :func:`_future_bound` at every
+    start."""
     m = len(values) - 1
     nu, _ = _dp(values, [(_linear, min_len)], m)
     F = np.zeros(m + 2)
     for pos in range(m - min_len, -1, -1):
-        n = (m - pos) // min_len
-        caps = nu[pos, 1:n + 1] / np.arange(1, n + 1)
-        live = caps > 0
-        if not live.all():
-            caps = caps[:live.argmin()]
-        F[pos] = family.rank_sum(caps.tolist())
+        F[pos] = _future_bound(nu, family, min_len, pos)
     return F
+
+
+def _future_bound(nu, family, min_len, pos):
+    """The future bound at ``pos``, read off the suffix modulus table ``nu``
+    of the linear gain: the j-th largest increment of any collection with
+    top-j sum <= nu(j) is at most nu(j)/j, and the per-rank gains are
+    increasing in x."""
+    n = (len(nu) - 2 - pos) // min_len
+    caps = nu[pos, 1:n + 1] / np.arange(1, n + 1)
+    live = caps > 0
+    if not live.all():
+        caps = caps[:live.argmin()]
+    return family.rank_sum(caps.tolist())
 
 
 def _branch_and_bound(values, family, min_len=1):
@@ -355,8 +359,8 @@ def _rank_bounds(values, family, min_len=1):
 
     Lower: evaluate the true rank objective on the witnesses of the
     surrogate DP for every interval count, keep the best. Upper: the
-    future bound at position 0 (an over-estimate in general, since optimal
-    k-collections need not nest)."""
+    future bound at position 0 alone (an over-estimate in general, since
+    optimal k-collections need not nest)."""
     m = len(values) - 1
     best_tab, walk = _dp(values, [(family.surrogate, min_len)], m)
     samples = values.tolist()
@@ -367,8 +371,8 @@ def _rank_bounds(values, family, min_len=1):
         val = family.rank_sum(incs)
         if val > lower:
             lower, witness_pairs = val, pairs
-    upper = max(float(_future_bounds(values, family, min_len)[0]), lower)
-    return lower, upper, witness_pairs
+    nu, _ = _dp(values, [(_linear, min_len)], m)
+    return lower, max(float(_future_bound(nu, family, min_len, 0)), lower), witness_pairs
 
 
 def _skeleton(values):
@@ -388,17 +392,21 @@ def _skeleton(values):
     return np.concatenate(([0], turns, [moves[-1] + 1]))
 
 
-def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
-    """``sup sum phi_j(|f(I_j)|)`` over collections of intervals of grid
-    length >= ``min_len``, with value and bounds raised to ``1/p``.
+def _rank_solve(f, levels, oracle_cap):
+    """One result per level of ``levels``, a list of ``(family, min_len, p)``:
+    ``sup sum phi_j(|f(I_j)|)`` over collections of intervals of grid
+    length >= ``min_len``, with value and bounds raised to ``1/p``. This is
+    the one place that picks the path of a rank objective.
 
-    A rank-free family (every phi_j the same function) is an exact DP at
-    any m. Otherwise branch-and-bound is exact up to ``oracle_cap`` cells
-    of the input grid and certified bounds take over beyond it; with
-    ``min_len == 1`` both run on the turning-point skeleton of f
-    (:func:`_skeleton`), which only shrinks the work. Every path raises
-    past the horizon alike: a positive value means up to ``m // min_len``
-    ranks can be charged, and all of them are asked for.
+    The levels of rank-free families (every phi_j the same function) are
+    the uncapped columns of one exact DP, filled in one pass at any m. Each
+    other level is searched on its own, in order: branch-and-bound is exact
+    up to ``oracle_cap`` cells of the input grid and certified bounds take
+    over beyond it; with ``min_len == 1`` both run on the turning-point
+    skeleton of f (:func:`_skeleton`), which only shrinks the work. Every
+    path raises past the horizon alike, before the next level is searched:
+    a positive value means up to ``m // min_len`` ranks can be charged, and
+    all of them are asked for.
 
     Why the skeleton is exact. Let each phi_j be convex with phi_j(0) = 0
     and phi_1 >= phi_2 >= ... on [0, ptp(f)], the family the B&B needs
@@ -428,39 +436,40 @@ def _rank_solve(f, family, min_len, oracle_cap, p=1.0):
     bit. The future bound on the skeleton charges at most as many ranks as
     it has cells, so the certified upper bound can only tighten.
     """
-    if family.rank_free is not None:
-        [(value, witness)], _ = _dp_solve(f, [(family.rank_free, min_len)])
-        lower, upper, mode = value, value, "exact-dp"
-        _log.debug("exact-dp: rank-free family, m=%d", f.m)
-    else:
-        if min_len == 1:
-            idx = _skeleton(f.values)
-            grid = ("skeleton %d→%d", f.m + 1, len(idx))
+    free = [(family.rank_free, min_len) for family, min_len, _ in levels
+            if family.rank_free is not None]
+    solved = iter([])
+    if free:
+        solved = iter(_dp_solve(f, free)[0])
+        _log.debug("exact-dp: rank-free family, m=%d, columns=%d", f.m, len(free))
+    results = []
+    for family, min_len, p in levels:
+        if family.rank_free is not None:
+            lower, witness = next(solved)
+            upper, mode = lower, "exact-dp"
         else:
-            idx = np.arange(f.m + 1)
-            grid = ("min_len=%d, no skeleton", min_len)
-        values = f.values[idx]
-        if f.m <= oracle_cap:
-            value, pairs = _branch_and_bound(values, family, min_len)
-            lower, upper, mode, op = value, value, "exact-oracle", "<="
-        else:
-            lower, upper, pairs = _rank_bounds(values, family, min_len)
-            value, mode, op = lower, "bounds", ">"
-        witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
-        _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m, op, oracle_cap,
-                   *grid[1:])
-    return _rank_result(f, family, min_len, p, mode, lower, upper, witness)
-
-
-def _rank_result(f, family, min_len, p, mode, lower, upper, witness):
-    """The result of a rank solve, whose value is ``lower``, with value and
-    bounds raised to ``1/p``. Raises past the horizon: a positive value
-    means up to ``m // min_len`` ranks can be charged."""
-    if lower > 0 and f.m // min_len > family.k_max:
-        raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
-    root = 1.0 / p
-    return VariationResult(value=lower ** root, mode=mode, lower=lower ** root,
-                           upper=upper ** root, witness=witness)
+            if min_len == 1:
+                idx = _skeleton(f.values)
+                grid = ("skeleton %d→%d", f.m + 1, len(idx))
+            else:
+                idx = np.arange(f.m + 1)
+                grid = ("min_len=%d, no skeleton", min_len)
+            values = f.values[idx]
+            if f.m <= oracle_cap:
+                lower, pairs = _branch_and_bound(values, family, min_len)
+                upper, mode, op = lower, "exact-oracle", "<="
+            else:
+                lower, upper, pairs = _rank_bounds(values, family, min_len)
+                mode, op = "bounds", ">"
+            witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
+            _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m, op, oracle_cap,
+                       *grid[1:])
+        if lower > 0 and f.m // min_len > family.k_max:
+            raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
+        root = 1.0 / p
+        results.append(VariationResult(value=lower ** root, mode=mode, lower=lower ** root,
+                                       upper=upper ** root, witness=witness))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -506,13 +515,13 @@ def variation_weighted(f: StepFunction, weights: WeightSequence, p: float = 1.0,
     Schramm variation of ``SchrammFamily.power(p, weights)``."""
     if p < 1:
         raise ValidationError("p must be >= 1")
-    return _rank_solve(f, SchrammFamily.power(p, weights), 1, oracle_cap, p)
+    return _rank_solve(f, [(SchrammFamily.power(p, weights), 1, p)], oracle_cap)[0]
 
 
 def variation_schramm(f: StepFunction, family: SchrammFamily,
                       oracle_cap: int = ORACLE_CAP_DEFAULT) -> VariationResult:
     """``sup sum phi_j(|f(I_j)|)`` over nonoverlapping collections."""
-    return _rank_solve(f, family, 1, oracle_cap)
+    return _rank_solve(f, [(family, 1, 1.0)], oracle_cap)[0]
 
 
 def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
@@ -526,11 +535,12 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     ``floor(m / min_len) <= delta_n``, which coincides with the count cap
     used in the sufficiency arguments.
 
-    Levels that share (q_n, min_len) are solved once. When the weights are
-    rank-free (constant, or an explicit list of one value), every level is
-    an uncapped column of one interval DP, and all of them are filled in one
-    pass; otherwise each level is its own rank solve. The first level with
-    the strictly largest value is reported.
+    Levels that share (q_n, min_len) are solved once, and all of them go
+    to one rank solve, which picks the path: with rank-free weights
+    (constant, or an explicit list of one value) every level is an uncapped
+    column of one interval DP, filled in one pass; otherwise each level is
+    searched on its own. The first level with the strictly largest value is
+    reported.
     """
     if not 1 <= n_cap <= gauge.n_max:
         raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
@@ -540,17 +550,8 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
         keys.append((q_n, max(1, math.ceil(f.m / delta_n))))
     distinct = list(dict.fromkeys(keys))
     families = {q_n: SchrammFamily.power(q_n, weights) for q_n, _ in distinct}
-    if families[keys[0][0]].rank_free is not None:  # the weights decide, not q_n
-        solved, _ = _dp_solve(f, [(families[q_n].rank_free, min_len)
-                                  for q_n, min_len in distinct])
-        results = {(q_n, min_len): _rank_result(f, families[q_n], min_len, q_n, "exact-dp",
-                                                value, value, witness)
-                   for (q_n, min_len), (value, witness) in zip(distinct, solved)}
-        _log.debug("exact-dp gauged: m=%d, levels=%d, columns=%d", f.m, n_cap,
-                   len(distinct))
-    else:
-        results = {(q_n, min_len): _rank_solve(f, families[q_n], min_len, oracle_cap, q_n)
-                   for q_n, min_len in distinct}
+    results = dict(zip(distinct, _rank_solve(
+        f, [(families[q_n], min_len, q_n) for q_n, min_len in distinct], oracle_cap)))
     best = VariationResult(0.0, "exact-dp", 0.0, 0.0,
                            IntervalCollection.from_pairs(f, []), level=None)
     for n, key in enumerate(keys, 1):

@@ -167,6 +167,40 @@ class TestCounterexampleCommand:
         assert list(rep) == ["spec", "m", "membership", "blowup"]
         assert not witness.exists()
 
+    def test_plan_only_summary(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        assert run(self.ARGS + ["--output", str(out)]) == 0
+        assert list(json.loads(out.read_text())["result"]) == ["spec"]
+        assert capsys.readouterr().out == "counterexample lambda: levels=2 m=1024\n"
+
+    def test_plan_only_past_the_grid_cap_exits_zero(self, tmp_path, capsys):
+        # lcm(4, 1048576, 5242880) = 5242880 > GRID_CAP: only a build needs
+        # the grid, so the plan is reported and the summary says why no m
+        argv = ["counterexample", "--kind", "lambda", "--lambda", "harmonic",
+                "--gamma", "constant", "--p", "1", "--qn", "const:1",
+                "--delta", "list:1048576,5242880", "--levels", "2",
+                "--blow-base", "1.01", "--sep-base", "0.5", "--kmax", "8388608"]
+        out = tmp_path / "rep.json"
+        assert run(argv + ["--output", str(out)]) == 0
+        assert len(json.loads(out.read_text())["result"]["spec"]["levels"]) == 2
+        assert capsys.readouterr().out == (
+            "counterexample lambda: levels=2 m=too large (grid lcm exceeds cap "
+            "4194304 at level 2 (delta=5242880))\n")
+        assert run(argv + ["--build", "--output", str(out)]) == 1
+        assert "grid lcm exceeds cap" in capsys.readouterr().err
+
+    def test_plateau_past_its_band_exits_two(self, tmp_path, capsys):
+        # a pow2 ladder has one grid cell per band: level 2's plateau would
+        # close at 1/2, on level 1's first plateau
+        code = run(["counterexample", "--kind", "lambda", "--lambda", "harmonic",
+                    "--gamma", "constant", "--p", "1", "--qn", "const:1",
+                    "--delta", "pow2", "--levels", "10", "--blow-base", "1.2",
+                    "--sep-base", "0.25", "--kmax", "65536", "--certify",
+                    "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: level 2: plateau budget empty (s_n=1, s_fit=0)\n")
+
     def test_infeasible_exits_two(self, tmp_path):
         code = run(["counterexample", "--kind", "lambda", "--lambda",
                     "constant", "--gamma", "constant", "--qn", "const:1",

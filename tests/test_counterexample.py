@@ -120,38 +120,65 @@ class TestPlan:
                               w_gamma=CONST1, p=1.0, **consts)
 
     @staticmethod
-    def pow2_plan():
-        gauge = GaugePair.build("const", "pow2", q=1.0, n_max=20)
+    def many_level_plan():
+        """20 levels at delta_n = 2^(n+1): two grid cells per dyadic band,
+        so every level holds one plateau."""
+        gauge = GaugePair.build("const", "list", q=1.0, n_max=20,
+                                delta_list=[2 ** (n + 1) for n in range(1, 21)])
         return plan_construction(
-            "lambda", gauge, 20, w_lambda=WeightSequence("harmonic", k_max=1 << 20),
-            w_gamma=WeightSequence("constant", value=1.0, k_max=1 << 20), p=1.0,
+            "lambda", gauge, 20, w_lambda=WeightSequence("harmonic", k_max=1 << 21),
+            w_gamma=WeightSequence("constant", value=1.0, k_max=1 << 21), p=1.0,
             sep=[1.0] * 20, blow=[1.2 ** n for n in range(1, 21)])
 
     def test_many_level_plan_reads_a_short_prefix(self):
-        # every r_n is below 256 while delta_20 = 2^20: the kernel is read
+        # every r_n is below 256 while delta_20 = 2^21: the kernel is read
         # up to the first violation, not to the largest delta_n
         tracemalloc.start()
         try:
-            spec = self.pow2_plan()
+            spec = self.many_level_plan()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert spec.levels[-1].r_n < 256
         assert peak < 1 << 20
-        # about 1.5 ms on a 2-core x86_64 VM, where reading every k to 2^20
-        # took about 100 ms; the best of five keeps a busy host's stalls out
-        best = min(timeit.repeat(self.pow2_plan, number=1, repeat=5))
+        # about 1.5 ms on a 2-core x86_64 VM, where reading every k to 2^21
+        # would take about 200 ms; the best of five keeps a busy host's
+        # stalls out
+        best = min(timeit.repeat(self.many_level_plan, number=1, repeat=5))
         assert best < 5e-3
 
     def test_plan_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="gbv"):
-            spec = self.pow2_plan()
+            spec = self.many_level_plan()
         # a level whose r_n lies past the prefix reads it up to
-        # min(1024, delta_n): to delta_9 = 512 for r_9 = 19, which holds
-        # every later r_n (r_20 = 231)
-        assert spec.levels[-1].r_n == 231
+        # min(1024, delta_n): r_12 = 38 passes the 32 k read for r_4, and
+        # the read to 1024 holds every later r_n (r_20 = 231)
+        assert [lv.r_n for lv in spec.levels][3::8] == [5, 38, 231]
         assert [r.getMessage() for r in caplog.records] == [
-            "counterexample plan: levels=20, kernel read to k=512"]
+            "counterexample plan: levels=20, kernel read to k=1024"]
+
+    @pytest.mark.parametrize("ladder", [("pow2", None, 1), ("list", [4, 8], 2),
+                                        ("list", [4, 12], 2), ("list", [6, 24, 72], 3),
+                                        ("list", [64, 1024, 1024, 8192], 4)])
+    @pytest.mark.parametrize("eps_base, sep_base", [(0.5, 0.25), (0.5, 0.5), (0.75, 0.25)])
+    def test_small_plans_build_and_certify(self, ladder, eps_base, sep_base):
+        # [4, 12] at eps_2 = 1/4: 2s - 1 <= eps_2 delta_2 = 3 allows two
+        # plateaus, the second closing at 1/2, where level 1 starts
+        delta, delta_list, n_levels = ladder
+        gauge = GaugePair.build("const", delta, q=1.0, n_max=n_levels, delta_list=delta_list)
+        spec = plan_construction(
+            "lambda", gauge, n_levels, w_lambda=HARMONIC, w_gamma=CONST1, p=1.0,
+            eps=[eps_base ** n for n in range(1, n_levels + 1)],
+            sep=[4.0 * sep_base ** n for n in range(1, n_levels + 1)],
+            blow=[1.2 ** n for n in range(1, n_levels + 1)])
+        f = build_witness(spec)
+        rep = certify_blowup(spec, f)  # raises if an increment misses its height
+        assert len(rep["levels"]) == n_levels
+        for lv in spec.levels:
+            # the last plateau closes inside the level's band [2^-n, 2^-(n-1)),
+            # or at 1 for level 1
+            closing = (f.m >> lv.n) + (2 * lv.t_n - 1) * (f.m // lv.delta_n)
+            assert closing < f.m >> (lv.n - 1) or closing == f.m
 
 
 WEIGHT_KINDS = {
@@ -179,14 +206,16 @@ def dense_kernel(kind, top, q, w_lambda=None, w_gamma=None, p=1.0, family=None):
        p=st.sampled_from([1.0, 1.5, 2.0]),
        base=st.sampled_from(["power 1", "power 2", "expm1", "explicit"]),
        ladder=st.sampled_from([("const", 2.0), ("linear", None), ("to", 3.0)]),
-       deltas=st.lists(st.integers(2, 3000), min_size=1, max_size=6).map(sorted),
+       deltas=st.lists(st.integers(2, 3000), min_size=1, max_size=6).map(
+           lambda ds: [max(d, 2 ** n + 1) for n, d in enumerate(sorted(ds), 1)]),
        blow_base=st.floats(1.01, 3.0), infeasible=st.integers(0, 6))
 def test_violation_index_matches_dense_kernel_property(kind, lam, gam, p, base, ladder,
                                                        deltas, blow_base, infeasible):
     """r_n is the first k <= delta_n whose kernel, computed densely here,
     exceeds blow_n; a level with no such k raises at that level, and the
     planner stops there. ``infeasible`` (when 1..len(deltas)) sets that
-    level's blow_n to its kernel max, so no k exceeds it."""
+    level's blow_n to its kernel max, so no k exceeds it. Every delta_n
+    exceeds 2^n, so each level's band holds a plateau."""
     n_levels, horizon = len(deltas), 4096
     gauge = GaugePair.build(ladder[0], "list", q=ladder[1], n_max=n_levels,
                             delta_list=deltas)

@@ -216,9 +216,8 @@ class TestGauged:
         results = []
         for n in range(1, n_cap + 1):
             q_n, delta_n = gauge.level(n)
-            res = gbv.variation._rank_solve(f, SchrammFamily.power(q_n, weights),
-                                            max(1, math.ceil(f.m / delta_n)),
-                                            gbv.variation.ORACLE_CAP_DEFAULT, q_n)
+            level = (SchrammFamily.power(q_n, weights), max(1, math.ceil(f.m / delta_n)), q_n)
+            [res] = gbv.variation._rank_solve(f, [level], gbv.variation.ORACLE_CAP_DEFAULT)
             results.append(res)
             if res.value > best.value:
                 best = replace(res, level=n)
@@ -233,7 +232,10 @@ class TestGauged:
         for m in (5, 16, 33, 64):
             for scale in (1.0, 1.0, 1e200):
                 f = StepFunction(np.cumsum(rng.normal(size=m + 1)) * scale)
-                for w in (CONST1, WeightSequence("explicit", terms=[0.5] * 3)):
+                weights = [CONST1, WeightSequence("explicit", terms=[0.5] * 3)]
+                if m <= 16:  # rank-dependent levels, solved by the exact B&B
+                    weights.append(HARMONIC)
+                for w in weights:
                     assert (variation_gauged(f, w, gauge, 7).to_json_dict()
                             == self.per_level(f, w, gauge, 7).to_json_dict())
 
@@ -645,7 +647,7 @@ class TestSkeleton:
         assert [r.getMessage() for r in caplog.records] == [
             f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)}",
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}",
-            "exact-dp: rank-free family, m=20",
+            "exact-dp: rank-free family, m=20, columns=1",
         ]
 
     def test_gauged_path_is_logged(self, caplog):
@@ -655,7 +657,7 @@ class TestSkeleton:
         # levels 3 and 4 share min_len 1 but not q_n; a rank-dependent gauge
         # keeps one rank solve per level
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp gauged: m=4, levels=4, columns=4",
+            "exact-dp: rank-free family, m=4, columns=4",
             "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton",
             "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5",
         ]
