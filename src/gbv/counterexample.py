@@ -74,8 +74,6 @@ class ConstructionSpec:
         return len(self.levels)
 
     def gauge(self):
-        if not self.levels:
-            raise ValidationError("empty construction has no gauge")
         return GaugePair([lv.q_n for lv in self.levels],
                          [lv.delta_n for lv in self.levels])
 
@@ -125,14 +123,13 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     """
     if kind not in ("lambda", "schramm"):
         raise ValidationError(f"unknown construction kind {kind!r}")
-    if n_levels < 0 or n_levels > gauge.n_max:
-        raise ValidationError(f"n_levels must be in 0..{gauge.n_max}")
+    rungs = gauge.levels(n_levels)
     if kind == "lambda" and (w_lambda is None or w_gamma is None):
         raise ValidationError("lambda construction needs both weight sequences")
     if kind == "schramm" and family is None:
         raise ValidationError("schramm construction needs a family")
 
-    d_eps, d_sep, d_blow = paper_constants(max(n_levels, 1))
+    d_eps, d_sep, d_blow = paper_constants(n_levels)
     eps = np.asarray(eps if eps is not None else d_eps, dtype=float)
     sep = np.asarray(sep if sep is not None else d_sep, dtype=float)
     blow = np.asarray(blow if blow is not None else d_blow, dtype=float)
@@ -147,8 +144,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
         horizon, parts = family.k_max, schramm_parts(family)
     g = h = np.empty(0)  # the kernel parts at k = 1..len(g)
     levels = []
-    for n in range(1, n_levels + 1):
-        q_n, delta_f = gauge.level(n)
+    for n, (q_n, delta_f) in enumerate(rungs, 1):
         delta_n = int(delta_f)
         if delta_n != delta_f:
             raise ValidationError(f"delta_{n}={delta_f} is not an integer")
@@ -210,7 +206,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
 
 def witness_resolution(spec, grid_cap=GRID_CAP):
     """Smallest uniform grid on which every plateau edge is a grid point."""
-    m = 1 << spec.n_levels if spec.levels else 2
+    m = 1 << spec.n_levels
     for lv in spec.levels:
         m = math.lcm(m, lv.delta_n)
         if m > grid_cap:
@@ -256,7 +252,7 @@ def certify_membership(spec, f=None, oracle_cap=ORACLE_CAP_DEFAULT):
     total = math.fsum(row["bound"] for row in rows)
     report = {"kind": spec.kind, "total_bound": total, "levels": rows,
               "exact": None}
-    if f is not None and f.m <= oracle_cap and spec.levels:
+    if f is not None and f.m <= oracle_cap:
         if spec.kind == "lambda":
             exact = variation_weighted(f, spec.w_lambda, spec.p,
                                        oracle_cap=oracle_cap).value
@@ -310,9 +306,9 @@ def certify_blowup(spec, f, oracle_cap=ORACLE_CAP_DEFAULT):
             "floor_ok": bool(L_n >= floor * (1 - 1e-9)),
         })
     report = {"kind": spec.kind, "levels": rows,
-              "max_L": max((r["L_n"] for r in rows), default=0.0),
+              "max_L": max(r["L_n"] for r in rows),
               "cross_checked": False}
-    if f.m <= oracle_cap and spec.levels:
+    if f.m <= oracle_cap:
         target_w = spec.w_gamma if spec.kind == "lambda" else WeightSequence(
             "constant", value=1.0, k_max=max(lv.delta_n for lv in spec.levels))
         gauged = variation_gauged(f, target_w, spec.gauge(), spec.n_levels,

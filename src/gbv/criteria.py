@@ -262,11 +262,11 @@ def _bracket_scan(tops, exps, parts):
     return rows, bool(live), len(ks)
 
 
-def _scan(gauge, n_cap, horizon, parts):
-    """The criterion report of the levels ``1..n_cap`` of ``gauge``, each
+def _scan(levels, horizon, parts):
+    """The criterion report of ``levels``, ``(q_n, delta_n)`` pairs, each
     scanned to ``min(delta_n, horizon)``."""
-    return _assemble(*_bracket_scan([min(int(d), horizon) for d in gauge.deltas[:n_cap]],
-                                    1.0 / gauge.qn[:n_cap], parts))
+    return _assemble(*_bracket_scan([min(int(d), horizon) for _, d in levels],
+                                    [1.0 / q for q, _ in levels], parts))
 
 
 def _trend(values):
@@ -327,11 +327,9 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
     """
     if p < 1:
         raise ValidationError("p must be >= 1")
-    if not 1 <= n_cap <= gauge.n_max:
-        raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
-    q1 = gauge.qn[0]
-    max_delta = int(gauge.deltas[n_cap - 1])
-    if p > q1 + 1e-12:
+    levels = gauge.levels(n_cap)
+    max_delta = int(levels[-1][1])
+    if p > levels[0][0] + 1e-12:
         if not second_part:
             raise HypothesisError(
                 "p > q_1 requires the second-part flag with "
@@ -342,7 +340,7 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
         raise HorizonError(
             f"delta_{n_cap}={max_delta} exceeds the weight-sequence horizon")
 
-    return _scan(gauge, n_cap, min(w_gamma.k_max, w_lambda.k_max),
+    return _scan(levels, min(w_gamma.k_max, w_lambda.k_max),
                  lambda_gamma_parts(w_lambda, w_gamma, p))
 
 
@@ -368,17 +366,13 @@ def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
 def criterion_schramm(family: SchrammFamily, gauge: GaugePair,
                       n_cap: int) -> CriterionReport:
     """Scan ``a_n = max_{1<=k<=delta_n} k^{1/q_n} Phi_k^{-1}(1)``."""
-    if not 1 <= n_cap <= gauge.n_max:
-        raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
-    return _scan(gauge, n_cap, family.k_max, schramm_parts(family))
+    return _scan(gauge.levels(n_cap), family.k_max, schramm_parts(family))
 
 
 def criterion_phi_lambda(base: ConvexBase, weights: WeightSequence,
                          gauge: GaugePair, n_cap: int) -> CriterionReport:
     """Scan ``a_n = max_k k^{1/q_n} phi^{-1}(Lambda(k)^{-1})``: theorem 1.8
     on the scaled family phi_j = phi/lam_j, since Phi_k = phi * Lambda(k)."""
-    if not 1 <= n_cap <= gauge.n_max:
-        raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
     return criterion_schramm(SchrammFamily("scaled", base=base, weights=weights),
                              gauge, n_cap)
 

@@ -296,12 +296,18 @@ class SchrammFamily:
       extended beyond the list by the last pair. A falling exponent, or
       equal exponents with a rising coefficient, is rejected at
       construction: either breaks phi_{j+1} <= phi_j at every scale.
+
+    A scaled family's horizon ``k_max`` is its weights'; an explicit one
+    takes ``k_max`` (default ``DEFAULT_K_MAX``).
     """
 
     def __init__(self, kind, *, base=None, weights=None, terms=None,
                  k_max=None):
         #: the gain every rank shares when phi_j does not depend on j, else None
         self.rank_free = None
+        #: phi_1 >= phi_2 >= ... holds on [0, ordered_to]: a rising exponent
+        #: e_{j+1} > e_j holds it up to the crossing (c_j/c_{j+1})^(1/(e_{j+1}-e_j))
+        self.ordered_to = math.inf
         #: rank-free gain of the witness-producing lower-bound DPs
         self.surrogate = lambda x: x
         # lam_j or (c_j, e_j) per rank for rank_sum, grown on demand. Each kind
@@ -311,9 +317,11 @@ class SchrammFamily:
         if kind == "scaled":
             if base is None or weights is None:
                 raise ValidationError("scaled kind needs base and weights")
+            if k_max is not None:
+                raise ValidationError("a scaled family takes k_max from its weights")
             self.base = base if isinstance(base, ConvexBase) else ConvexBase.from_config(base)
             self.weights = weights
-            self.k_max = weights.k_max if k_max is None else int(k_max)
+            self.k_max = weights.k_max
             self.terms = None
             self._rank_terms = lambda n: weights.weights(n).tolist()
             if self.base.shape == "power":
@@ -340,12 +348,17 @@ class SchrammFamily:
                     raise ValidationError("explicit terms need coef > 0, exponent >= 1")
             # phi_{j+1} / phi_j = (c_{j+1} / c_j) x^(e_{j+1} - e_j): pairs that
             # break phi_{j+1} <= phi_j at every scale are rejected here; a
-            # rising exponent holds up to a crossing and is not checked
+            # rising exponent holds up to its crossing
             for j, ((c, e), (c1, e1)) in enumerate(zip(self.terms, self.terms[1:]), 1):
                 if e1 < e or (e1 == e and c1 > c):
                     where = "near 0" if e1 < e else "for every x > 0"
                     raise ValidationError(f"explicit terms {j} and {j + 1}: "
                                           f"phi_{j + 1} > phi_{j} {where}")
+                if e1 > e:
+                    try:  # a crossing past the largest float is none
+                        self.ordered_to = min(self.ordered_to, (c / c1) ** (1.0 / (e1 - e)))
+                    except OverflowError:
+                        pass
             self.base = None
             self.weights = None
             self.k_max = DEFAULT_K_MAX if k_max is None else int(k_max)
@@ -549,11 +562,12 @@ class GaugePair:
             raise ValidationError("delta ladder shorter than qn ladder")
         return cls(qn[:n_max], deltas[:n_max], q_limit=q_limit)
 
-    def level(self, n):
-        """Return (q_n, delta_n), 1-based."""
+    def levels(self, n):
+        """The first ``n`` rungs as a list of ``(q_n, delta_n)`` Python
+        floats; the one check of a level count."""
         if not 1 <= n <= self.n_max:
-            raise HorizonError(f"level {n} outside horizon 1..{self.n_max}")
-        return float(self.qn[n - 1]), float(self.deltas[n - 1])
+            raise ValidationError(f"level count {n} outside 1..{self.n_max}")
+        return list(zip(self.qn[:n].tolist(), self.deltas[:n].tolist()))
 
     def __repr__(self):
         return (f"GaugePair(n_max={self.n_max}, q_limit={self.q_limit}, "

@@ -68,7 +68,8 @@ def ingest(path, fmt="csv"):
     """Load a StepFunction from a file.
 
     CSV: one value per line. JSON: ``{"m": int, "values": [...]}`` with
-    ``m`` optional but checked when present.
+    ``m`` optional but checked when present. :class:`StepFunction` checks
+    the samples.
     """
     if fmt == "csv":
         values = []
@@ -93,12 +94,7 @@ def ingest(path, fmt="csv"):
             raise ValidationError("declared m inconsistent with values length")
     else:
         raise ValidationError(f"unknown format {fmt!r}")
-    if len(values) < 2:
-        raise ValidationError("need at least 2 samples")
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("non-finite sample values")
-    return StepFunction(arr)
+    return StepFunction(values)
 
 
 def generate_block(n, height, t_n, delta_n, m):

@@ -31,6 +31,9 @@ to the input grid. This needs the family that the branch-and-bound needs
 anyway: each phi_j convex with phi_j(0) = 0, and phi_1 >= phi_2 >= ... on
 the increments of f. On the skeleton the upper bound charges at most one
 rank per skeleton cell, so it can only be tighter than on the full grid.
+An explicit family with rising exponents is ordered only up to
+``family.ordered_to``; an input whose range passes it gets bounds that
+charge every rank of the input grid.
 The Waterman-Shiba variation is the p-th root of the Schramm variation of
 phi_j(x) = x^p / lam_j, and each gauged level is that family at q_n, so one
 rank objective serves all three.
@@ -306,16 +309,20 @@ def _future_bounds(values, family, min_len):
     return F
 
 
-def _future_bound(nu, family, min_len, pos):
+def _future_bound(nu, family, min_len, pos, ranks=None):
     """The future bound at ``pos``, read off the suffix modulus table ``nu``
     of the linear gain: the j-th largest increment of any collection with
     top-j sum <= nu(j) is at most nu(j)/j, and the per-rank gains are
-    increasing in x."""
+    increasing in x. ``ranks`` past the table's n columns charges ranks
+    n + 1.. too, at nu(n)/j: the bound of a finer grid whose modulus
+    table is this one's, held at nu(n) past n (as a skeleton's is)."""
     n = (len(nu) - 2 - pos) // min_len
     caps = nu[pos, 1:n + 1] / np.arange(1, n + 1)
     live = caps > 0
     if not live.all():
         caps = caps[:live.argmin()]
+    elif ranks:
+        caps = np.concatenate([caps, nu[pos, n] / np.arange(n + 1, ranks + 1)])
     return family.rank_sum(caps.tolist())
 
 
@@ -353,14 +360,16 @@ def _branch_and_bound(values, family, min_len=1):
     return best["value"], best["pairs"]
 
 
-def _rank_bounds(values, family, min_len=1):
+def _rank_bounds(values, family, min_len=1, ranks=None):
     """Certified (lower, upper, witness pairs) when exact search is off the
     table.
 
     Lower: evaluate the true rank objective on the witnesses of the
     surrogate DP for every interval count, keep the best. Upper: the
     future bound at position 0 alone (an over-estimate in general, since
-    optimal k-collections need not nest)."""
+    optimal k-collections need not nest), over ``ranks`` ranks when given
+    (see :func:`_future_bound`). Neither needs phi_1 >= phi_2 >= ...: the
+    lower is a real collection, and the upper needs only increasing phi_j."""
     m = len(values) - 1
     best_tab, walk = _dp(values, [(family.surrogate, min_len)], m)
     samples = values.tolist()
@@ -372,7 +381,7 @@ def _rank_bounds(values, family, min_len=1):
         if val > lower:
             lower, witness_pairs = val, pairs
     nu, _ = _dp(values, [(_linear, min_len)], m)
-    return lower, max(float(_future_bound(nu, family, min_len, 0)), lower), witness_pairs
+    return lower, max(float(_future_bound(nu, family, min_len, 0, ranks)), lower), witness_pairs
 
 
 def _skeleton(values):
@@ -407,6 +416,13 @@ def _rank_solve(f, levels, oracle_cap):
     path raises past the horizon alike, before the next level is searched:
     a positive value means up to ``m // min_len`` ranks can be charged, and
     all of them are asked for.
+
+    Both proofs below need phi_1 >= phi_2 >= ... on [0, ptp(f)], which an
+    explicit family with rising exponents keeps only up to
+    ``family.ordered_to``. Past it a level gets certified bounds at any m,
+    still on the skeleton: the lower bound is a real collection, and the
+    upper bound charges every rank of the input grid, whose modulus table
+    is the skeleton's held at its last column.
 
     Why the skeleton is exact. Let each phi_j be convex with phi_j(0) = 0
     and phi_1 >= phi_2 >= ... on [0, ptp(f)], the family the B&B needs
@@ -454,16 +470,24 @@ def _rank_solve(f, levels, oracle_cap):
             else:
                 idx = np.arange(f.m + 1)
                 grid = ("min_len=%d, no skeleton", min_len)
+            ranks = None  # set when the range passes the family's ordering
+            if family.ordered_to < math.inf:
+                # a Python float difference: np.ptp warns past the largest float
+                span = float(f.values.max()) - float(f.values.min())
+                if span > family.ordered_to:
+                    ranks = f.m // min_len
+                    grid = ("range %.3g > ordered_to %.3g, " + grid[0], span,
+                            family.ordered_to, *grid[1:])
             values = f.values[idx]
-            if f.m <= oracle_cap:
+            if f.m <= oracle_cap and ranks is None:
                 lower, pairs = _branch_and_bound(values, family, min_len)
-                upper, mode, op = lower, "exact-oracle", "<="
+                upper, mode = lower, "exact-oracle"
             else:
-                lower, upper, pairs = _rank_bounds(values, family, min_len)
-                mode, op = "bounds", ">"
+                lower, upper, pairs = _rank_bounds(values, family, min_len, ranks)
+                mode = "bounds"
             witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
-            _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m, op, oracle_cap,
-                       *grid[1:])
+            _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m,
+                       "<=" if f.m <= oracle_cap else ">", oracle_cap, *grid[1:])
         if lower > 0 and f.m // min_len > family.k_max:
             raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
         root = 1.0 / p
@@ -542,12 +566,8 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     searched on its own. The first level with the strictly largest value is
     reported.
     """
-    if not 1 <= n_cap <= gauge.n_max:
-        raise ValidationError(f"n_cap must be in 1..{gauge.n_max}")
-    keys = []  # (q_n, min_len) per level; levels often repeat both
-    for n in range(1, n_cap + 1):
-        q_n, delta_n = gauge.level(n)
-        keys.append((q_n, max(1, math.ceil(f.m / delta_n))))
+    # (q_n, min_len) per level; levels often repeat both
+    keys = [(q_n, max(1, math.ceil(f.m / delta_n))) for q_n, delta_n in gauge.levels(n_cap)]
     distinct = list(dict.fromkeys(keys))
     families = {q_n: SchrammFamily.power(q_n, weights) for q_n, _ in distinct}
     results = dict(zip(distinct, _rank_solve(
@@ -566,12 +586,15 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
                  oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
     """Luxemburg-style norm ``|f(a)| + inf{c > 0 : V_Phi(f/c) <= 1}``.
 
-    For a family homogeneous of degree d (``family.degree``: a power base,
-    or explicit terms sharing one exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``,
-    so the infimum is ``V_Phi(f)^(1/d)``: one variation call. Other
-    families (the ``expm1`` base, mixed exponents) find it by bracket
-    doubling plus bisection to ``NORM_REL_TOL``, since ``c -> V_Phi(f/c)``
-    is nonincreasing. A norm past the largest float is inf.
+    ``V_Phi(f/c)`` depends on f/c only, so f is first divided by the
+    exact power of two above max|f|, which keeps its range and gains
+    finite, and the norm is scaled back at the end. For a family
+    homogeneous of degree d (``family.degree``: a power base, or explicit
+    terms sharing one exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``, so the
+    infimum is ``V_Phi(f)^(1/d)``: one variation call. Other families (the
+    ``expm1`` base, mixed exponents) find it by bracket doubling plus
+    bisection to ``NORM_REL_TOL``, since ``c -> V_Phi(f/c)`` is
+    nonincreasing. A norm past the largest float is inf.
 
     A rank-free family (constant weights, an explicit weight list of one
     value, or explicit terms that are one repeated pair) is solved by the
@@ -587,24 +610,16 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     values = f.values
     if values.min() == values.max():
         return abs(f_a)
-    degree = family.degree
-    if degree is not None:
-        # in bounds mode the value is the certified lower bound. A range past
-        # the largest float (a Python float difference, which cannot warn)
-        # is divided by the power of two above max|f|: V(f)^(1/d) = c V(f/c)^(1/d)
-        shift = 0
-        if math.isinf(float(values.max()) - float(values.min())):
-            shift = math.frexp(np.max(np.abs(values)))[1]
-            f = StepFunction(np.ldexp(values, -shift))
-        return _norm(f_a, variation_schramm(f, family, oracle_cap).value ** (1.0 / degree),
-                     shift)
-
-    # V_Phi(f/c) depends on f/c only: divide f by exact powers of two, first
-    # the one above max|f| (so the range cannot overflow), then the one above
-    # the range left, which puts the range in [0.5, 1). The bracket then
-    # starts at c = 1 for every input, and c scales back exactly.
     shift = math.frexp(np.max(np.abs(values)))[1]
     values = np.ldexp(values, -shift)
+    if (degree := family.degree) is not None:
+        # in bounds mode the value is the certified lower bound
+        return _norm(f_a, variation_schramm(StepFunction(values), family, oracle_cap).value
+                     ** (1.0 / degree), shift)
+
+    # the bisection also divides by the power of two above the range left,
+    # which puts the range in [0.5, 1): the bracket then starts at c = 1 for
+    # every input, and c scales back exactly
     e = math.frexp(np.ptp(values))[1]
     g, shift = StepFunction(np.ldexp(values, -e)), shift + e
 

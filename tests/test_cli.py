@@ -37,9 +37,9 @@ class TestParsing:
 
     def test_gauge_specs(self):
         g = parse_gauge("linear", "pow2", 6)
-        assert g.level(2) == (2.0, 4.0)
+        assert g.levels(2)[-1] == (2.0, 4.0)
         g = parse_gauge("const:1.5", "list:4,8,16", 3)
-        assert g.level(3) == (1.5, 16.0)
+        assert g.levels(3)[-1] == (1.5, 16.0)
 
 
 class TestVariationCommand:

@@ -227,8 +227,8 @@ def test_violation_index_matches_dense_kernel_property(kind, lam, gam, p, base, 
     else:
         shape = ConvexBase("expm1") if base == "expm1" else ConvexBase("power", p=float(base[-1]))
         kw = dict(family=SchrammFamily("scaled", base=shape, weights=WEIGHT_KINDS[lam](horizon)))
-    kernels = [dense_kernel(kind, d, gauge.level(n)[0], **kw)
-               for n, d in enumerate(deltas, 1)]
+    kernels = [dense_kernel(kind, d, q_n, **kw)
+               for (q_n, _), d in zip(gauge.levels(n_levels), deltas)]
     blow = [blow_base ** n for n in range(1, n_levels + 1)]
     if 1 <= infeasible <= n_levels:
         blow[infeasible - 1] = float(kernels[infeasible - 1].max())

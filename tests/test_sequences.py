@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
-                 SchrammFamily, ValidationError, WeightSequence)
+                 SchrammFamily, StepFunction, ValidationError, WeightSequence,
+                 criterion_lambda_gamma, criterion_phi_lambda, criterion_schramm,
+                 criterion_union_p, plan_construction, variation_gauged,
+                 variation_schramm)
 from gbv.sequences import BISECT_X_TOL, INVERSE_TOL, PREFIX_ANCHOR
 
 KM = 4096
+HARMONIC = WeightSequence("harmonic", k_max=KM)
 KINDS = [
     ("harmonic", {}),
     ("constant", {"value": 2.0}),
@@ -225,6 +229,30 @@ class TestSchrammFamily:
         # a rising exponent is ordered up to a crossing and still accepted
         SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)])
 
+    @pytest.mark.parametrize("terms, ordered_to", [
+        # terms 2 -> 3 cross first: (0.8/0.6)^(1/0.3), before (1/0.8)^(1/0.2) = 3.05
+        ([(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)], (0.8 / 0.6) ** (1 / 0.3)),
+        ([(1.0, 2.0), (0.5, 2.0)], math.inf),             # one exponent
+        ([(1.0, 1.0), (2.0, 2.0)], 0.5),                  # crossing below 1
+        ([(1e10, 1.0), (1.0, 1.00001)], math.inf),        # crossing past the floats
+    ])
+    def test_ordered_to_is_the_first_crossing(self, terms, ordered_to):
+        fam = SchrammFamily("explicit", terms=terms)
+        assert fam.ordered_to == pytest.approx(ordered_to, rel=1e-15)
+        assert SchrammFamily.power(2.0, WeightSequence("harmonic")).ordered_to == math.inf
+
+    def test_scaled_family_takes_k_max_from_its_weights(self):
+        weights = WeightSequence("constant", k_max=3)
+        assert SchrammFamily.power(2.0, weights).k_max == 3
+        # a larger k_max would let the rank-free DP charge ranks past the
+        # weights' horizon
+        with pytest.raises(ValidationError, match="takes k_max from its weights"):
+            SchrammFamily("scaled", base=ConvexBase("power", p=2.0), weights=weights,
+                          k_max=100)
+        with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
+            variation_schramm(StepFunction([0.0, 1.0] * 4 + [0.0]),
+                              SchrammFamily.power(2.0, weights))
+
     def test_negative_target_rejected(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
         with pytest.raises(ValidationError):
@@ -312,12 +340,12 @@ class TestSchrammFamily:
 class TestGaugePair:
     def test_pow2_ladder(self):
         g = GaugePair.build("linear", "pow2", n_max=8)
-        assert g.level(3) == (3.0, 8.0)
+        assert g.levels(3)[-1] == (3.0, 8.0)
         assert g.q_limit == math.inf
 
     def test_to_ladder_limit(self):
         g = GaugePair.build("to", "pow2", n_max=8, q=2.0)
-        qn = [g.level(n)[0] for n in range(1, 9)]
+        qn = [q for q, _ in g.levels(8)]
         assert qn[0] == 1.0
         assert all(a <= b for a, b in zip(qn, qn[1:]))
         assert g.q_limit == 2.0
@@ -330,7 +358,22 @@ class TestGaugePair:
         with pytest.raises(ValidationError):
             GaugePair([1.0], [1.5])
 
+    @pytest.mark.parametrize("consumer", [
+        lambda g, n: criterion_lambda_gamma(HARMONIC, HARMONIC, 1.0, g, n),
+        lambda g, n: criterion_schramm(SchrammFamily.power(2.0, HARMONIC), g, n),
+        lambda g, n: criterion_phi_lambda(ConvexBase("power", p=2.0), HARMONIC, g, n),
+        lambda g, n: criterion_union_p(HARMONIC, 1.0, g, n),
+        lambda g, n: variation_gauged(StepFunction([0.0, 1.0, 0.0]), HARMONIC, g, n),
+        lambda g, n: plan_construction("lambda", g, n, w_lambda=HARMONIC, w_gamma=HARMONIC),
+    ], ids=["lambda_gamma", "schramm", "phi_lambda", "union_p", "gauged", "plan"])
+    def test_level_count_consumers_share_one_check(self, consumer):
+        g = GaugePair.build("linear", "pow2", n_max=4)
+        for n in (0, 5):
+            with pytest.raises(ValidationError, match=f"^level count {n} outside 1..4$"):
+                consumer(g, n)
+
     def test_level_out_of_range(self):
         g = GaugePair.build("linear", "pow2", n_max=4)
-        with pytest.raises(HorizonError):
-            g.level(5)
+        for n in (0, 5):
+            with pytest.raises(ValidationError, match=f"^level count {n} outside 1..4$"):
+                g.levels(n)

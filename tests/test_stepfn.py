@@ -67,6 +67,12 @@ class TestIngest:
         with pytest.raises(ValidationError):
             ingest(path, "json")
 
+    def test_non_finite_value(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.0\nnan\n")
+        with pytest.raises(ValidationError, match="samples must be finite"):
+            ingest(path, "csv")
+
     def test_too_few_samples(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("0.5\n")

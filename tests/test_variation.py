@@ -24,6 +24,8 @@ ZIGZAG = StepFunction([0.0, 1.0, 0.0, 1.0, 0.0])
 #: mixed exponents, so not homogeneous; ordered (phi_1 >= phi_2 >= ...)
 #: for x <= 9, far above every increment the tests below produce
 MIXED_TERMS = [(1.0, 1.5), (0.6, 1.5), (0.2, 2.0)]
+#: ordered up to x = 2.609, where 0.6 x^2 passes 0.8 x^1.7
+EXPLICIT_TERMS = [(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)]
 
 
 def mixed_family(k_max=KM):
@@ -199,7 +201,7 @@ class TestGauged:
         rng = np.random.default_rng(17)
         f = StepFunction(random_values(rng, 8))
         res = variation_gauged(f, CONST1, self.GAUGE, 4)
-        q_n, delta_n = self.GAUGE.level(res.level)
+        q_n, delta_n = self.GAUGE.levels(res.level)[-1]
         redo = variation_unweighted_q(f, q_n,
                                       min_len=max(1, math.ceil(f.m / delta_n)))
         assert res.value == pytest.approx(redo.value)
@@ -214,8 +216,7 @@ class TestGauged:
         best = gbv.variation.VariationResult(0.0, "exact-dp", 0.0, 0.0,
                                              IntervalCollection.from_pairs(f, []))
         results = []
-        for n in range(1, n_cap + 1):
-            q_n, delta_n = gauge.level(n)
+        for n, (q_n, delta_n) in enumerate(gauge.levels(n_cap), 1):
             level = (SchrammFamily.power(q_n, weights), max(1, math.ceil(f.m / delta_n)), q_n)
             [res] = gbv.variation._rank_solve(f, [level], gbv.variation.ORACLE_CAP_DEFAULT)
             results.append(res)
@@ -359,6 +360,30 @@ class TestNorm:
             d = family().degree
             assert norm == 0.2 + real(f, family()).value ** (1.0 / d)
 
+    @pytest.mark.parametrize("family, values, norm", [
+        # V(f) = x^2 (1 + 1/2) past the largest float, V(f/c) is not
+        (lambda: SchrammFamily.power(2.0, WeightSequence("harmonic")), [0.0, 1e200], 1e200),
+        (lambda: SchrammFamily.power(2.0, WeightSequence("harmonic")), [0.0, 1e200, 0.0],
+         1.5 ** 0.5 * 1e200),
+        (lambda: SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 1.5)]),
+         [0.0, 1e250, 0.0], 1.5 ** (1 / 1.5) * 1e250),
+        # and V(f) = 1.5e-400 below the smallest float
+        (lambda: SchrammFamily.power(2.0, WeightSequence("harmonic")), [0.0, 1e-200, 0.0],
+         1.5 ** 0.5 * 1e-200),
+    ])
+    def test_homogeneous_norm_rescales_its_input(self, family, values, norm):
+        assert schramm_norm(StepFunction(values), family()) == pytest.approx(norm, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_homogeneous_norm_is_exact_under_powers_of_two(self, p):
+        # the rescaled input is the same for f and 2^k f, so the norm is
+        # too; a root of V(2^k f) itself would carry the rounding of 1/p
+        # times log V, about 1e-14 at k = 400
+        f = StepFunction([0.0, 0.75, 0.25, 1.0, -0.5])
+        fam = SchrammFamily.power(p, HARMONIC)
+        for k in (-400, 400):
+            assert schramm_norm(f.scaled(2.0 ** k), fam) == math.ldexp(schramm_norm(f, fam), k)
+
     def test_bounds_mode_homogeneous_norm(self):
         # above oracle_cap the norm uses the certified lower bound of V, and
         # the true norm lies between the lower- and upper-bound norms
@@ -422,6 +447,50 @@ def test_rank_layer_matches_oracle_property(vals, shape):
         for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 1):
             with pytest.raises(HorizonError, match=f"index {k_max + 1} outside"):
                 short(f, cap)
+
+
+@st.composite
+def rising_terms(draw):
+    """Explicit terms: coefficients falling, exponents rising at least once."""
+    n = draw(st.integers(2, 4))
+    exps = sorted(draw(st.lists(st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0]),
+                                min_size=n, max_size=n)))
+    coefs = sorted(draw(st.lists(st.sampled_from([1.0, 0.8, 0.5, 0.2, 0.05]),
+                                 min_size=n, max_size=n)), reverse=True)
+    if exps[0] == exps[-1]:
+        exps[-1] += 1.0
+    return list(zip(coefs, exps))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=3, max_size=9),
+       st.one_of(st.just(EXPLICIT_TERMS), rising_terms()))
+def test_explicit_family_past_its_ordering_matches_oracle_property(vals, terms):
+    # past ordered_to, phi_{j+1} > phi_j on some increments: the B&B's
+    # pruning and the skeleton are unproved there, so the level is bracketed
+    fam = SchrammFamily("explicit", terms=terms, k_max=KM)
+    phis = [lambda x, c=c, e=e: c * x ** e for c, e in terms]
+    phis += [phis[-1]] * (len(vals) - len(phis))
+    truth = oracles.oracle_schramm(vals, phis)
+    tol = 1e-12 * max(truth, 1.0)
+    for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 3):
+        res = variation_schramm(StepFunction(vals), fam, oracle_cap=cap)
+        if res.mode == "bounds":
+            assert res.lower - tol <= truth <= res.upper + tol
+        else:
+            assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+            assert max(vals) - min(vals) <= fam.ordered_to
+
+
+def test_unordered_bounds_charge_every_input_rank():
+    # a monotone input's skeleton is one cell, but splitting it wins past
+    # the crossing: phi_1(100) + phi_2(100) = 3009.5 > phi_1(200) = 2828.4
+    f = StepFunction([0.0, 100.0, 200.0])
+    fam = SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM)
+    truth = 100.0 ** 1.5 + 0.8 * 100.0 ** 1.7
+    res = variation_schramm(f, fam)
+    assert res.mode == "bounds"
+    assert res.lower <= truth <= res.upper
 
 
 @settings(max_examples=60, deadline=None)
@@ -648,6 +717,20 @@ class TestSkeleton:
             f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)}",
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}",
             "exact-dp: rank-free family, m=20, columns=1",
+        ]
+
+    def test_unordered_range_is_logged(self, caplog):
+        f = StepFunction([0.0, 3.25, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0, 0.0, 1.0, 1.0, 2.0, 0.5])
+        idx = self.skeleton(f.values)
+        fam = SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM)
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            variation_schramm(f, fam)
+            variation_schramm(f, fam, oracle_cap=8)
+            variation_schramm(f.scaled(0.5), fam)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"bounds: m=12 <= oracle_cap=16, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}",
+            f"bounds: m=12 > oracle_cap=8, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}",
+            f"exact-oracle: m=12 <= oracle_cap=16, skeleton 13→{len(idx)}",
         ]
 
     def test_gauged_path_is_logged(self, caplog):
