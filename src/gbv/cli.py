@@ -82,7 +82,8 @@ def parse_gauge(qn_spec, delta_spec, n_max):
         return head, arg
     qn_kind, qn_arg = split(qn_spec)
     d_kind, d_arg = split(delta_spec)
-    kw = {"n_max": n_max}
+    # a count below 1 builds one level, so that GaugePair.levels rejects it
+    kw = {"n_max": max(n_max, 1)}
     if qn_kind in ("const", "to"):
         kw["q"] = float(qn_arg)
     elif qn_kind == "list":
@@ -125,7 +126,7 @@ def cmd_variation(args):
         res = variation_schramm(f, parse_family(args.family, args.kmax),
                                 oracle_cap=args.oracle_cap)
     else:  # gauged
-        gauge = parse_gauge(args.qn, args.delta, max(args.ncap, 1))
+        gauge = parse_gauge(args.qn, args.delta, args.ncap)
         res = variation_gauged(f, parse_weights(args.weights, args.kmax),
                                gauge, args.ncap, oracle_cap=args.oracle_cap)
     _write_report(args, res.to_json_dict())

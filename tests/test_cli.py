@@ -42,6 +42,22 @@ class TestParsing:
         assert g.levels(3)[-1] == (1.5, 16.0)
 
 
+@pytest.mark.parametrize("argv", [
+    ["variation", "--functional", "gauged", "--weights", "constant", "--ncap", "0"],
+    ["criterion", "--theorem", "1.4", "--lambda", "harmonic", "--gamma", "constant",
+     "--p", "1", "--qn", "const:1", "--ncap", "0"],
+    ["criterion", "--theorem", "1.8", "--family", '{"kind": "power", "p": 2, '
+     '"weights": {"kind": "harmonic"}}', "--qn", "const:2", "--ncap", "0"],
+    ["counterexample", "--kind", "lambda", "--lambda", "harmonic", "--gamma", "constant",
+     "--qn", "const:1", "--delta", "pow2", "--levels", "0"],
+], ids=["variation", "criterion-1.4", "criterion-1.8", "counterexample"])
+def test_zero_level_count_exits_one(argv, zigzag_csv, capsys):
+    if argv[0] == "variation":
+        argv = argv + ["--input", zigzag_csv]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "error: level count 0 outside 1..1\n"
+
+
 class TestVariationCommand:
     def test_modulus(self, zigzag_csv, tmp_path, capsys):
         out = tmp_path / "rep.json"
