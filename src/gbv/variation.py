@@ -368,8 +368,9 @@ def _rank_bounds(values, family, min_len=1, ranks=None):
     surrogate DP for every interval count, keep the best. Upper: the
     future bound at position 0 alone (an over-estimate in general, since
     optimal k-collections need not nest), over ``ranks`` ranks when given
-    (see :func:`_future_bound`). Neither needs phi_1 >= phi_2 >= ...: the
-    lower is a real collection, and the upper needs only increasing phi_j."""
+    (see :func:`_future_bound`). Neither needs phi_1 >= phi_2 >= ... once
+    the upper charges every rank of the input grid: the lower is a real
+    collection, and the upper needs only increasing phi_j."""
     m = len(values) - 1
     best_tab, walk = _dp(values, [(family.surrogate, min_len)], m)
     samples = values.tolist()
