@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import lambda_gamma_parts, schramm_parts
-from .errors import (HorizonError, InfeasibleError, InternalConsistencyError,
-                     ResolutionError, ValidationError)
+from .errors import (HorizonError, HypothesisError, InfeasibleError,
+                     InternalConsistencyError, ResolutionError, ValidationError)
 from .sequences import GaugePair, SchrammFamily, WeightSequence
 from .stepfn import StepFunction, generate_block
 from .variation import (ORACLE_CAP_DEFAULT, variation_gauged,
@@ -119,7 +119,11 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
 
     Fails loudly (:class:`InfeasibleError`) at the first level where the
     separation budget is too small or no violating index exists -- the
-    criterion may simply hold.
+    criterion may simply hold. A Schramm plan raises
+    :class:`HypothesisError` at the first level whose height passes
+    ``family.ordered_to``: every increment of the witness is at most the
+    largest height, and :func:`certify_membership`'s bound holds only where
+    the family is ordered on them.
     """
     if kind not in ("lambda", "schramm"):
         raise ValidationError(f"unknown construction kind {kind!r}")
@@ -195,6 +199,10 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             height = e_n * w_lambda.prefix_sum(r_n) ** (-1.0 / p)
         else:
             height = e_n * h[r_n - 1]  # Phi_{r_n}^{-1}(1), read with the kernel
+            if height > family.ordered_to:
+                raise HypothesisError(
+                    f"level {n}: height {height:.6g} exceeds the family's ordering "
+                    f"(ordered_to {family.ordered_to:.6g})")
         levels.append(LevelPlan(
             n=n, q_n=q_n, delta_n=delta_n, b_n=float(b_n), r_n=r_n,
             s_n=s_n, s_fit=s_fit, t_n=t_n, height=float(height),

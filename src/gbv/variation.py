@@ -22,18 +22,20 @@ and the witness is rebuilt along the one column walked. Uncapped columns,
 and ``_rank_bounds``' table of walks at every k, stay on the per-position
 rule, which is the cheaper of the two there. When
 gains are rank-dependent -- the j-th largest increment is charged phi_j --
-no polynomial exact scheme is known, so we run a proven-exact
-branch-and-bound up to ``oracle_cap`` grid cells of the input and fall back
-to certified lower/upper bounds beyond it. When every interval length is
-allowed (``min_len == 1``) both run on the turning-point skeleton of f --
-its local extrema, see :func:`_skeleton` -- and the witness is mapped back
-to the input grid. This needs the family that the branch-and-bound needs
-anyway: each phi_j convex with phi_j(0) = 0, and phi_1 >= phi_2 >= ... on
-the increments of f. On the skeleton the upper bound charges at most one
-rank per skeleton cell, so it can only be tighter than on the full grid.
-An explicit family with rising exponents is ordered only up to
-``family.ordered_to``; an input whose range passes it gets bounds that
-charge every rank of the input grid.
+no polynomial exact scheme is known, so up to ``oracle_cap`` grid cells of
+the input a forward label search (:func:`_label_search`) is exact, and
+certified lower/upper bounds take over beyond it. The search keeps, at
+each grid point, the collections that no other one dominates rank by
+rank, which needs only nondecreasing phi_j >= 0. When every interval
+length is allowed (``min_len == 1``) both run on the turning-point
+skeleton of f -- its local extrema, see :func:`_skeleton` -- and the
+witness is mapped back to the input grid. The skeleton needs more of the
+family than the search does: each phi_j convex with phi_j(0) = 0, and
+phi_1 >= phi_2 >= ... on the increments of f. On the skeleton the upper
+bound charges at most one rank per skeleton cell, so it can only be
+tighter than on the full grid. An explicit family with rising exponents
+is ordered only up to ``family.ordered_to``; an input whose range passes
+it gets bounds that charge every rank of the input grid.
 The Waterman-Shiba variation is the p-th root of the Schramm variation of
 phi_j(x) = x^p / lam_j, and each gauged level is that family at q_n, so one
 rank objective serves all three.
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -294,70 +297,45 @@ def _dp_solve(f, levels, count=None):
 
 
 # ---------------------------------------------------------------------------
-# rank-dependent objective: ``family.rank_sum`` of an ordered Schramm family
-# (phi_1 >= phi_2 >= ...), the j-th largest increment charged phi_j
+# rank-dependent objective: ``family.rank_sum`` of a Schramm family, the
+# j-th largest increment charged phi_j
 
-def _future_bounds(values, family, min_len):
-    """F[pos] = upper bound on the rank objective of any feasible collection
-    inside [pos, m], charging ranks from 1: :func:`_future_bound` at every
-    start."""
-    m = len(values) - 1
-    nu, _ = _dp(values, [(_linear, min_len)], m)
-    F = np.zeros(m + 2)
-    for pos in range(m - min_len, -1, -1):
-        F[pos] = _future_bound(nu, family, min_len, pos)
-    return F
-
-
-def _future_bound(nu, family, min_len, pos, ranks=None):
-    """The future bound at ``pos``, read off the suffix modulus table ``nu``
-    of the linear gain: the j-th largest increment of any collection with
-    top-j sum <= nu(j) is at most nu(j)/j, and the per-rank gains are
-    increasing in x. ``ranks`` past the table's n columns charges ranks
-    n + 1.. too, at nu(n)/j: the bound of a finer grid whose modulus
-    table is this one's, held at nu(n) past n (as a skeleton's is)."""
-    n = (len(nu) - 2 - pos) // min_len
-    caps = nu[pos, 1:n + 1] / np.arange(1, n + 1)
-    live = caps > 0
-    if not live.all():
-        caps = caps[:live.argmin()]
-    elif ranks:
-        caps = np.concatenate([caps, nu[pos, n] / np.arange(n + 1, ranks + 1)])
-    return family.rank_sum(caps.tolist())
-
-
-def _branch_and_bound(values, family, min_len=1):
+def _label_search(values, family, min_len=1):
     """Exact maximum of the rank objective over nonoverlapping collections:
-    (value, witness pairs) on the grid of ``values``.
+    (value, witness pairs, most labels held at one point) on the grid of
+    ``values``.
 
-    Every DFS node is itself a feasible collection; pruning uses the
-    position-indexed future bound, which is valid because merging two
-    increment multisets under nonincreasing per-rank gains never beats
-    charging each multiset from rank 1.
+    A label at point b is a collection inside [0, b]: its increments in
+    descending order, its ``rank_sum`` and its pairs. The labels of b are
+    those of b - 1, then, for a ascending, each label of a <= b - min_len
+    extended by (a, b) when the increment is positive. After a stable sort
+    by value, a label B is dropped when a kept label A has |A| >= |B| and
+    A's i-th largest increment is >= B's for every i <= |B|: for any
+    completion C, the j-th largest of A + C is then >= that of B + C, so
+    A + C is worth at least B + C whenever every phi_j is nondecreasing and
+    nonnegative. No ordering of the family and no convexity is needed.
     """
-    F = _future_bounds(values, family, min_len)
     m = len(values) - 1
-    values = values.tolist()
-    best = {"value": 0.0, "pairs": []}
-
-    def visit(pos, pairs, incs_sorted, obj):
-        if obj > best["value"]:
-            best["value"] = obj
-            best["pairs"] = list(pairs)
-        for a in range(pos, m - min_len + 1):
-            if obj + F[a] <= best["value"]:
-                break
-            for b in range(a + min_len, m + 1):
-                inc = abs(values[b] - values[a])
-                if inc <= 0:
-                    continue
-                merged = sorted(incs_sorted + [inc], reverse=True)
-                pairs.append((a, b))
-                visit(b, pairs, merged, family.rank_sum(merged))
-                pairs.pop()
-
-    visit(0, [], [], 0.0)
-    return best["value"], best["pairs"]
+    samples = values.tolist()
+    labels = [[(0.0, (), ())]]
+    for b in range(1, m + 1):
+        made = list(labels[b - 1])
+        for a in range(b - min_len + 1):
+            inc = abs(samples[b] - samples[a])
+            if inc > 0:
+                for _, incs, pairs in labels[a]:
+                    merged = tuple(sorted(incs + (inc,), reverse=True))
+                    made.append((family.rank_sum(merged), merged, pairs + ((a, b),)))
+        made.sort(key=lambda label: label[0], reverse=True)
+        kept = []
+        for label in made:
+            incs = label[1]
+            if not any(len(top) >= len(incs) and all(map(operator.ge, top, incs))
+                       for _, top, _ in kept):
+                kept.append(label)
+        labels.append(kept)
+    value, _, pairs = labels[m][0]
+    return value, list(pairs), max(map(len, labels))
 
 
 def _rank_bounds(values, family, min_len=1, ranks=None):
@@ -365,12 +343,17 @@ def _rank_bounds(values, family, min_len=1, ranks=None):
     table.
 
     Lower: evaluate the true rank objective on the witnesses of the
-    surrogate DP for every interval count, keep the best. Upper: the
-    future bound at position 0 alone (an over-estimate in general, since
-    optimal k-collections need not nest), over ``ranks`` ranks when given
-    (see :func:`_future_bound`). Neither needs phi_1 >= phi_2 >= ... once
-    the upper charges every rank of the input grid: the lower is a real
-    collection, and the upper needs only increasing phi_j."""
+    surrogate DP for every interval count, keep the best. Upper: read off
+    the suffix modulus table ``nu`` of the linear gain at position 0 (an
+    over-estimate in general, since optimal k-collections need not nest):
+    the j-th largest increment of any collection with top-j sum <= nu(j)
+    is at most nu(j)/j, and the per-rank gains are increasing in x.
+    ``ranks`` past the table's n columns charges ranks n + 1.. too, at
+    nu(n)/j: the bound of a finer grid whose modulus table is this one's,
+    held at nu(n) past n (as a skeleton's is). Neither needs
+    phi_1 >= phi_2 >= ... once the upper charges every rank of the input
+    grid: the lower is a real collection, and the upper needs only
+    increasing phi_j."""
     m = len(values) - 1
     best_tab, walk = _dp(values, [(family.surrogate, min_len)], m)
     samples = values.tolist()
@@ -382,7 +365,14 @@ def _rank_bounds(values, family, min_len=1, ranks=None):
         if val > lower:
             lower, witness_pairs = val, pairs
     nu, _ = _dp(values, [(_linear, min_len)], m)
-    return lower, max(float(_future_bound(nu, family, min_len, 0, ranks)), lower), witness_pairs
+    n = m // min_len
+    caps = nu[0, 1:n + 1] / np.arange(1, n + 1)
+    live = caps > 0
+    if not live.all():
+        caps = caps[:live.argmin()]
+    elif ranks:
+        caps = np.concatenate([caps, nu[0, n] / np.arange(n + 1, ranks + 1)])
+    return lower, max(float(family.rank_sum(caps.tolist())), lower), witness_pairs
 
 
 def _skeleton(values):
@@ -410,24 +400,30 @@ def _rank_solve(f, levels, oracle_cap):
 
     The levels of rank-free families (every phi_j the same function) are
     the uncapped columns of one exact DP, filled in one pass at any m. Each
-    other level is searched on its own, in order: branch-and-bound is exact
-    up to ``oracle_cap`` cells of the input grid and certified bounds take
-    over beyond it; with ``min_len == 1`` both run on the turning-point
-    skeleton of f (:func:`_skeleton`), which only shrinks the work. Every
-    path raises past the horizon alike, before the next level is searched:
-    a positive value means up to ``m // min_len`` ranks can be charged, and
-    all of them are asked for.
+    other level is searched on its own, in order: the label search
+    (:func:`_label_search`) is exact up to ``oracle_cap`` cells of the input
+    grid and certified bounds take over beyond it; with ``min_len == 1``
+    both run on the turning-point skeleton of f (:func:`_skeleton`), which
+    only shrinks the work. Every path raises past the horizon alike, before
+    the next level is searched: a positive value means up to
+    ``m // min_len`` ranks can be charged, and all of them are asked for.
 
-    Both proofs below need phi_1 >= phi_2 >= ... on [0, ptp(f)], which an
-    explicit family with rising exponents keeps only up to
-    ``family.ordered_to``. Past it a level gets certified bounds at any m,
-    still on the skeleton: the lower bound is a real collection, and the
-    upper bound charges every rank of the input grid, whose modulus table
-    is the skeleton's held at its last column.
+    The label search's dominance rule needs only nondecreasing phi_j >= 0,
+    with no ordering and no convexity. The skeleton needs both: phi_1 >=
+    phi_2 >= ... on [0, ptp(f)], which an explicit family with rising
+    exponents keeps only up to ``family.ordered_to``. Past it a level gets
+    certified bounds at any m, still on the skeleton: the lower bound is a
+    real collection, and the upper bound charges every rank of the input
+    grid, whose modulus table is the skeleton's held at its last column.
+
+    Ties. The search makes the labels of a point in a fixed order (those
+    of the point before first, then the extensions from each start a
+    ascending) and sorts them by value with a stable sort, so of equal
+    values the earlier label is kept and reported.
 
     Why the skeleton is exact. Let each phi_j be convex with phi_j(0) = 0
-    and phi_1 >= phi_2 >= ... on [0, ptp(f)], the family the B&B needs
-    too, and let V(X) charge the j-th largest increment of X to phi_j. V is
+    and phi_1 >= phi_2 >= ... on [0, ptp(f)], and let V(X) charge the j-th
+    largest increment of X to phi_j. V is
     nondecreasing in each increment, since the phi_j are, and sorting
     only swaps equal ones. Take an optimal collection with no zero
     increment. An endpoint off the skeleton lies in a stretch where f is
@@ -447,7 +443,7 @@ def _rank_solve(f, levels, oracle_cap):
     nondecreasing. The pieces sum to at least phi_s(y). Each step moves an
     endpoint onto the skeleton or removes an interval, so an optimal
     collection lies on the skeleton. Keeping the first index of each
-    plateau keeps the B&B's smallest-index tie rule, except where a merge
+    plateau keeps the search's tie rule, except where a merge
     leaves V unchanged (phi_j linear with equal gains at both ranks): the
     skeleton then reports the merged interval, and V may differ in the last
     bit. The future bound on the skeleton charges at most as many ranks as
@@ -481,8 +477,9 @@ def _rank_solve(f, levels, oracle_cap):
                             family.ordered_to, *grid[1:])
             values = f.values[idx]
             if f.m <= oracle_cap and ranks is None:
-                lower, pairs = _branch_and_bound(values, family, min_len)
+                lower, pairs, held = _label_search(values, family, min_len)
                 upper, mode = lower, "exact-oracle"
+                grid = (grid[0] + ", labels %d", *grid[1:], held)
             else:
                 lower, upper, pairs = _rank_bounds(values, family, min_len, ranks)
                 mode = "bounds"
@@ -600,7 +597,8 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     A rank-free family (constant weights, an explicit weight list of one
     value, or explicit terms that are one repeated pair) is solved by the
     exact DP, so its norm is exact at any m. Otherwise, above
-    ``oracle_cap`` grid cells the variation is only bracketed and its
+    ``oracle_cap`` grid cells, or when the range of f/c passes
+    ``family.ordered_to``, the variation is only bracketed and its
     certified lower bound is used, so the norm returned is a lower bound
     on the true norm; for a homogeneous family the true norm lies in
     ``[|f(a)| + lower^(1/d), |f(a)| + upper^(1/d)]`` of

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to check the production engine.
 
 Everything here enumerates interval collections explicitly and never
-shares code with the package's DP / branch-and-bound paths.
+shares code with the package's DP / label-search paths.
 """
 
 import math

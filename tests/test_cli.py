@@ -217,6 +217,21 @@ class TestCounterexampleCommand:
         assert capsys.readouterr().err == (
             "error: level 2: plateau budget empty (s_n=1, s_fit=0)\n")
 
+    @pytest.mark.parametrize("delta, extra", [
+        ("list:64,1024", []), ("list:64,1024", ["--build"]),
+        ("list:64,1024", ["--certify"]), ("list:4,8", ["--certify"])])
+    def test_family_past_its_ordering_exits_two(self, tmp_path, capsys, delta, extra):
+        # heights 50 and 25 pass ordered_to = 0.01, where the membership
+        # bound no longer holds
+        fam = json.dumps({"kind": "explicit", "terms": [[0.01, 1], [1, 2]]})
+        code = run(["counterexample", "--kind", "schramm", "--family", fam,
+                    "--qn", "const:1", "--delta", delta, "--levels", "2",
+                    "--blow-base", "4", "--sep-base", "0.25", *extra,
+                    "--output", str(tmp_path / "r.json")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: level 1: height 50 exceeds the family's ordering (ordered_to 0.01)\n")
+
     def test_infeasible_exits_two(self, tmp_path):
         code = run(["counterexample", "--kind", "lambda", "--lambda",
                     "constant", "--gamma", "constant", "--qn", "const:1",

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv import (ConstructionSpec, ConvexBase, GaugePair, InfeasibleError,
-                 ResolutionError, SchrammFamily, ValidationError,
+from gbv import (ConstructionSpec, ConvexBase, GaugePair, HypothesisError,
+                 InfeasibleError, ResolutionError, SchrammFamily, ValidationError,
                  WeightSequence, build_witness, certify_blowup,
                  certify_membership, paper_constants, plan_construction,
                  variation_weighted, witness_resolution)
@@ -321,6 +321,27 @@ class TestCertify:
         assert all(a < b for a, b in zip(L, L[1:]))
         assert L[3] / L[0] >= 4.0
         assert all(r["growth_ok"] and r["floor_ok"] for r in rep["levels"])
+
+    def test_heights_past_the_ordering_raise(self):
+        # phi_2 = x^2 passes phi_1 = 0.01 x past 0.01: the membership bound
+        # would not hold on a witness of height 50
+        fam = SchrammFamily("explicit", terms=[[0.01, 1.0], [1.0, 2.0]])
+        gauge = GaugePair.build("const", "list", q=1.0, n_max=2, delta_list=[64, 1024])
+        with pytest.raises(HypothesisError, match=r"^level 1: height 50 exceeds the "
+                           r"family's ordering \(ordered_to 0.01\)$"):
+            plan_construction("schramm", gauge, 2, family=fam, eps=[0.5, 0.25],
+                              sep=[1.0, 0.25], blow=[4.0, 16.0])
+
+    def test_family_ordered_past_its_heights_certifies(self):
+        fam = SchrammFamily("explicit", terms=[[1.0, 1.5], [0.8, 1.7], [0.6, 2.0], [0.5, 2.0]])
+        gauge = GaugePair.build("const", "list", q=1.0, n_max=2, delta_list=[4, 8])
+        spec = plan_construction("schramm", gauge, 2, family=fam, eps=[0.5, 0.25],
+                                 sep=[1.0, 0.25], blow=[1.5, 2.25])
+        assert max(lv.height for lv in spec.levels) <= fam.ordered_to
+        f = build_witness(spec)
+        rep = certify_membership(spec, f)  # the exact cross-check runs at m = 8
+        assert rep["exact"] is not None and rep["exact"] <= rep["total_bound"]
+        assert certify_blowup(spec, f)["cross_checked"]
 
     def test_schramm_membership(self):
         fam = SchrammFamily.power(2.0, HARMONIC)
