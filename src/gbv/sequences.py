@@ -308,7 +308,8 @@ class SchrammFamily:
         #: phi_1 >= phi_2 >= ... holds on [0, ordered_to]: a rising exponent
         #: e_{j+1} > e_j holds it up to the crossing (c_j/c_{j+1})^(1/(e_{j+1}-e_j))
         self.ordered_to = math.inf
-        #: rank-free gain of the witness-producing lower-bound DPs
+        #: rank-free gain of the bounds' DP table, whose witnesses give the
+        #: lower bound; phi_j = rank_weights(n)[j - 1] * surrogate when scaled
         self.surrogate = lambda x: x
         # lam_j or (c_j, e_j) per rank for rank_sum, grown on demand. Each kind
         # picks its per-rank formula once below, with scalar ** (libm pow):
@@ -391,16 +392,30 @@ class SchrammFamily:
         """``phi_1(xs[0]) + phi_2(xs[1]) + ...`` over a list of floats: inf
         past the largest float, and past the horizon a :class:`HorizonError`
         that names the first index it lacks."""
-        ranks = self._ranks
-        if len(xs) > len(ranks):
-            if len(xs) > self.k_max:
-                raise HorizonError(
-                    f"index {self.k_max + 1} outside horizon 1..{self.k_max}")
-            ranks = self._ranks = self._rank_terms(len(xs))
+        ranks = self._ranks_to(len(xs))
         try:
             return self._sum(xs, ranks)
         except OverflowError:  # a gain past the largest float
             return math.inf
+
+    def rank_weights(self, n):
+        """``[w_1, ..., w_n]`` with ``phi_j = w_j * surrogate``: ``1 / lam_j``
+        for a scaled family, past the horizon the :class:`HorizonError` of
+        :meth:`rank_sum`. None for an explicit family, whose surrogate x is
+        no factor of its phi_j."""
+        if self.kind != "scaled":
+            return None
+        return [1.0 / lam for lam in self._ranks_to(n)[:n]]
+
+    def _ranks_to(self, n):
+        """The rank cache, grown to at least ``n`` ranks."""
+        ranks = self._ranks
+        if n > len(ranks):
+            if n > self.k_max:
+                raise HorizonError(
+                    f"index {self.k_max + 1} outside horizon 1..{self.k_max}")
+            ranks = self._ranks = self._rank_terms(n)
+        return ranks
 
     def _check_horizon(self, ks):
         bad = (ks < 1) | (ks > self.k_max)

@@ -12,30 +12,34 @@ value; when the count cap cannot bind, it runs on a single column. Such
 uncapped problems that differ only in gain and minimum length -- the
 levels of a gauged variation with rank-free weights -- share one backward
 pass, each on its own column, so a gauge of n levels costs O(m) numpy
-calls, not O(n·m). The
-linear gain of a capped table (the modulus, the unweighted form at q = 1
-with a binding cap, and the nu table of the future bound) is filled a column
-at a time instead: suffix maxima of v_b + best[b, k-1] and
-best[b, k-1] - v_b give every take of a column in a few vector ops, so a
-table of K columns costs O(K) numpy calls of size m, not O(m) of size m·K,
-and the witness is rebuilt along the one column walked. Uncapped columns,
-and ``_rank_bounds``' table of walks at every k, stay on the per-position
-rule, which is the cheaper of the two there. When
-gains are rank-dependent -- the j-th largest increment is charged phi_j --
-no polynomial exact scheme is known, so up to ``oracle_cap`` grid cells of
-the input a forward label search (:func:`_label_search`) is exact, and
-certified lower/upper bounds take over beyond it. The search keeps, at
-each grid point, the collections that no other one dominates rank by
-rank, which needs only nondecreasing phi_j >= 0. When every interval
-length is allowed (``min_len == 1``) both run on the turning-point
-skeleton of f -- its local extrema, see :func:`_skeleton` -- and the
-witness is mapped back to the input grid. The skeleton needs more of the
-family than the search does: each phi_j convex with phi_j(0) = 0, and
-phi_1 >= phi_2 >= ... on the increments of f. On the skeleton the upper
-bound charges at most one rank per skeleton cell, so it can only be
-tighter than on the full grid. An explicit family with rising exponents
-is ordered only up to ``family.ordered_to``; an input whose range passes
-it gets bounds that charge every rank of the input grid.
+calls, not O(n·m). A walk jumps from one pointer to the next, one step
+per interval. The linear gain of a capped table (the modulus, and the
+unweighted form at q = 1 with a binding cap) is filled a column at a time
+instead: suffix maxima of v_b + best[b, k-1] and best[b, k-1] - v_b give
+every take of a column in a few vector ops, so a table of K columns costs
+O(K) numpy calls of size m, not O(m) of size m·K, and the witness is
+rebuilt along the one column walked. Uncapped columns, and
+``_rank_bounds``' table, whose every column is walked, stay on the
+per-position rule, which is the cheaper of the two there.
+``_rank_bounds`` fills one table per level, of the family's rank-free
+surrogate gain, and reads both bounds from it: the lower from its
+witnesses, the upper by summation by parts for a scaled family and by the
+nu rule for an explicit one. When gains are rank-dependent -- the j-th
+largest increment is charged phi_j -- no polynomial exact scheme is known,
+so up to ``oracle_cap`` grid cells of the input a forward label search
+(:func:`_label_search`) is exact, and certified lower/upper bounds take
+over beyond it. The search keeps, at each grid point, the collections
+that no other one dominates rank by rank, which needs only nondecreasing
+phi_j >= 0. When every interval length is allowed (``min_len == 1``)
+both run on the turning-point skeleton of f -- its local extrema, see
+:func:`_skeleton` -- and the witness is mapped back to the input grid.
+The skeleton needs more of the family than the search does: each phi_j
+convex with phi_j(0) = 0, and phi_1 >= phi_2 >= ... on the increments of
+f. On the skeleton the upper bound charges at most one rank per skeleton
+cell, so it can only be tighter than on the full grid. An explicit family
+with rising exponents is ordered only up to ``family.ordered_to``; an
+input whose range passes it gets bounds that charge every rank of the
+input grid.
 The Waterman-Shiba variation is the p-th root of the Schramm variation of
 phi_j(x) = x^p / lam_j, and each gauged level is that family at q_n, so one
 rank objective serves all three.
@@ -47,7 +51,6 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -158,8 +161,9 @@ def _dp(values, levels, count=None):
     per-position rule's choice. Uncapped columns stay per position, where
     they are cheaper (2.0 against 4.5 ms for table and walk at m = 256,
     where the column rule needs all m columns), and so do tables whose every
-    column is walked, such as ``_rank_bounds``' (a column rebuilt per walk
-    would cost O(K^2) calls).
+    column is walked, such as ``_rank_bounds``': a pointer walk takes one
+    step per interval, where the column rule rebuilds the takes of every
+    column it visits.
     """
     m = len(values) - 1
     fns, lens = zip(*levels)
@@ -173,7 +177,7 @@ def _dp(values, levels, count=None):
     if fns[0] is _linear and shift:
         return _linear_columns(values, min_len, best)
     end = np.zeros((m + 2, width), dtype=np.intp)
-    walk = partial(_walk, best, end, shift)
+    walk = _walk(best, end, shift)
     first = min(lens)  # every end of a start i lies in i + first..m
     if n == 0 or first > m:
         return best, walk
@@ -260,20 +264,38 @@ def _linear_columns(values, min_len, best):
     return best, walk
 
 
-def _walk(best, end, shift, col):
-    """Witness pairs for ``best[0, col]``, read off the end pointers. Each
-    interval spends one column of a capped table (``shift`` 1), down to the
-    zero column 0; an uncapped level's column keeps reading itself
-    (``shift`` 0)."""
-    pairs, i = [], 0
-    while best[i, col] > 0:
-        b = int(end[i, col])
-        if b:
-            pairs.append((i, b))
-            i, col = b, col - shift
-        else:
-            i += 1
-    return pairs
+def _walk(best, end, shift):
+    """``walk(col)``: the witness pairs of ``best[0, col]``, read off the end
+    pointers. Each interval spends one column of a capped table (``shift``
+    1), down to the zero column 0; an uncapped level's column keeps reading
+    itself (``shift`` 0).
+
+    The first walk of a table lists, once, ``nxt[i][c]``, the first start
+    j >= i with ``end[j, c] > 0``, the end pointers, and the length of each
+    column's positive prefix (best is nonincreasing in i). A walk then
+    jumps from one interval to the next: one step per interval, not one per
+    grid position. Between two intervals the table only skips, so best
+    stays positive up to the next start. Python lists read faster than
+    numpy scalars or memoryviews, at the cost of an int object per cell
+    past 256 grid points."""
+    jumps = []
+
+    def walk(col):
+        if not jumps:
+            rows = np.arange(len(end))[:, None]
+            starts = np.where(end > 0, rows, len(end))
+            nxt = np.minimum.accumulate(starts[::-1])[::-1]
+            jumps.extend((nxt.tolist(), end.tolist(), (best > 0).sum(axis=0).tolist()))
+        nxt, ends, live = jumps
+        pairs, i = [], 0
+        while i < live[col]:
+            a = nxt[i][col]
+            i = ends[a][col]
+            pairs.append((a, i))
+            col -= shift
+        return pairs
+
+    return walk
 
 
 def _dp_solve(f, levels, count=None):
@@ -339,40 +361,67 @@ def _label_search(values, family, min_len=1):
 
 
 def _rank_bounds(values, family, min_len=1, ranks=None):
-    """Certified (lower, upper, witness pairs) when exact search is off the
-    table.
+    """Certified (lower, upper, witness pairs, upper rule ``"abel"`` or
+    ``"nu"``) when exact search is off the table, all read off one DP table
+    of the family's rank-free surrogate gain g: ``B_k = best[0, k]``, the
+    most g-gain of at most k intervals, for k up to n = m // min_len.
 
-    Lower: evaluate the true rank objective on the witnesses of the
-    surrogate DP for every interval count, keep the best. Upper: read off
-    the suffix modulus table ``nu`` of the linear gain at position 0 (an
-    over-estimate in general, since optimal k-collections need not nest):
-    the j-th largest increment of any collection with top-j sum <= nu(j)
-    is at most nu(j)/j, and the per-rank gains are increasing in x.
-    ``ranks`` past the table's n columns charges ranks n + 1.. too, at
-    nu(n)/j: the bound of a finer grid whose modulus table is this one's,
-    held at nu(n) past n (as a skeleton's is). Neither needs
-    phi_1 >= phi_2 >= ... once the upper charges every rank of the input
-    grid: the lower is a real collection, and the upper needs only
-    increasing phi_j."""
+    Lower: evaluate the true rank objective on the witnesses of every
+    column, keep the best.
+
+    Upper of a scaled family, phi_j = w_j g with w_j = 1 / lam_j
+    nonincreasing: summation by parts (Abel). Let a collection's j-th
+    largest gain be g_j and G_k = g_1 + ... + g_k <= B_k. Then
+    ``sum_j w_j g_j = sum_{k<n} (w_k - w_{k+1}) G_k + w_n G_n``
+    (g_j = 0 past the collection), and every coefficient is >= 0, so
+    ``sum_{k<n} (w_k - w_{k+1}) B_k + w_n B_n`` bounds it. The last term
+    carries every rank's share of w_n and cannot be dropped: without it
+    the sum of a collection of n equal gains would lose w_n n g. A zero
+    step adds nothing, even against an inf B_k. Since the j-th largest
+    increment of any collection is at most nu(j)/j, B_k <=
+    sum_{j<=k} g(nu(j)/j), so this is never above the nu bound below.
+
+    Upper of an explicit family: its surrogate is x, so the table is the
+    suffix modulus table ``nu``, and no single w_j g is its phi_j. The j-th
+    largest increment of any collection is at most nu(j)/j, and the gains
+    are increasing in x. ``ranks`` past the table's n columns charges
+    ranks n + 1.. too, at nu(n)/j: the bound of a finer grid whose modulus
+    table is this one's, held at nu(n) past n (as a skeleton's is).
+    Neither needs phi_1 >= phi_2 >= ... once the upper charges every rank
+    of the input grid: the lower is a real collection, and the upper needs
+    only increasing phi_j."""
     m = len(values) - 1
-    best_tab, walk = _dp(values, [(family.surrogate, min_len)], m)
+    best, walk = _dp(values, [(family.surrogate, min_len)], m)
     samples = values.tolist()
     lower, witness_pairs = 0.0, []
-    for k in range(1, best_tab.shape[1]):
+    for k in range(1, best.shape[1]):
         pairs = walk(k)
         incs = sorted((abs(samples[b] - samples[a]) for a, b in pairs), reverse=True)
         val = family.rank_sum(incs)
         if val > lower:
             lower, witness_pairs = val, pairs
-    nu, _ = _dp(values, [(_linear, min_len)], m)
-    n = m // min_len
-    caps = nu[0, 1:n + 1] / np.arange(1, n + 1)
-    live = caps > 0
-    if not live.all():
-        caps = caps[:live.argmin()]
-    elif ranks:
-        caps = np.concatenate([caps, nu[0, n] / np.arange(n + 1, ranks + 1)])
-    return lower, max(float(family.rank_sum(caps.tolist())), lower), witness_pairs
+    n = best.shape[1] - 1
+    # an input whose increments of length >= min_len are all zero charges
+    # no rank, so it reads no weight past the horizon; one whose gains only
+    # round to zero does. Every such increment is zero exactly when
+    # values[min_len:] and values[:m + 1 - min_len] all equal values[0] =
+    # values[m] (the pairs (0, b) and (a, m))
+    if n and not (np.any(values[min_len:] != values[0])
+                  or np.any(values[:m + 1 - min_len] != values[m])):
+        n = 0
+    tops = best[0, 1:n + 1]  # B_1..B_n, nondecreasing
+    weights = family.rank_weights(n)
+    if weights is None:
+        caps = tops / np.arange(1, n + 1)
+        if n and ranks:
+            caps = np.concatenate([caps, tops[-1] / np.arange(n + 1, ranks + 1)])
+        upper, rule = family.rank_sum(caps.tolist()), "nu"
+    else:
+        steps = -np.diff(weights, append=0.0)  # w_k - w_{k+1}, and w_n
+        live = steps > 0
+        with np.errstate(over="ignore"):
+            upper, rule = steps[live] @ tops[live], "abel"
+    return lower, max(float(upper), lower), witness_pairs, rule
 
 
 def _skeleton(values):
@@ -446,8 +495,8 @@ def _rank_solve(f, levels, oracle_cap):
     plateau keeps the search's tie rule, except where a merge
     leaves V unchanged (phi_j linear with equal gains at both ranks): the
     skeleton then reports the merged interval, and V may differ in the last
-    bit. The future bound on the skeleton charges at most as many ranks as
-    it has cells, so the certified upper bound can only tighten.
+    bit. The upper bound on the skeleton charges at most as many ranks as
+    it has cells, so it can only tighten.
     """
     free = [(family.rank_free, min_len) for family, min_len, _ in levels
             if family.rank_free is not None]
@@ -481,8 +530,12 @@ def _rank_solve(f, levels, oracle_cap):
                 upper, mode = lower, "exact-oracle"
                 grid = (grid[0] + ", labels %d", *grid[1:], held)
             else:
-                lower, upper, pairs = _rank_bounds(values, family, min_len, ranks)
+                lower, upper, pairs, rule = _rank_bounds(values, family, min_len, ranks)
                 mode = "bounds"
+                # the gap of the reported bracket, after the 1/p root
+                lo, hi = lower ** (1.0 / p), upper ** (1.0 / p)
+                grid = (grid[0] + ", upper %s, gap %.3g", *grid[1:], rule,
+                        1.0 - lo / hi if hi > lo else 0.0)
             witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
             _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m,
                        "<=" if f.m <= oracle_cap else ">", oracle_cap, *grid[1:])

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import timeit
@@ -721,15 +722,30 @@ class TestSkeleton:
         with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
             variation_weighted(f, WeightSequence("harmonic", k_max=3), 1.0, oracle_cap=cap)
 
+    @pytest.mark.parametrize("cap", [gbv.variation.ORACLE_CAP_DEFAULT, 2])
+    def test_horizon_counts_gains_that_round_to_zero(self, cap):
+        # (1e-170)^2 rounds to 0, but no increment is zero: the bounds ask
+        # for every rank, as the label search does
+        f = StepFunction([0.0, 1e-170] * 3 + [0.0])
+        with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
+            variation_weighted(f, WeightSequence("harmonic", k_max=3), 2.0, oracle_cap=cap)
+
     def test_solver_path_is_logged(self, caplog):
         f = StepFunction(np.round(np.sin(np.linspace(0.0, 6.0, 21)) * 4.0))
         idx = self.skeleton(f.values)
+        walk = StepFunction(np.cumsum(np.random.default_rng(5).normal(size=21)))
         with caplog.at_level(logging.DEBUG, logger="gbv"):
             variation_weighted(f, HARMONIC, 1.0)
+            res = variation_weighted(walk, HARMONIC, 2.0)
             variation_weighted(f, HARMONIC, 1.0, oracle_cap=20)
             variation_weighted(f, CONST1, 1.0)
+        # the gap is that of the reported bracket, here past its 1/p root
+        gap = 1.0 - res.lower / res.upper
+        assert 0.0 < gap < 1.0
         assert [r.getMessage() for r in caplog.records] == [
-            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)}",
+            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)}, upper abel, gap 0",
+            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(self.skeleton(walk.values))}, "
+            f"upper abel, gap {gap:.3g}",
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}, labels 1",
             "exact-dp: rank-free family, m=20, columns=1",
         ]
@@ -743,8 +759,10 @@ class TestSkeleton:
             variation_schramm(f, fam, oracle_cap=8)
             variation_schramm(f.scaled(0.5), fam)
         assert [r.getMessage() for r in caplog.records] == [
-            f"bounds: m=12 <= oracle_cap=16, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}",
-            f"bounds: m=12 > oracle_cap=8, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}",
+            f"bounds: m=12 <= oracle_cap=16, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}, "
+            "upper nu, gap 0.448",
+            f"bounds: m=12 > oracle_cap=8, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}, "
+            "upper nu, gap 0.448",
             f"exact-oracle: m=12 <= oracle_cap=16, skeleton 13→{len(idx)}, labels 2",
         ]
 
@@ -880,13 +898,128 @@ def test_linear_column_rule_matches_dp_oracle_property(values, min_len, n):
         assert res.value == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(dyadic_samples(), st.sampled_from([1.0, 2.0]))
-def test_future_bounds_unchanged_property(values, p):
-    # _rank_bounds reads its upper bound off the nu table of the column rule
-    skeleton = values[gbv.variation._skeleton(values)]
-    family = SchrammFamily.power(p, HARMONIC)
-    bounds = gbv.variation._rank_bounds(skeleton, family, 1)
+#: the scaled families whose upper bound is the Abel sum, phi_j = w_j g
+#: with g the base (x^p, or expm1): (family at p, w_j)
+ABEL_FAMILIES = {
+    "harmonic": (lambda p: SchrammFamily.power(p, HARMONIC), lambda j: 1.0 / j),
+    "log": (lambda p: SchrammFamily.power(p, WeightSequence("log", k_max=KM)),
+            lambda j: math.log(j + 1.0) / j),
+    "power:0.5": (lambda p: SchrammFamily.power(
+        p, WeightSequence("power", alpha=0.5, k_max=KM)), lambda j: j ** -0.5),
+    "expm1": (lambda p: expm1_family(), lambda j: 1.0 / j),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=9),
+       st.sampled_from(sorted(ABEL_FAMILIES)), st.sampled_from([1.0, 1.5, 2.0]))
+def test_abel_upper_bound_property(vals, name, p):
+    values = [v / 4.0 for v in vals]
+    f = StepFunction(values)
+    make, weight = ABEL_FAMILIES[name]
+    family = make(p)
+    g = math.expm1 if name == "expm1" else (lambda x: x ** p)
+    ws = [weight(j) for j in range(1, f.m + 1)]
+    phis = [lambda x, w=w: w * g(x) for w in ws]
+    res = variation_schramm(f, family, oracle_cap=1)
+    assert res.mode == "bounds"
+    truth = oracles.oracle_schramm(values, phis)
+    assert res.lower <= truth * (1 + 1e-12) and truth <= res.upper * (1 + 1e-12)
+    # the Abel sum over B_k, the most g-gain of at most k intervals of the
+    # input grid (the skeleton's, held past its last column)
+    tops = [0.0] * (f.m + 1)
+    for pairs in oracles.all_collections(f.m):
+        k = len(pairs)
+        tops[k] = max(tops[k], sum(map(g, oracles._incs(values, pairs))))
+    tops = list(itertools.accumulate(tops[1:], max))
+    abel = sum((a - b) * t for a, b, t in zip(ws, ws[1:], tops)) + ws[-1] * tops[-1]
+    assert res.upper == pytest.approx(max(abel, res.lower), rel=1e-12, abs=1e-12)
+    # never above the nu bound: the j-th largest increment of any
+    # collection is at most nu(j)/j, charged at every rank of the input grid
+    nu = [oracles.dp_modulus(values, j) for j in range(1, f.m + 1)]
+    assert res.upper <= sum(phi(x / j) for j, (phi, x) in enumerate(zip(phis, nu), 1)) * (
+        1 + 1e-12)
+    if res.upper == res.lower:
+        exact = variation_schramm(f, family)
+        assert exact.mode == "exact-oracle"
+        assert (res.lower, res.witness.pairs) == (exact.value, exact.witness.pairs)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_abel_upper_with_flat_weights_and_inf_gains(p):
+    # the weights step by zero twice; at p = 2 every gain of the zigzag is
+    # inf, so a zero weight step meets an inf B_k, which must add nothing
+    weights = WeightSequence("explicit", terms=[1, 1, 2, 2, 4])
+    f = StepFunction([(-1.0) ** i * (1 + 0.01 * i) * 1e200 for i in range(6)])
+    res = variation_weighted(f, weights, p, oracle_cap=4)
+    assert res.mode == "bounds"
+    assert res.upper == math.inf or res.upper >= res.lower
+    assert not math.isnan(res.upper)
+
+
+@pytest.mark.parametrize("family", [
+    SchrammFamily.power(2.0, HARMONIC), expm1_family(),
+    SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM)])
+def test_rank_bounds_fill_one_table_per_level(monkeypatch, family):
+    calls = {"_dp": 0, "_rank_bounds": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(gbv.variation, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(gbv.variation, name, counted)
+    rng = np.random.default_rng(11)
+    for m in (12, 40):
+        f = StepFunction(np.cumsum(rng.normal(size=m + 1)))
+        variation_schramm(f, family, oracle_cap=4)
+        # past ordered_to for the explicit family
+        variation_schramm(f.scaled(4.0), family, oracle_cap=4)
+    # a gauge's rank-dependent levels are bounded one by one, min_len > 1 too
+    variation_gauged(f, HARMONIC, TestGauged.GAUGE, 4, oracle_cap=4)
+    assert calls["_rank_bounds"] == 8
+    assert calls["_dp"] == calls["_rank_bounds"]
+
+
+def reference_walk(best, end, shift, col):
+    """The pointer walk one grid position at a time."""
+    pairs, i = [], 0
+    while best[i, col] > 0:
+        b = int(end[i, col])
+        if b:
+            pairs.append((i, b))
+            i, col = b, col - shift
+        else:
+            i += 1
+    return pairs
+
+
+def tables(values, levels, count):
+    """``_dp``'s (table, walk, end pointers, shift) on the per-position rule."""
+    seen = []
+    walk_of = gbv.variation._walk
+
+    def spy(best, end, shift):
+        seen.append((end, shift))
+        return walk_of(best, end, shift)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(gbv.variation, "_dp", per_position_dp)
-        assert bounds == gbv.variation._rank_bounds(skeleton, family, 1)
+        mp.setattr(gbv.variation, "_walk", spy)
+        best, walk = per_position_dp(values, levels, count)
+    [(end, shift)] = seen
+    return best, walk, end, shift
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(level_samples(), dyadic_samples(max_m=48)),
+       st.lists(st.tuples(st.sampled_from([1.0, 1.5, 2.0, 7.0]), st.integers(1, 48)),
+                min_size=1, max_size=5),
+       st.integers(1, 9))
+def test_walk_matches_reference_walk_property(values, levels, n):
+    m = len(values) - 1
+    levels = [(SchrammFamily.power(q, CONST1).rank_free, (min_len - 1) % m + 1)
+              for q, min_len in levels]
+    # capped at n and at m intervals (the rank bounds' table), one level;
+    # uncapped, one level and several
+    for lv, count in ((levels[:1], n), (levels[:1], m), (levels[:1], None), (levels, None)):
+        best, walk, end, shift = tables(values, lv, count)
+        for col in range(best.shape[1]):
+            assert walk(col) == reference_walk(best, end, shift, col)
