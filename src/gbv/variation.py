@@ -30,16 +30,21 @@ so up to ``oracle_cap`` grid cells of the input a forward label search
 (:func:`_label_search`) is exact, and certified lower/upper bounds take
 over beyond it. The search keeps, at each grid point, the collections
 that no other one dominates rank by rank, which needs only nondecreasing
-phi_j >= 0. When every interval length is allowed (``min_len == 1``)
-both run on the turning-point skeleton of f -- its local extrema, see
-:func:`_skeleton` -- and the witness is mapped back to the input grid.
-The skeleton needs more of the family than the search does: each phi_j
-convex with phi_j(0) = 0, and phi_1 >= phi_2 >= ... on the increments of
-f. On the skeleton the upper bound charges at most one rank per skeleton
-cell, so it can only be tighter than on the full grid. An explicit family
-with rising exponents is ordered only up to ``family.ordered_to``; an
-input whose range passes it gets bounds that charge every rank of the
-input grid.
+phi_j >= 0.
+
+When every interval length is allowed (``min_len == 1``) every solve --
+the exact DP, the label search and the bounds -- runs on the
+turning-point skeleton of f, its local extrema (:func:`_skeleton`), and
+the witness is mapped back to the input grid: one period of a rounded
+sine of 4,097 samples keeps 4 points. The skeleton needs each phi_j
+convex with phi_j(0) = 0 and phi_1 >= phi_2 >= ... on the increments of
+f, which every gain of the exact DP meets (all phi_j are one convex g),
+and a count cap does not disturb it. On the skeleton the upper bound charges
+at most one rank per skeleton cell, so it can only be tighter than on the
+full grid. An explicit family with rising exponents is ordered only up to
+``family.ordered_to``; an input whose range passes it gets bounds that
+charge every rank of the input grid.
+
 The Waterman-Shiba variation is the p-th root of the Schramm variation of
 phi_j(x) = x^p / lam_j, and each gauged level is that family at q_n, so one
 rank objective serves all three.
@@ -300,22 +305,53 @@ def _walk(best, end, shift):
 
 def _dp_solve(f, levels, count=None):
     """The interval DP's (value, witness) of each level -- the last column of
-    a capped table, or each uncapped level's own column -- and the table.
+    a capped table, or each uncapped level's own column -- the table, and
+    the grid indices the table ran on (None: every grid point of f).
+
+    When every level has ``min_len == 1`` the DP runs on the turning-point
+    skeleton of f (:func:`_skeleton`) and its witness pairs are mapped back
+    to f's grid. Every gain that reaches the DP -- ``_linear``, x^q with
+    q >= 1, a power or expm1 base over constant weights, c x^e with e >= 1
+    -- is convex with g(0) = 0, so some optimum of at most ``count``
+    intervals has all its endpoints on the skeleton (the proof is in
+    :func:`_rank_solve`). The table then has a row per skeleton point and
+    at most a column per skeleton cell. Values and witnesses are those of
+    the full grid but for ties: a linear gain ties a monotone run with its
+    pieces, and the skeleton reports the run whole; an inf value, or a
+    gain below the last bit of the value, ties more collections still.
     Every witness is re-evaluated and must reproduce its value (an inf
     value, inf)."""
-    best, walk = _dp(f.values, levels, count)
+    idx = _skeleton(f.values) if all(min_len == 1 for _, min_len in levels) else None
+    best, walk = _dp(f.values if idx is None else f.values[idx], levels, count)
     solved = []
     cols = range(len(levels)) if count is None else [best.shape[1] - 1]
     for col, (gainfn, _) in zip(cols, levels):
         value = float(best[0, col])
-        witness = IntervalCollection.from_pairs(f, walk(col))
+        witness = _on_grid(f, idx, walk(col))
         with np.errstate(over="ignore"):
             check = float(np.sum(gainfn(np.array(witness.increments))))
         if check != value and not abs(check - value) <= _REL_TOL * value < math.inf:
             raise InternalConsistencyError(
                 f"DP witness re-evaluates to {check!r}, not {value!r}")
         solved.append((value, witness))
-    return solved, best
+    return solved, best, idx
+
+
+def _on_grid(f, idx, pairs):
+    """The collection of f of the ``pairs`` of the grid indices ``idx``
+    (None: f's own grid)."""
+    if idx is not None:
+        pairs = [(idx[a], idx[b]) for a, b in pairs]
+    return IntervalCollection.from_pairs(f, pairs)
+
+
+def _grid_text(f, idx, min_lens):
+    """How a debug line names the grid a solve ran on: the skeleton, or the
+    input grid and the minimum lengths that kept it."""
+    if idx is not None:
+        return f"skeleton {f.m + 1}→{len(idx)}"
+    lo, hi = min(min_lens), max(min_lens)
+    return f"min_len={lo}{'' if lo == hi else f'..{hi}'}, no skeleton"
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +372,15 @@ def _label_search(values, family, min_len=1):
     completion C, the j-th largest of A + C is then >= that of B + C, so
     A + C is worth at least B + C whenever every phi_j is nondecreasing and
     nonnegative. No ordering of the family and no convexity is needed.
+
+    A label that dominates another is worth at least as much, so the sort
+    puts it first and only kept labels need testing -- unless both are
+    worth inf. Labels of value inf are therefore sorted by their
+    descending increments, largest first: that order extends dominance
+    (A dominates B, so A >= B as tuples), and without it the dominated
+    labels of gains past the largest float pile up (648 labels at m = 10
+    on a zigzag at 1e150 under expm1, 5,184 at m = 14). Finite values keep
+    the stable order of equal values.
     """
     m = len(values) - 1
     samples = values.tolist()
@@ -348,7 +393,10 @@ def _label_search(values, family, min_len=1):
                 for _, incs, pairs in labels[a]:
                     merged = tuple(sorted(incs + (inc,), reverse=True))
                     made.append((family.rank_sum(merged), merged, pairs + ((a, b),)))
-        made.sort(key=lambda label: label[0], reverse=True)
+        made.sort(key=operator.itemgetter(0), reverse=True)
+        if made[0][0] == math.inf:
+            tied = next((i for i, label in enumerate(made) if label[0] < math.inf), len(made))
+            made[:tied] = sorted(made[:tied], key=operator.itemgetter(1), reverse=True)
         kept = []
         for label in made:
             incs = label[1]
@@ -451,11 +499,13 @@ def _rank_solve(f, levels, oracle_cap):
     the uncapped columns of one exact DP, filled in one pass at any m. Each
     other level is searched on its own, in order: the label search
     (:func:`_label_search`) is exact up to ``oracle_cap`` cells of the input
-    grid and certified bounds take over beyond it; with ``min_len == 1``
-    both run on the turning-point skeleton of f (:func:`_skeleton`), which
-    only shrinks the work. Every path raises past the horizon alike, before
-    the next level is searched: a positive value means up to
-    ``m // min_len`` ranks can be charged, and all of them are asked for.
+    grid and certified bounds take over beyond it. Every path of a level
+    with ``min_len == 1`` runs on the turning-point skeleton of f
+    (:func:`_skeleton`), made once per f, which only shrinks the work; the
+    DP does so when all its levels have ``min_len == 1``. Every path raises
+    past the horizon alike, before the next level is searched: a positive
+    value means up to ``m // min_len`` ranks can be charged, and all of them
+    are asked for.
 
     The label search's dominance rule needs only nondecreasing phi_j >= 0,
     with no ordering and no convexity. The skeleton needs both: phi_1 >=
@@ -468,7 +518,8 @@ def _rank_solve(f, levels, oracle_cap):
     Ties. The search makes the labels of a point in a fixed order (those
     of the point before first, then the extensions from each start a
     ascending) and sorts them by value with a stable sort, so of equal
-    values the earlier label is kept and reported.
+    finite values the earlier label is kept and reported; of inf values,
+    the one with the largest increments.
 
     Why the skeleton is exact. Let each phi_j be convex with phi_j(0) = 0
     and phi_1 >= phi_2 >= ... on [0, ptp(f)], and let V(X) charge the j-th
@@ -491,54 +542,65 @@ def _rank_solve(f, levels, oracle_cap):
     (b' - b) phi_s(y)/y, as phi_k >= phi_s and phi_s(t)/t is
     nondecreasing. The pieces sum to at least phi_s(y). Each step moves an
     endpoint onto the skeleton or removes an interval, so an optimal
-    collection lies on the skeleton. Keeping the first index of each
-    plateau keeps the search's tie rule, except where a merge
-    leaves V unchanged (phi_j linear with equal gains at both ranks): the
-    skeleton then reports the merged interval, and V may differ in the last
-    bit. The upper bound on the skeleton charges at most as many ranks as
-    it has cells, so it can only tighten.
+    collection lies on the skeleton.
+
+    The rank-free case needs no more. When every phi_j is one g -- each
+    level of the exact DP, and the modulus and the q-form through
+    :func:`_dp_solve`, whose g is x or x^q -- the ordering holds with
+    equality, and convexity with g(0) = 0 is all the merge uses: g(t)/t is
+    nondecreasing, so g(x) <= x g(x + y)/(x + y) and g(y) <= y g(x + y)/(x
+    + y), and g(x) + g(y) <= g(x + y) <= g(z), g being nondecreasing. A
+    count cap holds throughout: a slide keeps the number of intervals and
+    a merge drops one, so the best collection of at most k intervals has
+    one on the skeleton too.
+
+    Keeping the first index of each plateau keeps the search's tie rule,
+    and the DP's (the earliest start, then the smallest end), except where
+    a merge leaves V unchanged (phi_j linear with equal gains at both
+    ranks, or gains past the largest float): the skeleton then reports the
+    merged interval, and V may differ in the last bit. The upper bound on
+    the skeleton charges at most as many ranks as it has cells, so it can
+    only tighten.
     """
     free = [(family.rank_free, min_len) for family, min_len, _ in levels
             if family.rank_free is not None]
-    solved = iter([])
+    solved, skeleton = iter([]), None  # one skeleton per f, made when first needed
     if free:
-        solved = iter(_dp_solve(f, free)[0])
-        _log.debug("exact-dp: rank-free family, m=%d, columns=%d", f.m, len(free))
+        solved, _, skeleton = _dp_solve(f, free)
+        solved = iter(solved)
+        _log.debug("exact-dp: rank-free family, m=%d, columns=%d, %s", f.m, len(free),
+                   _grid_text(f, skeleton, [min_len for _, min_len in free]))
     results = []
     for family, min_len, p in levels:
         if family.rank_free is not None:
             lower, witness = next(solved)
             upper, mode = lower, "exact-dp"
         else:
-            if min_len == 1:
-                idx = _skeleton(f.values)
-                grid = ("skeleton %d→%d", f.m + 1, len(idx))
-            else:
-                idx = np.arange(f.m + 1)
-                grid = ("min_len=%d, no skeleton", min_len)
+            if min_len == 1 and skeleton is None:
+                skeleton = _skeleton(f.values)
+            idx = skeleton if min_len == 1 else None
+            notes = [_grid_text(f, idx, [min_len])]  # why this path, for the debug line
             ranks = None  # set when the range passes the family's ordering
             if family.ordered_to < math.inf:
                 # a Python float difference: np.ptp warns past the largest float
                 span = float(f.values.max()) - float(f.values.min())
                 if span > family.ordered_to:
                     ranks = f.m // min_len
-                    grid = ("range %.3g > ordered_to %.3g, " + grid[0], span,
-                            family.ordered_to, *grid[1:])
-            values = f.values[idx]
+                    notes.insert(0, f"range {span:.3g} > ordered_to {family.ordered_to:.3g}")
+            values = f.values if idx is None else f.values[idx]
             if f.m <= oracle_cap and ranks is None:
                 lower, pairs, held = _label_search(values, family, min_len)
                 upper, mode = lower, "exact-oracle"
-                grid = (grid[0] + ", labels %d", *grid[1:], held)
+                notes.append(f"labels {held}")
             else:
                 lower, upper, pairs, rule = _rank_bounds(values, family, min_len, ranks)
                 mode = "bounds"
                 # the gap of the reported bracket, after the 1/p root
                 lo, hi = lower ** (1.0 / p), upper ** (1.0 / p)
-                grid = (grid[0] + ", upper %s, gap %.3g", *grid[1:], rule,
-                        1.0 - lo / hi if hi > lo else 0.0)
-            witness = IntervalCollection.from_pairs(f, [(idx[a], idx[b]) for a, b in pairs])
-            _log.debug("%s: m=%d %s oracle_cap=%d, " + grid[0], mode, f.m,
-                       "<=" if f.m <= oracle_cap else ">", oracle_cap, *grid[1:])
+                notes.append(f"upper {rule}, gap {1.0 - lo / hi if hi > lo else 0.0:.3g}")
+            witness = _on_grid(f, idx, pairs)
+            _log.debug("%s: m=%d %s oracle_cap=%d, %s", mode, f.m,
+                       "<=" if f.m <= oracle_cap else ">", oracle_cap, ", ".join(notes))
         if lower > 0 and f.m // min_len > family.k_max:
             raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
         root = 1.0 / p
@@ -554,8 +616,10 @@ def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
     """Maximum total increment over at most ``n`` nonoverlapping intervals."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    [(value, witness)], best = _dp_solve(f, [(_linear, 1)], n)
-    _log.debug("exact-dp linear: m=%d, n=%d", f.m, best.shape[1] - 1)
+    [(value, witness)], best, idx = _dp_solve(f, [(_linear, 1)], n)
+    # n as asked for, clipped to the input grid's m; the table has
+    # min(n, skeleton cells) + 1 columns
+    _log.debug("exact-dp linear: m=%d, n=%d, %s", f.m, min(n, f.m), _grid_text(f, idx, [1]))
     # the modulus is nondecreasing and concave in the interval count, up to
     # round-off relative to the value (an inf value has no differences)
     tol = _REL_TOL * value
@@ -579,7 +643,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     if s_max is not None and s_max >= f.m // min_len:
         s_max = None  # the cap cannot bind
     gain = _linear if q == 1 else (lambda x: x ** q)
-    [(inner, witness)], _ = _dp_solve(f, [(gain, min_len)], s_max)
+    [(inner, witness)], _, _ = _dp_solve(f, [(gain, min_len)], s_max)
     return _exact(inner ** (1.0 / q), witness)
 
 

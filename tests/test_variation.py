@@ -101,7 +101,7 @@ class TestModulus:
             modulus_of_variation(ZIGZAG, 2)
             modulus_of_variation(ZIGZAG, 9)
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp linear: m=4, n=2", "exact-dp linear: m=4, n=4"]
+            "exact-dp linear: m=4, n=2, skeleton 5→5", "exact-dp linear: m=4, n=4, skeleton 5→5"]
 
 
 class TestUnweightedQ:
@@ -747,7 +747,7 @@ class TestSkeleton:
             f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(self.skeleton(walk.values))}, "
             f"upper abel, gap {gap:.3g}",
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}, labels 1",
-            "exact-dp: rank-free family, m=20, columns=1",
+            f"exact-dp: rank-free family, m=20, columns=1, skeleton 21→{len(idx)}",
         ]
 
     def test_unordered_range_is_logged(self, caplog):
@@ -773,7 +773,7 @@ class TestSkeleton:
         # levels 3 and 4 share min_len 1 but not q_n; a rank-dependent gauge
         # keeps one rank solve per level
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp: rank-free family, m=4, columns=4",
+            "exact-dp: rank-free family, m=4, columns=4, min_len=1..2, no skeleton",
             "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton, labels 1",
             "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5, labels 1",
         ]
@@ -1023,3 +1023,106 @@ def test_walk_matches_reference_walk_property(values, levels, n):
         best, walk, end, shift = tables(values, lv, count)
         for col in range(best.shape[1]):
             assert walk(col) == reference_walk(best, end, shift, col)
+
+
+C2 = WeightSequence("constant", value=2.0)
+
+
+def _skeleton_dp_cases():
+    """The exact DPs whose levels all have min_len 1, so that they run on the
+    skeleton: name -> (engine call, gain, count cap, root p, strictly
+    convex gain, brute-force oracle of the value)."""
+    cases = {}
+    for n in (1, 3):
+        cases[f"modulus n={n}"] = (lambda f, n=n: modulus_of_variation(f, n),
+                                   gbv.variation._linear, n, 1.0, False,
+                                   lambda v, n=n: oracles.oracle_modulus(v, n))
+    for q in (1.0, 1.5, 2.0, 3.0):
+        for s in (None, 2):
+            cases[f"uq q={q} s_max={s}"] = (
+                lambda f, q=q, s=s: variation_unweighted_q(f, q, s_max=s),
+                gbv.variation._linear if q == 1 else (lambda x, q=q: x ** q), s, q, q > 1,
+                lambda v, q=q, s=s: oracles.oracle_unweighted_q(v, q, s or len(v)))
+    for p in (1.0, 2.0):
+        fam = SchrammFamily.power(p, C2)
+        cases[f"constant p={p}"] = (lambda f, p=p: variation_weighted(f, C2, p),
+                                    fam.rank_free, None, p, p > 1,
+                                    lambda v, p=p: oracles.oracle_weighted(v, [2.0] * len(v), p))
+    for name, fam, phi in (
+            ("one pair", SchrammFamily("explicit", terms=[(0.5, 2.0)]), lambda x: 0.5 * x ** 2),
+            ("expm1/constant", SchrammFamily("scaled", base=ConvexBase("expm1"), weights=C2),
+             lambda x: math.expm1(x) / 2.0)):
+        cases[name] = (lambda f, fam=fam: variation_schramm(f, fam), fam.rank_free, None,
+                       1.0, True, lambda v, phi=phi: oracles.oracle_schramm(v, [phi] * len(v)))
+    return cases
+
+
+SKELETON_DP = _skeleton_dp_cases()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(level_samples(max_m=40), dyadic_samples(max_m=40)),
+       st.sampled_from(sorted(SKELETON_DP)))
+def test_skeleton_dp_matches_full_grid_property(values, name):
+    call, gain, count, p, strict, oracle = SKELETON_DP[name]
+    f = StepFunction(values)
+    res = call(f)
+    assert res.mode == "exact-dp"
+    # the same DP on every grid point of the input
+    best, walk = _DP(f.values, [(gain, 1)], count)
+    col = best.shape[1] - 1
+    assert res.value == pytest.approx(float(best[0, col]) ** (1.0 / p), rel=1e-12, abs=0.0)
+    with np.errstate(over="ignore"):
+        check = float(np.sum(gain(np.array(res.witness.increments)))) ** (1.0 / p)
+    assert check == pytest.approx(res.value, rel=1e-12, abs=0.0)
+    if strict and res.value < math.inf:
+        # a strictly convex gain ties no merge with its split, so the
+        # skeleton reports the full grid's witness
+        assert res.witness.pairs == tuple(walk(col))
+    if f.m <= 8 and np.all(np.abs(f.values) < 1e100):
+        assert res.value == pytest.approx(oracle(f.values.tolist()), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda f: variation_unweighted_q(f, 1.0), 5.0),
+    (lambda f: modulus_of_variation(f, 3), 5.0),
+    (lambda f: variation_weighted(f, C2, 1.0), 2.5),
+], ids=["uq", "modulus", "constant"])
+def test_linear_gain_reports_merged_intervals(call, value):
+    # a linear gain ties the rising run 0..4 with its pieces, which the
+    # full grid reports, e.g. (0, 1), (1, 2), (2, 4); the skeleton
+    # [0, 4, 5] holds only (0, 4)
+    res = call(StepFunction([0.0, 1.0, 2.0, 2.0, 3.0, 1.0]))
+    assert res.witness.pairs == ((0, 4), (4, 5))
+    assert res.value == value
+
+
+def test_sine_dp_runs_on_its_skeleton():
+    # 4,097 samples but a skeleton of 4 points: about 0.2 ms on a 2-core
+    # x86_64 VM, where the full grid took about 110 ms; the best of five
+    # keeps a busy host's stalls out
+    f = StepFunction(np.round(np.sin(np.linspace(0.0, 6.0, 4097)) * 4.0))
+    best = min(timeit.repeat(lambda: variation_unweighted_q(f, 2.0), number=1, repeat=5))
+    assert best < 5e-3
+
+
+def test_rank_solve_makes_one_skeleton(monkeypatch):
+    # levels 2, 3 and 4 of the gauge have min_len 1 on a 4-cell grid
+    made = []
+    skeleton = gbv.variation._skeleton
+    monkeypatch.setattr(gbv.variation, "_skeleton", lambda v: made.append(len(v)) or skeleton(v))
+    variation_gauged(ZIGZAG, HARMONIC, TestGauged.GAUGE, 4)
+    assert made == [5]
+
+
+def test_label_search_drops_dominated_labels_of_inf_value():
+    # every gain of the zigzag at 1e150 is inf under expm1, so every label
+    # that takes an interval is worth inf; ordering those by their
+    # increments keeps one label a point, where a stable sort by value kept
+    # 5,184 at m = 14
+    f = StepFunction([(-1.0) ** i * (1 + 0.01 * i) * 1e150 for i in range(15)])
+    value, pairs, held = gbv.variation._label_search(f.values, expm1_family())
+    assert value == math.inf and held <= 4
+    res = variation_schramm(f, expm1_family())
+    assert res.mode == "exact-oracle" and res.value == math.inf
+    assert res.witness.pairs == tuple(pairs)
