@@ -199,9 +199,8 @@ def cmd_counterexample(args):
         except ResolutionError as exc:
             m = f"too large ({exc})"
     if args.certify:
-        payload["membership"] = certify_membership(spec, f,
-                                                   oracle_cap=args.oracle_cap)
-        payload["blowup"] = certify_blowup(spec, f, oracle_cap=args.oracle_cap)
+        payload["membership"] = certify_membership(spec, f)
+        payload["blowup"] = certify_blowup(spec, f)
     _write_report(args, payload)
     print(f"counterexample {args.kind}: levels={args.levels} m={m}")
     return 0
@@ -308,7 +307,6 @@ def build_parser():
     p.add_argument("--build", action="store_true")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--witness-out")
-    p.add_argument("--oracle-cap", type=int, default=ORACLE_CAP_DEFAULT)
     common(p)
     p.set_defaults(func=cmd_counterexample)
 

@@ -91,16 +91,6 @@ class ConstructionSpec:
             doc["family"] = self.family.to_config()
         return doc
 
-    @classmethod
-    def from_json_dict(cls, doc):
-        levels = tuple(LevelPlan(**lv) for lv in doc["levels"])
-        return cls(
-            kind=doc["kind"], levels=levels, p=doc.get("p", 1.0),
-            w_lambda=WeightSequence.from_config(doc["lambda"]) if "lambda" in doc else None,
-            w_gamma=WeightSequence.from_config(doc["gamma"]) if "gamma" in doc else None,
-            family=SchrammFamily.from_config(doc["family"]) if "family" in doc else None,
-        )
-
 
 def _greatest_s(budget):
     """Greatest integer s with 2s - 1 <= budget."""
@@ -212,14 +202,15 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
                             w_lambda=w_lambda, w_gamma=w_gamma, family=family)
 
 
-def witness_resolution(spec, grid_cap=GRID_CAP):
-    """Smallest uniform grid on which every plateau edge is a grid point."""
+def witness_resolution(spec):
+    """Smallest uniform grid on which every plateau edge is a grid point, up
+    to ``GRID_CAP``."""
     m = 1 << spec.n_levels
     for lv in spec.levels:
         m = math.lcm(m, lv.delta_n)
-        if m > grid_cap:
+        if m > GRID_CAP:
             raise ResolutionError(
-                f"grid lcm exceeds cap {grid_cap} at level {lv.n} "
+                f"grid lcm exceeds cap {GRID_CAP} at level {lv.n} "
                 f"(delta={lv.delta_n})")
     return m
 
@@ -239,14 +230,15 @@ def build_witness(spec):
     return StepFunction(total)
 
 
-def certify_membership(spec, f=None, oracle_cap=ORACLE_CAP_DEFAULT):
-    """Certified upper bound on the source variation of the witness.
+def certify_membership(spec, f):
+    """Certified upper bound on the source variation of the witness ``f``.
 
     Per level: 2 * eps_n in the weighted case (the plateau count never
     exceeds 2 r_n and doubling the index at most doubles the prefix sum),
     and 2 * Phi_{r_n}(eps_n * Phi_{r_n}^{-1}(1)) in the convex-family case
-    (convexity pulls eps inside). When a small witness is supplied the
-    exact engine value is checked against the bound.
+    (convexity pulls eps inside). When f has at most ``ORACLE_CAP_DEFAULT``
+    grid cells, the exact engine value is checked against the bound and
+    reported as ``exact``; otherwise ``exact`` is None.
     """
     rows = []
     for lv in spec.levels:
@@ -260,12 +252,11 @@ def certify_membership(spec, f=None, oracle_cap=ORACLE_CAP_DEFAULT):
     total = math.fsum(row["bound"] for row in rows)
     report = {"kind": spec.kind, "total_bound": total, "levels": rows,
               "exact": None}
-    if f is not None and f.m <= oracle_cap:
+    if f.m <= ORACLE_CAP_DEFAULT:
         if spec.kind == "lambda":
-            exact = variation_weighted(f, spec.w_lambda, spec.p,
-                                       oracle_cap=oracle_cap).value
+            exact = variation_weighted(f, spec.w_lambda, spec.p).value
         else:
-            exact = variation_schramm(f, spec.family, oracle_cap=oracle_cap).value
+            exact = variation_schramm(f, spec.family).value
         if exact > total * (1 + 1e-9):
             raise InternalConsistencyError(
                 f"exact source variation {exact} exceeds certified bound {total}")
@@ -273,7 +264,7 @@ def certify_membership(spec, f=None, oracle_cap=ORACLE_CAP_DEFAULT):
     return report
 
 
-def certify_blowup(spec, f, oracle_cap=ORACLE_CAP_DEFAULT):
+def certify_blowup(spec, f):
     """Per-level lower bounds on the target variation, from the designated
     consecutive intervals of length 1/delta_n.
 
@@ -281,6 +272,9 @@ def certify_blowup(spec, f, oracle_cap=ORACLE_CAP_DEFAULT):
     length exactly, so L_n really is a feasible inner value. The report
     also re-verifies the two chain inequalities behind the construction
     with the supplied constants; a failure is reported, not silently fixed.
+    When f has at most ``ORACLE_CAP_DEFAULT`` grid cells, the gauged
+    variation of f is checked against every L_n and reported as
+    ``gauged_value``, and ``cross_checked`` is true.
     """
     m = f.m
     rows = []
@@ -316,11 +310,10 @@ def certify_blowup(spec, f, oracle_cap=ORACLE_CAP_DEFAULT):
     report = {"kind": spec.kind, "levels": rows,
               "max_L": max(r["L_n"] for r in rows),
               "cross_checked": False}
-    if f.m <= oracle_cap:
+    if f.m <= ORACLE_CAP_DEFAULT:
         target_w = spec.w_gamma if spec.kind == "lambda" else WeightSequence(
             "constant", value=1.0, k_max=max(lv.delta_n for lv in spec.levels))
-        gauged = variation_gauged(f, target_w, spec.gauge(), spec.n_levels,
-                                  oracle_cap=oracle_cap)
+        gauged = variation_gauged(f, target_w, spec.gauge(), spec.n_levels)
         for row in rows:
             if gauged.value < row["L_n"] * (1 - 1e-9):
                 raise InternalConsistencyError(

@@ -325,7 +325,7 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
     Requires ``1 <= p <= q_1``; with ``second_part`` the alternative
     hypothesis that Gamma(n)/Lambda(n) is nondecreasing is checked instead.
     """
-    if p < 1:
+    if not 1 <= p < math.inf:
         raise ValidationError("p must be >= 1")
     levels = gauge.levels(n_cap)
     max_delta = int(levels[-1][1])

@@ -40,12 +40,8 @@ class TripleSample:
             if np.any(np.diff(v) > 1e-15 * v[:-1]):
                 raise ValidationError(f"{name} must be nonincreasing")
             object.__setattr__(self, name, v)
-        if self.q < 1:
+        if not 1 <= self.q < math.inf:
             raise ValidationError("q must be >= 1")
-
-    @property
-    def n(self):
-        return len(self.x)
 
 
 def monotone_vector(rng, n, scale=1.0):
@@ -168,7 +164,7 @@ def check_wu_estimate(x, family: SchrammFamily, q):
     n = len(x)
     if np.any(x < 0) or np.any(np.diff(x) > 1e-15 * np.maximum(x[:-1], 1e-300)):
         raise ValidationError("x must be nonnegative nonincreasing")
-    if q < 1:
+    if not 1 <= q < math.inf:
         raise ValidationError("q must be >= 1")
     V = family.rank_sum(x.tolist())
     lhs = float(np.sum(x ** q)) ** (1.0 / q)

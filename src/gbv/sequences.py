@@ -61,8 +61,8 @@ class WeightSequence:
     away. The dense, scalar and array reads agree bit for bit.
 
     Built-in kinds diverge (``sum 1/lam_j = inf``) by construction; for
-    ``explicit`` lists divergence cannot be checked and is flagged as
-    asserted by the user.
+    ``explicit`` lists this cannot be checked and is the caller's
+    assumption.
     """
 
     def __init__(self, kind, *, alpha=None, value=1.0, terms=None,
@@ -78,7 +78,7 @@ class WeightSequence:
         self.terms = None
         # the built-in formulas are positive and nondecreasing; only the
         # parameters and an explicit list can break that
-        if kind == "constant" and not value > 0:
+        if kind == "constant" and not 0 < value < math.inf:
             raise ValidationError("constant weight must be positive")
         if kind == "power" and (alpha is None or not 0 < alpha <= 1):
             raise ValidationError("power kind needs 0 < alpha <= 1")
@@ -88,7 +88,7 @@ class WeightSequence:
             self.terms = tuple(float(t) for t in terms)
             # extension by the last value keeps monotonicity
             head = np.array(self.terms[:self.k_max])
-            if not np.all(head > 0):
+            if not np.all((head > 0) & (head < math.inf)):
                 raise ValidationError("weights must be positive")
             if np.any(np.diff(head) < -1e-15 * head[:-1]):
                 raise ValidationError("weights must be nondecreasing")
@@ -170,10 +170,6 @@ class WeightSequence:
             self._head = head
         return head
 
-    @property
-    def divergence(self):
-        return "asserted-by-user" if self.kind == "explicit" else "built-in"
-
     def weight(self, j):
         """Return ``lam_j`` (1-based)."""
         return self._weights(j).item(j - 1)
@@ -254,7 +250,7 @@ class ConvexBase:
 
     def __init__(self, shape, p=None):
         if shape == "power":
-            if p is None or p < 1:
+            if p is None or not 1 <= p < math.inf:
                 raise ValidationError("power base needs p >= 1")
             self.p = float(p)
         elif shape != "expm1":
@@ -296,6 +292,14 @@ class SchrammFamily:
       extended beyond the list by the last pair. A falling exponent, or
       equal exponents with a rising coefficient, is rejected at
       construction: either breaks phi_{j+1} <= phi_j at every scale.
+
+    A rising exponent keeps the order only up to ``ordered_to``, the first
+    crossing; past it the family is not a Phi-sequence in Schramm's sense,
+    which asks phi_{j+1} <= phi_j at every x. The engine then computes the
+    sorted charge: the j-th largest increment is charged phi_j
+    (:meth:`rank_sum`). Membership in Phi BV looks only at f/c for large c,
+    that is, at small increments, so the paper's classes never see the
+    crossing.
 
     A scaled family's horizon ``k_max`` is its weights'; an explicit one
     takes ``k_max`` (default ``DEFAULT_K_MAX``).
@@ -345,7 +349,7 @@ class SchrammFamily:
                 raise ValidationError("explicit kind needs a nonempty list")
             self.terms = tuple((float(c), float(e)) for c, e in terms)
             for c, e in self.terms:
-                if c <= 0 or e < 1:
+                if not (0 < c < math.inf and 1 <= e < math.inf):
                     raise ValidationError("explicit terms need coef > 0, exponent >= 1")
             # phi_{j+1} / phi_j = (c_{j+1} / c_j) x^(e_{j+1} - e_j): pairs that
             # break phi_{j+1} <= phi_j at every scale are rejected here; a
@@ -442,11 +446,6 @@ class SchrammFamily:
             total = total + np.where(rest > 0, rest * c * np.power(x, e), 0.0)
         return total if total.ndim else float(total)
 
-    def partial_inverse(self, k, y, *, method="auto"):
-        """Return x with ``|Phi_k(x) - y| <= INVERSE_TOL * max(1, y)``; see
-        :meth:`partial_inverse_many`."""
-        return float(self.partial_inverse_many([k], y, method=method)[0])
-
     def partial_inverse_many(self, ks, y, *, method="auto"):
         """``Phi_k^{-1}(y)`` over an integer array of k values.
 
@@ -529,9 +528,9 @@ class GaugePair:
         deltas = np.asarray(deltas, dtype=float)
         if qn.shape != deltas.shape or qn.ndim != 1 or len(qn) < 1:
             raise ValidationError("q_n and delta_n ladders must match in length")
-        if np.any(qn < 1) or np.any(np.diff(qn) < 0):
+        if not np.all((qn >= 1) & (qn < math.inf)) or np.any(np.diff(qn) < 0):
             raise ValidationError("need 1 <= q_n nondecreasing")
-        if np.any(deltas < 2) or np.any(np.diff(deltas) < 0):
+        if not np.all((deltas >= 2) & (deltas < math.inf)) or np.any(np.diff(deltas) < 0):
             raise ValidationError("need 2 <= delta_n nondecreasing")
         self.qn = qn
         self.deltas = deltas
@@ -561,6 +560,8 @@ class GaugePair:
                 raise ValidationError("'to' qn ladder needs q > 1")
             qn, q_limit = q - (q - 1.0) / n, float(q)
         elif qn_kind == "list":
+            if qn_list is None or len(qn_list) == 0:
+                raise ValidationError("list qn ladder needs qn_list")
             qn = np.asarray(qn_list, dtype=float)
             n_max = len(qn)
             q_limit = float(qn[-1])
@@ -570,6 +571,8 @@ class GaugePair:
         if delta_kind == "pow2":
             deltas = 2.0 ** np.arange(1, n_max + 1)
         elif delta_kind == "list":
+            if delta_list is None or len(delta_list) == 0:
+                raise ValidationError("list delta ladder needs delta_list")
             deltas = np.asarray(delta_list, dtype=float)
         else:
             raise ValidationError(f"unknown delta ladder kind {delta_kind!r}")

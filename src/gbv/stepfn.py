@@ -35,19 +35,8 @@ class StepFunction:
     def m(self):
         return len(self.values) - 1
 
-    def increment(self, a, b):
-        """``|f(t_b) - f(t_a)|`` for grid indices a < b."""
-        if not 0 <= a < b <= self.m:
-            raise ValidationError(f"need 0 <= a < b <= {self.m}, got ({a}, {b})")
-        return abs(float(self.values[b]) - float(self.values[a]))
-
     def scaled(self, c):
         return StepFunction(self.values * c)
-
-    def __add__(self, other):
-        if other.m != self.m:
-            raise ValidationError("resolution mismatch")
-        return StepFunction(self.values + other.values)
 
     def to_json_dict(self):
         return {"m": self.m, "values": [float(v) for v in self.values]}
@@ -150,17 +139,12 @@ class IntervalCollection:
             if prev_end is not None and a < prev_end:
                 raise ValidationError("intervals overlap")
             prev_end = b
-        incs = tuple(f.increment(a, b) for a, b in pairs)
+        values = f.values
+        incs = tuple(abs(float(values[b]) - float(values[a])) for a, b in pairs)
         return cls(pairs, incs)
 
     def __len__(self):
         return len(self.pairs)
-
-    @property
-    def min_length(self):
-        if not self.pairs:
-            return 0
-        return min(b - a for a, b in self.pairs)
 
     def to_json_dict(self):
         return {"pairs": [list(p) for p in self.pairs],

@@ -305,8 +305,10 @@ def _walk(best, end, shift):
 
 def _dp_solve(f, levels, count=None):
     """The interval DP's (value, witness) of each level -- the last column of
-    a capped table, or each uncapped level's own column -- the table, and
-    the grid indices the table ran on (None: every grid point of f).
+    a capped table, or each uncapped level's own column -- and the table.
+    Every caller's solve writes one ``gbv`` debug line, e.g.
+    ``exact-dp: m=256, levels=1, cap=8, skeleton 257→4``, where ``cap`` is
+    the count asked for, clipped to the intervals that fit.
 
     When every level has ``min_len == 1`` the DP runs on the turning-point
     skeleton of f (:func:`_skeleton`) and its witness pairs are mapped back
@@ -334,7 +336,10 @@ def _dp_solve(f, levels, count=None):
             raise InternalConsistencyError(
                 f"DP witness re-evaluates to {check!r}, not {value!r}")
         solved.append((value, witness))
-    return solved, best, idx
+    cap = "" if count is None else f"cap={min(count, f.m // levels[0][1])}, "
+    _log.debug("exact-dp: m=%d, levels=%d, %s%s", f.m, len(levels), cap,
+               _grid_text(f, idx, [min_len for _, min_len in levels]))
+    return solved, best
 
 
 def _on_grid(f, idx, pairs):
@@ -495,9 +500,12 @@ def _rank_solve(f, levels, oracle_cap):
     length >= ``min_len``, with value and bounds raised to ``1/p``. This is
     the one place that picks the path of a rank objective.
 
-    The levels of rank-free families (every phi_j the same function) are
-    the uncapped columns of one exact DP, filled in one pass at any m. Each
-    other level is searched on its own, in order: the label search
+    The families of ``levels`` are all rank-free (every phi_j the same
+    function) or all rank-dependent: the weighted and Schramm forms pass
+    one level, and a gauge's levels are powers of one weight sequence,
+    rank-free exactly when the weights are. Rank-free levels are the
+    uncapped columns of one exact DP, filled in one pass at any m. Each
+    rank-dependent level is searched on its own, in order: the label search
     (:func:`_label_search`) is exact up to ``oracle_cap`` cells of the input
     grid and certified bounds take over beyond it. Every path of a level
     with ``min_len == 1`` runs on the turning-point skeleton of f
@@ -562,51 +570,49 @@ def _rank_solve(f, levels, oracle_cap):
     the skeleton charges at most as many ranks as it has cells, so it can
     only tighten.
     """
-    free = [(family.rank_free, min_len) for family, min_len, _ in levels
-            if family.rank_free is not None]
-    solved, skeleton = iter([]), None  # one skeleton per f, made when first needed
-    if free:
-        solved, _, skeleton = _dp_solve(f, free)
-        solved = iter(solved)
-        _log.debug("exact-dp: rank-free family, m=%d, columns=%d, %s", f.m, len(free),
-                   _grid_text(f, skeleton, [min_len for _, min_len in free]))
+    if levels[0][0].rank_free is not None:
+        solved, _ = _dp_solve(f, [(family.rank_free, min_len) for family, min_len, _ in levels])
+        solved = [(value, value, "exact-dp", witness) for value, witness in solved]
+    else:
+        skeleton = _skeleton(f.values) if any(min_len == 1 for _, min_len, _ in levels) else None
+        # lazily, so that each level's horizon check runs before the next search
+        solved = (_rank_search(f, skeleton, *level, oracle_cap) for level in levels)
     results = []
-    for family, min_len, p in levels:
-        if family.rank_free is not None:
-            lower, witness = next(solved)
-            upper, mode = lower, "exact-dp"
-        else:
-            if min_len == 1 and skeleton is None:
-                skeleton = _skeleton(f.values)
-            idx = skeleton if min_len == 1 else None
-            notes = [_grid_text(f, idx, [min_len])]  # why this path, for the debug line
-            ranks = None  # set when the range passes the family's ordering
-            if family.ordered_to < math.inf:
-                # a Python float difference: np.ptp warns past the largest float
-                span = float(f.values.max()) - float(f.values.min())
-                if span > family.ordered_to:
-                    ranks = f.m // min_len
-                    notes.insert(0, f"range {span:.3g} > ordered_to {family.ordered_to:.3g}")
-            values = f.values if idx is None else f.values[idx]
-            if f.m <= oracle_cap and ranks is None:
-                lower, pairs, held = _label_search(values, family, min_len)
-                upper, mode = lower, "exact-oracle"
-                notes.append(f"labels {held}")
-            else:
-                lower, upper, pairs, rule = _rank_bounds(values, family, min_len, ranks)
-                mode = "bounds"
-                # the gap of the reported bracket, after the 1/p root
-                lo, hi = lower ** (1.0 / p), upper ** (1.0 / p)
-                notes.append(f"upper {rule}, gap {1.0 - lo / hi if hi > lo else 0.0:.3g}")
-            witness = _on_grid(f, idx, pairs)
-            _log.debug("%s: m=%d %s oracle_cap=%d, %s", mode, f.m,
-                       "<=" if f.m <= oracle_cap else ">", oracle_cap, ", ".join(notes))
+    for (family, min_len, p), (lower, upper, mode, witness) in zip(levels, solved):
         if lower > 0 and f.m // min_len > family.k_max:
             raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
         root = 1.0 / p
         results.append(VariationResult(value=lower ** root, mode=mode, lower=lower ** root,
                                        upper=upper ** root, witness=witness))
     return results
+
+
+def _rank_search(f, skeleton, family, min_len, p, oracle_cap):
+    """(lower, upper, mode, witness) of one rank-dependent level of
+    :func:`_rank_solve`, on ``skeleton`` when ``min_len == 1``."""
+    idx = skeleton if min_len == 1 else None
+    notes = [_grid_text(f, idx, [min_len])]  # why this path, for the debug line
+    ranks = None  # set when the range passes the family's ordering
+    if family.ordered_to < math.inf:
+        # a Python float difference: np.ptp warns past the largest float
+        span = float(f.values.max()) - float(f.values.min())
+        if span > family.ordered_to:
+            ranks = f.m // min_len
+            notes.insert(0, f"range {span:.3g} > ordered_to {family.ordered_to:.3g}")
+    values = f.values if idx is None else f.values[idx]
+    if f.m <= oracle_cap and ranks is None:
+        lower, pairs, held = _label_search(values, family, min_len)
+        upper, mode = lower, "exact-oracle"
+        notes.append(f"labels {held}")
+    else:
+        lower, upper, pairs, rule = _rank_bounds(values, family, min_len, ranks)
+        mode = "bounds"
+        # the gap of the reported bracket, after the 1/p root
+        lo, hi = lower ** (1.0 / p), upper ** (1.0 / p)
+        notes.append(f"upper {rule}, gap {1.0 - lo / hi if hi > lo else 0.0:.3g}")
+    _log.debug("%s: m=%d %s oracle_cap=%d, %s", mode, f.m,
+               "<=" if f.m <= oracle_cap else ">", oracle_cap, ", ".join(notes))
+    return lower, upper, mode, _on_grid(f, idx, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +622,7 @@ def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
     """Maximum total increment over at most ``n`` nonoverlapping intervals."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    [(value, witness)], best, idx = _dp_solve(f, [(_linear, 1)], n)
-    # n as asked for, clipped to the input grid's m; the table has
-    # min(n, skeleton cells) + 1 columns
-    _log.debug("exact-dp linear: m=%d, n=%d, %s", f.m, min(n, f.m), _grid_text(f, idx, [1]))
+    [(value, witness)], best = _dp_solve(f, [(_linear, 1)], n)
     # the modulus is nondecreasing and concave in the interval count, up to
     # round-off relative to the value (an inf value has no differences)
     tol = _REL_TOL * value
@@ -634,7 +637,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
                            min_len: int = 1) -> VariationResult:
     """``(max sum |f(I_j)|^q)^(1/q)`` over at most ``s_max`` intervals of
     grid length >= ``min_len``. Exact: the weights are rank-independent."""
-    if q < 1:
+    if not 1 <= q < math.inf:
         raise ValidationError("q must be >= 1")
     if min_len < 1:
         raise ValidationError("min_len must be >= 1 grid cell")
@@ -643,7 +646,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     if s_max is not None and s_max >= f.m // min_len:
         s_max = None  # the cap cannot bind
     gain = _linear if q == 1 else (lambda x: x ** q)
-    [(inner, witness)], _, _ = _dp_solve(f, [(gain, min_len)], s_max)
+    [(inner, witness)], _ = _dp_solve(f, [(gain, min_len)], s_max)
     return _exact(inner ** (1.0 / q), witness)
 
 
@@ -652,7 +655,7 @@ def variation_weighted(f: StepFunction, weights: WeightSequence, p: float = 1.0,
     """Waterman-Shiba variation ``sup (sum |f(I_j)|^p / lam_j)^(1/p)`` with
     increments matched to weights in descending order: the p-th root of the
     Schramm variation of ``SchrammFamily.power(p, weights)``."""
-    if p < 1:
+    if not 1 <= p < math.inf:
         raise ValidationError("p must be >= 1")
     return _rank_solve(f, [(SchrammFamily.power(p, weights), 1, p)], oracle_cap)[0]
 

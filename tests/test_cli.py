@@ -4,7 +4,7 @@ import pytest
 
 import gbv.cli
 from gbv import InternalConsistencyError
-from gbv.cli import main, parse_gauge, parse_weights
+from gbv.cli import main, parse_family, parse_gauge, parse_weights
 
 
 @pytest.fixture()
@@ -40,6 +40,17 @@ class TestParsing:
         assert g.levels(2)[-1] == (2.0, 4.0)
         g = parse_gauge("const:1.5", "list:4,8,16", 3)
         assert g.levels(3)[-1] == (1.5, 16.0)
+        g = parse_gauge("list:1,1.5,2", "pow2", 5)
+        assert g.levels(3) == [(1.0, 2.0), (1.5, 4.0), (2.0, 8.0)] and g.q_limit == 2.0
+
+    def test_family_spec_from_file(self, tmp_path):
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"kind": "power", "p": 2,
+                                    "weights": {"kind": "harmonic"}}))
+        fam = parse_family(str(path), 16)
+        assert fam.k_max == 16 and fam.degree == 2.0
+        path.write_text(json.dumps({"kind": "explicit", "terms": [[1, 2]]}))
+        assert parse_family(str(path), 16).k_max == 16
 
 
 @pytest.mark.parametrize("argv", [
@@ -78,6 +89,43 @@ class TestVariationCommand:
         assert rep["result"]["value"] == pytest.approx(25 / 12)
         assert rep["result"]["mode"] == "exact-oracle"
 
+    def test_schramm_functional(self, zigzag_csv, tmp_path):
+        out = tmp_path / "rep.json"
+        fam = json.dumps({"kind": "explicit", "terms": [[1, 2]]})
+        code = run(["variation", "--input", zigzag_csv, "--functional", "schramm",
+                    "--family", fam, "--kmax", "64", "--output", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["result"]
+        assert (res["value"], res["mode"]) == (4.0, "exact-dp")
+
+    def test_report_to_stdout(self, zigzag_csv, capsys):
+        code = run(["variation", "--input", zigzag_csv, "--functional", "gauged",
+                    "--weights", "constant", "--qn", "list:1,2", "--delta", "list:2,4",
+                    "--ncap", "2"])
+        assert code == 0
+        *report, summary = capsys.readouterr().out.splitlines()
+        assert summary == "variation gauged: value=2.0 mode=exact-dp"
+        rep = json.loads("\n".join(report))
+        assert rep["config"]["qn"] == "list:1,2" and "output" not in rep["config"]
+        assert rep["result"]["level"] == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--functional", "q", "--q", "inf"], "q must be >= 1"),
+        (["--functional", "q", "--q", "nan"], "q must be >= 1"),
+        (["--functional", "lambda", "--p", "nan"], "p must be >= 1"),
+        (["--functional", "lambda", "--weights", "constant:inf"],
+         "constant weight must be positive"),
+        (["--functional", "schramm", "--family", '{"kind": "explicit", "terms": [[1e400, 2]]}'],
+         "explicit terms need coef > 0, exponent >= 1"),
+    ], ids=["q-inf", "q-nan", "p-nan", "weight-inf", "coef-inf"])
+    def test_non_finite_parameter_exits_one(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "f.csv"
+        path.write_text("0\n1\n0.5\n2\n1\n")
+        out = tmp_path / "rep.json"
+        assert run(["variation", "--input", str(path), *argv, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_smax_below_one_exits_one(self, zigzag_csv, capsys):
         code = run(["variation", "--input", zigzag_csv, "--functional", "q",
                     "--q", "1", "--smax", "0"])
@@ -103,6 +151,34 @@ class TestCriterionCommand:
         assert rep["result"]["verdict"] == "diverging-trend"
         lines = csv_out.read_text().splitlines()
         assert lines[0] == "n,a_n,argmax_k" and len(lines) == 11
+
+    def test_theorem_15(self, tmp_path):
+        out = tmp_path / "rep.json"
+        code = run(["criterion", "--theorem", "1.5", "--lambda", "harmonic",
+                    "--gamma", "constant", "--p", "1", "--q", "2", "--kmax", "1024",
+                    "--output", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())["result"]
+        # n^(1/2) / H_n grows without bound; levels are dyadic checkpoints to 1024
+        assert rep["verdict"] == "diverging-trend" and len(rep["levels"]) == 11
+
+    def test_theorem_17(self, tmp_path):
+        out = tmp_path / "rep.json"
+        code = run(["criterion", "--theorem", "1.7", "--lambda", "harmonic", "--p", "1",
+                    "--qn", "linear", "--ncap", "10", "--kmax", "1024",
+                    "--output", str(out)])
+        assert code == 0
+        rep = json.loads(out.read_text())["result"]
+        # Gamma = Lambda and p <= q_n: every kernel peaks at k = 1
+        assert (rep["verdict"], rep["sup"]) == ("bounded-up-to-horizon", 1.0)
+
+    def test_non_finite_p_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "rep.json"
+        code = run(["criterion", "--theorem", "1.4", "--p", "nan", "--kmax", "1024",
+                    "--output", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: p must be >= 1\n"
+        assert not out.exists()
 
     def test_hypothesis_error_exits_two(self, tmp_path):
         code = run(["criterion", "--theorem", "1.4", "--lambda", "harmonic",

@@ -1,3 +1,4 @@
+import json
 import logging
 import timeit
 import tracemalloc
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbv import (ConstructionSpec, ConvexBase, GaugePair, HypothesisError,
-                 InfeasibleError, ResolutionError, SchrammFamily, ValidationError,
+import gbv.counterexample
+from gbv import (ConvexBase, GaugePair, HorizonError, HypothesisError,
+                 InfeasibleError, LevelPlan, ResolutionError, SchrammFamily, ValidationError,
                  WeightSequence, build_witness, certify_blowup,
                  certify_membership, paper_constants, plan_construction,
                  variation_weighted, witness_resolution)
@@ -95,20 +97,32 @@ class TestPlan:
                                  blow=[4.0, 16.0])
         for lv in spec.levels:
             # kernel k^{1/2} Phi_k^{-1}(1) first exceeds blow at r_n
-            kern = lv.r_n ** 0.5 * fam.partial_inverse(lv.r_n, 1.0)
+            kern = lv.r_n ** 0.5 * fam.partial_inverse_many([lv.r_n], 1.0)[0]
             assert kern > lv.blow
 
     def test_round_trip_spec(self):
         spec = toy_spec()
-        spec2 = ConstructionSpec.from_json_dict(spec.to_json_dict())
-        assert spec2.kind == spec.kind
-        assert [lv.to_json_dict() for lv in spec2.levels] == \
-            [lv.to_json_dict() for lv in spec.levels]
+        doc = json.loads(json.dumps(spec.to_json_dict()))
+        assert list(doc) == ["kind", "p", "levels", "lambda", "gamma"]
+        assert (doc["kind"], doc["p"]) == ("lambda", 1.0)
+        assert tuple(LevelPlan(**lv) for lv in doc["levels"]) == spec.levels
+        assert doc["lambda"] == spec.w_lambda.to_config()
+        assert doc["gamma"] == spec.w_gamma.to_config()
 
     def test_unknown_kind(self):
         gauge = GaugePair.build("const", "pow2", q=1.0, n_max=2)
         with pytest.raises(ValidationError):
             plan_construction("wiener", gauge, 2)
+
+    @pytest.mark.parametrize("delta_2, error, message", [
+        (1024, HorizonError, r"^delta_2=1024 exceeds the sequence horizon 512$"),
+        (100.5, ValidationError, r"^delta_2=100.5 is not an integer$")])
+    def test_second_level_checks(self, delta_2, error, message):
+        # level 1 plans; level 2 passes the horizon, or is no grid size
+        gauge = GaugePair.build("const", "list", q=1.0, n_max=2, delta_list=[64, delta_2])
+        with pytest.raises(error, match=message):
+            plan_construction("lambda", gauge, 2, w_lambda=WeightSequence("harmonic", k_max=512),
+                              w_gamma=CONST1, p=1.0, sep=[1.0, 1.0], blow=[4.0, 16.0])
 
     @pytest.mark.parametrize("short", ["eps", "sep", "blow"])
     def test_short_constant_list_names_it(self, short):
@@ -268,10 +282,10 @@ class TestWitness:
         f = build_witness(spec)
         assert f.m == m
 
-    def test_resolution_cap(self):
-        spec = main_spec()
-        with pytest.raises(ResolutionError):
-            witness_resolution(spec, grid_cap=1024)
+    def test_resolution_cap(self, monkeypatch):
+        monkeypatch.setattr(gbv.counterexample, "GRID_CAP", 1024)
+        with pytest.raises(ResolutionError, match="grid lcm exceeds cap 1024 at level 3"):
+            witness_resolution(main_spec())
 
     def test_supports_disjoint(self):
         spec = main_spec()

@@ -1,7 +1,8 @@
 """Every module-level import in ``src/gbv`` is used by its module, every
-module-level private name is named somewhere in the package, and every
+module-level private name is named somewhere in the package, every
 public module-level function or class is named by another module or
-exported in ``__all__``.
+exported in ``__all__``, and every public method or property is named as
+an attribute in the package or the benchmark.
 
 No linter ships with the toolchain, so this walks the syntax tree with the
 standard library. ``__init__.py`` is exempt from the import check: its
@@ -10,11 +11,13 @@ is the console script (``gbv.cli:main``), and argparse reaches its commands.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gbv"
+PERFBENCH = SRC.parent.parent / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -96,6 +99,27 @@ def orphaned_publics(sources, exempt=()):
         and not any(node.name in r for other, r in refs.items() if other != mod))
 
 
+def unused_methods(sources, users=()):
+    """``(module, line, "Class.name")`` of the public methods and properties
+    of the classes in ``sources`` (a ``{module: source}`` map) that no
+    attribute names outside their own definition, in ``sources`` or in
+    ``users`` (a list of sources). Dunders are exempt. Names are matched,
+    not types: a method counts as used when any attribute shares its name."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    named = Counter()
+    for tree in [*trees.values(), *map(ast.parse, users)]:
+        named.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute))
+    return sorted(
+        (mod, node.lineno, f"{cls.name}.{node.name}")
+        for mod, tree in trees.items()
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+        and named[node.name] == sum(isinstance(n, ast.Attribute) and n.attr == node.name
+                                    for n in ast.walk(node)))
+
+
 def test_checker_flags_an_unused_import():
     assert unused_imports("import os\nimport sys\nsys.exit\n") == [(1, "os")]
     assert unused_imports("from a import b as c, d\nd()\n") == [(1, "c")]
@@ -134,3 +158,22 @@ def test_checker_flags_an_orphaned_public():
 def test_every_public_name_is_used_or_exported():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     assert orphaned_publics(sources, exempt=("cli.py",)) == []
+
+
+def test_checker_flags_an_unused_method():
+    sources = {
+        "a": "class Spec:\n    def solve(self):\n        return self.solve()\n"
+             "    @property\n    def size(self):\n        return 1\n"
+             "    def run(self):\n        return self.size\n"
+             "    def __add__(self, other):\n        pass\n",
+        "b": "class Kid:\n    def load(self):\n        pass\n",
+    }
+    assert unused_methods(sources) == [("a", 2, "Spec.solve"), ("a", 7, "Spec.run"),
+                                       ("b", 2, "Kid.load")]
+    assert unused_methods(sources, users=["x.load()\nx.run\n"]) == [("a", 2, "Spec.solve")]
+
+
+def test_every_public_method_is_used():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    users = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
+    assert unused_methods(sources, users) == []

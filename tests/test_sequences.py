@@ -8,7 +8,7 @@ from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
                  SchrammFamily, StepFunction, ValidationError, WeightSequence,
                  criterion_lambda_gamma, criterion_phi_lambda, criterion_schramm,
                  criterion_union_p, plan_construction, variation_gauged,
-                 variation_schramm)
+                 variation_schramm, variation_unweighted_q, variation_weighted)
 from gbv.sequences import BISECT_X_TOL, INVERSE_TOL, PREFIX_ANCHOR
 
 KM = 4096
@@ -81,10 +81,9 @@ class TestWeightSequence:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_explicit_extension_and_flag(self):
+    def test_explicit_extension(self):
         w = WeightSequence("explicit", terms=[1.0, 2.0], k_max=10)
         assert w.weight(10) == 2.0
-        assert w.divergence == "asserted-by-user"
 
     def test_decreasing_explicit_rejected(self):
         with pytest.raises(ValidationError):
@@ -172,48 +171,49 @@ class TestPrefixSums:
 class TestSchrammFamily:
     def test_inverse_of_zero(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
-        assert fam.partial_inverse(3, 0.0) == 0.0
+        assert fam.partial_inverse_many([3], 0.0)[0] == 0.0
 
     def test_quadratic_inverse_closed_form(self, harmonic):
         # Phi_4(x) = x^2 * (1 + 1/2 + 1/3 + 1/4), so the inverse of 1 is
         # (25/12)^(-1/2); the analytic path must agree with bisection
         fam = SchrammFamily.power(2.0, harmonic)
         expected = (25 / 12) ** -0.5
-        assert fam.partial_inverse(4, 1.0) == pytest.approx(expected, rel=1e-12)
-        assert fam.partial_inverse(4, 1.0, method="bisect") == pytest.approx(
+        assert fam.partial_inverse_many([4], 1.0)[0] == pytest.approx(expected, rel=1e-12)
+        assert fam.partial_inverse_many([4], 1.0, method="bisect")[0] == pytest.approx(
             expected, rel=1e-8)
 
     def test_linear_inverse(self, harmonic):
         fam = SchrammFamily.power(1.0, harmonic)
         # Phi_2(x) = 1.5 x
-        assert fam.partial_inverse(2, 3.0) == pytest.approx(2.0, rel=1e-12)
+        assert fam.partial_inverse_many([2], 3.0)[0] == pytest.approx(2.0, rel=1e-12)
 
     def test_round_trip_identity(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
         for k in (1, 3, 9):
             for x in np.linspace(0.0, 10.0, 7):
                 y = float(fam.partial_sum(k, x))
-                assert fam.partial_inverse(k, y) == pytest.approx(x, abs=1e-9)
-                assert fam.partial_inverse(k, y, method="bisect") == pytest.approx(
+                assert fam.partial_inverse_many([k], y)[0] == pytest.approx(x, abs=1e-9)
+                assert fam.partial_inverse_many([k], y, method="bisect")[0] == pytest.approx(
                     x, abs=1e-7)
 
     def test_inverse_nonincreasing_in_k(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
-        vals = [fam.partial_inverse(k, 1.0) for k in range(1, 40)]
+        vals = [fam.partial_inverse_many([k], 1.0)[0] for k in range(1, 40)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_inverse_concave_on_triples(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
         for k in (1, 2, 5, 17):
             for y1, y2 in [(0.1, 2.0), (1.0, 9.0), (0.5, 0.6)]:
-                mid = fam.partial_inverse(k, (y1 + y2) / 2)
-                avg = (fam.partial_inverse(k, y1) + fam.partial_inverse(k, y2)) / 2
+                mid = fam.partial_inverse_many([k], (y1 + y2) / 2)[0]
+                avg = (fam.partial_inverse_many([k], y1)[0]
+                       + fam.partial_inverse_many([k], y2)[0]) / 2
                 assert mid >= avg - 1e-9
 
     def test_explicit_family_bisection(self):
         fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=16)
         y = float(fam.partial_sum(3, 1.5))
-        assert fam.partial_inverse(3, y) == pytest.approx(1.5, abs=1e-7)
+        assert fam.partial_inverse_many([3], y)[0] == pytest.approx(1.5, abs=1e-7)
 
     def test_validate_rejects_bad_ordering(self):
         # equal exponents with a rising coefficient: phi_2 > phi_1 for x > 0
@@ -256,7 +256,7 @@ class TestSchrammFamily:
     def test_negative_target_rejected(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
         with pytest.raises(ValidationError):
-            fam.partial_inverse(2, -1.0)
+            fam.partial_inverse_many([2], -1.0)
 
     @pytest.mark.parametrize("kind", ["scaled", "explicit"])
     def test_array_targets_match_scalar_rules(self, harmonic, kind):
@@ -278,7 +278,7 @@ class TestSchrammFamily:
             w = BISECT_X_TOL * max(1.0, x)
             assert (abs(fam.partial_sum(k, x) - y) <= INVERSE_TOL * max(1.0, y)
                     or fam.partial_sum(k, x - w) <= y <= fam.partial_sum(k, x + w))
-            assert fam.partial_inverse(k, y) == x
+            assert fam.partial_inverse_many([k], y)[0] == x
         assert np.all(np.diff(xs) <= 0)
         assert np.array_equal(fam.partial_sum(ks, xs),
                               [fam.partial_sum(int(k), x) for k, x in zip(ks, xs)])
@@ -294,7 +294,7 @@ class TestSchrammFamily:
         w = WeightSequence("constant", value=1.0, k_max=64)
         fam = SchrammFamily("scaled", base=ConvexBase("expm1"), weights=w)
         # Phi_k(x) = k (e^x - 1)
-        assert fam.partial_inverse(4, 4.0) == pytest.approx(math.log(2), rel=1e-10)
+        assert fam.partial_inverse_many([4], 4.0)[0] == pytest.approx(math.log(2), rel=1e-10)
 
     @pytest.mark.parametrize("fam, degree", [
         (SchrammFamily.power(1.5, WeightSequence("harmonic", k_max=64)), 1.5),
@@ -335,6 +335,27 @@ class TestSchrammFamily:
     def test_rank_sum_past_the_largest_float_is_inf(self, fam, x):
         assert fam.rank_sum([x]) == math.inf
         assert fam.rank_sum([x, 1.0]) == math.inf
+
+    @pytest.mark.parametrize("fam, config", [
+        (SchrammFamily.power(1.5, WeightSequence("power", alpha=0.5, k_max=64)),
+         {"kind": "scaled", "base": {"power": 1.5},
+          "weights": {"kind": "power", "k_max": 64, "alpha": 0.5}}),
+        (SchrammFamily("scaled", base=ConvexBase("expm1"),
+                       weights=WeightSequence("constant", value=2.0, k_max=64)),
+         {"kind": "scaled", "base": {"expm1": True},
+          "weights": {"kind": "constant", "k_max": 64, "value": 2.0}}),
+        (SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 2.0)], k_max=64),
+         {"kind": "explicit", "terms": [[1.0, 1.5], [0.5, 2.0]], "k_max": 64}),
+    ], ids=["power", "expm1", "explicit"])
+    def test_config_round_trip(self, fam, config):
+        assert fam.to_config() == config
+        again = SchrammFamily.from_config(config)
+        assert again.to_config() == config
+        if "base" in config:
+            assert ConvexBase.from_config(config["base"]).to_config() == config["base"]
+        xs = [2.0, 1.5, 0.5, 0.25]
+        assert again.rank_sum(xs) == fam.rank_sum(xs)
+        assert again.partial_sum(3, 0.75) == fam.partial_sum(3, 0.75)
 
 
 class TestGaugePair:
@@ -377,3 +398,40 @@ class TestGaugePair:
         for n in (0, 5):
             with pytest.raises(ValidationError, match=f"^level count {n} outside 1..4$"):
                 g.levels(n)
+
+
+ZIGZAG5 = StepFunction([0.0, 1.0, 0.5, 2.0, 1.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: variation_unweighted_q(ZIGZAG5, math.inf), "q must be >= 1"),
+    (lambda: variation_unweighted_q(ZIGZAG5, math.nan), "q must be >= 1"),
+    (lambda: variation_weighted(ZIGZAG5, HARMONIC, math.nan), "p must be >= 1"),
+    (lambda: variation_weighted(ZIGZAG5, HARMONIC, math.inf), "p must be >= 1"),
+    (lambda: criterion_lambda_gamma(HARMONIC, WeightSequence("constant", k_max=KM), math.nan,
+                                    GaugePair.build("linear", "pow2", n_max=4), 4),
+     "p must be >= 1"),
+    (lambda: ConvexBase("power", p=math.nan), "power base needs p >= 1"),
+    (lambda: ConvexBase("power", p=math.inf), "power base needs p >= 1"),
+    (lambda: SchrammFamily("explicit", terms=[(math.inf, 2.0)]), "explicit terms need"),
+    (lambda: SchrammFamily("explicit", terms=[(1.0, math.nan)]), "explicit terms need"),
+    (lambda: SchrammFamily("explicit", terms=[(1.0, 2.0), (1.0, math.inf)]),
+     "explicit terms need"),
+    (lambda: WeightSequence("constant", value=math.inf), "constant weight must be positive"),
+    (lambda: WeightSequence("constant", value=math.nan), "constant weight must be positive"),
+    (lambda: WeightSequence("explicit", terms=[1.0, math.inf]), "weights must be positive"),
+    (lambda: GaugePair([1.0, math.nan], [2.0, 4.0]), "need 1 <= q_n nondecreasing"),
+    (lambda: GaugePair([1.0, math.inf], [2.0, 4.0]), "need 1 <= q_n nondecreasing"),
+    (lambda: GaugePair([1.0, 2.0], [2.0, math.nan]), "need 2 <= delta_n nondecreasing"),
+    (lambda: GaugePair.build("const", "pow2", q=math.nan), "need 1 <= q_n nondecreasing"),
+    (lambda: GaugePair.build("list", "pow2"), "list qn ladder needs qn_list"),
+    (lambda: GaugePair.build("linear", "list"), "list delta ladder needs delta_list"),
+], ids=["q-inf", "q-nan", "p-nan", "p-inf", "criterion-p-nan", "base-nan", "base-inf",
+        "coef-inf", "exponent-nan", "second-exponent-inf", "constant-inf", "constant-nan",
+        "explicit-inf", "qn-nan", "qn-inf", "delta-nan", "const-nan", "qn-list-missing",
+        "delta-list-missing"])
+def test_non_finite_parameters_are_rejected(call, message):
+    # a NaN passes every ``x < 1`` test, and an inf exponent or weight gives
+    # confident wrong values
+    with pytest.raises(ValidationError, match=f"^{message}"):
+        call()

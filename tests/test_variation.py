@@ -101,7 +101,8 @@ class TestModulus:
             modulus_of_variation(ZIGZAG, 2)
             modulus_of_variation(ZIGZAG, 9)
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp linear: m=4, n=2, skeleton 5→5", "exact-dp linear: m=4, n=4, skeleton 5→5"]
+            "exact-dp: m=4, levels=1, cap=2, skeleton 5→5",
+            "exact-dp: m=4, levels=1, cap=4, skeleton 5→5"]
 
 
 class TestUnweightedQ:
@@ -115,7 +116,15 @@ class TestUnweightedQ:
         # two disjoint ones fit
         assert res.value == pytest.approx(oracles.oracle_unweighted_q(
             list(ZIGZAG.values), 1.0, 4, min_len=2))
-        assert res.witness.min_length >= 2
+        assert min(b - a for a, b in res.witness.pairs) >= 2
+
+    def test_path_is_logged(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            variation_unweighted_q(ZIGZAG, 2.0, s_max=1)
+            variation_unweighted_q(ZIGZAG, 1.0, min_len=2)
+        assert [r.getMessage() for r in caplog.records] == [
+            "exact-dp: m=4, levels=1, cap=1, skeleton 5→5",
+            "exact-dp: m=4, levels=1, min_len=2, no skeleton"]
 
     def test_min_len_beyond_grid(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, min_len=10)
@@ -305,7 +314,7 @@ class TestNorm:
         for _ in range(5):
             f = StepFunction(random_values(rng, 6))
             g = StepFunction(random_values(rng, 6))
-            lhs = schramm_norm(f + g, fam)
+            lhs = schramm_norm(StepFunction(f.values + g.values), fam)
             rhs = schramm_norm(f, fam) + schramm_norm(g, fam)
             assert lhs <= rhs * (1 + 1e-7) + 1e-12
 
@@ -747,7 +756,7 @@ class TestSkeleton:
             f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(self.skeleton(walk.values))}, "
             f"upper abel, gap {gap:.3g}",
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}, labels 1",
-            f"exact-dp: rank-free family, m=20, columns=1, skeleton 21→{len(idx)}",
+            f"exact-dp: m=20, levels=1, skeleton 21→{len(idx)}",
         ]
 
     def test_unordered_range_is_logged(self, caplog):
@@ -773,7 +782,7 @@ class TestSkeleton:
         # levels 3 and 4 share min_len 1 but not q_n; a rank-dependent gauge
         # keeps one rank solve per level
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp: rank-free family, m=4, columns=4, min_len=1..2, no skeleton",
+            "exact-dp: m=4, levels=4, min_len=1..2, no skeleton",
             "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton, labels 1",
             "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5, labels 1",
         ]
