@@ -144,8 +144,7 @@ def cmd_criterion(args):
     elif args.theorem == "1.5":
         rep = criterion_corollary_q(
             parse_weights(getattr(args, "lambda"), args.kmax),
-            parse_weights(args.gamma, args.kmax), args.p, args.q,
-            horizon=args.kmax)
+            parse_weights(args.gamma, args.kmax), args.p, args.q)
     elif args.theorem == "1.7":
         gauge = parse_gauge(args.qn, args.delta, args.ncap)
         rep = criterion_union_p(parse_weights(getattr(args, "lambda"), args.kmax),
@@ -192,7 +191,7 @@ def cmd_counterexample(args):
         f = build_witness(spec)
         m = payload["m"] = f.m
         if args.build and args.witness_out:
-            f.write(args.witness_out, "json")
+            f.write(args.witness_out)
     else:  # a plan needs no grid: one past the cap only names the summary's m
         try:
             m = witness_resolution(spec)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -52,12 +52,7 @@ class LevelPlan:
     blow: float
 
     def to_json_dict(self):
-        return {
-            "n": self.n, "q_n": self.q_n, "delta_n": self.delta_n,
-            "b_n": self.b_n, "r_n": self.r_n, "s_n": self.s_n,
-            "s_fit": self.s_fit, "t_n": self.t_n, "height": self.height,
-            "eps": self.eps, "sep": self.sep, "blow": self.blow,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -122,6 +117,8 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
         raise ValidationError("lambda construction needs both weight sequences")
     if kind == "schramm" and family is None:
         raise ValidationError("schramm construction needs a family")
+    if kind == "lambda" and not 1 <= p < math.inf:
+        raise ValidationError(f"lambda construction needs 1 <= p < inf (p={p})")
 
     d_eps, d_sep, d_blow = paper_constants(n_levels)
     eps = np.asarray(eps if eps is not None else d_eps, dtype=float)
@@ -130,6 +127,9 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     for name, values in (("eps", eps), ("sep", sep), ("blow", blow)):
         if values.ndim != 1 or len(values) < n_levels:
             raise ValidationError(f"{name} needs one value for each of {n_levels} levels")
+        for n, value in enumerate(values[:n_levels].tolist(), 1):
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name}_{n}={value} must be finite and > 0")
 
     if kind == "lambda":
         horizon = min(w_gamma.k_max, w_lambda.k_max)

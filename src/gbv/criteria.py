@@ -12,13 +12,13 @@ from __future__ import annotations
 import io
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import HorizonError, HypothesisError, ValidationError
-from .sequences import (BISECT_CHUNK, INVERSE_TOL, ConvexBase, GaugePair,
-                        SchrammFamily, WeightSequence)
+from .sequences import (INVERSE_TOL, ConvexBase, GaugePair, SchrammFamily,
+                        WeightSequence)
 
 SLOPE_TOL = 0.01
 #: kernel evaluations one scan may spend: a scan over at most this many k is
@@ -47,16 +47,7 @@ class CriterionReport:
     evaluations: int = 0
 
     def to_json_dict(self):
-        return {
-            "levels": [dict(lv) for lv in self.levels],
-            "sup": self.sup,
-            "argmax_level": self.argmax_level,
-            "verdict": self.verdict,
-            "slope": self.slope,
-            "horizon": self.horizon,
-            "inexact_scan": self.inexact_scan,
-            "evaluations": self.evaluations,
-        }
+        return {**asdict(self), "levels": [dict(lv) for lv in self.levels]}
 
     def to_csv(self):
         buf = io.StringIO()
@@ -298,25 +289,6 @@ def _assemble(level_rows, inexact, evaluations):
     )
 
 
-def check_ratio_nondecreasing(w_gamma, w_lambda, horizon):
-    """Raise :class:`HypothesisError`, with the first bad k as ``index``,
-    unless Gamma(k)/Lambda(k) is nondecreasing over k <= horizon."""
-    # Gamma(k)/Lambda(k) = sum_{j<=k} r_j / lam_j / Lambda(k) is a weighted
-    # mean of r_j = lam_j / gamma_j: a nondecreasing r (Gamma constant, or
-    # Gamma = Lambda) proves it without a prefix read; otherwise every step
-    # is checked, one block of k at a time, so a failure stops at its block
-    if w_lambda.ratio_rises(w_gamma, horizon):
-        return
-    # blocks overlap by one k, so every step k -> k + 1 is checked once
-    for start in range(0, horizon - 1, BISECT_CHUNK):
-        ks = np.arange(start + 1, min(start + BISECT_CHUNK + 1, horizon) + 1)
-        ratio = w_gamma.prefix_sums_at(ks) / w_lambda.prefix_sums_at(ks)
-        bad = np.flatnonzero(np.diff(ratio) < -1e-12 * ratio[:-1])
-        if len(bad):
-            k = start + int(bad[0]) + 2
-            raise HypothesisError(f"Gamma(k)/Lambda(k) decreases at k={k}", index=k)
-
-
 def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
                            p: float, gauge: GaugePair, n_cap: int,
                            second_part: bool = False) -> CriterionReport:
@@ -334,8 +306,7 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
             raise HypothesisError(
                 "p > q_1 requires the second-part flag with "
                 "Gamma/Lambda nondecreasing")
-        check_ratio_nondecreasing(w_gamma, w_lambda,
-                                  min(max_delta, w_gamma.k_max, w_lambda.k_max))
+        w_gamma.check_rising_ratio(w_lambda, min(max_delta, w_gamma.k_max, w_lambda.k_max))
     if max_delta > min(w_gamma.k_max, w_lambda.k_max):
         raise HorizonError(
             f"delta_{n_cap}={max_delta} exceeds the weight-sequence horizon")
@@ -345,22 +316,20 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
 
 
 def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
-                          p: float, q: float,
-                          horizon: int | None = None) -> CriterionReport:
-    """Truncated ``sup_n Gamma(n)^{1/q} Lambda(n)^{-1/p}`` (fixed exponents).
+                          p: float, q: float) -> CriterionReport:
+    """Truncated ``sup_n Gamma(n)^{1/q} Lambda(n)^{-1/p}`` (fixed exponents),
+    up to the shorter horizon of the two sequences.
 
     Levels in the report are dyadic checkpoints of the running sup, which
     gives the trend classifier something meaningful to look at.
     """
     if not 1 <= p <= q < math.inf:
         raise ValidationError("need 1 <= p <= q < inf")
-    horizon = min(horizon or min(w_gamma.k_max, w_lambda.k_max),
-                  w_gamma.k_max, w_lambda.k_max)
-    tops = [1 << i for i in range(int(horizon).bit_length())]
+    horizon = min(w_gamma.k_max, w_lambda.k_max)
+    tops = [1 << i for i in range(horizon.bit_length())]
     if tops[-1] < horizon:
-        tops.append(int(horizon))
-    return _assemble(*_bracket_scan(tops, [1.0 / q] * len(tops),
-                                    lambda_gamma_parts(w_lambda, w_gamma, p)))
+        tops.append(horizon)
+    return _scan([(q, top) for top in tops], horizon, lambda_gamma_parts(w_lambda, w_gamma, p))
 
 
 def criterion_schramm(family: SchrammFamily, gauge: GaugePair,

@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .criteria import check_ratio_nondecreasing
 from .errors import HypothesisError, ValidationError
 from .sequences import SchrammFamily, WeightSequence
 
@@ -44,9 +43,9 @@ class TripleSample:
             raise ValidationError("q must be >= 1")
 
 
-def monotone_vector(rng, n, scale=1.0):
+def monotone_vector(rng, n):
     """Positive nonincreasing vector: sorted exponentials of uniforms."""
-    v = np.exp(rng.uniform(-3.0, 2.0, size=n)) * scale
+    v = np.exp(rng.uniform(-3.0, 2.0, size=n))
     return np.sort(v)[::-1]
 
 
@@ -126,24 +125,20 @@ def check_weighted_comparison(a, w_lambda: WeightSequence, w_gamma: WeightSequen
 
 
 def check_holder_branch(x, w_lambda: WeightSequence, w_gamma: WeightSequence,
-                        p, q_n, s=None):
-    """The small-exponent branch: for ``q_n < p`` and Gamma/Lambda
-    nondecreasing,
+                        p, q_n):
+    """The small-exponent branch: for ``1 <= q_n < p < inf`` and
+    Gamma/Lambda nondecreasing, with ``s = len(x)``,
 
     ``sum_{j<=s} x_j^{q_n}/gamma_j
         <= (sum_{j<=s} x_j^p/lambda_j)^{q_n/p} * max_{k<=s} Gamma(k) Lambda(k)^{-q_n/p}``.
     """
+    if not 1 <= q_n < p < math.inf:
+        raise ValidationError(f"this branch needs 1 <= q_n < p < inf (q_n={q_n}, p={p})")
     x = np.asarray(x, dtype=float)
-    if s is None:
-        s = len(x)
-    if not 1 <= s <= len(x):
-        raise ValidationError("s out of range")
-    if not q_n < p:
-        raise ValidationError("this branch needs q_n < p")
-    x = x[:s]
-    if np.any(x < 0) or np.any(np.diff(x) > 1e-15 * np.maximum(x[:-1], 1e-300)):
-        raise ValidationError("x must be nonnegative nonincreasing")
-    check_ratio_nondecreasing(w_gamma, w_lambda, s)
+    s = len(x)
+    if s < 1 or np.any(x < 0) or np.any(np.diff(x) > 1e-15 * np.maximum(x[:-1], 1e-300)):
+        raise ValidationError("x must be nonempty, nonnegative and nonincreasing")
+    w_gamma.check_rising_ratio(w_lambda, s)
     gam = w_gamma.prefix_sums(s)
     lam = w_lambda.prefix_sums(s)
     lhs = float(np.sum(x ** q_n / w_gamma.weights(s)))
@@ -181,9 +176,12 @@ def check_wu_estimate(x, family: SchrammFamily, q):
 # ---------------------------------------------------------------------------
 # randomized suites
 
-def _check_horizon(n_max, *readers):
-    """Raise before any sample is drawn if a length up to ``n_max`` would
-    read past the horizon of a weight sequence or family."""
+def _check_suite(samples, n_max, *readers):
+    """Raise before any sample is drawn if there is none to draw, or if a
+    length up to ``n_max`` would read past the horizon of a weight
+    sequence or family."""
+    if samples < 1:
+        raise ValidationError(f"a suite needs samples >= 1 (samples={samples})")
     for r in readers:
         if n_max > r.k_max:
             raise ValidationError(
@@ -193,6 +191,7 @@ def _check_horizon(n_max, *readers):
 
 def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
                      n_max=64):
+    _check_suite(samples, n_max)
     rng = np.random.default_rng(seed)
     failures = 0
     worst = {"margin": math.inf, "case": None}
@@ -215,8 +214,8 @@ def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
 
 
 def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
-    _check_horizon(n_max, *families,
-                   *(fam.weights for fam in families if fam.weights is not None))
+    _check_suite(samples, n_max, *families,
+                 *(fam.weights for fam in families if fam.weights is not None))
     rng = np.random.default_rng(seed)
     failures = 0
     worst_ratio = 0.0
@@ -239,7 +238,7 @@ def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
 
 
 def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32):
-    _check_horizon(n_max, w_lambda, w_gamma)
+    _check_suite(samples, n_max, w_lambda, w_gamma)
     rng = np.random.default_rng(seed)
     failures = 0
     worst = {"margin": math.inf, "case": None}
@@ -258,7 +257,7 @@ def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32)
 
 
 def run_comparison_suite(seed, samples, w_lambda, w_gamma, n_max=64):
-    _check_horizon(n_max, w_lambda, w_gamma)
+    _check_suite(samples, n_max, w_lambda, w_gamma)
     rng = np.random.default_rng(seed)
     failures = 0
     for i in range(samples):

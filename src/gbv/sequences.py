@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import HorizonError, RangeError, ValidationError
+from .errors import HorizonError, HypothesisError, RangeError, ValidationError
 
 DEFAULT_K_MAX = 1 << 20
 DEFAULT_N_MAX = 64
@@ -39,6 +39,15 @@ BISECT_CHUNK = 1 << 16
 PREFIX_ANCHOR = 4096
 
 _WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
+
+
+def check_horizon(k, k_max):
+    """Raise :class:`HorizonError` unless the index ``k`` lies in
+    ``1..k_max``: the one source of that error. It is one compare, since
+    scalar reads make it once per call; an array read passes its first
+    index outside."""
+    if not 1 <= k <= k_max:
+        raise HorizonError(f"index {k} outside horizon 1..{k_max}")
 
 
 class WeightSequence:
@@ -148,13 +157,9 @@ class WeightSequence:
             total = x if a == 1.0 else n ** (1.0 - a) * np.expm1((1.0 - a) * x) / (1.0 - a)
         return total + ends(k) - ends(n)
 
-    def _check(self, k):
-        if not 1 <= k <= self.k_max:
-            raise HorizonError(f"index {k} outside horizon 1..{self.k_max}")
-
     def _weights(self, k):
         """The read-only weight table, holding index ``k``."""
-        self._check(k)
+        check_horizon(k, self.k_max)
         lam = self._lam
         if k > len(lam):
             lam = self._formula(min(self.k_max, max(k, 2 * len(lam))))
@@ -170,10 +175,6 @@ class WeightSequence:
             self._head = head
         return head
 
-    def weight(self, j):
-        """Return ``lam_j`` (1-based)."""
-        return self._weights(j).item(j - 1)
-
     def weights(self, k):
         """First ``k`` weights as a read-only array."""
         return self._weights(k)[:k]
@@ -184,7 +185,7 @@ class WeightSequence:
 
     def prefix_sums(self, k):
         """``L(1..k)`` as a read-only array."""
-        self._check(k)
+        check_horizon(k, self.k_max)
         if k <= self.anchor:  # a view of the exact table
             return self._prefix_head()[:k]
         pref = self.prefix_sums_at(np.arange(1, k + 1))
@@ -196,7 +197,7 @@ class WeightSequence:
         ks = np.asarray(ks, dtype=np.int64)
         top = ks.max(initial=1)
         if not 1 <= ks.min(initial=1) <= top <= self.k_max:
-            self._check(int(ks[(ks < 1) | (ks > self.k_max)][0]))
+            check_horizon(ks[(ks < 1) | (ks > self.k_max)][0], self.k_max)
         head = self._prefix_head()
         # "clip" reads L(anchor) for every k past it, which np.where replaces
         inside = head.take(ks - 1, mode="clip")
@@ -204,21 +205,37 @@ class WeightSequence:
             return inside
         return np.where(ks > self.anchor, head[-1] + self._tail(ks), inside)
 
-    def ratio_rises(self, other, k):
-        """Whether ``r_j = lam_j / other.lam_j`` is nondecreasing for j <= k:
-        read from the weights up to one past both anchors, and beyond them
-        from the kinds' growth ``lam_j = c j^a / log(j + 1)^b``."""
+    def check_rising_ratio(self, other, k):
+        """Raise :class:`HypothesisError`, with the first bad j as ``index``,
+        unless ``Gamma(j)/Lambda(j)`` is nondecreasing over j <= k, for this
+        sequence as Gamma and ``other`` as Lambda: the second-part
+        hypothesis of theorems 1.4 and 1.7 and of the Hoelder branch."""
+        # Gamma(k)/Lambda(k) = sum_{j<=k} r_j / lam_j / Lambda(k) is a weighted
+        # mean of r_j = lam_j / gamma_j: a nondecreasing r (Gamma constant, or
+        # Gamma = Lambda) proves it without a prefix read. r is read from the
+        # weights up to one past both anchors, and beyond them from the kinds'
+        # growth lam_j = c j^a / log(j + 1)^b
         m = min(k, max(self.anchor, other.anchor) + 1)
-        r = self.weights(m) / other.weights(m)
-        if np.any(r[1:] < r[:-1]):
-            return False
-        if m == k:
-            return True
-        (a_lam, b_lam), (a_oth, b_oth) = self._growth(), other._growth()
-        da, db = a_lam - a_oth, b_oth - b_lam
-        # past m, d log r / dj = da / j + db / ((j + 1) log(j + 1)), which is
-        # >= 0 when da >= 0 and either db >= 0 or da log(m + 1) >= -db
-        return da >= 0 and (db >= 0 or da * math.log(m + 1) >= -db)
+        r = other.weights(m) / self.weights(m)
+        if not np.any(r[1:] < r[:-1]):
+            if m == k:
+                return
+            (a_lam, b_lam), (a_gam, b_gam) = other._growth(), self._growth()
+            da, db = a_lam - a_gam, b_gam - b_lam
+            # past m, d log r / dj = da / j + db / ((j + 1) log(j + 1)), which
+            # is >= 0 when da >= 0 and either db >= 0 or da log(m + 1) >= -db
+            if da >= 0 and (db >= 0 or da * math.log(m + 1) >= -db):
+                return
+        # otherwise every step is checked, one block of k at a time, so a
+        # failure stops at its block; blocks overlap by one k, so every step
+        # k -> k + 1 is checked once
+        for start in range(0, k - 1, BISECT_CHUNK):
+            ks = np.arange(start + 1, min(start + BISECT_CHUNK + 1, k) + 1)
+            ratio = self.prefix_sums_at(ks) / other.prefix_sums_at(ks)
+            bad = np.flatnonzero(np.diff(ratio) < -1e-12 * ratio[:-1])
+            if len(bad):
+                i = start + int(bad[0]) + 2
+                raise HypothesisError(f"Gamma(k)/Lambda(k) decreases at k={i}", index=i)
 
     def to_config(self):
         cfg = {"kind": self.kind, "k_max": self.k_max}
@@ -324,7 +341,7 @@ class SchrammFamily:
                 raise ValidationError("scaled kind needs base and weights")
             if k_max is not None:
                 raise ValidationError("a scaled family takes k_max from its weights")
-            self.base = base if isinstance(base, ConvexBase) else ConvexBase.from_config(base)
+            self.base = base
             self.weights = weights
             self.k_max = weights.k_max
             self.terms = None
@@ -342,7 +359,7 @@ class SchrammFamily:
             if weights.kind == "constant" or (
                     weights.kind == "explicit"
                     and len(set(weights.terms[:weights.k_max])) == 1):
-                base, c = self.surrogate, 1.0 / weights.weight(1)
+                base, c = self.surrogate, 1.0 / weights.weights(1).item()
                 self.rank_free = lambda x: c * base(x)
         elif kind == "explicit":
             if not terms:
@@ -415,16 +432,15 @@ class SchrammFamily:
         """The rank cache, grown to at least ``n`` ranks."""
         ranks = self._ranks
         if n > len(ranks):
-            if n > self.k_max:
-                raise HorizonError(
-                    f"index {self.k_max + 1} outside horizon 1..{self.k_max}")
+            # past the horizon, name k_max + 1: the first rank it lacks
+            check_horizon(min(n, self.k_max + 1), self.k_max)
             ranks = self._ranks = self._rank_terms(n)
         return ranks
 
     def _check_horizon(self, ks):
-        bad = (ks < 1) | (ks > self.k_max)
-        if bad.any():
-            raise HorizonError(f"index {ks[bad][0]} outside horizon 1..{self.k_max}")
+        outside = ks[(ks < 1) | (ks > self.k_max)]
+        if len(outside):
+            check_horizon(outside[0], self.k_max)
 
     def partial_sum(self, k, x):
         """Evaluate Phi_k(x) = sum_{j<=k} phi_j(x); ``k`` and ``x`` broadcast.
@@ -446,15 +462,15 @@ class SchrammFamily:
             total = total + np.where(rest > 0, rest * c * np.power(x, e), 0.0)
         return total if total.ndim else float(total)
 
-    def partial_inverse_many(self, ks, y, *, method="auto"):
+    def partial_inverse_many(self, ks, y):
         """``Phi_k^{-1}(y)`` over an integer array of k values.
 
-        Scaled families invert analytically through the base unless
-        ``method="bisect"``. The generic route brackets by doubling from 1 and
-        bisects (Phi_k is convex and strictly increasing, so bisection is
-        robust and derivative-free), all k at once in chunks of
-        ``BISECT_CHUNK``; each element stops at the residual tolerance or at
-        a bracket of width ``BISECT_X_TOL * max(1, hi)``.
+        Scaled families invert analytically through the base. Explicit
+        ones bracket by doubling from 1 and bisect (Phi_k is convex and
+        strictly increasing, so bisection is robust and derivative-free),
+        all k at once in chunks of ``BISECT_CHUNK``; each element stops at
+        the residual tolerance or at a bracket of width
+        ``BISECT_X_TOL * max(1, hi)``.
         """
         if y < 0:
             raise ValidationError("inverse target must be nonnegative")
@@ -462,7 +478,7 @@ class SchrammFamily:
         self._check_horizon(ks)
         if y == 0:
             return np.zeros(len(ks))
-        if method == "auto" and self.kind == "scaled":
+        if self.kind == "scaled":
             return self.base.inverse(y / self.weights.prefix_sums_at(ks))
         return np.concatenate([self._bisect(ks[i:i + BISECT_CHUNK], y)
                                for i in range(0, len(ks), BISECT_CHUNK)])
@@ -504,7 +520,7 @@ class SchrammFamily:
         cfg = dict(cfg)
         kind = cfg.pop("kind")
         if kind == "scaled":
-            return cls("scaled", base=cfg["base"],
+            return cls("scaled", base=ConvexBase.from_config(cfg["base"]),
                        weights=WeightSequence.from_config(cfg["weights"]))
         if kind == "power":
             # convenience spelling: {"kind": "power", "p": 2, "weights": {...}}

@@ -41,16 +41,10 @@ class StepFunction:
     def to_json_dict(self):
         return {"m": self.m, "values": [float(v) for v in self.values]}
 
-    def write(self, path, fmt="json"):
-        if fmt == "json":
-            with open(path, "w") as fh:
-                json.dump(self.to_json_dict(), fh)
-        elif fmt == "csv":
-            with open(path, "w") as fh:
-                for v in self.values:
-                    fh.write(f"{float(v)!r}\n")
-        else:
-            raise ValidationError(f"unknown format {fmt!r}")
+    def write(self, path):
+        """Write the samples as JSON, in the form :func:`ingest` reads."""
+        with open(path, "w") as fh:
+            json.dump(self.to_json_dict(), fh)
 
 
 def ingest(path, fmt="csv"):

@@ -59,9 +59,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (HorizonError, InternalConsistencyError, RangeError,
-                     ValidationError)
-from .sequences import GaugePair, SchrammFamily, WeightSequence
+from .errors import InternalConsistencyError, RangeError, ValidationError
+from .sequences import GaugePair, SchrammFamily, WeightSequence, check_horizon
 from .stepfn import IntervalCollection, StepFunction
 
 #: largest grid resolution at which rank-dependent search runs exactly
@@ -579,8 +578,8 @@ def _rank_solve(f, levels, oracle_cap):
         solved = (_rank_search(f, skeleton, *level, oracle_cap) for level in levels)
     results = []
     for (family, min_len, p), (lower, upper, mode, witness) in zip(levels, solved):
-        if lower > 0 and f.m // min_len > family.k_max:
-            raise HorizonError(f"index {family.k_max + 1} outside horizon 1..{family.k_max}")
+        if lower > 0:  # past the horizon, name k_max + 1: the first rank it lacks
+            check_horizon(min(f.m // min_len, family.k_max + 1), family.k_max)
         root = 1.0 / p
         results.append(VariationResult(value=lower ** root, mode=mode, lower=lower ** root,
                                        upper=upper ** root, witness=witness))
@@ -702,7 +701,8 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
 
 def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = None,
                  oracle_cap: int = ORACLE_CAP_DEFAULT) -> float:
-    """Luxemburg-style norm ``|f(a)| + inf{c > 0 : V_Phi(f/c) <= 1}``.
+    """Luxemburg-style norm ``|f(a)| + inf{c > 0 : V_Phi(f/c) <= 1}``;
+    ``f(a)`` is ``f_a``, which must be finite, or else f's first sample.
 
     ``V_Phi(f/c)`` depends on f/c only, so f is first divided by the
     exact power of two above max|f|, which keeps its range and gains
@@ -726,6 +726,8 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     """
     if f_a is None:
         f_a = float(f.values[0])
+    elif not math.isfinite(f_a):
+        raise ValidationError(f"f_a={f_a} must be finite")
     values = f.values
     if values.min() == values.max():
         return abs(f_a)

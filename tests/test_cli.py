@@ -22,7 +22,7 @@ class TestParsing:
     def test_weight_specs(self):
         assert parse_weights("harmonic", 64).kind == "harmonic"
         w = parse_weights("constant:2.5", 64)
-        assert w.kind == "constant" and w.weight(3) == 2.5
+        assert w.kind == "constant" and w.weights(3)[2] == 2.5
         assert parse_weights("power:0.5", 64).alpha == 0.5
         w = parse_weights("explicit:1,2,3", 64)
         assert w.terms == (1.0, 2.0, 3.0)
@@ -33,7 +33,7 @@ class TestParsing:
         path = tmp_path / "w.json"
         path.write_text(json.dumps({"kind": "constant", "value": 3.0}))
         w = parse_weights(str(path), 16)
-        assert w.weight(1) == 3.0 and w.k_max == 16
+        assert w.weights(1)[0] == 3.0 and w.k_max == 16
 
     def test_gauge_specs(self):
         g = parse_gauge("linear", "pow2", 6)
@@ -350,6 +350,44 @@ class TestInequalityCommand:
         err = capsys.readouterr().err
         assert f"n_max={n_max}" in err and "k_max=16" in err
         assert not out.exists()
+
+
+COUNTEREXAMPLE = ["counterexample", "--kind", "lambda", "--qn", "const:1", "--delta",
+                  "list:64,1024", "--levels", "2", "--blow-base", "4", "--build", "--certify"]
+NORM = ["norm", "--family", '{"kind": "power", "p": 2, "weights": {"kind": "harmonic"}}']
+BAD_INPUTS = {
+    "eps-nan": (COUNTEREXAMPLE + ["--eps-base", "nan"], "eps_1=nan must be finite and > 0"),
+    "eps-inf": (COUNTEREXAMPLE + ["--eps-base", "inf"], "eps_1=inf must be finite and > 0"),
+    "eps-neg": (COUNTEREXAMPLE + ["--eps-base", "-1"], "eps_1=-1.0 must be finite and > 0"),
+    "sep-nan": (COUNTEREXAMPLE + ["--sep-base", "nan"], "sep_1=nan must be finite and > 0"),
+    "sep-neg": (COUNTEREXAMPLE + ["--sep-base", "-1"], "sep_1=-4.0 must be finite and > 0"),
+    "blow-neg": (COUNTEREXAMPLE + ["--blow-base", "-1"], "blow_1=-1.0 must be finite and > 0"),
+    "p-neg": (COUNTEREXAMPLE + ["--p", "-1"], "lambda construction needs 1 <= p < inf (p=-1.0)"),
+    "p-inf": (COUNTEREXAMPLE + ["--p", "inf"], "lambda construction needs 1 <= p < inf (p=inf)"),
+    "p-nan": (COUNTEREXAMPLE + ["--p", "nan"], "lambda construction needs 1 <= p < inf (p=nan)"),
+    "holder-q-neg": (["inequality", "--suite", "holder", "--samples", "5", "--seed", "1",
+                      "--q", "-1"], "this branch needs 1 <= q_n < p < inf (q_n=-1.0, p=2.0)"),
+    "holder-p-inf": (["inequality", "--suite", "holder", "--samples", "5", "--seed", "1",
+                      "--p", "inf"], "this branch needs 1 <= q_n < p < inf (q_n=1.0, p=inf)"),
+    **{f"{suite}-samples{n}": (["inequality", "--suite", suite, "--samples", n, "--seed", "1"],
+                               f"a suite needs samples >= 1 (samples={n})")
+       for suite in ("master", "wu", "holder", "comparison") for n in ("0", "-3")},
+    "fa-nan": (NORM + ["--fa", "nan"], "f_a=nan must be finite"),
+    "fa-inf": (NORM + ["--fa", "inf"], "f_a=inf must be finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_one(case, tmp_path, capsys):
+    argv, message = BAD_INPUTS[case]
+    path = tmp_path / "f.csv"
+    path.write_text("0\n1\n0.5\n2\n1\n")
+    out = tmp_path / "rep.json"
+    if argv[0] == "norm":
+        argv = argv + ["--input", str(path)]
+    assert run(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestNormCommand:

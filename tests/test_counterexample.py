@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import timeit
 import tracemalloc
 
@@ -252,7 +253,8 @@ def test_violation_index_matches_dense_kernel_property(kind, lam, gam, p, base, 
         if len(above) == 0:
             break
         expected.append(int(above[0]) + 1)
-    args = dict(eps=[1.0] * n_levels, sep=[0.0] * n_levels, blow=blow, **kw)
+    # the least positive separation: no budget falls below it
+    args = dict(eps=[1.0] * n_levels, sep=[math.ulp(0.0)] * n_levels, blow=blow, **kw)
     if len(expected) < n_levels:
         with pytest.raises(InfeasibleError, match="no index r") as exc:
             plan_construction(kind, gauge, n_levels, **args)

@@ -111,16 +111,16 @@ class TestLambdaGamma:
         # nondecreasing, so the hypothesis holds without a prefix read
         w_lambda = WeightSequence("harmonic")
         w_gamma = w_lambda if same else WeightSequence("constant", value=3.0)
-        gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, 1 << 20)
+        w_gamma.check_rising_ratio(w_lambda, 1 << 20)
         assert w_lambda._head is None and w_gamma._head is None
 
     def test_ratio_with_unordered_r_checked_densely(self):
         # r = (1, 2, 4/3, 4/3, ...) is not monotone, yet Gamma/Lambda is
-        # (1, 4/3, 4/3, ...): the dense route passes it
+        # (1, 4/3, 4/3, ...): the proof fails, and the dense route, which
+        # reads the prefix sums, passes it
         w_lambda = WeightSequence("explicit", terms=[1.0, 2.0, 2.0], k_max=KM)
         w_gamma = WeightSequence("explicit", terms=[1.0, 1.0, 1.5], k_max=KM)
-        assert not w_lambda.ratio_rises(w_gamma, KM)
-        gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+        w_gamma.check_rising_ratio(w_lambda, KM)
         assert w_lambda._head is not None
         gauge = GaugePair.build("linear", "pow2", n_max=8)
         criterion_lambda_gamma(w_lambda, w_gamma, 2.0, gauge, 8, second_part=True)
@@ -132,13 +132,15 @@ class TestLambdaGamma:
         ks = np.arange(1, KM + 1)
         ratio = w_gamma.prefix_sums_at(ks) / w_lambda.prefix_sums_at(ks)
         rises = bool(np.all(np.diff(ratio) >= -1e-12 * ratio[:-1]))
-        if w_lambda.ratio_rises(w_gamma, KM):
-            assert rises
+        # fresh sequences: a check that reads no prefix sum took the proof
+        w_lambda, w_gamma = WEIGHTS[lam](), WEIGHTS[gamma]()
         if rises:
-            gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+            w_gamma.check_rising_ratio(w_lambda, KM)
         else:
             with pytest.raises(HypothesisError, match="decreases at k="):
-                gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, KM)
+                w_gamma.check_rising_ratio(w_lambda, KM)
+        if w_lambda._head is None and w_gamma._head is None:
+            assert rises
 
     def test_ratio_failure_stops_at_its_block(self):
         # r_j = j^{-1/2} falls from the start, so the dense check runs and
@@ -149,7 +151,7 @@ class TestLambdaGamma:
             w_lambda, w_gamma = WeightSequence("power", alpha=0.5), WeightSequence("harmonic")
             with pytest.raises(HypothesisError,
                                match=r"^Gamma\(k\)/Lambda\(k\) decreases at k=2$") as exc:
-                gbv.criteria.check_ratio_nondecreasing(w_gamma, w_lambda, 1 << 20)
+                w_gamma.check_rising_ratio(w_lambda, 1 << 20)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -191,16 +193,16 @@ class TestLambdaGamma:
 
 class TestCorollaryQ:
     def test_harmonic_diverges_for_q2(self):
-        rep = criterion_corollary_q(HARMONIC, CONST1, 1.0, 2.0, horizon=KM)
+        rep = criterion_corollary_q(HARMONIC, CONST1, 1.0, 2.0)
         assert rep.verdict == "diverging-trend"
 
     def test_constant_bounded(self):
-        rep = criterion_corollary_q(CONST1, CONST1, 1.0, 2.0, horizon=KM)
+        rep = criterion_corollary_q(CONST1, CONST1, 1.0, 2.0)
         assert rep.verdict == "bounded-up-to-horizon"
         assert rep.sup == pytest.approx(1.0)
 
     def test_running_sup_nondecreasing(self):
-        rep = criterion_corollary_q(HARMONIC, CONST1, 1.0, 2.0, horizon=KM)
+        rep = criterion_corollary_q(HARMONIC, CONST1, 1.0, 2.0)
         a = [lv["a_n"] for lv in rep.levels]
         assert all(x <= y + 1e-15 for x, y in zip(a, a[1:]))
 
@@ -355,11 +357,15 @@ class TestBracketScan:
 
     @pytest.mark.parametrize("lam", sorted(WEIGHTS))
     def test_corollary_matches_dense(self, lam):
-        w_lambda, horizon = WEIGHTS[lam](), 3000
+        # the scan runs to the shorter horizon of the two, a level past 2^11
+        horizon = 3000
+        w_lambda = WeightSequence.from_config({**WEIGHTS[lam]().to_config(), "k_max": horizon})
         tops = [1 << i for i in range(12)] + [horizon]
-        for gamma in (WEIGHTS["constant:3"](), WEIGHTS["harmonic"](), w_lambda):
+        for gamma in ("constant:3", "harmonic", lam):
+            gamma = WeightSequence.from_config({**WEIGHTS[gamma]().to_config(),
+                                                "k_max": 2 * horizon})
             for p, q in ((1.0, 1.0), (1.0, 2.0), (1.5, 2.0), (2.0, 2.0)):
-                rep = criterion_corollary_q(w_lambda, gamma, p, q, horizon=horizon)
+                rep = criterion_corollary_q(w_lambda, gamma, p, q)
                 assert_matches_dense(rep, tops, [1.0 / q] * len(tops),
                                      lambda_gamma_parts(w_lambda, gamma, p), rel=1e-12)
 

@@ -177,3 +177,33 @@ def test_every_public_method_is_used():
     sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
     users = [p.read_text() for p in sorted(PERFBENCH.glob("*.py"))]
     assert unused_methods(sources, users) == []
+
+
+def functions_holding(tree, text):
+    """Names of the functions that hold a string constant, plain or part
+    of an f-string, containing ``text``."""
+    return {fn.name for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, ast.Constant) and isinstance(n.value, str) and text in n.value
+                    for n in ast.walk(fn))}
+
+
+def test_checker_finds_a_message_in_two_functions():
+    source = ("def a(k):\n    raise E(f'index {k} outside horizon')\n"
+              "class C:\n    def b(self):\n        return 'outside horizon 1..3'\n"
+              "    def c(self):\n        return 'inside'\n")
+    assert functions_holding(ast.parse(source), "outside horizon") == {"a", "b"}
+
+
+def test_one_function_builds_the_horizon_message():
+    owners = {(p.name, name) for p in MODULES
+              for name in functions_holding(ast.parse(p.read_text()), "outside horizon")}
+    assert owners == {("sequences.py", "check_horizon")}
+
+
+def test_inequalities_do_not_import_criteria():
+    tree = ast.parse((SRC / "inequalities.py").read_text())
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    imported |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names}
+    assert not any(name and name.split(".")[-1] == "criteria" for name in imported)

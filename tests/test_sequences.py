@@ -45,15 +45,14 @@ class TestWeightSequence:
         pref = w.prefix_sums(256)
         for k in range(1, 256):
             assert pref[k] - pref[k - 1] == pytest.approx(
-                1.0 / w.weight(k + 1), rel=1e-12)
+                1.0 / w.weights(k + 1)[k], rel=1e-12)
 
     def test_prefix_strictly_increasing(self, harmonic):
         pref = harmonic.prefix_sums(KM)
         assert np.all(np.diff(pref) > 0)
 
     def test_horizon_error(self, harmonic):
-        for accessor in (harmonic.weight, harmonic.weights, harmonic.prefix_sum,
-                         harmonic.prefix_sums):
+        for accessor in (harmonic.weights, harmonic.prefix_sum, harmonic.prefix_sums):
             for k in (0, KM + 1):
                 with pytest.raises(HorizonError):
                     accessor(k)
@@ -70,7 +69,7 @@ class TestWeightSequence:
         for k in [1, 7, 1000, KM][::order]:
             assert np.array_equal(w.weights(k), lam[:k])
             assert np.array_equal(w.prefix_sums(k), pref[:k])
-            assert w.weight(k) == lam[k - 1] and w.prefix_sum(k) == pref[k - 1]
+            assert w.prefix_sum(k) == pref[k - 1]
 
     def test_construction_builds_no_table(self):
         tracemalloc.start()
@@ -83,7 +82,7 @@ class TestWeightSequence:
 
     def test_explicit_extension(self):
         w = WeightSequence("explicit", terms=[1.0, 2.0], k_max=10)
-        assert w.weight(10) == 2.0
+        assert w.weights(10)[9] == 2.0
 
     def test_decreasing_explicit_rejected(self):
         with pytest.raises(ValidationError):
@@ -179,8 +178,7 @@ class TestSchrammFamily:
         fam = SchrammFamily.power(2.0, harmonic)
         expected = (25 / 12) ** -0.5
         assert fam.partial_inverse_many([4], 1.0)[0] == pytest.approx(expected, rel=1e-12)
-        assert fam.partial_inverse_many([4], 1.0, method="bisect")[0] == pytest.approx(
-            expected, rel=1e-8)
+        assert fam._bisect(np.array([4]), 1.0)[0] == pytest.approx(expected, rel=1e-8)
 
     def test_linear_inverse(self, harmonic):
         fam = SchrammFamily.power(1.0, harmonic)
@@ -189,12 +187,13 @@ class TestSchrammFamily:
 
     def test_round_trip_identity(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
+        # the same phi_j = x^2 / j for j <= 9 as explicit terms, which bisect
+        bisected = SchrammFamily("explicit", terms=[(1.0 / j, 2.0) for j in range(1, 10)])
         for k in (1, 3, 9):
             for x in np.linspace(0.0, 10.0, 7):
                 y = float(fam.partial_sum(k, x))
                 assert fam.partial_inverse_many([k], y)[0] == pytest.approx(x, abs=1e-9)
-                assert fam.partial_inverse_many([k], y, method="bisect")[0] == pytest.approx(
-                    x, abs=1e-7)
+                assert bisected.partial_inverse_many([k], y)[0] == pytest.approx(x, abs=1e-7)
 
     def test_inverse_nonincreasing_in_k(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
@@ -287,8 +286,8 @@ class TestSchrammFamily:
     def test_bisection_matches_analytic_over_array(self, harmonic, y):
         fam = SchrammFamily.power(2.0, harmonic)
         ks = np.arange(1, KM + 1, 37)
-        np.testing.assert_allclose(fam.partial_inverse_many(ks, y, method="bisect"),
-                                   fam.partial_inverse_many(ks, y), rtol=1e-8)
+        np.testing.assert_allclose(fam._bisect(ks, y), fam.partial_inverse_many(ks, y),
+                                   rtol=1e-8)
 
     def test_expm1_base(self):
         w = WeightSequence("constant", value=1.0, k_max=64)

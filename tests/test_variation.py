@@ -269,7 +269,7 @@ class TestGauged:
     def test_to_ladder_matches_oracle(self, weights):
         rng = np.random.default_rng(29)
         gauge = GaugePair.build("to", "list", n_max=4, q=3.0, delta_list=[2, 3, 5, 8])
-        lam = [weights.weight(1)] * 8
+        lam = [weights.weights(1)[0]] * 8
         for m in range(1, 9):
             values = list(random_values(rng, m))
             res = variation_gauged(StepFunction(values), weights, gauge, 4)
