@@ -31,7 +31,8 @@ from .counterexample import (build_witness, certify_blowup,
 from .criteria import (criterion_corollary_q, criterion_lambda_gamma,
                        criterion_phi_lambda, criterion_schramm,
                        criterion_union_p)
-from .errors import GbvError, HypothesisError, InfeasibleError, ResolutionError
+from .errors import (GbvError, HypothesisError, InfeasibleError, ResolutionError,
+                     ValidationError)
 from .inequalities import (run_comparison_suite, run_holder_suite,
                            run_master_suite, run_wu_suite)
 from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
@@ -58,21 +59,25 @@ def parse_weights(spec, k_max=None):
             cfg["alpha"] = float(arg)
         elif head == "explicit":
             cfg["terms"] = [float(t) for t in arg.split(",")]
-    if k_max is not None:
+    if k_max is not None and isinstance(cfg, dict):
         cfg.setdefault("k_max", k_max)
     return WeightSequence.from_config(cfg)
 
 
 def parse_family(spec, k_max=None):
     """Schramm-family spec: inline JSON or a path to a JSON config."""
+    if spec is None:
+        raise ValidationError("this call needs --family")
     if spec.lstrip().startswith("{"):
         cfg = json.loads(spec)
     else:
         with open(spec) as fh:
             cfg = json.load(fh)
-    if k_max is not None:
-        # scaled families take the horizon from their weights
-        cfg.get("weights", cfg).setdefault("k_max", k_max)
+    # scaled families take the horizon from their weights; a config that is
+    # no object is left to from_config to reject
+    target = cfg.get("weights", cfg) if isinstance(cfg, dict) else None
+    if k_max is not None and isinstance(target, dict):
+        target.setdefault("k_max", k_max)
     return SchrammFamily.from_config(cfg)
 
 
@@ -154,6 +159,8 @@ def cmd_criterion(args):
         rep = criterion_schramm(parse_family(args.family, args.kmax),
                                 gauge, args.ncap)
     else:  # 1.9
+        if args.phi is None:
+            raise ValidationError("theorem 1.9 needs --phi")
         gauge = parse_gauge(args.qn, args.delta, args.ncap)
         base = ConvexBase.from_config(json.loads(args.phi))
         rep = criterion_phi_lambda(base,

@@ -17,13 +17,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .criteria import lambda_gamma_parts, schramm_parts
+from .criteria import kernel_parts
 from .errors import (HorizonError, HypothesisError, InfeasibleError,
                      InternalConsistencyError, ResolutionError, ValidationError)
 from .sequences import GaugePair, SchrammFamily, WeightSequence
 from .stepfn import StepFunction, generate_block
-from .variation import (ORACLE_CAP_DEFAULT, variation_gauged,
-                        variation_schramm, variation_weighted)
+from .variation import ORACLE_CAP_DEFAULT, variation_gauged, variation_schramm
 
 GRID_CAP = 1 << 22
 
@@ -41,7 +40,7 @@ class LevelPlan:
     n: int
     q_n: float
     delta_n: int
-    b_n: float       # criterion budget: Gamma(delta_n) or delta_n
+    b_n: float       # criterion budget: Gamma(delta_n)
     r_n: int         # smallest criterion-violating index
     s_n: int         # greatest s with 2s - 1 <= eps_n * b_n
     s_fit: int       # cap: 2s - 1 <= eps_n * delta_n, train inside [2^-n, 2^-(n-1))
@@ -57,6 +56,13 @@ class LevelPlan:
 
 @dataclass(frozen=True)
 class ConstructionSpec:
+    """A planned witness against the embedding of the Schramm class of
+    ``family`` (the source) into ``Gamma BV^(q_n)`` with ``w_gamma`` as
+    Gamma (the target). The ``lambda`` kind has the source Lambda BV^(p),
+    the class of ``x^p / lam_j`` with ``w_lambda`` as Lambda; the
+    ``schramm`` kind has ``gamma_j = 1``, the target BV^(q_n) of theorem
+    1.8, and p = 1."""
+
     kind: str  # "lambda" | "schramm"
     levels: tuple
     p: float = 1.0
@@ -78,11 +84,10 @@ class ConstructionSpec:
             "p": self.p,
             "levels": [lv.to_json_dict() for lv in self.levels],
         }
-        if self.w_lambda is not None:
+        if self.kind == "lambda":
             doc["lambda"] = self.w_lambda.to_config()
-        if self.w_gamma is not None:
             doc["gamma"] = self.w_gamma.to_config()
-        if self.family is not None:
+        else:
             doc["family"] = self.family.to_config()
         return doc
 
@@ -104,21 +109,29 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
 
     Fails loudly (:class:`InfeasibleError`) at the first level where the
     separation budget is too small or no violating index exists -- the
-    criterion may simply hold. A Schramm plan raises
-    :class:`HypothesisError` at the first level whose height passes
-    ``family.ordered_to``: every increment of the witness is at most the
-    largest height, and :func:`certify_membership`'s bound holds only where
-    the family is ordered on them.
+    criterion may simply hold. A plan raises :class:`HypothesisError` at
+    the first level whose height passes the source family's ``ordered_to``
+    (inf for the power family of the lambda kind): every increment of the
+    witness is at most the largest height, and :func:`certify_membership`'s
+    bound holds only where the family is ordered on them.
     """
     if kind not in ("lambda", "schramm"):
         raise ValidationError(f"unknown construction kind {kind!r}")
     rungs = gauge.levels(n_levels)
-    if kind == "lambda" and (w_lambda is None or w_gamma is None):
-        raise ValidationError("lambda construction needs both weight sequences")
-    if kind == "schramm" and family is None:
+    # the source family and the target Gamma, once: past this point the plan
+    # reads only the kernel Gamma(k)^{1/q_n} Phi_k^{-1}(1)
+    if kind == "lambda":
+        if w_lambda is None or w_gamma is None:
+            raise ValidationError("lambda construction needs both weight sequences")
+        if not 1 <= p < math.inf:
+            raise ValidationError(f"lambda construction needs 1 <= p < inf (p={p})")
+        family = SchrammFamily.power(p, w_lambda)
+    elif family is None:
         raise ValidationError("schramm construction needs a family")
-    if kind == "lambda" and not 1 <= p < math.inf:
-        raise ValidationError(f"lambda construction needs 1 <= p < inf (p={p})")
+    elif p != 1.0:
+        raise ValidationError(f"schramm construction takes no p (p={p})")
+    else:
+        w_gamma = WeightSequence("constant", value=1.0, k_max=family.k_max)
 
     d_eps, d_sep, d_blow = paper_constants(n_levels)
     eps = np.asarray(eps if eps is not None else d_eps, dtype=float)
@@ -131,11 +144,8 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             if not 0 < value < math.inf:
                 raise ValidationError(f"{name}_{n}={value} must be finite and > 0")
 
-    if kind == "lambda":
-        horizon = min(w_gamma.k_max, w_lambda.k_max)
-        parts = lambda_gamma_parts(w_lambda, w_gamma, p)
-    else:
-        horizon, parts = family.k_max, schramm_parts(family)
+    horizon = min(w_gamma.k_max, family.k_max)
+    parts = kernel_parts(w_gamma, family)
     g = h = np.empty(0)  # the kernel parts at k = 1..len(g)
     levels = []
     for n, (q_n, delta_f) in enumerate(rungs, 1):
@@ -143,18 +153,14 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
         if delta_n != delta_f:
             raise ValidationError(f"delta_{n}={delta_f} is not an integer")
         e_n, sep_n, blow_n = eps[n - 1], sep[n - 1], blow[n - 1]
-
-        if kind == "lambda":
-            b_n = w_gamma.prefix_sum(delta_n)
-        else:
-            b_n = float(delta_n)
+        if delta_n > horizon:
+            raise HorizonError(
+                f"delta_{n}={delta_n} exceeds the sequence horizon {horizon}")
+        b_n = w_gamma.prefix_sum(delta_n)
         if b_n < sep_n:
             raise InfeasibleError(
                 f"level {n}: separation budget {b_n:.6g} below sep_n={sep_n:.6g}",
                 level=n)
-        if delta_n > horizon:
-            raise HorizonError(
-                f"delta_{n}={delta_n} exceeds the sequence horizon {horizon}")
 
         start = 0
         while True:
@@ -185,14 +191,11 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
                 f"level {n}: plateau budget empty (s_n={s_n}, s_fit={s_fit})",
                 level=n)
 
-        if kind == "lambda":
-            height = e_n * w_lambda.prefix_sum(r_n) ** (-1.0 / p)
-        else:
-            height = e_n * h[r_n - 1]  # Phi_{r_n}^{-1}(1), read with the kernel
-            if height > family.ordered_to:
-                raise HypothesisError(
-                    f"level {n}: height {height:.6g} exceeds the family's ordering "
-                    f"(ordered_to {family.ordered_to:.6g})")
+        height = e_n * h[r_n - 1]  # Phi_{r_n}^{-1}(1), read with the kernel
+        if height > family.ordered_to:
+            raise HypothesisError(
+                f"level {n}: height {height:.6g} exceeds the family's ordering "
+                f"(ordered_to {family.ordered_to:.6g})")
         levels.append(LevelPlan(
             n=n, q_n=q_n, delta_n=delta_n, b_n=float(b_n), r_n=r_n,
             s_n=s_n, s_fit=s_fit, t_n=t_n, height=float(height),
@@ -253,10 +256,7 @@ def certify_membership(spec, f):
     report = {"kind": spec.kind, "total_bound": total, "levels": rows,
               "exact": None}
     if f.m <= ORACLE_CAP_DEFAULT:
-        if spec.kind == "lambda":
-            exact = variation_weighted(f, spec.w_lambda, spec.p).value
-        else:
-            exact = variation_schramm(f, spec.family).value
+        exact = variation_schramm(f, spec.family).value ** (1.0 / spec.p)
         if exact > total * (1 + 1e-9):
             raise InternalConsistencyError(
                 f"exact source variation {exact} exceeds certified bound {total}")
@@ -276,7 +276,7 @@ def certify_blowup(spec, f):
     variation of f is checked against every L_n and reported as
     ``gauged_value``, and ``cross_checked`` is true.
     """
-    m = f.m
+    m, gamma = f.m, spec.w_gamma
     rows = []
     for lv in spec.levels:
         if m % (1 << lv.n) != 0 or m % lv.delta_n != 0:
@@ -290,15 +290,9 @@ def certify_blowup(spec, f):
             raise InternalConsistencyError(
                 f"level {lv.n}: designated increments differ from the "
                 f"planned height")
-        if spec.kind == "lambda":
-            gamma_w = spec.w_gamma.weights(count)
-            inner = float(np.sum(incs ** lv.q_n / gamma_w))
-            growth_ok = bool(
-                spec.w_gamma.prefix_sum(count)
-                >= (lv.eps / 2.0) * spec.w_gamma.prefix_sum(lv.r_n) * (1 - 1e-9))
-        else:
-            inner = float(np.sum(incs ** lv.q_n))
-            growth_ok = bool(count >= (lv.eps / 2.0) * lv.r_n * (1 - 1e-9))
+        inner = float(np.sum(incs ** lv.q_n / gamma.weights(count)))
+        growth_ok = bool(gamma.prefix_sum(count)
+                         >= (lv.eps / 2.0) * gamma.prefix_sum(lv.r_n) * (1 - 1e-9))
         L_n = inner ** (1.0 / lv.q_n)
         floor = lv.eps * (lv.eps / 2.0) ** (1.0 / lv.q_n) * lv.blow
         rows.append({
@@ -311,9 +305,7 @@ def certify_blowup(spec, f):
               "max_L": max(r["L_n"] for r in rows),
               "cross_checked": False}
     if f.m <= ORACLE_CAP_DEFAULT:
-        target_w = spec.w_gamma if spec.kind == "lambda" else WeightSequence(
-            "constant", value=1.0, k_max=max(lv.delta_n for lv in spec.levels))
-        gauged = variation_gauged(f, target_w, spec.gauge(), spec.n_levels)
+        gauged = variation_gauged(f, gamma, spec.gauge(), spec.n_levels)
         for row in rows:
             if gauged.value < row["L_n"] * (1 - 1e-9):
                 raise InternalConsistencyError(

@@ -57,15 +57,14 @@ class CriterionReport:
         return buf.getvalue()
 
 
-def lambda_gamma_parts(w_lambda, w_gamma, p):
-    """Kernel parts ``Gamma(k)`` and ``Lambda(k)^{-1/p}`` (theorems 1.4/1.7)
-    at the ``ks`` given, and no others."""
-    return lambda ks: (w_gamma.prefix_sums_at(ks), w_lambda.prefix_sums_at(ks) ** (-1.0 / p))
-
-
-def schramm_parts(family):
-    """Kernel parts ``k`` and ``Phi_k^{-1}(1)`` (theorem 1.8)."""
-    return lambda ks: (ks, family.partial_inverse_many(ks, 1.0))
+def kernel_parts(gamma, family):
+    """The parts ``Gamma(k)`` and ``Phi_k^{-1}(1)`` of every criterion kernel
+    ``Gamma(k)^{1/q_n} Phi_k^{-1}(1)``, at the ``ks`` given and no others,
+    for the embedding of the Schramm class of ``family`` into
+    ``Gamma BV^(q_n)``. Lambda BV^(p) is the class of ``x^p / lam_j``,
+    whose ``Phi_k^{-1}(1)`` is ``Lambda(k)^{-1/p}`` (theorems 1.4, 1.5 and
+    1.7); theorems 1.8 and 1.9 have ``gamma_j = 1``, so ``Gamma(k) = k``."""
+    return lambda ks: (gamma.prefix_sums_at(ks), family.partial_inverse_many(ks, 1.0))
 
 
 def _split(lo, hi, s):
@@ -253,11 +252,13 @@ def _bracket_scan(tops, exps, parts):
     return rows, bool(live), len(ks)
 
 
-def _scan(levels, horizon, parts):
-    """The criterion report of ``levels``, ``(q_n, delta_n)`` pairs, each
-    scanned to ``min(delta_n, horizon)``."""
+def _scan(levels, gamma, family):
+    """The criterion report of ``levels``, ``(q_n, delta_n)`` pairs, on the
+    kernel of :func:`kernel_parts`, each scanned to ``delta_n`` or the
+    shorter horizon of ``gamma`` and ``family``."""
+    horizon = min(gamma.k_max, family.k_max)
     return _assemble(*_bracket_scan([min(int(d), horizon) for _, d in levels],
-                                    [1.0 / q for q, _ in levels], parts))
+                                    [1.0 / q for q, _ in levels], kernel_parts(gamma, family)))
 
 
 def _trend(values):
@@ -274,12 +275,15 @@ def _trend(values):
 
 def _assemble(level_rows, inexact, evaluations):
     sups = [lv["a_n"] for lv in level_rows]
-    best = int(np.argmax(sups))
+    sup = max(sups)
+    # the first level in the tie band of argmax_k, so that a flat kernel
+    # names its first level, not a round-off winner
+    best = next(i for i, a in enumerate(sups) if a >= sup * (1.0 - INVERSE_TOL))
     slope = _trend(sups)
     verdict = VERDICT_DIVERGING if slope > SLOPE_TOL else VERDICT_BOUNDED
     return CriterionReport(
         levels=tuple(level_rows),
-        sup=float(max(sups)),
+        sup=float(sup),
         argmax_level=level_rows[best]["n"],
         verdict=verdict,
         slope=slope,
@@ -311,8 +315,7 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
         raise HorizonError(
             f"delta_{n_cap}={max_delta} exceeds the weight-sequence horizon")
 
-    return _scan(levels, min(w_gamma.k_max, w_lambda.k_max),
-                 lambda_gamma_parts(w_lambda, w_gamma, p))
+    return _scan(levels, w_gamma, SchrammFamily.power(p, w_lambda))
 
 
 def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
@@ -329,13 +332,15 @@ def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
     tops = [1 << i for i in range(horizon.bit_length())]
     if tops[-1] < horizon:
         tops.append(horizon)
-    return _scan([(q, top) for top in tops], horizon, lambda_gamma_parts(w_lambda, w_gamma, p))
+    return _scan([(q, top) for top in tops], w_gamma, SchrammFamily.power(p, w_lambda))
 
 
 def criterion_schramm(family: SchrammFamily, gauge: GaugePair,
                       n_cap: int) -> CriterionReport:
-    """Scan ``a_n = max_{1<=k<=delta_n} k^{1/q_n} Phi_k^{-1}(1)``."""
-    return _scan(gauge.levels(n_cap), family.k_max, schramm_parts(family))
+    """Scan ``a_n = max_{1<=k<=delta_n} k^{1/q_n} Phi_k^{-1}(1)``: the
+    kernel with ``gamma_j = 1``, up to the family's horizon."""
+    return _scan(gauge.levels(n_cap),
+                 WeightSequence("constant", value=1.0, k_max=family.k_max), family)
 
 
 def criterion_phi_lambda(base: ConvexBase, weights: WeightSequence,

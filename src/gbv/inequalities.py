@@ -189,28 +189,44 @@ def _check_suite(samples, n_max, *readers):
                 f"k_max={r.k_max} of {r!r}")
 
 
+def _draws(rng, samples, n_max, vectors=1):
+    """``(i, n, xs)`` for each of ``samples`` draws from ``rng``: a length n
+    in 1..n_max, then ``vectors`` monotone vectors of that length."""
+    for i in range(samples):
+        n = int(rng.integers(1, n_max + 1))
+        yield i, n, [monotone_vector(rng, n) for _ in range(vectors)]
+
+
+class _Tally:
+    """Failures and the least margin rhs/lhs of a suite's checks, with the
+    ``case`` (any tuple) where it fell."""
+
+    def __init__(self):
+        self.failures, self.margin, self.case = 0, math.inf, None
+
+    def add(self, res, *case):
+        self.failures += not res["ok"]
+        margin = res["rhs"] / res["lhs"] if res["lhs"] > 0 else math.inf
+        if margin < self.margin:
+            self.margin, self.case = margin, case
+
+
 def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
                      n_max=64):
     _check_suite(samples, n_max)
     rng = np.random.default_rng(seed)
-    failures = 0
-    worst = {"margin": math.inf, "case": None}
+    tally = _Tally()
     for q in q_list:
-        for i in range(samples):
-            n = int(rng.integers(1, n_max + 1))
-            s = TripleSample(monotone_vector(rng, n), monotone_vector(rng, n),
-                             monotone_vector(rng, n), q)
-            res = check_master_inequality(s)
-            if not res["ok"]:
-                failures += 1
-            margin = res["rhs"] / res["lhs"] if res["lhs"] > 0 else math.inf
-            if margin < worst["margin"]:
-                worst = {"margin": margin, "case": {"q": q, "i": i, "n": n,
-                                                    "lhs": res["lhs"],
-                                                    "rhs": res["rhs"]}}
+        for i, n, (x, y, z) in _draws(rng, samples, n_max, 3):
+            res = check_master_inequality(TripleSample(x, y, z, q))
+            tally.add(res, q, i, n, res)
+    worst = None
+    if tally.case is not None:
+        q, i, n, res = tally.case
+        worst = {"q": q, "i": i, "n": n, "lhs": res["lhs"], "rhs": res["rhs"]}
     return {"suite": "master", "seed": seed, "samples_per_q": samples,
-            "q_list": list(q_list), "failures": failures,
-            "worst_margin": worst["margin"], "worst_case": worst["case"]}
+            "q_list": list(q_list), "failures": tally.failures,
+            "worst_margin": tally.margin, "worst_case": worst}
 
 
 def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
@@ -222,15 +238,13 @@ def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
     worst_case = None
     for fam_idx, family in enumerate(families):
         for q in q_list:
-            for i in range(samples):
-                n = int(rng.integers(1, n_max + 1))
-                x = monotone_vector(rng, n)
+            for i, n, (x,) in _draws(rng, samples, n_max):
                 res = check_wu_estimate(x, family, q)
-                if not res["ok"]:
-                    failures += 1
+                failures += not res["ok"]
                 if res["ratio"] > worst_ratio:
-                    worst_ratio = res["ratio"]
-                    worst_case = {"family": fam_idx, "q": q, "i": i, "n": n}
+                    worst_ratio, worst_case = res["ratio"], (fam_idx, q, i, n)
+    if worst_case is not None:
+        worst_case = dict(zip(("family", "q", "i", "n"), worst_case))
     return {"suite": "wu", "seed": seed, "samples": samples,
             "families": len(families), "failures": failures,
             "worst_ratio_without_16": worst_ratio,
@@ -239,33 +253,21 @@ def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
 
 def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32):
     _check_suite(samples, n_max, w_lambda, w_gamma)
-    rng = np.random.default_rng(seed)
-    failures = 0
-    worst = {"margin": math.inf, "case": None}
-    for i in range(samples):
-        n = int(rng.integers(1, n_max + 1))
-        x = monotone_vector(rng, n)
-        res = check_holder_branch(x, w_lambda, w_gamma, p, q_n)
-        if not res["ok"]:
-            failures += 1
-        margin = res["rhs"] / res["lhs"] if res["lhs"] > 0 else math.inf
-        if margin < worst["margin"]:
-            worst = {"margin": margin, "case": {"i": i, "n": n}}
+    tally = _Tally()
+    for i, n, (x,) in _draws(np.random.default_rng(seed), samples, n_max):
+        tally.add(check_holder_branch(x, w_lambda, w_gamma, p, q_n), i, n)
+    worst = None if tally.case is None else dict(zip(("i", "n"), tally.case))
     return {"suite": "holder", "seed": seed, "samples": samples, "p": p,
-            "q_n": q_n, "failures": failures, "worst_margin": worst["margin"],
-            "worst_case": worst["case"]}
+            "q_n": q_n, "failures": tally.failures, "worst_margin": tally.margin,
+            "worst_case": worst}
 
 
 def run_comparison_suite(seed, samples, w_lambda, w_gamma, n_max=64):
     _check_suite(samples, n_max, w_lambda, w_gamma)
-    rng = np.random.default_rng(seed)
     failures = 0
-    for i in range(samples):
-        n = int(rng.integers(1, n_max + 1))
-        a = monotone_vector(rng, n)
+    for _, n, (a,) in _draws(np.random.default_rng(seed), samples, n_max):
         C = float(np.max(w_gamma.prefix_sums(n) / w_lambda.prefix_sums(n)))
         res = check_weighted_comparison(a, w_lambda, w_gamma, C)
-        if not (res["ok"] and res["ok_master_route"]):
-            failures += 1
+        failures += not (res["ok"] and res["ok_master_route"])
     return {"suite": "comparison", "seed": seed, "samples": samples,
             "failures": failures}

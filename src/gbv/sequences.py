@@ -41,6 +41,27 @@ PREFIX_ANCHOR = 4096
 _WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
 
 
+def _check_k_max(k_max):
+    """``k_max`` as an int, after checking that a horizon holds index 1."""
+    if k_max < 1:
+        raise ValidationError("k_max must be positive")
+    return int(k_max)
+
+
+def _check_config(cfg, required, optional=()):
+    """Raise :class:`ValidationError` unless ``cfg`` is an object (a dict)
+    that holds every key of ``required`` and no key outside ``required``
+    and ``optional``: the one check of a config before it is read."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"a config must be an object, not {cfg!r}")
+    for key in required:
+        if key not in cfg:
+            raise ValidationError(f"config {cfg!r} lacks the key {key!r}")
+    for key in cfg:
+        if key not in required and key not in optional:
+            raise ValidationError(f"config {cfg!r} has the unexpected key {key!r}")
+
+
 def check_horizon(k, k_max):
     """Raise :class:`HorizonError` unless the index ``k`` lies in
     ``1..k_max``: the one source of that error. It is one compare, since
@@ -78,12 +99,10 @@ class WeightSequence:
                  k_max=DEFAULT_K_MAX):
         if kind not in _WEIGHT_KINDS:
             raise ValidationError(f"unknown weight sequence kind {kind!r}")
-        if k_max < 1:
-            raise ValidationError("k_max must be positive")
+        self.k_max = _check_k_max(k_max)
         self.kind = kind
         self.alpha = alpha
         self.value = value
-        self.k_max = int(k_max)
         self.terms = None
         # the built-in formulas are positive and nondecreasing; only the
         # parameters and an explicit list can break that
@@ -249,6 +268,7 @@ class WeightSequence:
 
     @classmethod
     def from_config(cls, cfg):
+        _check_config(cfg, ("kind",), ("alpha", "value", "terms", "k_max"))
         cfg = dict(cfg)
         kind = cfg.pop("kind")
         return cls(kind, **cfg)
@@ -291,6 +311,7 @@ class ConvexBase:
 
     @classmethod
     def from_config(cls, cfg):
+        _check_config(cfg, (), ("power", "expm1"))
         if "power" in cfg:
             return cls("power", p=cfg["power"])
         if cfg.get("expm1"):
@@ -383,7 +404,7 @@ class SchrammFamily:
                         pass
             self.base = None
             self.weights = None
-            self.k_max = DEFAULT_K_MAX if k_max is None else int(k_max)
+            self.k_max = DEFAULT_K_MAX if k_max is None else _check_k_max(k_max)
             terms = self.terms  # extended beyond the list by the last pair
             self._rank_terms = lambda n: [*terms[:n], *[terms[-1]] * (n - len(terms))]
             self._sum = lambda xs, ranks: sum([c * x ** e for x, (c, e) in zip(xs, ranks)])
@@ -517,14 +538,19 @@ class SchrammFamily:
 
     @classmethod
     def from_config(cls, cfg):
-        cfg = dict(cfg)
-        kind = cfg.pop("kind")
+        _check_config(cfg, ("kind",), ("base", "weights", "p", "terms", "k_max"))
+        kind = cfg["kind"]
         if kind == "scaled":
+            _check_config(cfg, ("kind", "base", "weights"))
             return cls("scaled", base=ConvexBase.from_config(cfg["base"]),
                        weights=WeightSequence.from_config(cfg["weights"]))
         if kind == "power":
             # convenience spelling: {"kind": "power", "p": 2, "weights": {...}}
+            _check_config(cfg, ("kind", "p", "weights"))
             return cls.power(cfg["p"], WeightSequence.from_config(cfg["weights"]))
+        if kind != "explicit":
+            raise ValidationError(f"unknown Schramm family kind {kind!r}")
+        _check_config(cfg, ("kind", "terms"), ("k_max",))
         return cls("explicit", terms=cfg["terms"], k_max=cfg.get("k_max"))
 
     def __repr__(self):

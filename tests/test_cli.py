@@ -390,6 +390,50 @@ def test_bad_input_exits_one(case, tmp_path, capsys):
     assert not out.exists()
 
 
+FAM = '{"kind": "explicit", "terms": [[1, 1.5], [0.8, 1.7]]}'
+CRITERION_18 = ["criterion", "--theorem", "1.8", "--qn", "const:2", "--ncap", "4"]
+BAD_CONFIGS = {
+    "variation-no-family": (["variation", "--functional", "schramm"], "needs --family"),
+    "criterion-no-family": (CRITERION_18, "needs --family"),
+    "counterexample-no-family": (["counterexample", "--kind", "schramm"], "needs --family"),
+    "criterion-no-phi": (["criterion", "--theorem", "1.9"], "theorem 1.9 needs --phi"),
+    "phi-list": (["criterion", "--theorem", "1.9", "--phi", "[1]"], "must be an object"),
+    "explicit-no-terms": (CRITERION_18 + ["--family", '{"kind":"explicit"}'], "'terms'"),
+    "scaled-no-base": (CRITERION_18 + ["--family", '{"kind":"scaled"}'], "'base'"),
+    "power-no-p": (CRITERION_18 + ["--family",
+                                   '{"kind":"power","weights":{"kind":"harmonic"}}'], "'p'"),
+    "weights-no-kind": (["variation", "--functional", "lambda", "--weights", '{"k_max":5}'],
+                        "'kind'"),
+    "weights-extra-key": (["variation", "--functional", "lambda", "--weights",
+                           '{"kind":"harmonic","x":1}'], "unexpected key 'x'"),
+    "weights-not-object": (CRITERION_18 + ["--kmax", "8", "--family",
+                                           '{"kind":"power","p":2,"weights":"harmonic"}'],
+                           "must be an object"),
+    "family-kmax-0": (CRITERION_18 + ["--family", FAM, "--kmax", "0"], "k_max must be positive"),
+    "schramm-kmax-0": (["variation", "--functional", "schramm", "--family", FAM, "--kmax", "0"],
+                       "k_max must be positive"),
+    "delta-past-int64": (["counterexample", "--kind", "lambda", "--delta", "list:1e30",
+                          "--levels", "1"], "exceeds the sequence horizon"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_one(case, tmp_path, capsys):
+    # each used to end in a traceback (AttributeError, TypeError, KeyError,
+    # OverflowError or a math domain error)
+    argv, message = BAD_CONFIGS[case]
+    path = tmp_path / "f.csv"
+    path.write_text("0\n1\n0.5\n2\n1\n")
+    if argv[0] == "variation":
+        argv = argv + ["--input", str(path)]
+    out = tmp_path / "rep.json"
+    assert run(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestNormCommand:
     def test_single_jump(self, tmp_path):
         path = tmp_path / "f.csv"

@@ -125,6 +125,23 @@ class TestPlan:
             plan_construction("lambda", gauge, 2, w_lambda=WeightSequence("harmonic", k_max=512),
                               w_gamma=CONST1, p=1.0, sep=[1.0, 1.0], blow=[4.0, 16.0])
 
+    @pytest.mark.parametrize("kind", ["lambda", "schramm"])
+    def test_delta_past_the_horizon_names_it(self, kind):
+        # the horizon is checked before Gamma(delta_n) is read, for both kinds
+        # alike; a delta_n past the int64 range used to overflow there
+        gauge = GaugePair.build("const", "list", q=1.0, n_max=1, delta_list=[1e30])
+        with pytest.raises(HorizonError, match=rf"^delta_1={int(1e30)} exceeds the "
+                           rf"sequence horizon {KM}$"):
+            plan_construction(kind, gauge, 1, w_lambda=HARMONIC, w_gamma=CONST1,
+                              family=SchrammFamily.power(2.0, HARMONIC))
+
+    def test_schramm_plan_takes_no_p(self):
+        # its source is Phi BV itself, whose variation the cross-check takes
+        # with no 1/p root
+        gauge = GaugePair.build("const", "pow2", q=1.0, n_max=2)
+        with pytest.raises(ValidationError, match=r"^schramm construction takes no p \(p=2\)$"):
+            plan_construction("schramm", gauge, 2, family=SchrammFamily.power(2.0, HARMONIC), p=2)
+
     @pytest.mark.parametrize("short", ["eps", "sep", "blow"])
     def test_short_constant_list_names_it(self, short):
         gauge = GaugePair.build("const", "pow2", q=1.0, n_max=3)
@@ -209,7 +226,8 @@ def dense_kernel(kind, top, q, w_lambda=None, w_gamma=None, p=1.0, family=None):
     """``g(k)^{1/q} h(k)`` at every k = 1..top."""
     ks = np.arange(1, top + 1)
     if kind == "lambda":
-        g, h = w_gamma.prefix_sums_at(ks), w_lambda.prefix_sums_at(ks) ** (-1.0 / p)
+        g = w_gamma.prefix_sums_at(ks)
+        h = SchrammFamily.power(p, w_lambda).partial_inverse_many(ks, 1.0)
     else:
         g, h = ks, family.partial_inverse_many(ks, 1.0)
     return g ** (1.0 / q) * h

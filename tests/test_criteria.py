@@ -11,7 +11,7 @@ from gbv import (ConvexBase, CriterionReport, GaugePair, HorizonError,
                  HypothesisError, SchrammFamily, ValidationError,
                  WeightSequence, criterion_corollary_q, criterion_lambda_gamma,
                  criterion_phi_lambda, criterion_schramm, criterion_union_p)
-from gbv.criteria import lambda_gamma_parts, schramm_parts
+from gbv.criteria import kernel_parts
 from gbv.sequences import INVERSE_TOL
 
 KM = 1 << 14
@@ -42,6 +42,11 @@ LADDERS = [("const", 1.0), ("linear", None), ("to", 2.0)]
 
 def gauge_const_q(q, n_max=12):
     return GaugePair.build("const", "pow2", n_max=n_max, q=q)
+
+
+def unit_weights(family):
+    """gamma_j = 1 up to the horizon of ``family``: theorem 1.8's target."""
+    return WeightSequence("constant", value=1.0, k_max=family.k_max)
 
 
 def dense_levels(tops, exps, parts):
@@ -89,6 +94,23 @@ class TestLambdaGamma:
             ks = np.arange(1, delta + 1)
             kernel = ks / HARMONIC.prefix_sums(delta)
             assert lv["a_n"] == pytest.approx(float(np.max(kernel)), rel=1e-12)
+
+    def test_argmax_level_is_the_first_in_the_tie_band(self):
+        # Gamma = Lambda, p = q_n = 2: every a_n is 1 up to round-off, and a
+        # later level one ulp above the first must not be named
+        rep = criterion_lambda_gamma(HARMONIC, HARMONIC, 2.0, gauge_const_q(2.0, 12), 12)
+        assert all(lv["a_n"] == pytest.approx(1.0, rel=1e-15) for lv in rep.levels)
+        assert rep.argmax_level == 1
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    @pytest.mark.parametrize("lam", ["harmonic", "power:0.5", "log"])
+    def test_unit_gamma_is_theorem_1_8_on_the_power_family(self, lam, p):
+        # Lambda BV^(p) is the Schramm class of x^p / lam_j and BV^(q_n) is
+        # Gamma BV^(q_n) with gamma_j = 1: both theorems scan one kernel
+        w_lambda, gauge = WEIGHTS[lam](), gauge_const_q(2.0, 12)
+        family = SchrammFamily.power(p, w_lambda)
+        rep = criterion_lambda_gamma(w_lambda, unit_weights(family), p, gauge, 12)
+        assert rep == criterion_schramm(family, gauge, 12)
 
     def test_p_above_q1_needs_second_part(self):
         gauge = GaugePair.build("linear", "pow2", n_max=8)
@@ -278,7 +300,7 @@ class TestSchramm:
         (lv,) = rep.levels
         assert lv["a_n"] < lv["a_n_upper"]
         ks = np.unique(np.random.default_rng(3).integers(1, KM + 1, size=500))
-        g, h = schramm_parts(fam)(ks)
+        g, h = kernel_parts(unit_weights(fam), fam)(ks)
         assert np.all(g ** 0.5 * h <= lv["a_n_upper"])
         assert lv["a_n"] == pytest.approx(math.sqrt(2 * KM / (KM + 1)), rel=1e-9)
 
@@ -297,7 +319,7 @@ class TestSchramm:
         (lv,), (lv0,) = rep.levels, early.levels
         assert lv0["a_n"] <= lv["a_n"] <= lv["a_n_upper"] < lv0["a_n_upper"]
         ks = np.unique(np.random.default_rng(5).integers(1, KM + 1, size=500))
-        g, h = schramm_parts(fam)(ks)
+        g, h = kernel_parts(unit_weights(fam), fam)(ks)
         assert np.all(g ** 0.5 * h <= lv["a_n_upper"])
 
     def test_budget_split_across_levels(self, monkeypatch):
@@ -310,7 +332,7 @@ class TestSchramm:
         rep = criterion_schramm(fam, gauge, 3)
         assert rep.inexact_scan and rep.evaluations <= 3000
         ks = np.unique(np.random.default_rng(6).integers(1, KM + 1, size=500))
-        g, h = schramm_parts(fam)(ks)
+        g, h = kernel_parts(unit_weights(fam), fam)(ks)
         for lv, top, q in zip(rep.levels, gauge.deltas, gauge.qn):
             kernel = (g ** (1.0 / q) * h)[ks <= top]
             assert np.all(kernel <= lv["a_n_upper"]) and lv["a_n"] <= lv["a_n_upper"]
@@ -342,7 +364,7 @@ class TestBracketScan:
                     rep = criterion_lambda_gamma(w_lambda, gamma, p, gauge, 12,
                                                  second_part=True)
                     assert_matches_dense(rep, *gauge_tops(gauge),
-                                         lambda_gamma_parts(w_lambda, gamma, p),
+                                         kernel_parts(gamma, SchrammFamily.power(p, w_lambda)),
                                          rel=1e-12)
 
     @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -353,7 +375,7 @@ class TestBracketScan:
         for kind, q in [("const", 2.0), *LADDERS[1:]]:
             gauge = GaugePair.build(kind, "pow2", n_max=12, q=q)
             assert_matches_dense(criterion_schramm(fam, gauge, 12), *gauge_tops(gauge),
-                                 schramm_parts(fam), rel=rel)
+                                 kernel_parts(unit_weights(fam), fam), rel=rel)
 
     @pytest.mark.parametrize("lam", sorted(WEIGHTS))
     def test_corollary_matches_dense(self, lam):
@@ -366,8 +388,8 @@ class TestBracketScan:
                                                 "k_max": 2 * horizon})
             for p, q in ((1.0, 1.0), (1.0, 2.0), (1.5, 2.0), (2.0, 2.0)):
                 rep = criterion_corollary_q(w_lambda, gamma, p, q)
-                assert_matches_dense(rep, tops, [1.0 / q] * len(tops),
-                                     lambda_gamma_parts(w_lambda, gamma, p), rel=1e-12)
+                parts = kernel_parts(gamma, SchrammFamily.power(p, w_lambda))
+                assert_matches_dense(rep, tops, [1.0 / q] * len(tops), parts, rel=1e-12)
 
     def test_first_k_in_the_tie_band_inside_a_gap(self):
         # past k = 50 both sums almost stop growing, and Gamma/Lambda creeps
@@ -378,7 +400,7 @@ class TestBracketScan:
         w_gamma = WeightSequence("explicit", terms=[2.0] * 50 + [1e10], k_max=KM)
         gauge = GaugePair.build("const", "list", n_max=1, q=1.0, delta_list=[4096])
         rep = criterion_lambda_gamma(w_lambda, w_gamma, 1.0, gauge, 1)
-        parts = lambda_gamma_parts(w_lambda, w_gamma, 1.0)
+        parts = kernel_parts(w_gamma, SchrammFamily.power(1.0, w_lambda))
         assert_matches_dense(rep, [4096], [1.0], parts, rel=0.0)
         assert 50 < rep.levels[0]["argmax_k"] < 4096
 

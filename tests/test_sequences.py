@@ -252,6 +252,16 @@ class TestSchrammFamily:
             variation_schramm(StepFunction([0.0, 1.0] * 4 + [0.0]),
                               SchrammFamily.power(2.0, weights))
 
+    @pytest.mark.parametrize("make", [
+        lambda: SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=0),
+        lambda: SchrammFamily.from_config({"kind": "explicit", "terms": [[1, 2]], "k_max": -3}),
+        lambda: WeightSequence("harmonic", k_max=0)], ids=["explicit", "config", "weights"])
+    def test_k_max_below_one_rejected(self, make):
+        # one check for every horizon: an explicit family with k_max 0 used to
+        # fail later, with a math domain error or an empty horizon
+        with pytest.raises(ValidationError, match="^k_max must be positive$"):
+            make()
+
     def test_negative_target_rejected(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
         with pytest.raises(ValidationError):
