@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class LevelPlan:
     blow: float
 
     def to_json_dict(self):
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)

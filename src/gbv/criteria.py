@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,7 @@ class CriterionReport:
     evaluations: int = 0
 
     def to_json_dict(self):
-        return {**asdict(self), "levels": [dict(lv) for lv in self.levels]}
+        return {**vars(self), "levels": [dict(lv) for lv in self.levels]}
 
     def to_csv(self):
         buf = io.StringIO()
@@ -150,38 +150,6 @@ class _Bracket:
                 "argmax_k": int(self.kstar[i])}
 
 
-def _widest(plan, room):
-    """The part of a refinement ``plan`` that asks for at most ``room`` new
-    points: its gaps with the largest bounds, relative to the max of the
-    lowest level holding them, the last one split into fewer parts."""
-    excess = np.concatenate([br.bound[done] / br.a[np.searchsorted(br.tops, br.hi[done])]
-                             for br, done, _ in plan])
-    order = np.argsort(-excess, kind="stable")
-    new = np.concatenate([s for *_, s in plan])[order] - 1
-    new = np.clip(room - (np.cumsum(new) - new), 0, new)
-    cut = np.zeros_like(new)
-    cut[order] = np.where(new > 0, new + 1, 0)
-    out, start = [], 0
-    for br, done, s_br in plan:
-        part, start = cut[start:start + len(s_br)], start + len(s_br)
-        if part.any():
-            mask = done.copy()
-            mask[done] = part > 0
-            out.append((br, mask, part[part > 0]))
-    return out
-
-
-def _asked(plan, ks):
-    """The split points of ``plan``, the sorted distinct ones inside the gaps,
-    their positions in ``ks`` and the mask of those not in it."""
-    cuts = [_split(br.lo[done], br.hi[done], s) for br, done, s in plan]
-    inside = [pts[~(first | last)] for pts, first, last in cuts]
-    asked = np.sort(np.concatenate(inside))
-    asked = asked[np.concatenate([[True], asked[1:] != asked[:-1]])]
-    at = np.searchsorted(ks, asked)
-    return cuts, inside, asked, at, ks[np.minimum(at, len(ks) - 1)] != asked
-
-
 def _bracket_scan(tops, exps, parts):
     """Per level the max of ``g(k)^{e_n} h(k)`` over ``1 <= k <= tops[n]``:
     ``(rows, inexact, evaluations)`` for :func:`_assemble`.
@@ -195,10 +163,9 @@ def _bracket_scan(tops, exps, parts):
     call on the k not evaluated before. Levels that share an exponent share
     their bounds. Where a split settles none of the gaps (a flat kernel),
     every k up to the top is evaluated in the next round. A level is exact
-    when no gap is left to refine. When a full round would pass
-    ``SCAN_BUDGET`` evaluations, the rounds split only the gaps with the
-    largest bounds (:func:`_widest`) until the budget is spent; the open
-    levels then report the max found as ``a_n`` and the certified bound as
+    when no gap is left to refine. The scan stops before the first round
+    whose new k would pass ``SCAN_BUDGET`` evaluations; the open levels then
+    report the max found as ``a_n`` and the certified bound as
     ``a_n_upper``. A scan over at most ``SCAN_BUDGET`` k is always exact,
     and gives the ``a_n`` and ``argmax_k`` of a scan of every k.
     """
@@ -229,19 +196,21 @@ def _bracket_scan(tops, exps, parts):
                 br.reseed(ks[:br.tops[-1]], g[:br.tops[-1]], h[:br.tops[-1]])
         else:
             # every flagged gap split _SPLIT ways, or into as many parts as it has room for
-            plan = [(br, done, np.minimum(br.hi[done] - br.lo[done], _SPLIT)) for br, done in live]
-            cuts, inside, asked, at, fresh = _asked(plan, ks)
+            cuts = [_split(br.lo[done], br.hi[done], np.minimum(br.hi[done] - br.lo[done], _SPLIT))
+                    for br, done in live]
+            inside = [pts[~(first | last)] for pts, first, last in cuts]
+            asked = np.sort(np.concatenate(inside))
+            asked = asked[np.concatenate([[True], asked[1:] != asked[:-1]])]
+            at = np.searchsorted(ks, asked)
+            fresh = ks[np.minimum(at, len(ks) - 1)] != asked
             if len(ks) + np.count_nonzero(fresh) > SCAN_BUDGET:
-                plan = _widest(plan, SCAN_BUDGET - len(ks))
-                if not plan:
-                    break
-                cuts, inside, asked, at, fresh = _asked(plan, ks)
+                break
             if fresh.any():
                 g_new, h_new = parts(asked[fresh])
                 pos = at[fresh]
                 ks, g, h = (np.insert(ks, pos, asked[fresh]), np.insert(g, pos, g_new),
                             np.insert(h, pos, h_new))
-            for (br, done, _), (pts, first, last), pick in zip(plan, cuts, inside):
+            for (br, done), (pts, first, last), pick in zip(live, cuts, inside):
                 i = np.searchsorted(ks, pick)
                 br.refine(done, pts, first, last, g[i], h[i])
             split = True

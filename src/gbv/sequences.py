@@ -10,17 +10,18 @@ Three building blocks used by every other module:
   ladder ``delta_n``.
 
 All three are immutable after construction and safe for concurrent reads:
-a weight sequence grows its weight table when a read needs a longer prefix,
-builds its exact prefix table once, and swaps each in as one attribute, and
-the values never change. A Schramm family caches its per-rank parameters
-(lam_j, or (c_j, e_j) for explicit terms) the same way:
+a weight sequence computes its weights from the kind's formula at each
+read, builds its exact prefix table once and swaps it in as one attribute,
+and the values never change. A Schramm family caches its per-rank
+parameters (lam_j, or (c_j, e_j) for explicit terms) the same way:
 :meth:`SchrammFamily.rank_sum` reads one list and, when a sum needs more
-ranks, builds a longer one and swaps it in.
+ranks, builds one at least twice as long and swaps it in.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -28,6 +29,8 @@ from .errors import HorizonError, HypothesisError, RangeError, ValidationError
 
 DEFAULT_K_MAX = 1 << 20
 DEFAULT_N_MAX = 64
+#: levels of a pow2 delta ladder: 2^1024 is past the largest float
+_POW2_LEVELS = 1023
 
 #: absolute x-tolerance for bisection inverses
 BISECT_X_TOL = 1e-12
@@ -41,10 +44,22 @@ PREFIX_ANCHOR = 4096
 _WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
 
 
+def _check_real(name, x):
+    """``x``, after checking that it is a real number, not a bool or a
+    string: the one type check of a numeric parameter, whose
+    :class:`ValidationError` names it."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise ValidationError(f"{name} must be a number, not {x!r}")
+    return x
+
+
 def _check_k_max(k_max):
-    """``k_max`` as an int, after checking that a horizon holds index 1."""
-    if k_max < 1:
+    """``k_max`` as an int, after checking that it is a whole number and
+    that a horizon holds index 1."""
+    if _check_real("k_max", k_max) < 1:
         raise ValidationError("k_max must be positive")
+    if k_max % 1:  # a fraction, inf or nan
+        raise ValidationError(f"k_max must be a whole number, not {k_max!r}")
     return int(k_max)
 
 
@@ -74,10 +89,9 @@ def check_horizon(k, k_max):
 class WeightSequence:
     """A nondecreasing positive weight sequence with prefix sums.
 
-    Weights are computed on demand: their table holds the longest prefix
-    asked for so far (at least doubling on each growth, up to ``k_max``), so
-    a sequence costs nothing until it is read and never more than the prefix
-    its readers use.
+    Weights are computed from the kind's formula at each read and are not
+    kept, so a sequence costs nothing until it is read; a reader that needs
+    them again keeps its own copy.
 
     The prefix sums ``L(k) = sum_{j<=k} 1/lam_j`` are a running sum up to
     ``anchor`` (``PREFIX_ANCHOR``, or the length of an explicit list when
@@ -106,14 +120,14 @@ class WeightSequence:
         self.terms = None
         # the built-in formulas are positive and nondecreasing; only the
         # parameters and an explicit list can break that
-        if kind == "constant" and not 0 < value < math.inf:
+        if kind == "constant" and not 0 < _check_real("value", value) < math.inf:
             raise ValidationError("constant weight must be positive")
-        if kind == "power" and (alpha is None or not 0 < alpha <= 1):
+        if kind == "power" and (alpha is None or not 0 < _check_real("alpha", alpha) <= 1):
             raise ValidationError("power kind needs 0 < alpha <= 1")
         if kind == "explicit":
-            if not terms:
+            if not isinstance(terms, (list, tuple)) or not terms:
                 raise ValidationError("explicit kind needs a nonempty list")
-            self.terms = tuple(float(t) for t in terms)
+            self.terms = tuple(float(_check_real("a weight in terms", t)) for t in terms)
             # extension by the last value keeps monotonicity
             head = np.array(self.terms[:self.k_max])
             if not np.all((head > 0) & (head < math.inf)):
@@ -122,7 +136,6 @@ class WeightSequence:
                 raise ValidationError("weights must be nondecreasing")
         #: the last k of the exact prefix table
         self.anchor = min(self.k_max, max(PREFIX_ANCHOR, len(self.terms or ())))
-        self._lam = np.empty(0)
         self._head = None  # L(1..anchor)
 
     def _formula(self, n):
@@ -176,16 +189,6 @@ class WeightSequence:
             total = x if a == 1.0 else n ** (1.0 - a) * np.expm1((1.0 - a) * x) / (1.0 - a)
         return total + ends(k) - ends(n)
 
-    def _weights(self, k):
-        """The read-only weight table, holding index ``k``."""
-        check_horizon(k, self.k_max)
-        lam = self._lam
-        if k > len(lam):
-            lam = self._formula(min(self.k_max, max(k, 2 * len(lam))))
-            lam.setflags(write=False)
-            self._lam = lam
-        return lam
-
     def _prefix_head(self):
         head = self._head
         if head is None:
@@ -195,8 +198,9 @@ class WeightSequence:
         return head
 
     def weights(self, k):
-        """First ``k`` weights as a read-only array."""
-        return self._weights(k)[:k]
+        """``lam_1..lam_k`` as a new array."""
+        check_horizon(k, self.k_max)
+        return self._formula(k)
 
     def prefix_sum(self, k):
         """Return ``L(k) = sum_{j=1}^{k} 1/lam_j``."""
@@ -287,7 +291,7 @@ class ConvexBase:
 
     def __init__(self, shape, p=None):
         if shape == "power":
-            if p is None or not 1 <= p < math.inf:
+            if p is None or not 1 <= _check_real("p", p) < math.inf:
                 raise ValidationError("power base needs p >= 1")
             self.p = float(p)
         elif shape != "expm1":
@@ -383,9 +387,14 @@ class SchrammFamily:
                 base, c = self.surrogate, 1.0 / weights.weights(1).item()
                 self.rank_free = lambda x: c * base(x)
         elif kind == "explicit":
-            if not terms:
+            if not isinstance(terms, (list, tuple)) or not terms:
                 raise ValidationError("explicit kind needs a nonempty list")
-            self.terms = tuple((float(c), float(e)) for c, e in terms)
+            for t in terms:
+                if not isinstance(t, (list, tuple)) or len(t) != 2:
+                    raise ValidationError(
+                        f"explicit terms must be (coef, exponent) pairs, not {t!r}")
+            self.terms = tuple((float(_check_real("a coef in terms", c)),
+                                float(_check_real("an exponent in terms", e))) for c, e in terms)
             for c, e in self.terms:
                 if not (0 < c < math.inf and 1 <= e < math.inf):
                     raise ValidationError("explicit terms need coef > 0, exponent >= 1")
@@ -450,12 +459,13 @@ class SchrammFamily:
         return [1.0 / lam for lam in self._ranks_to(n)[:n]]
 
     def _ranks_to(self, n):
-        """The rank cache, grown to at least ``n`` ranks."""
+        """The rank cache, grown to at least ``n`` ranks (at least doubling,
+        up to ``k_max``)."""
         ranks = self._ranks
         if n > len(ranks):
             # past the horizon, name k_max + 1: the first rank it lacks
             check_horizon(min(n, self.k_max + 1), self.k_max)
-            ranks = self._ranks = self._rank_terms(n)
+            ranks = self._ranks = self._rank_terms(min(self.k_max, max(n, 2 * len(ranks))))
         return ranks
 
     def _check_horizon(self, ks):
@@ -590,6 +600,23 @@ class GaugePair:
         ``to`` (q_n = q - (q - 1)/n, limit q), ``list``.
         delta kinds: ``pow2`` (delta_n = 2^n), ``list``.
         """
+        # the ladder lengths are checked before any array is built
+        if qn_kind == "list":
+            if qn_list is None or len(qn_list) == 0:
+                raise ValidationError("list qn ladder needs qn_list")
+            n_max = len(qn_list)
+        if delta_kind == "pow2":
+            if n_max > _POW2_LEVELS:
+                raise ValidationError(f"a pow2 delta ladder has at most {_POW2_LEVELS} levels "
+                                      f"(2^1024 is past the largest float), not {n_max}")
+        elif delta_kind == "list":
+            if delta_list is None or len(delta_list) == 0:
+                raise ValidationError("list delta ladder needs delta_list")
+            if len(delta_list) < n_max:
+                raise ValidationError("delta ladder shorter than qn ladder")
+        else:
+            raise ValidationError(f"unknown delta ladder kind {delta_kind!r}")
+
         n = np.arange(1, n_max + 1, dtype=float)
         if qn_kind == "linear":
             qn, q_limit = n, math.inf
@@ -602,24 +629,14 @@ class GaugePair:
                 raise ValidationError("'to' qn ladder needs q > 1")
             qn, q_limit = q - (q - 1.0) / n, float(q)
         elif qn_kind == "list":
-            if qn_list is None or len(qn_list) == 0:
-                raise ValidationError("list qn ladder needs qn_list")
             qn = np.asarray(qn_list, dtype=float)
-            n_max = len(qn)
             q_limit = float(qn[-1])
         else:
             raise ValidationError(f"unknown qn ladder kind {qn_kind!r}")
-
         if delta_kind == "pow2":
             deltas = 2.0 ** np.arange(1, n_max + 1)
-        elif delta_kind == "list":
-            if delta_list is None or len(delta_list) == 0:
-                raise ValidationError("list delta ladder needs delta_list")
-            deltas = np.asarray(delta_list, dtype=float)
         else:
-            raise ValidationError(f"unknown delta ladder kind {delta_kind!r}")
-        if len(deltas) < n_max:
-            raise ValidationError("delta ladder shorter than qn ladder")
+            deltas = np.asarray(delta_list, dtype=float)
         return cls(qn[:n_max], deltas[:n_max], q_limit=q_limit)
 
     def levels(self, n):

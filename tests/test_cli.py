@@ -434,6 +434,63 @@ def test_bad_config_exits_one(case, tmp_path, capsys):
     assert not out.exists()
 
 
+VARIATION_LAMBDA = ["variation", "--functional", "lambda", "--weights"]
+VARIATION_SCHRAMM = ["variation", "--functional", "schramm", "--family"]
+BAD_VALUES = {
+    "k_max-string": (VARIATION_LAMBDA + ['{"kind":"harmonic","k_max":"x"}'],
+                     "k_max must be a number, not 'x'"),
+    "k_max-inf": (VARIATION_LAMBDA + ['{"kind":"harmonic","k_max":1e400}'],
+                  "k_max must be a whole number, not inf"),
+    "k_max-fraction": (VARIATION_LAMBDA + ['{"kind":"harmonic","k_max":2.5}'],
+                       "k_max must be a whole number, not 2.5"),
+    "k_max-bool": (VARIATION_LAMBDA + ['{"kind":"harmonic","k_max":true}'],
+                   "k_max must be a number, not True"),
+    "alpha-string": (VARIATION_LAMBDA + ['{"kind":"power","alpha":"x"}'],
+                     "alpha must be a number, not 'x'"),
+    "value-string": (VARIATION_LAMBDA + ['{"kind":"constant","value":"2"}'],
+                     "value must be a number, not '2'"),
+    "weights-terms-int": (VARIATION_LAMBDA + ['{"kind":"explicit","terms":5}'],
+                          "explicit kind needs a nonempty list"),
+    "weights-terms-string": (VARIATION_LAMBDA + ['{"kind":"explicit","terms":["a"]}'],
+                             "a weight in terms must be a number, not 'a'"),
+    "family-terms-flat": (VARIATION_SCHRAMM + ['{"kind":"explicit","terms":[1,2]}'],
+                          "explicit terms must be (coef, exponent) pairs, not 1"),
+    "family-terms-short": (VARIATION_SCHRAMM + ['{"kind":"explicit","terms":[[1]]}'],
+                           "explicit terms must be (coef, exponent) pairs, not [1]"),
+    "family-k_max-string": (VARIATION_SCHRAMM + ['{"kind":"explicit","terms":[[1,1.5]],'
+                                                 '"k_max":"7"}'],
+                            "k_max must be a number, not '7'"),
+    "power-p-string": (VARIATION_SCHRAMM + ['{"kind":"power","p":"2","weights":'
+                                            '{"kind":"harmonic"}}'],
+                       "p must be a number, not '2'"),
+    "scaled-base-string": (VARIATION_SCHRAMM + ['{"kind":"scaled","base":{"power":"x"},'
+                                                '"weights":{"kind":"harmonic"}}'],
+                           "p must be a number, not 'x'"),
+    "phi-string": (["criterion", "--theorem", "1.9", "--qn", "const:2", "--ncap", "4",
+                    "--phi", '{"power":"2"}'], "p must be a number, not '2'"),
+    "pow2-past-1023": (["criterion", "--theorem", "1.4", "--qn", "const:1", "--ncap", "2000"],
+                       "at most 1023 levels"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_one(case, tmp_path, capsys):
+    # a value of the wrong type, or a horizon that is no whole number, used
+    # to end in a traceback, run on a changed horizon, or exit without
+    # naming the key; a pow2 ladder past 2^1023 overflowed
+    argv, message = BAD_VALUES[case]
+    path = tmp_path / "f.csv"
+    path.write_text("0\n1\n0.5\n2\n1\n")
+    if argv[0] == "variation":
+        argv = argv + ["--input", str(path)]
+    out = tmp_path / "rep.json"
+    assert run(argv + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 class TestNormCommand:
     def test_single_jump(self, tmp_path):
         path = tmp_path / "f.csv"

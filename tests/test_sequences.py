@@ -156,7 +156,6 @@ class TestPrefixSums:
         w.prefix_sum(1 << 20)
         w.prefix_sums(1 << 20)
         assert len(w._head) == w.anchor == PREFIX_ANCHOR
-        assert len(w._lam) == 0
 
     def test_long_explicit_list_is_summed_exactly(self):
         terms = np.linspace(1.0, 2.0, 5000).tolist()
@@ -261,6 +260,18 @@ class TestSchrammFamily:
         # fail later, with a math domain error or an empty horizon
         with pytest.raises(ValidationError, match="^k_max must be positive$"):
             make()
+
+    def test_rank_cache_at_least_doubles(self, monkeypatch):
+        # the family keeps the one list of lam_j and grows it by doubling, so
+        # a 16-cell exact solve reads the weights at k = 1, 2, 4, 8, 16
+        reads = []
+        weights = WeightSequence.weights
+        monkeypatch.setattr(WeightSequence, "weights",
+                            lambda self, k: reads.append(k) or weights(self, k))
+        res = variation_weighted(StepFunction([0.0, 1.0] * 8 + [0.0]),
+                                 WeightSequence("harmonic"), 1.0)
+        assert res.mode.startswith("exact")
+        assert len(reads) <= 5
 
     def test_negative_target_rejected(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
@@ -401,6 +412,15 @@ class TestGaugePair:
         for n in (0, 5):
             with pytest.raises(ValidationError, match=f"^level count {n} outside 1..4$"):
                 consumer(g, n)
+
+    def test_pow2_ladder_stops_before_overflow(self):
+        # 2^1024 is past the largest float; the check runs before any array
+        for n_max in (1024, 2000):
+            with pytest.raises(ValidationError, match="^a pow2 delta ladder has at most 1023"):
+                GaugePair.build("const", "pow2", n_max=n_max, q=1.0)
+        assert GaugePair.build("const", "pow2", n_max=1023, q=1.0).deltas[-1] == 2.0 ** 1023
+        with pytest.raises(ValidationError, match="^delta ladder shorter than qn ladder$"):
+            GaugePair.build("linear", "list", n_max=3, delta_list=[2.0, 4.0])
 
     def test_level_out_of_range(self):
         g = GaugePair.build("linear", "pow2", n_max=4)
