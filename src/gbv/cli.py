@@ -175,15 +175,20 @@ def cmd_criterion(args):
     return 0
 
 
-def _geom(base, n, coef=1.0):
-    return [coef * base ** i for i in range(1, n + 1)]
+def _geom(name, base, n, coef=1.0):
+    """The constants ``name_i = coef * base^i`` of the levels ``i = 1..n``;
+    when one is past the largest float, so is the last."""
+    try:
+        return [coef * base ** i for i in range(1, n + 1)]
+    except OverflowError:
+        raise ValidationError(f"{name}_{n}: {base!r}^{n} is past the largest float") from None
 
 
 def cmd_counterexample(args):
     gauge = parse_gauge(args.qn, args.delta, args.levels)
-    kw = {"eps": _geom(args.eps_base, args.levels),
-          "sep": _geom(args.sep_base, args.levels, coef=4.0),
-          "blow": _geom(args.blow_base, args.levels)}
+    kw = {"eps": _geom("eps", args.eps_base, args.levels),
+          "sep": _geom("sep", args.sep_base, args.levels, coef=4.0),
+          "blow": _geom("blow", args.blow_base, args.levels)}
     if args.kind == "lambda":
         spec = plan_construction(
             "lambda", gauge, args.levels,

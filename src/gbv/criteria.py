@@ -68,27 +68,27 @@ def kernel_parts(gamma, family):
 
 
 def _split(lo, hi, s):
-    """Split each gap ``(lo, hi)`` into ``2 <= s <= hi - lo`` parts: the
-    points ``lo = p_0 < ... < p_s = hi`` of every gap, concatenated, with
-    masks of the first and the last point of each gap."""
-    rep = s + 1
-    j = np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
-    s = np.repeat(s, rep)
-    return np.repeat(lo, rep) + np.repeat(hi - lo, rep) * j // s, j == 0, j == s
+    """The points inside each gap ``(lo, hi)`` that split it into
+    ``2 <= s <= hi - lo`` parts, concatenated; ``s = hi - lo`` gives every
+    k inside."""
+    rep = s - 1
+    j = 1 + np.arange(int(rep.sum())) - np.repeat(np.cumsum(rep) - rep, rep)
+    return np.repeat(lo, rep) + np.repeat(hi - lo, rep) * j // np.repeat(s, rep)
 
 
 class _Bracket:
     """Brackets on ``max_{k <= top} g(k)^e h(k)`` for the levels that share
     the exponent ``e``, one per distinct ``top``.
 
-    It holds the gaps ``(lo, hi)`` between neighbouring k evaluated for it,
-    each with ``g(hi)^e``, ``h(lo)`` and their product, which bounds every
-    kernel value inside the gap (g is nondecreasing, h nonincreasing); and
-    the records of the evaluated k, those whose value exceeds every value
-    before them, the only k that can be the first in a tie band. Per top,
-    ``a`` is the max found, ``thr`` the low end of its tie band and
-    ``kstar`` the first k in the band; all three are nondecreasing in the
-    top, and ``a`` and ``thr`` only rise as k are added.
+    Its state is a function of the k evaluated up to the highest top: the
+    gaps ``(lo, hi)`` between neighbouring ones, each with ``g(hi)^e``,
+    ``h(lo)`` and their product, which bounds every kernel value inside the
+    gap (g is nondecreasing, h nonincreasing); and the records, the k whose
+    value exceeds every value before them, the only k that can be the first
+    in a tie band. Per top, ``a`` is the max found, ``thr`` the low end of
+    its tie band and ``kstar`` the first k in the band; all three are
+    nondecreasing in the top, and ``a`` and ``thr`` only rise as k are
+    added.
     """
 
     def __init__(self, e, tops):
@@ -96,52 +96,26 @@ class _Bracket:
         self.tops = np.unique(tops)
 
     def reseed(self, ks, g, h):
-        """Bracket on exactly the sorted ``ks`` (1 and every top among
-        them), with their parts ``g, h``."""
-        ge = g ** self.e
+        """Rebuild on the sorted ``ks`` (1 and every top among them) up to
+        the highest top, with their parts ``g, h``. ``pending`` masks the
+        gaps that may hide, for some top at or above them, a value above its
+        max or a k in its tie band before its argmax."""
+        i = int(np.searchsorted(ks, self.tops[-1], "right"))
+        ks, ge, h = ks[:i], g[:i] ** self.e, h[:i]
         room = ks[1:] - ks[:-1] > 1
         self.lo, self.hi = ks[:-1][room], ks[1:][room]
         self.ge_hi, self.h_lo = ge[1:][room], h[:-1][room]
         self.bound = self.ge_hi * self.h_lo
-        self._records(ks, ge * h)
-
-    def refine(self, done, pts, first, last, g, h):
-        """Replace the gaps ``done`` (a mask) by the points ``pts`` that split
-        them, laid out as :func:`_split` gives them; ``g, h`` are the parts
-        at the points inside the gaps."""
-        new = ~(first | last)
-        ge, hs = np.empty(len(pts)), np.empty(len(pts))
-        ge[new], hs[new] = g ** self.e, h
-        ge[last], hs[first] = self.ge_hi[done], self.h_lo[done]
-        k = np.concatenate([self.rk, pts[new]])
-        order = np.argsort(k, kind="stable")
-        self._records(k[order], np.concatenate([self.rv, ge[new] * h])[order])
-        # a gap below the band of the lowest top holding it never matters
-        # again; split neighbours with room between them are the new gaps
-        keep = ~done & (self.bound >= self.thr[np.searchsorted(self.tops, self.hi)])
-        room = ~first[1:] & (pts[1:] - pts[:-1] > 1)
-        lo = np.concatenate([self.lo[keep], pts[:-1][room]])
-        order = np.argsort(lo, kind="stable")
-        self.lo = lo[order]
-        self.hi = np.concatenate([self.hi[keep], pts[1:][room]])[order]
-        self.ge_hi = np.concatenate([self.ge_hi[keep], ge[1:][room]])[order]
-        self.h_lo = np.concatenate([self.h_lo[keep], hs[:-1][room]])[order]
-        self.bound = self.ge_hi * self.h_lo
-
-    def _records(self, k, v):
+        v = ge * h
         record = np.concatenate([[True], v[1:] > np.maximum.accumulate(v)[:-1]])
-        self.rk, self.rv = k[record], v[record]
-        self.a = self.rv[np.searchsorted(self.rk, self.tops, "right") - 1]
+        rk, rv = ks[record], v[record]
+        self.a = rv[np.searchsorted(rk, self.tops, "right") - 1]
         self.thr = self.a * (1.0 - INVERSE_TOL)
-        self.kstar = self.rk[np.searchsorted(self.rv, self.thr)]
-
-    def pending(self):
-        """The gaps that may hide, for some top at or above them, a value
-        above its max or a k in its tie band before its argmax."""
+        self.kstar = rk[np.searchsorted(rv, self.thr)]
         first = np.searchsorted(self.tops, self.hi)
         last = np.searchsorted(self.thr, self.bound, "right") - 1
         late = np.searchsorted(self.kstar, self.hi)
-        return (self.bound > self.a[first]) | (np.maximum(first, late) <= last)
+        self.pending = (self.bound > self.a[first]) | (np.maximum(first, late) <= last)
 
     def row(self, n, top):
         i = np.searchsorted(self.tops, top)
@@ -159,15 +133,19 @@ def _bracket_scan(tops, exps, parts):
     ``g(b)^e h(a)``. A geometric seed grid holding every level's top (every
     k, when the grid would ask for half of them) is refined where that
     bound exceeds a level's max (or, before its argmax, reaches the tie
-    band), splitting a gap ``_SPLIT`` ways; each round makes one ``parts``
-    call on the k not evaluated before. Levels that share an exponent share
-    their bounds. Where a split settles none of the gaps (a flat kernel),
-    every k up to the top is evaluated in the next round. A level is exact
-    when no gap is left to refine. The scan stops before the first round
-    whose new k would pass ``SCAN_BUDGET`` evaluations; the open levels then
-    report the max found as ``a_n`` and the certified bound as
-    ``a_n_upper``. A scan over at most ``SCAN_BUDGET`` k is always exact,
-    and gives the ``a_n`` and ``argmax_k`` of a scan of every k.
+    band), splitting a gap ``_SPLIT`` ways. Levels that share an exponent
+    share their bounds. Where a split settles none of the gaps of a bracket
+    (a flat kernel), the next round asks instead for every k up to its top.
+    Each round makes one ``parts`` call on new k, merges them into the
+    evaluated ones and rebuilds every open bracket from all the k up to its
+    top; a settled bracket has no gap left that could hold a value above
+    its max or a k in its tie band before its argmax, so later k cannot
+    move it, and it is not rebuilt. A level is exact when no gap is left to
+    refine. The scan stops before the first round whose new k would pass
+    ``SCAN_BUDGET`` evaluations; the open levels then report the max found
+    as ``a_n`` and the certified bound as ``a_n_upper``. A scan over at
+    most ``SCAN_BUDGET`` k is always exact, and gives the ``a_n`` and
+    ``argmax_k`` of a scan of every k.
     """
     top = max(tops)
     count = int(math.log2(top) * _SEED_PER_BINADE)
@@ -178,43 +156,34 @@ def _bracket_scan(tops, exps, parts):
     g, h = parts(ks)
     brackets = {e: _Bracket(e, [t for t, e2 in zip(tops, exps) if e2 == e])
                 for e in dict.fromkeys(exps)}
-    for br in brackets.values():
-        i = int(np.searchsorted(ks, br.tops[-1], "right"))
-        br.reseed(ks[:i], g[:i], h[:i])
-    live = [(br, done) for br in brackets.values() if (done := br.pending()).any()]
+    live = list(brackets.values())
     split = False
-    while live:
-        flat = [br for br, done in live if split and done.all()]
-        dense = max([br.tops[-1] for br in flat], default=0)
-        beyond = ks > dense
-        if flat and dense + np.count_nonzero(beyond) <= SCAN_BUDGET:
-            every = np.arange(1, dense + 1)
-            g_all, h_all = parts(every)
-            ks, g, h = (np.concatenate([every, ks[beyond]]), np.concatenate([g_all, g[beyond]]),
-                        np.concatenate([h_all, h[beyond]]))
-            for br in flat:
-                br.reseed(ks[:br.tops[-1]], g[:br.tops[-1]], h[:br.tops[-1]])
+    while True:
+        for br in live:
+            br.reseed(ks, g, h)
+        live = [br for br in live if br.pending.any()]
+        if not live:
+            break
+        flat = [br for br in live if split and br.pending.all()]
+        wide = max(flat, key=lambda br: br.tops[-1], default=None)
+        # no gap of a rebuilt bracket holds an evaluated k, so every k asked is new
+        if wide is not None and len(ks) + int((wide.hi - wide.lo - 1).sum()) <= SCAN_BUDGET:
+            lo, hi = wide.lo, wide.hi
+            s = hi - lo
         else:
-            # every flagged gap split _SPLIT ways, or into as many parts as it has room for
-            cuts = [_split(br.lo[done], br.hi[done], np.minimum(br.hi[done] - br.lo[done], _SPLIT))
-                    for br, done in live]
-            inside = [pts[~(first | last)] for pts, first, last in cuts]
-            asked = np.sort(np.concatenate(inside))
-            asked = asked[np.concatenate([[True], asked[1:] != asked[:-1]])]
-            at = np.searchsorted(ks, asked)
-            fresh = ks[np.minimum(at, len(ks) - 1)] != asked
-            if len(ks) + np.count_nonzero(fresh) > SCAN_BUDGET:
+            # every pending gap split _SPLIT ways, or into as many parts as it
+            # has room for; open brackets share the gaps below their tops
+            lo, at = np.unique(np.concatenate([br.lo[br.pending] for br in live]),
+                               return_index=True)
+            hi = np.concatenate([br.hi[br.pending] for br in live])[at]
+            s = np.minimum(hi - lo, _SPLIT)
+            if len(ks) + int((s - 1).sum()) > SCAN_BUDGET:
                 break
-            if fresh.any():
-                g_new, h_new = parts(asked[fresh])
-                pos = at[fresh]
-                ks, g, h = (np.insert(ks, pos, asked[fresh]), np.insert(g, pos, g_new),
-                            np.insert(h, pos, h_new))
-            for (br, done), (pts, first, last), pick in zip(live, cuts, inside):
-                i = np.searchsorted(ks, pick)
-                br.refine(done, pts, first, last, g[i], h[i])
             split = True
-        live = [(br, done) for br, _ in live if (done := br.pending()).any()]
+        asked = _split(lo, hi, s)
+        g_new, h_new = parts(asked)
+        order = np.argsort(np.concatenate([ks, asked]), kind="stable")
+        ks, g, h = (np.concatenate(run)[order] for run in ((ks, asked), (g, g_new), (h, h_new)))
     _log.debug("criterion scan: %d levels to k=%d, %d evaluations, %s",
                len(tops), top, len(ks), "bracketed" if live else "exact")
     rows = [brackets[e].row(n, t) for n, (t, e) in enumerate(zip(tops, exps), 1)]

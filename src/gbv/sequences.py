@@ -107,20 +107,28 @@ class WeightSequence:
     Built-in kinds diverge (``sum 1/lam_j = inf``) by construction; for
     ``explicit`` lists this cannot be checked and is the caller's
     assumption.
+
+    ``value`` (1.0 when not given) belongs to ``constant``, ``alpha`` to
+    ``power`` and ``terms`` to ``explicit``; any other kind given one of
+    them raises ``ValidationError``.
     """
 
-    def __init__(self, kind, *, alpha=None, value=1.0, terms=None,
+    def __init__(self, kind, *, alpha=None, value=None, terms=None,
                  k_max=DEFAULT_K_MAX):
         if kind not in _WEIGHT_KINDS:
             raise ValidationError(f"unknown weight sequence kind {kind!r}")
+        for key, arg, owner in (("value", value, "constant"), ("alpha", alpha, "power"),
+                                ("terms", terms, "explicit")):
+            if arg is not None and kind != owner:
+                raise ValidationError(f"a {kind} weight sequence takes no {key}")
         self.k_max = _check_k_max(k_max)
         self.kind = kind
         self.alpha = alpha
-        self.value = value
+        self.value = 1.0 if value is None else value
         self.terms = None
         # the built-in formulas are positive and nondecreasing; only the
         # parameters and an explicit list can break that
-        if kind == "constant" and not 0 < _check_real("value", value) < math.inf:
+        if kind == "constant" and not 0 < _check_real("value", self.value) < math.inf:
             raise ValidationError("constant weight must be positive")
         if kind == "power" and (alpha is None or not 0 < _check_real("alpha", alpha) <= 1):
             raise ValidationError("power kind needs 0 < alpha <= 1")

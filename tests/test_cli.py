@@ -374,6 +374,8 @@ BAD_INPUTS = {
        for suite in ("master", "wu", "holder", "comparison") for n in ("0", "-3")},
     "fa-nan": (NORM + ["--fa", "nan"], "f_a=nan must be finite"),
     "fa-inf": (NORM + ["--fa", "inf"], "f_a=inf must be finite"),
+    "levels-past-float": (["counterexample", "--kind", "lambda", "--levels", "256"],
+                          "blow_256: 16.0^256 is past the largest float"),
 }
 
 
@@ -470,6 +472,10 @@ BAD_VALUES = {
                     "--phi", '{"power":"2"}'], "p must be a number, not '2'"),
     "pow2-past-1023": (["criterion", "--theorem", "1.4", "--qn", "const:1", "--ncap", "2000"],
                        "at most 1023 levels"),
+    "weights-unused-value": (VARIATION_LAMBDA + ['{"kind":"harmonic","alpha":"x","value":"y"}'],
+                             "a harmonic weight sequence takes no value"),
+    "weights-unused-terms": (VARIATION_LAMBDA + ['{"kind":"harmonic","terms":[1,2]}'],
+                             "a harmonic weight sequence takes no terms"),
 }
 
 

@@ -347,6 +347,24 @@ class TestSchramm:
         assert rep.evaluations == big
         assert rep.levels[0]["argmax_k"] == 1
 
+    def test_flat_dense_round_past_the_budget_allocates_nothing(self, monkeypatch):
+        # Gamma = Lambda constant at p = q_n = 1 is flat up to 2^40: the dense
+        # round would ask for every k, so it is sized before it is built and
+        # the scan stops at its budget instead
+        monkeypatch.setattr(gbv.criteria, "SCAN_BUDGET", 4096)
+        top = 1 << 40
+        w = WeightSequence("constant", k_max=top)
+        gauge = GaugePair.build("const", "list", n_max=1, q=1.0, delta_list=[top])
+        tracemalloc.start()
+        try:
+            rep = criterion_lambda_gamma(w, w, 1.0, gauge, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.inexact_scan and rep.evaluations == 589
+        assert rep.levels == ({"n": 1, "a_n": 1.0, "a_n_upper": 1.08, "argmax_k": 1},)
+        assert peak < 4 << 20
+
 
 class TestBracketScan:
     """The bracket scan against a dense evaluation of the same parts."""

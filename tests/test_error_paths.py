@@ -1,0 +1,126 @@
+"""Paths that no other test reaches: input checks, where each bad call
+raises its error type with a message that names what is wrong, and a few
+small readers and reports."""
+
+import numpy as np
+import pytest
+
+from gbv import (ConvexBase, GaugePair, ResolutionError, SchrammFamily, StepFunction,
+                 TripleSample, ValidationError, WeightSequence, build_witness,
+                 certify_blowup, check_holder_branch, check_wu_estimate, generate_block,
+                 ingest, plan_construction, variation_unweighted_q)
+
+GAUGE = GaugePair.build("const", "pow2", n_max=2, q=1.0)
+HARMONIC = WeightSequence("harmonic", k_max=64)
+POWER2 = SchrammFamily.power(2.0, HARMONIC)
+
+
+def _ingest(tmp_path, text, fmt):
+    path = tmp_path / f"f.{fmt}"
+    path.write_text(text)
+    return ingest(str(path), fmt)
+
+
+def _misaligned_blowup():
+    spec = plan_construction("lambda", GaugePair.build("const", "list", n_max=1, q=1.0,
+                                                       delta_list=[64]), 1,
+                             w_lambda=HARMONIC, w_gamma=WeightSequence("constant", k_max=64),
+                             blow=[4.0])
+    f = build_witness(spec)
+    return certify_blowup(spec, StepFunction(f.values[:-1]))
+
+
+BAD_CALLS = {
+    "ingest-bad-json": (lambda tmp: _ingest(tmp, "{", "json"), ValidationError, "cannot parse"),
+    "ingest-json-no-values": (lambda tmp: _ingest(tmp, '{"m": 1}', "json"), ValidationError,
+                              "needs a 'values' field"),
+    "ingest-unknown-format": (lambda tmp: _ingest(tmp, "0\n1\n", "tsv"), ValidationError,
+                              "unknown format 'tsv'"),
+    "block-n-0": (lambda tmp: generate_block(0, 1.0, 1, 4, 8), ValidationError, "need n >= 1"),
+    "block-t_n-neg": (lambda tmp: generate_block(1, 1.0, -1, 4, 8), ValidationError,
+                      "t_n >= 0"),
+    "block-m-0": (lambda tmp: generate_block(1, 1.0, 1, 4, 0), ValidationError, "m >= 1"),
+    "block-delta-1": (lambda tmp: generate_block(1, 1.0, 1, 1, 8), ValidationError,
+                      "delta_n must be >= 2"),
+    "gauge-mismatch": (lambda tmp: GaugePair([1.0, 2.0], [2.0]), ValidationError,
+                       "ladders must match in length"),
+    "gauge-unknown-qn": (lambda tmp: GaugePair.build("square", "pow2"), ValidationError,
+                         "unknown qn ladder kind 'square'"),
+    "gauge-unknown-delta": (lambda tmp: GaugePair.build("linear", "pow3"), ValidationError,
+                            "unknown delta ladder kind 'pow3'"),
+    "gauge-const-no-q": (lambda tmp: GaugePair.build("const", "pow2"), ValidationError,
+                         "const qn ladder needs q"),
+    "gauge-to-q-1": (lambda tmp: GaugePair.build("to", "pow2", q=1.0), ValidationError,
+                     "'to' qn ladder needs q > 1"),
+    "weights-unknown-kind": (lambda tmp: WeightSequence("cubic"), ValidationError,
+                             "unknown weight sequence kind 'cubic'"),
+    "weights-power-no-alpha": (lambda tmp: WeightSequence("power"), ValidationError,
+                               "power kind needs 0 < alpha <= 1"),
+    "weights-unused-keys": (lambda tmp: WeightSequence("power", alpha=0.5, value=7.0,
+                                                       terms=[1, 2]),
+                            ValidationError, "a power weight sequence takes no value"),
+    "base-unknown-shape": (lambda tmp: ConvexBase("sinh"), ValidationError,
+                           "unknown convex base shape 'sinh'"),
+    "base-unknown-config": (lambda tmp: ConvexBase.from_config({}), ValidationError,
+                            "unknown convex base config {}"),
+    "family-unknown-kind": (lambda tmp: SchrammFamily("mixed"), ValidationError,
+                            "unknown Schramm family kind 'mixed'"),
+    "family-config-unknown-kind": (lambda tmp: SchrammFamily.from_config({"kind": "mixed"}),
+                                   ValidationError, "unknown Schramm family kind 'mixed'"),
+    "family-scaled-no-base": (lambda tmp: SchrammFamily("scaled", weights=HARMONIC),
+                              ValidationError, "scaled kind needs base and weights"),
+    "family-scaled-no-weights": (lambda tmp: SchrammFamily("scaled", base=ConvexBase("expm1")),
+                                 ValidationError, "scaled kind needs base and weights"),
+    "family-explicit-empty": (lambda tmp: SchrammFamily("explicit", terms=[]), ValidationError,
+                              "explicit kind needs a nonempty list"),
+    "uq-min-len-0": (lambda tmp: variation_unweighted_q(StepFunction([0.0, 1.0]), 2.0,
+                                                        min_len=0),
+                     ValidationError, "min_len must be >= 1"),
+    "plan-no-weights": (lambda tmp: plan_construction("lambda", GAUGE, 2, w_lambda=HARMONIC),
+                        ValidationError, "needs both weight sequences"),
+    "plan-no-family": (lambda tmp: plan_construction("schramm", GAUGE, 2), ValidationError,
+                       "schramm construction needs a family"),
+    "blowup-misaligned": (lambda tmp: _misaligned_blowup(), ResolutionError,
+                          "witness grid m=63 misaligned at level 1"),
+    "triple-empty": (lambda tmp: TripleSample([], [1.0], [1.0], 1.0), ValidationError,
+                     "x must be a nonempty vector"),
+    "holder-empty-x": (lambda tmp: check_holder_branch([], HARMONIC, HARMONIC, 2.0, 1.0),
+                       ValidationError, "x must be nonempty"),
+    "wu-rising-x": (lambda tmp: check_wu_estimate([1.0, 2.0], POWER2, 2.0), ValidationError,
+                    "x must be nonnegative nonincreasing"),
+    "wu-q-below-1": (lambda tmp: check_wu_estimate([2.0, 1.0], POWER2, 0.5), ValidationError,
+                     "q must be >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CALLS))
+def test_bad_call_raises(case, tmp_path):
+    call, error, fragment = BAD_CALLS[case]
+    with pytest.raises(error) as exc:
+        call(tmp_path)
+    assert fragment in str(exc.value)
+
+
+def test_blank_csv_rows_are_skipped(tmp_path):
+    f = _ingest(tmp_path, "0\n\n1\n ,\n0.5\n", "csv")
+    assert f.values.tolist() == [0.0, 1.0, 0.5]
+
+
+def test_schramm_spec_reports_its_family():
+    fam = SchrammFamily.power(2.0, WeightSequence("harmonic"))
+    gauge = GaugePair.build("const", "list", q=2.0, n_max=2, delta_list=[512, 32768])
+    spec = plan_construction("schramm", gauge, 2, family=fam, blow=[4.0, 16.0])
+    doc = spec.to_json_dict()
+    assert doc["kind"] == "schramm" and doc["family"] == fam.to_config()
+    assert "lambda" not in doc and len(doc["levels"]) == 2
+
+
+def test_gauge_repr():
+    assert repr(GAUGE) == "GaugePair(n_max=2, q_limit=1.0, delta_1=2.0)"
+
+
+def test_weight_value_defaults_to_one():
+    # value defaults to 1.0 for every kind, so configs and reports keep it
+    assert WeightSequence("harmonic").value == WeightSequence("constant").value == 1.0
+    assert WeightSequence("log", k_max=8).to_config() == {"kind": "log", "k_max": 8}
+    assert np.array_equal(WeightSequence("constant", k_max=8).weights(4), np.ones(4))
