@@ -29,10 +29,23 @@ GRID_CAP = 1 << 22
 _log = logging.getLogger("gbv")
 
 
+#: the canonical constants of level n as powers 2^(a n + b), by (a, b)
+_PAPER_EXPONENTS = {"eps": (-1, 0), "sep": (1, 2), "blow": (4, 0)}
+
+
+def _paper_constant(name, n_levels):
+    """The canonical ``name_1..name_{n_levels}``; a :class:`ValidationError`
+    that names the last when it is past the largest float."""
+    a, b = _PAPER_EXPONENTS[name]
+    if a * n_levels + b > 1023:
+        raise ValidationError(
+            f"{name}_{n_levels}: 2^{a * n_levels + b} is past the largest float")
+    return np.ldexp(1.0, a * np.arange(1, n_levels + 1) + b)
+
+
 def paper_constants(n_levels):
     """The canonical constants: eps 2^-n, separation 2^{n+2}, blow-up 2^{4n}."""
-    n = np.arange(1, n_levels + 1)
-    return 0.5 ** n, 2.0 ** (n + 2), 2.0 ** (4 * n)
+    return tuple(_paper_constant(name, n_levels) for name in _PAPER_EXPONENTS)
 
 
 @dataclass(frozen=True)
@@ -133,16 +146,17 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     else:
         w_gamma = WeightSequence("constant", value=1.0, k_max=family.k_max)
 
-    d_eps, d_sep, d_blow = paper_constants(n_levels)
-    eps = np.asarray(eps if eps is not None else d_eps, dtype=float)
-    sep = np.asarray(sep if sep is not None else d_sep, dtype=float)
-    blow = np.asarray(blow if blow is not None else d_blow, dtype=float)
-    for name, values in (("eps", eps), ("sep", sep), ("blow", blow)):
+    # a default is built only for a constant that was not given
+    constants = {"eps": eps, "sep": sep, "blow": blow}
+    for name, values in constants.items():
+        values = constants[name] = np.asarray(
+            _paper_constant(name, n_levels) if values is None else values, dtype=float)
         if values.ndim != 1 or len(values) < n_levels:
             raise ValidationError(f"{name} needs one value for each of {n_levels} levels")
         for n, value in enumerate(values[:n_levels].tolist(), 1):
             if not 0 < value < math.inf:
                 raise ValidationError(f"{name}_{n}={value} must be finite and > 0")
+    eps, sep, blow = constants.values()
 
     horizon = min(w_gamma.k_max, family.k_max)
     parts = kernel_parts(w_gamma, family)

@@ -502,27 +502,35 @@ class SchrammFamily:
         return total if total.ndim else float(total)
 
     def partial_inverse_many(self, ks, y):
-        """``Phi_k^{-1}(y)`` over an integer array of k values.
+        """``Phi_k^{-1}(y)`` over an integer array of k values, for one
+        target ``y`` or an array of targets that broadcasts against ``ks``;
+        the result has the broadcast shape.
 
         Scaled families invert analytically through the base. Explicit
         ones bracket by doubling from 1 and bisect (Phi_k is convex and
         strictly increasing, so bisection is robust and derivative-free),
-        all k at once in chunks of ``BISECT_CHUNK``; each element stops at
-        the residual tolerance or at a bracket of width
-        ``BISECT_X_TOL * max(1, hi)``.
+        all (k, y) pairs with y > 0 at once in chunks of ``BISECT_CHUNK``;
+        each element stops at the residual tolerance or at a bracket of
+        width ``BISECT_X_TOL * max(1, hi)``. Every element is computed on
+        its own, so it is the same float whatever else is inverted with it.
         """
-        if y < 0:
+        if np.any(np.less(y, 0)):
             raise ValidationError("inverse target must be nonnegative")
         ks = np.asarray(ks, dtype=int)
         self._check_horizon(ks)
-        if y == 0:
-            return np.zeros(len(ks))
-        if self.kind == "scaled":
+        if self.kind == "scaled":  # base.inverse(0) is 0
             return self.base.inverse(y / self.weights.prefix_sums_at(ks))
-        return np.concatenate([self._bisect(ks[i:i + BISECT_CHUNK], y)
-                               for i in range(0, len(ks), BISECT_CHUNK)])
+        ks, y = np.broadcast_arrays(ks, y)
+        x = np.zeros(ks.shape)
+        live = y > 0  # Phi_k^{-1}(0) = 0
+        ks, y, xs = ks[live], y[live], x[live]
+        for i in range(0, len(ks), BISECT_CHUNK):
+            xs[i:i + BISECT_CHUNK] = self._bisect(ks[i:i + BISECT_CHUNK], y[i:i + BISECT_CHUNK])
+        x[live] = xs
+        return x
 
     def _bisect(self, ks, y):
+        y = np.broadcast_to(y, ks.shape)
         hi = np.ones(len(ks))
         for _ in range(201):
             low = self.partial_sum(ks, hi) < y
@@ -530,7 +538,7 @@ class SchrammFamily:
                 break
             hi[low] *= 2.0
         else:
-            raise RangeError(f"Phi_{ks[low][0]} stays below {y} on search range")
+            raise RangeError(f"Phi_{ks[low][0]} stays below {y[low][0]} on search range")
         x = np.empty(len(ks))
         idx = np.arange(len(ks))
         lo = np.zeros(len(ks))
@@ -539,12 +547,12 @@ class SchrammFamily:
             mid = 0.5 * (lo + hi)
             val = self.partial_sum(ks, mid)
             # a residual hit collapses the bracket onto mid
-            hit = np.abs(val - y) <= INVERSE_TOL * max(1.0, y)
+            hit = np.abs(val - y) <= INVERSE_TOL * np.maximum(1.0, y)
             lo = np.where((val < y) | hit, mid, lo)
             hi = np.where((val < y) & ~hit, hi, mid)
             done = hi - lo <= BISECT_X_TOL * np.maximum(1.0, hi)
             x[idx[done]] = 0.5 * (lo[done] + hi[done])
-            ks, lo, hi, idx = ks[~done], lo[~done], hi[~done], idx[~done]
+            ks, y, lo, hi, idx = ks[~done], y[~done], lo[~done], hi[~done], idx[~done]
         return x
 
     def to_config(self):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -372,6 +373,8 @@ BAD_INPUTS = {
     **{f"{suite}-samples{n}": (["inequality", "--suite", suite, "--samples", n, "--seed", "1"],
                                f"a suite needs samples >= 1 (samples={n})")
        for suite in ("master", "wu", "holder", "comparison") for n in ("0", "-3")},
+    "inequality-seed-neg": (["inequality", "--suite", "master", "--samples", "3", "--seed",
+                             "-1"], "a suite needs a whole-number seed >= 0 (seed=-1)"),
     "fa-nan": (NORM + ["--fa", "nan"], "f_a=nan must be finite"),
     "fa-inf": (NORM + ["--fa", "inf"], "f_a=inf must be finite"),
     "levels-past-float": (["counterexample", "--kind", "lambda", "--levels", "256"],
@@ -390,6 +393,18 @@ def test_bad_input_exits_one(case, tmp_path, capsys):
     assert run(argv + ["--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_given_constants_build_no_default(tmp_path, capsys):
+    # the default blow_256 = 2^1024 is past the largest float, but the CLI
+    # gives all three constants: the plan reads no default and fails on its
+    # own terms, with one error line and no warning
+    argv = ["counterexample", "--kind", "lambda", "--levels", "256", "--blow-base", "2",
+            "--output", str(tmp_path / "rep.json")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    assert capsys.readouterr().err == "error: level 1: separation budget 2 below sep_n=8\n"
 
 
 FAM = '{"kind": "explicit", "terms": [[1, 1.5], [0.8, 1.7]]}'

@@ -82,6 +82,10 @@ BAD_CALLS = {
                        "schramm construction needs a family"),
     "blowup-misaligned": (lambda tmp: _misaligned_blowup(), ResolutionError,
                           "witness grid m=63 misaligned at level 1"),
+    "plan-default-past-float": (lambda tmp: plan_construction(
+        "lambda", GaugePair.build("const", "pow2", n_max=256, q=1.0), 256, w_lambda=HARMONIC,
+        w_gamma=HARMONIC, eps=[0.5] * 256, sep=[8.0] * 256), ValidationError,
+        "blow_256: 2^1024 is past the largest float"),
     "triple-empty": (lambda tmp: TripleSample([], [1.0], [1.0], 1.0), ValidationError,
                      "x must be a nonempty vector"),
     "holder-empty-x": (lambda tmp: check_holder_branch([], HARMONIC, HARMONIC, 2.0, 1.0),

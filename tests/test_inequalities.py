@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gbv import (GaugePair, HypothesisError, SchrammFamily, TripleSample,
                  ValidationError, WeightSequence, check_holder_branch,
                  check_master_inequality, check_weighted_comparison,
                  check_wu_estimate, criterion_lambda_gamma, extremal_profile)
-from gbv.inequalities import (monotone_vector, run_comparison_suite,
+from gbv.inequalities import (SUITE_CHUNK, monotone_vector, run_comparison_suite,
                               run_holder_suite, run_master_suite,
                               run_wu_suite)
 
@@ -195,3 +196,108 @@ class TestSuites:
         a = run_master_suite(42, samples=50, q_list=(2.0,), n_max=8)
         b = run_master_suite(42, samples=50, q_list=(2.0,), n_max=8)
         assert a == b
+
+
+def _draws(rng, samples, n_max, vectors=1):
+    """A suite's draws, one sample at a time: a length, then one monotone
+    vector after the other."""
+    for i in range(samples):
+        n = int(rng.integers(1, n_max + 1))
+        yield i, n, [monotone_vector(rng, n) for _ in range(vectors)]
+
+
+def _least_margin(cases):
+    """Failures and the first least margin rhs/lhs over ``(case, result)``
+    pairs, with its case."""
+    failures, worst, where = 0, math.inf, None
+    for case, res in cases:
+        failures += not res["ok"]
+        margin = res["rhs"] / res["lhs"] if res["lhs"] > 0 else math.inf
+        if margin < worst:
+            worst, where = margin, case
+    return failures, worst, where
+
+
+EXPLICIT = SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)],
+                         k_max=KM)
+# (seed, samples, n_max): one sample, and one past a chunk at a small and a full n_max
+FOLD_CASES = [*((seed, 1, 64) for seed in (0, 7, 2024)), (0, SUITE_CHUNK + 1, 5),
+              (2024, SUITE_CHUNK + 1, 5), (7, SUITE_CHUNK + 1, 64)]
+
+
+class TestSuiteIsFoldOfChecker:
+    """Each suite's report equals the fold of its single-case checker over
+    the same draws, bit for bit."""
+
+    @pytest.mark.parametrize("seed, samples, n_max", FOLD_CASES)
+    def test_master(self, seed, samples, n_max):
+        q_list = (1.0, 1.5, 3.0)
+        rng = np.random.default_rng(seed)
+        cases = []
+        for q in q_list:
+            for i, n, (x, y, z) in _draws(rng, samples, n_max, 3):
+                res = check_master_inequality(TripleSample(x, y, z, q))
+                cases.append(({"q": q, "i": i, "n": n, "lhs": res["lhs"], "rhs": res["rhs"]}, res))
+        failures, worst, case = _least_margin(cases)
+        assert run_master_suite(seed, samples, q_list, n_max) == {
+            "suite": "master", "seed": seed, "samples_per_q": samples, "q_list": list(q_list),
+            "failures": failures, "worst_margin": worst, "worst_case": case}
+
+    @pytest.mark.parametrize("seed, samples, n_max", FOLD_CASES)
+    def test_holder(self, seed, samples, n_max):
+        w_lambda, w_gamma = WeightSequence("power", alpha=0.5, k_max=KM), CONST1
+        failures, worst, case = _least_margin(
+            ({"i": i, "n": n}, check_holder_branch(x, w_lambda, w_gamma, 3.0, 1.5))
+            for i, n, (x,) in _draws(np.random.default_rng(seed), samples, n_max))
+        assert run_holder_suite(seed, samples, w_lambda, w_gamma, 3.0, 1.5, n_max) == {
+            "suite": "holder", "seed": seed, "samples": samples, "p": 3.0, "q_n": 1.5,
+            "failures": failures, "worst_margin": worst, "worst_case": case}
+
+    @pytest.mark.parametrize("seed, samples, n_max", FOLD_CASES)
+    def test_comparison(self, seed, samples, n_max):
+        w_lambda, w_gamma = HARMONIC, WeightSequence("log", k_max=KM)
+        failures = 0
+        for _, n, (a,) in _draws(np.random.default_rng(seed), samples, n_max):
+            C = float(np.max(w_gamma.prefix_sums(n) / w_lambda.prefix_sums(n)))
+            res = check_weighted_comparison(a, w_lambda, w_gamma, C)
+            failures += not (res["ok"] and res["ok_master_route"])
+        assert run_comparison_suite(seed, samples, w_lambda, w_gamma, n_max) == {
+            "suite": "comparison", "seed": seed, "samples": samples, "failures": failures}
+
+    @pytest.mark.parametrize("seed, samples, n_max", FOLD_CASES)
+    def test_wu(self, seed, samples, n_max):
+        families, q_list = [SchrammFamily.power(2.0, HARMONIC), EXPLICIT], (1.0, 2.0)
+        rng = np.random.default_rng(seed)
+        failures, worst, where = 0, 0.0, None
+        for f, family in enumerate(families):
+            for q in q_list:
+                for i, n, (x,) in _draws(rng, samples, n_max):
+                    res = check_wu_estimate(x, family, q)
+                    failures += not res["ok"]
+                    if res["ratio"] > worst:
+                        worst, where = res["ratio"], {"family": f, "q": q, "i": i, "n": n}
+        assert run_wu_suite(seed, samples, families, q_list, n_max) == {
+            "suite": "wu", "seed": seed, "samples": samples, "families": 2,
+            "failures": failures, "worst_ratio_without_16": worst, "worst_case": where}
+
+
+def test_suite_memory_is_flat_in_samples():
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            run_master_suite(7, samples, q_list=(2.0,))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak(8 * SUITE_CHUNK) < 1.5 * peak(SUITE_CHUNK)
+
+
+def test_master_suite_rejects_small_q():
+    with pytest.raises(ValidationError, match="q must be >= 1"):
+        run_master_suite(7, samples=3, q_list=(2.0, 0.5))
+
+
+@pytest.mark.parametrize("seed", [None, 1.5])
+def test_suite_rejects_a_seed_that_is_no_whole_number(seed):
+    with pytest.raises(ValidationError, match="a suite needs a whole-number seed >= 0"):
+        run_holder_suite(seed, 3, HARMONIC, CONST1)

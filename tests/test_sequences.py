@@ -21,6 +21,14 @@ KINDS = [
     ("explicit", {"terms": [1.0, 1.5, 4.0]}),
 ]
 
+INVERSE_FAMILIES = {
+    "power": SchrammFamily.power(2.0, HARMONIC),
+    "expm1": SchrammFamily("scaled", base=ConvexBase("expm1"),
+                           weights=WeightSequence("log", k_max=KM)),
+    "explicit": SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)],
+                              k_max=KM),
+}
+
 
 @pytest.fixture(scope="module")
 def harmonic():
@@ -285,6 +293,38 @@ class TestSchrammFamily:
         with pytest.raises(ValidationError):
             fam.partial_inverse_many([1, 2, 3], -1.0)
         assert fam.partial_inverse_many([1, 2, 3], 0.0).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("kind", sorted(INVERSE_FAMILIES))
+    def test_array_targets_equal_scalar_calls(self, kind):
+        fam = INVERSE_FAMILIES[kind]
+        rng = np.random.default_rng(11)
+        ks = rng.integers(1, KM + 1, size=50)
+        ys = np.concatenate([[0.0], rng.uniform(0.0, 10.0, size=49)])
+        got = fam.partial_inverse_many(ks, ys)
+        want = [fam.partial_inverse_many([k], y)[0] for k, y in zip(ks, ys.tolist())]
+        assert got.tobytes() == np.array(want).tobytes()
+        # a column of targets against a row of k: one row per target
+        grid = fam.partial_inverse_many(ks[:7], ys[:5, None])
+        rows = [fam.partial_inverse_many(ks[:7], y) for y in ys[:5].tolist()]
+        assert grid.shape == (5, 7) and grid.tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("kind, one, seven_and_a_half", [
+        ("power", ["0x1.0000000000000p+0", "0x1.a20bd700c2c3ep-1", "0x1.52d52b1dd5f45p-1",
+                   "0x1.c1998708ce9d4p-2", "0x1.57570c60e9c88p-2"],
+         ["0x1.02e48b145ef8dp+1", "0x1.b36492718f3b8p+0"]),
+        ("expm1", ["0x1.c944a8cf09c9bp-1", "0x1.2e53bbd92167bp-1", "0x1.5ca96cf69baeep-2",
+                   "0x1.4d249b9a81b98p-4", "0x1.c3a5f04a1dbb7p-6"],
+         ["0x1.afb7a776109aep+0", "0x1.3b85b138543bdp+0"]),
+        ("explicit", ["0x1.fffffffc00000p-1", "0x1.6187474000000p-1", "0x1.0008288800000p-1",
+                      "0x1.18a4c92400000p-3", "0x1.694d9f3800000p-6"],
+         ["0x1.f36c5e7800000p+0", "0x1.5629fe5800000p+0"]),
+    ])
+    def test_scalar_target_values_pinned(self, kind, one, seven_and_a_half):
+        # the scalar-target reads of the criteria and the counterexample
+        # planner, as computed before array targets existed
+        fam = INVERSE_FAMILIES[kind]
+        assert [v.hex() for v in fam.partial_inverse_many([1, 2, 5, 100, KM], 1.0)] == one
+        assert [v.hex() for v in fam.partial_inverse_many([3, 7], 7.5)] == seven_and_a_half
 
     @pytest.mark.parametrize("y", [0.3, 1.0, 7.5])
     def test_vectorized_bisection(self, y):
