@@ -25,9 +25,9 @@ import os
 import sys
 
 from . import __version__
-from .counterexample import (build_witness, certify_blowup,
-                             certify_membership, plan_construction,
-                             witness_resolution)
+from .counterexample import (PAPER_BASES, build_witness, certify_blowup,
+                             certify_membership, level_constants,
+                             plan_construction, witness_resolution)
 from .criteria import (criterion_corollary_q, criterion_lambda_gamma,
                        criterion_phi_lambda, criterion_schramm,
                        criterion_union_p)
@@ -35,7 +35,8 @@ from .errors import (GbvError, HypothesisError, InfeasibleError, ResolutionError
                      ValidationError)
 from .inequalities import (run_comparison_suite, run_holder_suite,
                            run_master_suite, run_wu_suite)
-from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
+from .sequences import (WEIGHT_KINDS, WEIGHT_PARAMS, ConvexBase, GaugePair,
+                        SchrammFamily, WeightSequence)
 from .stepfn import ingest
 from .variation import (ORACLE_CAP_DEFAULT, modulus_of_variation, schramm_norm,
                         variation_gauged, variation_schramm,
@@ -43,8 +44,9 @@ from .variation import (ORACLE_CAP_DEFAULT, modulus_of_variation, schramm_norm,
 
 
 def parse_weights(spec, k_max=None):
-    """Weight-sequence spec: 'harmonic', 'constant[:v]', 'power:alpha',
-    'log', 'explicit:a,b,c', inline JSON, or a path to a JSON config."""
+    """Weight-sequence spec: 'kind' or 'kind:arg' (the one parameter
+    ``WEIGHT_PARAMS`` names for the kind: 'constant:v', 'power:alpha',
+    'explicit:a,b,c'), inline JSON, or a path to a JSON config."""
     if spec.lstrip().startswith("{"):
         cfg = json.loads(spec)
     elif spec.endswith(".json"):
@@ -53,12 +55,12 @@ def parse_weights(spec, k_max=None):
     else:
         head, _, arg = spec.partition(":")
         cfg = {"kind": head}
-        if head == "constant" and arg:
-            cfg["value"] = float(arg)
-        elif head == "power":
-            cfg["alpha"] = float(arg)
-        elif head == "explicit":
-            cfg["terms"] = [float(t) for t in arg.split(",")]
+        key = WEIGHT_PARAMS.get(head)
+        if arg and key is not None:
+            cfg[key] = [float(t) for t in arg.split(",")] if key == "terms" else float(arg)
+        elif arg and head in WEIGHT_KINDS:
+            raise ValidationError(f"weight spec {spec!r}: a {head} weight sequence "
+                                  f"takes no argument")
     if k_max is not None and isinstance(cfg, dict):
         cfg.setdefault("k_max", k_max)
     return WeightSequence.from_config(cfg)
@@ -81,21 +83,25 @@ def parse_family(spec, k_max=None):
     return SchrammFamily.from_config(cfg)
 
 
+#: per ladder (qn, delta), the GaugePair.build parameter each kind reads from
+#: 'kind:arg', or None for a kind that reads none
+_LADDER_PARAMS = ({"const": "q", "to": "q", "list": "qn_list", "linear": None},
+                  {"list": "delta_list", "pow2": None})
+
+
 def parse_gauge(qn_spec, delta_spec, n_max):
-    def split(spec):
-        head, _, arg = spec.partition(":")
-        return head, arg
-    qn_kind, qn_arg = split(qn_spec)
-    d_kind, d_arg = split(delta_spec)
     # a count below 1 builds one level, so that GaugePair.levels rejects it
     kw = {"n_max": max(n_max, 1)}
-    if qn_kind in ("const", "to"):
-        kw["q"] = float(qn_arg)
-    elif qn_kind == "list":
-        kw["qn_list"] = [float(v) for v in qn_arg.split(",")]
-    if d_kind == "list":
-        kw["delta_list"] = [float(v) for v in d_arg.split(",")]
-    return GaugePair.build(qn_kind, d_kind, **kw)
+    kinds = []
+    for spec, params in zip((qn_spec, delta_spec), _LADDER_PARAMS):
+        head, _, arg = spec.partition(":")
+        key = params.get(head)
+        if arg and key is not None:
+            kw[key] = float(arg) if key == "q" else [float(v) for v in arg.split(",")]
+        elif arg and head in params:
+            raise ValidationError(f"gauge spec {spec!r}: a {head} ladder takes no argument")
+        kinds.append(head)
+    return GaugePair.build(*kinds, **kw)
 
 
 def _write_report(args, payload):
@@ -175,20 +181,10 @@ def cmd_criterion(args):
     return 0
 
 
-def _geom(name, base, n, coef=1.0):
-    """The constants ``name_i = coef * base^i`` of the levels ``i = 1..n``;
-    when one is past the largest float, so is the last."""
-    try:
-        return [coef * base ** i for i in range(1, n + 1)]
-    except OverflowError:
-        raise ValidationError(f"{name}_{n}: {base!r}^{n} is past the largest float") from None
-
-
 def cmd_counterexample(args):
     gauge = parse_gauge(args.qn, args.delta, args.levels)
-    kw = {"eps": _geom("eps", args.eps_base, args.levels),
-          "sep": _geom("sep", args.sep_base, args.levels, coef=4.0),
-          "blow": _geom("blow", args.blow_base, args.levels)}
+    kw = {name: level_constants(name, getattr(args, f"{name}_base"), args.levels, coef)
+          for name, (_, coef) in PAPER_BASES.items()}
     if args.kind == "lambda":
         spec = plan_construction(
             "lambda", gauge, args.levels,
@@ -199,10 +195,10 @@ def cmd_counterexample(args):
                                  family=parse_family(args.family, args.kmax),
                                  **kw)
     payload = {"spec": spec.to_json_dict()}
-    if args.build or args.certify:
+    if args.build or args.certify or args.witness_out:
         f = build_witness(spec)
         m = payload["m"] = f.m
-        if args.build and args.witness_out:
+        if args.witness_out:
             f.write(args.witness_out)
     else:  # a plan needs no grid: one past the cap only names the summary's m
         try:
@@ -309,12 +305,9 @@ def build_parser():
     p.add_argument("--qn", default="const:1")
     p.add_argument("--delta", default="pow2")
     p.add_argument("--levels", type=int, default=3)
-    p.add_argument("--eps-base", type=float, default=0.5,
-                   help="eps_n = eps_base^n")
-    p.add_argument("--sep-base", type=float, default=2.0,
-                   help="sep_n = 4 * sep_base^n")
-    p.add_argument("--blow-base", type=float, default=16.0,
-                   help="blow_n = blow_base^n")
+    for name, (base, coef) in PAPER_BASES.items():
+        p.add_argument(f"--{name}-base", type=float, default=base,
+                       help=f"{name}_n = {coef:g} * {name}_base^n")
     p.add_argument("--build", action="store_true")
     p.add_argument("--certify", action="store_true")
     p.add_argument("--witness-out")

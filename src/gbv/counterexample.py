@@ -21,7 +21,7 @@ from .criteria import kernel_parts
 from .errors import (HorizonError, HypothesisError, InfeasibleError,
                      InternalConsistencyError, ResolutionError, ValidationError)
 from .sequences import GaugePair, SchrammFamily, WeightSequence
-from .stepfn import StepFunction, generate_block
+from .stepfn import StepFunction, generate_block, plateau_edges
 from .variation import ORACLE_CAP_DEFAULT, variation_gauged, variation_schramm
 
 GRID_CAP = 1 << 22
@@ -29,23 +29,29 @@ GRID_CAP = 1 << 22
 _log = logging.getLogger("gbv")
 
 
-#: the canonical constants of level n as powers 2^(a n + b), by (a, b)
-_PAPER_EXPONENTS = {"eps": (-1, 0), "sep": (1, 2), "blow": (4, 0)}
+#: the paper's constants name_n = coef * base^n, as (base, coef): eps_n = 2^-n,
+#: sep_n = 2^{n+2} and blow_n = 2^{4n}
+PAPER_BASES = {"eps": (0.5, 1.0), "sep": (2.0, 4.0), "blow": (16.0, 1.0)}
 
 
-def _paper_constant(name, n_levels):
-    """The canonical ``name_1..name_{n_levels}``; a :class:`ValidationError`
-    that names the last when it is past the largest float."""
-    a, b = _PAPER_EXPONENTS[name]
-    if a * n_levels + b > 1023:
-        raise ValidationError(
-            f"{name}_{n_levels}: 2^{a * n_levels + b} is past the largest float")
-    return np.ldexp(1.0, a * np.arange(1, n_levels + 1) + b)
+def level_constants(name, base, n, coef=1.0):
+    """The constants ``name_i = coef * base^i`` of the levels ``i = 1..n``,
+    as a list; a :class:`ValidationError` when a finite base puts one past
+    the largest float, which it then names as the last. A base that is not
+    finite and positive is left to :func:`plan_construction` to reject."""
+    try:
+        values = [coef * base ** i for i in range(1, n + 1)]
+    except OverflowError:  # base^i itself past the largest float
+        values = [math.inf]
+    if values and math.isfinite(base) and not math.isfinite(values[-1]):
+        raise ValidationError(f"{name}_{n}: {coef!r} * {base!r}^{n} is past the largest float")
+    return values
 
 
 def paper_constants(n_levels):
     """The canonical constants: eps 2^-n, separation 2^{n+2}, blow-up 2^{4n}."""
-    return tuple(_paper_constant(name, n_levels) for name in _PAPER_EXPONENTS)
+    return tuple(np.array(level_constants(name, base, n_levels, coef))
+                 for name, (base, coef) in PAPER_BASES.items())
 
 
 @dataclass(frozen=True)
@@ -136,8 +142,6 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     if kind == "lambda":
         if w_lambda is None or w_gamma is None:
             raise ValidationError("lambda construction needs both weight sequences")
-        if not 1 <= p < math.inf:
-            raise ValidationError(f"lambda construction needs 1 <= p < inf (p={p})")
         family = SchrammFamily.power(p, w_lambda)
     elif family is None:
         raise ValidationError("schramm construction needs a family")
@@ -149,8 +153,10 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     # a default is built only for a constant that was not given
     constants = {"eps": eps, "sep": sep, "blow": blow}
     for name, values in constants.items():
-        values = constants[name] = np.asarray(
-            _paper_constant(name, n_levels) if values is None else values, dtype=float)
+        if values is None:
+            base, coef = PAPER_BASES[name]
+            values = level_constants(name, base, n_levels, coef)
+        values = constants[name] = np.asarray(values, dtype=float)
         if values.ndim != 1 or len(values) < n_levels:
             raise ValidationError(f"{name} needs one value for each of {n_levels} levels")
         for n, value in enumerate(values[:n_levels].tolist(), 1):
@@ -293,13 +299,8 @@ def certify_blowup(spec, f):
     m, gamma = f.m, spec.w_gamma
     rows = []
     for lv in spec.levels:
-        if m % (1 << lv.n) != 0 or m % lv.delta_n != 0:
-            raise ResolutionError(f"witness grid m={m} misaligned at level {lv.n}")
-        base = m >> lv.n
-        step = m // lv.delta_n
         count = 2 * lv.t_n - 1
-        idx = base + step * np.arange(count + 1)
-        incs = np.abs(np.diff(f.values[idx]))
+        incs = np.abs(np.diff(f.values[plateau_edges(lv.n, lv.t_n, lv.delta_n, m)]))
         if np.any(np.abs(incs - lv.height) > 1e-9 * max(1.0, lv.height)):
             raise InternalConsistencyError(
                 f"level {lv.n}: designated increments differ from the "

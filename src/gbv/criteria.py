@@ -239,8 +239,8 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
     Requires ``1 <= p <= q_1``; with ``second_part`` the alternative
     hypothesis that Gamma(n)/Lambda(n) is nondecreasing is checked instead.
     """
-    if not 1 <= p < math.inf:
-        raise ValidationError("p must be >= 1")
+    # the family checks 1 <= p < inf before the rungs are read
+    family = SchrammFamily.power(p, w_lambda)
     levels = gauge.levels(n_cap)
     max_delta = int(levels[-1][1])
     if p > levels[0][0] + 1e-12:
@@ -253,7 +253,7 @@ def criterion_lambda_gamma(w_lambda: WeightSequence, w_gamma: WeightSequence,
         raise HorizonError(
             f"delta_{n_cap}={max_delta} exceeds the weight-sequence horizon")
 
-    return _scan(levels, w_gamma, SchrammFamily.power(p, w_lambda))
+    return _scan(levels, w_gamma, family)
 
 
 def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,

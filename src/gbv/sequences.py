@@ -41,7 +41,9 @@ BISECT_CHUNK = 1 << 16
 #: prefix sums are a running sum up to this k and a closed form past it
 PREFIX_ANCHOR = 4096
 
-_WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
+WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
+#: the one parameter each weight kind reads; the other kinds read none
+WEIGHT_PARAMS = {"constant": "value", "power": "alpha", "explicit": "terms"}
 
 
 def _check_real(name, x):
@@ -108,18 +110,20 @@ class WeightSequence:
     ``explicit`` lists this cannot be checked and is the caller's
     assumption.
 
-    ``value`` (1.0 when not given) belongs to ``constant``, ``alpha`` to
-    ``power`` and ``terms`` to ``explicit``; any other kind given one of
-    them raises ``ValidationError``.
+    ``WEIGHT_PARAMS`` names the one parameter each kind reads: ``value``
+    (1.0 when not given) for ``constant``, ``alpha`` for ``power`` and
+    ``terms`` for ``explicit``; a kind given a parameter it does not read
+    raises ``ValidationError``. A ``constant`` sequence keeps ``terms =
+    (value,)``, so it reads its weights and prefix sums as the one-term
+    ``explicit`` list does.
     """
 
     def __init__(self, kind, *, alpha=None, value=None, terms=None,
                  k_max=DEFAULT_K_MAX):
-        if kind not in _WEIGHT_KINDS:
+        if kind not in WEIGHT_KINDS:
             raise ValidationError(f"unknown weight sequence kind {kind!r}")
-        for key, arg, owner in (("value", value, "constant"), ("alpha", alpha, "power"),
-                                ("terms", terms, "explicit")):
-            if arg is not None and kind != owner:
+        for key, arg in (("value", value), ("alpha", alpha), ("terms", terms)):
+            if arg is not None and WEIGHT_PARAMS.get(kind) != key:
                 raise ValidationError(f"a {kind} weight sequence takes no {key}")
         self.k_max = _check_k_max(k_max)
         self.kind = kind
@@ -128,8 +132,10 @@ class WeightSequence:
         self.terms = None
         # the built-in formulas are positive and nondecreasing; only the
         # parameters and an explicit list can break that
-        if kind == "constant" and not 0 < _check_real("value", self.value) < math.inf:
-            raise ValidationError("constant weight must be positive")
+        if kind == "constant":
+            if not 0 < _check_real("value", self.value) < math.inf:
+                raise ValidationError("constant weight must be positive")
+            self.terms = (float(self.value),)
         if kind == "power" and (alpha is None or not 0 < _check_real("alpha", alpha) <= 1):
             raise ValidationError("power kind needs 0 < alpha <= 1")
         if kind == "explicit":
@@ -148,9 +154,7 @@ class WeightSequence:
 
     def _formula(self, n):
         """``lam_1..lam_n`` from the kind's formula."""
-        if self.kind == "constant":
-            return np.full(n, float(self.value))
-        if self.kind == "explicit":
+        if self.terms is not None:
             lam = np.full(n, self.terms[-1])
             head = min(len(self.terms), n)
             lam[:head] = self.terms[:head]
@@ -173,8 +177,8 @@ class WeightSequence:
         """``L(k) - L(anchor)`` in closed form at an int array ``ks >= 1``;
         meaningful where ``k > anchor``."""
         n = self.anchor
-        if self.kind in ("constant", "explicit"):
-            return (ks - n) / (self.value if self.kind == "constant" else self.terms[-1])
+        if self.terms is not None:
+            return (ks - n) / self.terms[-1]
         k, n = ks.astype(float), float(n)
         x = np.log(k / n)  # k / n is exact where it matters: n = PREFIX_ANCHOR
         # Euler-Maclaurin: sum_{n<j<=k} f(j) = int_n^k f + e(k) - e(n) with
@@ -270,12 +274,10 @@ class WeightSequence:
 
     def to_config(self):
         cfg = {"kind": self.kind, "k_max": self.k_max}
-        if self.kind == "power":
-            cfg["alpha"] = self.alpha
-        elif self.kind == "constant":
-            cfg["value"] = self.value
-        elif self.kind == "explicit":
-            cfg["terms"] = list(self.terms)
+        key = WEIGHT_PARAMS.get(self.kind)
+        if key is not None:
+            arg = getattr(self, key)
+            cfg[key] = list(arg) if key == "terms" else arg
         return cfg
 
     @classmethod
@@ -299,8 +301,9 @@ class ConvexBase:
 
     def __init__(self, shape, p=None):
         if shape == "power":
+            # the one check of the exponent range of Lambda BV^(p)
             if p is None or not 1 <= _check_real("p", p) < math.inf:
-                raise ValidationError("power base needs p >= 1")
+                raise ValidationError(f"p must be in [1, inf) (p={p})")
             self.p = float(p)
         elif shape != "expm1":
             raise ValidationError(f"unknown convex base shape {shape!r}")
@@ -389,9 +392,7 @@ class SchrammFamily:
                 self._sum = lambda xs, lams: sum([math.expm1(x) / lam
                                                   for x, lam in zip(xs, lams)])
                 self.surrogate = self.base
-            if weights.kind == "constant" or (
-                    weights.kind == "explicit"
-                    and len(set(weights.terms[:weights.k_max])) == 1):
+            if weights.terms is not None and len(set(weights.terms[:weights.k_max])) == 1:
                 base, c = self.surrogate, 1.0 / weights.weights(1).item()
                 self.rank_free = lambda x: c * base(x)
         elif kind == "explicit":

@@ -70,6 +70,8 @@ def ingest(path, fmt="csv"):
                 doc = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"cannot parse {path}: {exc}") from exc
+        if not isinstance(doc, dict) or not isinstance(doc.get("values", []), list):
+            raise ValidationError(f"JSON input {path} must be an object whose 'values' is a list")
         values = doc.get("values")
         if values is None:
             raise ValidationError("JSON input needs a 'values' field")
@@ -80,13 +82,29 @@ def ingest(path, fmt="csv"):
     return StepFunction(values)
 
 
+def plateau_edges(n, t_n, delta_n, m):
+    """The ``2 t_n`` grid indices ``m (2^-n + i/delta_n)``, ``i = 0..2 t_n - 1``,
+    of level n's plateau train: plateau j (1-based) opens at edge ``2j - 2``
+    and closes at edge ``2j - 1``. A :class:`ResolutionError` when the grid
+    ``m`` is not divisible by ``2^n`` and by ``delta_n``, or the train runs
+    past 1."""
+    if m % (1 << n) != 0 or m % delta_n != 0:
+        raise ResolutionError(
+            f"grid m={m} cannot represent level n={n} plateaus with delta={delta_n}")
+    edges = (m >> n) + (m // delta_n) * np.arange(2 * t_n)
+    if edges.max(initial=0) > m:
+        raise ResolutionError(
+            f"plateaus exceed [0, 1] at level n={n} (t_n={t_n}, delta={delta_n})")
+    return edges
+
+
 def generate_block(n, height, t_n, delta_n, m):
     """A train of ``t_n`` plateaus of the given height at level ``n``.
 
     Plateau j (1-based) covers the half-open interval
-    ``[2^-n + (2j-2)/delta_n, 2^-n + (2j-1)/delta_n)``; the value at the
-    closing grid point is 0, so the increment across the closing edge is
-    exact. ``m`` must be divisible by ``2^n`` and by ``delta_n``.
+    ``[2^-n + (2j-2)/delta_n, 2^-n + (2j-1)/delta_n)`` between two of
+    :func:`plateau_edges`; the value at the closing grid point is 0, so the
+    increment across the closing edge is exact.
     """
     if t_n < 0 or n < 1 or m < 1:
         raise ValidationError("need n >= 1, t_n >= 0, m >= 1")
@@ -96,18 +114,8 @@ def generate_block(n, height, t_n, delta_n, m):
     values = np.zeros(m + 1)
     if t_n == 0 or height == 0:
         return StepFunction(values)
-    if m % (1 << n) != 0 or m % delta_n != 0:
-        raise ResolutionError(
-            f"grid m={m} cannot represent level n={n} plateaus with delta={delta_n}")
-    base = m >> n
-    step = m // delta_n
-    last = base + (2 * t_n - 1) * step
-    if last > m:
-        raise ResolutionError(
-            f"plateaus exceed [0, 1] at level n={n} (t_n={t_n}, delta={delta_n})")
-    for j in range(1, t_n + 1):
-        start = base + (2 * j - 2) * step
-        end = base + (2 * j - 1) * step
+    edges = plateau_edges(n, t_n, delta_n, m)
+    for start, end in zip(edges[::2], edges[1::2]):
         values[start:end] = height
     return StepFunction(values)
 

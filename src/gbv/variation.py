@@ -654,8 +654,6 @@ def variation_weighted(f: StepFunction, weights: WeightSequence, p: float = 1.0,
     """Waterman-Shiba variation ``sup (sum |f(I_j)|^p / lam_j)^(1/p)`` with
     increments matched to weights in descending order: the p-th root of the
     Schramm variation of ``SchrammFamily.power(p, weights)``."""
-    if not 1 <= p < math.inf:
-        raise ValidationError("p must be >= 1")
     return _rank_solve(f, [(SchrammFamily.power(p, weights), 1, p)], oracle_cap)[0]
 
 

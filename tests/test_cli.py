@@ -4,8 +4,9 @@ import warnings
 import pytest
 
 import gbv.cli
-from gbv import InternalConsistencyError
+from gbv import InternalConsistencyError, ingest
 from gbv.cli import main, parse_family, parse_gauge, parse_weights
+from gbv.sequences import WEIGHT_PARAMS
 
 
 @pytest.fixture()
@@ -29,6 +30,13 @@ class TestParsing:
         assert w.terms == (1.0, 2.0, 3.0)
         w = parse_weights('{"kind": "harmonic", "k_max": 32}')
         assert w.k_max == 32
+
+    @pytest.mark.parametrize("kind, arg, value", [
+        ("constant", "2", 2.0), ("power", "0.5", 0.5), ("explicit", "1,1.5,4", [1.0, 1.5, 4.0])])
+    def test_weight_spec_spelling_round_trips(self, kind, arg, value):
+        cfg = {"kind": kind, "k_max": 64, WEIGHT_PARAMS[kind]: value}
+        assert parse_weights(f"{kind}:{arg}", 64).to_config() == cfg
+        assert parse_weights(json.dumps(cfg)).to_config() == cfg
 
     def test_weight_spec_from_file(self, tmp_path):
         path = tmp_path / "w.json"
@@ -113,7 +121,7 @@ class TestVariationCommand:
     @pytest.mark.parametrize("argv, message", [
         (["--functional", "q", "--q", "inf"], "q must be >= 1"),
         (["--functional", "q", "--q", "nan"], "q must be >= 1"),
-        (["--functional", "lambda", "--p", "nan"], "p must be >= 1"),
+        (["--functional", "lambda", "--p", "nan"], "p must be in [1, inf) (p=nan)"),
         (["--functional", "lambda", "--weights", "constant:inf"],
          "constant weight must be positive"),
         (["--functional", "schramm", "--family", '{"kind": "explicit", "terms": [[1e400, 2]]}'],
@@ -178,7 +186,7 @@ class TestCriterionCommand:
         code = run(["criterion", "--theorem", "1.4", "--p", "nan", "--kmax", "1024",
                     "--output", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == "error: p must be >= 1\n"
+        assert capsys.readouterr().err == "error: p must be in [1, inf) (p=nan)\n"
         assert not out.exists()
 
     def test_hypothesis_error_exits_two(self, tmp_path):
@@ -249,7 +257,7 @@ class TestCounterexampleCommand:
         assert doc["m"] == rep["m"]
 
     def test_certify_without_build(self, tmp_path):
-        # --certify builds the witness it checks, but only --build writes it
+        # --certify builds the witness it checks, and --witness-out writes it
         out = tmp_path / "rep.json"
         witness = tmp_path / "w.json"
         code = run(self.ARGS + ["--certify", "--witness-out", str(witness),
@@ -258,7 +266,16 @@ class TestCounterexampleCommand:
         rep = json.loads(out.read_text())["result"]
         assert rep["m"] == 1024
         assert list(rep) == ["spec", "m", "membership", "blowup"]
-        assert not witness.exists()
+        assert ingest(str(witness), "json").m == rep["m"]
+
+    def test_witness_out_alone_builds_the_witness(self, tmp_path):
+        out = tmp_path / "rep.json"
+        witness = tmp_path / "w.json"
+        assert run(self.ARGS + ["--witness-out", str(witness), "--output", str(out)]) == 0
+        rep = json.loads(out.read_text())["result"]
+        assert list(rep) == ["spec", "m"]
+        f = ingest(str(witness), "json")
+        assert f.m == rep["m"] == 1024 and f.values.max() > 0
 
     def test_plan_only_summary(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -363,9 +380,9 @@ BAD_INPUTS = {
     "sep-nan": (COUNTEREXAMPLE + ["--sep-base", "nan"], "sep_1=nan must be finite and > 0"),
     "sep-neg": (COUNTEREXAMPLE + ["--sep-base", "-1"], "sep_1=-4.0 must be finite and > 0"),
     "blow-neg": (COUNTEREXAMPLE + ["--blow-base", "-1"], "blow_1=-1.0 must be finite and > 0"),
-    "p-neg": (COUNTEREXAMPLE + ["--p", "-1"], "lambda construction needs 1 <= p < inf (p=-1.0)"),
-    "p-inf": (COUNTEREXAMPLE + ["--p", "inf"], "lambda construction needs 1 <= p < inf (p=inf)"),
-    "p-nan": (COUNTEREXAMPLE + ["--p", "nan"], "lambda construction needs 1 <= p < inf (p=nan)"),
+    "p-neg": (COUNTEREXAMPLE + ["--p", "-1"], "p must be in [1, inf) (p=-1.0)"),
+    "p-inf": (COUNTEREXAMPLE + ["--p", "inf"], "p must be in [1, inf) (p=inf)"),
+    "p-nan": (COUNTEREXAMPLE + ["--p", "nan"], "p must be in [1, inf) (p=nan)"),
     "holder-q-neg": (["inequality", "--suite", "holder", "--samples", "5", "--seed", "1",
                       "--q", "-1"], "this branch needs 1 <= q_n < p < inf (q_n=-1.0, p=2.0)"),
     "holder-p-inf": (["inequality", "--suite", "holder", "--samples", "5", "--seed", "1",
@@ -378,20 +395,41 @@ BAD_INPUTS = {
     "fa-nan": (NORM + ["--fa", "nan"], "f_a=nan must be finite"),
     "fa-inf": (NORM + ["--fa", "inf"], "f_a=inf must be finite"),
     "levels-past-float": (["counterexample", "--kind", "lambda", "--levels", "256"],
-                          "blow_256: 16.0^256 is past the largest float"),
+                          "blow_256: 1.0 * 16.0^256 is past the largest float"),
+    "sep-past-float": (["counterexample", "--kind", "lambda", "--levels", "1022"],
+                       "sep_1022: 4.0 * 2.0^1022 is past the largest float"),
+    # an argument on a spec kind that reads none
+    **{f"weights-{spec}": (["variation", "--functional", "lambda", "--weights", spec],
+                           f"weight spec {spec!r}: a {spec.split(':')[0]} weight sequence "
+                           f"takes no argument") for spec in ("harmonic:3", "log:junk")},
+    "qn-linear-arg": (["criterion", "--theorem", "1.4", "--qn", "linear:7"],
+                      "gauge spec 'linear:7': a linear ladder takes no argument"),
+    "delta-pow2-arg": (["criterion", "--theorem", "1.4", "--delta", "pow2:9"],
+                       "gauge spec 'pow2:9': a pow2 ladder takes no argument"),
+    # an empty argument meets its owner's check
+    "weights-power-empty": (["variation", "--functional", "lambda", "--weights", "power:"],
+                            "power kind needs 0 < alpha <= 1"),
+    "weights-explicit-empty": (["variation", "--functional", "lambda", "--weights",
+                                "explicit:"], "explicit kind needs a nonempty list"),
+    # JSON input of the wrong shape; the file's text follows the message
+    "json-list": (["variation", "--format", "json", "--functional", "modulus"],
+                  "JSON input {path} must be an object whose 'values' is a list", "[0, 1, 0, 2]"),
+    "json-values-int": (["variation", "--format", "json", "--functional", "modulus"],
+                        "JSON input {path} must be an object whose 'values' is a list",
+                        '{"m": 3, "values": 5}'),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exits_one(case, tmp_path, capsys):
-    argv, message = BAD_INPUTS[case]
+    argv, message, *text = BAD_INPUTS[case]
     path = tmp_path / "f.csv"
-    path.write_text("0\n1\n0.5\n2\n1\n")
+    path.write_text(text[0] if text else "0\n1\n0.5\n2\n1\n")
     out = tmp_path / "rep.json"
-    if argv[0] == "norm":
+    if argv[0] in ("norm", "variation"):
         argv = argv + ["--input", str(path)]
     assert run(argv + ["--output", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.replace('{path}', str(path))}\n"
     assert not out.exists()
 
 

@@ -81,11 +81,11 @@ BAD_CALLS = {
     "plan-no-family": (lambda tmp: plan_construction("schramm", GAUGE, 2), ValidationError,
                        "schramm construction needs a family"),
     "blowup-misaligned": (lambda tmp: _misaligned_blowup(), ResolutionError,
-                          "witness grid m=63 misaligned at level 1"),
+                          "grid m=63 cannot represent level n=1 plateaus with delta=64"),
     "plan-default-past-float": (lambda tmp: plan_construction(
         "lambda", GaugePair.build("const", "pow2", n_max=256, q=1.0), 256, w_lambda=HARMONIC,
         w_gamma=HARMONIC, eps=[0.5] * 256, sep=[8.0] * 256), ValidationError,
-        "blow_256: 2^1024 is past the largest float"),
+        "blow_256: 1.0 * 16.0^256 is past the largest float"),
     "triple-empty": (lambda tmp: TripleSample([], [1.0], [1.0], 1.0), ValidationError,
                      "x must be a nonempty vector"),
     "holder-empty-x": (lambda tmp: check_holder_branch([], HARMONIC, HARMONIC, 2.0, 1.0),

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
                  criterion_lambda_gamma, criterion_phi_lambda, criterion_schramm,
                  criterion_union_p, plan_construction, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
-from gbv.sequences import BISECT_X_TOL, INVERSE_TOL, PREFIX_ANCHOR
+from gbv.sequences import (BISECT_X_TOL, INVERSE_TOL, PREFIX_ANCHOR, WEIGHT_KINDS,
+                           WEIGHT_PARAMS)
 
 KM = 4096
 HARMONIC = WeightSequence("harmonic", k_max=KM)
@@ -172,6 +174,52 @@ class TestPrefixSums:
         pref = w.prefix_sums(8000)
         assert pref[4999] == np.cumsum(1.0 / np.array(terms))[-1]
         assert pref[-1] == pref[4999] + 3000 / 2.0
+
+
+class TestConstantIsOneTermExplicit:
+    """A constant sequence reads its weights as the one-term explicit list."""
+
+    KS = np.array([1, 2, PREFIX_ANCHOR - 1, PREFIX_ANCHOR, PREFIX_ANCHOR + 1, 9999, 1 << 16])
+
+    @pytest.mark.parametrize("v", [1, 3, 0.7, 2.5e-3])
+    def test_weights_and_prefix_sums_are_bit_identical(self, v):
+        const = WeightSequence("constant", value=v, k_max=1 << 16)
+        expl = WeightSequence("explicit", terms=[v], k_max=1 << 16)
+        assert const.anchor == expl.anchor == PREFIX_ANCHOR
+        for k in (1, PREFIX_ANCHOR, PREFIX_ANCHOR + 1, 1 << 16):
+            assert np.array_equal(const.weights(k), expl.weights(k))
+            assert np.array_equal(const.prefix_sums(k), expl.prefix_sums(k))
+        assert np.array_equal(const.prefix_sums_at(self.KS), expl.prefix_sums_at(self.KS))
+        assert [const.prefix_sum(int(k)) for k in self.KS] == \
+            [expl.prefix_sum(int(k)) for k in self.KS]
+
+    @pytest.mark.parametrize("v", [1, 3, 0.7])
+    def test_rank_free_variations_agree(self, v):
+        const = WeightSequence("constant", value=v, k_max=KM)
+        expl = WeightSequence("explicit", terms=[v], k_max=KM)
+        for w in (const, expl):
+            assert SchrammFamily.power(2.0, w).rank_free is not None
+        f = StepFunction([0.0, 1.0, 0.25, 2.0, -1.0, 0.5, 0.5, 3.0, 0.0])
+        gauge = GaugePair.build("linear", "pow2", n_max=4)
+        for p in (1.0, 1.5, 2.0):
+            assert (variation_weighted(f, const, p).to_json_dict()
+                    == variation_weighted(f, expl, p).to_json_dict())
+        assert (variation_gauged(f, const, gauge, 4).to_json_dict()
+                == variation_gauged(f, expl, gauge, 4).to_json_dict())
+
+
+@pytest.mark.parametrize("kind, arg", [("constant", 2), ("power", 0.5),
+                                       ("explicit", [1.0, 1.5, 4.0])])
+def test_each_weight_param_round_trips(kind, arg):
+    key = WEIGHT_PARAMS[kind]
+    cfg = {"kind": kind, "k_max": 64, key: arg}
+    w = WeightSequence.from_config(cfg)
+    assert w.to_config() == cfg and list(w.to_config()) == list(cfg)
+    assert WeightSequence.from_config(w.to_config()).to_config() == cfg
+    for other in WEIGHT_KINDS:
+        if other != kind:
+            with pytest.raises(ValidationError, match=f"^a {other} weight sequence takes no {key}$"):
+                WeightSequence.from_config({**cfg, "kind": other})
 
 
 class TestSchrammFamily:
@@ -475,13 +523,13 @@ ZIGZAG5 = StepFunction([0.0, 1.0, 0.5, 2.0, 1.0])
 @pytest.mark.parametrize("call, message", [
     (lambda: variation_unweighted_q(ZIGZAG5, math.inf), "q must be >= 1"),
     (lambda: variation_unweighted_q(ZIGZAG5, math.nan), "q must be >= 1"),
-    (lambda: variation_weighted(ZIGZAG5, HARMONIC, math.nan), "p must be >= 1"),
-    (lambda: variation_weighted(ZIGZAG5, HARMONIC, math.inf), "p must be >= 1"),
+    (lambda: variation_weighted(ZIGZAG5, HARMONIC, math.nan), "p must be in [1, inf) (p=nan)"),
+    (lambda: variation_weighted(ZIGZAG5, HARMONIC, math.inf), "p must be in [1, inf) (p=inf)"),
     (lambda: criterion_lambda_gamma(HARMONIC, WeightSequence("constant", k_max=KM), math.nan,
                                     GaugePair.build("linear", "pow2", n_max=4), 4),
-     "p must be >= 1"),
-    (lambda: ConvexBase("power", p=math.nan), "power base needs p >= 1"),
-    (lambda: ConvexBase("power", p=math.inf), "power base needs p >= 1"),
+     "p must be in [1, inf) (p=nan)"),
+    (lambda: ConvexBase("power", p=math.nan), "p must be in [1, inf) (p=nan)"),
+    (lambda: ConvexBase("power", p=math.inf), "p must be in [1, inf) (p=inf)"),
     (lambda: SchrammFamily("explicit", terms=[(math.inf, 2.0)]), "explicit terms need"),
     (lambda: SchrammFamily("explicit", terms=[(1.0, math.nan)]), "explicit terms need"),
     (lambda: SchrammFamily("explicit", terms=[(1.0, 2.0), (1.0, math.inf)]),
@@ -502,5 +550,5 @@ ZIGZAG5 = StepFunction([0.0, 1.0, 0.5, 2.0, 1.0])
 def test_non_finite_parameters_are_rejected(call, message):
     # a NaN passes every ``x < 1`` test, and an inf exponent or weight gives
     # confident wrong values
-    with pytest.raises(ValidationError, match=f"^{message}"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
         call()
