@@ -43,6 +43,14 @@ from .variation import (ORACLE_CAP_DEFAULT, modulus_of_variation, schramm_norm,
                         variation_unweighted_q, variation_weighted)
 
 
+def _number(what, spec, text):
+    """``text``, a number in the ``what`` spec ``spec``, as a float."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(f"{what} spec {spec!r}: {text!r} is not a number") from None
+
+
 def parse_weights(spec, k_max=None):
     """Weight-sequence spec: 'kind' or 'kind:arg' (the one parameter
     ``WEIGHT_PARAMS`` names for the kind: 'constant:v', 'power:alpha',
@@ -57,7 +65,8 @@ def parse_weights(spec, k_max=None):
         cfg = {"kind": head}
         key = WEIGHT_PARAMS.get(head)
         if arg and key is not None:
-            cfg[key] = [float(t) for t in arg.split(",")] if key == "terms" else float(arg)
+            cfg[key] = ([_number("weight", spec, t) for t in arg.split(",")]
+                        if key == "terms" else _number("weight", spec, arg))
         elif arg and head in WEIGHT_KINDS:
             raise ValidationError(f"weight spec {spec!r}: a {head} weight sequence "
                                   f"takes no argument")
@@ -97,7 +106,8 @@ def parse_gauge(qn_spec, delta_spec, n_max):
         head, _, arg = spec.partition(":")
         key = params.get(head)
         if arg and key is not None:
-            kw[key] = float(arg) if key == "q" else [float(v) for v in arg.split(",")]
+            kw[key] = (_number("gauge", spec, arg) if key == "q"
+                       else [_number("gauge", spec, v) for v in arg.split(",")])
         elif arg and head in params:
             raise ValidationError(f"gauge spec {spec!r}: a {head} ladder takes no argument")
         kinds.append(head)

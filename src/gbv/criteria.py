@@ -17,10 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonError, HypothesisError, ValidationError
-from .sequences import (INVERSE_TOL, ConvexBase, GaugePair, SchrammFamily,
-                        WeightSequence)
+from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
 
 SLOPE_TOL = 0.01
+#: relative width of a max's tie band: ``argmax_k`` and ``argmax_level`` name
+#: the first k and the first level within it
+TIE_BAND = 1e-9
 #: kernel evaluations one scan may spend: a scan over at most this many k is
 #: exact
 SCAN_BUDGET = 1 << 20
@@ -110,7 +112,7 @@ class _Bracket:
         record = np.concatenate([[True], v[1:] > np.maximum.accumulate(v)[:-1]])
         rk, rv = ks[record], v[record]
         self.a = rv[np.searchsorted(rk, self.tops, "right") - 1]
-        self.thr = self.a * (1.0 - INVERSE_TOL)
+        self.thr = self.a * (1.0 - TIE_BAND)
         self.kstar = rk[np.searchsorted(rv, self.thr)]
         first = np.searchsorted(self.tops, self.hi)
         last = np.searchsorted(self.thr, self.bound, "right") - 1
@@ -216,7 +218,7 @@ def _assemble(level_rows, inexact, evaluations):
     sup = max(sups)
     # the first level in the tie band of argmax_k, so that a flat kernel
     # names its first level, not a round-off winner
-    best = next(i for i, a in enumerate(sups) if a >= sup * (1.0 - INVERSE_TOL))
+    best = next(i for i, a in enumerate(sups) if a >= sup * (1.0 - TIE_BAND))
     slope = _trend(sups)
     verdict = VERDICT_DIVERGING if slope > SLOPE_TOL else VERDICT_BOUNDED
     return CriterionReport(

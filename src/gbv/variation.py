@@ -708,9 +708,12 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     homogeneous of degree d (``family.degree``: a power base, or explicit
     terms sharing one exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``, so the
     infimum is ``V_Phi(f)^(1/d)``: one variation call. Other families (the
-    ``expm1`` base, mixed exponents) find it by bracket doubling plus
-    bisection to ``NORM_REL_TOL``, since ``c -> V_Phi(f/c)`` is
-    nonincreasing. A norm past the largest float is inf.
+    ``expm1`` base, mixed exponents) find it by doubling c up to 2^1023,
+    the largest power of two, plus bisection to ``NORM_REL_TOL``, since
+    ``c -> V_Phi(f/c)`` is nonincreasing. A norm past the largest float is
+    inf; one that the doubling cannot reach otherwise (c past 2^1023
+    while the scaled-back norm may still be a float) raises
+    :class:`RangeError`.
 
     A rank-free family (constant weights, an explicit weight list of one
     value, or explicit terms that are one repeated pair) is solved by the
@@ -746,12 +749,12 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
         return variation_schramm(g.scaled(1.0 / c), family, oracle_cap).value
 
     hi = 1.0
-    for _ in range(200):
-        if var_at(hi) <= 1.0:
-            break
+    while var_at(hi) > 1.0:
+        if hi == 2.0 ** 1023:  # the largest power of two
+            if shift > 0:  # the norm is past 2^1024
+                return math.inf
+            raise RangeError(f"the norm is past 2^{1023 + shift}: doubling c stops at 2^1023")
         hi *= 2.0
-    else:
-        raise RangeError("variation never drops to 1 within the bracket cap")
     lo = hi / 2.0
     while lo > 1e-300 and var_at(lo) <= 1.0:
         hi = lo

@@ -417,6 +417,21 @@ BAD_INPUTS = {
     "json-values-int": (["variation", "--format", "json", "--functional", "modulus"],
                         "JSON input {path} must be an object whose 'values' is a list",
                         '{"m": 3, "values": 5}'),
+    # a value that is no JSON number
+    **{f"json-value-{name}": (["variation", "--format", "json", "--functional", "modulus"],
+                              f"JSON input {{path}}: values[{i}] is {read!r}, not a number",
+                              json.dumps({"values": [1] * i + [read, 2]}))
+       for name, i, read in (("bool", 0, True), ("object", 0, {}), ("string", 1, "3"),
+                             ("null", 2, None), ("list", 1, [1]))},
+    # a spec number that does not parse
+    "weights-power-abc": (["variation", "--functional", "lambda", "--weights", "power:abc"],
+                          "weight spec 'power:abc': 'abc' is not a number"),
+    "weights-explicit-gap": (["variation", "--functional", "lambda", "--weights",
+                              "explicit:1,,2"], "weight spec 'explicit:1,,2': '' is not a number"),
+    "qn-const-x": (["criterion", "--theorem", "1.4", "--qn", "const:x"],
+                   "gauge spec 'const:x': 'x' is not a number"),
+    "delta-list-x": (["criterion", "--theorem", "1.4", "--delta", "list:4,x"],
+                     "gauge spec 'list:4,x': 'x' is not a number"),
 }
 
 

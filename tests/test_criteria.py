@@ -11,8 +11,7 @@ from gbv import (ConvexBase, CriterionReport, GaugePair, HorizonError,
                  HypothesisError, SchrammFamily, ValidationError,
                  WeightSequence, criterion_corollary_q, criterion_lambda_gamma,
                  criterion_phi_lambda, criterion_schramm, criterion_union_p)
-from gbv.criteria import kernel_parts
-from gbv.sequences import INVERSE_TOL
+from gbv.criteria import TIE_BAND, kernel_parts
 
 KM = 1 << 14
 HARMONIC = WeightSequence("harmonic", k_max=KM)
@@ -50,14 +49,14 @@ def unit_weights(family):
 
 
 def dense_levels(tops, exps, parts):
-    """Per level ``(max, first k within INVERSE_TOL of it)`` of the kernel
+    """Per level ``(max, first k within TIE_BAND of it)`` of the kernel
     ``g^e h`` evaluated at every k up to the level's top."""
     g, h = parts(np.arange(1, max(tops) + 1))
     out = []
     for top, e in zip(tops, exps):
         kernel = g[:top] ** e * h[:top]
         a_n = float(kernel.max())
-        out.append((a_n, int(np.argmax(kernel >= a_n * (1.0 - INVERSE_TOL))) + 1))
+        out.append((a_n, int(np.argmax(kernel >= a_n * (1.0 - TIE_BAND))) + 1))
     return out
 
 
@@ -281,11 +280,20 @@ class TestSchramm:
 
     def test_flat_kernel_reports_first_k(self):
         # Phi_k(x) = k x^2, so k^{1/2} Phi_k^{-1}(1) = 1 for every k; the
-        # bisection's residual must not choose the argmax
+        # inverse's round-off must not choose the argmax
         fam = SchrammFamily("explicit", terms=[(1.0, 2.0)])
         rep = criterion_schramm(fam, gauge_const_q(2.0, n_max=4), 4)
         assert [lv["argmax_k"] for lv in rep.levels] == [1, 1, 1, 1]
         assert all(lv["a_n"] == pytest.approx(1.0, rel=1e-9) for lv in rep.levels)
+
+    def test_flat_kernel_with_a_tiny_root_is_bounded(self):
+        # Phi_k(x) = 1e30 k x^2, so k^{1/2} Phi_k^{-1}(1) = 1e-15 for every
+        # k; an inverse that stops at an absolute width near 1e-12 reads a
+        # rising kernel and a diverging trend
+        fam = SchrammFamily("explicit", terms=[[1e30, 2.0]])
+        rep = criterion_schramm(fam, gauge_const_q(2.0, n_max=6), 6)
+        assert rep.verdict == "bounded-up-to-horizon"
+        assert all(lv["a_n"] == pytest.approx(1e-15, rel=1e-15) for lv in rep.levels)
 
     def test_scan_past_the_budget_is_bracketed(self, monkeypatch):
         # k^{1/2} Phi_k^{-1}(1) = (2k / (k + 1))^{1/2} rises towards sqrt(2)
@@ -315,8 +323,9 @@ class TestSchramm:
         rep = criterion_schramm(fam, gauge, 1)
         assert rep.inexact_scan and rep.evaluations == 1253
         (lv,) = rep.levels
-        assert lv["a_n"] == 1.4140409603714943
-        assert lv["a_n_upper"] == 1.4161176579876575
+        # a_n is (2k / (k + 1))^{1/2} at k = 4096 to the last digit
+        assert lv["a_n"] == 1.414040960485301
+        assert lv["a_n_upper"] == 1.4161176580909107
         ks = np.unique(np.random.default_rng(5).integers(1, km + 1, size=500))
         g, h = kernel_parts(unit_weights(fam), fam)(ks)
         assert np.all(g ** 0.5 * h <= lv["a_n_upper"])
@@ -387,12 +396,10 @@ class TestBracketScan:
     @pytest.mark.parametrize("name", sorted(FAMILIES))
     def test_schramm_matches_dense(self, name):
         fam = FAMILIES[name]()
-        # the scaled families invert in closed form, the explicit ones bisect
-        rel = 1e-12 if fam.kind == "scaled" else INVERSE_TOL
         for kind, q in [("const", 2.0), *LADDERS[1:]]:
             gauge = GaugePair.build(kind, "pow2", n_max=12, q=q)
             assert_matches_dense(criterion_schramm(fam, gauge, 12), *gauge_tops(gauge),
-                                 kernel_parts(unit_weights(fam), fam), rel=rel)
+                                 kernel_parts(unit_weights(fam), fam), rel=1e-12)
 
     @pytest.mark.parametrize("lam", sorted(WEIGHTS))
     def test_corollary_matches_dense(self, lam):

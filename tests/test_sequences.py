@@ -1,17 +1,18 @@
 import math
 import re
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from gbv import (ConvexBase, GaugePair, HorizonError, RangeError,
-                 SchrammFamily, StepFunction, ValidationError, WeightSequence,
+from gbv import (ConvexBase, GaugePair, HorizonError, SchrammFamily, StepFunction,
+                 ValidationError, WeightSequence,
                  criterion_lambda_gamma, criterion_phi_lambda, criterion_schramm,
                  criterion_union_p, plan_construction, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
-from gbv.sequences import (BISECT_X_TOL, INVERSE_TOL, PREFIX_ANCHOR, WEIGHT_KINDS,
-                           WEIGHT_PARAMS)
+from gbv.sequences import PREFIX_ANCHOR, WEIGHT_KINDS, WEIGHT_PARAMS
 
 KM = 4096
 HARMONIC = WeightSequence("harmonic", k_max=KM)
@@ -23,13 +24,41 @@ KINDS = [
     ("explicit", {"terms": [1.0, 1.5, 4.0]}),
 ]
 
+EXPLICIT_TERMS = [(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)]
 INVERSE_FAMILIES = {
     "power": SchrammFamily.power(2.0, HARMONIC),
     "expm1": SchrammFamily("scaled", base=ConvexBase("expm1"),
                            weights=WeightSequence("log", k_max=KM)),
-    "explicit": SchrammFamily("explicit", terms=[(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)],
-                              k_max=KM),
+    "explicit": SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM),
 }
+
+
+def _float_at(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def reference_inverse(terms, k, y):
+    """The least float x with ``Phi_k(x) >= y`` (inf when there is none),
+    by bisection over the bit patterns of the floats in [0, inf] down to
+    one float. ``Phi_k`` is the ``math.fsum`` of ``phi_j(x) = (c^(1/e) x)^e``
+    for j <= k, the last pair counted for every j past the list, which
+    keeps ``c^(1/e) x`` in range wherever ``phi_j(x)`` is."""
+    def phi(x):
+        last = len(terms) - 1
+        try:
+            return math.fsum((c ** (1.0 / e) * x) ** e * (k - last if j == last else 1)
+                             for j, (c, e) in enumerate(terms[:k]))
+        except OverflowError:
+            return math.inf
+
+    lo, hi = 0, 0x7FF0000000000000  # the bits of 0.0 and of inf
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if phi(_float_at(mid)) >= y:
+            hi = mid
+        else:
+            lo = mid
+    return _float_at(hi)
 
 
 @pytest.fixture(scope="module")
@@ -229,11 +258,13 @@ class TestSchrammFamily:
 
     def test_quadratic_inverse_closed_form(self, harmonic):
         # Phi_4(x) = x^2 * (1 + 1/2 + 1/3 + 1/4), so the inverse of 1 is
-        # (25/12)^(-1/2); the analytic path must agree with bisection
+        # (25/12)^(-1/2); the analytic path and the Newton inverse of an
+        # explicit twin with the same phi_j = x^2 / j must agree with it
         fam = SchrammFamily.power(2.0, harmonic)
+        twin = SchrammFamily("explicit", terms=[(1.0 / j, 2.0) for j in range(1, 5)])
         expected = (25 / 12) ** -0.5
-        assert fam.partial_inverse_many([4], 1.0)[0] == pytest.approx(expected, rel=1e-12)
-        assert fam._bisect(np.array([4]), 1.0)[0] == pytest.approx(expected, rel=1e-8)
+        assert fam.partial_inverse_many([4], 1.0)[0] == pytest.approx(expected, rel=1e-15)
+        assert twin.partial_inverse_many([4], 1.0)[0] == pytest.approx(expected, rel=1e-15)
 
     def test_linear_inverse(self, harmonic):
         fam = SchrammFamily.power(1.0, harmonic)
@@ -242,13 +273,13 @@ class TestSchrammFamily:
 
     def test_round_trip_identity(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
-        # the same phi_j = x^2 / j for j <= 9 as explicit terms, which bisect
-        bisected = SchrammFamily("explicit", terms=[(1.0 / j, 2.0) for j in range(1, 10)])
+        # the same phi_j = x^2 / j for j <= 9 as explicit terms
+        twin = SchrammFamily("explicit", terms=[(1.0 / j, 2.0) for j in range(1, 10)])
         for k in (1, 3, 9):
             for x in np.linspace(0.0, 10.0, 7):
                 y = float(fam.partial_sum(k, x))
                 assert fam.partial_inverse_many([k], y)[0] == pytest.approx(x, abs=1e-9)
-                assert bisected.partial_inverse_many([k], y)[0] == pytest.approx(x, abs=1e-7)
+                assert twin.partial_inverse_many([k], y)[0] == pytest.approx(x, rel=1e-15)
 
     def test_inverse_nonincreasing_in_k(self, harmonic):
         fam = SchrammFamily.power(2.0, harmonic)
@@ -265,9 +296,13 @@ class TestSchrammFamily:
                 assert mid >= avg - 1e-9
 
     def test_explicit_family_bisection(self):
-        fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.0)], k_max=16)
+        # Newton's inverse against the reference bisection and the round trip
+        terms = [(1.0, 2.0), (0.5, 2.0)]
+        fam = SchrammFamily("explicit", terms=terms, k_max=16)
         y = float(fam.partial_sum(3, 1.5))
-        assert fam.partial_inverse_many([3], y)[0] == pytest.approx(1.5, abs=1e-7)
+        assert fam.partial_inverse_many([3], y)[0] == pytest.approx(1.5, rel=1e-15)
+        assert fam.partial_inverse_many([3], y)[0] == pytest.approx(
+            reference_inverse(terms, 3, y), rel=1e-15)
 
     def test_validate_rejects_bad_ordering(self):
         # equal exponents with a rising coefficient: phi_2 > phi_1 for x > 0
@@ -338,8 +373,9 @@ class TestSchrammFamily:
     def test_array_targets_match_scalar_rules(self, harmonic, kind):
         fam = (SchrammFamily.power(2.0, harmonic) if kind == "scaled" else
                SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=KM))
-        with pytest.raises(ValidationError):
-            fam.partial_inverse_many([1, 2, 3], -1.0)
+        for y in (-1.0, math.nan, [1.0, math.nan, 2.0]):
+            with pytest.raises(ValidationError, match="^inverse target must be nonnegative$"):
+                fam.partial_inverse_many([1, 2, 3], y)
         assert fam.partial_inverse_many([1, 2, 3], 0.0).tolist() == [0.0] * 3
 
     @pytest.mark.parametrize("kind", sorted(INVERSE_FAMILIES))
@@ -363,40 +399,67 @@ class TestSchrammFamily:
         ("expm1", ["0x1.c944a8cf09c9bp-1", "0x1.2e53bbd92167bp-1", "0x1.5ca96cf69baeep-2",
                    "0x1.4d249b9a81b98p-4", "0x1.c3a5f04a1dbb7p-6"],
          ["0x1.afb7a776109aep+0", "0x1.3b85b138543bdp+0"]),
-        ("explicit", ["0x1.fffffffc00000p-1", "0x1.6187474000000p-1", "0x1.0008288800000p-1",
-                      "0x1.18a4c92400000p-3", "0x1.694d9f3800000p-6"],
-         ["0x1.f36c5e7800000p+0", "0x1.5629fe5800000p+0"]),
+        ("explicit", ["0x1.0000000000000p+0", "0x1.6187473efb43cp-1", "0x1.00082887f01f2p-1",
+                      "0x1.18a4c924dca6cp-3", "0x1.694d9f3a9e804p-6"],
+         ["0x1.f36c5e79681c0p+0", "0x1.5629fe5517a7bp+0"]),
     ])
     def test_scalar_target_values_pinned(self, kind, one, seven_and_a_half):
         # the scalar-target reads of the criteria and the counterexample
-        # planner, as computed before array targets existed
+        # planner: the scaled ones as computed before array targets existed,
+        # the explicit ones as Newton's method computes them
         fam = INVERSE_FAMILIES[kind]
         assert [v.hex() for v in fam.partial_inverse_many([1, 2, 5, 100, KM], 1.0)] == one
         assert [v.hex() for v in fam.partial_inverse_many([3, 7], 7.5)] == seven_and_a_half
 
     @pytest.mark.parametrize("y", [0.3, 1.0, 7.5])
     def test_vectorized_bisection(self, y):
-        terms = [(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)]
-        fam = SchrammFamily("explicit", terms=terms, k_max=KM)
+        # the inverse over an array of k against the reference bisection
+        fam = INVERSE_FAMILIES["explicit"]
         # below, at and past the end of the term list
         ks = np.array([1, 2, 3, 4, 5, 9, 100, KM])
         xs = fam.partial_inverse_many(ks, y)
-        for k, x in zip(ks, xs):
-            k = int(k)
-            w = BISECT_X_TOL * max(1.0, x)
-            assert (abs(fam.partial_sum(k, x) - y) <= INVERSE_TOL * max(1.0, y)
-                    or fam.partial_sum(k, x - w) <= y <= fam.partial_sum(k, x + w))
+        for k, x in zip(ks.tolist(), xs.tolist()):
+            assert x == pytest.approx(reference_inverse(EXPLICIT_TERMS, k, y), rel=1e-15)
             assert fam.partial_inverse_many([k], y)[0] == x
         assert np.all(np.diff(xs) <= 0)
         assert np.array_equal(fam.partial_sum(ks, xs),
                               [fam.partial_sum(int(k), x) for k, x in zip(ks, xs)])
 
     @pytest.mark.parametrize("y", [0.3, 1.0, 7.5])
-    def test_bisection_matches_analytic_over_array(self, harmonic, y):
-        fam = SchrammFamily.power(2.0, harmonic)
+    def test_bisection_matches_analytic_over_array(self, y):
+        # phi_j = x^2 / lam_j with lam = 1, 2, 3, 4, 4, ...: a scaled family,
+        # its explicit twin, which extends by its last pair, and the
+        # reference bisection on the twin's terms
+        fam = SchrammFamily.power(2.0, WeightSequence("explicit", terms=[1, 2, 3, 4], k_max=KM))
+        terms = [(1.0 / j, 2.0) for j in range(1, 5)]
+        twin = SchrammFamily("explicit", terms=terms, k_max=KM)
         ks = np.arange(1, KM + 1, 37)
-        np.testing.assert_allclose(fam._bisect(ks, y), fam.partial_inverse_many(ks, y),
-                                   rtol=1e-8)
+        analytic = fam.partial_inverse_many(ks, y)
+        np.testing.assert_allclose(twin.partial_inverse_many(ks, y), analytic, rtol=1e-15)
+        np.testing.assert_allclose([reference_inverse(terms, k, y) for k in ks.tolist()],
+                                   analytic, rtol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("terms", [
+        [(1e300, 1.0)], [(1e-300, 1.0)], [(1e300, 1000.0)], [(1e-300, 1000.0)],
+        [(1e300, 1.0), (1e-300, 1000.0)], [(1e-300, 1.0), (1e300, 1000.0)],
+        # 59 terms, exponents rising from 1 to 1000, coefficients 1e300 -> 1e-300 and back
+        [(10.0 ** (300 - 600 * j / 58), 1.0 + 999.0 * j / 58) for j in range(59)],
+        [(10.0 ** (600 * j / 58 - 300), 1.0 + 999.0 * j / 58) for j in range(59)],
+    ], ids=["1e300x", "1e-300x", "1e300x^1000", "1e-300x^1000", "mixed", "mixed-rev",
+            "59-falling", "59-rising"])
+    def test_newton_on_extreme_families(self, terms):
+        fam = SchrammFamily("explicit", terms=terms)
+        ks = [1, 2, 59, 1 << 20]
+        ys = [1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300]
+        got = fam.partial_inverse_many(np.array(ks)[:, None], np.array(ys))
+        for k, row in zip(ks, got.tolist()):
+            for y, x in zip(ys, row):
+                want = reference_inverse(terms, k, y)
+                if want < sys.float_info.min:  # the root underflows
+                    assert x < sys.float_info.min
+                else:  # a root past the largest float reads inf
+                    assert x == pytest.approx(want, rel=1e-13), (k, y)
 
     def test_expm1_base(self):
         w = WeightSequence("constant", value=1.0, k_max=64)

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 import gbv.variation
 import oracles
 from gbv import (ConvexBase, HorizonError, IntervalCollection, InternalConsistencyError,
-                 SchrammFamily, StepFunction, ValidationError, WeightSequence, GaugePair,
-                 modulus_of_variation, schramm_norm, variation_gauged,
+                 RangeError, SchrammFamily, StepFunction, ValidationError, WeightSequence,
+                 GaugePair, modulus_of_variation, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
 
 KM = 4096
@@ -360,6 +360,20 @@ class TestNorm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert variation_schramm(huge, fam).value == math.inf
+
+    def test_norm_bracket_doubles_to_the_largest_power_of_two(self):
+        # mixed exponents bisect; V(f/c) = 1e300 * ptp / c for one interval,
+        # so c = 1e300 * ptp, far past 200 doublings of c
+        fam = SchrammFamily("explicit", terms=[[1e300, 1.0], [1e300, 2.0]])
+        assert schramm_norm(StepFunction([0.0, 1.0]), fam) == pytest.approx(1e300, rel=1e-10)
+        assert schramm_norm(StepFunction([0.0, 1e-3, 0.0]), fam) == pytest.approx(
+            1e297, rel=1e-10)
+        # c = 1.7e308 * ptp: past 2^1023 the norm 5.1e308 is past the largest
+        # float, while 1.275e308 is a float that the doubling cannot reach
+        fam = SchrammFamily("explicit", terms=[[1.7e308, 1.0], [1.7e308, 2.0]])
+        assert schramm_norm(StepFunction([0.0, 3.0]), fam) == math.inf
+        with pytest.raises(RangeError, match=r"^the norm is past 2\^1023: doubling c stops "):
+            schramm_norm(StepFunction([0.0, 0.75]), fam)
 
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),

@@ -58,6 +58,10 @@ def _inputs():
         "list.json": "[0, 1, 0, 2]",
         "values-int.json": '{"m": 3, "values": 5}',
         "bad-m.json": '{"m": 7, "values": [0, 1]}',
+        "values-bool.json": '{"values": [true, 1, 2]}',
+        "values-object.json": '{"values": [{}, 1, 2]}',
+        "step.csv": "0\n1\n",
+        "blip.csv": "0\n0.001\n0\n",
         "w.json": json.dumps({"kind": "constant", "value": 3}),
     }
 
@@ -66,17 +70,21 @@ WEIGHTS = ["harmonic", "constant", "constant:2", "log", "power:0.5", "explicit:3
            "explicit:1,2,4", '{"kind": "constant", "value": 2}',
            '{"kind": "explicit", "terms": [1, 2]}', "w.json"]
 BAD_WEIGHTS = ["harmonic:3", "log:junk", "constant:", "constant:0", "power:", "power:2",
-               "explicit:", "explicit:2,1", "cubic", "cubic:1", '{"kind": "log", "value": 2}']
+               "explicit:", "explicit:2,1", "cubic", "cubic:1", '{"kind": "log", "value": 2}',
+               "power:abc", "explicit:1,,2"]
 FAMILIES = [
     '{"kind": "power", "p": 2, "weights": {"kind": "harmonic"}}',
     '{"kind": "explicit", "terms": [[1, 1.5], [0.8, 1.7], [0.6, 2], [0.5, 2]]}',
     '{"kind": "scaled", "base": {"expm1": true}, "weights": {"kind": "explicit", "terms": [2]}}',
 ]
+TINY_ROOT_FAMILY = '{"kind": "explicit", "terms": [[1e30, 2]]}'
+HUGE_FAMILY = '{"kind": "explicit", "terms": [[1e300, 1], [1e300, 2]]}'
 GAUGES = [("linear", "pow2"), ("const:2", "pow2"), ("to:3", "list:2,4,8,16,32,64"),
           ("list:1,2,3", "list:2,4,8")]
 BAD_GAUGES = [("linear:7", "pow2"), ("linear", "pow2:9"), ("const", "pow2"), ("const:", "pow2"),
               ("to:", "pow2"), ("list:", "pow2"), ("linear", "list:"), ("square", "pow2"),
-              ("square:2", "pow2"), ("linear", "pow3:1")]
+              ("square:2", "pow2"), ("linear", "pow3:1"), ("const:x", "pow2"),
+              ("linear", "list:4,x")]
 
 
 def _calls():
@@ -101,7 +109,8 @@ def _calls():
     calls += [var + ["lambda", "--p", p] for p in ("0.5", "nan", "inf", "-1")]
     calls += [var + ["gauged", "--qn", qn, "--delta", delta] for qn, delta in BAD_GAUGES]
     calls += [["variation", "--input", src, "--format", "json", "--functional", "modulus"]
-              for src in ("list.json", "values-int.json", "bad-m.json", "absent.json")]
+              for src in ("list.json", "values-int.json", "bad-m.json", "absent.json",
+                          "values-bool.json", "values-object.json")]
 
     crit = ["criterion", "--kmax", "2048", "--csv", "plot.csv"]
     for qn, delta in GAUGES:
@@ -116,6 +125,9 @@ def _calls():
         calls += [crit + ["--theorem", "1.9", "--phi", phi, "--lambda", "harmonic", "--qn", qn,
                           "--delta", delta, "--ncap", "3"]
                   for phi in ('{"power": 2}', '{"expm1": true}')]
+    # Phi_k^{-1}(1) = (1e30 k)^{-1/2}: a flat kernel of 1e-15
+    calls.append(crit + ["--theorem", "1.8", "--family", TINY_ROOT_FAMILY, "--qn", "const:2",
+                         "--ncap", "6"])
     calls += [crit + ["--theorem", "1.4", "--p", "2", "--qn", "linear", "--ncap", "6"] + extra
               for extra in ([], ["--second-part"])]
     calls += [crit + ["--theorem", "1.4", "--p", p] for p in ("0.5", "nan", "inf")]
@@ -156,6 +168,9 @@ def _calls():
     norm = ["norm", "--input", "walk.csv"]
     calls += [norm + ["--family", fam] for fam in FAMILIES]
     calls += [norm + ["--family", FAMILIES[0], "--fa", v] for v in ("0", "nan")]
+    # norms of 1e300 and 1e297: c doubles from 1 past 2^200
+    calls += [["norm", "--input", src, "--family", HUGE_FAMILY]
+              for src in ("step.csv", "blip.csv")]
     return calls
 
 
