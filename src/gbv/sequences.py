@@ -489,8 +489,9 @@ class SchrammFamily:
         """
         k = np.asarray(k)
         self._check_horizon(k)
-        total = (self.base(x) * self.weights.prefix_sums_at(k) if self.kind == "scaled"
-                 else self._phi_and_slope(k, x)[0])
+        with np.errstate(over="ignore"):  # inf past the largest float, as rank_sum
+            total = (self.base(x) * self.weights.prefix_sums_at(k) if self.kind == "scaled"
+                     else self._phi_and_slope(k, x)[0])
         return total if total.ndim else float(total)
 
     def _groups(self, ks):
@@ -507,8 +508,10 @@ class SchrammFamily:
         ``x`` broadcast."""
         phi = slope = 0.0
         for n, a, e in self._groups(ks):
-            phi = phi + np.where(n > 0, n * np.power(a * x, e), 0.0)
-            slope = slope + np.where(n > 0, n * (e * a) * np.power(a * x, e - 1.0), 0.0)
+            # n multiplies after the where: a group that k leaves out (n = 0)
+            # would give 0 * inf = nan where its phi_j(x) overflows
+            phi = phi + n * np.where(n > 0, np.power(a * x, e), 0.0)
+            slope = slope + n * (e * a) * np.where(n > 0, np.power(a * x, e - 1.0), 0.0)
         return phi, slope
 
     def partial_inverse_many(self, ks, y):

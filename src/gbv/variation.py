@@ -12,15 +12,19 @@ value; when the count cap cannot bind, it runs on a single column. Such
 uncapped problems that differ only in gain and minimum length -- the
 levels of a gauged variation with rank-free weights -- share one backward
 pass, each on its own column, so a gauge of n levels costs O(m) numpy
-calls, not O(n·m). A walk jumps from one pointer to the next, one step
-per interval. The linear gain of a capped table (the modulus, and the
-unweighted form at q = 1 with a binding cap) is filled a column at a time
-instead: suffix maxima of v_b + best[b, k-1] and best[b, k-1] - v_b give
-every take of a column in a few vector ops, so a table of K columns costs
-O(K) numpy calls of size m, not O(m) of size m·K, and the witness is
-rebuilt along the one column walked. Uncapped columns, and
+calls, not O(n·m). The tables are column-major, so each position's
+``argmax`` runs down contiguous columns. A walk jumps from one pointer to
+the next, one step per interval. The linear gain under a count cap (the
+modulus, and the unweighted form at q = 1 with a cap, or with
+``min_len >= 2``, whose cap ``m // min_len`` is implicit while it is 2
+to ``_IMPLICIT_CAP_COLUMNS``) is filled a column at a time instead:
+suffix maxima of v_b + best[b, k-1] and best[b, k-1] - v_b give every
+take of a column in a few vector ops, so a table of K columns costs O(K)
+numpy calls of size m, not O(m) of size m·K, and the witness is rebuilt
+along the one column walked from the takes kept per column. The uncapped
+linear gain at ``min_len == 1``, which would need every column, and
 ``_rank_bounds``' table, whose every column is walked, stay on the
-per-position rule, which is the cheaper of the two there.
+per-position rule.
 ``_rank_bounds`` fills one table per level, of the family's rank-free
 surrogate gain, and reads both bounds from it: the lower from its
 witnesses, the upper by summation by parts for a scaled family and by the
@@ -59,7 +63,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InternalConsistencyError, RangeError, ValidationError
+from .errors import InternalConsistencyError, ValidationError
 from .sequences import GaugePair, SchrammFamily, WeightSequence, check_horizon
 from .stepfn import IntervalCollection, StepFunction
 
@@ -113,10 +117,18 @@ def _suffix_max(x):
     return np.maximum.accumulate(x[::-1])[::-1]
 
 
-#: gains held per chunk of start positions, in floats: a chunk of starts
-#: shares one call of each gain function, and memory stays flat in m (64 kB
-#: a chunk array, below the 128 kB at which glibc's malloc maps fresh pages)
+#: floats of increments per chunk of start positions, at 16 starts or more:
+#: a chunk of starts shares one call of each gain function, and its
+#: increments and each gain array (64 kB each up to m = 512) stay below the
+#: 128 kB at which glibc's malloc maps fresh pages
 _GAIN_CHUNK = 1 << 13
+
+#: the most columns ``m // min_len`` at which the unweighted form at q = 1
+#: takes the linear column rule under its implicit cap: the rule saves numpy
+#: calls, but its fill and walk do O(columns · m) element work and it holds
+#: 4 · columns · m floats, which outweigh the calls past this (at m = 1,024,
+#: min_len = 2: 29 against 11 ms, and 16 against 0.3 MB)
+_IMPLICIT_CAP_COLUMNS = 128
 
 
 def _dp(values, levels, count=None):
@@ -143,11 +155,20 @@ def _dp(values, levels, count=None):
     position, vectorized over the columns, records ``end[i, c]``, where the
     interval starting at i ends in an optimal collection (0 to skip i), in
     the same backward pass. O(m) numpy calls of size m·K, where K is the
-    number of columns. Each distinct gain function is called once per chunk
-    of ``_GAIN_CHUNK`` gains (its own function, with numpy's scalar ``**``
-    fast paths), not once per position. Zero increments, and ends too short
-    for a level, are masked after the sum, so an inf gain never meets their
-    -inf.
+    number of columns. ``best`` and ``end`` are column-major and a chunk's
+    gains are held as (starts, columns, ends), so a position's candidates
+    ``g[r, :, r:].T + best[lo:, :n]`` run down contiguous columns, which
+    ``argmax(axis=0)`` reduces. Each distinct gain function is called once
+    per chunk of start positions (its own function, with numpy's scalar
+    ``**`` fast paths), not once per position: a chunk holds 16 starts, or
+    up to an eighth of the ends while its increments fit in
+    ``_GAIN_CHUNK`` floats, so each gain is called at most m / 16 + 1 times
+    (8 at m = 256). Zero increments, and ends too short for a level, are
+    masked after the sum, one ``np.copyto`` per position, so an inf gain
+    never meets their -inf. The mask cannot move into the gains, once per
+    chunk: a -inf gain would meet an inf ``best[b]`` in a row whose skip is
+    inf already, and the nan would move the witnesses of inf values and
+    break the equality of a column with its one-level table.
 
     Per column (the linear gain :func:`_linear` with a count cap): as
     |v_b - v_i| = max(v_b - v_i, v_i - v_b), the take at i is
@@ -157,17 +178,25 @@ def _dp(values, levels, count=None):
     maximum of the takes: eight vector ops of length m a column, O(K) numpy
     calls in all. A zero increment may enter U or D, but its take never
     exceeds skipping, so the table is the same, bit for bit when every sum
-    is exact (dyadic samples). The samples are centred on
+    is exact (dyadic samples); otherwise values may differ by a few ulps,
+    and witnesses in linear ties. The samples are centred on
     their midrange first, which keeps large offsets exact (Sterbenz). No
-    pointers are stored: ``walk`` rebuilds the takes of only the columns it
-    visits, and of the positions where the take reaches skipping picks the
-    first whose take over nonzero increments still does, which is the
-    per-position rule's choice. Uncapped columns stay per position, where
-    they are cheaper (2.0 against 4.5 ms for table and walk at m = 256,
-    where the column rule needs all m columns), and so do tables whose every
-    column is walked, such as ``_rank_bounds``': a pointer walk takes one
-    step per interval, where the column rule rebuilds the takes of every
-    column it visits.
+    pointers are stored: the fill keeps each column's v_b + best[b, k-1],
+    best[b, k-1] - v_b and takes, 3 × K × (m + 1) floats, and ``walk``
+    reads those of the columns it visits, and of the positions where the
+    take reaches skipping picks the first whose take over nonzero
+    increments still does, which is the per-position rule's choice.
+
+    The column rule serves every capped linear table, the q-form at q = 1
+    with ``min_len >= 2`` too, whose implicit cap ``m // min_len`` costs
+    O(m / min_len) calls while it leaves 2 to ``_IMPLICIT_CAP_COLUMNS``
+    columns (1.3 against 2.4 ms for table and walk at m = 256,
+    min_len = 4). The uncapped linear gain at ``min_len == 1`` stays per
+    position, where the column rule would need every column (2.1 against
+    4.8 ms at m = 256), and so do tables whose every column is walked,
+    such as ``_rank_bounds``': a pointer walk takes one step per interval,
+    where the column rule's walk scans the takes of every column it
+    visits.
     """
     m = len(values) - 1
     fns, lens = zip(*levels)
@@ -177,10 +206,10 @@ def _dp(values, levels, count=None):
         (min_len,) = lens
         width, shift = max(0, min(count, m // min_len)) + 1, 1
     n = width - shift  # columns filled, reading columns 0..n-1
-    best = np.zeros((m + 2, width))
+    best = np.zeros((m + 2, width), order="F")
     if fns[0] is _linear and shift:
         return _linear_columns(values, min_len, best)
-    end = np.zeros((m + 2, width), dtype=np.intp)
+    end = np.zeros((m + 2, width), dtype=np.intp, order="F")
     walk = _walk(best, end, shift)
     first = min(lens)  # every end of a start i lies in i + first..m
     if n == 0 or first > m:
@@ -189,15 +218,15 @@ def _dp(values, levels, count=None):
     uses = [[c for c, fn in enumerate(fns) if fn is gain] for gain in gains]
     ends = m + 1 - first
     # a chunk computes the gains of its first start's ends for every start in
-    # it: rows are kept to about an eighth of the ends, or 16 on small grids
-    rows = max(1, min(max(16, ends // 8), _GAIN_CHUNK // (ends * len(fns))))
-    g = np.empty((rows, ends, len(fns)))
-    # ends a level cannot take: column j of row r lies j - r past the row's
+    # it: 16 rows, or up to an eighth of the ends while _GAIN_CHUNK holds them
+    rows = max(16, min(ends // 8, _GAIN_CHUNK // ends))
+    g = np.empty((rows, len(fns), ends))
+    # ends a level cannot take: end j of row r lies j - r past the row's
     # first end, and level c starts late[c] ends later
     late = np.array(lens) - first
     short = None  # one row mask serves every column
     if late.any():
-        short = (np.arange(ends) - np.arange(rows)[:, None])[..., None] < late
+        short = np.arange(ends) - np.arange(rows)[:, None, None] < late[:, None]
     cols = np.arange(n)
     with np.errstate(over="ignore"):
         for hi in range(m - first, -1, -rows):
@@ -209,19 +238,19 @@ def _dp(values, levels, count=None):
             for gain, cs in zip(gains, uses):
                 gk = gain(incs)
                 for c in cs:
-                    g[:k, :w, c] = gk
-            bad = incs == 0
+                    g[:k, c, :w] = gk
+            bad = (incs == 0)[:, None]
             if short is not None:
-                bad = bad[..., None] | short[:k, :w]
+                bad = bad | short[:k, :, :w]
             for r in range(k - 1, -1, -1):
                 i, lo = lo0 + r, lo0 + r + first
-                cand = g[r, r:w] + best[lo:m + 1, :n]
-                cand[bad[r, r:]] = -np.inf
+                # ends down each column, contiguous in the column-major best
+                cand = g[r, :, r:w].T + best[lo:m + 1, :n]
+                np.copyto(cand, -np.inf, where=bad[r, :, r:].T)
                 arg = cand.argmax(axis=0)
                 take, skip = cand[arg, cols], best[i + 1, shift:]
-                hit = take >= skip
-                best[i, shift:] = np.where(hit, take, skip)
-                end[i, shift:] = np.where(hit, arg + lo, 0)
+                np.maximum(take, skip, out=best[i, shift:])
+                end[i, shift:] = np.where(take >= skip, arg + lo, 0)
             del incs, gk, bad  # one chunk's arrays live at a time
     return best, walk
 
@@ -233,24 +262,23 @@ def _linear_columns(values, min_len, best):
     # half each end first: their sum may overflow
     v = values - (values.max() / 2 + values.min() / 2)
     starts = m + 1 - min_len  # intervals start at 0..m - min_len
-
-    def parts(col):
-        """v_b + best[b, col - 1] and best[b, col - 1] - v_b, and the takes."""
-        prev = best[:m + 1, col - 1]
-        up, down = v + prev, prev - v
-        take = np.maximum(_suffix_max(up)[min_len:] - v[:starts],
-                          _suffix_max(down)[min_len:] + v[:starts])
-        return up, down, take
-
+    # per column: v_b + best[b, col - 1], best[b, col - 1] - v_b and the
+    # takes, which walk reads again
+    parts = [None]
     with np.errstate(over="ignore"):
         for k in range(1, width):
-            best[:starts, k] = _suffix_max(parts(k)[2])
+            prev = best[:m + 1, k - 1]
+            up, down = v + prev, prev - v
+            take = np.maximum(_suffix_max(up)[min_len:] - v[:starts],
+                              _suffix_max(down)[min_len:] + v[:starts])
+            best[:starts, k] = _suffix_max(take)
+            parts.append((up, down, take))
 
     def walk(col):
         pairs, i = [], 0
         with np.errstate(over="ignore"):
             while best[i, col] > 0:
-                up, down, take = parts(col)
+                up, down, take = parts[col]
                 for a in np.flatnonzero(take[i:] >= best[i + 1:starts + 1, col]) + i:
                     lo = a + min_len
                     cand = np.maximum(up[lo:] - v[a], down[lo:] + v[a])
@@ -635,14 +663,34 @@ def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
 def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
                            min_len: int = 1) -> VariationResult:
     """``(max sum |f(I_j)|^q)^(1/q)`` over at most ``s_max`` intervals of
-    grid length >= ``min_len``. Exact: the weights are rank-independent."""
+    grid length >= ``min_len``. Exact: the weights are rank-independent.
+
+    At q = 1 with ``min_len >= 2`` and no ``s_max``, the count is capped at
+    ``m // min_len`` when that is 2 to ``_IMPLICIT_CAP_COLUMNS``. The cap
+    cannot bind, but it lets :func:`_dp` take its linear column rule:
+    O(m / min_len) numpy calls of size m, not O(m). The value is the
+    per-position rule's bit for bit on dyadic samples and within a few
+    ulps of it otherwise, and a witness may differ from it in a linear
+    tie. The debug line then names ``cap=``.
+
+    The column rule adds samples to table values, so its error is a few
+    ulps of the range of f, not of the value. Where two intervals fit
+    (m >= 2 min_len), some admissible interval spans a third of the range
+    or more (an extremum pairs with the other, or with an end of the grid,
+    and the three increments among them cover the range), so the error is
+    a few ulps of the value too. Where only one fits, the admissible
+    increments may all lie far below the range -- ``[1e-5, 0, 1, 0]`` at
+    ``min_len = 3`` reads 1e-5 -- so that table stays per position."""
     if not 1 <= q < math.inf:
         raise ValidationError("q must be >= 1")
     if min_len < 1:
         raise ValidationError("min_len must be >= 1 grid cell")
     if s_max is not None and s_max < 1:
         raise ValidationError("s_max must be >= 1")
-    if s_max is not None and s_max >= f.m // min_len:
+    fits = f.m // min_len
+    if q == 1 and min_len > 1 and 2 <= fits <= _IMPLICIT_CAP_COLUMNS:
+        s_max = s_max or fits  # the linear gain's column rule needs a cap
+    elif s_max is not None and s_max >= fits:
         s_max = None  # the cap cannot bind
     gain = _linear if q == 1 else (lambda x: x ** q)
     [(inner, witness)], _ = _dp_solve(f, [(gain, min_len)], s_max)
@@ -710,10 +758,11 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     infimum is ``V_Phi(f)^(1/d)``: one variation call. Other families (the
     ``expm1`` base, mixed exponents) find it by doubling c up to 2^1023,
     the largest power of two, plus bisection to ``NORM_REL_TOL``, since
-    ``c -> V_Phi(f/c)`` is nonincreasing. A norm past the largest float is
-    inf; one that the doubling cannot reach otherwise (c past 2^1023
-    while the scaled-back norm may still be a float) raises
-    :class:`RangeError`.
+    ``c -> V_Phi(f/c)`` is nonincreasing. When c passes 2^1023 while the
+    scaled-back norm may still be a float (the input's scale is at most 1),
+    the doubling goes on with f/2 in place of the scaled input, where
+    2^1023 is a norm of 2^1024, so it reaches every norm up to the largest
+    float. A norm past it is inf.
 
     A rank-free family (constant weights, an explicit weight list of one
     value, or explicit terms that are one repeated pair) is solved by the
@@ -753,7 +802,9 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
         if hi == 2.0 ** 1023:  # the largest power of two
             if shift > 0:  # the norm is past 2^1024
                 return math.inf
-            raise RangeError(f"the norm is past 2^{1023 + shift}: doubling c stops at 2^1023")
+            # the norm is past 2^(1023 + shift) and may still be a float: go on
+            # with f/2 at c 2^(shift - 1), where c = 2^1023 is a norm of 2^1024
+            g, hi, shift = StepFunction(np.ldexp(f.values, -1)), math.ldexp(hi, shift - 1), 1
         hi *= 2.0
     lo = hi / 2.0
     while lo > 1e-300 and var_at(lo) <= 1.0:

@@ -502,10 +502,14 @@ class TestSchrammFamily:
         (SchrammFamily("scaled", base=ConvexBase("expm1"),
                        weights=WeightSequence("harmonic", k_max=64)), 1e200),
         (SchrammFamily("explicit", terms=[(1.0, 1.5), (0.5, 2.0)], k_max=64), 1e300),
+        (SchrammFamily("explicit", terms=[(1.0, 2.0)], k_max=64), 1e300),
     ])
     def test_rank_sum_past_the_largest_float_is_inf(self, fam, x):
         assert fam.rank_sum([x]) == math.inf
         assert fam.rank_sum([x, 1.0]) == math.inf
+        # Phi_k too, also where k leaves out a term whose phi_j(x) overflows
+        assert fam.partial_sum(1, x) == math.inf
+        assert np.array_equal(fam.partial_sum(np.array([1, 2, 64]), x), [math.inf] * 3)
 
     @pytest.mark.parametrize("fam, config", [
         (SchrammFamily.power(1.5, WeightSequence("power", alpha=0.5, k_max=64)),

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import gbv.variation
 import oracles
 from gbv import (ConvexBase, HorizonError, IntervalCollection, InternalConsistencyError,
-                 RangeError, SchrammFamily, StepFunction, ValidationError, WeightSequence,
+                 SchrammFamily, StepFunction, ValidationError, WeightSequence,
                  GaugePair, modulus_of_variation, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
 
@@ -124,7 +124,23 @@ class TestUnweightedQ:
             variation_unweighted_q(ZIGZAG, 1.0, min_len=2)
         assert [r.getMessage() for r in caplog.records] == [
             "exact-dp: m=4, levels=1, cap=1, skeleton 5→5",
-            "exact-dp: m=4, levels=1, min_len=2, no skeleton"]
+            "exact-dp: m=4, levels=1, cap=2, min_len=2, no skeleton"]
+
+    def test_implicit_cap_from_two_to_its_column_limit(self, caplog):
+        # q = 1 with min_len >= 2 takes the cap m // min_len while it leaves
+        # 2 to _IMPLICIT_CAP_COLUMNS columns, and stays uncapped otherwise
+        cols = gbv.variation._IMPLICIT_CAP_COLUMNS
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            for m in (2 * cols, 2 * cols + 2):
+                variation_unweighted_q(StepFunction(np.arange(m + 1.0) % 3), 1.0, min_len=2)
+            # one interval fits: the column rule would read |1e-5 - 0| off
+            # samples centred on 0.5, where 1e-5 - 0.5 is rounded
+            res = variation_unweighted_q(StepFunction([1e-5, 0.0, 1.0, 0.0]), 1.0, min_len=3)
+        assert res.value == 1e-5 and res.witness.pairs == ((0, 3),)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"exact-dp: m={2 * cols}, levels=1, cap={cols}, min_len=2, no skeleton",
+            f"exact-dp: m={2 * cols + 2}, levels=1, min_len=2, no skeleton",
+            "exact-dp: m=3, levels=1, min_len=3, no skeleton"]
 
     def test_min_len_beyond_grid(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, min_len=10)
@@ -368,12 +384,14 @@ class TestNorm:
         assert schramm_norm(StepFunction([0.0, 1.0]), fam) == pytest.approx(1e300, rel=1e-10)
         assert schramm_norm(StepFunction([0.0, 1e-3, 0.0]), fam) == pytest.approx(
             1e297, rel=1e-10)
-        # c = 1.7e308 * ptp: past 2^1023 the norm 5.1e308 is past the largest
-        # float, while 1.275e308 is a float that the doubling cannot reach
+        # c = 1.7e308 * ptp: the norm 5.1e308 is past the largest float, and
+        # 1.275e308 is a float, past 2^1023 while the input's scale is 1
         fam = SchrammFamily("explicit", terms=[[1.7e308, 1.0], [1.7e308, 2.0]])
         assert schramm_norm(StepFunction([0.0, 3.0]), fam) == math.inf
-        with pytest.raises(RangeError, match=r"^the norm is past 2\^1023: doubling c stops "):
-            schramm_norm(StepFunction([0.0, 0.75]), fam)
+        assert schramm_norm(StepFunction([0.0, 0.75]), fam) == pytest.approx(
+            1.275e308, rel=1e-10)
+        assert schramm_norm(StepFunction([0.0, 1e-3, 0.0]), fam) == pytest.approx(
+            1.7e305, rel=1e-10)
 
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),
@@ -897,6 +915,85 @@ def test_level_columns_match_one_level_dp_property(values, levels):
         ref, ref_walk = _DP(values, [level])
         assert np.array_equal(best[:, c], ref[:, 0])
         assert walk(c) == ref_walk(0)
+
+
+def scalar_dp(values, levels, count=None):
+    """The per-position rule in plain Python loops: the table ``best[i][c]``
+    and the witness pairs of each column. Tie rule: take when the take ties
+    skipping, pick the smallest end among equal takes, never take a zero
+    increment, and respect each level's ``min_len``. With a ``count`` cap
+    (one level) column k reads column k - 1; without, each level's column
+    reads itself."""
+    values = [float(v) for v in values]
+    m = len(values) - 1
+    if count is None:
+        shift, cols = 0, [(gain, min_len, c) for c, (gain, min_len) in enumerate(levels)]
+    else:
+        [(gain, min_len)] = levels
+        shift = 1
+        cols = [(gain, min_len, k - 1) for k in range(1, max(0, min(count, m // min_len)) + 1)]
+    width = len(cols) + shift
+    best = [[0.0] * width for _ in range(m + 2)]
+    end = [[0] * width for _ in range(m + 2)]
+    for i in range(m - 1, -1, -1):
+        for c, (gain, min_len, prev) in enumerate(cols, shift):
+            take, arg = -math.inf, 0
+            for b in range(i + min_len, m + 1):
+                inc = abs(values[b] - values[i])
+                if inc > 0 and gain(inc) + best[b][prev] > take:
+                    take, arg = gain(inc) + best[b][prev], b
+            skip = best[i + 1][c]
+            best[i][c], end[i][c] = (take, arg) if take >= skip else (skip, 0)
+    walks = []
+    for c in range(width):
+        pairs, i = [], 0
+        while best[i][c] > 0:
+            while end[i][c] == 0:
+                i += 1
+            pairs.append((i, end[i][c]))
+            i, c = end[i][c], c - shift
+        walks.append(pairs)
+    return best, walks
+
+
+#: gains whose numpy and Python float evaluations agree bit for bit (one
+#: rounding per operation), and overflow to inf at 1e200
+SCALAR_GAINS = [lambda x: x, lambda x: x * x, lambda x: 0.5 * x * x, lambda x: x * x * x]
+
+
+@settings(max_examples=80, deadline=None)
+@given(level_samples(max_m=80),
+       st.lists(st.tuples(st.integers(0, len(SCALAR_GAINS) - 1), st.integers(1, 48)),
+                min_size=1, max_size=6),
+       st.one_of(st.none(), st.integers(1, 50)))
+def test_dp_matches_scalar_reference_property(values, levels, count):
+    # levels that share a gain share one function, as in variation_gauged
+    levels = [(SCALAR_GAINS[g], min_len) for g, min_len in levels]
+    if count is not None:
+        levels = levels[:1]
+    best, walk = _DP(values, levels, count)
+    ref, ref_walks = scalar_dp(values, levels, count)
+    assert np.array_equal(best, np.array(ref))
+    assert [walk(c) for c in range(best.shape[1])] == ref_walks
+
+
+def test_each_gain_is_called_once_per_chunk_of_16_starts_or_more():
+    # nine gauged levels at m = 256, min_len 256 down to 1: a chunk of
+    # starts shares one call of each gain, and chunks hold at least 16
+    calls = {}
+
+    def counted(q):
+        def gain(x):
+            calls[q] = calls.get(q, 0) + 1
+            return x ** q
+        return gain
+
+    values = np.cumsum(np.random.default_rng(3).integers(-2, 3, size=257)) / 4.0
+    levels = [(counted(q), 512 >> q) for q in range(1, 10)]
+    best, _ = _DP(values, levels)
+    assert best.shape == (258, 9)
+    assert sorted(calls) == list(range(1, 10))
+    assert max(calls.values()) <= 16
 
 
 @st.composite
