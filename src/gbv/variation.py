@@ -12,9 +12,12 @@ value; when the count cap cannot bind, it runs on a single column. Such
 uncapped problems that differ only in gain and minimum length -- the
 levels of a gauged variation with rank-free weights -- share one backward
 pass, each on its own column, so a gauge of n levels costs O(m) numpy
-calls, not O(n·m). The tables are column-major, so each position's
-``argmax`` runs down contiguous columns. A walk jumps from one pointer to
-the next, one step per interval. The linear gain under a count cap (the
+calls, not O(n·m). A block of rows as tall as the table's shortest
+``min_len`` shares one ``argmax``, since their takes read only rows below
+the block, so a table whose levels all need long intervals costs
+O(m / min_len) calls. The tables are column-major, so each ``argmax``
+runs down contiguous ends. A walk jumps from one pointer to the next, one
+step per interval. The linear gain under a count cap (the
 modulus, and the unweighted form at q = 1 with a cap, or with
 ``min_len >= 2``, whose cap ``m // min_len`` is implicit while it is 2
 to ``_IMPLICIT_CAP_COLUMNS``) is filled a column at a time instead:
@@ -24,7 +27,7 @@ numpy calls of size m, not O(m) of size m·K, and the witness is rebuilt
 along the one column walked from the takes kept per column. The uncapped
 linear gain at ``min_len == 1``, which would need every column, and
 ``_rank_bounds``' table, whose every column is walked, stay on the
-per-position rule.
+block rule.
 ``_rank_bounds`` fills one table per level, of the family's rank-free
 surrogate gain, and reads both bounds from it: the lower from its
 witnesses, the upper by summation by parts for a scaled family and by the
@@ -36,18 +39,22 @@ over beyond it. The search keeps, at each grid point, the collections
 that no other one dominates rank by rank, which needs only nondecreasing
 phi_j >= 0.
 
-When every interval length is allowed (``min_len == 1``) every solve --
-the exact DP, the label search and the bounds -- runs on the
-turning-point skeleton of f, its local extrema (:func:`_skeleton`), and
-the witness is mapped back to the input grid: one period of a rounded
-sine of 4,097 samples keeps 4 points. The skeleton needs each phi_j
-convex with phi_j(0) = 0 and phi_1 >= phi_2 >= ... on the increments of
-f, which every gain of the exact DP meets (all phi_j are one convex g),
-and a count cap does not disturb it. On the skeleton the upper bound charges
-at most one rank per skeleton cell, so it can only be tighter than on the
-full grid. An explicit family with rising exponents is ordered only up to
-``family.ordered_to``; an input whose range passes it gets bounds that
-charge every rank of the input grid.
+Every solve -- the exact DP, the label search and the bounds -- of a
+level whose ``min_len`` is at most the skeleton's gap runs on the
+turning-point skeleton of f, its local extrema (:func:`_skeleton`), with
+min_len 1 there, and the witness is mapped back to the input grid: one
+period of a rounded sine of 4,097 samples keeps 4 points. The gap is the
+fewest grid cells between two consecutive skeleton points
+(:class:`_Skeleton`), so every skeleton interval is admissible; at
+``min_len = gap + 1`` the skeleton may lose the optimum, and the level
+stays on the input grid. ``min_len == 1`` always fits. The skeleton
+needs each phi_j convex with phi_j(0) = 0 and phi_1 >= phi_2 >= ... on
+the increments of f, which every gain of the exact DP meets (all phi_j
+are one convex g), and a count cap does not disturb it. On the skeleton
+the upper bound charges at most one rank per skeleton cell, so it can
+only be tighter than on the full grid. An explicit family with rising
+exponents is ordered only up to ``family.ordered_to``; an input whose
+range passes it gets bounds that charge every rank of the input grid.
 
 The Waterman-Shiba variation is the p-th root of the Schramm variation of
 phi_j(x) = x^p / lam_j, and each gauged level is that family at q_n, so one
@@ -60,6 +67,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -147,28 +155,42 @@ def _dp(values, levels, count=None):
     level's one-level table bit for bit, so a gauge solves all its levels
     in one pass.
 
-    Two column rules fill the table. Tie rule of both: take the interval
+    Two rules fill the table. Tie rule of both: take the interval
     when taking ties skipping, pick the smallest end among equal takes, and
     never take a zero increment. A gain past the largest float is inf.
 
-    Per position (any gains): one ``argmax`` over the ends per grid
-    position, vectorized over the columns, records ``end[i, c]``, where the
-    interval starting at i ends in an optimal collection (0 to skip i), in
-    the same backward pass. O(m) numpy calls of size m·K, where K is the
-    number of columns. ``best`` and ``end`` are column-major and a chunk's
-    gains are held as (starts, columns, ends), so a position's candidates
-    ``g[r, :, r:].T + best[lo:, :n]`` run down contiguous columns, which
-    ``argmax(axis=0)`` reduces. Each distinct gain function is called once
-    per chunk of start positions (its own function, with numpy's scalar
-    ``**`` fast paths), not once per position: a chunk holds 16 starts, or
-    up to an eighth of the ends while its increments fit in
-    ``_GAIN_CHUNK`` floats, so each gain is called at most m / 16 + 1 times
-    (8 at m = 256). Zero increments, and ends too short for a level, are
-    masked after the sum, one ``np.copyto`` per position, so an inf gain
-    never meets their -inf. The mask cannot move into the gains, once per
-    chunk: a -inf gain would meet an inf ``best[b]`` in a row whose skip is
-    inf already, and the nan would move the witnesses of inf values and
-    break the equality of a column with its one-level table.
+    Per block of positions (the block rule, any gains): one ``argmax``
+    over the ends, vectorized over the columns, records ``end[i, c]``,
+    where the interval starting at i ends in an optimal collection (0 to
+    skip i), in the same backward pass. Let ``first`` be the smallest
+    ``min_len`` of the table. Every end of a start i lies at or past
+    i + first, so the takes of up to ``first`` consecutive starts read
+    only rows below them: one candidate sum and one ``argmax`` serve a
+    block of ``first`` rows, and each row's value is then
+    ``max(take, best[i + 1])``, suffix maxima up the block.
+    ``max`` is exact, so the table is the row-at-a-time table bit for bit.
+    A block records the argmax of each of its rows as its end and a
+    ``took`` mask of the rows whose take reaches skipping; the ends not
+    taken are zeroed once, after the pass. O(m / first) numpy calls of size
+    first·m·K, where K is the number of columns. A table with
+    ``first == 1`` (every rank-bound table, and the q-form without
+    ``min_len``) keeps two-dimensional rows, which cost less per row than
+    a block of one. ``best`` and ``end`` are column-major and a chunk's
+    gains are held as (starts, columns, ends), so a block's candidates
+    ``g[r0:r1, :, r0:].transpose(0, 2, 1) + best[lo:, :n]`` run down
+    contiguous ends, which ``argmax(axis=1)`` reduces; a block's lower
+    rows mask the ends that lie before their own first end. Each distinct
+    gain function is called once per chunk of start positions (its own
+    function, with numpy's scalar ``**`` fast paths), not once per
+    position: a chunk holds 16 starts, or up to a block or an eighth of
+    the ends while its increments fit in ``_GAIN_CHUNK`` floats, rounded
+    up to whole blocks, so each gain is called at most m / 16 + 1 times
+    (8 at m = 256). Zero increments, and ends too short for a level, are masked
+    after the sum, one ``np.copyto`` per block, so an inf gain never meets
+    their -inf. The mask cannot move into the gains, once per chunk: a
+    -inf gain would meet an inf ``best[b]`` in a row whose skip is inf
+    already, and the nan would move the witnesses of inf values and break
+    the equality of a column with its one-level table.
 
     Per column (the linear gain :func:`_linear` with a count cap): as
     |v_b - v_i| = max(v_b - v_i, v_i - v_b), the take at i is
@@ -185,18 +207,18 @@ def _dp(values, levels, count=None):
     best[b, k-1] - v_b and takes, 3 × K × (m + 1) floats, and ``walk``
     reads those of the columns it visits, and of the positions where the
     take reaches skipping picks the first whose take over nonzero
-    increments still does, which is the per-position rule's choice.
+    increments still does, which is the block rule's choice.
 
     The column rule serves every capped linear table, the q-form at q = 1
     with ``min_len >= 2`` too, whose implicit cap ``m // min_len`` costs
     O(m / min_len) calls while it leaves 2 to ``_IMPLICIT_CAP_COLUMNS``
     columns (1.3 against 2.4 ms for table and walk at m = 256,
-    min_len = 4). The uncapped linear gain at ``min_len == 1`` stays per
-    position, where the column rule would need every column (2.1 against
-    4.8 ms at m = 256), and so do tables whose every column is walked,
-    such as ``_rank_bounds``': a pointer walk takes one step per interval,
-    where the column rule's walk scans the takes of every column it
-    visits.
+    min_len = 4). The uncapped linear gain at ``min_len == 1`` stays on
+    the block rule, where the column rule would need every column (2.1
+    against 4.8 ms at m = 256), and so do tables whose every column is
+    walked, such as ``_rank_bounds``': a pointer walk takes one step per
+    interval, where the column rule's walk scans the takes of every column
+    it visits.
     """
     m = len(values) - 1
     fns, lens = zip(*levels)
@@ -207,27 +229,33 @@ def _dp(values, levels, count=None):
         width, shift = max(0, min(count, m // min_len)) + 1, 1
     n = width - shift  # columns filled, reading columns 0..n-1
     best = np.zeros((m + 2, width), order="F")
-    if fns[0] is _linear and shift:
+    if _by_columns(levels, count):
         return _linear_columns(values, min_len, best)
     end = np.zeros((m + 2, width), dtype=np.intp, order="F")
     walk = _walk(best, end, shift)
     first = min(lens)  # every end of a start i lies in i + first..m
     if n == 0 or first > m:
         return best, walk
+    took = np.zeros((m + 2, width), dtype=bool, order="F")
     gains = list(dict.fromkeys(fns))  # one call per distinct function
     uses = [[c for c, fn in enumerate(fns) if fn is gain] for gain in gains]
     ends = m + 1 - first
     # a chunk computes the gains of its first start's ends for every start in
-    # it: 16 rows, or up to an eighth of the ends while _GAIN_CHUNK holds them
-    rows = max(16, min(ends // 8, _GAIN_CHUNK // ends))
+    # it: 16 rows, or up to a block or an eighth of the ends while
+    # _GAIN_CHUNK holds them, rounded up to whole blocks of up to `first` rows
+    rows = max(16, min(max(first, ends // 8), _GAIN_CHUNK // ends))
+    block = min(first, rows)
+    rows += -rows % block
     g = np.empty((rows, len(fns), ends))
-    # ends a level cannot take: end j of row r lies j - r past the row's
-    # first end, and level c starts late[c] ends later
+    # ends a start cannot take: end j of row r lies j - r past the row's
+    # first end (before it, for a block's lower rows), and level c starts
+    # late[c] ends later
     late = np.array(lens) - first
     short = None  # one row mask serves every column
-    if late.any():
+    if late.any() or block > 1:
         short = np.arange(ends) - np.arange(rows)[:, None, None] < late[:, None]
     cols = np.arange(n)
+    below = np.arange(block)[:, None]  # the rows of a block
     with np.errstate(over="ignore"):
         for hi in range(m - first, -1, -rows):
             lo0 = max(hi - rows + 1, 0)  # starts lo0..hi; row r is start lo0 + r
@@ -242,17 +270,42 @@ def _dp(values, levels, count=None):
             bad = (incs == 0)[:, None]
             if short is not None:
                 bad = bad | short[:k, :, :w]
-            for r in range(k - 1, -1, -1):
-                i, lo = lo0 + r, lo0 + r + first
-                # ends down each column, contiguous in the column-major best
-                cand = g[r, :, r:w].T + best[lo:m + 1, :n]
-                np.copyto(cand, -np.inf, where=bad[r, :, r:].T)
-                arg = cand.argmax(axis=0)
-                take, skip = cand[arg, cols], best[i + 1, shift:]
-                np.maximum(take, skip, out=best[i, shift:])
-                end[i, shift:] = np.where(take >= skip, arg + lo, 0)
+            if block == 1:
+                for r in range(k - 1, -1, -1):
+                    i, lo = lo0 + r, lo0 + r + first
+                    # ends down each column, contiguous in the column-major best
+                    cand = g[r, :, r:w].T + best[lo:m + 1, :n]
+                    np.copyto(cand, -np.inf, where=bad[r, :, r:].T)
+                    arg = cand.argmax(axis=0)
+                    take, skip = cand[arg, cols], best[i + 1, shift:]
+                    np.maximum(take, skip, out=best[i, shift:])
+                    np.greater_equal(take, skip, out=took[i, shift:])
+                    np.add(arg, lo, out=end[i, shift:])
+                continue
+            for r1 in range(k, 0, -block):
+                # rows r0..r1 - 1 take ends at or past start r1's, whose rows
+                # are filled: one sum and one argmax serve them all
+                r0 = max(r1 - block, 0)
+                i0, i1, lo = lo0 + r0, lo0 + r1, lo0 + r0 + first
+                cand = g[r0:r1, :, r0:w].transpose(0, 2, 1) + best[lo:m + 1, :n]
+                np.copyto(cand, -np.inf, where=bad[r0:r1, :, r0:].transpose(0, 2, 1))
+                arg = cand.argmax(axis=1)
+                take = cand[below[:r1 - r0], arg, cols]
+                # best[i] = max(take[i], best[i + 1]): suffix maxima up the block
+                up = np.maximum.accumulate(
+                    np.concatenate((best[i1:i1 + 1, shift:], take[::-1])), axis=0)
+                best[i0:i1, shift:] = up[:0:-1]
+                took[i0:i1, shift:] = take >= best[i0 + 1:i1 + 1, shift:]
+                end[i0:i1, shift:] = arg + lo
             del incs, gk, bad  # one chunk's arrays live at a time
+    np.copyto(end, 0, where=~took)
     return best, walk
+
+
+def _by_columns(levels, count):
+    """Whether :func:`_dp` fills the table of ``levels`` by its column rule:
+    the linear gain under a count cap."""
+    return count is not None and levels[0][0] is _linear
 
 
 def _linear_columns(values, min_len, best):
@@ -332,40 +385,66 @@ def _walk(best, end, shift):
 
 def _dp_solve(f, levels, count=None):
     """The interval DP's (value, witness) of each level -- the last column of
-    a capped table, or each uncapped level's own column -- and the table.
-    Every caller's solve writes one ``gbv`` debug line, e.g.
-    ``exact-dp: m=256, levels=1, cap=8, skeleton 257→4``, where ``cap`` is
-    the count asked for, clipped to the intervals that fit.
+    a capped table, or each uncapped level's own column -- in level order,
+    and the last table filled (a capped solve's one table).
 
-    When every level has ``min_len == 1`` the DP runs on the turning-point
-    skeleton of f (:func:`_skeleton`) and its witness pairs are mapped back
-    to f's grid. Every gain that reaches the DP -- ``_linear``, x^q with
-    q >= 1, a power or expm1 base over constant weights, c x^e with e >= 1
-    -- is convex with g(0) = 0, so some optimum of at most ``count``
-    intervals has all its endpoints on the skeleton (the proof is in
-    :func:`_rank_solve`). The table then has a row per skeleton point and
-    at most a column per skeleton cell. Values and witnesses are those of
-    the full grid but for ties: a linear gain ties a monotone run with its
-    pieces, and the skeleton reports the run whole; an inf value, or a
-    gain below the last bit of the value, ties more collections still.
-    Every witness is re-evaluated and must reproduce its value (an inf
-    value, inf)."""
-    idx = _skeleton(f.values) if all(min_len == 1 for _, min_len in levels) else None
-    best, walk = _dp(f.values if idx is None else f.values[idx], levels, count)
-    solved = []
-    cols = range(len(levels)) if count is None else [best.shape[1] - 1]
-    for col, (gainfn, _) in zip(cols, levels):
-        value = float(best[0, col])
-        witness = _on_grid(f, idx, walk(col))
-        with np.errstate(over="ignore"):
-            check = float(np.sum(gainfn(np.array(witness.increments))))
-        if check != value and not abs(check - value) <= _REL_TOL * value < math.inf:
-            raise InternalConsistencyError(
-                f"DP witness re-evaluates to {check!r}, not {value!r}")
-        solved.append((value, witness))
-    cap = "" if count is None else f"cap={min(count, f.m // levels[0][1])}, "
-    _log.debug("exact-dp: m=%d, levels=%d, %s%s", f.m, len(levels), cap,
-               _grid_text(f, idx, [min_len for _, min_len in levels]))
+    A level runs on the turning-point skeleton of f, with min_len 1 there,
+    when its ``min_len`` is at most the skeleton's gap, the fewest grid
+    cells between two consecutive skeleton points (:class:`_Skeleton`);
+    its witness pairs are mapped back to f's grid. Every gain that reaches
+    the DP -- ``_linear``, x^q with q >= 1, a power or expm1 base over
+    constant weights, c x^e with e >= 1 -- is convex with g(0) = 0, so
+    some optimum of at most ``count`` admissible intervals has all its
+    endpoints on the skeleton, where every interval spans a gap or more
+    and is admissible (the proof is in :func:`_rank_solve`). The table
+    then has a row per skeleton point and at most a column per skeleton
+    cell. The levels that fit run on one skeleton table and the rest on
+    one grid table, so a solve fills at most two tables. When the gap is
+    1, only the ``min_len == 1`` levels fit, and moving them would leave
+    the grid table blocks of 2 rows, which save less than a second pass
+    costs (gauged random walks at m = 64 to 256 ran up to 1.25 times
+    slower with it): a solve that does not fit whole then keeps all its
+    levels on one grid table. This follows from the rule and is not a
+    tunable threshold.
+
+    Values and witnesses are those of the full grid but for ties: a linear
+    gain ties a monotone run with its pieces, and the skeleton reports the
+    run whole; an inf value, or a gain below the last bit of the value,
+    ties more collections still. Every witness is re-evaluated and must
+    reproduce its value (an inf value, inf). Each table writes one ``gbv``
+    debug line that says where it ran and why, e.g. ``exact-dp: m=256,
+    levels=1, cap=8, skeleton 257→4 (gap 44)`` or ``exact-dp: m=256,
+    levels=2, min_len=64..128, no skeleton (gap 44), blocks of 64``, where
+    ``cap`` is the count asked for, clipped to the intervals that fit, and
+    ``blocks`` the rows that :func:`_dp` fills per step."""
+    skeleton = _Skeleton(f.values)
+    fit = [skeleton.grid(min_len) is not None for _, min_len in levels]
+    if not all(fit) and skeleton.gap == 1:
+        fit = [False] * len(levels)
+    solved = [None] * len(levels)
+    for idx in (skeleton.idx, None):
+        group = [c for c, on in enumerate(fit) if on == (idx is not None)]
+        if not group:
+            continue
+        table = [(levels[c][0], 1 if idx is not None else levels[c][1]) for c in group]
+        best, walk = _dp(f.values if idx is None else f.values[idx], table, count)
+        cols = range(len(group)) if count is None else [best.shape[1] - 1]
+        for c, col in zip(group, cols):
+            value = float(best[0, col])
+            witness = _on_grid(f, idx, walk(col))
+            with np.errstate(over="ignore"):
+                check = float(np.sum(levels[c][0](np.array(witness.increments))))
+            if check != value and not abs(check - value) <= _REL_TOL * value < math.inf:
+                raise InternalConsistencyError(
+                    f"DP witness re-evaluates to {check!r}, not {value!r}")
+            solved[c] = (value, witness)
+        if _log.isEnabledFor(logging.DEBUG):
+            cap = "" if count is None else f"cap={min(count, f.m // levels[0][1])}, "
+            lens = [levels[c][1] for c in group]
+            text = skeleton.text(idx, lens)
+            if idx is None and min(lens) > 1 and not _by_columns(table, count):
+                text += f", blocks of {min(lens)}"
+            _log.debug("exact-dp: m=%d, levels=%d, %s%s", f.m, len(group), cap, text)
     return solved, best
 
 
@@ -377,13 +456,34 @@ def _on_grid(f, idx, pairs):
     return IntervalCollection.from_pairs(f, pairs)
 
 
-def _grid_text(f, idx, min_lens):
-    """How a debug line names the grid a solve ran on: the skeleton, or the
-    input grid and the minimum lengths that kept it."""
-    if idx is not None:
-        return f"skeleton {f.m + 1}→{len(idx)}"
-    lo, hi = min(min_lens), max(min_lens)
-    return f"min_len={lo}{'' if lo == hi else f'..{hi}'}, no skeleton"
+class _Skeleton:
+    """The turning-point skeleton of ``values`` (:func:`_skeleton`), ``idx``,
+    and its ``gap``, the fewest grid cells between two consecutive points.
+    The gap rule: a level whose intervals must span ``min_len`` grid cells
+    or more may run on the skeleton, with min_len 1 there, when
+    ``min_len <= gap`` (the proof is in :func:`_rank_solve`). At
+    ``min_len = gap + 1`` the skeleton may lose the optimum."""
+
+    def __init__(self, values):
+        self.idx = _skeleton(values)
+        self.size = len(values)
+
+    @cached_property
+    def gap(self):
+        return int((self.idx[1:] - self.idx[:-1]).min())
+
+    def grid(self, min_len):
+        """The grid a level of ``min_len`` runs on: ``idx``, or None for
+        the input grid."""
+        return self.idx if min_len == 1 or min_len <= self.gap else None
+
+    def text(self, idx, min_lens):
+        """How a debug line names the grid ``idx`` that a solve of
+        ``min_lens`` ran on, with the gap that decided it."""
+        if idx is not None:
+            return f"skeleton {self.size}→{len(idx)} (gap {self.gap})"
+        lo, hi = min(min_lens), max(min_lens)
+        return f"min_len={lo}{'' if lo == hi else f'..{hi}'}, no skeleton (gap {self.gap})"
 
 
 # ---------------------------------------------------------------------------
@@ -531,13 +631,14 @@ def _rank_solve(f, levels, oracle_cap):
     function) or all rank-dependent: the weighted and Schramm forms pass
     one level, and a gauge's levels are powers of one weight sequence,
     rank-free exactly when the weights are. Rank-free levels are the
-    uncapped columns of one exact DP, filled in one pass at any m. Each
+    uncapped columns of at most two exact DP tables at any m. Each
     rank-dependent level is searched on its own, in order: the label search
     (:func:`_label_search`) is exact up to ``oracle_cap`` cells of the input
     grid and certified bounds take over beyond it. Every path of a level
-    with ``min_len == 1`` runs on the turning-point skeleton of f
-    (:func:`_skeleton`), made once per f, which only shrinks the work; the
-    DP does so when all its levels have ``min_len == 1``. Every path raises
+    whose ``min_len`` fits the skeleton's gap runs on the turning-point
+    skeleton of f (:class:`_Skeleton`), made once per f, with min_len 1
+    there, which only shrinks the work; the DP puts the levels that fit on
+    one skeleton table (:func:`_dp_solve`). Every path raises
     past the horizon alike, before the next level is searched: a positive
     value means up to ``m // min_len`` ranks can be charged, and all of them
     are asked for.
@@ -589,6 +690,19 @@ def _rank_solve(f, levels, oracle_cap):
     a merge drops one, so the best collection of at most k intervals has
     one on the skeleton too.
 
+    Minimum lengths: the gap rule. Let the gap be the fewest grid cells
+    between two consecutive skeleton points, and let every interval need
+    ``min_len <= gap`` cells. Start from an optimal admissible collection
+    and slide and merge as above; the intervals on the way may be short,
+    but the steps end with every endpoint on the skeleton, and then every
+    interval spans a gap or more, so it is admissible. Conversely every
+    collection on the skeleton is admissible. So the optimum over
+    admissible collections is the skeleton's with min_len 1, and a count
+    cap holds as before. At ``min_len = gap + 1`` a skeleton interval of
+    one gap is not admissible, and the skeleton may report more than the
+    optimum: ``[0, 0, 1, 1, 0, 0, 1]`` has skeleton points 0, 2, 4, 6,
+    whose three unit steps sum to 3, while at min_len 3 the most is 1.
+
     Keeping the first index of each plateau keeps the search's tie rule,
     and the DP's (the earliest start, then the smallest end), except where
     a merge leaves V unchanged (phi_j linear with equal gains at both
@@ -601,7 +715,7 @@ def _rank_solve(f, levels, oracle_cap):
         solved, _ = _dp_solve(f, [(family.rank_free, min_len) for family, min_len, _ in levels])
         solved = [(value, value, "exact-dp", witness) for value, witness in solved]
     else:
-        skeleton = _skeleton(f.values) if any(min_len == 1 for _, min_len, _ in levels) else None
+        skeleton = _Skeleton(f.values)
         # lazily, so that each level's horizon check runs before the next search
         solved = (_rank_search(f, skeleton, *level, oracle_cap) for level in levels)
     results = []
@@ -616,29 +730,31 @@ def _rank_solve(f, levels, oracle_cap):
 
 def _rank_search(f, skeleton, family, min_len, p, oracle_cap):
     """(lower, upper, mode, witness) of one rank-dependent level of
-    :func:`_rank_solve`, on ``skeleton`` when ``min_len == 1``."""
-    idx = skeleton if min_len == 1 else None
-    notes = [_grid_text(f, idx, [min_len])]  # why this path, for the debug line
+    :func:`_rank_solve`, on ``skeleton`` when ``min_len`` fits its gap."""
+    idx = skeleton.grid(min_len)
+    notes = []  # why this path, for the debug line
     ranks = None  # set when the range passes the family's ordering
     if family.ordered_to < math.inf:
         # a Python float difference: np.ptp warns past the largest float
         span = float(f.values.max()) - float(f.values.min())
         if span > family.ordered_to:
             ranks = f.m // min_len
-            notes.insert(0, f"range {span:.3g} > ordered_to {family.ordered_to:.3g}")
-    values = f.values if idx is None else f.values[idx]
+            notes.append(f"range {span:.3g} > ordered_to {family.ordered_to:.3g}")
+    values, length = (f.values, min_len) if idx is None else (f.values[idx], 1)
     if f.m <= oracle_cap and ranks is None:
-        lower, pairs, held = _label_search(values, family, min_len)
+        lower, pairs, held = _label_search(values, family, length)
         upper, mode = lower, "exact-oracle"
         notes.append(f"labels {held}")
     else:
-        lower, upper, pairs, rule = _rank_bounds(values, family, min_len, ranks)
+        lower, upper, pairs, rule = _rank_bounds(values, family, length, ranks)
         mode = "bounds"
         # the gap of the reported bracket, after the 1/p root
         lo, hi = lower ** (1.0 / p), upper ** (1.0 / p)
         notes.append(f"upper {rule}, gap {1.0 - lo / hi if hi > lo else 0.0:.3g}")
-    _log.debug("%s: m=%d %s oracle_cap=%d, %s", mode, f.m,
-               "<=" if f.m <= oracle_cap else ">", oracle_cap, ", ".join(notes))
+    if _log.isEnabledFor(logging.DEBUG):  # the grid text may measure the gap
+        notes.insert(-1, skeleton.text(idx, [min_len]))
+        _log.debug("%s: m=%d %s oracle_cap=%d, %s", mode, f.m,
+                   "<=" if f.m <= oracle_cap else ">", oracle_cap, ", ".join(notes))
     return lower, upper, mode, _on_grid(f, idx, pairs)
 
 
@@ -669,7 +785,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     ``m // min_len`` when that is 2 to ``_IMPLICIT_CAP_COLUMNS``. The cap
     cannot bind, but it lets :func:`_dp` take its linear column rule:
     O(m / min_len) numpy calls of size m, not O(m). The value is the
-    per-position rule's bit for bit on dyadic samples and within a few
+    block rule's bit for bit on dyadic samples and within a few
     ulps of it otherwise, and a witness may differ from it in a linear
     tie. The debug line then names ``cap=``.
 
@@ -680,7 +796,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     and the three increments among them cover the range), so the error is
     a few ulps of the value too. Where only one fits, the admissible
     increments may all lie far below the range -- ``[1e-5, 0, 1, 0]`` at
-    ``min_len = 3`` reads 1e-5 -- so that table stays per position."""
+    ``min_len = 3`` reads 1e-5 -- so that table stays on the block rule."""
     if not 1 <= q < math.inf:
         raise ValidationError("q must be >= 1")
     if min_len < 1:
@@ -725,9 +841,10 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     Levels that share (q_n, min_len) are solved once, and all of them go
     to one rank solve, which picks the path: with rank-free weights
     (constant, or an explicit list of one value) every level is an uncapped
-    column of one interval DP, filled in one pass; otherwise each level is
-    searched on its own. The first level with the strictly largest value is
-    reported.
+    column of at most two interval DP tables, one on the turning-point
+    skeleton for the levels whose min_len fits its gap and one on the
+    input grid for the rest; otherwise each level is searched on its own.
+    The first level with the strictly largest value is reported.
     """
     # (q_n, min_len) per level; levels often repeat both
     keys = [(q_n, max(1, math.ceil(f.m / delta_n))) for q_n, delta_n in gauge.levels(n_cap)]

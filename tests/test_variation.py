@@ -101,8 +101,8 @@ class TestModulus:
             modulus_of_variation(ZIGZAG, 2)
             modulus_of_variation(ZIGZAG, 9)
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp: m=4, levels=1, cap=2, skeleton 5→5",
-            "exact-dp: m=4, levels=1, cap=4, skeleton 5→5"]
+            "exact-dp: m=4, levels=1, cap=2, skeleton 5→5 (gap 1)",
+            "exact-dp: m=4, levels=1, cap=4, skeleton 5→5 (gap 1)"]
 
 
 class TestUnweightedQ:
@@ -123,8 +123,8 @@ class TestUnweightedQ:
             variation_unweighted_q(ZIGZAG, 2.0, s_max=1)
             variation_unweighted_q(ZIGZAG, 1.0, min_len=2)
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp: m=4, levels=1, cap=1, skeleton 5→5",
-            "exact-dp: m=4, levels=1, cap=2, min_len=2, no skeleton"]
+            "exact-dp: m=4, levels=1, cap=1, skeleton 5→5 (gap 1)",
+            "exact-dp: m=4, levels=1, cap=2, min_len=2, no skeleton (gap 1)"]
 
     def test_implicit_cap_from_two_to_its_column_limit(self, caplog):
         # q = 1 with min_len >= 2 takes the cap m // min_len while it leaves
@@ -138,9 +138,9 @@ class TestUnweightedQ:
             res = variation_unweighted_q(StepFunction([1e-5, 0.0, 1.0, 0.0]), 1.0, min_len=3)
         assert res.value == 1e-5 and res.witness.pairs == ((0, 3),)
         assert [r.getMessage() for r in caplog.records] == [
-            f"exact-dp: m={2 * cols}, levels=1, cap={cols}, min_len=2, no skeleton",
-            f"exact-dp: m={2 * cols + 2}, levels=1, min_len=2, no skeleton",
-            "exact-dp: m=3, levels=1, min_len=3, no skeleton"]
+            f"exact-dp: m={2 * cols}, levels=1, cap={cols}, min_len=2, no skeleton (gap 1)",
+            f"exact-dp: m={2 * cols + 2}, levels=1, min_len=2, no skeleton (gap 1), blocks of 2",
+            "exact-dp: m=3, levels=1, min_len=3, no skeleton (gap 1), blocks of 3"]
 
     def test_min_len_beyond_grid(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, min_len=10)
@@ -784,11 +784,11 @@ class TestSkeleton:
         gap = 1.0 - res.lower / res.upper
         assert 0.0 < gap < 1.0
         assert [r.getMessage() for r in caplog.records] == [
-            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)}, upper abel, gap 0",
-            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(self.skeleton(walk.values))}, "
-            f"upper abel, gap {gap:.3g}",
-            f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)}, labels 1",
-            f"exact-dp: m=20, levels=1, skeleton 21→{len(idx)}",
+            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)} (gap 4), upper abel, gap 0",
+            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(self.skeleton(walk.values))} "
+            f"(gap 2), upper abel, gap {gap:.3g}",
+            f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)} (gap 4), labels 1",
+            f"exact-dp: m=20, levels=1, skeleton 21→{len(idx)} (gap 4)",
         ]
 
     def test_unordered_range_is_logged(self, caplog):
@@ -800,11 +800,11 @@ class TestSkeleton:
             variation_schramm(f, fam, oracle_cap=8)
             variation_schramm(f.scaled(0.5), fam)
         assert [r.getMessage() for r in caplog.records] == [
-            f"bounds: m=12 <= oracle_cap=16, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}, "
-            "upper nu, gap 0.448",
-            f"bounds: m=12 > oracle_cap=8, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)}, "
-            "upper nu, gap 0.448",
-            f"exact-oracle: m=12 <= oracle_cap=16, skeleton 13→{len(idx)}, labels 2",
+            f"bounds: m=12 <= oracle_cap=16, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)} "
+            "(gap 1), upper nu, gap 0.448",
+            f"bounds: m=12 > oracle_cap=8, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)} "
+            "(gap 1), upper nu, gap 0.448",
+            f"exact-oracle: m=12 <= oracle_cap=16, skeleton 13→{len(idx)} (gap 1), labels 2",
         ]
 
     def test_gauged_path_is_logged(self, caplog):
@@ -814,9 +814,9 @@ class TestSkeleton:
         # levels 3 and 4 share min_len 1 but not q_n; a rank-dependent gauge
         # keeps one rank solve per level
         assert [r.getMessage() for r in caplog.records] == [
-            "exact-dp: m=4, levels=4, min_len=1..2, no skeleton",
-            "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton, labels 1",
-            "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5, labels 1",
+            "exact-dp: m=4, levels=4, min_len=1..2, no skeleton (gap 1)",
+            "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton (gap 1), labels 1",
+            "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5 (gap 1), labels 1",
         ]
 
 
@@ -851,6 +851,66 @@ def test_skeleton_solve_matches_oracle_property(runs, shape):
                                                                  abs=1e-12)
         if res.mode == "exact-oracle":
             assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def repeated_samples(draw, max_m=8):
+    """Half-integer heights each repeated 1 to 4 times with ``np.repeat``,
+    so that skeleton gaps of 2 or more occur, or a rounded sine."""
+    if draw(st.booleans()):
+        heights = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=max_m + 1))
+        runs = draw(st.lists(st.integers(1, 4), min_size=len(heights),
+                             max_size=len(heights)))
+        return np.repeat(np.array(heights) / 2.0, runs)[:max_m + 1]
+    m, turns = draw(st.integers(2, max_m)), draw(st.sampled_from([0.5, 1.0, 1.5]))
+    return np.round(np.sin(np.linspace(0.0, turns * 2.0 * np.pi, m + 1)) * 3.0) / 2.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(repeated_samples(), st.integers(1, 8), st.sampled_from([1.0, 1.5, 3.0]),
+       st.sampled_from([None, 1, 2]))
+def test_gap_rule_matches_oracle_property(values, min_len, q, s_max):
+    # a level runs on the skeleton when its min_len fits the skeleton's gap
+    f = StepFunction(values)
+    min_len = (min_len - 1) % f.m + 1
+    res = variation_unweighted_q(f, q, s_max=s_max, min_len=min_len)
+    truth = oracles.oracle_unweighted_q(values.tolist(), q, s_max or f.m, min_len)
+    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert all(b - a >= min_len for a, b in res.witness.pairs)
+    assert len(res.witness) <= (s_max or f.m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_samples(), st.lists(st.integers(2, 9), min_size=1, max_size=4),
+       st.sampled_from([(CONST1, 1.0), (HARMONIC, None)]))
+def test_gauged_gap_rule_matches_oracle_property(values, deltas, weights):
+    # gauges whose levels mix min_len below and above the skeleton's gap
+    f = StepFunction(values)
+    weights, lam = weights
+    deltas = sorted(deltas)
+    qn = [1.0, 1.5, 2.0, 3.0][:len(deltas)]
+    res = variation_gauged(f, weights, GaugePair(qn, deltas), len(deltas))
+    lams = [lam or j for j in range(1, f.m + 1)]
+    truth = oracles.oracle_gauged(values.tolist(), lams, qn, deltas, len(deltas))
+    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    if res.level is not None:
+        min_len = math.ceil(f.m / deltas[res.level - 1])
+        assert all(b - a >= min_len for a, b in res.witness.pairs)
+
+
+def test_min_len_past_the_gap_stays_on_the_grid(caplog):
+    # the skeleton [0, 2, 4, 6] has gap 2: its three unit steps span 2
+    # cells each, and at min_len 3 none of them is admissible
+    f = StepFunction([0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0])
+    with caplog.at_level(logging.DEBUG, logger="gbv"):
+        on = variation_unweighted_q(f, 2.0, min_len=2)
+        off = variation_unweighted_q(f, 2.0, min_len=3)
+    assert on.witness.pairs == ((0, 2), (2, 4), (4, 6))
+    assert off.value == 1.0 == oracles.oracle_unweighted_q(f.values.tolist(), 2.0, 6, 3)
+    assert off.witness.pairs == ((0, 3),)
+    assert [r.getMessage() for r in caplog.records] == [
+        "exact-dp: m=6, levels=1, skeleton 7→4 (gap 2)",
+        "exact-dp: m=6, levels=1, min_len=3, no skeleton (gap 2), blocks of 3"]
 
 
 @st.composite
@@ -904,12 +964,14 @@ def level_samples(draw, max_m=48):
 
 @settings(max_examples=80, deadline=None)
 @given(level_samples(), st.lists(st.tuples(st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.0]),
-                                           st.integers(1, 48)), min_size=1, max_size=6))
-def test_level_columns_match_one_level_dp_property(values, levels):
-    # levels that share q_n share one gain function, as in variation_gauged
+                                           st.integers(1, 48)), min_size=1, max_size=6),
+       st.integers(1, 8))
+def test_level_columns_match_one_level_dp_property(values, levels, lowest):
+    # levels that share q_n share one gain function, as in variation_gauged;
+    # a table whose levels all have min_len >= 2 fills blocks of rows
     m = len(values) - 1
     gains = {q: SchrammFamily.power(q, CONST1).rank_free for q, _ in levels}
-    levels = [(gains[q], (min_len - 1) % m + 1) for q, min_len in levels]
+    levels = [(gains[q], min(m, max(lowest, (min_len - 1) % m + 1))) for q, min_len in levels]
     best, walk = _DP(values, levels)
     for c, level in enumerate(levels):
         ref, ref_walk = _DP(values, [level])

@@ -19,7 +19,9 @@ exactly where their CLIs behave the same. To see every changed call::
 
 The list covers every subcommand: ``variation`` with each weight-spec form
 (``kind``, ``kind:arg``, inline JSON, a config file, and arguments that a
-kind does not read) on four inputs, families of each kind, criteria 1.4,
+kind does not read) on five inputs (one a plateau train whose skeleton gap
+is 2, so that ``--minlen`` and gauged calls fill both a skeleton and a grid
+table), families of each kind, criteria 1.4,
 1.5, 1.7, 1.8 and 1.9, the four inequality suites, counterexample plans,
 builds and certifications of both kinds, and ``norm``. It takes a few
 seconds.
@@ -50,11 +52,14 @@ def _inputs():
     rng = np.random.default_rng(SEED)
     walk = np.round(np.cumsum(rng.normal(size=13)), 2)
     sine = np.round(np.sin(np.linspace(0.0, 2.0 * np.pi, 17)) * 4.0)
+    # skeleton 0, 3, 7, 9, 12: its gap is 2, so min_len 2 runs on it and 3 does not
+    plateau = np.repeat([0.0, 2.0, 1.0, 3.0, 0.5], [3, 4, 2, 3, 4])
     return {
         "zigzag.csv": "0\n1\n0\n2\n0\n",
         "walk.csv": "".join(f"{v!r}\n" for v in walk.tolist()),
         "flat.csv": "1\n1\n1\n1\n",
         "sine.json": json.dumps({"m": 16, "values": sine.tolist()}),
+        "plateau.csv": "".join(f"{v!r}\n" for v in plateau.tolist()),
         "list.json": "[0, 1, 0, 2]",
         "values-int.json": '{"m": 3, "values": 5}',
         "bad-m.json": '{"m": 7, "values": [0, 1]}',
@@ -90,7 +95,7 @@ BAD_GAUGES = [("linear:7", "pow2"), ("linear", "pow2:9"), ("const", "pow2"), ("c
 def _calls():
     """The argv of every call, in order."""
     calls = []
-    for src in ("zigzag.csv", "walk.csv", "flat.csv", "sine.json"):
+    for src in ("zigzag.csv", "walk.csv", "flat.csv", "sine.json", "plateau.csv"):
         var = ["variation", "--input", src, "--kmax", "4096"]
         if src.endswith(".json"):
             var += ["--format", "json"]
