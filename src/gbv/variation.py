@@ -281,22 +281,22 @@ def _dp(values, levels, count=None):
                     np.maximum(take, skip, out=best[i, shift:])
                     np.greater_equal(take, skip, out=took[i, shift:])
                     np.add(arg, lo, out=end[i, shift:])
-                continue
-            for r1 in range(k, 0, -block):
-                # rows r0..r1 - 1 take ends at or past start r1's, whose rows
-                # are filled: one sum and one argmax serve them all
-                r0 = max(r1 - block, 0)
-                i0, i1, lo = lo0 + r0, lo0 + r1, lo0 + r0 + first
-                cand = g[r0:r1, :, r0:w].transpose(0, 2, 1) + best[lo:m + 1, :n]
-                np.copyto(cand, -np.inf, where=bad[r0:r1, :, r0:].transpose(0, 2, 1))
-                arg = cand.argmax(axis=1)
-                take = cand[below[:r1 - r0], arg, cols]
-                # best[i] = max(take[i], best[i + 1]): suffix maxima up the block
-                up = np.maximum.accumulate(
-                    np.concatenate((best[i1:i1 + 1, shift:], take[::-1])), axis=0)
-                best[i0:i1, shift:] = up[:0:-1]
-                took[i0:i1, shift:] = take >= best[i0 + 1:i1 + 1, shift:]
-                end[i0:i1, shift:] = arg + lo
+            else:
+                for r1 in range(k, 0, -block):
+                    # rows r0..r1 - 1 take ends at or past start r1's, whose
+                    # rows are filled: one sum and one argmax serve them all
+                    r0 = max(r1 - block, 0)
+                    i0, i1, lo = lo0 + r0, lo0 + r1, lo0 + r0 + first
+                    cand = g[r0:r1, :, r0:w].transpose(0, 2, 1) + best[lo:m + 1, :n]
+                    np.copyto(cand, -np.inf, where=bad[r0:r1, :, r0:].transpose(0, 2, 1))
+                    arg = cand.argmax(axis=1)
+                    take = cand[below[:r1 - r0], arg, cols]
+                    # best[i] = max(take[i], best[i + 1]): suffix maxima up the block
+                    up = np.maximum.accumulate(
+                        np.concatenate((best[i1:i1 + 1, shift:], take[::-1])), axis=0)
+                    best[i0:i1, shift:] = up[:0:-1]
+                    took[i0:i1, shift:] = take >= best[i0 + 1:i1 + 1, shift:]
+                    end[i0:i1, shift:] = arg + lo
             del incs, gk, bad  # one chunk's arrays live at a time
     np.copyto(end, 0, where=~took)
     return best, walk
