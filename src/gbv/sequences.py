@@ -177,7 +177,8 @@ class WeightSequence:
         meaningful where ``k > anchor``."""
         n = self.anchor
         if self.terms is not None:
-            return (ks - n) / self.terms[-1]
+            with np.errstate(over="ignore"):  # inf past the largest float
+                return (ks - n) / self.terms[-1]
         k, n = ks.astype(float), float(n)
         x = np.log(k / n)  # k / n is exact where it matters: n = PREFIX_ANCHOR
         # Euler-Maclaurin: sum_{n<j<=k} f(j) = int_n^k f + e(k) - e(n) with
@@ -203,7 +204,8 @@ class WeightSequence:
     def _prefix_head(self):
         head = self._head
         if head is None:
-            head = np.cumsum(1.0 / self._formula(self.anchor))
+            with np.errstate(over="ignore"):  # inf past the largest float
+                head = np.cumsum(1.0 / self._formula(self.anchor))
             head.setflags(write=False)
             self._head = head
         return head

@@ -12,7 +12,10 @@ value; when the count cap cannot bind, it runs on a single column. Such
 uncapped problems that differ only in gain and minimum length -- the
 levels of a gauged variation with rank-free weights -- share one backward
 pass, each on its own column, so a gauge of n levels costs O(m) numpy
-calls, not O(n·m). A block of rows as tall as the table's shortest
+calls, not O(n·m). A gauge solves only one level per exponent: levels
+that share an exponent are nested, and the one with the shortest
+``min_len`` holds their supremum, so a constant ladder is one column
+with ``min_len`` 1. A block of rows as tall as the table's shortest
 ``min_len`` shares one ``argmax``, since their takes read only rows below
 the block, so a table whose levels all need long intervals costs
 O(m / min_len) calls. The tables are column-major, so each ``argmax``
@@ -405,7 +408,10 @@ def _dp_solve(f, levels, count=None):
     costs (gauged random walks at m = 64 to 256 ran up to 1.25 times
     slower with it): a solve that does not fit whole then keeps all its
     levels on one grid table. This follows from the rule and is not a
-    tunable threshold.
+    tunable threshold. Only a gauge whose exponents are distinct (a
+    ``linear`` or ``to`` ladder) meets it: a gauge solves one level per
+    exponent, the one with the shortest ``min_len``, so a constant ladder
+    passes one ``min_len == 1`` level, which fits any gap.
 
     Values and witnesses are those of the full grid but for ties: a linear
     gain ties a monotone run with its pieces, and the skeleton reports the
@@ -838,27 +844,51 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     ``floor(m / min_len) <= delta_n``, which coincides with the count cap
     used in the sufficiency arguments.
 
-    Levels that share (q_n, min_len) are solved once, and all of them go
-    to one rank solve, which picks the path: with rank-free weights
-    (constant, or an explicit list of one value) every level is an uncapped
-    column of at most two interval DP tables, one on the turning-point
-    skeleton for the levels whose min_len fits its gap and one on the
-    input grid for the rest; otherwise each level is searched on its own.
-    The first level with the strictly largest value is reported.
+    Levels that share an exponent are nested: a shorter min_len admits
+    every collection of a longer one, so their supremum is the value of
+    the level with the shortest min_len, and only that level is solved,
+    one per exponent (delta_n is nondecreasing, so it is the last level of
+    the exponent). All of them go to one rank solve, which picks the path:
+    with rank-free weights (constant, or an explicit list of one value)
+    every solved level is an uncapped column of at most two interval DP
+    tables, one on the turning-point skeleton for the levels whose min_len
+    fits its gap and one on the input grid for the rest, so a constant
+    ladder fills one skeleton table; otherwise each solved level is
+    searched on its own. Of the exponents, the first (in ladder order)
+    with the strictly largest value is reported, at the first level of it
+    whose min_len its witness meets: the witness is admissible there, so
+    that level attains the value. ``upper`` is the largest upper of the
+    solved levels, and the mode is ``bounds`` if any of them is. In bounds
+    mode the lower bound is the finest level's, which may lie below a
+    coarser level's own lower bound; the bracket holds either way.
+
+    One ``gbv`` debug line names the work, e.g. ``gauged: levels=9,
+    exponents=1, solved q=1.5 at min_len 1, level 8``.
     """
-    # (q_n, min_len) per level; levels often repeat both
-    keys = [(q_n, max(1, math.ceil(f.m / delta_n))) for q_n, delta_n in gauge.levels(n_cap)]
-    distinct = list(dict.fromkeys(keys))
-    families = {q_n: SchrammFamily.power(q_n, weights) for q_n, _ in distinct}
-    results = dict(zip(distinct, _rank_solve(
-        f, [(families[q_n], min_len, q_n) for q_n, min_len in distinct], oracle_cap)))
+    levels = [(q_n, max(1, math.ceil(f.m / delta_n))) for q_n, delta_n in gauge.levels(n_cap)]
+    finest = {}  # the shortest min_len per exponent, in ladder order
+    for q_n, min_len in levels:
+        finest[q_n] = min(min_len, finest.get(q_n, min_len))
+    results = dict(zip(finest, _rank_solve(
+        f, [(SchrammFamily.power(q_n, weights), min_len, q_n) for q_n, min_len in finest.items()],
+        oracle_cap)))
     best = VariationResult(0.0, "exact-dp", 0.0, 0.0,
                            IntervalCollection.from_pairs(f, []), level=None)
-    for n, key in enumerate(keys, 1):
-        if results[key].value > best.value:
-            best = replace(results[key], level=n)
+    for q_n, res in results.items():
+        if res.value > best.value:
+            shortest = min(b - a for a, b in res.witness.pairs)
+            level = next((n for n, (q, min_len) in enumerate(levels, 1)
+                          if q == q_n and min_len <= shortest), None)
+            if level is None:
+                raise InternalConsistencyError(
+                    f"gauged witness has an interval of {shortest} < {finest[q_n]} cells")
+            best = replace(res, level=level)
     results = results.values()
     mode = "bounds" if any(r.mode == "bounds" for r in results) else best.mode
+    if _log.isEnabledFor(logging.DEBUG):
+        solved = ", ".join(f"q={q_n:g} at min_len {min_len}" for q_n, min_len in finest.items())
+        _log.debug("gauged: levels=%d, exponents=%d, solved %s, level %s",
+                   len(levels), len(finest), solved, best.level)
     return replace(best, mode=mode, upper=max(r.upper for r in results))
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -160,6 +161,28 @@ class TestCriterionCommand:
         assert rep["result"]["verdict"] == "diverging-trend"
         lines = csv_out.read_text().splitlines()
         assert lines[0] == "n,a_n,argmax_k" and len(lines) == 11
+
+    def test_kernel_past_the_largest_float_keeps_the_verdict(self, tmp_path):
+        # Gamma times 1e-307 reads inf from level 5 on: a level past the
+        # largest float after a finite one is a rise, slope inf, not nan
+        reports = []
+        for gamma, lam in (("constant:1", "harmonic"), ("constant:1e-307", "harmonic"),
+                           ("constant:1e-300", "constant:1e300")):
+            out = tmp_path / "rep.json"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run(["criterion", "--theorem", "1.4", "--lambda", lam, "--gamma", gamma,
+                            "--p", "1", "--qn", "const:1", "--ncap", "12",
+                            "--output", str(out)])
+            assert code == 0
+            reports.append(json.loads(out.read_text())["result"])
+        finite, scaled, flat = reports
+        assert finite["verdict"] == scaled["verdict"] == "diverging-trend"
+        assert finite["slope"] == pytest.approx(0.5949, abs=1e-4)
+        assert scaled["slope"] == math.inf and scaled["sup"] == math.inf
+        # every level reads inf: no rise is seen
+        assert (flat["sup"], flat["slope"], flat["verdict"]) == (
+            math.inf, 0.0, "bounded-up-to-horizon")
 
     def test_theorem_15(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -488,6 +488,17 @@ class TestUnionP:
             criterion_union_p(HARMONIC, 2.0, gauge, 12)
 
 
+@pytest.mark.parametrize("values, slope", [
+    ([1.0, 2.0, math.inf, math.inf], math.inf),  # a rise past the largest float
+    ([1.0, 1.0, 1.0, math.inf], math.inf),
+    ([math.inf] * 4, 0.0),
+    ([math.inf, math.inf, 4.0, 4.0], 0.0),  # a fall from inf is left out
+    ([2.0, 2.0, 2.0, 2.0], 0.0),
+])
+def test_trend_is_never_nan(values, slope):
+    assert gbv.criteria._trend(values) == pytest.approx(slope, abs=1e-12)
+
+
 def test_reports_are_frozen():
     rep = criterion_lambda_gamma(CONST1, CONST1, 1.0, gauge_const_q(1.0), 3)
     assert isinstance(rep, CriterionReport)

@@ -253,7 +253,8 @@ class TestGauged:
 
     @staticmethod
     def per_level(f, weights, gauge, n_cap):
-        """The gauged variation composed of one rank solve per level."""
+        """The gauged variation composed of one rank solve per level, and
+        the result of each level."""
         best = gbv.variation.VariationResult(0.0, "exact-dp", 0.0, 0.0,
                                              IntervalCollection.from_pairs(f, []))
         results = []
@@ -263,11 +264,15 @@ class TestGauged:
             results.append(res)
             if res.value > best.value:
                 best = replace(res, level=n)
-        return replace(best, upper=max(r.upper for r in results))
+        return replace(best, upper=max(r.upper for r in results)), results
 
     @pytest.mark.parametrize("ladder", ["const", "linear", "to"])
     @pytest.mark.parametrize("deltas", ["pow2", "list"])
     def test_one_pass_matches_per_level_solves(self, ladder, deltas):
+        # a constant ladder solves only its finest level, whose value is the
+        # largest of the nested levels; its witness and level may differ
+        # from the per-level composition's in ties, so the reported level
+        # is checked against its own solve
         rng = np.random.default_rng(23)
         gauge = GaugePair.build(ladder, deltas, n_max=7, q=2.5,
                                 delta_list=[2, 3, 3, 5, 8, 13, 40])
@@ -278,8 +283,21 @@ class TestGauged:
                 if m <= 16:  # rank-dependent levels, solved by the exact label search
                     weights.append(HARMONIC)
                 for w in weights:
-                    assert (variation_gauged(f, w, gauge, 7).to_json_dict()
-                            == self.per_level(f, w, gauge, 7).to_json_dict())
+                    res = variation_gauged(f, w, gauge, 7)
+                    ref, each = self.per_level(f, w, gauge, 7)
+                    if ladder != "const":  # distinct exponents: the same solves
+                        assert res.to_json_dict() == ref.to_json_dict()
+                        continue
+                    assert res.mode == ref.mode
+                    assert res.value == pytest.approx(ref.value, rel=1e-12)
+                    assert res.upper == pytest.approx(ref.upper, rel=1e-12)
+                    q_n, delta_n = gauge.levels(res.level)[-1]
+                    assert each[res.level - 1].value == pytest.approx(res.value, rel=1e-12)
+                    min_len = max(1, math.ceil(f.m / delta_n))
+                    assert all(b - a >= min_len for a, b in res.witness.pairs)
+                    incs = sorted(res.witness.increments, reverse=True)
+                    redo = SchrammFamily.power(q_n, w).rank_sum(incs) ** (1.0 / q_n)
+                    assert redo == pytest.approx(res.value, rel=1e-12)
 
     @pytest.mark.parametrize("weights", [CONST1, WeightSequence("explicit", terms=[2.0, 2.0])])
     def test_to_ladder_matches_oracle(self, weights):
@@ -812,12 +830,30 @@ class TestSkeleton:
             variation_gauged(ZIGZAG, CONST1, TestGauged.GAUGE, 4)
             variation_gauged(ZIGZAG, HARMONIC, TestGauged.GAUGE, 2)
         # levels 3 and 4 share min_len 1 but not q_n; a rank-dependent gauge
-        # keeps one rank solve per level
+        # keeps one rank solve per exponent; the gauge's own line comes last
         assert [r.getMessage() for r in caplog.records] == [
             "exact-dp: m=4, levels=4, min_len=1..2, no skeleton (gap 1)",
+            "gauged: levels=4, exponents=4, solved q=1 at min_len 2, q=2 at min_len 1, "
+            "q=3 at min_len 1, q=4 at min_len 1, level 2",
             "exact-oracle: m=4 <= oracle_cap=16, min_len=2, no skeleton (gap 1), labels 1",
             "exact-oracle: m=4 <= oracle_cap=16, skeleton 5→5 (gap 1), labels 1",
+            "gauged: levels=2, exponents=2, solved q=1 at min_len 2, q=2 at min_len 1, level 2",
         ]
+
+    def test_constant_ladder_fills_one_skeleton_table(self, caplog):
+        # nine levels of one exponent, min_len 128 down to 1, on a walk whose
+        # skeleton gap is 1: only the min_len 1 level is solved, and it fits
+        values = np.cumsum(np.random.default_rng(5).integers(-2, 3, size=257)) / 4.0
+        f = StepFunction(values)
+        assert gbv.variation._Skeleton(values).gap == 1
+        gauge = GaugePair.build("const", "pow2", n_max=9, q=1.5)
+        with caplog.at_level(logging.DEBUG, logger="gbv"):
+            res = variation_gauged(f, CONST1, gauge, 9)
+        dp = [r.getMessage() for r in caplog.records if r.getMessage().startswith("exact-dp")]
+        assert len(dp) == 1 and "skeleton 257→" in dp[0] and "no skeleton" not in dp[0]
+        assert caplog.records[-1].getMessage() == (
+            f"gauged: levels=9, exponents=1, solved q=1.5 at min_len 1, level {res.level}")
+        assert res.value == pytest.approx(variation_unweighted_q(f, 1.5).value, rel=1e-12)
 
 
 def _runs(draw_runs):
@@ -896,6 +932,31 @@ def test_gauged_gap_rule_matches_oracle_property(values, deltas, weights):
     if res.level is not None:
         min_len = math.ceil(f.m / deltas[res.level - 1])
         assert all(b - a >= min_len for a, b in res.witness.pairs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(repeated_samples(), st.lists(st.tuples(st.sampled_from([1.0, 1.5, 2.0]),
+                                              st.integers(2, 9)), min_size=1, max_size=6),
+       st.sampled_from([(CONST1, 1.0), (WeightSequence("explicit", terms=[2.0] * 3), 2.0),
+                        (HARMONIC, None)]))
+def test_repeated_exponents_match_oracle_property(values, rungs, weights):
+    # `list` ladders whose exponents repeat: one level per exponent is solved
+    f = StepFunction(values)
+    weights, lam = weights
+    qn = sorted(q for q, _ in rungs)
+    deltas = sorted(d for _, d in rungs)
+    gauge = GaugePair.build("list", "list", qn_list=qn, delta_list=deltas)
+    res = variation_gauged(f, weights, gauge, len(qn))
+    lams = [lam or j for j in range(1, f.m + 1)]
+    truth = oracles.oracle_gauged(values.tolist(), lams, qn, deltas, len(qn))
+    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert res.mode == ("exact-dp" if lam else "exact-oracle") or res.value == 0.0
+    if res.level is not None:
+        q_n, min_len = qn[res.level - 1], max(1, math.ceil(f.m / deltas[res.level - 1]))
+        assert all(b - a >= min_len for a, b in res.witness.pairs)
+        incs = sorted(res.witness.increments, reverse=True)
+        redo = sum(x ** q_n / lams[j] for j, x in enumerate(incs)) ** (1.0 / q_n)
+        assert redo == pytest.approx(res.value, rel=1e-12)
 
 
 def test_min_len_past_the_gap_stays_on_the_grid(caplog):

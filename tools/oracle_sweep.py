@@ -1,0 +1,201 @@
+"""Check the rank-dependent solves and the gauged variation against brute force.
+
+Every case solves one input at m <= 10 and compares the result with the
+brute-force maximum of ``tests/oracles.py``, which enumerates every
+collection of intervals and shares no code with the engine. Per case:
+
+- ``lower <= oracle <= upper``, at 1e-12 relative;
+- the witness re-evaluates to ``lower`` under the tool's own gains;
+- an ``exact-*`` mode has ``lower == upper``;
+- a gauge's reported level admits the witness: every interval spans at
+  least that level's ``min_len`` grid cells.
+
+Groups:
+
+- ``rank``: ``variation_weighted`` over harmonic, log, ``power:0.5`` and
+  constant weights at p in {1, 1.5, 2}, and ``variation_schramm`` of the
+  explicit family ``EXPLICIT_TERMS``, each at the default ``oracle_cap``
+  (the exact label search, or the DP for constant weights) and at
+  ``oracle_cap = 3`` (certified bounds past 3 cells);
+- ``gauge``: ``variation_gauged`` over the same weights and a one-value
+  explicit list, on ``const``, ``linear``, ``to`` and ``list`` ladders
+  (the last with repeated exponents), at both caps. Every exponent lies in
+  [1, 2], so the brute force stays finite on the input scaled by 1e150.
+
+Inputs come from a seeded generator: walks, rounded sines, plateau trains,
+integers, zigzags, and a walk scaled by 1e150, at every m from 3 to 10. The
+engine is imported from the ``src`` directory next to this file, so the
+tool checks the checkout it lives in. It prints one line per group and one
+line per violation, and exits 1 on any violation. Run it from anywhere::
+
+    python tools/oracle_sweep.py
+
+It takes a few seconds; tier-1 does not run it.
+"""
+
+import functools
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import oracles  # noqa: E402
+from gbv import (GaugePair, SchrammFamily, StepFunction, WeightSequence,  # noqa: E402
+                 variation_gauged, variation_schramm, variation_weighted)
+
+SEED = 2017
+SIZES = range(3, 11)
+REL = 1e-12
+CAPS = (16, 3)  # the default oracle_cap, and one that leaves m > 3 to the bounds
+
+#: explicit terms (c_j, e_j), phi_j(x) = c_j x^e_j, the last one repeated
+EXPLICIT_TERMS = [(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)]
+#: weight name -> (the engine's sequence, lam_j from the tool's own formula)
+WEIGHTS = {
+    "harmonic": (WeightSequence("harmonic"), lambda j: float(j)),
+    "log": (WeightSequence("log"), lambda j: j / math.log(j + 1.0)),
+    "power:0.5": (WeightSequence("power", alpha=0.5), lambda j: j ** 0.5),
+    "constant": (WeightSequence("constant"), lambda j: 1.0),
+}
+GAUGE_WEIGHTS = {**WEIGHTS, "explicit:2,2": (WeightSequence("explicit", terms=[2.0, 2.0]),
+                                             lambda j: 2.0)}
+GAUGES = {
+    "const:1.5/pow2": GaugePair.build("const", "pow2", n_max=4, q=1.5),
+    "linear/pow2": GaugePair.build("linear", "pow2", n_max=2),
+    "to:2/list:2,3,5,8": GaugePair.build("to", "list", n_max=4, q=2.0,
+                                         delta_list=[2, 3, 5, 8]),
+    "list:1,1,1.5,1.5,2/list:2,3,3,5,8": GaugePair.build(
+        "list", "list", qn_list=[1.0, 1.0, 1.5, 1.5, 2.0], delta_list=[2, 3, 3, 5, 8]),
+}
+
+
+def _inputs():
+    """``(name, values)`` of every input, from the seeded generator."""
+    rng = np.random.default_rng(SEED)
+    out = []
+    for m in SIZES:
+        walk = np.round(np.cumsum(rng.normal(size=m + 1)), 2)
+        turns = rng.choice([0.5, 1.0, 1.5])
+        out += [
+            (f"walk m={m}", walk),
+            (f"sine m={m}", np.round(np.sin(np.linspace(0.0, turns * 2.0 * np.pi, m + 1)) * 3.0)),
+            (f"plateau m={m}",
+             np.repeat(rng.integers(-3, 4, size=m + 1) / 2.0, rng.integers(1, 4, size=m + 1))
+             [:m + 1]),
+            (f"integers m={m}", rng.integers(-4, 5, size=m + 1).astype(float)),
+            (f"zigzag m={m}", np.array([(-1.0) ** i * (1.0 + 0.01 * i) for i in range(m + 1)])),
+            (f"walk x1e150 m={m}", walk * 1e150),
+        ]
+    return out
+
+
+def _rank_value(incs, phis, root):
+    """``(sum_j phi_j(x_j))^root`` over the increments in descending order."""
+    incs = sorted(incs, reverse=True)
+    return sum(phis(j)(x) for j, x in enumerate(incs, 1)) ** root
+
+
+def _power_phis(lam, p):
+    return lambda j: (lambda x: x ** p / lam(j))
+
+
+def _explicit_phis(j):
+    c, e = EXPLICIT_TERMS[min(j, len(EXPLICIT_TERMS)) - 1]
+    return lambda x: c * x ** e
+
+
+class Sweep:
+    def __init__(self):
+        self.violations = []
+
+    def check(self, case, res, truth, phis, root, min_len=1):
+        """Record every violation of ``res`` against the brute-force ``truth``."""
+        bad = []
+        if not res.lower <= truth * (1 + REL) or not truth <= res.upper * (1 + REL):
+            bad.append(f"lower {res.lower!r} <= oracle {truth!r} <= upper {res.upper!r} fails")
+        redo = _rank_value(res.witness.increments, phis, root)
+        if not (redo == res.lower or abs(redo - res.lower) <= REL * res.lower):
+            bad.append(f"witness re-evaluates to {redo!r}, not lower {res.lower!r}")
+        if res.mode.startswith("exact") and res.lower != res.upper:
+            bad.append(f"{res.mode} with lower {res.lower!r} != upper {res.upper!r}")
+        if any(b - a < min_len for a, b in res.witness.pairs):
+            bad.append(f"witness {list(res.witness.pairs)} has an interval shorter than "
+                       f"min_len {min_len}")
+        self.violations += [f"  VIOLATION {case}: {text}" for text in bad]
+        return res.mode
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_weighted(values, lam_name, p, min_len):
+    """The brute-force weighted variation of the samples ``values``."""
+    lam = GAUGE_WEIGHTS[lam_name][1]
+    return oracles.oracle_weighted(list(values), [lam(j) for j in range(1, len(values) + 1)],
+                                   p, min_len)
+
+
+def _rank_group(sweep, inputs):
+    modes = {}
+    for name, values in inputs:
+        f = StepFunction(values)
+        key = tuple(values.tolist())
+        for lam_name, (weights, lam) in WEIGHTS.items():
+            for p in (1.0, 1.5, 2.0):
+                truth = _oracle_weighted(key, lam_name, p, 1)
+                for cap in CAPS:
+                    res = variation_weighted(f, weights, p, oracle_cap=cap)
+                    mode = sweep.check(f"{name} {lam_name} p={p:g} cap={cap}", res, truth,
+                                       _power_phis(lam, p), 1.0 / p)
+                    modes[mode] = modes.get(mode, 0) + 1
+        family = SchrammFamily("explicit", terms=EXPLICIT_TERMS)
+        truth = oracles.oracle_schramm(list(key), [_explicit_phis(j)
+                                                   for j in range(1, len(key) + 1)])
+        for cap in CAPS:
+            res = variation_schramm(f, family, oracle_cap=cap)
+            mode = sweep.check(f"{name} EXPLICIT_TERMS cap={cap}", res, truth,
+                               _explicit_phis, 1.0)
+            modes[mode] = modes.get(mode, 0) + 1
+    return modes
+
+
+def _gauge_group(sweep, inputs):
+    modes = {}
+    for name, values in inputs:
+        f = StepFunction(values)
+        key = tuple(values.tolist())
+        for lam_name, (weights, lam) in GAUGE_WEIGHTS.items():
+            for gauge_name, gauge in GAUGES.items():
+                rungs = [(q, max(1, math.ceil(f.m / d))) for q, d in gauge.levels(gauge.n_max)]
+                # the gauged value is the largest of its levels' variations
+                truth = max((_oracle_weighted(key, lam_name, q, min_len)
+                             for q, min_len in rungs if min_len <= f.m), default=0.0)
+                for cap in CAPS:
+                    res = variation_gauged(f, weights, gauge, gauge.n_max, oracle_cap=cap)
+                    q, min_len = rungs[res.level - 1] if res.level else (1.0, 1)
+                    mode = sweep.check(f"{name} {lam_name} {gauge_name} cap={cap}", res, truth,
+                                       _power_phis(lam, q), 1.0 / q, min_len)
+                    modes[mode] = modes.get(mode, 0) + 1
+    return modes
+
+
+def main():
+    inputs = _inputs()
+    status = 0
+    for group, run in (("rank", _rank_group), ("gauge", _gauge_group)):
+        sweep = Sweep()
+        modes = run(sweep, inputs)
+        counts = ", ".join(f"{mode} {n}" for mode, n in sorted(modes.items()))
+        print(f"{group}: {sum(modes.values())} solves on {len(inputs)} inputs ({counts}), "
+              f"{len(sweep.violations)} violations")
+        for line in sweep.violations:
+            print(line)
+        status |= bool(sweep.violations)
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
