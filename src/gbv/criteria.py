@@ -126,6 +126,7 @@ class _Bracket:
                 "argmax_k": int(self.kstar[i])}
 
 
+@np.errstate(over="ignore")  # kernel products past the largest float read inf
 def _bracket_scan(tops, exps, parts):
     """Per level the max of ``g(k)^{e_n} h(k)`` over ``1 <= k <= tops[n]``:
     ``(rows, inexact, evaluations)`` for :func:`_assemble`.
@@ -160,35 +161,32 @@ def _bracket_scan(tops, exps, parts):
                 for e in dict.fromkeys(exps)}
     live = list(brackets.values())
     split = False
-    # kernel products past the largest float read inf, quietly
-    with np.errstate(over="ignore"):
-        while True:
-            for br in live:
-                br.reseed(ks, g, h)
-            live = [br for br in live if br.pending.any()]
-            if not live:
+    while True:
+        for br in live:
+            br.reseed(ks, g, h)
+        live = [br for br in live if br.pending.any()]
+        if not live:
+            break
+        flat = [br for br in live if split and br.pending.all()]
+        wide = max(flat, key=lambda br: br.tops[-1], default=None)
+        # no gap of a rebuilt bracket holds an evaluated k, so every k asked is new
+        if wide is not None and len(ks) + int((wide.hi - wide.lo - 1).sum()) <= SCAN_BUDGET:
+            lo, hi = wide.lo, wide.hi
+            s = hi - lo
+        else:
+            # every pending gap split _SPLIT ways, or into as many parts as it
+            # has room for; open brackets share the gaps below their tops
+            lo, at = np.unique(np.concatenate([br.lo[br.pending] for br in live]),
+                               return_index=True)
+            hi = np.concatenate([br.hi[br.pending] for br in live])[at]
+            s = np.minimum(hi - lo, _SPLIT)
+            if len(ks) + int((s - 1).sum()) > SCAN_BUDGET:
                 break
-            flat = [br for br in live if split and br.pending.all()]
-            wide = max(flat, key=lambda br: br.tops[-1], default=None)
-            # no gap of a rebuilt bracket holds an evaluated k, so every k asked is new
-            if wide is not None and len(ks) + int((wide.hi - wide.lo - 1).sum()) <= SCAN_BUDGET:
-                lo, hi = wide.lo, wide.hi
-                s = hi - lo
-            else:
-                # every pending gap split _SPLIT ways, or into as many parts as it
-                # has room for; open brackets share the gaps below their tops
-                lo, at = np.unique(np.concatenate([br.lo[br.pending] for br in live]),
-                                   return_index=True)
-                hi = np.concatenate([br.hi[br.pending] for br in live])[at]
-                s = np.minimum(hi - lo, _SPLIT)
-                if len(ks) + int((s - 1).sum()) > SCAN_BUDGET:
-                    break
-                split = True
-            asked = _split(lo, hi, s)
-            g_new, h_new = parts(asked)
-            order = np.argsort(np.concatenate([ks, asked]), kind="stable")
-            ks, g, h = (np.concatenate(run)[order]
-                        for run in ((ks, asked), (g, g_new), (h, h_new)))
+            split = True
+        asked = _split(lo, hi, s)
+        g_new, h_new = parts(asked)
+        order = np.argsort(np.concatenate([ks, asked]), kind="stable")
+        ks, g, h = (np.concatenate(run)[order] for run in ((ks, asked), (g, g_new), (h, h_new)))
     _log.debug("criterion scan: %d levels to k=%d, %d evaluations, %s",
                len(tops), top, len(ks), "bracketed" if live else "exact")
     rows = [brackets[e].row(n, t) for n, (t, e) in enumerate(zip(tops, exps), 1)]

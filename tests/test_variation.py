@@ -312,6 +312,20 @@ class TestGauged:
                 oracles.oracle_gauged(values, lam, gauge.qn, gauge.deltas, 4),
                 rel=1e-12, abs=1e-12)
 
+    def test_witness_short_of_every_level_is_an_internal_error(self, monkeypatch):
+        # level 1 needs intervals of 8 // 2 = 4 cells; a witness of one cell
+        # is admissible at no level of the exponent
+        real = gbv.variation._rank_solve
+
+        def short(f, levels, oracle_cap):
+            return [replace(r, witness=IntervalCollection.from_pairs(f, [(0, 1)]))
+                    for r in real(f, levels, oracle_cap)]
+
+        monkeypatch.setattr(gbv.variation, "_rank_solve", short)
+        f = StepFunction(np.arange(9.0))
+        with pytest.raises(InternalConsistencyError, match="interval of 1 < 4 cells"):
+            variation_gauged(f, CONST1, self.GAUGE, 1)
+
     def test_horizon_raises_in_one_pass(self):
         # level 1 fits 8 // 4 = 2 intervals, level 2 fits 8 // 2 = 4 > k_max
         f = StepFunction(np.arange(9.0))
