@@ -16,8 +16,7 @@ from .criteria import (CriterionReport, criterion_corollary_q,
                        criterion_lambda_gamma, criterion_phi_lambda,
                        criterion_schramm, criterion_union_p)
 from .errors import (GbvError, HorizonError, HypothesisError, InfeasibleError,
-                     InternalConsistencyError, RangeError, ResolutionError,
-                     ValidationError)
+                     InternalConsistencyError, ResolutionError, ValidationError)
 from .inequalities import (TripleSample, check_holder_branch,
                            check_master_inequality, check_weighted_comparison,
                            check_wu_estimate, extremal_profile, monotone_vector)
@@ -35,8 +34,7 @@ __all__ = [
     "CriterionReport", "criterion_corollary_q", "criterion_lambda_gamma",
     "criterion_phi_lambda", "criterion_schramm", "criterion_union_p",
     "GbvError", "HorizonError", "HypothesisError", "InfeasibleError",
-    "InternalConsistencyError", "RangeError", "ResolutionError",
-    "ValidationError",
+    "InternalConsistencyError", "ResolutionError", "ValidationError",
     "TripleSample", "check_holder_branch", "check_master_inequality",
     "check_weighted_comparison", "check_wu_estimate", "extremal_profile", "monotone_vector",
     "ConvexBase", "GaugePair", "SchrammFamily", "WeightSequence",

@@ -65,8 +65,20 @@ def kernel_parts(gamma, family):
     for the embedding of the Schramm class of ``family`` into
     ``Gamma BV^(q_n)``. Lambda BV^(p) is the class of ``x^p / lam_j``,
     whose ``Phi_k^{-1}(1)`` is ``Lambda(k)^{-1/p}`` (theorems 1.4, 1.5 and
-    1.7); theorems 1.8 and 1.9 have ``gamma_j = 1``, so ``Gamma(k) = k``."""
-    return lambda ks: (gamma.prefix_sums_at(ks), family.partial_inverse_many(ks, 1.0))
+    1.7); theorems 1.8 and 1.9 have ``gamma_j = 1``, so ``Gamma(k) = k``.
+
+    A k where ``Gamma(k)`` is past the largest float and ``Phi_k^{-1}(1)``
+    below the least has no kernel value in floats, only inf * 0: the parts
+    raise a :class:`ValidationError` naming the least such k asked."""
+    def parts(ks):
+        g, h = gamma.prefix_sums_at(ks), family.partial_inverse_many(ks, 1.0)
+        lost = (g == math.inf) & (h == 0.0)
+        if lost.any():
+            raise ValidationError(
+                f"the criterion kernel Gamma(k)^(1/q_n) Phi_k^-1(1) at k={int(ks[lost].min())} "
+                f"is inf * 0: Gamma(k) is past the largest float and Phi_k^-1(1) underflows")
+        return g, h
+    return parts
 
 
 def _split(lo, hi, s):

@@ -13,10 +13,6 @@ class HorizonError(GbvError):
     """An index exceeds the configured truncation horizon."""
 
 
-class RangeError(GbvError):
-    """A root-finding target cannot be bracketed on the search range."""
-
-
 class ResolutionError(GbvError):
     """A construction does not fit on the available uniform grid."""
 

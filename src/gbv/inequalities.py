@@ -28,7 +28,8 @@ from .sequences import SchrammFamily, WeightSequence
 
 REL_SLACK = 1e-9
 WU_CONSTANT = 16.0
-#: cases a suite draws and checks together; bounds its temporaries
+#: cases a suite draws and checks together; bounds its temporaries and is
+#: part of the definition of its draws
 SUITE_CHUNK = 256
 
 
@@ -113,20 +114,15 @@ def _chunks(rng, samples, n_max, vectors=1):
     ``lengths[i]`` in 1..n_max, then ``vectors`` monotone vectors of that
     length, one row each of the zero-padded (rows, n_max) arrays ``vs``.
 
-    Each draw takes its vectors as one uniform draw of ``vectors * n``
-    doubles: the same doubles as ``vectors`` draws of n."""
+    A chunk makes two generator calls: its lengths, then one
+    (vectors, rows, n_max) block of uniforms, whose entries past a row's
+    length become the -inf padding. The drawn numbers therefore depend on
+    ``SUITE_CHUNK``, which is part of the definition of a suite's draws."""
     for start in range(0, samples, SUITE_CHUNK):
         rows = min(SUITE_CHUNK, samples - start)
-        lengths = np.empty(rows, dtype=np.int64)
-        flat = []
-        for i in range(rows):
-            lengths[i] = n = rng.integers(1, n_max + 1)
-            flat.append(rng.uniform(-3.0, 2.0, size=vectors * n))
-        # each vector is one contiguous (rows, n_max) array, filled in the
-        # order of the draws through a (rows, vectors, n_max) view
-        u = np.full((vectors, rows, n_max), -math.inf)
-        inside = np.arange(n_max) < lengths[:, None, None]
-        u.transpose(1, 0, 2)[inside.repeat(vectors, axis=1)] = np.concatenate(flat)
+        lengths = rng.integers(1, n_max + 1, size=rows)
+        u = rng.uniform(-3.0, 2.0, size=(vectors, rows, n_max))
+        u[:, np.arange(n_max) >= lengths[:, None]] = -math.inf
         yield start, lengths, _monotone_rows(u)
 
 

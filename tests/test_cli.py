@@ -471,6 +471,27 @@ def test_bad_input_exits_one(case, tmp_path, capsys):
     assert not out.exists()
 
 
+# Gamma(k) = k / 1e-307 passes the largest float at k = 18, where
+# Lambda(k)^-1 underflows to 0: no kernel value there is a float
+TINY_WEIGHTS = ["--lambda", "constant:1e-307", "--gamma", "constant:1e-307", "--qn", "const:1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--theorem", "1.4", *TINY_WEIGHTS, "--p", "1", "--ncap", "12"],
+    ["counterexample", "--kind", "lambda", *TINY_WEIGHTS, "--delta", "list:64,1024",
+     "--levels", "2", "--blow-base", "4"],
+], ids=["criterion", "counterexample"])
+def test_kernel_inf_times_zero_exits_one(argv, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv + ["--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: the criterion kernel Gamma(k)^(1/q_n) Phi_k^-1(1) at k=18 is inf * 0: "
+        "Gamma(k) is past the largest float and Phi_k^-1(1) underflows\n")
+    assert not out.exists()
+
+
 def test_given_constants_build_no_default(tmp_path, capsys):
     # the default blow_256 = 2^1024 is past the largest float, but the CLI
     # gives all three constants: the plan reads no default and fails on its

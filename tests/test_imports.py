@@ -201,6 +201,36 @@ def test_one_function_builds_the_horizon_message():
     assert owners == {("sequences.py", "check_horizon")}
 
 
+def raised_or_caught(tree):
+    """Names of the exception classes that a ``raise`` or an ``except``
+    clause in ``tree`` names; a raised call counts its callee, not its
+    arguments."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            targets = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc]
+        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+            targets = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        else:
+            continue
+        names.update(t.id if isinstance(t, ast.Name) else t.attr for t in targets
+                     if isinstance(t, (ast.Name, ast.Attribute)))
+    return names
+
+
+def test_checker_finds_raised_and_caught_classes():
+    source = ("try:\n    raise A(B)\nexcept (C, mod.D):\n    raise\n"
+              "except E as exc:\n    raise mod.F from exc\nexcept:\n    G = H\n")
+    assert raised_or_caught(ast.parse(source)) == {"A", "C", "D", "E", "F"}
+
+
+def test_every_error_class_is_raised_or_caught():
+    classes = {node.name for node in ast.parse((SRC / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    named = set().union(*(raised_or_caught(ast.parse(p.read_text())) for p in SRC.glob("*.py")))
+    assert sorted(classes - named) == []
+
+
 def test_inequalities_do_not_import_criteria():
     tree = ast.parse((SRC / "inequalities.py").read_text())
     imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}

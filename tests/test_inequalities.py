@@ -199,11 +199,16 @@ class TestSuites:
 
 
 def _draws(rng, samples, n_max, vectors=1):
-    """A suite's draws, one sample at a time: a length, then one monotone
-    vector after the other."""
-    for i in range(samples):
-        n = int(rng.integers(1, n_max + 1))
-        yield i, n, [monotone_vector(rng, n) for _ in range(vectors)]
+    """A suite's draws, one sample at a time. Each chunk of up to
+    ``SUITE_CHUNK`` samples draws its lengths, then one (vectors, rows,
+    n_max) block of uniforms; a sample's vectors are the sorted
+    exponentials, largest first, of the first n entries of its rows."""
+    for start in range(0, samples, SUITE_CHUNK):
+        rows = min(SUITE_CHUNK, samples - start)
+        lengths = rng.integers(1, n_max + 1, size=rows)
+        u = rng.uniform(-3.0, 2.0, size=(vectors, rows, n_max))
+        for i, n in enumerate(lengths.tolist()):
+            yield start + i, n, [-np.sort(-np.exp(u[v, i, :n])) for v in range(vectors)]
 
 
 def _least_margin(cases):

@@ -14,23 +14,28 @@ Groups:
 
 - ``rank``: ``variation_weighted`` over harmonic, log, ``power:0.5`` and
   constant weights at p in {1, 1.5, 2}, and ``variation_schramm`` of the
-  explicit family ``EXPLICIT_TERMS``, each at the default ``oracle_cap``
-  (the exact label search, or the DP for constant weights) and at
-  ``oracle_cap = 3`` (certified bounds past 3 cells);
+  explicit family ``EXPLICIT_TERMS`` and of the scaled family
+  ``(e^x - 1) / j`` (the ``expm1`` base over harmonic weights), each at
+  the default ``oracle_cap`` (the exact label search, or the DP for
+  constant weights) and at ``oracle_cap = 3`` (certified bounds past 3
+  cells). The tool's ``expm1`` gain reads inf past the largest float, as
+  the engine's does, so on the input scaled by 1e150 both sides are inf;
 - ``gauge``: ``variation_gauged`` over the same weights and a one-value
   explicit list, on ``const``, ``linear``, ``to`` and ``list`` ladders
   (the last with repeated exponents), at both caps. Every exponent lies in
   [1, 2], so the brute force stays finite on the input scaled by 1e150.
 
-Inputs come from a seeded generator: walks, rounded sines, plateau trains,
-integers, zigzags, and a walk scaled by 1e150, at every m from 3 to 10. The
-engine is imported from the ``src`` directory next to this file, so the
-tool checks the checkout it lives in. It prints one line per group and one
-line per violation, and exits 1 on any violation. Run it from anywhere::
+Inputs come from seeded generators: walks, rounded sines, plateau trains,
+integers, zigzags, a walk scaled by 1e150 and N(0,1) noise, at every m from
+3 to 10. The noise has a generator of its own, so the other inputs do not
+depend on it. The engine is imported from the ``src`` directory next to
+this file, so the tool checks the checkout it lives in. It prints one line
+per group and one line per violation, and exits 1 on any violation. Run it
+from anywhere::
 
     python tools/oracle_sweep.py
 
-It takes a few seconds; tier-1 does not run it.
+It takes about 10 s on a 2-core x86_64 VM; tier-1 does not run it.
 """
 
 import functools
@@ -45,8 +50,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 import oracles  # noqa: E402
-from gbv import (GaugePair, SchrammFamily, StepFunction, WeightSequence,  # noqa: E402
-                 variation_gauged, variation_schramm, variation_weighted)
+from gbv import (ConvexBase, GaugePair, SchrammFamily, StepFunction,  # noqa: E402
+                 WeightSequence, variation_gauged, variation_schramm,
+                 variation_weighted)
 
 SEED = 2017
 SIZES = range(3, 11)
@@ -75,8 +81,8 @@ GAUGES = {
 
 
 def _inputs():
-    """``(name, values)`` of every input, from the seeded generator."""
-    rng = np.random.default_rng(SEED)
+    """``(name, values)`` of every input, from the seeded generators."""
+    rng, noise = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
     out = []
     for m in SIZES:
         walk = np.round(np.cumsum(rng.normal(size=m + 1)), 2)
@@ -90,6 +96,7 @@ def _inputs():
             (f"integers m={m}", rng.integers(-4, 5, size=m + 1).astype(float)),
             (f"zigzag m={m}", np.array([(-1.0) ** i * (1.0 + 0.01 * i) for i in range(m + 1)])),
             (f"walk x1e150 m={m}", walk * 1e150),
+            (f"noise m={m}", noise.normal(size=m + 1)),
         ]
     return out
 
@@ -107,6 +114,15 @@ def _power_phis(lam, p):
 def _explicit_phis(j):
     c, e = EXPLICIT_TERMS[min(j, len(EXPLICIT_TERMS)) - 1]
     return lambda x: c * x ** e
+
+
+def _expm1_phis(j):
+    def phi(x):
+        try:
+            return math.expm1(x) / j
+        except OverflowError:  # past the largest float
+            return math.inf
+    return phi
 
 
 class Sweep:
@@ -138,6 +154,14 @@ def _oracle_weighted(values, lam_name, p, min_len):
                                    p, min_len)
 
 
+#: Schramm families of the rank group: (name, the engine's family, phi_j)
+FAMILIES = [
+    ("EXPLICIT_TERMS", SchrammFamily("explicit", terms=EXPLICIT_TERMS), _explicit_phis),
+    ("expm1/harmonic", SchrammFamily("scaled", base=ConvexBase("expm1"),
+                                     weights=WeightSequence("harmonic")), _expm1_phis),
+]
+
+
 def _rank_group(sweep, inputs):
     modes = {}
     for name, values in inputs:
@@ -151,14 +175,12 @@ def _rank_group(sweep, inputs):
                     mode = sweep.check(f"{name} {lam_name} p={p:g} cap={cap}", res, truth,
                                        _power_phis(lam, p), 1.0 / p)
                     modes[mode] = modes.get(mode, 0) + 1
-        family = SchrammFamily("explicit", terms=EXPLICIT_TERMS)
-        truth = oracles.oracle_schramm(list(key), [_explicit_phis(j)
-                                                   for j in range(1, len(key) + 1)])
-        for cap in CAPS:
-            res = variation_schramm(f, family, oracle_cap=cap)
-            mode = sweep.check(f"{name} EXPLICIT_TERMS cap={cap}", res, truth,
-                               _explicit_phis, 1.0)
-            modes[mode] = modes.get(mode, 0) + 1
+        for fam_name, family, phis in FAMILIES:
+            truth = oracles.oracle_schramm(list(key), [phis(j) for j in range(1, len(key) + 1)])
+            for cap in CAPS:
+                res = variation_schramm(f, family, oracle_cap=cap)
+                mode = sweep.check(f"{name} {fam_name} cap={cap}", res, truth, phis, 1.0)
+                modes[mode] = modes.get(mode, 0) + 1
     return modes
 
 
