@@ -181,6 +181,12 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
             raise InfeasibleError(
                 f"level {n}: separation budget {b_n:.6g} below sep_n={sep_n:.6g}",
                 level=n)
+        # s_n needs a finite budget; a finite Gamma(delta_n) also bounds the
+        # Gamma(k) of every k the kernel is read at below, so none of them
+        # is inf * 0 (see criteria.kernel_parts)
+        if float(e_n) * b_n == math.inf:
+            raise ValidationError(f"level {n}: plateau budget eps_n * Gamma(delta_n) = "
+                                  f"{e_n:.6g} * {b_n:.6g} is past the largest float")
 
         start = 0
         while True:

@@ -68,17 +68,12 @@ def kernel_parts(gamma, family):
     1.7); theorems 1.8 and 1.9 have ``gamma_j = 1``, so ``Gamma(k) = k``.
 
     A k where ``Gamma(k)`` is past the largest float and ``Phi_k^{-1}(1)``
-    below the least has no kernel value in floats, only inf * 0: the parts
-    raise a :class:`ValidationError` naming the least such k asked."""
-    def parts(ks):
-        g, h = gamma.prefix_sums_at(ks), family.partial_inverse_many(ks, 1.0)
-        lost = (g == math.inf) & (h == 0.0)
-        if lost.any():
-            raise ValidationError(
-                f"the criterion kernel Gamma(k)^(1/q_n) Phi_k^-1(1) at k={int(ks[lost].min())} "
-                f"is inf * 0: Gamma(k) is past the largest float and Phi_k^-1(1) underflows")
-        return g, h
-    return parts
+    below the least has no kernel value in floats, only inf * 0; such k
+    are a tail of the k, as g is nondecreasing and h nonincreasing. The
+    scan raises a :class:`ValidationError` at the least such k it needs;
+    a counterexample plan needs a finite ``Gamma(delta_n)``, which bounds
+    the Gamma(k) of every k it reads."""
+    return lambda ks: (gamma.prefix_sums_at(ks), family.partial_inverse_many(ks, 1.0))
 
 
 def _split(lo, hi, s):
@@ -116,6 +111,10 @@ class _Bracket:
         max or a k in its tie band before its argmax."""
         i = int(np.searchsorted(ks, self.tops[-1], "right"))
         ks, ge, h = ks[:i], g[:i] ** self.e, h[:i]
+        lost = (ge == math.inf) & (h == 0.0)  # see kernel_parts
+        if lost.any():
+            raise ValidationError(f"the criterion kernel at k={int(ks[lost][0])} is inf * 0: "
+                                  "Gamma(k) overflows and Phi_k^-1(1) underflows")
         room = ks[1:] - ks[:-1] > 1
         self.lo, self.hi = ks[:-1][room], ks[1:][room]
         self.ge_hi, self.h_lo = ge[1:][room], h[:-1][room]

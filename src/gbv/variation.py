@@ -137,8 +137,8 @@ _GAIN_CHUNK = 1 << 13
 #: the most columns ``m // min_len`` at which the unweighted form at q = 1
 #: takes the linear column rule under its implicit cap: the rule saves numpy
 #: calls, but its fill and walk do O(columns · m) element work and it holds
-#: 2 · columns · m floats, which outweigh the calls past this (at m = 1,024,
-#: min_len = 2 on N(0,1) noise: 30 against 14 ms, and 8.5 against 0.45 MB)
+#: 4 · columns · m floats, which outweigh the calls past this (at m = 1,024,
+#: min_len = 2: 29 against 11 ms, and 16 against 0.3 MB)
 _IMPLICIT_CAP_COLUMNS = 128
 
 
@@ -206,12 +206,11 @@ def _dp(values, levels, count=None):
     is exact (dyadic samples); otherwise values may differ by a few ulps,
     and witnesses in linear ties. The samples are centred on
     their midrange first, which keeps large offsets exact (Sterbenz). No
-    pointers are stored: the fill keeps each column's takes, K × (m + 1)
-    floats, and ``walk`` reads those of the columns it visits, rebuilds
-    v_b + best[b, k-1] and best[b, k-1] - v_b past a start by the fill's
-    float operations, and of the positions where the take reaches skipping
-    picks the first whose take over nonzero increments still does, which
-    is the block rule's choice.
+    pointers are stored: the fill keeps each column's v_b + best[b, k-1],
+    best[b, k-1] - v_b and takes, 3 × K × (m + 1) floats, and ``walk``
+    reads those of the columns it visits, and of the positions where the
+    take reaches skipping picks the first whose take over nonzero
+    increments still does, which is the block rule's choice.
 
     The column rule serves every capped linear table, the q-form at q = 1
     with ``min_len >= 2`` too, whose implicit cap ``m // min_len`` costs
@@ -319,24 +318,26 @@ def _linear_columns(values, min_len, best):
     # half each end first: their sum may overflow
     v = values - (values.max() / 2 + values.min() / 2)
     starts = m + 1 - min_len  # intervals start at 0..m - min_len
-    takes = [None]  # per column, which walk reads again
+    # per column: v_b + best[b, col - 1], best[b, col - 1] - v_b and the
+    # takes, which walk reads again
+    parts = [None]
     with np.errstate(over="ignore"):
         for k in range(1, width):
             prev = best[:m + 1, k - 1]
-            take = np.maximum(_suffix_max(v + prev)[min_len:] - v[:starts],
-                              _suffix_max(prev - v)[min_len:] + v[:starts])
+            up, down = v + prev, prev - v
+            take = np.maximum(_suffix_max(up)[min_len:] - v[:starts],
+                              _suffix_max(down)[min_len:] + v[:starts])
             best[:starts, k] = _suffix_max(take)
-            takes.append(take)
+            parts.append((up, down, take))
 
     def walk(col):
         pairs, i = [], 0
         with np.errstate(over="ignore"):
             while best[i, col] > 0:
-                take, prev = takes[col], best[:m + 1, col - 1]
+                up, down, take = parts[col]
                 for a in np.flatnonzero(take[i:] >= best[i + 1:starts + 1, col]) + i:
                     lo = a + min_len
-                    # the fill's v_b + prev_b and prev_b - v_b, past lo
-                    cand = np.maximum(v[lo:] + prev[lo:] - v[a], prev[lo:] - v[lo:] + v[a])
+                    cand = np.maximum(up[lo:] - v[a], down[lo:] + v[a])
                     cand[v[lo:] == v[a]] = -np.inf
                     b = int(cand.argmax())
                     if cand[b] >= best[a + 1, col]:

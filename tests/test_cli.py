@@ -476,20 +476,36 @@ def test_bad_input_exits_one(case, tmp_path, capsys):
 TINY_WEIGHTS = ["--lambda", "constant:1e-307", "--gamma", "constant:1e-307", "--qn", "const:1"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["criterion", "--theorem", "1.4", *TINY_WEIGHTS, "--p", "1", "--ncap", "12"],
-    ["counterexample", "--kind", "lambda", *TINY_WEIGHTS, "--delta", "list:64,1024",
-     "--levels", "2", "--blow-base", "4"],
-], ids=["criterion", "counterexample"])
-def test_kernel_inf_times_zero_exits_one(argv, tmp_path, capsys):
+@pytest.mark.parametrize("argv, message", [
+    (["criterion", "--theorem", "1.4", *TINY_WEIGHTS, "--p", "1", "--ncap", "12"],
+     "the criterion kernel at k=18 is inf * 0: Gamma(k) overflows and Phi_k^-1(1) underflows"),
+    # the plan's budget Gamma(delta_n) bounds every Gamma(k) it reads
+    (["counterexample", "--kind", "lambda", *TINY_WEIGHTS, "--delta", "list:64,1024",
+      "--levels", "2", "--blow-base", "4"],
+     "level 1: plateau budget eps_n * Gamma(delta_n) = 0.5 * inf is past the largest float"),
+    (["counterexample", "--kind", "lambda", *TINY_WEIGHTS, "--delta", "list:8,16",
+      "--levels", "2", "--blow-base", "0.5", "--eps-base", "1e10"],
+     "level 1: plateau budget eps_n * Gamma(delta_n) = 1e+10 * 8e+307 is past the largest float"),
+], ids=["criterion", "counterexample", "counterexample-eps"])
+def test_kernel_inf_times_zero_exits_one(argv, message, tmp_path, capsys):
     out = tmp_path / "rep.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert run(argv + ["--output", str(out)]) == 1
-    assert capsys.readouterr().err == (
-        "error: the criterion kernel Gamma(k)^(1/q_n) Phi_k^-1(1) at k=18 is inf * 0: "
-        "Gamma(k) is past the largest float and Phi_k^-1(1) underflows\n")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_tiny_weights_plan_below_the_lost_k(tmp_path, capsys):
+    # the kernel is 1 > blow_1 = 0.5 at r_1 = 1, and Gamma(16) is a float
+    out = tmp_path / "rep.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["counterexample", "--kind", "lambda", *TINY_WEIGHTS, "--delta", "list:8,16",
+                    "--levels", "2", "--blow-base", "0.5", "--output", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    levels = json.loads(out.read_text())["result"]["spec"]["levels"]
+    assert [(lv["delta_n"], lv["r_n"], lv["t_n"]) for lv in levels] == [(8, 1, 1), (16, 1, 1)]
 
 
 def test_given_constants_build_no_default(tmp_path, capsys):
