@@ -18,9 +18,14 @@ that share an exponent are nested, and the one with the shortest
 with ``min_len`` 1. A block of rows as tall as the table's shortest
 ``min_len`` shares one ``argmax``, since their takes read only rows below
 the block, so a table whose levels all need long intervals costs
-O(m / min_len) calls. The tables are column-major, so each ``argmax``
-runs down contiguous ends. A walk jumps from one pointer to the next, one
-step per interval. The linear gain under a count cap (the
+O(m / min_len) calls. A table whose levels all have ``min_len`` 1, on
+samples with no two equal neighbours (every skeleton table of a
+non-constant input), masks no zero increment: the first end of a row has
+a nonzero one, whose candidate is at least any zero increment's, so a row
+is one sum and one ``argmax``, and an uncapped row is its take. The tables
+are column-major, so each ``argmax`` runs down contiguous ends. A walk
+jumps from one pointer to the next, one step per interval. The linear gain
+under a count cap (the
 modulus, and the unweighted form at q = 1 with a cap, or with
 ``min_len >= 2``, whose cap ``m // min_len`` is implicit while it is 2
 to ``_IMPLICIT_CAP_COLUMNS``) is filled a column at a time instead:
@@ -187,13 +192,31 @@ def _dp(values, levels, count=None):
     function, with numpy's scalar ``**`` fast paths), not once per
     position: a chunk holds 16 starts, or up to a block or an eighth of
     the ends while its increments fit in ``_GAIN_CHUNK`` floats, rounded
-    up to whole blocks, so each gain is called at most m / 16 + 1 times
-    (8 at m = 256). Zero increments, and ends too short for a level, are masked
+    up to whole blocks (:func:`_chunk_rows`, which also caps the block at
+    the chunk), so each gain is called at most m / 16 + 1 times (8 at
+    m = 256). Zero increments, and ends too short for a level, are masked
     after the sum, one ``np.copyto`` per block, so an inf gain never meets
     their -inf. The mask cannot move into the gains, once per chunk: a
     -inf gain would meet an inf ``best[b]`` in a row whose skip is inf
     already, and the nan would move the witnesses of inf values and break
     the equality of a column with its one-level table.
+
+    Mask-free rows. A table whose levels all have ``min_len`` 1, on samples
+    no two neighbours of which are equal -- every table on the skeleton of
+    a non-constant input: the exact DP's levels there and every
+    ``_rank_bounds`` table -- skips the mask and its per-chunk arrays. End
+    i + 1, the first end of row i, has a nonzero increment, and every gain
+    g of the engine has g >= 0 and g(0) = 0, so its candidate
+    g(|v_{i+1} - v_i|) + best[i + 1, c'] is at least best[b, c'], the
+    unmasked candidate of any zero-increment end b: best does not increase
+    down a column, and float addition is monotone. So ``argmax``, which
+    picks the first of equal candidates, never lands on a zero increment,
+    and the take is the masked take bit for bit. Uncapped, the take is at
+    least best[i + 1, c] = skip in every row, so such a table writes
+    ``best[i] = take`` and keeps ``took`` true; with one column it reads
+    its take as a scalar: a 1-D sum, one ``argmax`` and two scalar stores.
+    Samples with equal neighbours (grid plateaus, the two-point skeleton of
+    a constant input) keep the mask.
 
     Per column (the linear gain :func:`_linear` with a count cap): as
     |v_b - v_i| = max(v_b - v_i, v_i - v_b), the take at i is
@@ -210,7 +233,13 @@ def _dp(values, levels, count=None):
     best[b, k-1] - v_b and takes, 3 × K × (m + 1) floats, and ``walk``
     reads those of the columns it visits, and of the positions where the
     take reaches skipping picks the first whose take over nonzero
-    increments still does, which is the block rule's choice.
+    increments still does, which is the block rule's choice. It masks the
+    zero increments of a start only when the unmasked ``argmax`` lands on
+    one: otherwise that end is the first of the largest candidates over
+    nonzero increments too. At ``min_len`` 1 on the skeleton, end a + 1
+    has a nonzero increment, whose candidate is the largest of a zero
+    increment's up to rounding (the argument of the mask-free rows), so a
+    walk there seldom masks or tries a second start.
 
     The column rule serves every capped linear table, the q-form at q = 1
     with ``min_len >= 2`` too, whose implicit cap ``m // min_len`` costs
@@ -239,16 +268,14 @@ def _dp(values, levels, count=None):
     first = min(lens)  # every end of a start i lies in i + first..m
     if n == 0 or first > m:
         return best, walk
-    took = np.zeros((m + 2, width), dtype=bool, order="F")
+    # end i + 1 beats every zero increment when it has none of its own
+    free = max(lens) == 1 and bool(np.all(values[1:] != values[:-1]))
+    direct = free and count is None  # and its take reaches skipping
+    took = np.full((m + 2, width), direct, order="F")
     gains = list(dict.fromkeys(fns))  # one call per distinct function
     uses = [[c for c, fn in enumerate(fns) if fn is gain] for gain in gains]
     ends = m + 1 - first
-    # a chunk computes the gains of its first start's ends for every start in
-    # it: 16 rows, or up to a block or an eighth of the ends while
-    # _GAIN_CHUNK holds them, rounded up to whole blocks of up to `first` rows
-    rows = max(16, min(max(first, ends // 8), _GAIN_CHUNK // ends))
-    block = min(first, rows)
-    rows += -rows % block
+    rows, block = _chunk_rows(m, first)
     g = np.empty((rows, len(fns), ends))
     # ends a start cannot take: end j of row r lies j - r past the row's
     # first end (before it, for a block's lower rows), and level c starts
@@ -270,19 +297,29 @@ def _dp(values, levels, count=None):
                 gk = gain(incs)
                 for c in cs:
                     g[:k, c, :w] = gk
-            bad = (incs == 0)[:, None]
+            bad = None if free else (incs == 0)[:, None]
             if short is not None:
                 bad = bad | short[:k, :, :w]
-            if block == 1:
+            if direct and n == 1:
+                for r in range(k - 1, -1, -1):
+                    i, lo = lo0 + r, lo0 + r + 1
+                    cand = g[r, 0, r:w] + best[lo:m + 1, 0]
+                    a = cand.argmax()
+                    best[i, 0], end[i, 0] = cand[a], a + lo
+            elif block == 1:
                 for r in range(k - 1, -1, -1):
                     i, lo = lo0 + r, lo0 + r + first
                     # ends down each column, contiguous in the column-major best
                     cand = g[r, :, r:w].T + best[lo:m + 1, :n]
-                    np.copyto(cand, -np.inf, where=bad[r, :, r:].T)
+                    if not free:
+                        np.copyto(cand, -np.inf, where=bad[r, :, r:].T)
                     arg = cand.argmax(axis=0)
-                    take, skip = cand[arg, cols], best[i + 1, shift:]
-                    np.maximum(take, skip, out=best[i, shift:])
-                    np.greater_equal(take, skip, out=took[i, shift:])
+                    if direct:
+                        best[i] = cand[arg, cols]
+                    else:
+                        take, skip = cand[arg, cols], best[i + 1, shift:]
+                        np.maximum(take, skip, out=best[i, shift:])
+                        np.greater_equal(take, skip, out=took[i, shift:])
                     np.add(arg, lo, out=end[i, shift:])
             else:
                 for r1 in range(k, 0, -block):
@@ -303,6 +340,18 @@ def _dp(values, levels, count=None):
             del incs, gk, bad  # one chunk's arrays live at a time
     np.copyto(end, 0, where=~took)
     return best, walk
+
+
+def _chunk_rows(m, first):
+    """(rows, block): the starts per chunk of :func:`_dp`'s gains on m + 1
+    samples whose shortest ``min_len`` is ``first``, and the rows it fills
+    per ``argmax``. A chunk holds 16 starts, or up to a block or an eighth
+    of the ends while ``_GAIN_CHUNK`` holds their increments, rounded up to
+    whole blocks of up to ``first`` rows."""
+    ends = m + 1 - first
+    rows = max(16, min(max(first, ends // 8), _GAIN_CHUNK // ends))
+    block = min(first, rows)
+    return rows + -rows % block, block
 
 
 def _by_columns(levels, count):
@@ -338,8 +387,10 @@ def _linear_columns(values, min_len, best):
                 for a in np.flatnonzero(take[i:] >= best[i + 1:starts + 1, col]) + i:
                     lo = a + min_len
                     cand = np.maximum(up[lo:] - v[a], down[lo:] + v[a])
-                    cand[v[lo:] == v[a]] = -np.inf
                     b = int(cand.argmax())
+                    if v[lo + b] == v[a]:  # a zero increment: mask them all
+                        cand[v[lo:] == v[a]] = -np.inf
+                        b = int(cand.argmax())
                     if cand[b] >= best[a + 1, col]:
                         break
                 else:
@@ -404,10 +455,12 @@ def _dp_solve(f, levels, count=None):
     cell. The levels that fit run on one skeleton table and the rest on
     one grid table, so a solve fills at most two tables. When the gap is
     1, only the ``min_len == 1`` levels fit, and moving them would leave
-    the grid table blocks of 2 rows, which save less than a second pass
-    costs (gauged random walks at m = 64 to 256 ran up to 1.25 times
-    slower with it): a solve that does not fit whole then keeps all its
-    levels on one grid table. This follows from the rule and is not a
+    the grid table blocks of 2 rows, which save about what a second pass
+    costs: gauged ``linear`` and ``to`` ladders over constant weights, on
+    random walks of gap 1, ran 1.05 to 1.25 times slower split at m = 16
+    and 64, and 1.02 to 1.08 times faster at m = 256 and 1,024, with the
+    mask-free skeleton rows. A solve that does not fit whole then keeps all
+    its levels on one grid table. This follows from the rule and is not a
     tunable threshold. Only a gauge whose exponents are distinct (a
     ``linear`` or ``to`` ladder) meets it: a gauge solves one level per
     exponent, the one with the shortest ``min_len``, so a constant ladder
@@ -420,9 +473,10 @@ def _dp_solve(f, levels, count=None):
     reproduce its value (an inf value, inf). Each table writes one ``gbv``
     debug line that says where it ran and why, e.g. ``exact-dp: m=256,
     levels=1, cap=8, skeleton 257→4 (gap 44)`` or ``exact-dp: m=256,
-    levels=2, min_len=64..128, no skeleton (gap 44), blocks of 64``, where
+    levels=2, min_len=64..128, no skeleton (gap 44), blocks of 42``, where
     ``cap`` is the count asked for, clipped to the intervals that fit, and
-    ``blocks`` the rows that :func:`_dp` fills per step."""
+    ``blocks`` the rows that :func:`_dp` fills per ``argmax``: the shortest
+    ``min_len``, cut to a chunk of gains (:func:`_chunk_rows`)."""
     skeleton = _Skeleton(f.values)
     fit = [skeleton.grid(min_len) is not None for _, min_len in levels]
     if not all(fit) and skeleton.gap == 1:
@@ -448,8 +502,8 @@ def _dp_solve(f, levels, count=None):
             cap = "" if count is None else f"cap={min(count, f.m // levels[0][1])}, "
             lens = [levels[c][1] for c in group]
             text = skeleton.text(idx, lens)
-            if idx is None and min(lens) > 1 and not _by_columns(table, count):
-                text += f", blocks of {min(lens)}"
+            if idx is None and 1 < min(lens) <= f.m and not _by_columns(table, count):
+                text += f", blocks of {_chunk_rows(f.m, min(lens))[1]}"
             _log.debug("exact-dp: m=%d, levels=%d, %s%s", f.m, len(group), cap, text)
     return solved, best
 

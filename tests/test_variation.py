@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gbv.variation
@@ -988,6 +988,21 @@ def test_min_len_past_the_gap_stays_on_the_grid(caplog):
         "exact-dp: m=6, levels=1, min_len=3, no skeleton (gap 2), blocks of 3"]
 
 
+def test_block_text_names_the_rows_of_one_argmax(caplog):
+    # a chunk holds _GAIN_CHUNK // ends increments per start, at least 16
+    # starts, so a block of min_len rows is cut to the chunk: 16 rows at
+    # m = 1,024 (961 ends), 42 at m = 256 (193 ends)
+    noise = StepFunction(np.random.default_rng(2).standard_normal(1025))
+    sine = StepFunction(np.round(4.0 * np.sin(np.linspace(0.0, 2.0 * np.pi, 257))))
+    with caplog.at_level(logging.DEBUG, logger="gbv"):
+        variation_unweighted_q(noise, 1.5, min_len=64)
+        variation_gauged(sine, CONST1, GaugePair.build("linear", "pow2", n_max=9), 9)
+    assert [r.getMessage() for r in caplog.records][:3] == [
+        "exact-dp: m=1024, levels=1, min_len=64, no skeleton (gap 1), blocks of 16",
+        "exact-dp: m=256, levels=7, skeleton 257→4 (gap 44)",
+        "exact-dp: m=256, levels=2, min_len=64..128, no skeleton (gap 44), blocks of 42"]
+
+
 @st.composite
 def dyadic_samples(draw, max_m=64):
     """Quarter-step walks and half-step plateau trains, on 0 or 1e15: every
@@ -1010,8 +1025,20 @@ def per_position_dp(values, levels, count=None):
     return _DP(values, [(lambda x, fn=fn: fn(x), min_len) for fn, min_len in levels], count)
 
 
+@st.composite
+def distinct_samples(draw, max_m=64):
+    """Inputs with no two equal neighbours whose sums are all exact:
+    :func:`dyadic_samples` reduced to their turning-point skeleton, or
+    N(0,1) samples rounded to multiples of 2^-30."""
+    if draw(st.booleans()):
+        values = draw(dyadic_samples(max_m))
+        return values[gbv.variation._skeleton(values)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.round(rng.standard_normal(draw(st.integers(2, max_m + 1))) * 2.0**30) / 2.0**30
+
+
 @settings(max_examples=80, deadline=None)
-@given(dyadic_samples(), st.integers(1, 3), st.integers(1, 9))
+@given(st.one_of(dyadic_samples(), distinct_samples()), st.integers(1, 3), st.integers(1, 9))
 def test_linear_column_rule_matches_per_position_property(values, min_len, n):
     best, walk = _DP(values, [(gbv.variation._linear, min_len)], n)
     ref, ref_walk = per_position_dp(values, [(gbv.variation._linear, min_len)], n)
@@ -1022,13 +1049,16 @@ def test_linear_column_rule_matches_per_position_property(values, min_len, n):
 
 @st.composite
 def level_samples(draw, max_m=48):
-    """Quarter-step walks, plateau trains (zero increments) or N(0,1)
+    """Quarter-step walks, whole or reduced to their turning-point skeleton
+    (no two equal neighbours), plateau trains (zero increments) or N(0,1)
     samples, some scaled by 1e200 so that gains overflow to inf."""
-    shape = draw(st.sampled_from(["walk", "plateaus", "normal"]))
+    shape = draw(st.sampled_from(["walk", "skeleton", "plateaus", "normal"]))
     size = draw(st.integers(2, max_m + 1))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if shape == "walk":
+    if shape in ("walk", "skeleton"):
         values = np.cumsum(rng.integers(-2, 3, size=size)) / 4.0
+        if shape == "skeleton":
+            values = values[gbv.variation._skeleton(values)]
     elif shape == "plateaus":
         values = np.repeat(rng.integers(0, 5, size=size) / 2.0,
                            rng.integers(1, 6, size=size))[:size]
@@ -1098,14 +1128,33 @@ def scalar_dp(values, levels, count=None):
 SCALAR_GAINS = [lambda x: x, lambda x: x * x, lambda x: 0.5 * x * x, lambda x: x * x * x]
 
 
+#: inputs with no two equal neighbours, on which levels of min_len 1 all
+#: take the mask-free rows: N(0,1), and a quarter-step walk's skeleton
+NOISE = np.random.default_rng(5).standard_normal(40)
+WALK_SKELETON = np.cumsum(np.random.default_rng(6).integers(-2, 3, size=60)) / 4.0
+WALK_SKELETON = WALK_SKELETON[gbv.variation._skeleton(WALK_SKELETON)]
+ONE_LEVEL, LEVELS, CAPPED = [(1, 1)], [(0, 1), (1, 1), (3, 1), (1, 1)], [(2, 1)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(level_samples(max_m=80),
        st.lists(st.tuples(st.integers(0, len(SCALAR_GAINS) - 1), st.integers(1, 48)),
                 min_size=1, max_size=6),
-       st.one_of(st.none(), st.integers(1, 50)))
-def test_dp_matches_scalar_reference_property(values, levels, count):
-    # levels that share a gain share one function, as in variation_gauged
-    levels = [(SCALAR_GAINS[g], min_len) for g, min_len in levels]
+       st.one_of(st.none(), st.integers(1, 50)), st.booleans())
+@example(NOISE, ONE_LEVEL, None, False)
+@example(NOISE, LEVELS, None, False)
+@example(NOISE, CAPPED, 7, False)
+@example(WALK_SKELETON, ONE_LEVEL, None, False)
+@example(WALK_SKELETON, LEVELS, None, False)
+@example(WALK_SKELETON, CAPPED, 7, False)
+@example(WALK_SKELETON * 1e200, ONE_LEVEL, None, False)
+@example(WALK_SKELETON * 1e200, LEVELS, None, False)
+@example(WALK_SKELETON * 1e200, CAPPED, 7, False)
+def test_dp_matches_scalar_reference_property(values, levels, count, ones):
+    # levels that share a gain share one function, as in variation_gauged;
+    # min_len 1 throughout takes the mask-free rows when no two neighbours
+    # are equal
+    levels = [(SCALAR_GAINS[g], 1 if ones else min_len) for g, min_len in levels]
     if count is not None:
         levels = levels[:1]
     best, walk = _DP(values, levels, count)

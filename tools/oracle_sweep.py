@@ -1,4 +1,5 @@
-"""Check the rank-dependent solves and the gauged variation against brute force.
+"""Check the exact DP, the rank-dependent solves and the gauged variation
+against brute force.
 
 Every case solves one input at m <= 10 and compares the result with the
 brute-force maximum of ``tests/oracles.py``, which enumerates every
@@ -7,11 +8,18 @@ collection of intervals and shares no code with the engine. Per case:
 - ``lower <= oracle <= upper``, at 1e-12 relative;
 - the witness re-evaluates to ``lower`` under the tool's own gains;
 - an ``exact-*`` mode has ``lower == upper``;
-- a gauge's reported level admits the witness: every interval spans at
-  least that level's ``min_len`` grid cells.
+- every interval of the witness spans at least the solve's ``min_len``
+  grid cells (for a gauge, that of its reported level), and a capped
+  solve's witness has at most its count of intervals.
 
 Groups:
 
+- ``dp``: ``modulus_of_variation`` at n in 1..4, ``variation_unweighted_q``
+  at q in {1, 1.5, 2, 3}, uncapped, with ``s_max = 2`` and with
+  ``min_len`` 2 and 3, and ``variation_weighted`` over constant weights
+  of 2 at p in {1, 2, 3}: the exact DP, on the skeleton or on the grid.
+  On the input scaled by 1e150 only exponents up to 2 run, as in the
+  gauge group, since the brute force cannot pass the largest float;
 - ``rank``: ``variation_weighted`` over harmonic, log, ``power:0.5`` and
   constant weights at p in {1, 1.5, 2}, and ``variation_schramm`` of the
   explicit family ``EXPLICIT_TERMS`` and of the scaled family
@@ -35,7 +43,9 @@ from anywhere::
 
     python tools/oracle_sweep.py
 
-It takes about 10 s on a 2-core x86_64 VM; tier-1 does not run it.
+It takes about 8 s on a 2-core x86_64 VM. :func:`sweep` runs given groups
+at given m in-process; tier-1 runs a slice of every group at small m
+through it.
 """
 
 import functools
@@ -51,8 +61,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import oracles  # noqa: E402
 from gbv import (ConvexBase, GaugePair, SchrammFamily, StepFunction,  # noqa: E402
-                 WeightSequence, variation_gauged, variation_schramm,
-                 variation_weighted)
+                 WeightSequence, modulus_of_variation, variation_gauged,
+                 variation_schramm, variation_unweighted_q, variation_weighted)
 
 SEED = 2017
 SIZES = range(3, 11)
@@ -80,8 +90,10 @@ GAUGES = {
 }
 
 
-def _inputs():
-    """``(name, values)`` of every input, from the seeded generators."""
+def _inputs(sizes=SIZES):
+    """``(name, values)`` of every input at m in ``sizes``, from the seeded
+    generators, which draw every m of ``SIZES``: an input does not depend
+    on the sizes asked for."""
     rng, noise = np.random.default_rng(SEED), np.random.default_rng(SEED + 1)
     out = []
     for m in SIZES:
@@ -98,7 +110,7 @@ def _inputs():
             (f"walk x1e150 m={m}", walk * 1e150),
             (f"noise m={m}", noise.normal(size=m + 1)),
         ]
-    return out
+    return [(name, values) for name, values in out if len(values) - 1 in sizes]
 
 
 def _rank_value(incs, phis, root):
@@ -129,8 +141,9 @@ class Sweep:
     def __init__(self):
         self.violations = []
 
-    def check(self, case, res, truth, phis, root, min_len=1):
-        """Record every violation of ``res`` against the brute-force ``truth``."""
+    def check(self, case, res, truth, phis, root, min_len=1, count=None):
+        """Record every violation of ``res`` against the brute-force ``truth``;
+        ``count`` caps the witness's intervals."""
         bad = []
         if not res.lower <= truth * (1 + REL) or not truth <= res.upper * (1 + REL):
             bad.append(f"lower {res.lower!r} <= oracle {truth!r} <= upper {res.upper!r} fails")
@@ -142,6 +155,8 @@ class Sweep:
         if any(b - a < min_len for a, b in res.witness.pairs):
             bad.append(f"witness {list(res.witness.pairs)} has an interval shorter than "
                        f"min_len {min_len}")
+        if count is not None and len(res.witness.pairs) > count:
+            bad.append(f"witness {list(res.witness.pairs)} has more than {count} intervals")
         self.violations += [f"  VIOLATION {case}: {text}" for text in bad]
         return res.mode
 
@@ -160,6 +175,39 @@ FAMILIES = [
     ("expm1/harmonic", SchrammFamily("scaled", base=ConvexBase("expm1"),
                                      weights=WeightSequence("harmonic")), _expm1_phis),
 ]
+
+
+#: constant weights of the dp group: lam_j = 2
+DP_WEIGHTS = WeightSequence("constant", value=2.0)
+
+
+def _dp_group(sweep, inputs):
+    modes = {}
+
+    def tally(mode):
+        modes[mode] = modes.get(mode, 0) + 1
+
+    for name, values in inputs:
+        f = StepFunction(values)
+        key = values.tolist()
+        top = 2.0 if "x1e150" in name else 3.0  # x^3 of 1e150 is past the largest float
+        for n in range(1, 5):
+            tally(sweep.check(f"{name} modulus n={n}", modulus_of_variation(f, n),
+                              oracles.oracle_modulus(key, n), _power_phis(lambda j: 1.0, 1.0),
+                              1.0, count=n))
+        for q in (q for q in (1.0, 1.5, 2.0, 3.0) if q <= top):
+            for s_max, min_len in ((None, 1), (2, 1), (None, 2), (None, 3)):
+                res = variation_unweighted_q(f, q, s_max, min_len)
+                truth = oracles.oracle_unweighted_q(key, q, s_max or f.m, min_len)
+                tally(sweep.check(f"{name} unweighted q={q:g} s_max={s_max} min_len={min_len}",
+                                  res, truth, _power_phis(lambda j: 1.0, q), 1.0 / q, min_len,
+                                  s_max))
+        for p in (p for p in (1.0, 2.0, 3.0) if p <= top):
+            tally(sweep.check(f"{name} weighted constant:2 p={p:g}",
+                              variation_weighted(f, DP_WEIGHTS, p),
+                              oracles.oracle_weighted(key, [2.0] * f.m, p),
+                              _power_phis(lambda j: 2.0, p), 1.0 / p))
+    return modes
 
 
 def _rank_group(sweep, inputs):
@@ -204,18 +252,30 @@ def _gauge_group(sweep, inputs):
     return modes
 
 
+GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group}
+
+
+def sweep(groups=tuple(GROUPS), sizes=SIZES):
+    """``{group: (modes, violations)}`` of the ``groups`` on the inputs at m
+    in ``sizes``: the solves per mode, and one line per violation."""
+    inputs = _inputs(sizes)
+    out = {}
+    for group in groups:
+        checks = Sweep()
+        out[group] = GROUPS[group](checks, inputs), checks.violations
+    return out
+
+
 def main():
-    inputs = _inputs()
     status = 0
-    for group, run in (("rank", _rank_group), ("gauge", _gauge_group)):
-        sweep = Sweep()
-        modes = run(sweep, inputs)
+    n_inputs = len(_inputs())
+    for group, (modes, violations) in sweep().items():
         counts = ", ".join(f"{mode} {n}" for mode, n in sorted(modes.items()))
-        print(f"{group}: {sum(modes.values())} solves on {len(inputs)} inputs ({counts}), "
-              f"{len(sweep.violations)} violations")
-        for line in sweep.violations:
+        print(f"{group}: {sum(modes.values())} solves on {n_inputs} inputs ({counts}), "
+              f"{len(violations)} violations")
+        for line in violations:
             print(line)
-        status |= bool(sweep.violations)
+        status |= bool(violations)
     return status
 
 
