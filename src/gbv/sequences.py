@@ -54,14 +54,20 @@ def _check_real(name, x):
     return x
 
 
+def check_whole(name, x):
+    """``x`` as an int, after checking that it is a whole number: the one
+    check of a count parameter, whose :class:`ValidationError` names it."""
+    if _check_real(name, x) % 1:  # a fraction, inf or nan
+        raise ValidationError(f"{name} must be a whole number, not {x!r}")
+    return int(x)
+
+
 def _check_k_max(k_max):
     """``k_max`` as an int, after checking that it is a whole number and
     that a horizon holds index 1."""
     if _check_real("k_max", k_max) < 1:
         raise ValidationError("k_max must be positive")
-    if k_max % 1:  # a fraction, inf or nan
-        raise ValidationError(f"k_max must be a whole number, not {k_max!r}")
-    return int(k_max)
+    return check_whole("k_max", k_max)
 
 
 def _check_config(cfg, required, optional=()):
@@ -683,6 +689,7 @@ class GaugePair:
     def levels(self, n):
         """The first ``n`` rungs as a list of ``(q_n, delta_n)`` Python
         floats; the one check of a level count."""
+        n = check_whole("level count", n)
         if not 1 <= n <= self.n_max:
             raise ValidationError(f"level count {n} outside 1..{self.n_max}")
         return list(zip(self.qn[:n].tolist(), self.deltas[:n].tolist()))

@@ -25,17 +25,14 @@ a nonzero one, whose candidate is at least any zero increment's, so a row
 is one sum and one ``argmax``, and an uncapped row is its take. The tables
 are column-major, so each ``argmax`` runs down contiguous ends. A walk
 jumps from one pointer to the next, one step per interval. The linear gain
-under a count cap (the
-modulus, and the unweighted form at q = 1 with a cap, or with
-``min_len >= 2``, whose cap ``m // min_len`` is implicit while it is 2
-to ``_IMPLICIT_CAP_COLUMNS``) is filled a column at a time instead:
+under a count cap a caller asked for (the modulus, and the unweighted form
+at q = 1 with a binding ``s_max``) is filled a column at a time instead:
 suffix maxima of v_b + best[b, k-1] and best[b, k-1] - v_b give every
 take of a column in a few vector ops, so a table of K columns costs O(K)
 numpy calls of size m, not O(m) of size m·K, and the witness is rebuilt
 along the one column walked from the takes kept per column. The uncapped
-linear gain at ``min_len == 1``, which would need every column, and
-``_rank_bounds``' table, whose every column is walked, stay on the
-block rule.
+linear gain, which would need every column, and ``_rank_bounds``' table,
+whose every column is walked, stay on the block rule.
 ``_rank_bounds`` fills one table per level, of the family's rank-free
 surrogate gain, and reads both bounds from it: the lower from its
 witnesses, the upper by summation by parts for a scaled family and by the
@@ -80,7 +77,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .sequences import GaugePair, SchrammFamily, WeightSequence, check_horizon
+from .sequences import (GaugePair, SchrammFamily, WeightSequence, check_horizon,
+                        check_whole)
 from .stepfn import IntervalCollection, StepFunction
 
 #: largest grid resolution at which rank-dependent search runs exactly
@@ -138,13 +136,6 @@ def _suffix_max(x):
 #: increments and each gain array (64 kB each up to m = 512) stay below the
 #: 128 kB at which glibc's malloc maps fresh pages
 _GAIN_CHUNK = 1 << 13
-
-#: the most columns ``m // min_len`` at which the unweighted form at q = 1
-#: takes the linear column rule under its implicit cap: the rule saves numpy
-#: calls, but its fill and walk do O(columns · m) element work and it holds
-#: 4 · columns · m floats, which outweigh the calls past this (at m = 1,024,
-#: min_len = 2: 29 against 11 ms, and 16 against 0.3 MB)
-_IMPLICIT_CAP_COLUMNS = 128
 
 
 def _dp(values, levels, count=None):
@@ -241,16 +232,12 @@ def _dp(values, levels, count=None):
     increment's up to rounding (the argument of the mask-free rows), so a
     walk there seldom masks or tries a second start.
 
-    The column rule serves every capped linear table, the q-form at q = 1
-    with ``min_len >= 2`` too, whose implicit cap ``m // min_len`` costs
-    O(m / min_len) calls while it leaves 2 to ``_IMPLICIT_CAP_COLUMNS``
-    columns (1.3 against 2.4 ms for table and walk at m = 256,
-    min_len = 4). The uncapped linear gain at ``min_len == 1`` stays on
-    the block rule, where the column rule would need every column (2.1
-    against 4.8 ms at m = 256), and so do tables whose every column is
-    walked, such as ``_rank_bounds``': a pointer walk takes one step per
-    interval, where the column rule's walk scans the takes of every column
-    it visits.
+    The column rule serves every capped linear table. The uncapped linear
+    gain stays on the block rule, where the column rule would need every
+    column (2.1 against 4.8 ms at m = 256, ``min_len`` 1), and so do
+    tables whose every column is walked, such as ``_rank_bounds``': a
+    pointer walk takes one step per interval, where the column rule's walk
+    scans the takes of every column it visits.
     """
     m = len(values) - 1
     fns, lens = zip(*levels)
@@ -823,6 +810,7 @@ def _rank_search(f, skeleton, family, min_len, p, oracle_cap):
 
 def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
     """Maximum total increment over at most ``n`` nonoverlapping intervals."""
+    n = check_whole("n", n)
     if n < 1:
         raise ValidationError("n must be >= 1")
     [(value, witness)], best = _dp_solve(f, [(_linear, 1)], n)
@@ -841,16 +829,9 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     """``(max sum |f(I_j)|^q)^(1/q)`` over at most ``s_max`` intervals of
     grid length >= ``min_len``. Exact: the weights are rank-independent.
 
-    At q = 1 with ``min_len >= 2`` and no ``s_max``, the count is capped at
-    ``m // min_len`` when that is 2 to ``_IMPLICIT_CAP_COLUMNS``. The cap
-    cannot bind, but it lets :func:`_dp` take its linear column rule:
-    O(m / min_len) numpy calls of size m, not O(m). The value is the
-    block rule's bit for bit on dyadic samples and within a few
-    ulps of it otherwise, and a witness may differ from it in a linear
-    tie. The debug line then names ``cap=``.
-
-    The column rule adds samples to table values, so its error is a few
-    ulps of the range of f, not of the value. Where two intervals fit
+    At q = 1 a binding ``s_max`` takes :func:`_dp`'s linear column rule,
+    which adds samples to table values, so its error is a few ulps of the
+    range of f, not of the value. Where two intervals fit
     (m >= 2 min_len), some admissible interval spans a third of the range
     or more (an extremum pairs with the other, or with an end of the grid,
     and the three increments among them cover the range), so the error is
@@ -859,15 +840,15 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     ``min_len = 3`` reads 1e-5 -- so that table stays on the block rule."""
     if not 1 <= q < math.inf:
         raise ValidationError("q must be >= 1")
+    min_len = check_whole("min_len", min_len)
     if min_len < 1:
         raise ValidationError("min_len must be >= 1 grid cell")
-    if s_max is not None and s_max < 1:
-        raise ValidationError("s_max must be >= 1")
-    fits = f.m // min_len
-    if q == 1 and min_len > 1 and 2 <= fits <= _IMPLICIT_CAP_COLUMNS:
-        s_max = s_max or fits  # the linear gain's column rule needs a cap
-    elif s_max is not None and s_max >= fits:
-        s_max = None  # the cap cannot bind
+    if s_max is not None:
+        s_max = check_whole("s_max", s_max)
+        if s_max < 1:
+            raise ValidationError("s_max must be >= 1")
+        if s_max >= f.m // min_len:
+            s_max = None  # the cap cannot bind
     gain = _linear if q == 1 else (lambda x: x ** q)
     [(inner, witness)], _ = _dp_solve(f, [(gain, min_len)], s_max)
     return _exact(inner ** (1.0 / q), witness)

@@ -2,17 +2,21 @@
 raises its error type with a message that names what is wrong, and a few
 small readers and reports."""
 
+import math
+
 import numpy as np
 import pytest
 
 from gbv import (ConvexBase, GaugePair, ResolutionError, SchrammFamily, StepFunction,
                  TripleSample, ValidationError, WeightSequence, build_witness,
-                 certify_blowup, check_holder_branch, check_wu_estimate, generate_block,
-                 ingest, plan_construction, variation_unweighted_q)
+                 certify_blowup, check_holder_branch, check_wu_estimate, criterion_schramm,
+                 generate_block, ingest, modulus_of_variation, plan_construction,
+                 variation_gauged, variation_unweighted_q)
 
 GAUGE = GaugePair.build("const", "pow2", n_max=2, q=1.0)
 HARMONIC = WeightSequence("harmonic", k_max=64)
 POWER2 = SchrammFamily.power(2.0, HARMONIC)
+ZIGZAG = StepFunction([0.0, 1.0, 0.0, 1.0, 0.0])
 
 
 def _ingest(tmp_path, text, fmt):
@@ -103,6 +107,30 @@ def test_bad_call_raises(case, tmp_path):
     with pytest.raises(error) as exc:
         call(tmp_path)
     assert fragment in str(exc.value)
+
+
+#: per count argument: the name its error gives it, and a call that passes it
+COUNT_CALLS = {
+    "modulus": ("n", lambda n: modulus_of_variation(ZIGZAG, n)),
+    "s_max": ("s_max", lambda n: variation_unweighted_q(ZIGZAG, 1.0, s_max=n)),
+    "min_len": ("min_len", lambda n: variation_unweighted_q(ZIGZAG, 1.0, min_len=n)),
+    "gauged": ("level count", lambda n: variation_gauged(ZIGZAG, HARMONIC, GAUGE, n)),
+    "criterion": ("level count", lambda n: criterion_schramm(POWER2, GAUGE, n)),
+    "plan": ("level count", lambda n: plan_construction("lambda", GAUGE, n, w_lambda=HARMONIC,
+                                                        w_gamma=HARMONIC)),
+}
+
+
+@pytest.mark.parametrize("count, fragment", [
+    (2.5, "must be a whole number, not 2.5"), (math.inf, "must be a whole number, not inf"),
+    (True, "must be a number, not True")], ids=["fraction", "inf", "bool"])
+@pytest.mark.parametrize("case", sorted(COUNT_CALLS))
+def test_count_that_is_no_whole_number_raises(case, count, fragment):
+    name, call = COUNT_CALLS[case]
+    with pytest.raises(ValidationError, match=f"^{name} {fragment}$"):
+        call(count)
+    if case != "plan":  # a whole float reads as its int (GAUGE plans no witness)
+        assert call(2.0) == call(2)
 
 
 def test_blank_csv_rows_are_skipped(tmp_path):

@@ -124,22 +124,21 @@ class TestUnweightedQ:
             variation_unweighted_q(ZIGZAG, 1.0, min_len=2)
         assert [r.getMessage() for r in caplog.records] == [
             "exact-dp: m=4, levels=1, cap=1, skeleton 5→5 (gap 1)",
-            "exact-dp: m=4, levels=1, cap=2, min_len=2, no skeleton (gap 1)"]
+            "exact-dp: m=4, levels=1, min_len=2, no skeleton (gap 1), blocks of 2"]
 
-    def test_implicit_cap_from_two_to_its_column_limit(self, caplog):
-        # q = 1 with min_len >= 2 takes the cap m // min_len while it leaves
-        # 2 to _IMPLICIT_CAP_COLUMNS columns, and stays uncapped otherwise
-        cols = gbv.variation._IMPLICIT_CAP_COLUMNS
+    def test_uncapped_q1_takes_the_block_rule(self, caplog):
+        # without an s_max, q = 1 at min_len >= 2 passes no cap, at any
+        # number of columns m // min_len
         with caplog.at_level(logging.DEBUG, logger="gbv"):
-            for m in (2 * cols, 2 * cols + 2):
+            for m in (32, 256):
                 variation_unweighted_q(StepFunction(np.arange(m + 1.0) % 3), 1.0, min_len=2)
             # one interval fits: the column rule would read |1e-5 - 0| off
             # samples centred on 0.5, where 1e-5 - 0.5 is rounded
             res = variation_unweighted_q(StepFunction([1e-5, 0.0, 1.0, 0.0]), 1.0, min_len=3)
         assert res.value == 1e-5 and res.witness.pairs == ((0, 3),)
         assert [r.getMessage() for r in caplog.records] == [
-            f"exact-dp: m={2 * cols}, levels=1, cap={cols}, min_len=2, no skeleton (gap 1)",
-            f"exact-dp: m={2 * cols + 2}, levels=1, min_len=2, no skeleton (gap 1), blocks of 2",
+            f"exact-dp: m={m}, levels=1, min_len=2, no skeleton (gap 1), blocks of 2"
+            for m in (32, 256)] + [
             "exact-dp: m=3, levels=1, min_len=3, no skeleton (gap 1), blocks of 3"]
 
     def test_min_len_beyond_grid(self):

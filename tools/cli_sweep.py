@@ -102,8 +102,7 @@ def _calls():
         calls += [var + ["--functional", "modulus", "--n", n] for n in ("1", "3")]
         calls += [var + ["--functional", "q", "--q", q] for q in ("1", "2.5")]
         calls.append(var + ["--functional", "q", "--q", "2", "--smax", "2", "--minlen", "2"])
-        # q = 1 with min_len >= 2: the linear column rule under the implicit
-        # cap m // min_len where two or more intervals fit
+        # q = 1 with min_len >= 2, uncapped: the block rule's blocks of min_len rows
         calls += [var + ["--functional", "q", "--q", "1", "--minlen", n] for n in ("2", "3")]
         for spec in WEIGHTS:
             calls += [var + ["--functional", "lambda", "--weights", spec, "--p", p]

@@ -20,23 +20,24 @@ _SKIP = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
          tokenize.DEDENT, tokenize.ENDMARKER, tokenize.ENCODING}
 
 
-def _docstring_lines(tree):
-    """The line numbers spanned by the module, class and function docstrings."""
-    lines = set()
+def docstrings(tree):
+    """The docstring statements of the module, its classes and functions."""
+    docs = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
                              ast.AsyncFunctionDef)) and node.body:
             first = node.body[0]
             if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
                     and isinstance(first.value.value, str)):
-                lines.update(range(first.lineno, first.end_lineno + 1))
-    return lines
+                docs.add(first)
+    return docs
 
 
 def code_lines(path):
     """The number of code lines of the Python file ``path``."""
     source = Path(path).read_bytes()
-    docs = _docstring_lines(ast.parse(source))
+    docs = {line for doc in docstrings(ast.parse(source))
+            for line in range(doc.lineno, doc.end_lineno + 1)}
     lines = set()
     for tok in tokenize.tokenize(io.BytesIO(source).readline):
         if tok.type not in _SKIP:

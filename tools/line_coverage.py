@@ -21,6 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from code_lines import docstrings
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gbv"
 _NO_CODE = (ast.Try, ast.Global, ast.Nonlocal)
@@ -61,24 +63,11 @@ class LineTracer:
         return {line for name, line in self.lines if Path(name).resolve() == path}
 
 
-def _docstrings(tree):
-    """The docstring statements of the module, its classes and functions."""
-    docs = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
-                             ast.AsyncFunctionDef)) and node.body:
-            first = node.body[0]
-            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
-                    and isinstance(first.value.value, str)):
-                docs.add(first)
-    return docs
-
-
 def statements(tree):
     """``(first, last, node)`` per statement that carries code: the lines on
     which running it raises a line event, a compound statement's body
     excluded."""
-    docs = _docstrings(tree)
+    docs = docstrings(tree)
     for node in ast.walk(tree):
         if not isinstance(node, ast.stmt) or node in docs or isinstance(node, _NO_CODE):
             continue

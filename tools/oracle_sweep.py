@@ -15,9 +15,11 @@ collection of intervals and shares no code with the engine. Per case:
 Groups:
 
 - ``dp``: ``modulus_of_variation`` at n in 1..4, ``variation_unweighted_q``
-  at q in {1, 1.5, 2, 3}, uncapped, with ``s_max = 2`` and with
-  ``min_len`` 2 and 3, and ``variation_weighted`` over constant weights
-  of 2 at p in {1, 2, 3}: the exact DP, on the skeleton or on the grid.
+  at q in {1, 1.5, 2, 3}, uncapped, with ``s_max = 2``, with ``min_len``
+  2 and 3, and with both ``s_max`` and ``min_len`` 2 (at q = 1, the only
+  case of the column rule under a ``min_len``), and ``variation_weighted``
+  over constant weights of 2 at p in {1, 2, 3}: the exact DP, on the
+  skeleton or on the grid.
   On the input scaled by 1e150 only exponents up to 2 run, as in the
   gauge group, since the brute force cannot pass the largest float;
 - ``rank``: ``variation_weighted`` over harmonic, log, ``power:0.5`` and
@@ -196,7 +198,7 @@ def _dp_group(sweep, inputs):
                               oracles.oracle_modulus(key, n), _power_phis(lambda j: 1.0, 1.0),
                               1.0, count=n))
         for q in (q for q in (1.0, 1.5, 2.0, 3.0) if q <= top):
-            for s_max, min_len in ((None, 1), (2, 1), (None, 2), (None, 3)):
+            for s_max, min_len in ((None, 1), (2, 1), (None, 2), (None, 3), (2, 2)):
                 res = variation_unweighted_q(f, q, s_max, min_len)
                 truth = oracles.oracle_unweighted_q(key, q, s_max or f.m, min_len)
                 tally(sweep.check(f"{name} unweighted q={q:g} s_max={s_max} min_len={min_len}",
