@@ -24,18 +24,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import HypothesisError, ValidationError
-from .sequences import SchrammFamily, WeightSequence
+from .sequences import SchrammFamily, WeightSequence, check_q
 
 REL_SLACK = 1e-9
 WU_CONSTANT = 16.0
 #: cases a suite draws and checks together; bounds its temporaries and is
 #: part of the definition of its draws
 SUITE_CHUNK = 256
-
-
-def _check_q(q):
-    if not 1 <= q < math.inf:
-        raise ValidationError("q must be >= 1")
 
 
 def _rises(v, floor=1e-300):
@@ -92,7 +87,7 @@ class TripleSample:
                 raise ValidationError(f"{name} must be a nonempty vector")
             _check_positive(name, v)
             object.__setattr__(self, name, v)
-        _check_q(self.q)
+        check_q(self.q)
 
 
 def _monotone_rows(u):
@@ -242,7 +237,7 @@ def _wu_rows(x, lengths, family, q):
     the ratio of the lhs to the rhs without the constant 16."""
     if np.any(x < 0) or _rises(x):
         raise ValidationError("x must be nonnegative nonincreasing")
-    _check_q(q)
+    check_q(q)
     V = np.array([family.rank_sum(row[:n]) for row, n in zip(x.tolist(), lengths.tolist())])
     lhs = _row_sums(x ** q) ** (1.0 / q)
     # Phi_k^{-1}(V) at every k <= n of every row, in one call; 0 past n
@@ -296,7 +291,7 @@ def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
     rng = np.random.default_rng(seed)
     failures, worst, worst_case = 0, math.inf, None
     for q in q_list:
-        _check_q(q)
+        check_q(q)
         for start, lengths, (x, y, z) in _chunks(rng, samples, n_max, 3):
             mask = np.arange(n_max) < lengths[:, None]
             for name, v in (("x", x), ("y", y), ("z", z)):

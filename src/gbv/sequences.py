@@ -45,7 +45,7 @@ WEIGHT_KINDS = ("constant", "harmonic", "power", "log", "explicit")
 WEIGHT_PARAMS = {"constant": "value", "power": "alpha", "explicit": "terms"}
 
 
-def _check_real(name, x):
+def check_real(name, x):
     """``x``, after checking that it is a real number, not a bool or a
     string: the one type check of a numeric parameter, whose
     :class:`ValidationError` names it."""
@@ -57,15 +57,22 @@ def _check_real(name, x):
 def check_whole(name, x):
     """``x`` as an int, after checking that it is a whole number: the one
     check of a count parameter, whose :class:`ValidationError` names it."""
-    if _check_real(name, x) % 1:  # a fraction, inf or nan
+    if check_real(name, x) % 1:  # a fraction, inf or nan
         raise ValidationError(f"{name} must be a whole number, not {x!r}")
     return int(x)
+
+
+def check_q(q):
+    """Raise :class:`ValidationError` unless the exponent ``q`` is a real
+    number in ``[1, inf)``: the one check of a variation exponent."""
+    if not 1 <= check_real("q", q) < math.inf:
+        raise ValidationError("q must be >= 1")
 
 
 def _check_k_max(k_max):
     """``k_max`` as an int, after checking that it is a whole number and
     that a horizon holds index 1."""
-    if _check_real("k_max", k_max) < 1:
+    if check_real("k_max", k_max) < 1:
         raise ValidationError("k_max must be positive")
     return check_whole("k_max", k_max)
 
@@ -138,15 +145,15 @@ class WeightSequence:
         # the built-in formulas are positive and nondecreasing; only the
         # parameters and an explicit list can break that
         if kind == "constant":
-            if not 0 < _check_real("value", self.value) < math.inf:
+            if not 0 < check_real("value", self.value) < math.inf:
                 raise ValidationError("constant weight must be positive")
             self.terms = (float(self.value),)
-        if kind == "power" and (alpha is None or not 0 < _check_real("alpha", alpha) <= 1):
+        if kind == "power" and (alpha is None or not 0 < check_real("alpha", alpha) <= 1):
             raise ValidationError("power kind needs 0 < alpha <= 1")
         if kind == "explicit":
             if not isinstance(terms, (list, tuple)) or not terms:
                 raise ValidationError("explicit kind needs a nonempty list")
-            self.terms = tuple(float(_check_real("a weight in terms", t)) for t in terms)
+            self.terms = tuple(float(check_real("a weight in terms", t)) for t in terms)
             # extension by the last value keeps monotonicity
             head = np.array(self.terms[:self.k_max])
             if not np.all((head > 0) & (head < math.inf)):
@@ -309,7 +316,7 @@ class ConvexBase:
     def __init__(self, shape, p=None):
         if shape == "power":
             # the one check of the exponent range of Lambda BV^(p)
-            if p is None or not 1 <= _check_real("p", p) < math.inf:
+            if p is None or not 1 <= check_real("p", p) < math.inf:
                 raise ValidationError(f"p must be in [1, inf) (p={p})")
             self.p = float(p)
         elif shape != "expm1":
@@ -409,8 +416,8 @@ class SchrammFamily:
                 if not isinstance(t, (list, tuple)) or len(t) != 2:
                     raise ValidationError(
                         f"explicit terms must be (coef, exponent) pairs, not {t!r}")
-            self.terms = tuple((float(_check_real("a coef in terms", c)),
-                                float(_check_real("an exponent in terms", e))) for c, e in terms)
+            self.terms = tuple((float(check_real("a coef in terms", c)),
+                                float(check_real("an exponent in terms", e))) for c, e in terms)
             for c, e in self.terms:
                 if not (0 < c < math.inf and 1 <= e < math.inf):
                     raise ValidationError("explicit terms need coef > 0, exponent >= 1")

@@ -35,9 +35,6 @@ class StepFunction:
     def m(self):
         return len(self.values) - 1
 
-    def scaled(self, c):
-        return StepFunction(self.values * c)
-
     def to_json_dict(self):
         return {"m": self.m, "values": [float(v) for v in self.values]}
 

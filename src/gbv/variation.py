@@ -68,17 +68,19 @@ rank objective serves all three.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import operator
+import struct
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import InternalConsistencyError, ValidationError
-from .sequences import (GaugePair, SchrammFamily, WeightSequence, check_horizon,
-                        check_whole)
+from .sequences import (GaugePair, SchrammFamily, WeightSequence, check_horizon, check_q,
+                        check_real, check_whole)
 from .stepfn import IntervalCollection, StepFunction
 
 #: largest grid resolution at which rank-dependent search runs exactly
@@ -86,8 +88,8 @@ ORACLE_CAP_DEFAULT = 16
 
 _REL_TOL = 1e-12
 
-#: relative bracket width at which the norm bisection stops
-NORM_REL_TOL = 1e-10
+#: the bit pattern of inf, above those of the positive floats
+_INF_BITS = 0x7FF0_0000_0000_0000
 
 _log = logging.getLogger("gbv")
 
@@ -838,8 +840,7 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     a few ulps of the value too. Where only one fits, the admissible
     increments may all lie far below the range -- ``[1e-5, 0, 1, 0]`` at
     ``min_len = 3`` reads 1e-5 -- so that table stays on the block rule."""
-    if not 1 <= q < math.inf:
-        raise ValidationError("q must be >= 1")
+    check_q(q)
     min_len = check_whole("min_len", min_len)
     if min_len < 1:
         raise ValidationError("min_len must be >= 1 grid cell")
@@ -932,19 +933,23 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     """Luxemburg-style norm ``|f(a)| + inf{c > 0 : V_Phi(f/c) <= 1}``;
     ``f(a)`` is ``f_a``, which must be finite, or else f's first sample.
 
-    ``V_Phi(f/c)`` depends on f/c only, so f is first divided by the
-    exact power of two above max|f|, which keeps its range and gains
-    finite, and the norm is scaled back at the end. For a family
-    homogeneous of degree d (``family.degree``: a power base, or explicit
-    terms sharing one exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``, so the
-    infimum is ``V_Phi(f)^(1/d)``: one variation call. Other families (the
-    ``expm1`` base, mixed exponents) find it by doubling c up to 2^1023,
-    the largest power of two, plus bisection to ``NORM_REL_TOL``, since
-    ``c -> V_Phi(f/c)`` is nonincreasing. When c passes 2^1023 while the
-    scaled-back norm may still be a float (the input's scale is at most 1),
-    the doubling goes on with f/2 in place of the scaled input, where
-    2^1023 is a norm of 2^1024, so it reaches every norm up to the largest
-    float. A norm past it is inf.
+    ``V_Phi(f/c)`` depends on f/c only. For a family homogeneous of degree
+    d (``family.degree``: a power base, or explicit terms sharing one
+    exponent) ``V_Phi(f/c) = c^-d V_Phi(f)``, so the infimum is
+    ``V_Phi(f)^(1/d)``: one variation call, on f divided by the exact
+    power of two above max|f|, which keeps its range and gains finite, and
+    the norm is scaled back at the end. For other families (the ``expm1``
+    base, mixed exponents) the infimum is the largest, over collections X,
+    of the root c_X of ``sum_j phi_j(x_j / c) = 1`` in X's increments x_j
+    sorted down, since each such sum falls as c rises. Dinkelbach's method
+    finds it: from the one interval across the range, solve ``V_Phi(f/c)``
+    at c = c_X and take the solve's witness as the next X, until
+    ``V_Phi(f/c) <= 1`` or the witness's root is not above c. c rises
+    strictly, over finitely many collections; two or three variation calls
+    are typical. Each root is found to adjacent floats by bisection over
+    the bit patterns of the positive floats. On this path f is only scaled
+    down, by the power of two above max|f| when that is above 1, so c is a
+    float wherever the norm is. A norm past the largest float is inf.
 
     A rank-free family (constant weights, an explicit weight list of one
     value, or explicit terms that are one repeated pair) is solved by the
@@ -952,55 +957,54 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     ``oracle_cap`` grid cells, or when the range of f/c passes
     ``family.ordered_to``, the variation is only bracketed and its
     certified lower bound is used, so the norm returned is a lower bound
-    on the true norm; for a homogeneous family the true norm lies in
+    on the true norm: for a homogeneous family the true norm lies in
     ``[|f(a)| + lower^(1/d), |f(a)| + upper^(1/d)]`` of
-    :func:`variation_schramm`.
+    :func:`variation_schramm`, and for another family c is the root of a
+    real collection, which is at most the infimum.
     """
     if f_a is None:
         f_a = float(f.values[0])
-    elif not math.isfinite(f_a):
+    elif not math.isfinite(check_real("f_a", f_a)):
         raise ValidationError(f"f_a={f_a} must be finite")
     values = f.values
     if values.min() == values.max():
         return abs(f_a)
     shift = math.frexp(np.max(np.abs(values)))[1]
-    values = np.ldexp(values, -shift)
     if (degree := family.degree) is not None:
         # in bounds mode the value is the certified lower bound
-        return _norm(f_a, variation_schramm(StepFunction(values), family, oracle_cap).value
-                     ** (1.0 / degree), shift)
+        return _norm(f_a, variation_schramm(StepFunction(np.ldexp(values, -shift)), family,
+                                            oracle_cap).value ** (1.0 / degree), shift)
 
-    # the bisection also divides by the power of two above the range left,
-    # which puts the range in [0.5, 1): the bracket then starts at c = 1 for
-    # every input, and c scales back exactly
-    e = math.frexp(np.ptp(values))[1]
-    g, shift = StepFunction(np.ldexp(values, -e)), shift + e
-
-    def var_at(c):
-        return variation_schramm(g.scaled(1.0 / c), family, oracle_cap).value
-
-    hi = 1.0
-    while var_at(hi) > 1.0:
-        if hi == 2.0 ** 1023:  # the largest power of two
-            if shift > 0:  # the norm is past 2^1024
-                return math.inf
-            # the norm is past 2^(1023 + shift) and may still be a float: go on
-            # with f/2 at c 2^(shift - 1), where c = 2^1023 is a norm of 2^1024
-            g, hi, shift = StepFunction(np.ldexp(f.values, -1)), math.ldexp(hi, shift - 1), 1
-        hi *= 2.0
-    lo = hi / 2.0
-    while lo > 1e-300 and var_at(lo) <= 1.0:
-        hi = lo
-        lo /= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if var_at(mid) <= 1.0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= NORM_REL_TOL * hi:
+    # f is only scaled down, so c is a float wherever the norm is
+    shift = max(shift, 0)
+    values = np.ldexp(values, -shift)
+    # Dinkelbach: c* is the max over collections X of the root c_X of
+    # rank_sum(incs(X) / c) = 1. A witness of V(f/c) > 1 has its root above
+    # c but for the rounding of f/c, so the loop stops where it does not
+    c, incs = 0.0, [float(np.ptp(values))]  # the one interval across the range
+    while (root := _collection_root(family, incs)) > c:
+        c = root
+        res = variation_schramm(StepFunction(values / c), family, oracle_cap)
+        if res.lower <= 1.0:
             break
-    return _norm(f_a, 0.5 * (lo + hi), shift)
+        incs = sorted((abs(float(values[b]) - float(values[a])) for a, b in res.witness.pairs),
+                      reverse=True)
+    return _norm(f_a, c, shift)
+
+
+def _collection_root(family, incs):
+    """The least positive float c with ``rank_sum(incs / c) <= 1``, for
+    ``incs`` in descending order: a bisection over the bit patterns of the
+    positive floats, which order them as their values do, so it ends at
+    adjacent floats after at most 63 sums. inf past the largest float."""
+    def at(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    def fits(bits):
+        c = at(bits)
+        return family.rank_sum([x / c for x in incs]) <= 1.0
+
+    return at(1 + bisect.bisect_left(range(1, _INF_BITS + 1), True, key=fits))
 
 
 def _norm(f_a, c, shift):

@@ -3,6 +3,7 @@ raises its error type with a message that names what is wrong, and a few
 small readers and reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from gbv import (ConvexBase, GaugePair, ResolutionError, SchrammFamily, StepFunc
                  TripleSample, ValidationError, WeightSequence, build_witness,
                  certify_blowup, check_holder_branch, check_wu_estimate, criterion_schramm,
                  generate_block, ingest, modulus_of_variation, plan_construction,
-                 variation_gauged, variation_unweighted_q)
+                 schramm_norm, variation_gauged, variation_unweighted_q)
 
 GAUGE = GaugePair.build("const", "pow2", n_max=2, q=1.0)
 HARMONIC = WeightSequence("harmonic", k_max=64)
@@ -131,6 +132,23 @@ def test_count_that_is_no_whole_number_raises(case, count, fragment):
         call(count)
     if case != "plan":  # a whole float reads as its int (GAUGE plans no witness)
         assert call(2.0) == call(2)
+
+
+#: per real argument: the name its error gives it, and a call that passes it
+REAL_CALLS = {
+    "uq": ("q", lambda x: variation_unweighted_q(ZIGZAG, x)),
+    "triple": ("q", lambda x: TripleSample([1.0], [1.0], [1.0], x)),
+    "wu": ("q", lambda x: check_wu_estimate([2.0, 1.0], POWER2, x)),
+    "norm": ("f_a", lambda x: schramm_norm(ZIGZAG, POWER2, f_a=x)),
+}
+
+
+@pytest.mark.parametrize("x", [True, "1"], ids=["bool", "str"])
+@pytest.mark.parametrize("case", sorted(REAL_CALLS))
+def test_real_that_is_no_number_raises(case, x):
+    name, call = REAL_CALLS[case]
+    with pytest.raises(ValidationError, match=re.escape(f"{name} must be a number, not {x!r}")):
+        call(x)
 
 
 def test_blank_csv_rows_are_skipped(tmp_path):

@@ -11,9 +11,9 @@ def test_oracle_sweep_slice_finds_no_violation():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     results = tool.sweep(sizes=(3, 4, 6, 8))
-    assert list(results) == ["dp", "rank", "gauge"]
+    assert list(results) == ["dp", "rank", "gauge", "norm"]
     for group, (modes, violations) in results.items():
         assert violations == [], group
         # the slice reaches every path of the group
-        assert set(modes) == ({"exact-dp"} if group == "dp"
-                              else {"bounds", "exact-dp", "exact-oracle"}), group
+        assert set(modes) == {"dp": {"exact-dp"}, "norm": {"bounds", "exact-oracle"}}.get(
+            group, {"bounds", "exact-dp", "exact-oracle"}), group

@@ -31,10 +31,6 @@ class TestStepFunction:
         with pytest.raises(ValidationError):
             StepFunction([1.0])
 
-    def test_scaled(self):
-        f = StepFunction([0.0, 2.0, 0.0])
-        assert list(f.scaled(0.5).values) == [0.0, 1.0, 0.0]
-
     def test_round_trip_json(self, tmp_path):
         f = StepFunction([0.0, 0.25, 1.0, 0.0])
         path = tmp_path / "f.json"

@@ -352,7 +352,7 @@ class TestNorm:
         fam = SchrammFamily.power(2.0, HARMONIC)
         f = StepFunction([0.0, 1.0, 0.2, 0.9, 0.0])
         n1 = schramm_norm(f, fam)
-        n2 = schramm_norm(f.scaled(3.0), fam)
+        n2 = schramm_norm(StepFunction(3.0 * f.values), fam)
         assert n2 == pytest.approx(3.0 * n1, rel=1e-7)
 
     def test_triangle_inequality_samples(self):
@@ -367,8 +367,9 @@ class TestNorm:
 
     @pytest.mark.parametrize("family, phis", [(mixed_family, mixed_phis),
                                               (expm1_family, expm1_phis)])
-    def test_bisection_matches_oracle(self, family, phis):
-        # non-homogeneous families bisect; V(f/c) = 1 at the returned c
+    def test_dinkelbach_norm_matches_oracle(self, family, phis):
+        # non-homogeneous families take the root of their best collection,
+        # to adjacent floats: V(f/c) = 1 to two ulps at the returned c
         fam = family()
         assert fam.degree is None
         rng = np.random.default_rng(29)
@@ -378,12 +379,12 @@ class TestNorm:
             f = StepFunction(values)
             c = schramm_norm(f, fam) - abs(values[0])
             assert oracles.oracle_schramm(list(values / c), phis(m)) == \
-                pytest.approx(1.0, abs=1e-8)
-        # the bracket starts near ptp(f), so huge increments are found too
+                pytest.approx(1.0, abs=4.5e-16)
+        # f is scaled into [-1, 1], so huge increments are found too
         values = np.array([0.0, 1e200, 0.0])
         c = schramm_norm(StepFunction(values), fam)
         assert oracles.oracle_schramm(list(values / c), phis(2)) == \
-            pytest.approx(1.0, abs=1e-8)
+            pytest.approx(1.0, abs=4.5e-16)
 
     def test_norm_at_the_ends_of_the_float_range(self):
         # V(f/c) depends on f/c only, so a tiny input's norm is the norm of
@@ -408,21 +409,29 @@ class TestNorm:
             warnings.simplefilter("error")
             assert variation_schramm(huge, fam).value == math.inf
 
-    def test_norm_bracket_doubles_to_the_largest_power_of_two(self):
-        # mixed exponents bisect; V(f/c) = 1e300 * ptp / c for one interval,
-        # so c = 1e300 * ptp, far past 200 doublings of c
+    def test_norm_reaches_the_largest_float(self):
+        # mixed exponents take a collection's root; V(f/c) = 1e300 * ptp / c
+        # for one interval, so c = 1e300 * ptp
         fam = SchrammFamily("explicit", terms=[[1e300, 1.0], [1e300, 2.0]])
         assert schramm_norm(StepFunction([0.0, 1.0]), fam) == pytest.approx(1e300, rel=1e-10)
         assert schramm_norm(StepFunction([0.0, 1e-3, 0.0]), fam) == pytest.approx(
             1e297, rel=1e-10)
         # c = 1.7e308 * ptp: the norm 5.1e308 is past the largest float, and
-        # 1.275e308 is a float, past 2^1023 while the input's scale is 1
+        # 1.275e308 is a float, past 2^1023
         fam = SchrammFamily("explicit", terms=[[1.7e308, 1.0], [1.7e308, 2.0]])
         assert schramm_norm(StepFunction([0.0, 3.0]), fam) == math.inf
         assert schramm_norm(StepFunction([0.0, 0.75]), fam) == pytest.approx(
             1.275e308, rel=1e-10)
         assert schramm_norm(StepFunction([0.0, 1e-3, 0.0]), fam) == pytest.approx(
             1.7e305, rel=1e-10)
+        # six increments of 1e-3 at exponents just above 1: c = 1.01995e306
+        # (a 40-digit root), a float, while c for the input scaled up to
+        # [0.5, 1) would pass the largest float
+        fam = SchrammFamily("explicit", terms=[[1.7e308, 1.0], [1.7e308, 1.0],
+                                               [1.7e308, 1.0000001]])
+        a = 1e-3
+        assert schramm_norm(StepFunction([0.0, a, 0.0, a, 0.0, a, 0.0]), fam) == \
+            pytest.approx(1.0199516184599114e306, rel=1e-9)
 
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),
@@ -433,6 +442,8 @@ class TestNorm:
     ])
     def test_homogeneous_norm_is_one_variation_call(self, monkeypatch, family,
                                                     homogeneous):
+        # another family takes the root of one collection per call, and
+        # stops after two or three
         calls = []
         real = gbv.variation.variation_schramm
 
@@ -444,6 +455,7 @@ class TestNorm:
         f = StepFunction([0.2, 1.0, 0.4, 0.9, 0.0])
         norm = schramm_norm(f, family())
         assert (len(calls) == 1) == homogeneous
+        assert len(calls) <= 3
         if homogeneous:
             d = family().degree
             assert norm == 0.2 + real(f, family()).value ** (1.0 / d)
@@ -470,7 +482,8 @@ class TestNorm:
         f = StepFunction([0.0, 0.75, 0.25, 1.0, -0.5])
         fam = SchrammFamily.power(p, HARMONIC)
         for k in (-400, 400):
-            assert schramm_norm(f.scaled(2.0 ** k), fam) == math.ldexp(schramm_norm(f, fam), k)
+            assert schramm_norm(StepFunction(2.0 ** k * f.values), fam) == math.ldexp(
+                schramm_norm(f, fam), k)
 
     def test_bounds_mode_homogeneous_norm(self):
         # above oracle_cap the norm uses the certified lower bound of V, and
@@ -829,7 +842,7 @@ class TestSkeleton:
         with caplog.at_level(logging.DEBUG, logger="gbv"):
             variation_schramm(f, fam)
             variation_schramm(f, fam, oracle_cap=8)
-            variation_schramm(f.scaled(0.5), fam)
+            variation_schramm(StepFunction(0.5 * f.values), fam)
         assert [r.getMessage() for r in caplog.records] == [
             f"bounds: m=12 <= oracle_cap=16, range 3.25 > ordered_to 2.61, skeleton 13→{len(idx)} "
             "(gap 1), upper nu, gap 0.448",
@@ -1277,7 +1290,7 @@ def test_rank_bounds_fill_one_table_per_level(monkeypatch, family):
         f = StepFunction(np.cumsum(rng.normal(size=m + 1)))
         variation_schramm(f, family, oracle_cap=4)
         # past ordered_to for the explicit family
-        variation_schramm(f.scaled(4.0), family, oracle_cap=4)
+        variation_schramm(StepFunction(4.0 * f.values), family, oracle_cap=4)
     # a gauge's rank-dependent levels are bounded one by one, min_len > 1 too
     variation_gauged(f, HARMONIC, TestGauged.GAUGE, 4, oracle_cap=4)
     assert calls["_rank_bounds"] == 8

@@ -175,7 +175,7 @@ def _calls():
     norm = ["norm", "--input", "walk.csv"]
     calls += [norm + ["--family", fam] for fam in FAMILIES]
     calls += [norm + ["--family", FAMILIES[0], "--fa", v] for v in ("0", "nan")]
-    # norms of 1e300 and 1e297: c doubles from 1 past 2^200
+    # norms of 1e300 and 1e297, far above the input's scale of 1
     calls += [["norm", "--input", src, "--family", HUGE_FAMILY]
               for src in ("step.csv", "blip.csv")]
     return calls

@@ -33,7 +33,13 @@ Groups:
 - ``gauge``: ``variation_gauged`` over the same weights and a one-value
   explicit list, on ``const``, ``linear``, ``to`` and ``list`` ladders
   (the last with repeated exponents), at both caps. Every exponent lies in
-  [1, 2], so the brute force stays finite on the input scaled by 1e150.
+  [1, 2], so the brute force stays finite on the input scaled by 1e150;
+- ``norm``: ``schramm_norm`` of the two families of the rank group and of
+  the homogeneous ``x^2 / j`` (the power-2 base over harmonic weights), at
+  both caps, on every input that is not constant. The brute force takes
+  V(f/c) at c = norm - |f(a)|: where the variation solve at c is exact,
+  ``|V - 1| <= REL``; in bounds mode ``V >= 1 - REL``, that is, c is at
+  most the true norm.
 
 Inputs come from seeded generators: walks, rounded sines, plateau trains,
 integers, zigzags, a walk scaled by 1e150 and N(0,1) noise, at every m from
@@ -45,7 +51,7 @@ from anywhere::
 
     python tools/oracle_sweep.py
 
-It takes about 8 s on a 2-core x86_64 VM. :func:`sweep` runs given groups
+It takes 10-14 s on a 2-core x86_64 VM. :func:`sweep` runs given groups
 at given m in-process; tier-1 runs a slice of every group at small m
 through it.
 """
@@ -63,7 +69,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import oracles  # noqa: E402
 from gbv import (ConvexBase, GaugePair, SchrammFamily, StepFunction,  # noqa: E402
-                 WeightSequence, modulus_of_variation, variation_gauged,
+                 WeightSequence, modulus_of_variation, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
 
 SEED = 2017
@@ -254,7 +260,32 @@ def _gauge_group(sweep, inputs):
     return modes
 
 
-GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group}
+#: families of the norm group: the rank group's, and a homogeneous one
+NORM_FAMILIES = [*FAMILIES, ("power:2/harmonic", SchrammFamily.power(
+    2.0, WeightSequence("harmonic")), _power_phis(float, 2.0))]
+
+
+def _norm_group(sweep, inputs):
+    modes = {}
+    for name, values in inputs:
+        if values.min() == values.max():
+            continue
+        f = StepFunction(values)
+        for fam_name, family, phis in NORM_FAMILIES:
+            for cap in CAPS:
+                c = schramm_norm(f, family, oracle_cap=cap) - abs(float(values[0]))
+                # the mode of the solve at c says which check holds
+                mode = variation_schramm(StepFunction(values / c), family, oracle_cap=cap).mode
+                v = oracles.oracle_schramm((values / c).tolist(),
+                                           [phis(j) for j in range(1, len(values))])
+                if not (v >= 1 - REL if mode == "bounds" else abs(v - 1) <= REL):
+                    sweep.violations.append(f"  VIOLATION {name} {fam_name} norm cap={cap}: "
+                                            f"V(f/c) = {v!r} at c = {c!r} ({mode})")
+                modes[mode] = modes.get(mode, 0) + 1
+    return modes
+
+
+GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group, "norm": _norm_group}
 
 
 def sweep(groups=tuple(GROUPS), sizes=SIZES):
