@@ -151,7 +151,8 @@ def cmd_variation(args):
         res = variation_gauged(f, parse_weights(args.weights, args.kmax),
                                gauge, args.ncap, oracle_cap=args.oracle_cap)
     _write_report(args, res.to_json_dict())
-    print(f"variation {args.functional}: value={res.value!r} mode={res.mode}")
+    print(f"variation {args.functional}: lower={res.lower!r} upper={res.upper!r} "
+          f"mode={res.mode}")
     return 0
 
 

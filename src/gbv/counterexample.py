@@ -89,10 +89,6 @@ class ConstructionSpec:
     w_gamma: WeightSequence | None = None
     family: SchrammFamily | None = None
 
-    @property
-    def n_levels(self):
-        return len(self.levels)
-
     def gauge(self):
         return GaugePair([lv.q_n for lv in self.levels],
                          [lv.delta_n for lv in self.levels])
@@ -234,7 +230,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
 def witness_resolution(spec):
     """Smallest uniform grid on which every plateau edge is a grid point, up
     to ``GRID_CAP``."""
-    m = 1 << spec.n_levels
+    m = 1 << len(spec.levels)
     for lv in spec.levels:
         m = math.lcm(m, lv.delta_n)
         if m > GRID_CAP:
@@ -265,9 +261,9 @@ def certify_membership(spec, f):
     Per level: 2 * eps_n in the weighted case (the plateau count never
     exceeds 2 r_n and doubling the index at most doubles the prefix sum),
     and 2 * Phi_{r_n}(eps_n * Phi_{r_n}^{-1}(1)) in the convex-family case
-    (convexity pulls eps inside). When f has at most ``ORACLE_CAP_DEFAULT``
-    grid cells, the exact engine value is checked against the bound and
-    reported as ``exact``; otherwise ``exact`` is None.
+    (convexity pulls eps inside). ``engine`` is the engine's bracket of
+    the source variation (:func:`_engine`), and its ``lower`` end must not
+    exceed the bound.
     """
     rows = []
     for lv in spec.levels:
@@ -279,15 +275,11 @@ def certify_membership(spec, f):
             level_value = float(spec.family.partial_sum(2 * lv.t_n, lv.height))
         rows.append({"n": lv.n, "bound": bound, "level_value": level_value})
     total = math.fsum(row["bound"] for row in rows)
-    report = {"kind": spec.kind, "total_bound": total, "levels": rows,
-              "exact": None}
-    if f.m <= ORACLE_CAP_DEFAULT:
-        exact = variation_schramm(f, spec.family).value ** (1.0 / spec.p)
-        if exact > total * (1 + 1e-9):
-            raise InternalConsistencyError(
-                f"exact source variation {exact} exceeds certified bound {total}")
-        report["exact"] = exact
-    return report
+    engine = _engine(f, lambda: variation_schramm(f, spec.family), 1.0 / spec.p)
+    if engine and engine["lower"] > total * (1 + 1e-9):
+        raise InternalConsistencyError(
+            f"engine source variation {engine['lower']} exceeds certified bound {total}")
+    return {"kind": spec.kind, "total_bound": total, "levels": rows, "engine": engine}
 
 
 def certify_blowup(spec, f):
@@ -298,9 +290,9 @@ def certify_blowup(spec, f):
     length exactly, so L_n really is a feasible inner value. The report
     also re-verifies the two chain inequalities behind the construction
     with the supplied constants; a failure is reported, not silently fixed.
-    When f has at most ``ORACLE_CAP_DEFAULT`` grid cells, the gauged
-    variation of f is checked against every L_n and reported as
-    ``gauged_value``, and ``cross_checked`` is true.
+    ``engine`` is the engine's bracket of the gauged variation of f
+    (:func:`_engine`), and its ``upper`` end must reach the largest L_n. The
+    plan's t_n, s_n, r_n and heights are in the spec, not in the rows.
     """
     m, gamma = f.m, spec.w_gamma
     rows = []
@@ -316,22 +308,23 @@ def certify_blowup(spec, f):
                          >= (lv.eps / 2.0) * gamma.prefix_sum(lv.r_n) * (1 - 1e-9))
         L_n = inner ** (1.0 / lv.q_n)
         floor = lv.eps * (lv.eps / 2.0) ** (1.0 / lv.q_n) * lv.blow
-        rows.append({
-            "n": lv.n, "t_n": lv.t_n, "s_n": lv.s_n, "r_n": lv.r_n,
-            "h_n": lv.height, "L_n": L_n, "chain_floor": floor,
-            "growth_ok": growth_ok,
-            "floor_ok": bool(L_n >= floor * (1 - 1e-9)),
-        })
-    report = {"kind": spec.kind, "levels": rows,
-              "max_L": max(r["L_n"] for r in rows),
-              "cross_checked": False}
-    if f.m <= ORACLE_CAP_DEFAULT:
-        gauged = variation_gauged(f, gamma, spec.gauge(), spec.n_levels)
-        for row in rows:
-            if gauged.value < row["L_n"] * (1 - 1e-9):
-                raise InternalConsistencyError(
-                    f"gauged variation {gauged.value} below constructive "
-                    f"bound {row['L_n']} at level {row['n']}")
-        report["cross_checked"] = True
-        report["gauged_value"] = gauged.value
-    return report
+        rows.append({"n": lv.n, "L_n": L_n, "chain_floor": floor, "growth_ok": growth_ok,
+                     "floor_ok": bool(L_n >= floor * (1 - 1e-9))})
+    top = max(rows, key=lambda row: row["L_n"])
+    engine = _engine(f, lambda: variation_gauged(f, gamma, spec.gauge(), len(spec.levels)))
+    if engine and engine["upper"] < top["L_n"] * (1 - 1e-9):
+        raise InternalConsistencyError(
+            f"gauged variation {engine['upper']} below constructive "
+            f"bound {top['L_n']} at level {top['n']}")
+    return {"kind": spec.kind, "levels": rows, "max_L": top["L_n"], "engine": engine}
+
+
+def _engine(f, solve, root=1.0):
+    """The engine's cross-check of a certificate: ``{"lower", "upper",
+    "mode"}`` of the result of ``solve()``, both ends raised to ``root``;
+    None past ``ORACLE_CAP_DEFAULT`` grid cells of f, where it is not run.
+    A check reads the end that can contradict it."""
+    if f.m > ORACLE_CAP_DEFAULT:
+        return None
+    res = solve()
+    return {"lower": res.lower ** root, "upper": res.upper ** root, "mode": res.mode}

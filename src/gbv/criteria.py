@@ -38,13 +38,17 @@ _log = logging.getLogger("gbv")
 
 @dataclass(frozen=True)
 class CriterionReport:
+    """A scan of ``len(levels)`` levels, one row each: ``a_n`` is the max
+    found and ``a_n_upper`` a certified bound on the true max, equal
+    unless ``inexact_scan``. ``sup`` and ``argmax_level`` read ``a_n``, and
+    ``verdict`` reads ``slope`` (:func:`_trend`)."""
+
     # of dicts {"n": int, "a_n": float, "a_n_upper": float, "argmax_k": int}
     levels: tuple
     sup: float
     argmax_level: int
     verdict: str
     slope: float
-    horizon: int
     inexact_scan: bool = False
     evaluations: int = 0
 
@@ -247,7 +251,6 @@ def _assemble(level_rows, inexact, evaluations):
         argmax_level=level_rows[best]["n"],
         verdict=verdict,
         slope=slope,
-        horizon=len(level_rows),
         inexact_scan=inexact,
         evaluations=evaluations,
     )

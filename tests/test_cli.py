@@ -114,7 +114,7 @@ class TestVariationCommand:
                     "--ncap", "2"])
         assert code == 0
         *report, summary = capsys.readouterr().out.splitlines()
-        assert summary == "variation gauged: value=2.0 mode=exact-dp"
+        assert summary == "variation gauged: lower=2.0 upper=2.0 mode=exact-dp"
         rep = json.loads("\n".join(report))
         assert rep["config"]["qn"] == "list:1,2" and "output" not in rep["config"]
         assert rep["result"]["level"] == 2
@@ -276,6 +276,12 @@ class TestCounterexampleCommand:
         assert rep["membership"]["total_bound"] < 2.0
         levels = rep["blowup"]["levels"]
         assert all(r["growth_ok"] and r["floor_ok"] for r in levels)
+        # past 16 grid cells the engine's cross-check does not run; the
+        # plan's t_n, s_n, r_n and heights are in the spec, not in the rows
+        assert rep["m"] == 1024
+        assert rep["membership"]["engine"] is None and rep["blowup"]["engine"] is None
+        assert all(list(r) == ["n", "L_n", "chain_floor", "growth_ok", "floor_ok"]
+                   for r in levels)
         doc = json.loads(witness.read_text())
         assert doc["m"] == rep["m"]
 

@@ -203,7 +203,7 @@ class TestLambdaGamma:
         rep = criterion_lambda_gamma(CONST1, CONST1, 1.0, gauge_const_q(1.0), 4)
         doc = rep.to_json_dict()
         json.dumps(doc)
-        assert doc["horizon"] == 4
+        assert len(doc["levels"]) == 4
         # a flat kernel: the scan evaluates every k up to delta_4 = 16
         assert doc["evaluations"] == 16
         assert all(lv["a_n_upper"] == lv["a_n"] for lv in doc["levels"])

@@ -54,16 +54,16 @@ def random_values(rng, m):
 
 class TestModulus:
     def test_zigzag(self):
-        assert modulus_of_variation(ZIGZAG, 1).value == 1.0
-        assert modulus_of_variation(ZIGZAG, 2).value == 2.0
+        assert modulus_of_variation(ZIGZAG, 1).lower == 1.0
+        assert modulus_of_variation(ZIGZAG, 2).lower == 2.0
         # four unit jumps in total
-        assert modulus_of_variation(ZIGZAG, 4).value == 4.0
-        assert modulus_of_variation(ZIGZAG, 9).value == 4.0
+        assert modulus_of_variation(ZIGZAG, 4).lower == 4.0
+        assert modulus_of_variation(ZIGZAG, 9).lower == 4.0
 
     def test_constant_function(self):
         f = StepFunction([0.5, 0.5, 0.5])
         res = modulus_of_variation(f, 3)
-        assert res.value == 0.0
+        assert res.lower == 0.0
         assert len(res.witness) == 0
 
     def test_witness_realizes_value(self):
@@ -71,13 +71,13 @@ class TestModulus:
         for _ in range(20):
             f = StepFunction(random_values(rng, 8))
             res = modulus_of_variation(f, 3)
-            assert sum(res.witness.increments) == pytest.approx(res.value)
+            assert sum(res.witness.increments) == pytest.approx(res.lower)
             assert len(res.witness) <= 3
 
     def test_monotone_in_n(self):
         rng = np.random.default_rng(6)
         f = StepFunction(random_values(rng, 10))
-        vals = [modulus_of_variation(f, n).value for n in range(1, 8)]
+        vals = [modulus_of_variation(f, n).lower for n in range(1, 8)]
         assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_invalid_n(self):
@@ -89,12 +89,12 @@ class TestModulus:
         rng = np.random.default_rng(0)
         values = rng.standard_normal(106) * 1e3
         res = modulus_of_variation(StepFunction(values), 8)
-        assert res.value == pytest.approx(oracles.dp_modulus(values.tolist(), 8), rel=1e-12)
+        assert res.lower == pytest.approx(oracles.dp_modulus(values.tolist(), 8), rel=1e-12)
 
     def test_infinite_modulus_raises_no_warning(self):
         f = StepFunction([-1e308, 1e308, -1e308])
         res = modulus_of_variation(f, 2)
-        assert res.value == math.inf and res.witness.pairs == ((0, 1), (1, 2))
+        assert res.lower == math.inf and res.witness.pairs == ((0, 1), (1, 2))
 
     def test_path_is_logged(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="gbv"):
@@ -108,13 +108,13 @@ class TestModulus:
 class TestUnweightedQ:
     def test_zigzag_q2(self):
         res = variation_unweighted_q(ZIGZAG, 2.0)
-        assert res.value == pytest.approx(2.0)
+        assert res.lower == pytest.approx(2.0)
 
     def test_min_len_excludes_short_jumps(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, min_len=2)
         # only length-2 intervals allowed; each has increment 1 at best,
         # two disjoint ones fit
-        assert res.value == pytest.approx(oracles.oracle_unweighted_q(
+        assert res.lower == pytest.approx(oracles.oracle_unweighted_q(
             list(ZIGZAG.values), 1.0, 4, min_len=2))
         assert min(b - a for a, b in res.witness.pairs) >= 2
 
@@ -135,7 +135,7 @@ class TestUnweightedQ:
             # one interval fits: the column rule would read |1e-5 - 0| off
             # samples centred on 0.5, where 1e-5 - 0.5 is rounded
             res = variation_unweighted_q(StepFunction([1e-5, 0.0, 1.0, 0.0]), 1.0, min_len=3)
-        assert res.value == 1e-5 and res.witness.pairs == ((0, 3),)
+        assert res.lower == 1e-5 and res.witness.pairs == ((0, 3),)
         assert [r.getMessage() for r in caplog.records] == [
             f"exact-dp: m={m}, levels=1, min_len=2, no skeleton (gap 1), blocks of 2"
             for m in (32, 256)] + [
@@ -143,11 +143,11 @@ class TestUnweightedQ:
 
     def test_min_len_beyond_grid(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, min_len=10)
-        assert res.value == 0.0
+        assert res.lower == 0.0
 
     def test_s_max_cap(self):
         res = variation_unweighted_q(ZIGZAG, 1.0, s_max=1)
-        assert res.value == 1.0
+        assert res.lower == 1.0
 
     @pytest.mark.parametrize("s_max", [0, -3])
     def test_s_max_below_one_rejected(self, s_max):
@@ -160,7 +160,7 @@ class TestWeighted:
         # four unit jumps weighted 1, 1/2, 1/3, 1/4
         res = variation_weighted(ZIGZAG, HARMONIC, 1.0)
         assert res.mode == "exact-oracle"
-        assert res.value == pytest.approx(25 / 12)
+        assert res.lower == pytest.approx(25 / 12)
 
     def test_zigzag_at_the_oracle_cap(self):
         # every sample a turning point, so the skeleton keeps all 17; value
@@ -168,7 +168,7 @@ class TestWeighted:
         f = StepFunction([(-1) ** i * (1 + 0.01 * i) for i in range(17)])
         res = variation_weighted(f, HARMONIC, 1.0)
         assert res.mode == "exact-oracle"
-        assert res.value == 7.557098554223553
+        assert res.lower == 7.557098554223553
         assert res.witness.pairs == tuple((i, i + 1) for i in range(16))
         # about 1.5 ms on a 2-core x86_64 VM, where the branch-and-bound took
         # 5.5 s; the best of three keeps a busy host's stalls out
@@ -179,15 +179,15 @@ class TestWeighted:
     def test_constant_weights_use_dp(self):
         res = variation_weighted(ZIGZAG, CONST1, 1.0)
         assert res.mode == "exact-dp"
-        assert res.value == pytest.approx(4.0)
+        assert res.lower == pytest.approx(4.0)
 
     def test_bounds_mode_brackets(self):
         rng = np.random.default_rng(11)
         f = StepFunction(random_values(rng, 14))
         res = variation_weighted(f, HARMONIC, 1.0, oracle_cap=6)
         assert res.mode == "bounds"
-        assert res.lower <= res.value <= res.upper
-        exact = variation_weighted(f, HARMONIC, 1.0, oracle_cap=14).value
+        assert res.lower <= res.upper
+        exact = variation_weighted(f, HARMONIC, 1.0, oracle_cap=14).lower
         assert res.lower <= exact * (1 + 1e-12)
         assert exact <= res.upper * (1 + 1e-12)
 
@@ -201,7 +201,7 @@ class TestSchramm:
         # four unit jumps, so the value is 1 + 1/2 + 1/3 + 1/4
         fam = SchrammFamily.power(2.0, HARMONIC)
         res = variation_schramm(ZIGZAG, fam)
-        assert res.value == pytest.approx(25 / 12)
+        assert res.lower == pytest.approx(25 / 12)
 
     def test_bounds_witness_comes_from_the_base(self):
         # the lower-bound DP of a scaled family runs on its base x^2; on the
@@ -210,7 +210,7 @@ class TestSchramm:
         fam = SchrammFamily.power(2.0, HARMONIC)
         res = variation_schramm(f, fam, oracle_cap=3)
         assert res.mode == "bounds"
-        assert res.lower == pytest.approx(variation_schramm(f, fam).value, rel=1e-12)
+        assert res.lower == pytest.approx(variation_schramm(f, fam).lower, rel=1e-12)
         assert res.lower == pytest.approx(547 / 12, rel=1e-12)
 
     def test_oracle_agreement_random(self):
@@ -220,7 +220,7 @@ class TestSchramm:
         for _ in range(15):
             f = StepFunction(random_values(rng, 7))
             res = variation_schramm(f, fam)
-            assert res.value == pytest.approx(
+            assert res.lower == pytest.approx(
                 oracles.oracle_schramm(list(f.values), phis), rel=1e-12, abs=1e-12)
 
 
@@ -234,7 +234,7 @@ class TestGauged:
         # oracle decides, not this comment
         expected = oracles.oracle_gauged(list(ZIGZAG.values), [1.0] * 8,
                                          [1, 2, 3], [2, 4, 8], 3)
-        assert res.value == pytest.approx(expected)
+        assert res.lower == pytest.approx(expected)
         assert res.level is not None
 
     def test_level_reported_consistent(self):
@@ -244,7 +244,7 @@ class TestGauged:
         q_n, delta_n = self.GAUGE.levels(res.level)[-1]
         redo = variation_unweighted_q(f, q_n,
                                       min_len=max(1, math.ceil(f.m / delta_n)))
-        assert res.value == pytest.approx(redo.value)
+        assert res.lower == pytest.approx(redo.lower)
 
     def test_invalid_cap(self):
         with pytest.raises(ValidationError):
@@ -254,14 +254,14 @@ class TestGauged:
     def per_level(f, weights, gauge, n_cap):
         """The gauged variation composed of one rank solve per level, and
         the result of each level."""
-        best = gbv.variation.VariationResult(0.0, "exact-dp", 0.0, 0.0,
+        best = gbv.variation.VariationResult("exact-dp", 0.0, 0.0,
                                              IntervalCollection.from_pairs(f, []))
         results = []
         for n, (q_n, delta_n) in enumerate(gauge.levels(n_cap), 1):
             level = (SchrammFamily.power(q_n, weights), max(1, math.ceil(f.m / delta_n)), q_n)
             [res] = gbv.variation._rank_solve(f, [level], gbv.variation.ORACLE_CAP_DEFAULT)
             results.append(res)
-            if res.value > best.value:
+            if res.lower > best.lower:
                 best = replace(res, level=n)
         return replace(best, upper=max(r.upper for r in results)), results
 
@@ -288,15 +288,15 @@ class TestGauged:
                         assert res.to_json_dict() == ref.to_json_dict()
                         continue
                     assert res.mode == ref.mode
-                    assert res.value == pytest.approx(ref.value, rel=1e-12)
+                    assert res.lower == pytest.approx(ref.lower, rel=1e-12)
                     assert res.upper == pytest.approx(ref.upper, rel=1e-12)
                     q_n, delta_n = gauge.levels(res.level)[-1]
-                    assert each[res.level - 1].value == pytest.approx(res.value, rel=1e-12)
+                    assert each[res.level - 1].lower == pytest.approx(res.lower, rel=1e-12)
                     min_len = max(1, math.ceil(f.m / delta_n))
                     assert all(b - a >= min_len for a, b in res.witness.pairs)
                     incs = sorted(res.witness.increments, reverse=True)
                     redo = SchrammFamily.power(q_n, w).rank_sum(incs) ** (1.0 / q_n)
-                    assert redo == pytest.approx(res.value, rel=1e-12)
+                    assert redo == pytest.approx(res.lower, rel=1e-12)
 
     @pytest.mark.parametrize("weights", [CONST1, WeightSequence("explicit", terms=[2.0, 2.0])])
     def test_to_ladder_matches_oracle(self, weights):
@@ -307,7 +307,7 @@ class TestGauged:
             values = list(random_values(rng, m))
             res = variation_gauged(StepFunction(values), weights, gauge, 4)
             assert res.mode == "exact-dp"
-            assert res.value == pytest.approx(
+            assert res.lower == pytest.approx(
                 oracles.oracle_gauged(values, lam, gauge.qn, gauge.deltas, 4),
                 rel=1e-12, abs=1e-12)
 
@@ -333,7 +333,7 @@ class TestGauged:
         with pytest.raises(HorizonError, match=r"^index 4 outside horizon 1\.\.3$"):
             variation_gauged(f, short, self.GAUGE, 2)
         # a zero value charges no rank
-        assert variation_gauged(StepFunction(np.zeros(9)), short, self.GAUGE, 4).value == 0.0
+        assert variation_gauged(StepFunction(np.zeros(9)), short, self.GAUGE, 4).lower == 0.0
 
 
 class TestNorm:
@@ -407,7 +407,7 @@ class TestNorm:
         assert schramm_norm(huge, fam) == pytest.approx(1e308 + 2e305, rel=1e-9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert variation_schramm(huge, fam).value == math.inf
+            assert variation_schramm(huge, fam).lower == math.inf
 
     def test_norm_reaches_the_largest_float(self):
         # mixed exponents take a collection's root; V(f/c) = 1e300 * ptp / c
@@ -432,6 +432,22 @@ class TestNorm:
         a = 1e-3
         assert schramm_norm(StepFunction([0.0, a, 0.0, a, 0.0, a, 0.0]), fam) == \
             pytest.approx(1.0199516184599114e306, rel=1e-9)
+
+    def test_norm_of_an_offset_f_with_tiny_coefficients(self):
+        # c = 1e-300 * 1e-12: f/c passes the largest float, but its
+        # increment does not, and the norm is |f(a)| + c = 1.0
+        fam = SchrammFamily("explicit", terms=[[1e-300, 1.0], [1e-300, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert schramm_norm(StepFunction([1.0, 1.0 + 1e-12]), fam) == 1.0
+
+    def test_norm_whose_f_over_c_is_no_float_raises(self):
+        # c = 1e-320: the increment over c is past the largest float, so no
+        # float c shows the sum at or below 1
+        fam = SchrammFamily("explicit", terms=[[1e-320, 1.0], [1e-320, 2.0]])
+        with pytest.raises(ValidationError, match="^f/c is past the largest float below "
+                                                  "the norm's c$"):
+            schramm_norm(StepFunction([0.0, 1.0]), fam)
 
     @pytest.mark.parametrize("family, homogeneous", [
         (lambda: SchrammFamily.power(2.0, HARMONIC), True),
@@ -458,7 +474,7 @@ class TestNorm:
         assert len(calls) <= 3
         if homogeneous:
             d = family().degree
-            assert norm == 0.2 + real(f, family()).value ** (1.0 / d)
+            assert norm == 0.2 + real(f, family()).lower ** (1.0 / d)
 
     @pytest.mark.parametrize("family, values, norm", [
         # V(f) = x^2 (1 + 1/2) past the largest float, V(f/c) is not
@@ -531,8 +547,8 @@ def test_rank_layer_matches_oracle_property(vals, shape):
                 for pairs in oracles.all_collections(f.m))
     res = solve(f, gbv.variation.ORACLE_CAP_DEFAULT)
     assert res.mode == "exact-oracle"
-    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
-    assert evaluate(res.witness.increments) == pytest.approx(res.value, rel=1e-12,
+    assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert evaluate(res.witness.increments) == pytest.approx(res.lower, rel=1e-12,
                                                              abs=1e-12)
     res = solve(f, 3)
     assert res.mode == ("bounds" if f.m > 3 else "exact-oracle")
@@ -579,7 +595,7 @@ def test_explicit_family_past_its_ordering_matches_oracle_property(vals, terms):
         if res.mode == "bounds":
             assert res.lower - tol <= truth <= res.upper + tol
         else:
-            assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+            assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
             assert max(vals) - min(vals) <= fam.ordered_to
 
 
@@ -600,7 +616,7 @@ def test_unordered_bounds_charge_every_input_rank():
 def test_modulus_matches_oracle_property(vals, n):
     values = [v / 4.0 for v in vals]
     f = StepFunction(values)
-    assert modulus_of_variation(f, n).value == pytest.approx(
+    assert modulus_of_variation(f, n).lower == pytest.approx(
         oracles.oracle_modulus(values, n), rel=1e-12, abs=1e-12)
 
 
@@ -612,7 +628,7 @@ def test_weighted_matches_oracle_property(vals, p):
     f = StepFunction(values)
     lam = [float(j) for j in range(1, len(values) + 1)]
     engine = variation_weighted(
-        f, WeightSequence("explicit", terms=lam, k_max=KM), p).value
+        f, WeightSequence("explicit", terms=lam, k_max=KM), p).lower
     assert engine == pytest.approx(
         oracles.oracle_weighted(values, lam, p), rel=1e-12, abs=1e-12)
 
@@ -626,12 +642,12 @@ def test_unweighted_q_matches_oracle_property(vals, q, s_max, min_len):
     f = StepFunction(values)
     res = variation_unweighted_q(f, q, s_max=s_max, min_len=min_len)
     cap = f.m if s_max is None else s_max
-    assert res.value == pytest.approx(
+    assert res.lower == pytest.approx(
         oracles.oracle_unweighted_q(values, q, cap, min_len), rel=1e-12, abs=1e-12)
     assert len(res.witness) <= cap
     assert all(b - a >= min_len for a, b in res.witness.pairs)
     redo = sum(x ** q for x in res.witness.increments) ** (1.0 / q)
-    assert redo == pytest.approx(res.value, rel=1e-12, abs=1e-12)
+    assert redo == pytest.approx(res.lower, rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -644,11 +660,11 @@ def test_constant_weights_match_oracle_property(vals, p):
     lam = [2.0] * len(values)
     res = variation_weighted(f, const2, p)
     assert res.mode == "exact-dp"
-    assert res.value == pytest.approx(
+    assert res.lower == pytest.approx(
         oracles.oracle_weighted(values, lam, p), rel=1e-12, abs=1e-12)
     gauge = GaugePair.build("linear", "pow2", n_max=4)
     res = variation_gauged(f, const2, gauge, 3)
-    assert res.value == pytest.approx(
+    assert res.lower == pytest.approx(
         oracles.oracle_gauged(values, lam, [1, 2, 3], [2, 4, 8], 3),
         rel=1e-12, abs=1e-12)
 
@@ -667,7 +683,7 @@ def test_weighted_is_root_of_power_family_property(vals, kind, p):
         weighted = variation_weighted(f, w, p, oracle_cap=cap)
         schramm = variation_schramm(f, SchrammFamily.power(p, w), oracle_cap=cap)
         root = 1.0 / p
-        assert weighted.value == schramm.value ** root
+        assert weighted.lower == schramm.lower ** root
         assert weighted.lower == schramm.lower ** root
         assert weighted.upper == schramm.upper ** root
         assert weighted.mode == schramm.mode
@@ -697,14 +713,14 @@ def test_rank_free_family_is_exact_dp(name):
     rng = np.random.default_rng(37)
     f = StepFunction(np.cumsum(rng.normal(size=41)) / 4.0)
     res = variation_schramm(f, fam)
-    assert res.mode == "exact-dp" and res.lower == res.value == res.upper
-    assert sum(phi(x) for x in res.witness.increments) == pytest.approx(res.value,
+    assert res.mode == "exact-dp" and res.lower == res.upper
+    assert sum(phi(x) for x in res.witness.increments) == pytest.approx(res.lower,
                                                                         rel=1e-12)
     for m in range(2, 9):
         values = list(random_values(rng, m))
         res = variation_schramm(StepFunction(values), fam, oracle_cap=1)
         assert res.mode == "exact-dp"
-        assert res.value == pytest.approx(oracles.oracle_schramm(values, [phi] * m),
+        assert res.lower == pytest.approx(oracles.oracle_schramm(values, [phi] * m),
                                           rel=1e-12, abs=1e-12)
 
 
@@ -721,8 +737,8 @@ def test_rank_free_family_keeps_the_horizon(family):
     for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 1):
         with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
             variation_schramm(f, family, oracle_cap=cap)
-        assert variation_schramm(StepFunction([0.5] * 5), family, oracle_cap=cap).value == 0.0
-    assert variation_schramm(StepFunction([0.0, 1.0, 0.0, 1.0]), family).value > 0.0
+        assert variation_schramm(StepFunction([0.5] * 5), family, oracle_cap=cap).lower == 0.0
+    assert variation_schramm(StepFunction([0.0, 1.0, 0.0, 1.0]), family).lower > 0.0
     if family.weights is not None:
         with pytest.raises(HorizonError, match="index 4 outside horizon 1..3"):
             variation_weighted(f, family.weights, 2.0)
@@ -738,7 +754,7 @@ class TestOverflow:
     def test_expm1_variation_is_inf(self, cap):
         for f in (self.JUMP, StepFunction([0.0, 1000.0, 0.0, 1000.0])):
             res = variation_schramm(f, expm1_family(), oracle_cap=cap)
-            assert res.value == res.lower == res.upper == math.inf
+            assert res.lower == res.upper == math.inf
 
     def test_expm1_norm_is_finite(self):
         # V(f/c) = e^(1000/c) - 1 = 1 at c = 1000 / ln 2; below c = 1.4,
@@ -749,9 +765,9 @@ class TestOverflow:
     def test_power_gains_overflow_to_inf(self):
         f = StepFunction([0.0, 1e200, 0.0, 1e200])
         for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 1):
-            assert variation_weighted(f, HARMONIC, 2.0, oracle_cap=cap).value == math.inf
+            assert variation_weighted(f, HARMONIC, 2.0, oracle_cap=cap).lower == math.inf
             fam = SchrammFamily("explicit", terms=[(1.0, 2.0), (0.5, 2.5)])
-            assert variation_schramm(f, fam, oracle_cap=cap).value == math.inf
+            assert variation_schramm(f, fam, oracle_cap=cap).lower == math.inf
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_gains_raise_no_warning(self):
@@ -759,7 +775,7 @@ class TestOverflow:
         # the DP's argmax, and the witness holds a jump whose gain is inf
         f = StepFunction([0.0, 1e200, 1e200, 0.0, 1e200])
         res = variation_weighted(f, WeightSequence("constant", value=2.0), 2.0)
-        assert res.mode == "exact-dp" and res.value == math.inf
+        assert res.mode == "exact-dp" and res.lower == math.inf
         assert 1e200 in res.witness.increments
 
     @pytest.mark.parametrize("bad", [5.0, math.nan])
@@ -797,7 +813,7 @@ class TestSkeleton:
         for cap in (gbv.variation.ORACLE_CAP_DEFAULT, 2):
             res = variation_weighted(f, HARMONIC, 1.0, oracle_cap=cap)
             assert res.witness.pairs == ((0, 1), (1, 4))
-            assert res.value == pytest.approx(2.0 + 1.0 / 2.0, rel=1e-12)
+            assert res.lower == pytest.approx(2.0 + 1.0 / 2.0, rel=1e-12)
 
     @pytest.mark.parametrize("cap", [gbv.variation.ORACLE_CAP_DEFAULT, 1])
     def test_short_horizon_counts_input_cells(self, cap):
@@ -879,7 +895,7 @@ class TestSkeleton:
         assert len(dp) == 1 and "skeleton 257→" in dp[0] and "no skeleton" not in dp[0]
         assert caplog.records[-1].getMessage() == (
             f"gauged: levels=9, exponents=1, solved q=1.5 at min_len 1, level {res.level}")
-        assert res.value == pytest.approx(variation_unweighted_q(f, 1.5).value, rel=1e-12)
+        assert res.lower == pytest.approx(variation_unweighted_q(f, 1.5).lower, rel=1e-12)
 
 
 def _runs(draw_runs):
@@ -912,7 +928,7 @@ def test_skeleton_solve_matches_oracle_property(runs, shape):
         assert evaluate(res.witness.increments) == pytest.approx(res.lower, rel=1e-12,
                                                                  abs=1e-12)
         if res.mode == "exact-oracle":
-            assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+            assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
 
 
 @st.composite
@@ -937,7 +953,7 @@ def test_gap_rule_matches_oracle_property(values, min_len, q, s_max):
     min_len = (min_len - 1) % f.m + 1
     res = variation_unweighted_q(f, q, s_max=s_max, min_len=min_len)
     truth = oracles.oracle_unweighted_q(values.tolist(), q, s_max or f.m, min_len)
-    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
     assert all(b - a >= min_len for a, b in res.witness.pairs)
     assert len(res.witness) <= (s_max or f.m)
 
@@ -954,7 +970,7 @@ def test_gauged_gap_rule_matches_oracle_property(values, deltas, weights):
     res = variation_gauged(f, weights, GaugePair(qn, deltas), len(deltas))
     lams = [lam or j for j in range(1, f.m + 1)]
     truth = oracles.oracle_gauged(values.tolist(), lams, qn, deltas, len(deltas))
-    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
     if res.level is not None:
         min_len = math.ceil(f.m / deltas[res.level - 1])
         assert all(b - a >= min_len for a, b in res.witness.pairs)
@@ -975,14 +991,14 @@ def test_repeated_exponents_match_oracle_property(values, rungs, weights):
     res = variation_gauged(f, weights, gauge, len(qn))
     lams = [lam or j for j in range(1, f.m + 1)]
     truth = oracles.oracle_gauged(values.tolist(), lams, qn, deltas, len(qn))
-    assert res.value == pytest.approx(truth, rel=1e-12, abs=1e-12)
-    assert res.mode == ("exact-dp" if lam else "exact-oracle") or res.value == 0.0
+    assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
+    assert res.mode == ("exact-dp" if lam else "exact-oracle") or res.lower == 0.0
     if res.level is not None:
         q_n, min_len = qn[res.level - 1], max(1, math.ceil(f.m / deltas[res.level - 1]))
         assert all(b - a >= min_len for a, b in res.witness.pairs)
         incs = sorted(res.witness.increments, reverse=True)
         redo = sum(x ** q_n / lams[j] for j, x in enumerate(incs)) ** (1.0 / q_n)
-        assert redo == pytest.approx(res.value, rel=1e-12)
+        assert redo == pytest.approx(res.lower, rel=1e-12)
 
 
 def test_min_len_past_the_gap_stays_on_the_grid(caplog):
@@ -993,7 +1009,7 @@ def test_min_len_past_the_gap_stays_on_the_grid(caplog):
         on = variation_unweighted_q(f, 2.0, min_len=2)
         off = variation_unweighted_q(f, 2.0, min_len=3)
     assert on.witness.pairs == ((0, 2), (2, 4), (4, 6))
-    assert off.value == 1.0 == oracles.oracle_unweighted_q(f.values.tolist(), 2.0, 6, 3)
+    assert off.lower == 1.0 == oracles.oracle_unweighted_q(f.values.tolist(), 2.0, 6, 3)
     assert off.witness.pairs == ((0, 3),)
     assert [r.getMessage() for r in caplog.records] == [
         "exact-dp: m=6, levels=1, skeleton 7→4 (gap 2)",
@@ -1210,10 +1226,10 @@ def test_linear_column_rule_matches_dp_oracle_property(values, min_len, n):
     f = StepFunction(values)
     truth = oracles.dp_modulus(values, n, min_len)
     res = variation_unweighted_q(f, 1.0, s_max=n, min_len=min_len)
-    assert res.value == pytest.approx(truth, rel=1e-12, abs=0.0)
+    assert res.lower == pytest.approx(truth, rel=1e-12, abs=0.0)
     if min_len == 1:
         res = modulus_of_variation(f, n)
-        assert res.value == pytest.approx(truth, rel=1e-12, abs=0.0)
+        assert res.lower == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
 #: the scaled families whose upper bound is the Abel sum, phi_j = w_j g
@@ -1260,7 +1276,7 @@ def test_abel_upper_bound_property(vals, name, p):
     if res.upper == res.lower:
         exact = variation_schramm(f, family)
         assert exact.mode == "exact-oracle"
-        assert (res.lower, res.witness.pairs) == (exact.value, exact.witness.pairs)
+        assert (res.lower, res.witness.pairs) == (exact.lower, exact.witness.pairs)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
@@ -1389,16 +1405,16 @@ def test_skeleton_dp_matches_full_grid_property(values, name):
     # the same DP on every grid point of the input
     best, walk = _DP(f.values, [(gain, 1)], count)
     col = best.shape[1] - 1
-    assert res.value == pytest.approx(float(best[0, col]) ** (1.0 / p), rel=1e-12, abs=0.0)
+    assert res.lower == pytest.approx(float(best[0, col]) ** (1.0 / p), rel=1e-12, abs=0.0)
     with np.errstate(over="ignore"):
         check = float(np.sum(gain(np.array(res.witness.increments)))) ** (1.0 / p)
-    assert check == pytest.approx(res.value, rel=1e-12, abs=0.0)
-    if strict and res.value < math.inf:
+    assert check == pytest.approx(res.lower, rel=1e-12, abs=0.0)
+    if strict and res.lower < math.inf:
         # a strictly convex gain ties no merge with its split, so the
         # skeleton reports the full grid's witness
         assert res.witness.pairs == tuple(walk(col))
     if f.m <= 8 and np.all(np.abs(f.values) < 1e100):
-        assert res.value == pytest.approx(oracle(f.values.tolist()), rel=1e-12, abs=1e-12)
+        assert res.lower == pytest.approx(oracle(f.values.tolist()), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("call, value", [
@@ -1412,7 +1428,7 @@ def test_linear_gain_reports_merged_intervals(call, value):
     # [0, 4, 5] holds only (0, 4)
     res = call(StepFunction([0.0, 1.0, 2.0, 2.0, 3.0, 1.0]))
     assert res.witness.pairs == ((0, 4), (4, 5))
-    assert res.value == value
+    assert res.lower == value
 
 
 def test_sine_dp_runs_on_its_skeleton():
@@ -1442,5 +1458,5 @@ def test_label_search_drops_dominated_labels_of_inf_value():
     value, pairs, held = gbv.variation._label_search(f.values, expm1_family())
     assert value == math.inf and held <= 4
     res = variation_schramm(f, expm1_family())
-    assert res.mode == "exact-oracle" and res.value == math.inf
+    assert res.mode == "exact-oracle" and res.lower == math.inf
     assert res.witness.pairs == tuple(pairs)

@@ -1,11 +1,14 @@
-"""Run a fixed list of ``gbv`` CLI calls in-process and print one digest per call.
+"""Run a fixed list of ``gbv`` CLI calls in-process and print two digests per call.
 
-Each output line is ``<exit> <sha256> <argv>``. The sha256 covers the exit
-code, stdout, stderr and the bytes of every file the call wrote: the
-``--output`` report, ``--csv`` plot data and a ``--witness-out`` witness. A
-call that raises past ``main`` records the exception's type and message as
-its exit and stderr, and a warning records its category and message, not
-the source line it came from.
+Each output line is ``<exit> <summary sha256> <files sha256> <argv>``. The
+summary digest covers the exit code, stdout and stderr; the files digest
+covers the names and bytes of every file the call wrote: the ``--output``
+report, ``--csv`` plot data and a ``--witness-out`` witness. So a change
+that moves only a printed summary shows in the first digest, and one that
+moves a report shows in the second. A call that raises past ``main``
+records the exception's type and message as its exit and stderr, and a
+warning records its category and message, not the source line it came
+from.
 
 The inputs are written from a seeded generator into a fresh temporary
 directory, which is the working directory of every call, so each argv and
@@ -208,12 +211,13 @@ def main_sweep():
         for argv in _calls():
             argv = argv + ["--output", "report.json"]
             code, out, err = _run(argv)
-            digest = hashlib.sha256(repr((code, out, err)).encode())
+            summary = hashlib.sha256(repr((code, out, err)).encode())
+            files = hashlib.sha256()
             for path in sorted(Path(".").iterdir()):
                 if path.name not in inputs:
-                    digest.update(path.name.encode() + b"\0" + path.read_bytes())
+                    files.update(path.name.encode() + b"\0" + path.read_bytes())
                     path.unlink()
-            print(f"{code} {digest.hexdigest()} {shlex.join(argv)}")
+            print(f"{code} {summary.hexdigest()} {files.hexdigest()} {shlex.join(argv)}")
 
 
 if __name__ == "__main__":

@@ -39,21 +39,25 @@ Groups:
   both caps, on every input that is not constant. The brute force takes
   V(f/c) at c = norm - |f(a)|: where the variation solve at c is exact,
   ``|V - 1| <= REL``; in bounds mode ``V >= 1 - REL``, that is, c is at
-  most the true norm.
+  most the true norm;
+- ``certify``: counterexample witnesses of both kinds (:data:`WITNESSES`),
+  planned, built and certified. The brute-force source variation is at
+  most ``total_bound``, the brute-force gauged variation is at least every
+  ``L_n``, and each lies inside the ``engine`` bracket of its certificate.
 
 Inputs come from seeded generators: walks, rounded sines, plateau trains,
 integers, zigzags, a walk scaled by 1e150 and N(0,1) noise, at every m from
 3 to 10. The noise has a generator of its own, so the other inputs do not
-depend on it. The engine is imported from the ``src`` directory next to
-this file, so the tool checks the checkout it lives in. It prints one line
-per group and one line per violation, and exits 1 on any violation. Run it
-from anywhere::
+depend on it. The witnesses have m = 8 and 12. The engine is imported
+from the ``src`` directory next to this file, so the tool checks the
+checkout it lives in. It prints one line per group and one line per
+violation, and exits 1 on any violation. Run it from anywhere::
 
     python tools/oracle_sweep.py
 
-It takes 10-14 s on a 2-core x86_64 VM. :func:`sweep` runs given groups
-at given m in-process; tier-1 runs a slice of every group at small m
-through it.
+It takes 12-16 s on a 2-core x86_64 VM, 1.4 s of it in the certify group.
+:func:`sweep` runs given groups at given m in-process; tier-1 runs a slice
+of every group at small m through it.
 """
 
 import functools
@@ -69,7 +73,8 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import oracles  # noqa: E402
 from gbv import (ConvexBase, GaugePair, SchrammFamily, StepFunction,  # noqa: E402
-                 WeightSequence, modulus_of_variation, schramm_norm, variation_gauged,
+                 WeightSequence, build_witness, certify_blowup, certify_membership,
+                 modulus_of_variation, plan_construction, schramm_norm, variation_gauged,
                  variation_schramm, variation_unweighted_q, variation_weighted)
 
 SEED = 2017
@@ -98,7 +103,7 @@ GAUGES = {
 }
 
 
-def _inputs(sizes=SIZES):
+def _inputs(sizes):
     """``(name, values)`` of every input at m in ``sizes``, from the seeded
     generators, which draw every m of ``SIZES``: an input does not depend
     on the sizes asked for."""
@@ -189,13 +194,13 @@ FAMILIES = [
 DP_WEIGHTS = WeightSequence("constant", value=2.0)
 
 
-def _dp_group(sweep, inputs):
+def _dp_group(sweep, sizes):
     modes = {}
 
     def tally(mode):
         modes[mode] = modes.get(mode, 0) + 1
 
-    for name, values in inputs:
+    for name, values in _inputs(sizes):
         f = StepFunction(values)
         key = values.tolist()
         top = 2.0 if "x1e150" in name else 3.0  # x^3 of 1e150 is past the largest float
@@ -218,9 +223,9 @@ def _dp_group(sweep, inputs):
     return modes
 
 
-def _rank_group(sweep, inputs):
+def _rank_group(sweep, sizes):
     modes = {}
-    for name, values in inputs:
+    for name, values in _inputs(sizes):
         f = StepFunction(values)
         key = tuple(values.tolist())
         for lam_name, (weights, lam) in WEIGHTS.items():
@@ -240,9 +245,9 @@ def _rank_group(sweep, inputs):
     return modes
 
 
-def _gauge_group(sweep, inputs):
+def _gauge_group(sweep, sizes):
     modes = {}
-    for name, values in inputs:
+    for name, values in _inputs(sizes):
         f = StepFunction(values)
         key = tuple(values.tolist())
         for lam_name, (weights, lam) in GAUGE_WEIGHTS.items():
@@ -265,9 +270,9 @@ NORM_FAMILIES = [*FAMILIES, ("power:2/harmonic", SchrammFamily.power(
     2.0, WeightSequence("harmonic")), _power_phis(float, 2.0))]
 
 
-def _norm_group(sweep, inputs):
+def _norm_group(sweep, sizes):
     modes = {}
-    for name, values in inputs:
+    for name, values in _inputs(sizes):
         if values.min() == values.max():
             continue
         f = StepFunction(values)
@@ -285,26 +290,89 @@ def _norm_group(sweep, inputs):
     return modes
 
 
-GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group, "norm": _norm_group}
+#: witnesses of the certify group, each of two levels with Gamma constant:
+#: (kind, source, (ladder, q), delta list, bases of eps, sep and blow). The
+#: source is a weight sequence of ``WEIGHTS`` at p = 1 (the lambda kind) or
+#: a family of ``NORM_FAMILIES`` (the schramm kind), and level n has eps_n =
+#: eps^n, sep_n = 4 sep^n and blow_n = blow^n
+WITNESSES = [
+    ("lambda", "harmonic", ("const", 1.0), [4, 8], (0.5, 0.5, 1.2)),
+    ("lambda", "harmonic", ("const", 1.0), [4, 12], (0.75, 1.0, 1.5)),
+    ("schramm", "power:2/harmonic", ("const", 2.0), [4, 8], (0.5, 1.0, 1.2)),
+    ("schramm", "EXPLICIT_TERMS", ("const", 1.0), [4, 8], (0.5, 0.5, 1.5)),
+    ("schramm", "power:2/harmonic", ("linear", 1.0), [4, 12], (0.75, 0.5, 1.1)),
+    ("schramm", "EXPLICIT_TERMS", ("const", 2.0), [4, 12], (0.5, 1.0, 1.05)),
+]
 
 
-def sweep(groups=tuple(GROUPS), sizes=SIZES):
-    """``{group: (modes, violations)}`` of the ``groups`` on the inputs at m
-    in ``sizes``: the solves per mode, and one line per violation."""
-    inputs = _inputs(sizes)
+def _certify_group(sweep, sizes):
+    modes = {}
+    families = {name: (family, phis) for name, family, phis in NORM_FAMILIES}
+    for kind, source, (ladder, q), deltas, (eps, sep, blow) in WITNESSES:
+        n = len(deltas)
+        gauge = GaugePair.build(ladder, "list", q=q, n_max=n, delta_list=deltas)
+        constants = {"eps": [eps ** i for i in range(1, n + 1)],
+                     "sep": [4.0 * sep ** i for i in range(1, n + 1)],
+                     "blow": [blow ** i for i in range(1, n + 1)]}
+        if kind == "lambda":
+            weights, lam = WEIGHTS[source]
+            spec = plan_construction(kind, gauge, n, w_lambda=weights,
+                                     w_gamma=WeightSequence("constant"), **constants)
+            phis = _power_phis(lam, 1.0)
+        else:
+            family, phis = families[source]
+            spec = plan_construction(kind, gauge, n, family=family, **constants)
+        f = build_witness(spec)
+        if f.m not in sizes:
+            continue
+        case = f"{kind} {source} {ladder}:{q:g} list:{','.join(map(str, deltas))} m={f.m}"
+        values = f.values.tolist()
+        source_v = oracles.oracle_schramm(values, [phis(j) for j in range(1, f.m + 1)])
+        target_v = oracles.oracle_gauged(values, [1.0] * f.m, [q_n for q_n, _ in gauge.levels(n)],
+                                         deltas, n)
+        membership, blowup = certify_membership(spec, f), certify_blowup(spec, f)
+        bad = []
+        if not source_v <= membership["total_bound"] * (1 + REL):
+            bad.append(f"source {source_v!r} above total_bound {membership['total_bound']!r}")
+        for row in blowup["levels"]:
+            if not target_v >= row["L_n"] * (1 - REL):
+                bad.append(f"gauged {target_v!r} below L_{row['n']} = {row['L_n']!r}")
+        for name, report, truth in (("membership", membership, source_v),
+                                    ("blowup", blowup, target_v)):
+            engine = report["engine"]
+            if engine is None:
+                bad.append(f"{name} has no engine bracket at m={f.m}")
+                continue
+            if not engine["lower"] <= truth * (1 + REL) or not truth <= engine["upper"] * (1 + REL):
+                bad.append(f"{name} engine [{engine['lower']!r}, {engine['upper']!r}] misses "
+                           f"oracle {truth!r}")
+            modes[engine["mode"]] = modes.get(engine["mode"], 0) + 1
+        sweep.violations += [f"  VIOLATION {case}: {text}" for text in bad]
+    return modes
+
+
+GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group, "norm": _norm_group,
+          "certify": _certify_group}
+
+
+def sweep(groups=tuple(GROUPS), sizes=range(3, 13)):
+    """``{group: (modes, violations)}`` of the ``groups`` on the inputs and
+    witnesses at m in ``sizes``: the solves per mode, and one line per
+    violation. The inputs are drawn at m in ``SIZES``, the witnesses are at
+    m = 8 and 12."""
     out = {}
     for group in groups:
         checks = Sweep()
-        out[group] = GROUPS[group](checks, inputs), checks.violations
+        out[group] = GROUPS[group](checks, sizes), checks.violations
     return out
 
 
 def main():
     status = 0
-    n_inputs = len(_inputs())
+    print(f"{len(_inputs(SIZES))} inputs, {len(WITNESSES)} witnesses")
     for group, (modes, violations) in sweep().items():
         counts = ", ".join(f"{mode} {n}" for mode, n in sorted(modes.items()))
-        print(f"{group}: {sum(modes.values())} solves on {n_inputs} inputs ({counts}), "
+        print(f"{group}: {sum(modes.values())} solves ({counts}), "
               f"{len(violations)} violations")
         for line in violations:
             print(line)
