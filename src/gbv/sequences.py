@@ -379,8 +379,9 @@ class SchrammFamily:
         #: phi_1 >= phi_2 >= ... holds on [0, ordered_to]: a rising exponent
         #: e_{j+1} > e_j holds it up to the crossing (c_j/c_{j+1})^(1/(e_{j+1}-e_j))
         self.ordered_to = math.inf
-        #: rank-free gain of the bounds' DP table, whose witnesses give the
-        #: lower bound; phi_j = rank_weights(n)[j - 1] * surrogate when scaled
+        #: the rank-free gain the bounds read: g of phi_j = rank_weights(n)[j - 1]
+        #: * g when scaled, whose top-k dual fills their DP columns; x, the
+        #: gain of the nu table, for an explicit family
         self.surrogate = lambda x: x
         # lam_j or (c_j, e_j) per rank for rank_sum, grown on demand. Each kind
         # picks its per-rank formula once below, with scalar ** (libm pow):

@@ -31,18 +31,19 @@ suffix maxima of v_b + best[b, k-1] and best[b, k-1] - v_b give every
 take of a column in a few vector ops, so a table of K columns costs O(K)
 numpy calls of size m, not O(m) of size m·K, and the witness is rebuilt
 along the one column walked from the takes kept per column. The uncapped
-linear gain, which would need every column, and ``_rank_bounds``' table,
-whose every column is walked, stay on the block rule.
-``_rank_bounds`` fills one table per level, of the family's rank-free
-surrogate gain, and reads both bounds from it: the lower from its
-witnesses, the upper by summation by parts for a scaled family and by the
-nu rule for an explicit one. When gains are rank-dependent -- the j-th
-largest increment is charged phi_j -- no polynomial exact scheme is known,
-so up to ``oracle_cap`` grid cells of the input a forward label search
-(:func:`_label_search`) is exact, and certified lower/upper bounds take
-over beyond it. The search keeps, at each grid point, the collections
-that no other one dominates rank by rank, which needs only nondecreasing
-phi_j >= 0.
+linear gain, which would need every column, and the nu rule's capped
+table, whose every column is walked, stay on the block rule. When gains
+are rank-dependent -- the j-th largest increment is charged phi_j -- no
+polynomial exact scheme is known, so up to ``oracle_cap`` grid cells of
+the input a forward label search (:func:`_label_search`) is exact, and
+certified lower/upper bounds take over beyond it (:func:`_rank_bounds`).
+The search keeps, at each grid point, the collections that no other one
+dominates rank by rank, which needs only nondecreasing phi_j >= 0. A
+scaled family, phi_j = w_j g, is bracketed by the top-k dual of its rank
+objective (:func:`_dual_bounds`): each round fills one uncapped column of
+a rank-free gain, whose value bounds every collection and whose witness
+reseeds the next round. An explicit family keeps the nu rule: one capped
+table of the increment, whose witnesses give the lower bound.
 
 Every solve -- the exact DP, the label search and the bounds -- of a
 level whose ``min_len`` is at most the skeleton's gap runs on the
@@ -177,7 +178,7 @@ def _dp(values, levels, count=None):
     ``took`` mask of the rows whose take reaches skipping; the ends not
     taken are zeroed once, after the pass. O(m / first) numpy calls of size
     first·m·K, where K is the number of columns. A table with
-    ``first == 1`` (every rank-bound table, and the q-form without
+    ``first == 1`` (every skeleton table, and the q-form without
     ``min_len``) keeps two-dimensional rows, which cost less per row than
     a block of one. ``best`` and ``end`` are column-major and a chunk's
     gains are held as (starts, columns, ends), so a block's candidates
@@ -199,17 +200,17 @@ def _dp(values, levels, count=None):
 
     Mask-free rows. A table whose levels all have ``min_len`` 1, on samples
     no two neighbours of which are equal -- every table on the skeleton of
-    a non-constant input: the exact DP's levels there and every
-    ``_rank_bounds`` table -- skips the mask and its per-chunk arrays. End
-    i + 1, the first end of row i, has a nonzero increment, and every gain
-    g of the engine has g >= 0 and g(0) = 0, so its candidate
+    a non-constant input: the exact DP's levels there, the top-k dual's
+    columns and the nu rule's tables -- skips the mask and its per-chunk
+    arrays. End i + 1, the first end of row i, has a nonzero increment, and
+    every gain g of the engine has g >= 0 and g(0) = 0, so its candidate
     g(|v_{i+1} - v_i|) + best[i + 1, c'] is at least best[b, c'], the
     unmasked candidate of any zero-increment end b: best does not increase
     down a column, and float addition is monotone. So ``argmax``, which
     picks the first of equal candidates, never lands on a zero increment,
     and the take is the masked take bit for bit. Uncapped, the take is at
     least best[i + 1, c] = skip in every row, so such a table writes
-    ``best[i] = take`` and keeps ``took`` true; with one column it reads
+    ``best[i] = take`` and needs no ``took`` mask; with one column it reads
     its take as a scalar: a 1-D sum, one ``argmax`` and two scalar stores.
     Samples with equal neighbours (grid plateaus, the two-point skeleton of
     a constant input) keep the mask.
@@ -240,9 +241,9 @@ def _dp(values, levels, count=None):
     The column rule serves every capped linear table. The uncapped linear
     gain stays on the block rule, where the column rule would need every
     column (2.1 against 4.8 ms at m = 256, ``min_len`` 1), and so do
-    tables whose every column is walked, such as ``_rank_bounds``': a
-    pointer walk takes one step per interval, where the column rule's walk
-    scans the takes of every column it visits.
+    tables whose every column is walked, such as the nu rule's
+    (:func:`_rank_bounds`): a pointer walk takes one step per interval,
+    where the column rule's walk scans the takes of every column it visits.
     """
     m = len(values) - 1
     fns, lens = zip(*levels)
@@ -261,9 +262,9 @@ def _dp(values, levels, count=None):
     if n == 0 or first > m:
         return best, walk
     # end i + 1 beats every zero increment when it has none of its own
-    free = max(lens) == 1 and bool(np.all(values[1:] != values[:-1]))
+    free = max(lens) == 1 and not (values[1:] == values[:-1]).any()
     direct = free and count is None  # and its take reaches skipping
-    took = np.full((m + 2, width), direct, order="F")
+    took = None if direct else np.zeros((m + 2, width), dtype=bool, order="F")
     gains = list(dict.fromkeys(fns))  # one call per distinct function
     uses = [[c for c, fn in enumerate(fns) if fn is gain] for gain in gains]
     ends = m + 1 - first
@@ -272,9 +273,9 @@ def _dp(values, levels, count=None):
     # ends a start cannot take: end j of row r lies j - r past the row's
     # first end (before it, for a block's lower rows), and level c starts
     # late[c] ends later
-    late = np.array(lens) - first
     short = None  # one row mask serves every column
-    if late.any() or block > 1:
+    if max(lens) > first or block > 1:
+        late = np.array(lens) - first
         short = np.arange(ends) - np.arange(rows)[:, None, None] < late[:, None]
     cols = np.arange(n)
     below = np.arange(block)[:, None]  # the rows of a block
@@ -330,7 +331,8 @@ def _dp(values, levels, count=None):
                     took[i0:i1, shift:] = take >= best[i0 + 1:i1 + 1, shift:]
                     end[i0:i1, shift:] = arg + lo
             del incs, gk, bad  # one chunk's arrays live at a time
-    np.copyto(end, 0, where=~took)
+    if not direct:
+        np.copyto(end, 0, where=~took)
     return best, walk
 
 
@@ -593,46 +595,25 @@ def _label_search(values, family, min_len=1):
 
 
 def _rank_bounds(values, family, min_len=1, ranks=None):
-    """Certified (lower, upper, witness pairs, upper rule ``"abel"`` or
-    ``"nu"``) when exact search is off the table, all read off one DP table
-    of the family's rank-free surrogate gain g: ``B_k = best[0, k]``, the
-    most g-gain of at most k intervals, for k up to n = m // min_len.
+    """Certified (lower, upper, witness pairs, upper rule) when exact search
+    is off the table, with at most n = m // min_len intervals. A scaled
+    family takes the top-k dual (:func:`_dual_bounds`), rule ``"dual,
+    rounds R"``; an explicit one the nu rule below, rule ``"nu"``.
 
-    Lower: evaluate the true rank objective on the witnesses of every
-    column, keep the best.
-
-    Upper of a scaled family, phi_j = w_j g with w_j = 1 / lam_j
-    nonincreasing: summation by parts (Abel). Let a collection's j-th
-    largest gain be g_j and G_k = g_1 + ... + g_k <= B_k. Then
-    ``sum_j w_j g_j = sum_{k<n} (w_k - w_{k+1}) G_k + w_n G_n``
-    (g_j = 0 past the collection), and every coefficient is >= 0, so
-    ``sum_{k<n} (w_k - w_{k+1}) B_k + w_n B_n`` bounds it. The last term
-    carries every rank's share of w_n and cannot be dropped: without it
-    the sum of a collection of n equal gains would lose w_n n g. A zero
-    step adds nothing, even against an inf B_k. Since the j-th largest
-    increment of any collection is at most nu(j)/j, B_k <=
-    sum_{j<=k} g(nu(j)/j), so this is never above the nu bound below.
-
-    Upper of an explicit family: its surrogate is x, so the table is the
-    suffix modulus table ``nu``, and no single w_j g is its phi_j. The j-th
-    largest increment of any collection is at most nu(j)/j, and the gains
-    are increasing in x. ``ranks`` past the table's n columns charges
-    ranks n + 1.. too, at nu(n)/j: the bound of a finer grid whose modulus
-    table is this one's, held at nu(n) past n (as a skeleton's is).
-    Neither needs phi_1 >= phi_2 >= ... once the upper charges every rank
-    of the input grid: the lower is a real collection, and the upper needs
-    only increasing phi_j."""
+    The nu rule reads both bounds off one capped DP table of the gain x,
+    the suffix modulus table ``nu``: ``best[0, k]`` is the most total
+    increment of at most k intervals. Lower: the best true rank objective
+    over the witnesses of every column. Upper: no single w_j g is an
+    explicit family's phi_j, but the j-th largest increment of any
+    collection is at most nu(j)/j, and the gains are increasing in x.
+    ``ranks`` past the table's n columns charges ranks n + 1.. too, at
+    nu(n)/j: the bound of a finer grid whose modulus table is this one's,
+    held at nu(n) past n (as a skeleton's is). The rule needs no
+    phi_1 >= phi_2 >= ... once the upper charges every rank of the input
+    grid: the lower is a real collection, and the upper needs only
+    increasing phi_j."""
     m = len(values) - 1
-    best, walk = _dp(values, [(family.surrogate, min_len)], m)
-    samples = values.tolist()
-    lower, witness_pairs = 0.0, []
-    for k in range(1, best.shape[1]):
-        pairs = walk(k)
-        incs = sorted((abs(samples[b] - samples[a]) for a, b in pairs), reverse=True)
-        val = family.rank_sum(incs)
-        if val > lower:
-            lower, witness_pairs = val, pairs
-    n = best.shape[1] - 1
+    n = m // min_len
     # an input whose increments of length >= min_len are all zero charges
     # no rank, so it reads no weight past the horizon; one whose gains only
     # round to zero does. Every such increment is zero exactly when
@@ -641,19 +622,104 @@ def _rank_bounds(values, family, min_len=1, ranks=None):
     if n and not (np.any(values[min_len:] != values[0])
                   or np.any(values[:m + 1 - min_len] != values[m])):
         n = 0
-    tops = best[0, 1:n + 1]  # B_1..B_n, nondecreasing
     weights = family.rank_weights(n)
-    if weights is None:
-        caps = tops / np.arange(1, n + 1)
-        if n and ranks:
-            caps = np.concatenate([caps, tops[-1] / np.arange(n + 1, ranks + 1)])
-        upper, rule = family.rank_sum(caps.tolist()), "nu"
-    else:
-        steps = -np.diff(weights, append=0.0)  # w_k - w_{k+1}, and w_n
-        live = steps > 0
-        with np.errstate(over="ignore"):
-            upper, rule = steps[live] @ tops[live], "abel"
-    return lower, max(float(upper), lower), witness_pairs, rule
+    if weights is not None:
+        return _dual_bounds(values, family, weights, min_len)
+    best, walk = _dp(values, [(family.surrogate, min_len)], m)
+    samples = values.tolist()
+    lower, witness_pairs = 0.0, []
+    for k in range(1, best.shape[1]):
+        pairs = walk(k)
+        val, _ = _collection_value(samples, family, pairs)
+        if val > lower:
+            lower, witness_pairs = val, pairs
+    tops = best[0, 1:n + 1]  # nu(1)..nu(n), nondecreasing
+    caps = tops / np.arange(1, n + 1)
+    if n and ranks:
+        caps = np.concatenate([caps, tops[-1] / np.arange(n + 1, ranks + 1)])
+    return lower, max(family.rank_sum(caps.tolist()), lower), witness_pairs, "nu"
+
+
+def _dual_bounds(values, family, weights, min_len):
+    """:func:`_rank_bounds` of a scaled family, phi_j = w_j g with
+    ``weights`` w_1 >= ... >= w_n > 0, by the top-k dual of its rank
+    objective.
+
+    With c_k = w_k - w_{k+1} >= 0 (c_n = w_n) and G_k(X) the sum of the k
+    largest gains of a collection X, V(X) = sum_k c_k G_k(X), an ordered
+    weighted average (Yager, 1988). Each top-k sum has the LP dual
+    G_k = min over t >= 0 of k t + sum_{i in X} (g_i - t)_+ (Ogryczak and
+    Tamir, 2003), so for any t_1 >= ... >= t_n >= 0, V(X) <= C_t +
+    sum_{i in X} h_t(g_i), with C_t = sum_k c_k k t_k and h_t(y) =
+    sum_k c_k (y - t_k)_+. The right side is rank-free, and its most is
+    one uncapped :func:`_dp` column of the gain h_t(g(x)). That gain is
+    convex and nondecreasing with value 0 at 0, so the column runs on the
+    skeleton too (:func:`_rank_solve`), with the mask-free rows there.
+    h_t(y) = y S[i] - T[i], where i counts the t_k below y and S and T sum
+    c and c t over them: one ``searchsorted`` per chunk of gains.
+
+    The bound is V(X) itself at t = X's gains when X also maximizes the
+    column, so t follows an incumbent X, whose true value is the lower
+    end. X starts as the tiling of the grid by intervals of ``min_len``
+    cells, zero increments dropped: on the skeleton, every move, at no
+    table. Each round sets t to X's gains, sorted and padded with zeros,
+    fills the column and lowers the upper end to C_t + best; the column's
+    witness becomes X when its true value is larger, and reseeds t.
+    Otherwise, or once the bracket closes to ``_REL_TOL``, the loop stops.
+    The lower end rises strictly over finitely many collections, so the
+    loop ends; the rule names the tables it filled.
+
+    A zero step c_k adds c_k t_k = 0, and t is finite wherever a table is
+    filled: an X with an inf gain is worth inf, which closes the bracket
+    at inf before a table, and a sum of c t that is not finite (an inf
+    t_k, or one past the largest float) stops the loop with the upper end
+    so far, inf before a table, so no 0·inf nan meets the column. With
+    n = 0 (no nonzero increment) the bracket is [0, 0]."""
+    n = len(weights)
+    # per rank k in ascending order of t_k, rank n first: the sums S[i] of
+    # c_k over the first i ranks, which telescope to w_{n-i+1}; c_k; c_k k
+    below = np.array([0.0, *weights[::-1]])
+    steps = below[1:] - below[:-1]  # c_k = w_k - w_{k+1}, and c_n = w_n
+    coef = steps * np.arange(n, 0, -1)
+    samples = values.tolist()
+    pairs = [(a, a + min_len) for a in range(0, n * min_len, min_len)
+             if samples[a] != samples[a + min_len]]
+    lower, incs = _collection_value(samples, family, pairs)
+    upper, rounds = (math.inf if n else 0.0), 0
+    while lower < upper * (1.0 - _REL_TOL):
+        t = np.zeros(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t[n - len(incs):] = np.sort(family.surrogate(np.array(incs)))
+            total = np.concatenate(([0.0], np.add.accumulate(steps * t)))  # T[i]
+            cost = float(coef @ t)  # C_t
+        if not total[-1] < math.inf:  # an inf t_k, or c t past the largest float
+            break
+
+        def h(x, t=t, total=total):
+            y = family.surrogate(x)
+            i = np.searchsorted(t, y)
+            y *= below[i]
+            y -= total[i]
+            # >= 0 as it is exactly, which the mask-free rows of _dp read
+            return np.maximum(y, 0.0, out=y)
+
+        best, walk = _dp(values, [(h, min_len)])
+        rounds += 1
+        upper = min(upper, cost + float(best[0, 0]))
+        if lower < upper * (1.0 - _REL_TOL):  # open: the column's witness may beat X
+            found = walk(0)
+            value, found_incs = _collection_value(samples, family, found)
+            if value <= lower:
+                break
+            lower, pairs, incs = value, found, found_incs
+    return lower, max(upper, lower), pairs, f"dual, rounds {rounds}"
+
+
+def _collection_value(samples, family, pairs):
+    """(rank objective, increments in descending order) of the collection
+    ``pairs`` of the grid of ``samples``."""
+    incs = sorted((abs(samples[b] - samples[a]) for a, b in pairs), reverse=True)
+    return family.rank_sum(incs), incs
 
 
 def _skeleton(values):
@@ -733,8 +799,10 @@ def _rank_solve(f, levels, oracle_cap):
     collection lies on the skeleton.
 
     The rank-free case needs no more. When every phi_j is one g -- each
-    level of the exact DP, and the modulus and the q-form through
-    :func:`_dp_solve`, whose g is x or x^q -- the ordering holds with
+    level of the exact DP, the modulus and the q-form through
+    :func:`_dp_solve`, whose g is x or x^q, and the column of
+    :func:`_dual_bounds`, whose g is a convex nondecreasing h_t of a convex
+    base -- the ordering holds with
     equality, and convexity with g(0) = 0 is all the merge uses: g(t)/t is
     nondecreasing, so g(x) <= x g(x + y)/(x + y) and g(y) <= y g(x + y)/(x
     + y), and g(x) + g(y) <= g(x + y) <= g(z), g being nondecreasing. A
@@ -759,10 +827,12 @@ def _rank_solve(f, levels, oracle_cap):
     and the DP's (the earliest start, then the smallest end), except where
     a merge leaves V unchanged (phi_j linear with equal gains at both
     ranks, or gains past the largest float): the skeleton then reports the
-    merged interval, and V may differ in the last bit. The upper bound on
-    the skeleton charges at most as many ranks as it has cells, so it can
-    only tighten.
+    merged interval, and V may differ in the last bit. The bounds on the
+    skeleton charge at most as many ranks as it has cells (the dual's
+    n = m // min_len, the nu rule's columns), so they can only tighten, and
+    the dual's column, rank-free, has the optimum of the input grid there.
     """
+    oracle_cap = _check_oracle_cap(oracle_cap)
     if levels[0][0].rank_free is not None:
         solved, _ = _dp_solve(f, [(family.rank_free, min_len) for family, min_len, _ in levels])
         solved = [(value, value, "exact-dp", witness) for value, witness in solved]
@@ -778,6 +848,15 @@ def _rank_solve(f, levels, oracle_cap):
         results.append(VariationResult(mode=mode, lower=lower ** root, upper=upper ** root,
                                        witness=witness))
     return results
+
+
+def _check_oracle_cap(oracle_cap):
+    """``oracle_cap`` as an int, after checking that it is a whole number
+    >= 0: the one check of the cap, whose :class:`ValidationError` names
+    it. An inf cap would let the label search run unbounded."""
+    if check_whole("oracle_cap", oracle_cap) < 0:
+        raise ValidationError("oracle_cap must be >= 0")
+    return int(oracle_cap)
 
 
 def _rank_search(f, skeleton, family, min_len, p, oracle_cap):
@@ -964,6 +1043,7 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     :func:`variation_schramm`, and for another family c is the root of a
     real collection, which is at most the infimum.
     """
+    oracle_cap = _check_oracle_cap(oracle_cap)
     if f_a is None:
         f_a = float(f.values[0])
     elif not math.isfinite(check_real("f_a", f_a)):

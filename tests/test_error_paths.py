@@ -12,7 +12,8 @@ from gbv import (ConvexBase, GaugePair, ResolutionError, SchrammFamily, StepFunc
                  TripleSample, ValidationError, WeightSequence, build_witness,
                  certify_blowup, check_holder_branch, check_wu_estimate, criterion_schramm,
                  generate_block, ingest, modulus_of_variation, plan_construction,
-                 schramm_norm, variation_gauged, variation_unweighted_q)
+                 schramm_norm, variation_gauged, variation_schramm, variation_unweighted_q,
+                 variation_weighted)
 
 GAUGE = GaugePair.build("const", "pow2", n_max=2, q=1.0)
 HARMONIC = WeightSequence("harmonic", k_max=64)
@@ -149,6 +150,29 @@ def test_real_that_is_no_number_raises(case, x):
     name, call = REAL_CALLS[case]
     with pytest.raises(ValidationError, match=re.escape(f"{name} must be a number, not {x!r}")):
         call(x)
+
+
+#: every public function that takes ``oracle_cap``, on a rank-dependent and
+#: a rank-free solve, and the norm of a constant input, which solves nothing
+CAP_CALLS = [
+    lambda cap: variation_weighted(ZIGZAG, HARMONIC, 1.0, oracle_cap=cap),
+    lambda cap: variation_weighted(ZIGZAG, WeightSequence("constant"), 1.0, oracle_cap=cap),
+    lambda cap: variation_schramm(ZIGZAG, POWER2, oracle_cap=cap),
+    lambda cap: variation_gauged(ZIGZAG, HARMONIC, GAUGE, 2, oracle_cap=cap),
+    lambda cap: schramm_norm(ZIGZAG, POWER2, oracle_cap=cap),
+    lambda cap: schramm_norm(StepFunction([1.0, 1.0]), POWER2, oracle_cap=cap),
+]
+
+
+@pytest.mark.parametrize("cap, text", [
+    (math.inf, "a whole number, not inf"), ("3", "a number, not '3'"),
+    (True, "a number, not True"), (2.5, "a whole number, not 2.5"), (-1, ">= 0")],
+    ids=["inf", "str", "bool", "fraction", "negative"])
+def test_oracle_cap_is_a_whole_number(cap, text):
+    # an inf cap would run the exhaustive label search at any m
+    for call in CAP_CALLS:
+        with pytest.raises(ValidationError, match=re.escape(f"oracle_cap must be {text}")):
+            call(cap)
 
 
 def test_blank_csv_rows_are_skipped(tmp_path):

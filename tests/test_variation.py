@@ -1,9 +1,9 @@
-import itertools
 import logging
 import math
 import timeit
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -310,6 +310,32 @@ class TestGauged:
             assert res.lower == pytest.approx(
                 oracles.oracle_gauged(values, lam, gauge.qn, gauge.deltas, 4),
                 rel=1e-12, abs=1e-12)
+
+    def test_harmonic_gauge_bounds_match_oracle(self):
+        # past oracle_cap = 2 every level is bracketed by the top-k dual, and
+        # a level whose min_len passes the skeleton's gap runs on the input
+        # grid at that min_len
+        rng = np.random.default_rng(31)
+        gauge = GaugePair.build("linear", "list", n_max=4, delta_list=[2, 3, 5, 8])
+        lam = [float(j) for j in range(1, 10)]
+        on_grid = 0
+        for m in range(3, 10):
+            for _ in range(3):
+                values = list(random_values(rng, m))
+                f = StepFunction(values)
+                res = variation_gauged(f, HARMONIC, gauge, 4, oracle_cap=2)
+                truth = oracles.oracle_gauged(values, lam, gauge.qn, gauge.deltas, 4)
+                assert res.mode == "bounds"
+                assert res.lower <= truth * (1 + 1e-12) and truth <= res.upper * (1 + 1e-12)
+                for q, delta in gauge.levels(4):
+                    min_len = max(1, math.ceil(m / delta))
+                    on_grid += gbv.variation._Skeleton(f.values).grid(min_len) is None
+                    [one] = gbv.variation._rank_solve(
+                        f, [(SchrammFamily.power(q, HARMONIC), min_len, q)], 2)
+                    level = oracles.oracle_weighted(values, lam, q, min_len)
+                    assert one.lower <= level * (1 + 1e-12) and level <= one.upper * (1 + 1e-12)
+                    assert all(b - a >= min_len for a, b in one.witness.pairs)
+        assert on_grid > 20
 
     def test_witness_short_of_every_level_is_an_internal_error(self, monkeypatch):
         # level 1 needs intervals of 8 // 2 = 4 cells; a witness of one cell
@@ -843,10 +869,12 @@ class TestSkeleton:
         # the gap is that of the reported bracket, here past its 1/p root
         gap = 1.0 - res.lower / res.upper
         assert 0.0 < gap < 1.0
+        # rounds counts the dual's tables: one closes the sine's bracket
         assert [r.getMessage() for r in caplog.records] == [
-            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)} (gap 4), upper abel, gap 0",
+            f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(idx)} (gap 4), upper dual, "
+            "rounds 1, gap 0",
             f"bounds: m=20 > oracle_cap=16, skeleton 21→{len(self.skeleton(walk.values))} "
-            f"(gap 2), upper abel, gap {gap:.3g}",
+            f"(gap 2), upper dual, rounds 2, gap {gap:.3g}",
             f"exact-oracle: m=20 <= oracle_cap=20, skeleton 21→{len(idx)} (gap 4), labels 1",
             f"exact-dp: m=20, levels=1, skeleton 21→{len(idx)} (gap 4)",
         ]
@@ -1232,9 +1260,9 @@ def test_linear_column_rule_matches_dp_oracle_property(values, min_len, n):
         assert res.lower == pytest.approx(truth, rel=1e-12, abs=0.0)
 
 
-#: the scaled families whose upper bound is the Abel sum, phi_j = w_j g
-#: with g the base (x^p, or expm1): (family at p, w_j)
-ABEL_FAMILIES = {
+#: the scaled families of the top-k dual, phi_j = w_j g with g the base
+#: (x^p, or expm1): (family at p, w_j)
+SCALED_FAMILIES = {
     "harmonic": (lambda p: SchrammFamily.power(p, HARMONIC), lambda j: 1.0 / j),
     "log": (lambda p: SchrammFamily.power(p, WeightSequence("log", k_max=KM)),
             lambda j: math.log(j + 1.0) / j),
@@ -1245,44 +1273,50 @@ ABEL_FAMILIES = {
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.integers(-4, 4), min_size=3, max_size=9),
-       st.sampled_from(sorted(ABEL_FAMILIES)), st.sampled_from([1.0, 1.5, 2.0]))
-def test_abel_upper_bound_property(vals, name, p):
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=10),
+       st.sampled_from(sorted(SCALED_FAMILIES)), st.sampled_from([1.0, 1.5, 2.0]))
+def test_dual_upper_bound_property(vals, name, p):
     values = [v / 4.0 for v in vals]
     f = StepFunction(values)
-    make, weight = ABEL_FAMILIES[name]
-    family = make(p)
+    make, weight = SCALED_FAMILIES[name]
     g = math.expm1 if name == "expm1" else (lambda x: x ** p)
-    ws = [weight(j) for j in range(1, f.m + 1)]
-    phis = [lambda x, w=w: w * g(x) for w in ws]
+    phis = [lambda x, w=weight(j): w * g(x) for j in range(1, f.m + 1)]
+    res = variation_schramm(f, make(p), oracle_cap=1)
+    assert res.mode == "bounds"
+    truth = oracles.oracle_schramm(values, phis)
+    assert res.lower <= truth * (1 + 1e-12) and truth <= res.upper * (1 + 1e-12)
+    redo = sum(phi(x) for phi, x in zip(phis, sorted(res.witness.increments, reverse=True)))
+    assert redo == pytest.approx(res.lower, rel=1e-12, abs=1e-12)
+    # a bracket closed to the loop's tolerance holds the optimum
+    if res.upper - res.lower <= 1e-12 * res.upper:
+        assert res.lower == pytest.approx(truth, rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-4, 4), min_size=3, max_size=10), st.sampled_from([1.0, 4.0]))
+def test_nu_upper_bound_property(vals, scale):
+    # at scale 4 most ranges pass ordered_to, and the upper charges every
+    # rank of the input grid
+    values = [scale * v / 4.0 for v in vals]
+    f = StepFunction(values)
+    family = SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM)
+    phis = [lambda x, c=c, e=e: c * x ** e
+            for c, e in (EXPLICIT_TERMS + [EXPLICIT_TERMS[-1]] * f.m)[:f.m]]
     res = variation_schramm(f, family, oracle_cap=1)
     assert res.mode == "bounds"
     truth = oracles.oracle_schramm(values, phis)
     assert res.lower <= truth * (1 + 1e-12) and truth <= res.upper * (1 + 1e-12)
-    # the Abel sum over B_k, the most g-gain of at most k intervals of the
-    # input grid (the skeleton's, held past its last column)
-    tops = [0.0] * (f.m + 1)
-    for pairs in oracles.all_collections(f.m):
-        k = len(pairs)
-        tops[k] = max(tops[k], sum(map(g, oracles._incs(values, pairs))))
-    tops = list(itertools.accumulate(tops[1:], max))
-    abel = sum((a - b) * t for a, b, t in zip(ws, ws[1:], tops)) + ws[-1] * tops[-1]
-    assert res.upper == pytest.approx(max(abel, res.lower), rel=1e-12, abs=1e-12)
     # never above the nu bound: the j-th largest increment of any
     # collection is at most nu(j)/j, charged at every rank of the input grid
     nu = [oracles.dp_modulus(values, j) for j in range(1, f.m + 1)]
     assert res.upper <= sum(phi(x / j) for j, (phi, x) in enumerate(zip(phis, nu), 1)) * (
         1 + 1e-12)
-    if res.upper == res.lower:
-        exact = variation_schramm(f, family)
-        assert exact.mode == "exact-oracle"
-        assert (res.lower, res.witness.pairs) == (exact.lower, exact.witness.pairs)
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_abel_upper_with_flat_weights_and_inf_gains(p):
+def test_dual_upper_with_flat_weights_and_inf_gains(p):
     # the weights step by zero twice; at p = 2 every gain of the zigzag is
-    # inf, so a zero weight step meets an inf B_k, which must add nothing
+    # inf, so a zero weight step meets an inf t_k, which must add nothing
     weights = WeightSequence("explicit", terms=[1, 1, 2, 2, 4])
     f = StepFunction([(-1.0) ** i * (1 + 0.01 * i) * 1e200 for i in range(6)])
     res = variation_weighted(f, weights, p, oracle_cap=4)
@@ -1291,26 +1325,53 @@ def test_abel_upper_with_flat_weights_and_inf_gains(p):
     assert not math.isnan(res.upper)
 
 
+def test_dual_fills_no_column_from_an_inf_gain():
+    # every gain of the tiling is past the largest float; a rank sum that
+    # reads it finite, as rounding at the edge of the floats could, must
+    # not seed a column with inf thresholds: the upper end stays inf
+    family = SchrammFamily.power(2.0, HARMONIC)
+    edge = SimpleNamespace(surrogate=family.surrogate,
+                           rank_sum=lambda xs: min(family.rank_sum(xs), 1e308))
+    values = np.array([0.0, 1e200, 0.0, 2e200])
+    lower, upper, _, rule = gbv.variation._dual_bounds(values, edge, family.rank_weights(3), 1)
+    assert (lower, upper, rule) == (1e308, math.inf, "dual, rounds 0")
+
+
 @pytest.mark.parametrize("family", [
     SchrammFamily.power(2.0, HARMONIC), expm1_family(),
     SchrammFamily("explicit", terms=EXPLICIT_TERMS, k_max=KM)])
 def test_rank_bounds_fill_one_table_per_level(monkeypatch, family):
-    calls = {"_dp": 0, "_rank_bounds": 0}
-    for name in calls:
-        def counted(*args, name=name, fn=getattr(gbv.variation, name)):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(gbv.variation, name, counted)
+    # a scaled family's dual fills one uncapped one-column table a round;
+    # an explicit level fills one capped table
+    tables, calls = [], {"_rank_bounds": 0}
+    real_dp, real_bounds = gbv.variation._dp, gbv.variation._rank_bounds
+
+    def dp(values, levels, count=None):
+        tables.append((len(levels), count))
+        return real_dp(values, levels, count)
+
+    def bounds(*args):
+        calls["_rank_bounds"] += 1
+        return real_bounds(*args)
+
+    monkeypatch.setattr(gbv.variation, "_dp", dp)
+    monkeypatch.setattr(gbv.variation, "_rank_bounds", bounds)
     rng = np.random.default_rng(11)
     for m in (12, 40):
         f = StepFunction(np.cumsum(rng.normal(size=m + 1)))
         variation_schramm(f, family, oracle_cap=4)
         # past ordered_to for the explicit family
         variation_schramm(StepFunction(4.0 * f.values), family, oracle_cap=4)
+    assert calls["_rank_bounds"] == 4
+    if family.kind == "scaled":
+        assert len(tables) >= 4 and set(tables) == {(1, None)}
+    else:
+        assert len(tables) == 4 and None not in [count for _, count in tables]
     # a gauge's rank-dependent levels are bounded one by one, min_len > 1 too
+    tables.clear()
     variation_gauged(f, HARMONIC, TestGauged.GAUGE, 4, oracle_cap=4)
     assert calls["_rank_bounds"] == 8
-    assert calls["_dp"] == calls["_rank_bounds"]
+    assert len(tables) >= 4 and set(tables) == {(1, None)}
 
 
 def reference_walk(best, end, shift, col):

@@ -114,9 +114,18 @@ def _calls():
         calls += [var + ["--functional", "gauged", "--weights", spec, "--qn", qn,
                          "--delta", delta, "--ncap", "3"]
                   for spec in ("harmonic", "constant:2", "explicit:3") for qn, delta in GAUGES]
+        # past --oracle-cap 3 the rank-dependent solves are bracketed
+        bounds = ["--oracle-cap", "3"]
+        calls += [var + ["--functional", "lambda", "--weights", spec, "--p", p] + bounds
+                  for spec in ("harmonic", "log", "explicit:1,2,4") for p in ("1", "2")]
+        calls += [var + ["--functional", "schramm", "--family", fam] + bounds
+                  for fam in FAMILIES]
+        calls += [var + ["--functional", "gauged", "--weights", "harmonic", "--qn", qn,
+                         "--delta", delta, "--ncap", "3"] + bounds for qn, delta in GAUGES]
     var = ["variation", "--input", "zigzag.csv", "--functional"]
     calls += [var + ["lambda", "--weights", spec] for spec in BAD_WEIGHTS]
     calls += [var + ["lambda", "--p", p] for p in ("0.5", "nan", "inf", "-1")]
+    calls.append(var + ["lambda", "--oracle-cap", "-1"])
     calls += [var + ["gauged", "--qn", qn, "--delta", delta] for qn, delta in BAD_GAUGES]
     calls += [["variation", "--input", src, "--format", "json", "--functional", "modulus"]
               for src in ("list.json", "values-int.json", "bad-m.json", "absent.json",
@@ -176,7 +185,8 @@ def _calls():
               for extra in ([], ["--blow-base", "2"], ["--blow-base", "1", "--sep-base", "2"])]
 
     norm = ["norm", "--input", "walk.csv"]
-    calls += [norm + ["--family", fam] for fam in FAMILIES]
+    calls += [norm + ["--family", fam] + extra for fam in FAMILIES
+              for extra in ([], ["--oracle-cap", "3"])]
     calls += [norm + ["--family", FAMILIES[0], "--fa", v] for v in ("0", "nan")]
     # norms of 1e300 and 1e297, far above the input's scale of 1
     calls += [["norm", "--input", src, "--family", HUGE_FAMILY]

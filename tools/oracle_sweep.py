@@ -1,7 +1,7 @@
 """Check the exact DP, the rank-dependent solves and the gauged variation
 against brute force.
 
-Every case solves one input at m <= 10 and compares the result with the
+Every case solves one input at m <= 12 and compares the result with the
 brute-force maximum of ``tests/oracles.py``, which enumerates every
 collection of intervals and shares no code with the engine. Per case:
 
@@ -29,11 +29,16 @@ Groups:
   the default ``oracle_cap`` (the exact label search, or the DP for
   constant weights) and at ``oracle_cap = 3`` (certified bounds past 3
   cells). The tool's ``expm1`` gain reads inf past the largest float, as
-  the engine's does, so on the input scaled by 1e150 both sides are inf;
+  the engine's does, so on the input scaled by 1e150 both sides are inf.
+  The inputs at m = 12 run only the scaled, rank-dependent families
+  (harmonic, log and ``power:0.5`` weights, and ``expm1``), at
+  ``oracle_cap = 3``: their top-k dual bounds;
 - ``gauge``: ``variation_gauged`` over the same weights and a one-value
   explicit list, on ``const``, ``linear``, ``to`` and ``list`` ladders
   (the last with repeated exponents), at both caps. Every exponent lies in
-  [1, 2], so the brute force stays finite on the input scaled by 1e150;
+  [1, 2], so the brute force stays finite on the input scaled by 1e150.
+  The inputs at m = 12 run only the rank-dependent weights, at
+  ``oracle_cap = 3``;
 - ``norm``: ``schramm_norm`` of the two families of the rank group and of
   the homogeneous ``x^2 / j`` (the power-2 base over harmonic weights), at
   both caps, on every input that is not constant. The brute force takes
@@ -48,14 +53,16 @@ Groups:
 Inputs come from seeded generators: walks, rounded sines, plateau trains,
 integers, zigzags, a walk scaled by 1e150 and N(0,1) noise, at every m from
 3 to 10. The noise has a generator of its own, so the other inputs do not
-depend on it. The witnesses have m = 8 and 12. The engine is imported
-from the ``src`` directory next to this file, so the tool checks the
-checkout it lives in. It prints one line per group and one line per
-violation, and exits 1 on any violation. Run it from anywhere::
+depend on it, and so do a walk, noise and a zigzag at m = 12. The
+witnesses have m = 8 and 12. The engine is imported from the ``src``
+directory next to this file, so the tool checks the checkout it lives in.
+It prints one line per group and one line per violation, and exits 1 on
+any violation. Run it from anywhere::
 
     python tools/oracle_sweep.py
 
-It takes 12-16 s on a 2-core x86_64 VM, 1.4 s of it in the certify group.
+It takes about 20 s on a 2-core x86_64 VM: 1.4 s in the certify group and
+about 9 s in the inputs at m = 12.
 :func:`sweep` runs given groups at given m in-process; tier-1 runs a slice
 of every group at small m through it.
 """
@@ -81,6 +88,10 @@ SEED = 2017
 SIZES = range(3, 11)
 REL = 1e-12
 CAPS = (16, 3)  # the default oracle_cap, and one that leaves m > 3 to the bounds
+#: m of the inputs that the rank and gauge groups solve only for the scaled,
+#: rank-dependent families, at oracle_cap 3: the brute force lists 75,025
+#: collections there
+BOUNDS_M = 12
 
 #: explicit terms (c_j, e_j), phi_j(x) = c_j x^e_j, the last one repeated
 EXPLICIT_TERMS = [(1.0, 1.5), (0.8, 1.7), (0.6, 2.0), (0.5, 2.0)]
@@ -93,6 +104,8 @@ WEIGHTS = {
 }
 GAUGE_WEIGHTS = {**WEIGHTS, "explicit:2,2": (WeightSequence("explicit", terms=[2.0, 2.0]),
                                              lambda j: 2.0)}
+#: the weights of ``GAUGE_WEIGHTS`` whose every phi_j is one function
+RANK_FREE = ("constant", "explicit:2,2")
 GAUGES = {
     "const:1.5/pow2": GaugePair.build("const", "pow2", n_max=4, q=1.5),
     "linear/pow2": GaugePair.build("linear", "pow2", n_max=2),
@@ -124,6 +137,18 @@ def _inputs(sizes):
             (f"noise m={m}", noise.normal(size=m + 1)),
         ]
     return [(name, values) for name, values in out if len(values) - 1 in sizes]
+
+
+def _bounds_inputs(sizes):
+    """``(name, values)`` of the inputs at m = ``BOUNDS_M``, if it is in
+    ``sizes``, from a generator of their own: a walk, noise and a zigzag,
+    which only the scaled families' bounds meet."""
+    if BOUNDS_M not in sizes:
+        return []
+    rng, m = np.random.default_rng(SEED + 2), BOUNDS_M
+    return [(f"walk m={m}", np.round(np.cumsum(rng.normal(size=m + 1)), 2)),
+            (f"noise m={m}", rng.normal(size=m + 1)),
+            (f"zigzag m={m}", np.array([(-1.0) ** i * (1.0 + 0.01 * i) for i in range(m + 1)]))]
 
 
 def _rank_value(incs, phis, root):
@@ -223,22 +248,34 @@ def _dp_group(sweep, sizes):
     return modes
 
 
+def _cases(sizes):
+    """``(name, values, caps, scaled)`` of the rank and gauge groups: every
+    input at both caps, and the inputs at ``BOUNDS_M`` at the cap of 3,
+    ``scaled`` only."""
+    return ([(name, values, CAPS, False) for name, values in _inputs(sizes)]
+            + [(name, values, CAPS[1:], True) for name, values in _bounds_inputs(sizes)])
+
+
 def _rank_group(sweep, sizes):
     modes = {}
-    for name, values in _inputs(sizes):
+    for name, values, caps, scaled in _cases(sizes):
         f = StepFunction(values)
         key = tuple(values.tolist())
         for lam_name, (weights, lam) in WEIGHTS.items():
+            if scaled and lam_name in RANK_FREE:
+                continue
             for p in (1.0, 1.5, 2.0):
                 truth = _oracle_weighted(key, lam_name, p, 1)
-                for cap in CAPS:
+                for cap in caps:
                     res = variation_weighted(f, weights, p, oracle_cap=cap)
                     mode = sweep.check(f"{name} {lam_name} p={p:g} cap={cap}", res, truth,
                                        _power_phis(lam, p), 1.0 / p)
                     modes[mode] = modes.get(mode, 0) + 1
         for fam_name, family, phis in FAMILIES:
+            if scaled and family.kind != "scaled":
+                continue
             truth = oracles.oracle_schramm(list(key), [phis(j) for j in range(1, len(key) + 1)])
-            for cap in CAPS:
+            for cap in caps:
                 res = variation_schramm(f, family, oracle_cap=cap)
                 mode = sweep.check(f"{name} {fam_name} cap={cap}", res, truth, phis, 1.0)
                 modes[mode] = modes.get(mode, 0) + 1
@@ -247,16 +284,18 @@ def _rank_group(sweep, sizes):
 
 def _gauge_group(sweep, sizes):
     modes = {}
-    for name, values in _inputs(sizes):
+    for name, values, caps, scaled in _cases(sizes):
         f = StepFunction(values)
         key = tuple(values.tolist())
         for lam_name, (weights, lam) in GAUGE_WEIGHTS.items():
+            if scaled and lam_name in RANK_FREE:
+                continue
             for gauge_name, gauge in GAUGES.items():
                 rungs = [(q, max(1, math.ceil(f.m / d))) for q, d in gauge.levels(gauge.n_max)]
                 # the gauged value is the largest of its levels' variations
                 truth = max((_oracle_weighted(key, lam_name, q, min_len)
                              for q, min_len in rungs if min_len <= f.m), default=0.0)
-                for cap in CAPS:
+                for cap in caps:
                     res = variation_gauged(f, weights, gauge, gauge.n_max, oracle_cap=cap)
                     q, min_len = rungs[res.level - 1] if res.level else (1.0, 1)
                     mode = sweep.check(f"{name} {lam_name} {gauge_name} cap={cap}", res, truth,
@@ -358,8 +397,8 @@ GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group, "norm": _
 def sweep(groups=tuple(GROUPS), sizes=range(3, 13)):
     """``{group: (modes, violations)}`` of the ``groups`` on the inputs and
     witnesses at m in ``sizes``: the solves per mode, and one line per
-    violation. The inputs are drawn at m in ``SIZES``, the witnesses are at
-    m = 8 and 12."""
+    violation. The inputs are drawn at m in ``SIZES`` and at ``BOUNDS_M``,
+    the witnesses are at m = 8 and 12."""
     out = {}
     for group in groups:
         checks = Sweep()
@@ -369,7 +408,8 @@ def sweep(groups=tuple(GROUPS), sizes=range(3, 13)):
 
 def main():
     status = 0
-    print(f"{len(_inputs(SIZES))} inputs, {len(WITNESSES)} witnesses")
+    print(f"{len(_inputs(SIZES))} inputs, {len(_bounds_inputs((BOUNDS_M,)))} more at "
+          f"m = {BOUNDS_M}, {len(WITNESSES)} witnesses")
     for group, (modes, violations) in sweep().items():
         counts = ", ".join(f"{mode} {n}" for mode, n in sorted(modes.items()))
         print(f"{group}: {sum(modes.values())} solves ({counts}), "
