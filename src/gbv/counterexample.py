@@ -20,7 +20,7 @@ import numpy as np
 from .criteria import kernel_parts
 from .errors import (HorizonError, HypothesisError, InfeasibleError,
                      InternalConsistencyError, ResolutionError, ValidationError)
-from .sequences import GaugePair, SchrammFamily, WeightSequence
+from .sequences import GaugePair, SchrammFamily, WeightSequence, check_whole
 from .stepfn import StepFunction, generate_block, plateau_edges
 from .variation import ORACLE_CAP_DEFAULT, variation_gauged, variation_schramm
 
@@ -50,6 +50,7 @@ def level_constants(name, base, n, coef=1.0):
 
 def paper_constants(n_levels):
     """The canonical constants: eps 2^-n, separation 2^{n+2}, blow-up 2^{4n}."""
+    n_levels = check_whole("n_levels", n_levels, 1)
     return tuple(np.array(level_constants(name, base, n_levels, coef))
                  for name, (base, coef) in PAPER_BASES.items())
 
@@ -165,9 +166,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
     g = h = np.empty(0)  # the kernel parts at k = 1..len(g)
     levels = []
     for n, (q_n, delta_f) in enumerate(rungs, 1):
-        delta_n = int(delta_f)
-        if delta_n != delta_f:
-            raise ValidationError(f"delta_{n}={delta_f} is not an integer")
+        delta_n = check_whole(f"delta_{n}", delta_f)
         e_n, sep_n, blow_n = eps[n - 1], sep[n - 1], blow[n - 1]
         if delta_n > horizon:
             raise HorizonError(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HorizonError, HypothesisError, ValidationError
-from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence
+from .sequences import ConvexBase, GaugePair, SchrammFamily, WeightSequence, check_real
 
 SLOPE_TOL = 0.01
 #: relative width of a max's tie band: ``argmax_k`` and ``argmax_level`` name
@@ -289,7 +289,7 @@ def criterion_corollary_q(w_lambda: WeightSequence, w_gamma: WeightSequence,
     Levels in the report are dyadic checkpoints of the running sup, which
     gives the trend classifier something meaningful to look at.
     """
-    if not 1 <= p <= q < math.inf:
+    if not 1 <= check_real("p", p) <= check_real("q", q) < math.inf:
         raise ValidationError("need 1 <= p <= q < inf")
     horizon = min(w_gamma.k_max, w_lambda.k_max)
     tops = [1 << i for i in range(horizon.bit_length())]
@@ -318,7 +318,7 @@ def criterion_union_p(weights: WeightSequence, p: float, gauge: GaugePair,
                       n_cap: int) -> CriterionReport:
     """The union criterion: Gamma = Lambda with ``1 <= p < q``; the scan
     must come out bounded for every admissible ``p``."""
-    if not 1 <= p < gauge.q_limit:
+    if not 1 <= check_real("p", p) < gauge.q_limit:
         raise ValidationError(f"need 1 <= p < q (p={p}, q={gauge.q_limit})")
     # Gamma = Lambda makes r_j = 1, which proves the ratio hypothesis without
     # a prefix read, so levels with q_n < p are admissible through the

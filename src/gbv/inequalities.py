@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import HypothesisError, ValidationError
-from .sequences import SchrammFamily, WeightSequence, check_q
+from .sequences import SchrammFamily, WeightSequence, check_q, check_real, check_whole
 
 REL_SLACK = 1e-9
 WU_CONSTANT = 16.0
@@ -100,7 +99,7 @@ def _monotone_rows(u):
 
 def monotone_vector(rng, n):
     """Positive nonincreasing vector: sorted exponentials of uniforms."""
-    return _monotone_rows(rng.uniform(-3.0, 2.0, size=n))
+    return _monotone_rows(rng.uniform(-3.0, 2.0, size=check_whole("n", n, 1)))
 
 
 def _chunks(rng, samples, n_max, vectors=1):
@@ -151,6 +150,7 @@ def extremal_profile(n, y, z, q, grid=40):
     The objective is scale-invariant after normalization, so it is enough
     to scan integer direction vectors with entries up to ``grid``.
     """
+    n, grid = check_whole("n", n, 1), check_whole("grid", grid, 1)
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     if len(y) != n or len(z) != n:
@@ -207,7 +207,7 @@ def check_weighted_comparison(a, w_lambda: WeightSequence, w_gamma: WeightSequen
 
 def _holder_rows(x, lengths, w_lambda, w_gamma, p, q_n):
     """Both sides of the Hoelder branch per row of a zero-padded array."""
-    if not 1 <= q_n < p < math.inf:
+    if not 1 <= check_real("q_n", q_n) < check_real("p", p) < math.inf:
         raise ValidationError(f"this branch needs 1 <= q_n < p < inf (q_n={q_n}, p={p})")
     if np.any(lengths < 1) or np.any(x < 0) or _rises(x):
         raise ValidationError("x must be nonempty, nonnegative and nonincreasing")
@@ -271,23 +271,23 @@ def check_wu_estimate(x, family: SchrammFamily, q):
 # randomized suites
 
 def _check_suite(seed, samples, n_max, *readers):
-    """Raise before any sample is drawn if the seed is not a whole number
-    >= 0, if there is no sample to draw, or if a length up to ``n_max``
-    would read past the horizon of a weight sequence or family."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValidationError(f"a suite needs a whole-number seed >= 0 (seed={seed!r})")
-    if samples < 1:
-        raise ValidationError(f"a suite needs samples >= 1 (samples={samples})")
+    """``(seed, samples, n_max)`` as ints, checked before any sample is
+    drawn: a seed >= 0, at least one sample, and lengths up to ``n_max >=
+    1`` that read inside the horizon of every weight sequence or family of
+    ``readers``."""
+    seed, samples = check_whole("seed", seed, 0), check_whole("samples", samples, 1)
+    n_max = check_whole("n_max", n_max, 1)
     for r in readers:
         if n_max > r.k_max:
             raise ValidationError(
                 f"suite draws lengths up to n_max={n_max}, beyond the horizon "
                 f"k_max={r.k_max} of {r!r}")
+    return seed, samples, n_max
 
 
 def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
                      n_max=64):
-    _check_suite(seed, samples, n_max)
+    seed, samples, n_max = _check_suite(seed, samples, n_max)
     rng = np.random.default_rng(seed)
     failures, worst, worst_case = 0, math.inf, None
     for q in q_list:
@@ -308,8 +308,9 @@ def run_master_suite(seed, samples=10000, q_list=(1.0, 1.5, 2.0, 3.0, 10.0),
 
 
 def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
-    _check_suite(seed, samples, n_max, *families,
-                 *(fam.weights for fam in families if fam.weights is not None))
+    seed, samples, n_max = _check_suite(
+        seed, samples, n_max, *families,
+        *(fam.weights for fam in families if fam.weights is not None))
     rng = np.random.default_rng(seed)
     failures, worst, worst_case = 0, 0.0, None
     for fam_idx, family in enumerate(families):
@@ -328,7 +329,7 @@ def run_wu_suite(seed, samples, families, q_list=(1.0, 2.0), n_max=32):
 
 
 def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32):
-    _check_suite(seed, samples, n_max, w_lambda, w_gamma)
+    seed, samples, n_max = _check_suite(seed, samples, n_max, w_lambda, w_gamma)
     failures, worst, worst_case = 0, math.inf, None
     for start, lengths, (x,) in _chunks(np.random.default_rng(seed), samples, n_max):
         lhs, rhs = _holder_rows(x, lengths, w_lambda, w_gamma, p, q_n)
@@ -342,7 +343,7 @@ def run_holder_suite(seed, samples, w_lambda, w_gamma, p=2.0, q_n=1.0, n_max=32)
 
 
 def run_comparison_suite(seed, samples, w_lambda, w_gamma, n_max=64):
-    _check_suite(seed, samples, n_max, w_lambda, w_gamma)
+    seed, samples, n_max = _check_suite(seed, samples, n_max, w_lambda, w_gamma)
     # C for a length n: the least constant of the prefix hypothesis up to n
     least_c = np.maximum.accumulate(w_gamma.prefix_sums(n_max) / w_lambda.prefix_sums(n_max))
     failures = 0

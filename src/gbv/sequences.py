@@ -49,16 +49,31 @@ def check_real(name, x):
     """``x``, after checking that it is a real number, not a bool or a
     string: the one type check of a numeric parameter, whose
     :class:`ValidationError` names it."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+    # an int or a float skips the abstract-class check, the slow part
+    if type(x) not in (int, float) and (isinstance(x, bool) or not isinstance(x, numbers.Real)):
         raise ValidationError(f"{name} must be a number, not {x!r}")
     return x
 
 
-def check_whole(name, x):
-    """``x`` as an int, after checking that it is a whole number: the one
-    check of a count parameter, whose :class:`ValidationError` names it."""
+def check_reals(name, values):
+    """``values`` as a new float array, after checking that each entry is a
+    real number, not a bool or a string: :func:`check_real` over an array,
+    whose :class:`ValidationError` names the first entry that fails."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # a bool, string, complex or object array
+        for x in np.asarray(values, dtype=object).ravel().tolist():  # the entries as given
+            check_real(name, x)
+    return array.astype(float)
+
+
+def check_whole(name, x, least=None):
+    """``x`` as an int, after checking that it is a whole number, and at
+    least ``least`` when that is given: the one check of a count, whose
+    :class:`ValidationError` names it."""
     if check_real(name, x) % 1:  # a fraction, inf or nan
         raise ValidationError(f"{name} must be a whole number, not {x!r}")
+    if least is not None and x < least:
+        raise ValidationError(f"{name} must be >= {least}")
     return int(x)
 
 
@@ -67,14 +82,6 @@ def check_q(q):
     number in ``[1, inf)``: the one check of a variation exponent."""
     if not 1 <= check_real("q", q) < math.inf:
         raise ValidationError("q must be >= 1")
-
-
-def _check_k_max(k_max):
-    """``k_max`` as an int, after checking that it is a whole number and
-    that a horizon holds index 1."""
-    if check_real("k_max", k_max) < 1:
-        raise ValidationError("k_max must be positive")
-    return check_whole("k_max", k_max)
 
 
 def _check_config(cfg, required, optional=()):
@@ -92,12 +99,30 @@ def _check_config(cfg, required, optional=()):
 
 
 def check_horizon(k, k_max):
-    """Raise :class:`HorizonError` unless the index ``k`` lies in
-    ``1..k_max``: the one source of that error. It is one compare, since
-    scalar reads make it once per call; an array read passes its first
-    index outside."""
-    if not 1 <= k <= k_max:
-        raise HorizonError(f"index {k} outside horizon 1..{k_max}")
+    """``k``, an index or an array of them (a list, tuple or ndarray), after
+    checking that each is a whole number inside ``1..k_max``: the one check
+    of an index. An index that is no whole number raises
+    :func:`check_whole`'s error, and one outside the horizon a
+    :class:`HorizonError` that names it, the first outside in an array: the
+    one source of that error. A scalar is returned as an int, an array as
+    an int64 array."""
+    if not isinstance(k, (list, tuple, np.ndarray)):
+        k = k if type(k) is int else check_whole("index", k)  # an int is whole
+        if not 1 <= k <= k_max:
+            raise HorizonError(f"index {k} outside horizon 1..{k_max}")
+        return k
+    ks = np.asarray(k)
+    if ks.dtype.kind not in "iu":
+        # the first index that is no whole number raises: a fraction, inf or
+        # nan of a float array, or any entry of a bool, string or object one
+        with np.errstate(invalid="ignore"):  # inf % 1 is nan
+            rest = ks[ks % 1 != 0] if ks.dtype.kind == "f" else np.asarray(k, dtype=object)
+        for x in rest.ravel().tolist():
+            check_whole("index", x)
+    if ks.size and not 1 <= ks.min() <= ks.max() <= k_max:
+        outside = ks[(ks < 1) | (ks > k_max)].tolist()[0]
+        raise HorizonError(f"index {outside} outside horizon 1..{k_max}")
+    return ks.astype(np.int64, copy=False)
 
 
 class WeightSequence:
@@ -137,7 +162,7 @@ class WeightSequence:
         for key, arg in (("value", value), ("alpha", alpha), ("terms", terms)):
             if arg is not None and WEIGHT_PARAMS.get(kind) != key:
                 raise ValidationError(f"a {kind} weight sequence takes no {key}")
-        self.k_max = _check_k_max(k_max)
+        self.k_max = check_whole("k_max", k_max, 1)
         self.kind = kind
         self.alpha = alpha
         self.value = 1.0 if value is None else value
@@ -225,8 +250,7 @@ class WeightSequence:
 
     def weights(self, k):
         """``lam_1..lam_k`` as a new array."""
-        check_horizon(k, self.k_max)
-        return self._formula(k)
+        return self._formula(check_horizon(k, self.k_max))
 
     def prefix_sum(self, k):
         """Return ``L(k) = sum_{j=1}^{k} 1/lam_j``."""
@@ -234,7 +258,7 @@ class WeightSequence:
 
     def prefix_sums(self, k):
         """``L(1..k)`` as a read-only array."""
-        check_horizon(k, self.k_max)
+        k = check_horizon(k, self.k_max)
         if k <= self.anchor:  # a view of the exact table
             return self._prefix_head()[:k]
         pref = self.prefix_sums_at(np.arange(1, k + 1))
@@ -242,11 +266,10 @@ class WeightSequence:
         return pref
 
     def prefix_sums_at(self, ks):
-        """``L(k)`` at every k of an integer array, as a new array of its shape."""
-        ks = np.asarray(ks, dtype=np.int64)
+        """``L(k)`` at every k of an index or an array of them, as a new
+        array of its shape."""
+        ks = np.asarray(check_horizon(ks, self.k_max))
         top = ks.max(initial=1)
-        if not 1 <= ks.min(initial=1) <= top <= self.k_max:
-            check_horizon(ks[(ks < 1) | (ks > self.k_max)][0], self.k_max)
         head = self._prefix_head()
         # "clip" reads L(anchor) for every k past it, which np.where replaces
         inside = head.take(ks - 1, mode="clip")
@@ -437,7 +460,7 @@ class SchrammFamily:
                         pass
             self.base = None
             self.weights = None
-            self.k_max = DEFAULT_K_MAX if k_max is None else _check_k_max(k_max)
+            self.k_max = DEFAULT_K_MAX if k_max is None else check_whole("k_max", k_max, 1)
             terms = self.terms  # extended beyond the list by the last pair
             self._rank_terms = lambda n: [*terms[:n], *[terms[-1]] * (n - len(terms))]
             self._sum = lambda xs, ranks: sum([c * x ** e for x, (c, e) in zip(xs, ranks)])
@@ -492,19 +515,13 @@ class SchrammFamily:
             ranks = self._ranks = self._rank_terms(min(self.k_max, max(n, 2 * len(ranks))))
         return ranks
 
-    def _check_horizon(self, ks):
-        outside = ks[(ks < 1) | (ks > self.k_max)]
-        if len(outside):
-            check_horizon(outside[0], self.k_max)
-
     def partial_sum(self, k, x):
         """Evaluate Phi_k(x) = sum_{j<=k} phi_j(x); ``k`` and ``x`` broadcast.
 
         Terms past k add an exact 0.0, so an array k gives per element the
         same float as a scalar k.
         """
-        k = np.asarray(k)
-        self._check_horizon(k)
+        k = np.asarray(check_horizon(k, self.k_max))
         with np.errstate(over="ignore"):  # inf past the largest float, as rank_sum
             total = (self.base(x) * self.weights.prefix_sums_at(k) if self.kind == "scaled"
                      else self._phi_and_slope(k, x)[0])
@@ -531,7 +548,7 @@ class SchrammFamily:
         return phi, slope
 
     def partial_inverse_many(self, ks, y):
-        """``Phi_k^{-1}(y)`` over an integer array of k values, for one
+        """``Phi_k^{-1}(y)`` over an array of k values, for one
         target ``y`` or an array of targets that broadcasts against ``ks``;
         the result has the broadcast shape.
 
@@ -542,8 +559,7 @@ class SchrammFamily:
         """
         if not np.all(np.greater_equal(y, 0)):  # a negative or nan target
             raise ValidationError("inverse target must be nonnegative")
-        ks = np.asarray(ks, dtype=int)
-        self._check_horizon(ks)
+        ks = np.asarray(check_horizon(ks, self.k_max))
         if self.kind == "scaled":  # base.inverse(0) is 0
             return self.base.inverse(y / self.weights.prefix_sums_at(ks))
         shape = np.broadcast_shapes(ks.shape, np.shape(y))
@@ -631,8 +647,8 @@ class GaugePair:
     """
 
     def __init__(self, qn, deltas, *, q_limit=None):
-        qn = np.asarray(qn, dtype=float)
-        deltas = np.asarray(deltas, dtype=float)
+        qn = check_reals("a q_n", qn)
+        deltas = check_reals("a delta_n", deltas)
         if qn.shape != deltas.shape or qn.ndim != 1 or len(qn) < 1:
             raise ValidationError("q_n and delta_n ladders must match in length")
         if not np.all((qn >= 1) & (qn < math.inf)) or np.any(np.diff(qn) < 0):
@@ -660,6 +676,8 @@ class GaugePair:
             if qn_list is None or len(qn_list) == 0:
                 raise ValidationError("list qn ladder needs qn_list")
             n_max = len(qn_list)
+        else:
+            n_max = check_whole("n_max", n_max, 1)
         if delta_kind == "pow2":
             if n_max > _POW2_LEVELS:
                 raise ValidationError(f"a pow2 delta ladder has at most {_POW2_LEVELS} levels "
@@ -678,20 +696,16 @@ class GaugePair:
         elif qn_kind == "const":
             if q is None:
                 raise ValidationError("const qn ladder needs q")
-            qn, q_limit = np.full(n_max, float(q)), float(q)
+            qn, q_limit = np.full(n_max, float(check_real("q", q))), float(q)
         elif qn_kind == "to":
-            if q is None or q <= 1:
+            if q is None or check_real("q", q) <= 1:
                 raise ValidationError("'to' qn ladder needs q > 1")
             qn, q_limit = q - (q - 1.0) / n, float(q)
-        elif qn_kind == "list":
-            qn = np.asarray(qn_list, dtype=float)
-            q_limit = float(qn[-1])
+        elif qn_kind == "list":  # the constructor checks it and takes its last q
+            qn, q_limit = qn_list, None
         else:
             raise ValidationError(f"unknown qn ladder kind {qn_kind!r}")
-        if delta_kind == "pow2":
-            deltas = 2.0 ** np.arange(1, n_max + 1)
-        else:
-            deltas = np.asarray(delta_list, dtype=float)
+        deltas = 2.0 ** np.arange(1, n_max + 1) if delta_kind == "pow2" else delta_list
         return cls(qn[:n_max], deltas[:n_max], q_limit=q_limit)
 
     def levels(self, n):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResolutionError, ValidationError
+from .sequences import check_reals, check_whole
 
 
 @dataclass(frozen=True)
@@ -22,12 +23,11 @@ class StepFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = check_reals("a sample", self.values)
         if values.ndim != 1 or len(values) < 2:
             raise ValidationError("need at least 2 samples")
         if not np.all(np.isfinite(values)):
             raise ValidationError("samples must be finite")
-        values = values.copy()
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
@@ -106,11 +106,8 @@ def generate_block(n, height, t_n, delta_n, m):
     :func:`plateau_edges`; the value at the closing grid point is 0, so the
     increment across the closing edge is exact.
     """
-    if t_n < 0 or n < 1 or m < 1:
-        raise ValidationError("need n >= 1, t_n >= 0, m >= 1")
-    delta_n = int(delta_n)
-    if delta_n < 2:
-        raise ValidationError("delta_n must be >= 2")
+    n, t_n = check_whole("n", n, 1), check_whole("t_n", t_n, 0)
+    delta_n, m = check_whole("delta_n", delta_n, 2), check_whole("m", m, 1)
     values = np.zeros(m + 1)
     if t_n == 0 or height == 0:
         return StepFunction(values)

@@ -84,7 +84,10 @@ from .sequences import (GaugePair, SchrammFamily, WeightSequence, check_horizon,
                         check_real, check_whole)
 from .stepfn import IntervalCollection, StepFunction
 
-#: largest grid resolution at which rank-dependent search runs exactly
+#: the default ``oracle_cap``: a rank-dependent solve of up to this many grid
+#: cells runs the exact label search, except for an explicit family whose
+#: input range passes its ``ordered_to``, which reads bounds at any m. A cap
+#: is a whole number >= 0, since an inf one would let the search run unbounded
 ORACLE_CAP_DEFAULT = 16
 
 _REL_TOL = 1e-12
@@ -832,7 +835,7 @@ def _rank_solve(f, levels, oracle_cap):
     n = m // min_len, the nu rule's columns), so they can only tighten, and
     the dual's column, rank-free, has the optimum of the input grid there.
     """
-    oracle_cap = _check_oracle_cap(oracle_cap)
+    oracle_cap = check_whole("oracle_cap", oracle_cap, 0)
     if levels[0][0].rank_free is not None:
         solved, _ = _dp_solve(f, [(family.rank_free, min_len) for family, min_len, _ in levels])
         solved = [(value, value, "exact-dp", witness) for value, witness in solved]
@@ -848,15 +851,6 @@ def _rank_solve(f, levels, oracle_cap):
         results.append(VariationResult(mode=mode, lower=lower ** root, upper=upper ** root,
                                        witness=witness))
     return results
-
-
-def _check_oracle_cap(oracle_cap):
-    """``oracle_cap`` as an int, after checking that it is a whole number
-    >= 0: the one check of the cap, whose :class:`ValidationError` names
-    it. An inf cap would let the label search run unbounded."""
-    if check_whole("oracle_cap", oracle_cap) < 0:
-        raise ValidationError("oracle_cap must be >= 0")
-    return int(oracle_cap)
 
 
 def _rank_search(f, skeleton, family, min_len, p, oracle_cap):
@@ -894,9 +888,7 @@ def _rank_search(f, skeleton, family, min_len, p, oracle_cap):
 
 def modulus_of_variation(f: StepFunction, n: int) -> VariationResult:
     """Maximum total increment over at most ``n`` nonoverlapping intervals."""
-    n = check_whole("n", n)
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    n = check_whole("n", n, 1)
     [(value, witness)], best = _dp_solve(f, [(_linear, 1)], n)
     # the modulus is nondecreasing and concave in the interval count, up to
     # round-off relative to the value (an inf value has no differences)
@@ -923,13 +915,9 @@ def variation_unweighted_q(f: StepFunction, q: float, s_max: int | None = None,
     increments may all lie far below the range -- ``[1e-5, 0, 1, 0]`` at
     ``min_len = 3`` reads 1e-5 -- so that table stays on the block rule."""
     check_q(q)
-    min_len = check_whole("min_len", min_len)
-    if min_len < 1:
-        raise ValidationError("min_len must be >= 1 grid cell")
+    min_len = check_whole("min_len", min_len, 1)
     if s_max is not None:
-        s_max = check_whole("s_max", s_max)
-        if s_max < 1:
-            raise ValidationError("s_max must be >= 1")
+        s_max = check_whole("s_max", s_max, 1)
         if s_max >= f.m // min_len:
             s_max = None  # the cap cannot bind
     gain = _linear if q == 1 else (lambda x: x ** q)
@@ -1043,7 +1031,7 @@ def schramm_norm(f: StepFunction, family: SchrammFamily, f_a: float | None = Non
     :func:`variation_schramm`, and for another family c is the root of a
     real collection, which is at most the infimum.
     """
-    oracle_cap = _check_oracle_cap(oracle_cap)
+    oracle_cap = check_whole("oracle_cap", oracle_cap, 0)
     if f_a is None:
         f_a = float(f.values[0])
     elif not math.isfinite(check_real("f_a", f_a)):

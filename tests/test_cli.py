@@ -417,10 +417,10 @@ BAD_INPUTS = {
     "holder-p-inf": (["inequality", "--suite", "holder", "--samples", "5", "--seed", "1",
                       "--p", "inf"], "this branch needs 1 <= q_n < p < inf (q_n=1.0, p=inf)"),
     **{f"{suite}-samples{n}": (["inequality", "--suite", suite, "--samples", n, "--seed", "1"],
-                               f"a suite needs samples >= 1 (samples={n})")
+                               "samples must be >= 1")
        for suite in ("master", "wu", "holder", "comparison") for n in ("0", "-3")},
     "inequality-seed-neg": (["inequality", "--suite", "master", "--samples", "3", "--seed",
-                             "-1"], "a suite needs a whole-number seed >= 0 (seed=-1)"),
+                             "-1"], "seed must be >= 0"),
     "fa-nan": (NORM + ["--fa", "nan"], "f_a=nan must be finite"),
     "fa-inf": (NORM + ["--fa", "inf"], "f_a=inf must be finite"),
     "levels-past-float": (["counterexample", "--kind", "lambda", "--levels", "256"],
@@ -545,9 +545,9 @@ BAD_CONFIGS = {
     "weights-not-object": (CRITERION_18 + ["--kmax", "8", "--family",
                                            '{"kind":"power","p":2,"weights":"harmonic"}'],
                            "must be an object"),
-    "family-kmax-0": (CRITERION_18 + ["--family", FAM, "--kmax", "0"], "k_max must be positive"),
+    "family-kmax-0": (CRITERION_18 + ["--family", FAM, "--kmax", "0"], "k_max must be >= 1"),
     "schramm-kmax-0": (["variation", "--functional", "schramm", "--family", FAM, "--kmax", "0"],
-                       "k_max must be positive"),
+                       "k_max must be >= 1"),
     "delta-past-int64": (["counterexample", "--kind", "lambda", "--delta", "list:1e30",
                           "--levels", "1"], "exceeds the sequence horizon"),
 }

@@ -117,7 +117,7 @@ class TestPlan:
 
     @pytest.mark.parametrize("delta_2, error, message", [
         (1024, HorizonError, r"^delta_2=1024 exceeds the sequence horizon 512$"),
-        (100.5, ValidationError, r"^delta_2=100.5 is not an integer$")])
+        (100.5, ValidationError, r"^delta_2 must be a whole number, not 100\.5$")])
     def test_second_level_checks(self, delta_2, error, message):
         # level 1 plans; level 2 passes the horizon, or is no grid size
         gauge = GaugePair.build("const", "list", q=1.0, n_max=2, delta_list=[64, delta_2])

@@ -10,10 +10,12 @@ import pytest
 
 from gbv import (ConvexBase, GaugePair, ResolutionError, SchrammFamily, StepFunction,
                  TripleSample, ValidationError, WeightSequence, build_witness,
-                 certify_blowup, check_holder_branch, check_wu_estimate, criterion_schramm,
-                 generate_block, ingest, modulus_of_variation, plan_construction,
-                 schramm_norm, variation_gauged, variation_schramm, variation_unweighted_q,
-                 variation_weighted)
+                 certify_blowup, check_holder_branch, check_wu_estimate, criterion_corollary_q,
+                 criterion_schramm, criterion_union_p, extremal_profile, generate_block, ingest,
+                 modulus_of_variation, paper_constants, plan_construction, schramm_norm,
+                 variation_gauged, variation_schramm, variation_unweighted_q, variation_weighted)
+from gbv.inequalities import (monotone_vector, run_comparison_suite, run_holder_suite,
+                              run_master_suite, run_wu_suite)
 
 GAUGE = GaugePair.build("const", "pow2", n_max=2, q=1.0)
 HARMONIC = WeightSequence("harmonic", k_max=64)
@@ -42,10 +44,10 @@ BAD_CALLS = {
                               "needs a 'values' field"),
     "ingest-unknown-format": (lambda tmp: _ingest(tmp, "0\n1\n", "tsv"), ValidationError,
                               "unknown format 'tsv'"),
-    "block-n-0": (lambda tmp: generate_block(0, 1.0, 1, 4, 8), ValidationError, "need n >= 1"),
+    "block-n-0": (lambda tmp: generate_block(0, 1.0, 1, 4, 8), ValidationError, "n must be >= 1"),
     "block-t_n-neg": (lambda tmp: generate_block(1, 1.0, -1, 4, 8), ValidationError,
-                      "t_n >= 0"),
-    "block-m-0": (lambda tmp: generate_block(1, 1.0, 1, 4, 0), ValidationError, "m >= 1"),
+                      "t_n must be >= 0"),
+    "block-m-0": (lambda tmp: generate_block(1, 1.0, 1, 4, 0), ValidationError, "m must be >= 1"),
     "block-delta-1": (lambda tmp: generate_block(1, 1.0, 1, 1, 8), ValidationError,
                       "delta_n must be >= 2"),
     "gauge-mismatch": (lambda tmp: GaugePair([1.0, 2.0], [2.0]), ValidationError,
@@ -135,12 +137,122 @@ def test_count_that_is_no_whole_number_raises(case, count, fragment):
         assert call(2.0) == call(2)
 
 
+#: the suites, each with its own arguments past ``seed`` and ``samples``
+SUITES = {
+    "master": lambda seed, samples, **kw: run_master_suite(seed, samples, q_list=(2.0,), **kw),
+    "wu": lambda seed, samples, **kw: run_wu_suite(seed, samples, [POWER2], **kw),
+    "holder": lambda seed, samples, **kw: run_holder_suite(seed, samples, HARMONIC, HARMONIC,
+                                                           **kw),
+    "comparison": lambda seed, samples, **kw: run_comparison_suite(seed, samples, HARMONIC,
+                                                                   HARMONIC, **kw),
+}
+
+#: per count: the name its error gives it, the least value it takes, and a
+#: call that passes it where every other argument is valid
+LEAST_CALLS = {
+    "modulus": ("n", 1, lambda n: modulus_of_variation(ZIGZAG, n)),
+    "s_max": ("s_max", 1, lambda n: variation_unweighted_q(ZIGZAG, 1.0, s_max=n)),
+    "min_len": ("min_len", 1, lambda n: variation_unweighted_q(ZIGZAG, 1.0, min_len=n)),
+    "weights-k_max": ("k_max", 1, lambda n: WeightSequence("harmonic", k_max=n)),
+    "family-k_max": ("k_max", 1, lambda n: SchrammFamily("explicit", terms=[(1.0, 2.0)],
+                                                         k_max=n)),
+    "gauge-n_max": ("n_max", 1, lambda n: GaugePair.build("linear", "pow2", n_max=n)),
+    "block-n": ("n", 1, lambda n: generate_block(n, 1.0, 1, 4, 8)),
+    "block-t_n": ("t_n", 0, lambda n: generate_block(1, 1.0, n, 4, 8)),
+    # delta_n = 2.5 used to build the train of delta_n = 2
+    "block-delta_n": ("delta_n", 2, lambda n: generate_block(1, 1.0, 1, n, 8)),
+    "block-m": ("m", 1, lambda n: generate_block(1, 1.0, 1, 4, n)),
+    "paper_constants": ("n_levels", 1, paper_constants),
+    "monotone_vector": ("n", 1, lambda n: monotone_vector(np.random.default_rng(0), n)),
+    "extremal-n": ("n", 1, lambda n: extremal_profile(n, [1.0], [1.0], 2.0)),
+    "extremal-grid": ("grid", 1, lambda n: extremal_profile(1, [1.0], [1.0], 2.0, grid=n)),
+    **{f"{suite}-seed": ("seed", 0, lambda n, run=run: run(n, 3))
+       for suite, run in SUITES.items()},
+    **{f"{suite}-samples": ("samples", 1, lambda n, run=run: run(0, n))
+       for suite, run in SUITES.items()},
+    **{f"{suite}-n_max": ("n_max", 1, lambda n, run=run: run(0, 3, n_max=n))
+       for suite, run in SUITES.items()},
+}
+
+
+@pytest.mark.parametrize("bad", ["fraction", "bool", "str", "below"])
+@pytest.mark.parametrize("case", sorted(LEAST_CALLS))
+def test_count_takes_a_whole_number_of_at_least_its_least(case, bad):
+    name, least, call = LEAST_CALLS[case]
+    count, fragment = {"fraction": (2.5, "a whole number, not 2.5"),
+                       "bool": (True, "a number, not True"), "str": ("3", "a number, not '3'"),
+                       "below": (least - 1, f">= {least}")}[bad]
+    with pytest.raises(ValidationError, match=f"^{re.escape(f'{name} must be {fragment}')}$"):
+        call(count)
+
+
+def test_suite_reports_its_seed_and_samples_as_ints():
+    for run in SUITES.values():
+        report = run(np.int64(3), np.int64(5))
+        count = report.get("samples", report.get("samples_per_q"))
+        assert type(report["seed"]) is int and type(count) is int
+        assert report == run(3, 5)
+
+
+#: per index read: a call that reads the index k, or the array of them, given
+INDEX_READS = {
+    "weights": lambda k: HARMONIC.weights(k),
+    "prefix_sum": lambda k: HARMONIC.prefix_sum(k),
+    "prefix_sums": lambda k: HARMONIC.prefix_sums(k),
+    "prefix_sums_at": lambda k: HARMONIC.prefix_sums_at(k),
+    "partial_sum": lambda k: POWER2.partial_sum(k, 0.5),
+    "partial_inverse_many": lambda k: POWER2.partial_inverse_many(k, 1.0),
+    "explicit-partial_sum": lambda k: SchrammFamily("explicit", terms=[(1.0, 2.0)],
+                                                    k_max=64).partial_sum(k, 0.5),
+    "explicit-partial_inverse_many": lambda k: SchrammFamily(
+        "explicit", terms=[(1.0, 2.0)], k_max=64).partial_inverse_many(k, 1.0),
+}
+
+
+@pytest.mark.parametrize("k, fragment", [
+    (2.5, "a whole number, not 2.5"), (math.inf, "a whole number, not inf"),
+    (True, "a number, not True"), ("3", "a number, not '3'")],
+    ids=["fraction", "inf", "bool", "str"])
+@pytest.mark.parametrize("case", sorted(INDEX_READS))
+def test_index_that_is_no_whole_number_raises(case, k, fragment):
+    read = INDEX_READS[case]
+    # a scalar, and an array after a valid index; numpy reads a bool among
+    # ints as an int, so a bool array is all bools
+    for ks in (k, [k, k] if k is True else [1, k]):
+        if case in ("weights", "prefix_sums") and ks is not k:
+            continue  # these read one k
+        with pytest.raises(ValidationError, match=f"^index must be {re.escape(fragment)}$"):
+            read(ks)
+
+
+@pytest.mark.parametrize("case", ["prefix_sums_at", "partial_sum", "partial_inverse_many",
+                                  "explicit-partial_sum", "explicit-partial_inverse_many"])
+def test_whole_float_indices_read_as_ints(case):
+    read = INDEX_READS[case]
+    ks = np.array([[1, 5], [64, 2]])
+    assert np.array_equal(read(ks.astype(float)), read(ks))
+    assert np.array_equal(read(ks.astype(np.uint8)), read(ks))
+    assert read(5.0) == read(5) == read(np.int64(5))
+
+
 #: per real argument: the name its error gives it, and a call that passes it
 REAL_CALLS = {
     "uq": ("q", lambda x: variation_unweighted_q(ZIGZAG, x)),
     "triple": ("q", lambda x: TripleSample([1.0], [1.0], [1.0], x)),
     "wu": ("q", lambda x: check_wu_estimate([2.0, 1.0], POWER2, x)),
     "norm": ("f_a", lambda x: schramm_norm(ZIGZAG, POWER2, f_a=x)),
+    "gauge-const": ("q", lambda x: GaugePair.build("const", "pow2", n_max=2, q=x)),
+    "gauge-to": ("q", lambda x: GaugePair.build("to", "pow2", n_max=2, q=x)),
+    "gauge-qn": ("a q_n", lambda x: GaugePair([x, x], [2.0, 4.0])),
+    "gauge-delta": ("a delta_n", lambda x: GaugePair([1.0, 1.0], [x, x])),
+    "gauge-qn-list": ("a q_n", lambda x: GaugePair.build("list", "pow2", qn_list=[x])),
+    "gauge-delta-list": ("a delta_n", lambda x: GaugePair.build("linear", "list", n_max=1,
+                                                                delta_list=[x])),
+    "corollary-p": ("p", lambda x: criterion_corollary_q(HARMONIC, HARMONIC, x, 2.0)),
+    "corollary-q": ("q", lambda x: criterion_corollary_q(HARMONIC, HARMONIC, 1.0, x)),
+    "union-p": ("p", lambda x: criterion_union_p(HARMONIC, x, GaugePair.build(n_max=2), 2)),
+    "holder-p": ("p", lambda x: check_holder_branch([1.0], HARMONIC, HARMONIC, x, 1.0)),
+    "holder-q_n": ("q_n", lambda x: check_holder_branch([1.0], HARMONIC, HARMONIC, 2.0, x)),
 }
 
 

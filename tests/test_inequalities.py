@@ -304,5 +304,6 @@ def test_master_suite_rejects_small_q():
 
 @pytest.mark.parametrize("seed", [None, 1.5])
 def test_suite_rejects_a_seed_that_is_no_whole_number(seed):
-    with pytest.raises(ValidationError, match="a suite needs a whole-number seed >= 0"):
+    kind = "a number" if seed is None else "a whole number"
+    with pytest.raises(ValidationError, match=f"^seed must be {kind}, not {seed!r}$"):
         run_holder_suite(seed, 3, HARMONIC, CONST1)

@@ -349,7 +349,7 @@ class TestSchrammFamily:
     def test_k_max_below_one_rejected(self, make):
         # one check for every horizon: an explicit family with k_max 0 used to
         # fail later, with a math domain error or an empty horizon
-        with pytest.raises(ValidationError, match="^k_max must be positive$"):
+        with pytest.raises(ValidationError, match="^k_max must be >= 1$"):
             make()
 
     def test_rank_cache_at_least_doubles(self, monkeypatch):

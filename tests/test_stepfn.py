@@ -31,6 +31,14 @@ class TestStepFunction:
         with pytest.raises(ValidationError):
             StepFunction([1.0])
 
+    @pytest.mark.parametrize("samples, read", [
+        (["1", "2"], "'1'"), ([True, False], "True"), (["a", "b"], "'a'"), ([0.0, "1"], "'1'")],
+        ids=["digits", "bools", "letters", "mixed"])
+    def test_rejects_samples_that_are_no_numbers(self, samples, read):
+        # checked before the float conversion, which would read '1' as 1.0
+        with pytest.raises(ValidationError, match=f"^a sample must be a number, not {read}$"):
+            StepFunction(samples)
+
     def test_round_trip_json(self, tmp_path):
         f = StepFunction([0.0, 0.25, 1.0, 0.0])
         path = tmp_path / "f.json"

@@ -212,13 +212,14 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def main_sweep():
-    os.environ["GBV_LOG"] = "WARNING"
+def sweep_lines(calls):
+    """The output line of each argv of ``calls``, run in turn in a fresh
+    temporary directory that holds the inputs."""
     inputs = _inputs()
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         for name, text in inputs.items():
             Path(name).write_text(text)
-        for argv in _calls():
+        for argv in calls:
             argv = argv + ["--output", "report.json"]
             code, out, err = _run(argv)
             summary = hashlib.sha256(repr((code, out, err)).encode())
@@ -227,7 +228,13 @@ def main_sweep():
                 if path.name not in inputs:
                     files.update(path.name.encode() + b"\0" + path.read_bytes())
                     path.unlink()
-            print(f"{code} {summary.hexdigest()} {files.hexdigest()} {shlex.join(argv)}")
+            yield f"{code} {summary.hexdigest()} {files.hexdigest()} {shlex.join(argv)}"
+
+
+def main_sweep():
+    os.environ["GBV_LOG"] = "WARNING"
+    for line in sweep_lines(_calls()):
+        print(line)
 
 
 if __name__ == "__main__":

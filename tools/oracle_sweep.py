@@ -1,5 +1,5 @@
 """Check the exact DP, the rank-dependent solves and the gauged variation
-against brute force.
+against brute force, and the criterion scans against a dense kernel.
 
 Every case solves one input at m <= 12 and compares the result with the
 brute-force maximum of ``tests/oracles.py``, which enumerates every
@@ -48,7 +48,17 @@ Groups:
 - ``certify``: counterexample witnesses of both kinds (:data:`WITNESSES`),
   planned, built and certified. The brute-force source variation is at
   most ``total_bound``, the brute-force gauged variation is at least every
-  ``L_n``, and each lies inside the ``engine`` bracket of its certificate.
+  ``L_n``, and each lies inside the ``engine`` bracket of its certificate;
+- ``criteria``: theorems 1.4, 1.5, 1.7, 1.8 (the scaled families
+  ``x^2 / j`` and ``(e^x - 1) / j``, and ``EXPLICIT_TERMS``) and 1.9, on
+  pow2 ladders up to delta_n = ``CRIT_TOP`` = 2^16 (theorem 1.5 to that
+  horizon), against the tool's own kernel ``Gamma(k)^{1/q_n}
+  Phi_k^{-1}(1)`` at every k <= delta_n: lam_j from its own formulas,
+  Gamma and Lambda as compensated running sums, and ``Phi_k^{-1}(1)`` in
+  closed form for a scaled family and by bisection for the explicit one.
+  Per row, ``a_n <= dense max <= a_n_upper`` to ``CRIT_REL`` = 1e-12
+  relative, and on an exact scan ``argmax_k`` is the first k in the tie
+  band. The rows agreed to 3.7e-15 relative when the group was written.
 
 Inputs come from seeded generators: walks, rounded sines, plateau trains,
 integers, zigzags, a walk scaled by 1e150 and N(0,1) noise, at every m from
@@ -61,10 +71,10 @@ any violation. Run it from anywhere::
 
     python tools/oracle_sweep.py
 
-It takes about 20 s on a 2-core x86_64 VM: 1.4 s in the certify group and
-about 9 s in the inputs at m = 12.
-:func:`sweep` runs given groups at given m in-process; tier-1 runs a slice
-of every group at small m through it.
+It takes about 20 s on a 2-core x86_64 VM: 1.4 s in the certify group,
+0.6 s in the criteria group and about 9 s in the inputs at m = 12.
+:func:`sweep` runs given groups at given m, and the criteria up to a given
+delta_n, in-process; tier-1 runs a slice of every group through it.
 """
 
 import functools
@@ -81,8 +91,11 @@ sys.path.insert(0, str(ROOT / "tests"))
 import oracles  # noqa: E402
 from gbv import (ConvexBase, GaugePair, SchrammFamily, StepFunction,  # noqa: E402
                  WeightSequence, build_witness, certify_blowup, certify_membership,
-                 modulus_of_variation, plan_construction, schramm_norm, variation_gauged,
-                 variation_schramm, variation_unweighted_q, variation_weighted)
+                 criterion_corollary_q, criterion_lambda_gamma, criterion_phi_lambda,
+                 criterion_schramm, criterion_union_p, modulus_of_variation, plan_construction,
+                 schramm_norm, variation_gauged, variation_schramm, variation_unweighted_q,
+                 variation_weighted)
+from gbv.criteria import TIE_BAND  # noqa: E402
 
 SEED = 2017
 SIZES = range(3, 11)
@@ -390,19 +403,176 @@ def _certify_group(sweep, sizes):
     return modes
 
 
+#: the largest delta_n, and the horizon of theorem 1.5, of the criteria group
+CRIT_TOP = 1 << 16
+#: weights of the criteria group: the rank group's and an explicit list
+CRIT_WEIGHTS = {**WEIGHTS, "explicit:1,2,4": (WeightSequence("explicit", terms=[1, 2, 4]),
+                                              lambda j: float(1 << min(j - 1, 2)))}
+#: q_n ladders of the criteria group, each on delta_n = 2^n: the arguments
+#: of ``GaugePair.build`` and q_n from the tool's own formula
+CRIT_LADDERS = {
+    "const:1": ({"qn_kind": "const", "q": 1.0}, lambda n: 1.0),
+    "const:2": ({"qn_kind": "const", "q": 2.0}, lambda n: 2.0),
+    "linear": ({"qn_kind": "linear"}, float),
+    "to:3": ({"qn_kind": "to", "q": 3.0}, lambda n: 3.0 - 2.0 / n),
+}
+#: theorem 1.4: (Lambda, Gamma, p, ladder), p <= q_1; Gamma = Lambda is flat at p = q
+CRIT_14 = [("harmonic", "constant", 1.0, "const:1"), ("harmonic", "constant", 1.0, "linear"),
+           ("log", "power:0.5", 1.0, "to:3"), ("power:0.5", "harmonic", 2.0, "const:2"),
+           ("harmonic", "harmonic", 1.0, "const:1"), ("explicit:1,2,4", "constant", 1.0, "const:2")]
+#: theorem 1.5: (Lambda, Gamma, p, q), p <= q, scanned to the horizon CRIT_TOP
+CRIT_15 = [("harmonic", "constant", 1.0, 2.0), ("log", "harmonic", 1.5, 2.0),
+           ("power:0.5", "power:0.5", 2.0, 2.0)]
+#: theorem 1.7: (Lambda = Gamma, p, ladder), p below the ladder's limit
+CRIT_17 = [("harmonic", 1.5, "linear"), ("log", 2.0, "to:3")]
+#: theorem 1.9: (base, Lambda, ladder)
+CRIT_19 = [("power:2", "harmonic", "const:2"), ("expm1", "log", "linear"),
+           ("expm1", "harmonic", "to:3")]
+#: relative tolerance of a criterion row against the tool's dense kernel
+CRIT_REL = 1e-12
+
+
+def _running_sums(terms):
+    """The prefix sums of ``terms``, a Neumaier-compensated running sum: each
+    within a few ulps of the exact sum."""
+    out, total, carry = [], 0.0, 0.0
+    for t in terms:
+        new = total + t
+        carry += (total - new) + t if abs(total) >= abs(t) else (t - new) + total
+        total = new
+        out.append(total + carry)
+    return np.array(out)
+
+
+def _explicit_roots(top):
+    """``Phi_k^{-1}(1)`` of ``EXPLICIT_TERMS`` at k = 1..top, by bisection to
+    adjacent floats: the least float x of the bisection with ``Phi_k(x) >=
+    1``, where ``Phi_k(x) = sum_{j<=k} c_j x^e_j`` repeats the last pair.
+    ``Phi_k(1) >= phi_1(1) = 1``, so each root lies in [0, 1]."""
+    ks = np.arange(1, top + 1)
+    last = len(EXPLICIT_TERMS)
+
+    def phi(x):
+        total = np.zeros(top)
+        for j, (c, e) in enumerate(EXPLICIT_TERMS, 1):
+            count = np.clip(ks - j + 1, 0, None if j == last else 1)
+            total += count * (c * x ** e)
+        return total
+
+    lo, hi = np.zeros(top), np.ones(top)
+    while True:
+        mid = 0.5 * (lo + hi)
+        moving = (lo < mid) & (mid < hi)
+        if not moving.any():
+            return hi
+        above = phi(mid) >= 1.0
+        hi = np.where(moving & above, mid, hi)
+        lo = np.where(moving & ~above, mid, lo)
+
+
+def _check_scan(sweep, case, report, levels, g, h):
+    """Record every violation of the criterion ``report`` against the dense
+    kernel ``g(k)^(1/q_n) h(k)`` over k <= delta_n, for ``levels``, its
+    ``(q_n, delta_n)`` per row, and the tool's parts ``g`` and ``h`` at k =
+    1, 2, ...: ``a_n <= dense max <= a_n_upper`` to ``CRIT_REL``, and on an
+    exact scan ``a_n == a_n_upper`` and ``argmax_k`` the first k whose value
+    is in the tie band ``[(1 - TIE_BAND) max, max]``, up to ``CRIT_REL`` at
+    the band's edge."""
+    bad = []
+    if len(report.levels) != len(levels):
+        bad.append(f"{len(report.levels)} rows for {len(levels)} levels")
+    for row, (q, top) in zip(report.levels, levels):
+        kernel = g[:top] ** (1.0 / q) * h[:top]
+        dense = float(kernel.max())
+        a, upper, k = row["a_n"], row["a_n_upper"], row["argmax_k"]
+        where = f"row {row['n']} (q_n={q:g}, delta_n={top})"
+        if not a <= dense * (1 + CRIT_REL) or not dense <= upper * (1 + CRIT_REL):
+            bad.append(f"{where}: a_n {a!r} <= dense max {dense!r} <= a_n_upper {upper!r} fails")
+        if report.inexact_scan:
+            continue
+        if a != upper:
+            bad.append(f"{where}: exact scan with a_n {a!r} != a_n_upper {upper!r}")
+        band = dense * (1.0 - TIE_BAND)
+        if not (1 <= k <= top and kernel[k - 1] >= band * (1 - CRIT_REL)
+                and not np.any(kernel[:k - 1] >= band * (1 + CRIT_REL))):
+            first = int(np.argmax(kernel >= band)) + 1
+            bad.append(f"{where}: argmax_k {k} is not the first k in the tie band, {first}")
+    sweep.violations += [f"  VIOLATION {case}: {text}" for text in bad]
+    return "bracketed" if report.inexact_scan else "exact"
+
+
+def _criteria_group(sweep, sizes, top=CRIT_TOP):
+    """Theorems 1.4, 1.5, 1.7, 1.8 and 1.9 on pow2 ladders of ``top.bit_length()
+    - 1`` levels, delta_n = 2^n <= ``top``, against the tool's own dense
+    kernel: lam_j from ``CRIT_WEIGHTS``' formulas, their running sums,
+    ``Phi_k^{-1}(1)`` in closed form for a scaled family and by bisection
+    for ``EXPLICIT_TERMS``."""
+    modes = {}
+    n_cap = top.bit_length() - 1
+    ks = np.arange(1, top + 1, dtype=float)
+    sums = {name: _running_sums([1.0 / lam(j) for j in range(1, top + 1)])
+            for name, (_, lam) in CRIT_WEIGHTS.items()}
+
+    def gauge(ladder):
+        build, qn = CRIT_LADDERS[ladder]
+        return (GaugePair.build(delta_kind="pow2", n_max=n_cap, **build),
+                [(qn(n), 1 << n) for n in range(1, n_cap + 1)])
+
+    def run(case, report, levels, g, h):
+        mode = _check_scan(sweep, case, report, levels, g, h)
+        modes[mode] = modes.get(mode, 0) + 1
+
+    for lam, gam, p, ladder in CRIT_14:
+        pair, levels = gauge(ladder)
+        run(f"1.4 {lam}/{gam} p={p:g} {ladder}",
+            criterion_lambda_gamma(CRIT_WEIGHTS[lam][0], CRIT_WEIGHTS[gam][0], p, pair, n_cap),
+            levels, sums[gam], sums[lam] ** (-1.0 / p))
+    for lam, gam, p, q in CRIT_15:
+        w_lambda, w_gamma = (WeightSequence.from_config({**CRIT_WEIGHTS[w][0].to_config(),
+                                                         "k_max": top}) for w in (lam, gam))
+        tops = [1 << i for i in range(n_cap + 1)]  # the dyadic checkpoints up to the horizon
+        run(f"1.5 {lam}/{gam} p={p:g} q={q:g} top={top}",
+            criterion_corollary_q(w_lambda, w_gamma, p, q), [(q, t) for t in tops],
+            sums[gam], sums[lam] ** (-1.0 / p))
+    for lam, p, ladder in CRIT_17:
+        pair, levels = gauge(ladder)
+        run(f"1.7 {lam} p={p:g} {ladder}",
+            criterion_union_p(CRIT_WEIGHTS[lam][0], p, pair, n_cap),
+            levels, sums[lam], sums[lam] ** (-1.0 / p))
+    # theorem 1.8 has gamma_j = 1, so Gamma(k) = k
+    roots = {"power:2/harmonic": sums["harmonic"] ** -0.5,
+             "EXPLICIT_TERMS": _explicit_roots(top),
+             "expm1/harmonic": np.log1p(1.0 / sums["harmonic"])}
+    for fam_name, family, _ in NORM_FAMILIES:
+        for ladder in ("const:2", "linear", "to:3"):
+            pair, levels = gauge(ladder)
+            run(f"1.8 {fam_name} {ladder}", criterion_schramm(family, pair, n_cap),
+                levels, ks, roots[fam_name])
+    for base, lam, ladder in CRIT_19:
+        pair, levels = gauge(ladder)
+        shape = ConvexBase("power", p=2.0) if base == "power:2" else ConvexBase("expm1")
+        # phi^{-1}(1 / Lambda(k)): Phi_k = phi Lambda(k)
+        inverse = sums[lam] ** -0.5 if base == "power:2" else np.log1p(1.0 / sums[lam])
+        run(f"1.9 {base}/{lam} {ladder}",
+            criterion_phi_lambda(shape, CRIT_WEIGHTS[lam][0], pair, n_cap), levels, ks, inverse)
+    return modes
+
+
 GROUPS = {"dp": _dp_group, "rank": _rank_group, "gauge": _gauge_group, "norm": _norm_group,
-          "certify": _certify_group}
+          "certify": _certify_group, "criteria": _criteria_group}
 
 
-def sweep(groups=tuple(GROUPS), sizes=range(3, 13)):
+def sweep(groups=tuple(GROUPS), sizes=range(3, 13), top=CRIT_TOP):
     """``{group: (modes, violations)}`` of the ``groups`` on the inputs and
-    witnesses at m in ``sizes``: the solves per mode, and one line per
-    violation. The inputs are drawn at m in ``SIZES`` and at ``BOUNDS_M``,
-    the witnesses are at m = 8 and 12."""
+    witnesses at m in ``sizes``, and the criteria on ladders up to delta_n =
+    ``top``: the solves (scans) per mode, and one line per violation. The
+    inputs are drawn at m in ``SIZES`` and at ``BOUNDS_M``, the witnesses
+    are at m = 8 and 12."""
     out = {}
     for group in groups:
         checks = Sweep()
-        out[group] = GROUPS[group](checks, sizes), checks.violations
+        args = (checks, sizes, top) if group == "criteria" else (checks, sizes)
+        out[group] = GROUPS[group](*args), checks.violations
     return out
 
 
