@@ -348,7 +348,9 @@ class ConvexBase:
 
     def __call__(self, x):
         if self.shape == "power":
-            return np.power(x, self.p)
+            # numpy's ** takes exact fast paths (x^1 as a copy, x^2 as x*x)
+            # that np.power does not
+            return np.asarray(x) ** self.p
         return np.expm1(x)
 
     def inverse(self, y):
@@ -402,10 +404,6 @@ class SchrammFamily:
         #: phi_1 >= phi_2 >= ... holds on [0, ordered_to]: a rising exponent
         #: e_{j+1} > e_j holds it up to the crossing (c_j/c_{j+1})^(1/(e_{j+1}-e_j))
         self.ordered_to = math.inf
-        #: the rank-free gain the bounds read: g of phi_j = rank_weights(n)[j - 1]
-        #: * g when scaled, whose top-k dual fills their DP columns; x, the
-        #: gain of the nu table, for an explicit family
-        self.surrogate = lambda x: x
         # lam_j or (c_j, e_j) per rank for rank_sum, grown on demand. Each kind
         # picks its per-rank formula once below, with scalar ** (libm pow):
         # numpy's array power can differ in the last bit
@@ -423,15 +421,11 @@ class SchrammFamily:
             if self.base.shape == "power":
                 p = self.base.p
                 self._sum = lambda xs, lams: sum([x ** p / lam for x, lam in zip(xs, lams)])
-                # numpy's ** takes exact fast paths (x^1 as a copy, x^2 as
-                # x*x) that np.power does not
-                self.surrogate = lambda x: x ** p
             else:
                 self._sum = lambda xs, lams: sum([math.expm1(x) / lam
                                                   for x, lam in zip(xs, lams)])
-                self.surrogate = self.base
             if weights.terms is not None and len(set(weights.terms[:weights.k_max])) == 1:
-                base, c = self.surrogate, 1.0 / weights.weights(1).item()
+                c = 1.0 / weights.weights(1).item()
                 self.rank_free = lambda x: c * base(x)
         elif kind == "explicit":
             if not isinstance(terms, (list, tuple)) or not terms:
@@ -497,10 +491,9 @@ class SchrammFamily:
             return math.inf
 
     def rank_weights(self, n):
-        """``[w_1, ..., w_n]`` with ``phi_j = w_j * surrogate``: ``1 / lam_j``
-        for a scaled family, past the horizon the :class:`HorizonError` of
-        :meth:`rank_sum`. None for an explicit family, whose surrogate x is
-        no factor of its phi_j."""
+        """``[w_1, ..., w_n]`` with ``phi_j = w_j * base``: ``1 / lam_j`` for a
+        scaled family, past the horizon the :class:`HorizonError` of
+        :meth:`rank_sum`. None for an explicit family, which has no base."""
         if self.kind != "scaled":
             return None
         return [1.0 / lam for lam in self._ranks_to(n)[:n]]

@@ -628,7 +628,9 @@ def _rank_bounds(values, family, min_len=1, ranks=None):
     weights = family.rank_weights(n)
     if weights is not None:
         return _dual_bounds(values, family, weights, min_len)
-    best, walk = _dp(values, [(family.surrogate, min_len)], m)
+    # the increment itself, but not _linear: every column is walked, which
+    # needs the block rule's end pointers
+    best, walk = _dp(values, [(lambda x: x, min_len)], m)
     samples = values.tolist()
     lower, witness_pairs = 0.0, []
     for k in range(1, best.shape[1]):
@@ -692,14 +694,14 @@ def _dual_bounds(values, family, weights, min_len):
     while lower < upper * (1.0 - _REL_TOL):
         t = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):
-            t[n - len(incs):] = np.sort(family.surrogate(np.array(incs)))
+            t[n - len(incs):] = np.sort(family.base(np.array(incs)))
             total = np.concatenate(([0.0], np.add.accumulate(steps * t)))  # T[i]
             cost = float(coef @ t)  # C_t
         if not total[-1] < math.inf:  # an inf t_k, or c t past the largest float
             break
 
         def h(x, t=t, total=total):
-            y = family.surrogate(x)
+            y = family.base(x)
             i = np.searchsorted(t, y)
             y *= below[i]
             y -= total[i]

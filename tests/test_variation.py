@@ -1330,7 +1330,7 @@ def test_dual_fills_no_column_from_an_inf_gain():
     # reads it finite, as rounding at the edge of the floats could, must
     # not seed a column with inf thresholds: the upper end stays inf
     family = SchrammFamily.power(2.0, HARMONIC)
-    edge = SimpleNamespace(surrogate=family.surrogate,
+    edge = SimpleNamespace(base=family.base,
                            rank_sum=lambda xs: min(family.rank_sum(xs), 1e308))
     values = np.array([0.0, 1e200, 0.0, 2e200])
     lower, upper, _, rule = gbv.variation._dual_bounds(values, edge, family.rank_weights(3), 1)
