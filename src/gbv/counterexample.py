@@ -20,7 +20,7 @@ import numpy as np
 from .criteria import kernel_parts
 from .errors import (HorizonError, HypothesisError, InfeasibleError,
                      InternalConsistencyError, ResolutionError, ValidationError)
-from .sequences import GaugePair, SchrammFamily, WeightSequence, check_whole
+from .sequences import GaugePair, SchrammFamily, WeightSequence, check_reals, check_whole
 from .stepfn import StepFunction, generate_block, plateau_edges
 from .variation import ORACLE_CAP_DEFAULT, variation_gauged, variation_schramm
 
@@ -39,6 +39,7 @@ def level_constants(name, base, n, coef=1.0):
     as a list; a :class:`ValidationError` when a finite base puts one past
     the largest float, which it then names as the last. A base that is not
     finite and positive is left to :func:`plan_construction` to reject."""
+    n = check_whole("n", n)
     try:
         values = [coef * base ** i for i in range(1, n + 1)]
     except OverflowError:  # base^i itself past the largest float
@@ -153,7 +154,7 @@ def plan_construction(kind, gauge, n_levels, *, w_lambda=None, w_gamma=None,
         if values is None:
             base, coef = PAPER_BASES[name]
             values = level_constants(name, base, n_levels, coef)
-        values = constants[name] = np.asarray(values, dtype=float)
+        values = constants[name] = check_reals(f"a value in {name}", values)
         if values.ndim != 1 or len(values) < n_levels:
             raise ValidationError(f"{name} needs one value for each of {n_levels} levels")
         for n, value in enumerate(values[:n_levels].tolist(), 1):

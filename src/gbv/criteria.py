@@ -94,9 +94,9 @@ class _Bracket:
     the exponent ``e``, one per distinct ``top``.
 
     Its state is a function of the k evaluated up to the highest top: the
-    gaps ``(lo, hi)`` between neighbouring ones, each with ``g(hi)^e``,
-    ``h(lo)`` and their product, which bounds every kernel value inside the
-    gap (g is nondecreasing, h nonincreasing); and the records, the k whose
+    gaps ``(lo, hi)`` between neighbouring ones, each with the product
+    ``g(hi)^e h(lo)``, which bounds every kernel value inside the gap (g is
+    nondecreasing, h nonincreasing); and the records, the k whose
     value exceeds every value before them, the only k that can be the first
     in a tie band. Per top, ``a`` is the max found, ``thr`` the low end of
     its tie band and ``kstar`` the first k in the band; all three are
@@ -121,8 +121,7 @@ class _Bracket:
                                   "Gamma(k) overflows and Phi_k^-1(1) underflows")
         room = ks[1:] - ks[:-1] > 1
         self.lo, self.hi = ks[:-1][room], ks[1:][room]
-        self.ge_hi, self.h_lo = ge[1:][room], h[:-1][room]
-        self.bound = self.ge_hi * self.h_lo
+        self.bound = ge[1:][room] * h[:-1][room]
         v = ge * h
         record = np.concatenate([[True], v[1:] > np.maximum.accumulate(v)[:-1]])
         rk, rv = ks[record], v[record]

@@ -14,6 +14,7 @@ from gbv import (ConvexBase, GaugePair, ResolutionError, SchrammFamily, StepFunc
                  criterion_schramm, criterion_union_p, extremal_profile, generate_block, ingest,
                  modulus_of_variation, paper_constants, plan_construction, schramm_norm,
                  variation_gauged, variation_schramm, variation_unweighted_q, variation_weighted)
+from gbv.counterexample import level_constants
 from gbv.inequalities import (monotone_vector, run_comparison_suite, run_holder_suite,
                               run_master_suite, run_wu_suite)
 
@@ -122,12 +123,15 @@ COUNT_CALLS = {
     "criterion": ("level count", lambda n: criterion_schramm(POWER2, GAUGE, n)),
     "plan": ("level count", lambda n: plan_construction("lambda", GAUGE, n, w_lambda=HARMONIC,
                                                         w_gamma=HARMONIC)),
+    # no least value: the CLI reports --levels 0 as a level count outside 1..1
+    "level_constants": ("n", lambda n: level_constants("eps", 0.5, n)),
 }
 
 
 @pytest.mark.parametrize("count, fragment", [
     (2.5, "must be a whole number, not 2.5"), (math.inf, "must be a whole number, not inf"),
-    (True, "must be a number, not True")], ids=["fraction", "inf", "bool"])
+    (True, "must be a number, not True"), ("3", "must be a number, not '3'")],
+    ids=["fraction", "inf", "bool", "str"])
 @pytest.mark.parametrize("case", sorted(COUNT_CALLS))
 def test_count_that_is_no_whole_number_raises(case, count, fragment):
     name, call = COUNT_CALLS[case]
@@ -253,6 +257,15 @@ REAL_CALLS = {
     "union-p": ("p", lambda x: criterion_union_p(HARMONIC, x, GaugePair.build(n_max=2), 2)),
     "holder-p": ("p", lambda x: check_holder_branch([1.0], HARMONIC, HARMONIC, x, 1.0)),
     "holder-q_n": ("q_n", lambda x: check_holder_branch([1.0], HARMONIC, HARMONIC, 2.0, x)),
+    # a bad entry among numbers, which numpy would turn into a number
+    "gauge-qn-mixed": ("a q_n", lambda x: GaugePair([1.0, x], [2.0, 4.0])),
+    "gauge-delta-mixed": ("a delta_n", lambda x: GaugePair([1.0, 1.0], (2.0, x))),
+    "sample-mixed": ("a sample", lambda x: StepFunction([0.0, x])),
+    **{f"plan-{name}": (f"a value in {name}",
+                        lambda x, name=name: plan_construction(
+                            "lambda", GAUGE, 2, w_lambda=HARMONIC, w_gamma=HARMONIC,
+                            **{name: [4.0, x]}))
+       for name in ("eps", "sep", "blow")},
 }
 
 

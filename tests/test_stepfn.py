@@ -32,8 +32,9 @@ class TestStepFunction:
             StepFunction([1.0])
 
     @pytest.mark.parametrize("samples, read", [
-        (["1", "2"], "'1'"), ([True, False], "True"), (["a", "b"], "'a'"), ([0.0, "1"], "'1'")],
-        ids=["digits", "bools", "letters", "mixed"])
+        (["1", "2"], "'1'"), ([True, False], "True"), (["a", "b"], "'a'"), ([0.0, "1"], "'1'"),
+        ([0.0, True], "True"), ((1, 2.5, False), "False")],
+        ids=["digits", "bools", "letters", "mixed", "mixed-bool", "tuple-bool"])
     def test_rejects_samples_that_are_no_numbers(self, samples, read):
         # checked before the float conversion, which would read '1' as 1.0
         with pytest.raises(ValidationError, match=f"^a sample must be a number, not {read}$"):
