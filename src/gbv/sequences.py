@@ -58,12 +58,14 @@ def check_real(name, x):
 def check_reals(name, values):
     """``values`` as a new float array, after checking that each entry is a
     real number, not a bool or a string: :func:`check_real` over an array,
-    whose :class:`ValidationError` names the first entry that fails. The
-    entries of a list or tuple are each read, since numpy turns a bool
-    among numbers into a number; an array is read by its dtype."""
+    whose :class:`ValidationError` names the first entry that fails. A list
+    or tuple is read by the types of its entries, since numpy turns a bool
+    among numbers into a number; an array by its dtype."""
     array = np.asarray(values)
-    # a list or tuple, or a bool, string, complex or object array
-    if isinstance(values, (list, tuple)) or array.dtype.kind not in "iuf":
+    # a list or tuple holding more than ints and floats, or a bool, string,
+    # complex or object array
+    if (isinstance(values, (list, tuple)) and not set(map(type, values)) <= {int, float}
+            or array.dtype.kind not in "iuf"):
         for x in np.asarray(values, dtype=object).ravel().tolist():  # the entries as given
             check_real(name, x)
     return array.astype(float)

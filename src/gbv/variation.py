@@ -646,9 +646,9 @@ def _rank_bounds(values, family, min_len=1, ranks=None):
 
 
 def _dual_bounds(values, family, weights, min_len):
-    """:func:`_rank_bounds` of a scaled family, phi_j = w_j g with
-    ``weights`` w_1 >= ... >= w_n > 0, by the top-k dual of its rank
-    objective.
+    """:func:`_rank_bounds` of a scaled family, phi_j = w_j g with g its
+    ``base`` and ``weights`` w_1 >= ... >= w_n > 0, by the top-k dual of
+    its rank objective.
 
     With c_k = w_k - w_{k+1} >= 0 (c_n = w_n) and G_k(X) the sum of the k
     largest gains of a collection X, V(X) = sum_k c_k G_k(X), an ordered
