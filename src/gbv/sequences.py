@@ -353,8 +353,8 @@ class ConvexBase:
 
     def __call__(self, x):
         if self.shape == "power":
-            # numpy's ** takes exact fast paths (x^1 as a copy, x^2 as x*x)
-            # that np.power does not
+            # numpy's ** takes fast paths (x^1 as a copy, x^2 as x*x) that
+            # np.power does not, to the same floats; either way a new array
             return np.asarray(x) ** self.p
         return np.expm1(x)
 

@@ -701,7 +701,7 @@ def _dual_bounds(values, family, weights, min_len):
             break
 
         def h(x, t=t, total=total):
-            y = family.base(x)
+            y = family.base(x)  # a new array, which the gain is written into
             i = np.searchsorted(t, y)
             y *= below[i]
             y -= total[i]
